@@ -21,6 +21,7 @@ from .errors import (
     DomainViolationError,
     InsufficientSampleError,
     MirrorSobolError,
+    PilotTargetError,
     SingularDensityError,
 )
 from .estimator import (
@@ -58,6 +59,7 @@ __all__ = [
     "DomainViolationError",
     "InsufficientSampleError",
     "MirrorSobolError",
+    "PilotTargetError",
     "SingularDensityError",
     "EstimateResult",
     "FullSample",

@@ -1,8 +1,9 @@
 """Pilot-based automatic bandwidth selection.
 
 A Gaussian-kernel pilot regressor (never mirror-corrected) supplies both a
-closed-form target for E[g1(X)^2] and virtual outputs; the selected h makes
-the kernel U-statistic on the virtual outputs match the target.
+target for E[g1(X)^2], computed as one tensor Gauss quadrature over the
+mask axes, and virtual outputs; the selected h makes the kernel U-statistic
+on the virtual outputs match the target.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 from scipy.stats import norm
 
 from .domain import Domain, check_mirror_condition
@@ -20,21 +21,18 @@ from .errors import (
     BandwidthTooLargeError,
     InsufficientSampleError,
     MirrorSobolError,
+    PilotTargetError,
 )
 from .estimator import FullSample, SubsetSpec, estimate_t
-from .inputs import Uniform
+from .inputs import Beta, Uniform
 from .kernels import KernelD
 
 __all__ = [
     "PilotConfig",
-    "BetaTables",
     "rule_of_thumb_h0",
-    "compute_beta_pair",
     "compute_beta_single",
-    "build_beta_tables",
-    "target_functional",
+    "pilot_target",
     "virtual_outputs",
-    "pilot_target_mc",
     "default_grid",
     "select_bandwidth",
     "bandwidth_curve",
@@ -43,9 +41,6 @@ __all__ = [
 # below this pilot bandwidth the virtual outputs blow up like K(0)^p / h0^p;
 # every consumer of h0 clips at this floor
 H0_FLOOR = 1e-3
-
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class PilotConfig:
@@ -74,27 +69,6 @@ class PilotConfig:
         object.__setattr__(self, "grid", grid)
 
 
-@dataclass(frozen=True)
-class BetaTables:
-    """Pilot overlap integrals: pair matrices on mask axes, vectors elsewhere."""
-
-    mask: tuple
-    pair: tuple  # one symmetric (n, n) matrix per mask axis, in mask order
-    single: tuple  # one n-vector per off-mask axis, ascending axis order
-
-    def __post_init__(self):
-        for mat in self.pair:
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise MirrorSobolError("pair tables must be square matrices")
-            if not np.all(np.isfinite(mat)):
-                raise MirrorSobolError("pair table has non-finite entries")
-            if not np.allclose(mat, mat.T, rtol=0, atol=1e-12):
-                raise MirrorSobolError("pair table is not symmetric")
-        for vec in self.single:
-            if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-                raise MirrorSobolError("single tables must be finite vectors")
-
-
 def _clipped_h0(h0) -> np.ndarray:
     h0 = np.asarray(h0, dtype=float).ravel()
     if h0.size == 0 or not np.all(np.isfinite(h0)) or np.any(h0 <= 0):
@@ -115,53 +89,6 @@ def rule_of_thumb_h0(sample: FullSample) -> np.ndarray:
     return stds * n ** (-1.0 / (4.0 + p))
 
 
-def compute_beta_pair(sample: FullSample, i: int, h0_i: float, marginal) -> np.ndarray:
-    """Pair overlap matrix for axis i: integral of the two pilot kernels over
-    the marginal support, weighted by 1/f.
-
-    Uniform marginals use the exact Gaussian closed form; anything else goes
-    through adaptive quadrature at 1e-9 relative tolerance.
-    """
-    h0_i = float(_clipped_h0([h0_i])[0])
-    v = np.asarray(sample.V[:, i], dtype=float)
-    if isinstance(marginal, Uniform):
-        a, b = marginal.support
-        diff = v[:, None] - v[None, :]
-        mid = 0.5 * (v[:, None] + v[None, :])
-        s = h0_i / _SQRT2
-        gauss = norm.pdf(diff / (_SQRT2 * h0_i)) / (_SQRT2 * h0_i)
-        masswin = norm.cdf((b - mid) / s) - norm.cdf((a - mid) / s)
-        return (b - a) * gauss * masswin
-    return _beta_pair_quadrature(v, h0_i, marginal)
-
-
-def _beta_pair_quadrature(v: np.ndarray, h0_i: float, marginal) -> np.ndarray:
-    a, b = marginal.support
-    n = v.shape[0]
-    out = np.empty((n, n))
-
-    def integrand(x, vj, vk):
-        f = float(marginal.pdf(np.array([x]))[0])
-        if f <= 0.0:
-            return 0.0
-        kj = math.exp(-0.5 * ((vj - x) / h0_i) ** 2) / (h0_i * math.sqrt(2 * math.pi))
-        kk = math.exp(-0.5 * ((vk - x) / h0_i) ** 2) / (h0_i * math.sqrt(2 * math.pi))
-        return kj * kk / f
-
-    for j in range(n):
-        for k in range(j, n):
-            val, err = integrate.quad(
-                integrand, a, b, args=(v[j], v[k]), epsabs=1e-13, epsrel=1e-9, limit=200
-            )
-            if not np.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):
-                raise MirrorSobolError(
-                    f"pair-table quadrature did not converge on axis pair ({j}, {k}): "
-                    f"value {val}, error estimate {err}"
-                )
-            out[j, k] = out[k, j] = val
-    return out
-
-
 def compute_beta_single(sample: FullSample, i: int, h0_i: float, support=(0.0, 1.0)) -> np.ndarray:
     """Off-mask mass vector for axis i: pilot kernel mass over the support.
 
@@ -176,58 +103,148 @@ def compute_beta_single(sample: FullSample, i: int, h0_i: float, support=(0.0, 1
     return norm.cdf((b - v) / h0_i) - norm.cdf((a - v) / h0_i)
 
 
-def build_beta_tables(sample: FullSample, spec: SubsetSpec, h0, input_model=None) -> BetaTables:
-    """All pilot tables for one mask; h0 is the full length-p vector."""
-    n, p = sample.V.shape
+# quadrature nodes per mask axis: at least 4 per pilot bandwidth across the
+# support, in panels of a fixed 16-point Gauss-Legendre rule (one global
+# rule of thousands of nodes loses digits near the ends of the support);
+# this resolves the squared Gaussian bumps of the pilot regressor to ~1e-14
+_PANEL_T, _PANEL_W = np.polynomial.legendre.leggauss(16)
+_NODES_PER_H0 = 4.0
+# one pilot target may cost at most this many kernel products n * prod(G_i)
+# (every mask of size <= 3 at n = 1e4 with rule-of-thumb h0 fits) and hold
+# at most this many tensor nodes
+_WORK_BUDGET = 2**33
+_NODE_BUDGET = 2**22
+# rows per block: bounds the kernel matrices to O(block * G) memory
+_BLOCK_ENTRIES = 2**21
+# G-node versus 2G-node agreement required of a Custom density's rule
+_CONVERGENCE_RTOL = 1e-9
+
+
+def _gauss_kernel(v: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
+    z = (v[:, None] - x[None, :]) / h
+    return np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+
+
+def _self_overlap(v: np.ndarray, h: float, x: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """Per-point quadrature of K_h(v_j - x)^2 / f(x) on one axis."""
+    step = max(1, _BLOCK_ENTRIES // x.size)
+    return np.concatenate([_gauss_kernel(v[s : s + step], h, x) ** 2 @ wf for s in range(0, v.size, step)])
+
+
+def _legendre_rule(marginal, g: int):
+    """Composite Gauss-Legendre nodes on the support, weights divided by f (0 where f = 0)."""
+    a, b = marginal.support
+    edges = np.linspace(a, b, g // _PANEL_T.size + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (edges[:-1, None] + half * (_PANEL_T + 1.0)).ravel()
+    w = (half * _PANEL_W).ravel()
+    f = np.asarray(marginal.pdf(x), dtype=float)
+    with np.errstate(divide="ignore"):
+        wf = np.where(f > 0.0, w / f, 0.0)
+    return x, wf
+
+
+def _node_count(axis: int, h0_i: float, marginal) -> int:
+    if isinstance(marginal, Beta) and max(marginal.a, marginal.b) >= 2.0:
+        raise PilotTargetError(
+            axis,
+            f"mask axis {axis} has a Beta({marginal.a}, {marginal.b}) marginal: with a shape >= 2 "
+            "1/f is not integrable at the support edge, so the pilot target is infinite; "
+            "set the bandwidth with --h or --rule instead of --auto",
+        )
+    a, b = marginal.support
+    panels = max(2, math.ceil(_NODES_PER_H0 * (b - a) / (_PANEL_T.size * h0_i)))
+    return panels * _PANEL_T.size
+
+
+def _axis_rule(axis: int, v: np.ndarray, h0_i: float, marginal, g: int):
+    """Nodes x and weights w/f of the pilot quadrature on one mask axis.
+
+    A Beta(a, b) marginal has 1/f = B(a, b) x^(1-a) (1-x)^(1-b), a Jacobi
+    weight, so Gauss-Jacobi integrates the boundary factor exactly.  Other
+    marginals use composite Gauss-Legendre; a Custom density, whose 1/f may
+    be singular, must give the same per-point overlaps on G and 2G nodes.
+    """
+    if isinstance(marginal, Beta):
+        t, w = special.roots_jacobi(g, 1.0 - marginal.b, 1.0 - marginal.a)
+        scale = special.beta(marginal.a, marginal.b) * 2.0 ** (marginal.a + marginal.b - 3.0)
+        return 0.5 * (1.0 + t), scale * w
+    x, wf = _legendre_rule(marginal, g)
+    if not isinstance(marginal, Uniform):
+        coarse = _self_overlap(v, h0_i, x, wf)
+        fine = _self_overlap(v, h0_i, *_legendre_rule(marginal, 2 * g))
+        gap = float(np.max(np.abs(fine - coarse)))
+        if not (gap <= _CONVERGENCE_RTOL * float(np.max(fine))):
+            raise PilotTargetError(
+                axis,
+                f"the pilot quadrature on mask axis {axis} does not converge: {g} and {2 * g} nodes "
+                f"differ by {gap:.3g} (is 1/f singular on the support?); "
+                "set the bandwidth with --h or --rule instead of --auto",
+            )
+    return x, wf
+
+
+def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
+    """Pilot estimate of E[g1(X)^2]; returns (target, target_printed).
+
+    With independent inputs the all-pairs sum (1/n^2) sum_jk u_j u_k
+    prod_{i in mask} beta_i(j, k) equals the integral over the mask box of
+    g^(x)^2 / f_mask(x), where g^(x) = (1/n) sum_j u_j prod_i K_{h0_i}(V_ij - x_i)
+    and u_j is Y_j times the closed-form off-mask kernel masses.  The
+    integral is taken on a tensor Gauss grid at O(n prod G_i) time and
+    O(n G) memory.  target_printed is the paper's half-open sum
+    (1/n^2) sum_{j <= k}, i.e. (target + diagonal) / 2 on the same nodes.
+
+    marginals holds one marginal per input axis.  Raises PilotTargetError,
+    naming the axis, when the target is infinite (a Beta mask marginal with
+    a shape >= 2), beyond the work budget, or unresolved by the quadrature.
+    """
+    v = np.asarray(sample.V, dtype=float)
+    y = np.asarray(sample.Y, dtype=float)
+    n, p = v.shape
     h0 = _clipped_h0(h0)
     if h0.size != p:
         raise MirrorSobolError(f"h0 has {h0.size} entries for {p} input axes")
+    if len(marginals) != p:
+        raise MirrorSobolError(f"{len(marginals)} pilot marginals for {p} input axes")
     mask = tuple(spec.mask)
-    if input_model is not None and len(input_model.marginals) != p:
-        raise MirrorSobolError("input model dimension does not match the sample")
-    pair, single = [], []
+    u = y.copy()
     for i in range(p):
-        marg = input_model.marginals[i] if input_model is not None else Uniform(0.0, 1.0)
-        if i in mask:
-            pair.append(compute_beta_pair(sample, i, h0[i], marg))
-        else:
-            single.append(compute_beta_single(sample, i, h0[i], support=marg.support))
-    return BetaTables(mask=mask, pair=tuple(pair), single=tuple(single))
-
-
-def _target_sums(y: np.ndarray, betas: BetaTables):
-    n = y.shape[0]
-    prod_pair = np.ones((n, n))
-    for mat in betas.pair:
-        prod_pair = prod_pair * mat
-    s = np.ones(n)
-    for vec in betas.single:
-        s = s * vec
-    u = y * s
-    terms = u[:, None] * u[None, :] * prod_pair
-    iu = np.triu_indices(n)
-    upper = math.fsum(terms[iu])
-    diag = math.fsum(np.diagonal(terms))
-    return upper, diag
-
-
-def target_functional(sample: FullSample, betas: BetaTables, convention: str = "printed") -> float:
-    """Pilot estimate of E[g1(X)^2] from the beta tables.
-
-    convention "printed" keeps the half-open double sum (1/n^2) sum_{j<=j'};
-    "full" counts every ordered pair, which is what squaring the pilot
-    regressor actually produces (see pilot_target_mc).  Both are exposed;
-    the selector default is set by the Monte Carlo cross-check.
-    """
-    if len(betas.pair) + len(betas.single) != sample.V.shape[1]:
-        raise MirrorSobolError("beta tables do not cover every input axis")
-    upper, diag = _target_sums(np.asarray(sample.Y, dtype=float), betas)
-    n = sample.n
-    if convention == "printed":
-        return upper / n**2
-    if convention == "full":
-        return (2.0 * upper - diag) / n**2
-    raise MirrorSobolError(f"unknown target convention {convention!r}")
+        if i not in mask:
+            u = u * compute_beta_single(sample, i, h0[i], support=marginals[i].support)
+    sizes = [_node_count(i, h0[i], marginals[i]) for i in mask]
+    nodes = math.prod(sizes)
+    if n * nodes > _WORK_BUDGET or nodes > _NODE_BUDGET:
+        worst = mask[int(np.argmax(sizes))]
+        raise PilotTargetError(
+            worst,
+            f"the pilot target over mask axes {list(mask)} needs {n} x {' x '.join(map(str, sizes))} "
+            f"kernel products, beyond the budget of {_WORK_BUDGET} ({_NODE_BUDGET} nodes); axis {worst} "
+            "needs the most nodes; set the bandwidth with --h or --rule instead of --auto",
+        )
+    rules = [_axis_rule(i, v[:, i], h0[i], marginals[i], g) for i, g in zip(mask, sizes)]
+    # g^ is accumulated as (rows of the Khatri-Rao product of all but the
+    # last axis)^T @ (kernel matrix of the last axis), one row block at a time
+    lead = nodes // sizes[-1]
+    step = max(1, _BLOCK_ENTRIES // (lead + sum(sizes)))
+    ghat = np.zeros((lead, sizes[-1]))
+    diag = 0.0
+    for s in range(0, n, step):
+        rows = slice(s, min(s + step, n))
+        mats = [_gauss_kernel(v[rows, i], h0[i], x) for i, (x, _) in zip(mask, rules)]
+        kr = u[rows, None]
+        for mat in mats[:-1]:
+            kr = (kr[:, :, None] * mat[:, None, :]).reshape(kr.shape[0], -1)
+        ghat += kr.T @ mats[-1]
+        self_terms = u[rows] ** 2
+        for mat, (_, wf) in zip(mats, rules):
+            self_terms = self_terms * (mat**2 @ wf)
+        diag += float(np.sum(self_terms))
+    val = (ghat**2).reshape(sizes)
+    for _, wf in reversed(rules):
+        val = val @ wf
+    full = float(val) / n**2
+    return full, 0.5 * (full + diag / n**2)
 
 
 _VIRT_BLOCK = 512
@@ -277,56 +294,6 @@ def virtual_outputs(
     return out
 
 
-def pilot_target_mc(
-    sample: FullSample,
-    spec: SubsetSpec,
-    h0,
-    input_model=None,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo value of E[g1~(X~)^2] for the pilot regressor.
-
-    Direct average of the squared conditional pilot regressor over fresh
-    uniform draws of the mask coordinates; used to pin down which summation
-    convention of the closed-form target is correctly normalized.
-    """
-    v = np.asarray(sample.V, dtype=float)
-    y = np.asarray(sample.Y, dtype=float)
-    n, p = v.shape
-    h0 = _clipped_h0(h0)
-    mask = tuple(spec.mask)
-    if input_model is not None:
-        for i in mask:
-            if not isinstance(input_model.marginals[i], Uniform):
-                raise MirrorSobolError("pilot_target_mc supports uniform mask marginals only")
-    rng = np.random.default_rng(seed)
-    # per-point single-axis masses on the off-mask axes
-    s = np.ones(n)
-    for i in range(p):
-        if i in mask:
-            continue
-        sup = input_model.marginals[i].support if input_model is not None else (0.0, 1.0)
-        s = s * compute_beta_single(sample, i, h0[i], support=sup)
-    w = y * s
-    acc = 0.0
-    done = 0
-    block = max(1, 2_000_000 // max(1, n))
-    while done < draws:
-        take = min(block, draws - done)
-        g1 = np.zeros((take, n))
-        for i in mask:
-            sup = input_model.marginals[i].support if input_model is not None else (0.0, 1.0)
-            x = rng.uniform(sup[0], sup[1], size=take)
-            fi = 1.0 / (sup[1] - sup[0])
-            z = (v[None, :, i] - x[:, None]) / h0[i]
-            g1 += -0.5 * z * z - math.log(h0[i] * math.sqrt(2 * math.pi)) - math.log(fi)
-        vals = (np.exp(g1) @ w) / n
-        acc += float(np.sum(vals**2))
-        done += take
-    return acc / draws
-
-
 def default_grid(n: int, d: int, domain: Domain, size: int = 25) -> np.ndarray:
     """Log-spaced candidate bandwidths from (0.05 n)^(-1/d) up to the mirror limit.
 
@@ -359,21 +326,19 @@ def bandwidth_curve(
     *,
     domain: Optional[Domain] = None,
     input_model=None,
-    f_v: Optional[Callable] = None,
-    convention: str = "full",
-    pilot: str = "loo",
     refine: bool = False,
 ) -> dict:
     """Evaluate the selection objective on the grid and pick h*.
 
-    Returns {"h_star", "target", "curve": [(h, |T~ - target|)]}.  The
-    objective compares the U-statistic on virtual outputs to the pilot
-    target; ties go to the smaller h, and refine=True runs three
-    golden-section iterations between the grid neighbors of the minimizer.
+    Returns {"h_star", "target", "target_printed", "curve": [(h, |T~ - target|)]}.
+    The objective compares the U-statistic on leave-one-out virtual outputs
+    to the pilot target (see pilot_target); ties go to the smaller h, and
+    refine=True runs three golden-section iterations between the grid
+    neighbors of the minimizer.
 
-    pilot "loo" (default) uses leave-one-out virtual outputs so that the
-    U-statistic is centered on the closed-form target; "self" keeps the
-    self-terms, which shifts the objective by a systematic offset.
+    The pilot marginals, for both the target and the virtual outputs'
+    density f_V, are those of input_model, or uniform on the domain when
+    there is none.
     """
     if domain is None:
         if input_model is not None:
@@ -385,11 +350,16 @@ def bandwidth_curve(
     for h in grid:
         if not check_mirror_condition(domain, float(h)):
             raise BandwidthTooLargeError(f"grid entry {h} violates the mirror condition")
-    if pilot not in ("loo", "self"):
-        raise MirrorSobolError(f"pilot must be 'loo' or 'self', got {pilot!r}")
-    betas = build_beta_tables(sample, spec, config.h0, input_model)
-    target = target_functional(sample, betas, convention=convention)
-    y_virtual = virtual_outputs(sample, config.h0, f_v, loo=(pilot == "loo"))
+    if input_model is not None:
+        marginals = input_model.marginals
+    else:
+        marginals = tuple(Uniform(lo, hi) for lo, hi in zip(domain.lower, domain.upper))
+    target, target_printed = pilot_target(sample, spec, config.h0, marginals)
+
+    def f_v(rows):
+        return np.prod([m.pdf(rows[:, i]) for i, m in enumerate(marginals)], axis=0)
+
+    y_virtual = virtual_outputs(sample, config.h0, f_v, loo=True)
     sample_virtual = FullSample(V=sample.V, Y=y_virtual)
     values = np.array(
         [_objective(float(h), sample_virtual, spec, kernel, f_x, domain, target) for h in grid]
@@ -419,7 +389,8 @@ def bandwidth_curve(
                 h_star, best = float(h_cand), float(val)
     return {
         "h_star": h_star,
-        "target": float(target),
+        "target": target,
+        "target_printed": target_printed,
         "curve": [(float(h), float(v)) for h, v in zip(grid, values)],
     }
 

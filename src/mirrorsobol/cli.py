@@ -35,15 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import (
-    H0_FLOOR,
-    PilotConfig,
-    bandwidth_curve,
-    build_beta_tables,
-    default_grid,
-    rule_of_thumb_h0,
-    target_functional,
-)
+from .bandwidth import PilotConfig, bandwidth_curve, default_grid, rule_of_thumb_h0
 from .density import beta_moment_estimator, mirror_kde, uniform_max_estimator
 from .domain import Domain
 from .errors import MirrorSobolError
@@ -412,12 +404,17 @@ def _resolve_h(config: RunConfig, fs: FullSample, spec, kernel, f_x, domain, inp
         c, gamma = config.rule
         h = c * fs.n ** (-gamma)
         return h, {"mode": "rule", "c": c, "gamma": gamma, "h": h}
+    out = _auto_curve(fs, spec, kernel, f_x, domain, input_model)
+    return out["h_star"], {"mode": "auto", "h": out["h_star"], "target": out["target"]}
+
+
+def _auto_curve(fs: FullSample, spec, kernel, f_x, domain, input_model) -> dict:
+    """Pilot selection with rule-of-thumb pilot bandwidths on the default grid."""
     pilot = PilotConfig(
         h0=tuple(rule_of_thumb_h0(fs)),
         grid=tuple(default_grid(fs.n, spec.d, domain.subdomain(spec.mask))),
     )
-    out = bandwidth_curve(fs, spec, kernel, pilot, f_x, domain=domain, input_model=input_model)
-    return out["h_star"], {"mode": "auto", "h": out["h_star"], "target": out["target"]}
+    return bandwidth_curve(fs, spec, kernel, pilot, f_x, domain=domain, input_model=input_model)
 
 
 def _h_rule_fn(config: RunConfig):
@@ -508,18 +505,11 @@ def _cmd_bandwidth(config: RunConfig) -> str:
     spec = SubsetSpec(_mask0(config, fs.p))
     kernel = build_kernel(config.kernel_order, spec.d)
     f_x, domain, density_info = _setup_density(config, fs, spec.mask, input_model)
-    pilot = PilotConfig(
-        h0=tuple(rule_of_thumb_h0(fs)),
-        grid=tuple(default_grid(fs.n, spec.d, domain.subdomain(spec.mask))),
-    )
-    out = bandwidth_curve(fs, spec, kernel, pilot, f_x, domain=domain, input_model=input_model)
-    # both normalizations of the pilot target are reported; selection uses "full"
-    h0c = np.maximum(np.asarray(pilot.h0, dtype=float), H0_FLOOR)
-    betas = build_beta_tables(fs, spec, h0c, input_model=input_model)
+    out = _auto_curve(fs, spec, kernel, f_x, domain, input_model)
     body = {
         "h_star": out["h_star"],
         "target": out["target"],
-        "target_printed": target_functional(fs, betas, convention="printed"),
+        "target_printed": out["target_printed"],
         "objective_curve": [[h, v] for h, v in out["curve"]],
         "density": density_info,
     }

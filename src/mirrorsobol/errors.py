@@ -30,3 +30,14 @@ class DegenerateOutputError(MirrorSobolError):
 
 class InsufficientSampleError(MirrorSobolError):
     """Fewer sample rows than the estimator requires."""
+
+
+class PilotTargetError(MirrorSobolError):
+    """The pilot target of automatic bandwidth selection cannot be computed.
+
+    Carries the 0-based input axis at fault in ``axis``.
+    """
+
+    def __init__(self, axis, message):
+        super().__init__(message)
+        self.axis = int(axis)

@@ -4,21 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 from scipy.stats import norm
 
 from mirrorsobol.bandwidth import (
     H0_FLOOR,
-    BetaTables,
     PilotConfig,
     bandwidth_curve,
-    build_beta_tables,
-    compute_beta_pair,
     compute_beta_single,
     default_grid,
-    pilot_target_mc,
+    pilot_target,
     rule_of_thumb_h0,
     select_bandwidth,
-    target_functional,
     virtual_outputs,
 )
 from mirrorsobol.domain import Domain, check_mirror_condition
@@ -26,11 +25,12 @@ from mirrorsobol.errors import (
     BandwidthTooLargeError,
     InsufficientSampleError,
     MirrorSobolError,
+    PilotTargetError,
 )
 from mirrorsobol.estimator import FullSample, SubsetSpec
-from mirrorsobol.inputs import Custom, Uniform
+from mirrorsobol.inputs import Beta, Custom, Uniform
 from mirrorsobol.kernels import build_kernel
-from mirrorsobol.testbed import linear_model
+from mirrorsobol.testbed import ishigami_model, linear_model
 
 
 def _sample(n, p, seed=0):
@@ -69,56 +69,140 @@ def test_rule_of_thumb_constant_column_errors():
 
 
 # ------------------------------------------------------------------
-# beta tables
+# pair-sum oracle for the pilot target
+# ------------------------------------------------------------------
+
+
+def _pair_table(v, h0_i, marginal):
+    """beta(j, k): integral of K_h0(v_j - x) K_h0(v_k - x) / f(x) over the support.
+
+    Uniform marginals use the exact Gaussian closed form; anything else goes
+    through adaptive quadrature, one call per pair.
+    """
+    a, b = marginal.support
+    if isinstance(marginal, Uniform):
+        diff = v[:, None] - v[None, :]
+        mid = 0.5 * (v[:, None] + v[None, :])
+        s = h0_i / math.sqrt(2)
+        gauss = norm.pdf(diff / (math.sqrt(2) * h0_i)) / (math.sqrt(2) * h0_i)
+        return (b - a) * gauss * (norm.cdf((b - mid) / s) - norm.cdf((a - mid) / s))
+
+    def integrand(x, vj, vk):
+        f = float(marginal.pdf(np.array([x]))[0])
+        if f <= 0.0:
+            return 0.0
+        return norm.pdf(vj - x, scale=h0_i) * norm.pdf(vk - x, scale=h0_i) / f
+
+    n = v.shape[0]
+    out = np.empty((n, n))
+    for j in range(n):
+        for k in range(j, n):
+            val, _ = integrate.quad(integrand, a, b, args=(v[j], v[k]), epsabs=1e-14, epsrel=1e-11, limit=200)
+            out[j, k] = out[k, j] = val
+    return out
+
+
+def _oracle_tables(sample, mask, h0, marginals):
+    """Pair tables on the mask axes, off-mask kernel masses elsewhere."""
+    pair, single = [], []
+    for i, marg in enumerate(marginals):
+        if i in mask:
+            pair.append(_pair_table(sample.V[:, i], max(h0[i], H0_FLOOR), marg))
+        else:
+            single.append(compute_beta_single(sample, i, h0[i], support=marg.support))
+    return pair, single
+
+
+def _naive_target(y, pair, single, full=False):
+    n = y.shape[0]
+    acc = 0.0
+    for j in range(n):
+        for k in range(n):
+            if not full and k < j:
+                continue
+            term = y[j] * y[k]
+            for mat in pair:
+                term *= mat[j, k]
+            for vec in single:
+                term *= vec[j] * vec[k]
+            acc += term
+    return acc / n**2
+
+
+def _assert_matches_oracle(sample, mask, h0, marginals, rtol):
+    got = pilot_target(sample, SubsetSpec(mask=mask), h0, marginals)
+    pair, single = _oracle_tables(sample, mask, h0, marginals)
+    y = np.asarray(sample.Y, dtype=float)
+    # signed outputs can cancel, so the scale is the all-positive sum
+    for full, g in zip((True, False), got):
+        want = _naive_target(y, pair, single, full=full)
+        scale = _naive_target(np.abs(y), pair, single, full=full)
+        assert abs(g - want) <= rtol * scale, f"quadrature {g} vs pair sum {want} (scale {scale})"
+
+
+def _flat(a, b):
+    return Custom(
+        density=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / (b - a)),
+        support_interval=(a, b),
+        sampler=lambda n, rng: rng.uniform(a, b, n),
+    )
+
+
+# ------------------------------------------------------------------
+# pilot target
 # ------------------------------------------------------------------
 
 
 def test_beta_pair_hand_value():
-    # coincident points at 0.5 with h0 = 0.1: (1/(sqrt(2) 0.1)) phi(0) times
-    # essentially all the normal mass inside [0,1] -> about 2.8209
+    # coincident points at 0.5 with h0 = 0.1: every pair overlap is
+    # (1/(sqrt(2) 0.1)) phi(0) times essentially all the normal mass inside
+    # [0,1] -> about 2.8209; the half-open sum keeps 3 of the 4 pairs
     v = np.column_stack([np.array([0.5, 0.5])])
     s = FullSample(V=v, Y=np.ones(2))
-    mat = compute_beta_pair(s, 0, 0.1, Uniform(0.0, 1.0))
+    full, printed = pilot_target(s, SubsetSpec(mask=(0,)), [0.1], [Uniform(0.0, 1.0)])
     want = (
         norm.pdf(0.0) / (math.sqrt(2) * 0.1)
         * (norm.cdf(0.5 / (0.1 / math.sqrt(2))) - norm.cdf(-0.5 / (0.1 / math.sqrt(2))))
     )
-    assert mat[0, 1] == pytest.approx(want, rel=1e-12)
-    assert mat[0, 1] == pytest.approx(2.8209, abs=2e-4)
+    assert full == pytest.approx(want, rel=1e-12)
+    assert printed == pytest.approx(0.75 * want, rel=1e-12)
+    assert full == pytest.approx(2.8209, abs=2e-4)
 
 
 def test_beta_pair_closed_form_matches_quadrature():
+    # a flat Custom density takes the Legendre rule with its convergence
+    # check; it must equal the Uniform marginal and the closed-form oracle
     s = _sample(15, 1, seed=7)
-    closed = compute_beta_pair(s, 0, 0.09, Uniform(0.0, 1.0))
-    flat = Custom(
-        density=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        support_interval=(0.0, 1.0),
-        sampler=lambda n, rng: rng.random(n),
-    )
-    quad = compute_beta_pair(s, 0, 0.09, flat)
-    err = np.max(np.abs(closed - quad))
-    assert err < 1e-8, f"closed form vs quadrature disagree by {err}"
+    spec = SubsetSpec(mask=(0,))
+    uniform = pilot_target(s, spec, [0.09], [Uniform(0.0, 1.0)])
+    flat = pilot_target(s, spec, [0.09], [_flat(0.0, 1.0)])
+    assert flat == pytest.approx(uniform, rel=1e-12, abs=0.0)
+    _assert_matches_oracle(s, (0,), [0.09], [Uniform(0.0, 1.0)], rtol=1e-12)
 
 
 def test_beta_pair_shifted_uniform_support():
     rng = np.random.default_rng(12)
     v = rng.uniform(0.0, 2.0, size=(8, 1))
     s = FullSample(V=v, Y=np.ones(8))
-    closed = compute_beta_pair(s, 0, 0.15, Uniform(0.0, 2.0))
-    flat = Custom(
-        density=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
-        support_interval=(0.0, 2.0),
-        sampler=lambda n, rng: rng.uniform(0, 2, n),
-    )
-    quad = compute_beta_pair(s, 0, 0.15, flat)
-    assert np.max(np.abs(closed - quad)) < 1e-8
+    _assert_matches_oracle(s, (0,), [0.15], [Uniform(0.0, 2.0)], rtol=1e-12)
+    spec = SubsetSpec(mask=(0,))
+    closed = pilot_target(s, spec, [0.15], [Uniform(0.0, 2.0)])
+    flat = pilot_target(s, spec, [0.15], [_flat(0.0, 2.0)])
+    assert flat == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_beta_pair_symmetric_nonnegative():
+    # the target is an integral of a square: nonnegative for signed outputs,
+    # and symmetric in the rows
     s = _sample(40, 2, seed=5)
-    mat = compute_beta_pair(s, 1, 0.12, Uniform(0.0, 1.0))
-    assert np.array_equal(mat, mat.T)
-    assert np.all(mat >= 0.0)
+    signed = FullSample(V=s.V, Y=s.Y - s.Y.mean())
+    spec = SubsetSpec(mask=(1,))
+    marg = [Uniform(0.0, 1.0)] * 2
+    full, printed = pilot_target(signed, spec, [0.1, 0.12], marg)
+    assert full >= 0.0 and printed >= 0.0
+    perm = np.random.default_rng(3).permutation(40)
+    shuffled = FullSample(V=signed.V[perm], Y=signed.Y[perm])
+    assert pilot_target(shuffled, spec, [0.1, 0.12], marg) == pytest.approx((full, printed), rel=1e-13)
 
 
 def test_beta_single_values():
@@ -133,68 +217,138 @@ def test_beta_single_values():
     assert wide[0] < out[0]
 
 
-# ------------------------------------------------------------------
-# target functional
-# ------------------------------------------------------------------
-
-
-def _naive_target(y, betas, full=False):
-    n = y.shape[0]
-    acc = 0.0
-    for j in range(n):
-        for k in range(n):
-            if not full and k < j:
-                continue
-            term = y[j] * y[k]
-            for mat in betas.pair:
-                term *= mat[j, k]
-            for vec in betas.single:
-                term *= vec[j] * vec[k]
-            acc += term
-    return acc / n**2
-
-
 def test_target_zero_output():
     s = FullSample(V=np.random.default_rng(0).random((12, 2)), Y=np.zeros(12))
-    betas = build_beta_tables(s, SubsetSpec(mask=(0,)), [0.1, 0.1])
-    assert target_functional(s, betas) == 0.0
+    assert pilot_target(s, SubsetSpec(mask=(0,)), [0.1, 0.1], [Uniform(0.0, 1.0)] * 2) == (0.0, 0.0)
 
 
 def test_target_single_point():
-    # the closed form is well defined for a single row even though the
+    # the target is well defined for a single row even though the
     # U-statistic is not, so feed a bare container
     from types import SimpleNamespace
 
     s = SimpleNamespace(V=np.array([[0.4, 0.6]]), Y=np.array([3.0]), n=1)
-    betas = build_beta_tables(s, SubsetSpec(mask=(0,)), [0.1, 0.1])
-    want = 9.0 * betas.pair[0][0, 0] * betas.single[0][0] ** 2
-    assert target_functional(s, betas) == pytest.approx(want, rel=1e-15)
+    marg = [Uniform(0.0, 1.0)] * 2
+    pair, single = _oracle_tables(s, (0,), [0.1, 0.1], marg)
+    want = 9.0 * pair[0][0, 0] * single[0][0] ** 2
+    full, printed = pilot_target(s, SubsetSpec(mask=(0,)), [0.1, 0.1], marg)
+    assert full == pytest.approx(want, rel=1e-14)
+    assert printed == pytest.approx(want, rel=1e-14)
 
 
 def test_target_matches_naive_loops():
     s = _sample(30, 3, seed=9)
-    betas = build_beta_tables(s, SubsetSpec(mask=(0, 2)), [0.1, 0.12, 0.14])
-    printed = target_functional(s, betas, "printed")
-    full = target_functional(s, betas, "full")
-    assert printed == pytest.approx(_naive_target(s.Y, betas), rel=1e-12)
-    assert full == pytest.approx(_naive_target(s.Y, betas, full=True), rel=1e-12)
-    with pytest.raises(MirrorSobolError):
-        target_functional(s, betas, "half")
+    h0 = [0.1, 0.12, 0.14]
+    marg = [Uniform(0.0, 1.0)] * 3
+    full, printed = pilot_target(s, SubsetSpec(mask=(0, 2)), h0, marg)
+    pair, single = _oracle_tables(s, (0, 2), h0, marg)
+    assert printed == pytest.approx(_naive_target(s.Y, pair, single), rel=1e-12)
+    assert full == pytest.approx(_naive_target(s.Y, pair, single, full=True), rel=1e-12)
 
 
-def test_target_mc_confirms_full_convention():
-    # the Monte Carlo average of the squared pilot regressor matches the
-    # all-pairs sum; the half-open sum undercounts by about 2x
+@st.composite
+def _uniform_cases(draw):
+    """Small samples on shifted boxes with ties, edge and midpoint coordinates."""
+    p = draw(st.integers(1, 3))
+    mask = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p))))
+    lo = [draw(st.floats(-3.0, 3.0)) for _ in range(p)]
+    hi = [a + draw(st.floats(0.25, 2.0)) for a in lo]
+    floor = len(mask) <= 2 and draw(st.booleans())
+    h0 = [draw(st.floats(0.02, 0.5)) * (b - a) for a, b in zip(lo, hi)]
+    if floor:
+        # the first mask axis at the pilot floor: 4000 nodes per unit width
+        h0[mask[0]] = H0_FLOOR
+        hi[mask[0]] = lo[mask[0]] + min(hi[mask[0]] - lo[mask[0]], 1.0)
+
+    def coord(i):
+        a, b = lo[i], hi[i]
+        return draw(st.one_of(st.sampled_from([a, b, 0.5 * (a + b)]), st.floats(a, b)))
+
+    pool = [[coord(i) for i in range(p)] for _ in range(draw(st.integers(1, 6)))]
+    n = draw(st.integers(2, 10))
+    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    y = [draw(st.floats(-2.0, 2.0)) for _ in range(n)]
+    sample = FullSample(V=np.array(rows, dtype=float), Y=np.array(y))
+    return sample, mask, h0, [Uniform(a, b) for a, b in zip(lo, hi)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_uniform_cases())
+def test_target_uniform_matches_pair_sum_oracle(case):
+    sample, mask, h0, marginals = case
+    _assert_matches_oracle(sample, mask, h0, marginals, rtol=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    a=st.floats(0.6, 1.9),
+    b=st.floats(0.6, 1.9),
+    both=st.booleans(),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_target_beta_matches_pair_sum_oracle(a, b, both, n, seed):
+    rng = np.random.default_rng(seed)
+    marginals = [Beta(a, b), Beta(b, a) if both else Uniform(0.0, 1.0)]
+    v = np.column_stack([rng.beta(a, b, n), rng.beta(b, a, n) if both else rng.random(n)])
+    sample = FullSample(V=v, Y=v.sum(axis=1) + rng.normal(size=n))
+    mask = (0, 1) if both else (0,)
+    _assert_matches_oracle(sample, mask, [0.12, 0.09], marginals, rtol=1e-9)
+
+
+def test_target_smooth_custom_matches_pair_sum_oracle():
+    tilted = Custom(
+        density=lambda x: 0.5 + np.asarray(x, dtype=float),
+        support_interval=(0.0, 1.0),
+        sampler=lambda n, rng: (np.sqrt(1.0 + 8.0 * rng.random(n)) - 1.0) / 2.0,
+    )
+    s = _sample(6, 2, seed=4)
+    _assert_matches_oracle(s, (1,), [0.1, 0.08], [Uniform(0.0, 1.0), tilted], rtol=1e-9)
+
+
+def test_target_infinite_for_beta_shape_two():
+    # 1/f ~ x^(1-a) is not integrable at 0 once a >= 2
+    s = FullSample(V=np.array([[0.2], [0.5], [0.8]]), Y=np.array([1.0, 2.0, 3.0]))
+    for shape in ((2.5, 1.2), (1.2, 2.0)):
+        with pytest.raises(PilotTargetError, match="--h or --rule") as err:
+            pilot_target(s, SubsetSpec(mask=(0,)), [0.1], [Beta(*shape)])
+        assert err.value.axis == 0 and "axis 0" in str(err.value)
+    # the same marginal off the mask only contributes closed-form masses
+    v = np.column_stack([s.V[:, 0], s.V[:, 0]])
+    pilot_target(FullSample(V=v, Y=s.Y), SubsetSpec(mask=(1,)), [0.1, 0.1], [Beta(2.5, 1.2), Uniform(0.0, 1.0)])
+
+
+def test_target_work_budget():
+    # four mask axes at the pilot floor need 4000^4 nodes; axis 2 has the
+    # widest support, so it needs the most
+    s = _sample(3, 4, seed=0)
+    marg = [Uniform(0.0, 1.0), Uniform(0.0, 1.0), Uniform(0.0, 2.0), Uniform(0.0, 1.0)]
+    with pytest.raises(PilotTargetError, match="--h or --rule") as err:
+        pilot_target(s, SubsetSpec(mask=(0, 1, 2, 3)), [H0_FLOOR] * 4, marg)
+    assert err.value.axis == 2 and "axis 2" in str(err.value)
+
+
+def test_target_budget_admits_masks_up_to_three_at_ten_thousand():
     model = linear_model(3)
-    s = model.draw(300, seed=1)
-    spec = SubsetSpec(mask=(0,))
+    s = model.draw(10_000, seed=0)
     h0 = rule_of_thumb_h0(s)
-    betas = build_beta_tables(s, spec, h0)
-    full = target_functional(s, betas, "full")
-    printed = target_functional(s, betas, "printed")
-    mc = pilot_target_mc(s, spec, h0, draws=200_000, seed=11)
-    assert abs(mc - full) < 0.02 * abs(full), f"mc {mc} vs full {full}"
-    assert printed < 0.6 * full, f"printed {printed} not about half of full {full}"
+    for mask in ((0,), (0, 1), (0, 1, 2)):
+        full, printed = pilot_target(s, SubsetSpec(mask=mask), h0, model.input_model.marginals)
+        assert 0.0 < printed < full
+
+
+def test_target_custom_singular_density_fails_convergence():
+    # f(x) = 1.5 sqrt(x): 1/f is integrable but singular at 0, where the
+    # Legendre rule converges too slowly to trust
+    root = Custom(
+        density=lambda x: 1.5 * np.sqrt(np.clip(np.asarray(x, dtype=float), 0.0, None)),
+        support_interval=(0.0, 1.0),
+        sampler=lambda n, rng: rng.random(n) ** (2.0 / 3.0),
+    )
+    s = FullSample(V=np.array([[0.9, 0.01], [0.4, 0.3], [0.1, 0.7]]), Y=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(PilotTargetError, match="does not converge") as err:
+        pilot_target(s, SubsetSpec(mask=(0, 1)), [0.1, 0.1], [Uniform(0.0, 1.0), root])
+    assert err.value.axis == 1 and "--h or --rule" in str(err.value)
 
 
 # ------------------------------------------------------------------
@@ -330,7 +484,7 @@ def test_bandwidth_curve_fields_and_determinism():
     out1 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, f_x)
     out2 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, f_x)
     assert out1 == out2
-    assert set(out1) == {"h_star", "target", "curve"}
+    assert set(out1) == {"h_star", "target", "target_printed", "curve"}
     assert len(out1["curve"]) == len(cfg.grid)
     hs = [h for h, _ in out1["curve"]]
     assert out1["h_star"] in hs
@@ -353,11 +507,15 @@ def test_bandwidth_refine_stays_bracketed():
     assert dict(fine["curve"]) == dict(coarse["curve"])
 
 
-def test_beta_tables_validation():
-    with pytest.raises(MirrorSobolError):
-        BetaTables(mask=(0,), pair=(np.ones((2, 3)),), single=())
-    asym = np.array([[1.0, 0.2], [0.3, 1.0]])
-    with pytest.raises(MirrorSobolError):
-        BetaTables(mask=(0,), pair=(asym,), single=())
-    with pytest.raises(MirrorSobolError):
-        BetaTables(mask=(0,), pair=(), single=(np.array([np.inf]),))
+def test_curve_uses_the_input_density_off_the_unit_cube():
+    # ishigami lives on [-pi, pi]^3: virtual outputs divided by a unit
+    # density come out (2 pi)^3 too small and the objective is flat at the target
+    model = ishigami_model()
+    s = model.draw(600, seed=0)
+    spec = SubsetSpec(mask=(0,))
+    dom = model.input_model.domain
+    cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=default_grid(600, 1, dom.subdomain((0,))))
+    out = bandwidth_curve(s, spec, build_kernel(2, 1), cfg, model.input_model, input_model=model.input_model)
+    vals = [v for _, v in out["curve"]]
+    assert max(vals) > 10.0 * min(vals), f"flat objective curve {vals}"
+    assert min(vals) < 0.1 * out["target"]

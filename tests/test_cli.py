@@ -245,6 +245,43 @@ def test_estimate_auto_bandwidth(tmp_path):
     assert obj["result"]["h"] == obj["bandwidth"]["h"] > 0
 
 
+def _beta_csv(tmp_path, n, shape):
+    # v1 ~ Beta(shape), v2 ~ U(0, 1), y = v1 + v2
+    rng = np.random.default_rng(11)
+    v = np.column_stack([rng.beta(*shape, n), rng.random(n)])
+    lines = ["v1,v2,y"] + [f"{a!r},{b!r},{a + b!r}" for a, b in v.tolist()]
+    return _write(tmp_path, "beta.csv", "\n".join(lines) + "\n")
+
+
+def test_estimate_auto_with_beta_marginal_on_the_mask(tmp_path):
+    shape = (1.2, 1.4)
+    csv_path = _beta_csv(tmp_path, 2000, shape)
+    marginals = json.dumps({"marginals": [{"beta": list(shape)}, {"uniform": [0, 1]}]})
+    out = str(tmp_path / "est.json")
+    argv = ["estimate", "--csv", csv_path, "--mask", "1", "--auto", "--marginals", marginals, "--output", out]
+    assert main(argv) == 0
+    obj = json.loads(open(out).read())
+    assert obj["bandwidth"]["mode"] == "auto" and obj["bandwidth"]["target"] > 0
+    a, b = shape
+    var1 = a * b / ((a + b) ** 2 * (a + b + 1))
+    truth = var1 / (var1 + 1.0 / 12.0)
+    res = obj["result"]
+    se = math.sqrt(res["var_sobol"] / 2000)
+    assert abs(res["sobol"] - truth) < 5 * se, f"sobol {res['sobol']} vs truth {truth} (se {se})"
+
+
+def test_estimate_auto_reports_infinite_pilot_target(tmp_path, capsys):
+    csv_path = _beta_csv(tmp_path, 50, (2.5, 1.2))
+    marginals = json.dumps({"marginals": [{"beta": [2.5, 1.2]}, {"uniform": [0, 1]}]})
+    argv = ["estimate", "--csv", csv_path, "--mask", "1", "--auto", "--marginals", marginals]
+    assert main(argv + ["--output", str(tmp_path / "est.json")]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "PilotTargetError"
+    assert "axis 0" in err["message"] and "--h or --rule" in err["message"]
+    # the suggested way out works
+    assert main(argv[:5] + ["--h", "0.2", "--marginals", marginals, "--output", str(tmp_path / "h.json")]) == 0
+
+
 def test_estimate_uniform_max_plugin_csv(tmp_path):
     # inputs uniform on [0, 0.8]; the plug-in should recover theta ~ 0.8
     rng = np.random.default_rng(5)
