@@ -104,9 +104,10 @@ def compute_beta_single(sample: FullSample, i: int, h0_i: float, support=(0.0, 1
 
 
 # quadrature nodes per mask axis: at least 4 per pilot bandwidth across the
-# support, in panels of a fixed 16-point Gauss-Legendre rule (one global
-# rule of thousands of nodes loses digits near the ends of the support);
-# this resolves the squared Gaussian bumps of the pilot regressor to ~1e-14
+# support, in panels of a fixed 16-point Gauss rule (one global Legendre or
+# Jacobi rule of thousands of nodes loses digits near the ends of the
+# support, and drifts as G grows); this resolves the squared Gaussian bumps
+# of the pilot regressor to ~1e-14
 _PANEL_T, _PANEL_W = np.polynomial.legendre.leggauss(16)
 _NODES_PER_H0 = 4.0
 # one pilot target may cost at most this many kernel products n * prod(G_i)
@@ -144,6 +145,26 @@ def _legendre_rule(marginal, g: int):
     return x, wf
 
 
+def _beta_rule(marginal, g: int):
+    """Composite Gauss-Legendre with Gauss-Jacobi end panels for a Beta(a, b) marginal.
+
+    1/f = B(a, b) x^(1-a) (1-x)^(1-b); each end panel takes the factor that
+    is singular at its end as its Jacobi weight, so no panel integrates a
+    singularity.
+    """
+    ea, eb = 1.0 - marginal.a, 1.0 - marginal.b
+    x, wf = (arr.reshape(-1, _PANEL_T.size) for arr in _legendre_rule(marginal, g))
+    half = 0.5 / x.shape[0]
+    scale = special.beta(marginal.a, marginal.b)
+    t, w = special.roots_jacobi(_PANEL_T.size, 0.0, ea)
+    x[0] = half * (1.0 + t)
+    wf[0] = scale * half ** (1.0 + ea) * w * (1.0 - x[0]) ** eb
+    t, w = special.roots_jacobi(_PANEL_T.size, eb, 0.0)
+    x[-1] = 1.0 - half * (1.0 - t)
+    wf[-1] = scale * half ** (1.0 + eb) * w * x[-1] ** ea
+    return x.ravel(), wf.ravel()
+
+
 def _node_count(axis: int, h0_i: float, marginal) -> int:
     if isinstance(marginal, Beta) and max(marginal.a, marginal.b) >= 2.0:
         raise PilotTargetError(
@@ -160,15 +181,13 @@ def _node_count(axis: int, h0_i: float, marginal) -> int:
 def _axis_rule(axis: int, v: np.ndarray, h0_i: float, marginal, g: int):
     """Nodes x and weights w/f of the pilot quadrature on one mask axis.
 
-    A Beta(a, b) marginal has 1/f = B(a, b) x^(1-a) (1-x)^(1-b), a Jacobi
-    weight, so Gauss-Jacobi integrates the boundary factor exactly.  Other
-    marginals use composite Gauss-Legendre; a Custom density, whose 1/f may
-    be singular, must give the same per-point overlaps on G and 2G nodes.
+    A Beta marginal's 1/f is a Jacobi weight, integrated by Gauss-Jacobi end
+    panels (see _beta_rule).  Other marginals use composite Gauss-Legendre;
+    a Custom density, whose 1/f may be singular, must give the same
+    per-point overlaps on G and 2G nodes.
     """
     if isinstance(marginal, Beta):
-        t, w = special.roots_jacobi(g, 1.0 - marginal.b, 1.0 - marginal.a)
-        scale = special.beta(marginal.a, marginal.b) * 2.0 ** (marginal.a + marginal.b - 3.0)
-        return 0.5 * (1.0 + t), scale * w
+        return _beta_rule(marginal, g)
     x, wf = _legendre_rule(marginal, g)
     if not isinstance(marginal, Uniform):
         coarse = _self_overlap(v, h0_i, x, wf)

@@ -14,7 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .domain import Domain, check_mirror_condition, sign_matrix
+from ._window import window_sums
+from .domain import Domain, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
     DomainViolationError,
@@ -148,9 +149,6 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
     )
 
 
-_KDE_BLOCK_ELEMS = 4_000_000
-
-
 def mirror_kde(
     aux,
     kernel: KernelD,
@@ -199,15 +197,8 @@ def mirror_kde(
             raise MirrorSobolError(f"queries must be (n, {d}) rows")
         if not np.all(domain.contains(rows)):
             raise DomainViolationError("density queried outside the stated domain")
-        signs = sign_matrix(domain, rows)
-        out = np.empty(rows.shape[0])
-        block = max(1, _KDE_BLOCK_ELEMS // max(1, m * d))
-        for start in range(0, rows.shape[0], block):
-            blk = slice(start, min(start + block, rows.shape[0]))
-            diffs = pts[None, :, :] - rows[blk, None, :]
-            mirrored = signs[blk, None, :] * diffs
-            out[blk] = np.sum(kernel.eval_scaled(mirrored, h_kde), axis=1) / m
-        return np.maximum(out, floor)
+        sums = window_sums(pts, np.ones((m, 1)), kernel, h_kde, domain, anchors=rows)[:, 0]
+        return np.maximum(sums / m, floor)
 
     return DensityEstimate(
         kind="mirror_kde",

@@ -28,7 +28,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.stats import norm
 
-from .domain import Domain, check_mirror_condition, sign_matrix
+from ._window import window_sums
+from .domain import Domain, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
     DegenerateOutputError,
@@ -59,8 +60,6 @@ __all__ = [
 # Densities at or below this floor abort estimation: a vanishing f_X makes the
 # division in the U-statistic meaningless for the affected rows.
 EPS_FLOOR = 1e-12
-
-_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -208,32 +207,15 @@ def _prepare(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_
     return xm, fvals, sub
 
 
-def _row_sums(xm: np.ndarray, y: np.ndarray, kernel: KernelD, h: float, sub: Domain) -> np.ndarray:
-    """G_a = sum_{b != a} Y_b K_h(A_{X_a}(X_b - X_a)) for every row a."""
+def _row_sums(xm: np.ndarray, weights: np.ndarray, kernel: KernelD, h: float, sub: Domain) -> np.ndarray:
+    """G[a, c] = sum_{b != a} weights[b, c] K_h(A_{X_a}(X_b - X_a)) for every row a and weight column c."""
     if kernel.dim == 1 and kernel.factor.full_coeffs is not None:
-        return _row_sums_sorted_1d(xm[:, 0], y, kernel.factor.full_coeffs, h, sub)
-    return _row_sums_blocked(xm, y, kernel, h, sub)
-
-
-def _row_sums_blocked(xm: np.ndarray, y: np.ndarray, kernel: KernelD, h: float, sub: Domain) -> np.ndarray:
-    """Dense pairwise sweep in row blocks; reduction order fixed by block layout."""
-    n, d = xm.shape
-    signs = sign_matrix(sub, xm)
-    self_term = kernel.eval(np.zeros(d)) / h**d
-    out = np.empty(n)
-    block = max(1, min(_BLOCK_ROWS, int(4.0e6 / max(1, n * d))))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diffs = xm[None, :, :] - xm[start:stop, None, :]
-        mirrored = signs[start:stop, None, :] * diffs
-        kvals = kernel.eval_scaled(mirrored, h)
-        out[start:stop] = np.sum(kvals * y[None, :], axis=1)
-        out[start:stop] -= y[start:stop] * self_term
-    return out
+        return _row_sums_sorted_1d(xm[:, 0], weights, kernel.factor.full_coeffs, h, sub)
+    return window_sums(xm, weights, kernel, h, sub)
 
 
 def _row_sums_sorted_1d(x: np.ndarray, y: np.ndarray, full_coeffs: np.ndarray, h: float, sub: Domain) -> np.ndarray:
-    """Sorted-window evaluation of the row sums in one dimension.
+    """Sorted-window evaluation of the row sums in one dimension; y holds (n, r) weights.
 
     On [0, 1/2] the kernel is the polynomial with coefficients `full_coeffs`,
     so G_a = (1/h) sum_m a_m (sigma_a/h)^m S_m(a) with the window moment sums
@@ -261,10 +243,10 @@ def _row_sums_sorted_1d(x: np.ndarray, y: np.ndarray, full_coeffs: np.ndarray, h
 
     # prefix[l][j] = sum over the first j sorted points of Y (x - mu_cell)^l
     offsets = xs - centers[cell]
-    prefix = np.zeros((k + 1, n + 1))
+    prefix = np.zeros((k + 1, n + 1, ys.shape[1]))
     pow_off = np.ones(n)
     for l in range(k + 1):
-        prefix[l, 1:] = np.cumsum(ys * pow_off)
+        prefix[l, 1:] = np.cumsum(ys * pow_off[:, None], axis=0)
         if l < k:
             pow_off = pow_off * offsets
     binom = np.array([[math.comb(m, l) for l in range(k + 1)] for m in range(k + 1)], dtype=float)
@@ -275,7 +257,7 @@ def _row_sums_sorted_1d(x: np.ndarray, y: np.ndarray, full_coeffs: np.ndarray, h
     b_hi = np.searchsorted(xs, w_hi, side="right")
     c0 = np.clip((w_lo - lo) // half, 0, ncells - 1).astype(np.int64)
 
-    s_m = np.zeros((k + 1, n))
+    s_m = np.zeros((k + 1,) + ys.shape)
     for t in range(3):
         c_raw = c0 + t
         in_range = c_raw < ncells
@@ -286,22 +268,22 @@ def _row_sums_sorted_1d(x: np.ndarray, y: np.ndarray, full_coeffs: np.ndarray, h
         if not np.any(live):
             continue
         delta = np.where(live, centers[c] - xs, 0.0)
-        d_l = np.where(live[None, :], prefix[:, seg_e] - prefix[:, seg_s], 0.0)
-        pow_delta = np.ones(n)
+        d_l = np.where(live[None, :, None], prefix[:, seg_e] - prefix[:, seg_s], 0.0)
+        pow_delta = np.ones((n, 1))
         # S_m += sum_l C(m, l) (mu_c - x_a)^{m-l} D_l, accumulated by m - l
         for diff in range(k + 1):
             for l in range(k + 1 - diff):
                 s_m[l + diff] += binom[l + diff, l] * pow_delta * d_l[l]
             if diff < k:
-                pow_delta = pow_delta * delta
-    g_sorted = np.zeros(n)
-    sig_pow = np.ones(n)
+                pow_delta = pow_delta * delta[:, None]
+    g_sorted = np.zeros(ys.shape)
+    sig_pow = np.ones((n, 1))
     for m in range(k + 1):
         g_sorted += full_coeffs[m] * sig_pow * s_m[m]
         if m < k:
-            sig_pow = sig_pow * (sigma / h)
+            sig_pow = sig_pow * (sigma[:, None] / h)
     g_sorted = (g_sorted - full_coeffs[0] * ys) / h
-    out = np.empty(n)
+    out = np.empty(ys.shape)
     out[order] = g_sorted
     return out
 
@@ -328,7 +310,7 @@ def estimate_t(
     the ordering of the sample rows.
     """
     xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
-    g = _row_sums(xm, sample.Y, kernel, h, sub)
+    g = _row_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0]
     n = sample.n
     return math.fsum((sample.Y / fvals) * g) / (n * (n - 1))
 
@@ -344,7 +326,7 @@ def estimate_g1_loo(
 ) -> np.ndarray:
     """Leave-one-out regression plug-in g1_hat(X_a) = G_a / ((n-1) f_X(X_a))."""
     xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
-    g = _row_sums(xm, sample.Y, kernel, h, sub)
+    g = _row_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0]
     return g / ((sample.n - 1) * fvals)
 
 
@@ -449,13 +431,14 @@ def estimate_sobol(
     xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
     y = sample.Y
     n = sample.n
-    g = _row_sums(xm, y, kernel, h, sub)
-    t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
     s2 = _variance(y)
     if s2 <= 0.0:
         raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
     y_c = y - float(np.mean(y))
-    g_c = _row_sums(xm, y_c, kernel, h, sub)
+    # one pass for both columns; the centered one is its own column, not a
+    # difference of sums, so the ratio stays exactly affine invariant
+    g, g_c = _row_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
+    t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
     t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
     sobol = t_centered / s2
     g1_hat = g / ((n - 1) * fvals)
@@ -544,10 +527,9 @@ def estimate_first_order_all(
     for i in range(p):
         spec = SubsetSpec((i,))
         xm, fvals, sub = _prepare(sample, spec, kernel, h, model, None)
-        g = _row_sums(xm, y, kernel, h, sub)
+        g, g_c = _row_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
         t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
         g1_hat = g / ((n - 1) * fvals)
-        g_c = _row_sums(xm, y_c, kernel, h, sub)
         t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
         g1_c = g_c / ((n - 1) * fvals)
         s_vec[i] = t_centered / v

@@ -37,7 +37,6 @@ __all__ = [
     "solve_kernel_coefficients",
     "build_kernel_1d",
     "tensorize",
-    "eval_scaled",
     "verify_order",
     "build_kernel",
     "kernel_to_spec",
@@ -325,11 +324,6 @@ def build_kernel(k: int, d: int, base: Optional[BaseDensity] = None) -> KernelD:
     if base is None:
         base = uniform_half(k)
     return tensorize(build_kernel_1d(base, k), d)
-
-
-def eval_scaled(kernel: KernelD, x, h: float) -> np.ndarray:
-    """K_h(x) = K(x/h) / h^d; zero whenever any coordinate of x/h leaves the support."""
-    return kernel.eval_scaled(x, h)
 
 
 def verify_order(kernel: KernelD, tol: float = 1e-8) -> dict:

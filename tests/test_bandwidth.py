@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
+from mirrorsobol import bandwidth
 from mirrorsobol.bandwidth import (
     H0_FLOOR,
     PilotConfig,
@@ -294,6 +295,23 @@ def test_target_beta_matches_pair_sum_oracle(a, b, both, n, seed):
     sample = FullSample(V=v, Y=v.sum(axis=1) + rng.normal(size=n))
     mask = (0, 1) if both else (0,)
     _assert_matches_oracle(sample, mask, [0.12, 0.09], marginals, rtol=1e-9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(a=st.floats(0.6, 1.95), b=st.floats(0.6, 1.95), seed=st.integers(0, 2**16))
+@example(a=1.949, b=1.949, seed=0)
+@example(a=1.8, b=0.7, seed=0)
+def test_target_beta_stable_as_nodes_grow(a, b, seed):
+    # the Jacobi end panels keep the rule's accuracy fixed as G grows 8-fold
+    rng = np.random.default_rng(seed)
+    v = rng.beta(a, b, (5, 1))
+    sample = FullSample(V=v, Y=v[:, 0] + rng.normal(size=5))
+    targets = []
+    for per_h0 in (4.0, 32.0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bandwidth, "_NODES_PER_H0", per_h0)
+            targets.append(pilot_target(sample, SubsetSpec(mask=(0,)), [0.12], [Beta(a, b)])[0])
+    assert targets[1] == pytest.approx(targets[0], rel=1e-11, abs=0)
 
 
 def test_target_smooth_custom_matches_pair_sum_oracle():

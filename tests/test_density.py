@@ -13,7 +13,7 @@ from mirrorsobol.density import (
     plugin_mse_diagnostic,
     uniform_max_estimator,
 )
-from mirrorsobol.domain import Domain
+from mirrorsobol.domain import Domain, apply_mirror, sigma_at
 from mirrorsobol.errors import (
     BandwidthTooLargeError,
     DomainViolationError,
@@ -240,6 +240,30 @@ def test_mirror_kde_blocked_queries_match():
     whole = est.eval_rows(grid)
     single = np.array([est.eval(x) for x in grid[:, 0]])
     assert np.allclose(whole, single, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mirror_kde_matches_literal_formula(d):
+    # ties in the auxiliary sample; queries on the box edges, on the axis
+    # midpoint and on the auxiliary points; dyadic points with h = 1/4 put
+    # pairs exactly on the window boundary
+    rng = np.random.default_rng(17 + d)
+    dom = Domain(np.full(d, -1.0), np.full(d, 1.0))
+    dyadic = rng.choice(np.arange(-8, 9) / 8.0, size=(60, d))
+    aux = np.vstack([dyadic, dyadic[:10], rng.uniform(-1.0, 1.0, (30, d))])
+    special = rng.choice(np.array([-1.0, 0.0, 1.0, 0.125, -0.375]), size=(25, d))
+    queries = np.vstack([special, aux[:20], rng.uniform(-1.0, 1.0, (20, d))])
+    kern = build_kernel(2, d)
+    h, eta = 0.25, 0.2
+    est = mirror_kde(aux, kern, h_kde=h, eta=eta, domain=dom)
+    literal = []
+    for q in queries:
+        signs = sigma_at(dom, q)
+        total = 0.0
+        for x in aux:
+            total += float(kern.eval_scaled(apply_mirror(signs, x - q), h))
+        literal.append(max(total / aux.shape[0], eta / 2.0))
+    np.testing.assert_allclose(est.eval_rows(queries), literal, rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from mirrorsobol.domain import Domain
+from mirrorsobol import _window
+from mirrorsobol._window import window_sums
+from mirrorsobol.domain import Domain, sign_matrix
 from mirrorsobol.errors import (
     BandwidthTooLargeError,
     DegenerateOutputError,
@@ -20,7 +22,6 @@ from mirrorsobol.errors import (
 from mirrorsobol.estimator import (
     FullSample,
     SubsetSpec,
-    _row_sums_blocked,
     _row_sums_sorted_1d,
     asymptotic_variance_sobol,
     asymptotic_variance_t,
@@ -33,7 +34,7 @@ from mirrorsobol.estimator import (
     estimate_total_sobol,
 )
 from mirrorsobol.inputs import InputModel, Uniform
-from mirrorsobol.kernels import build_kernel
+from mirrorsobol.kernels import build_kernel, custom_base
 from mirrorsobol.testbed import brute_force_t, curved_model, linear_model, product_model
 
 UNIT1 = InputModel((Uniform(0.0, 1.0),))
@@ -119,22 +120,29 @@ def test_matches_brute_force_with_boundary_points_and_ties():
             )
 
 
-def test_fast_path_agrees_with_blocked_path():
+def test_sorted_path_agrees_with_sparse_path():
     rng = np.random.default_rng(3)
     model = UNIT1
     dom = model.domain
     for n, h, order in [(50, 0.3, 1), (300, 0.12, 2), (150, 0.5, 3)]:
         x = rng.random((n, 1))
         y = rng.normal(size=n)
+        w = np.column_stack([y, y - y.mean()])
         kernel = build_kernel(order, 1)
-        fast = _row_sums_sorted_1d(x[:, 0], y, kernel.factor.full_coeffs, h, dom)
-        blocked = _row_sums_blocked(x, y, kernel, h, dom)
-        err = np.max(np.abs(fast - blocked)) / max(np.max(np.abs(blocked)), 1e-12)
-        assert err <= 1e-10, f"fast path deviates from blocked path by {err} (n={n}, h={h}, k={order})"
+        fast = _row_sums_sorted_1d(x[:, 0], w, kernel.factor.full_coeffs, h, dom)
+        sparse = window_sums(x, w, kernel, h, dom)
+        err = np.max(np.abs(fast - sparse)) / max(np.max(np.abs(sparse)), 1e-12)
+        assert err <= 1e-10, f"sorted path deviates from sparse path by {err} (n={n}, h={h}, k={order})"
+        # each weight column is computed as it would be on its own
+        for c in range(2):
+            alone = _row_sums_sorted_1d(x[:, 0], w[:, c : c + 1], kernel.factor.full_coeffs, h, dom)
+            assert np.array_equal(fast[:, c : c + 1], alone)
+            assert np.array_equal(sparse[:, c : c + 1], window_sums(x, w[:, c : c + 1], kernel, h, dom))
 
 
-def test_blocked_path_spans_multiple_blocks():
-    # n=150 in d=2 exercises the block loop; compare against brute force
+def test_sparse_path_spans_multiple_blocks(monkeypatch):
+    # a budget of 64 candidate pairs splits n=150 in d=2 into many anchor blocks
+    monkeypatch.setattr(_window, "_PAIR_BUDGET", 64)
     rng = np.random.default_rng(11)
     v = rng.random((150, 2))
     y = rng.normal(size=150)
@@ -146,6 +154,69 @@ def test_blocked_path_spans_multiple_blocks():
     assert abs(t_fast - t_ref) <= 1e-12 * abs(t_ref), f"{t_fast} vs {t_ref}"
 
 
+# order-1 and order-2 kernels on the non-constant base 8x on [0, 1/2]; they
+# have no polynomial form, so d = 1 runs on the sparse backend too
+def _ramp(x):
+    x = np.asarray(x, dtype=float)
+    return np.where((x >= 0.0) & (x <= 0.5), 8.0 * x, 0.0)
+
+
+_KERNELS = {(k, 1): build_kernel(k, 1, base=custom_base(_ramp, (0.0, 0.5), k)) for k in (1, 2)}
+_KERNELS.update({(k, d): build_kernel(k, d) for k in (0, 1, 2) for d in (2, 3)})
+
+
+@st.composite
+def _window_cases(draw):
+    """Samples that stress the range query: ties, edges, midpoints, window boundaries, far boxes."""
+    d = draw(st.integers(1, 3))
+    order = draw(st.sampled_from([1, 2] if d == 1 else [0, 1, 2]))
+    far = draw(st.booleans())
+    lo = np.array([1e6 if far else draw(st.sampled_from([0.0, -1.0, 0.5])) for _ in range(d)])
+    width = np.array([draw(st.sampled_from([1.0, 2.0])) for _ in range(d)])
+    hi = lo + width
+    # dyadic coordinates with h = 1/4 put pairs exactly on the window boundary
+    h = draw(st.sampled_from([0.25, float(width.min()), draw(st.floats(0.05, 1.0)) * float(width.min())]))
+
+    def coord(i):
+        dyadic = lo[i] + draw(st.integers(0, 8 * int(width[i]))) / 8.0
+        return draw(st.one_of(st.sampled_from([lo[i], hi[i], 0.5 * (lo[i] + hi[i]), dyadic]), st.floats(lo[i], hi[i])))
+
+    pool = [[coord(i) for i in range(d)] for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        # the far corner of the first row's window, rounded as it may be
+        first = np.array(pool[0])
+        pool.append((first + np.where(first <= 0.5 * (lo + hi), 0.5, -0.5) * h).tolist())
+    n = draw(st.integers(2, 12))
+    rows = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    y = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n)])
+    budget = draw(st.sampled_from([1, _window._PAIR_BUDGET]))
+    return rows, y, _KERNELS[(order, d)], h, InputModel(tuple(Uniform(a, b) for a, b in zip(lo, hi))), budget
+
+
+def _absolute_scale(rows, y, kernel, h, model):
+    """The U-statistic with every term replaced by its absolute value: the size of its rounding."""
+    signs = sign_matrix(model.domain, rows)
+    kvals = np.abs(kernel.eval_scaled(signs[:, None, :] * (rows[None, :, :] - rows[:, None, :]), h))
+    np.fill_diagonal(kvals, 0.0)
+    n = y.size
+    # uniform inputs: 1 / f_X is the box volume
+    return float(np.abs(y) @ kvals @ np.abs(y)) * float(np.prod(model.domain.widths)) / (n * (n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases())
+def test_sparse_backend_matches_brute_force(case):
+    rows, y, kernel, h, model, budget = case
+    fs = FullSample(V=rows, Y=y)
+    spec = SubsetSpec(tuple(range(rows.shape[1])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_PAIR_BUDGET", budget)
+        t_fast = estimate_t(fs, spec, kernel, h, model)
+    t_ref = brute_force_t(fs, spec, kernel, h, model)
+    scale = max(abs(t_ref), _absolute_scale(rows, y, kernel, h, model))
+    assert abs(t_fast - t_ref) <= 1e-12 * scale, f"sparse {t_fast!r} vs brute force {t_ref!r} (h={h})"
+
+
 def test_row_permutation_invariance():
     m = linear_model(2)
     fs = m.draw(120, seed=9)
@@ -155,6 +226,18 @@ def test_row_permutation_invariance():
     perm = np.random.default_rng(1).permutation(120)
     fs_perm = FullSample(V=fs.V[perm], Y=fs.Y[perm])
     t_perm = estimate_t(fs_perm, spec, k, 0.25, m.input_model)
+    assert abs(t - t_perm) <= 1e-13 * abs(t), f"permutation changed the estimate: {t} vs {t_perm}"
+
+
+def test_row_permutation_invariance_2d():
+    m = product_model()
+    fs = m.draw(400, seed=9)
+    spec = SubsetSpec((0, 1))
+    k = build_kernel(1, 2)
+    t = estimate_t(fs, spec, k, 0.3, m.input_model)
+    perm = np.random.default_rng(1).permutation(400)
+    fs_perm = FullSample(V=fs.V[perm], Y=fs.Y[perm])
+    t_perm = estimate_t(fs_perm, spec, k, 0.3, m.input_model)
     assert abs(t - t_perm) <= 1e-13 * abs(t), f"permutation changed the estimate: {t} vs {t_perm}"
 
 

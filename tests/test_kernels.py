@@ -19,7 +19,6 @@ from mirrorsobol.kernels import (
     build_kernel_1d,
     build_orthonormal_basis,
     custom_base,
-    eval_scaled,
     kernel_from_spec,
     kernel_to_spec,
     monomial_coordinates,
@@ -244,9 +243,9 @@ def test_point_outside_support_is_zero():
 def test_eval_scaled_at_zero_and_h1():
     kd = build_kernel(1, 2)
     h = 0.25
-    np.testing.assert_allclose(eval_scaled(kd, np.zeros(2), h), kd.eval(np.zeros(2)) / h**2, rtol=1e-14)
+    np.testing.assert_allclose(kd.eval_scaled(np.zeros(2), h), kd.eval(np.zeros(2)) / h**2, rtol=1e-14)
     x = np.array([0.1, 0.3])
-    np.testing.assert_allclose(eval_scaled(kd, x, 1.0), kd.eval(x), rtol=0, atol=0)
+    np.testing.assert_allclose(kd.eval_scaled(x, 1.0), kd.eval(x), rtol=0, atol=0)
 
 
 def test_eval_scaled_identity():
