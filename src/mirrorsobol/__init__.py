@@ -5,7 +5,6 @@ from .bandwidth import (
     bandwidth_curve,
     default_grid,
     rule_of_thumb_h0,
-    select_bandwidth,
 )
 from .density import (
     DensityEstimate,
@@ -32,12 +31,11 @@ from .estimator import (
     estimate_first_order_all,
     estimate_sobol,
     estimate_t,
-    estimate_t_with_density_estimate,
     estimate_total_sobol,
 )
 from .inputs import Beta, Custom, InputModel, Uniform, input_model_from_json
 from .kernels import build_kernel
-from .testbed import brute_force_t, builtin_models, model_by_name
+from .testbed import builtin_models, model_by_name
 
 __version__ = "0.1.0"
 
@@ -46,7 +44,6 @@ __all__ = [
     "bandwidth_curve",
     "default_grid",
     "rule_of_thumb_h0",
-    "select_bandwidth",
     "DensityEstimate",
     "beta_moment_estimator",
     "mirror_kde",
@@ -64,12 +61,10 @@ __all__ = [
     "EstimateResult",
     "FullSample",
     "SubsetSpec",
-    "brute_force_t",
     "default_bandwidth",
     "estimate_first_order_all",
     "estimate_sobol",
     "estimate_t",
-    "estimate_t_with_density_estimate",
     "estimate_total_sobol",
     "Beta",
     "Custom",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -34,7 +34,6 @@ __all__ = [
     "pilot_target",
     "virtual_outputs",
     "default_grid",
-    "select_bandwidth",
     "bandwidth_curve",
 ]
 
@@ -48,7 +47,6 @@ class PilotConfig:
 
     h0: tuple
     grid: tuple
-    pilot_kernel: str = "gaussian"
 
     def __post_init__(self):
         h0 = tuple(float(v) for v in np.asarray(self.h0, dtype=float).ravel())
@@ -63,8 +61,6 @@ class PilotConfig:
             raise MirrorSobolError(f"grid entries must be positive reals, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise MirrorSobolError("the candidate grid must be strictly ascending")
-        if self.pilot_kernel != "gaussian":
-            raise MirrorSobolError(f"the pilot kernel is fixed to gaussian, got {self.pilot_kernel!r}")
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "grid", grid)
 
@@ -269,16 +265,13 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
 _VIRT_BLOCK = 512
 
 
-def virtual_outputs(
-    sample: FullSample, h0, f_v: Optional[Callable] = None, loo: bool = False
-) -> np.ndarray:
-    """Virtual outputs: the Gaussian pilot regressor at the sample points.
+def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
+    """Virtual outputs: the leave-one-out Gaussian pilot regressor at the sample points.
 
-    Y~_j = (1/n) (1/f_V(V_j)) sum_{j'} Y_{j'} prod_i K~_{h0_i}(V_{i,j'} - V_{i,j}),
-    self-term included.  f_v = None means the uniform unit-cube density 1.
-    loo=True drops the j-th term and divides by n-1 instead; that variant
-    centers the selection objective (the self-term couples the virtual
-    U-statistic to its own target otherwise) and is what the selector uses.
+    Y~_j = (1/(n-1)) (1/f_V(V_j)) sum_{j' != j} Y_{j'} prod_i K~_{h0_i}(V_{i,j'} - V_{i,j}),
+    with f_V the product of `marginals` (one per input axis, as in
+    pilot_target).  Dropping the self-term centers the selection objective:
+    with it, the virtual U-statistic is coupled to its own target.
     """
     v = np.asarray(sample.V, dtype=float)
     y = np.asarray(sample.Y, dtype=float)
@@ -286,14 +279,11 @@ def virtual_outputs(
     h0 = _clipped_h0(h0)
     if h0.size != p:
         raise MirrorSobolError(f"h0 has {h0.size} entries for {p} input axes")
-    if f_v is None:
-        fvals = np.ones(n)
-    else:
-        fvals = np.asarray(f_v(v), dtype=float).ravel()
-        if fvals.shape[0] != n:
-            raise MirrorSobolError("f_v must return one value per sample row")
-        if np.any(fvals <= 0.0) or not np.all(np.isfinite(fvals)):
-            raise MirrorSobolError("f_v must be positive and finite at all sample points")
+    if len(marginals) != p:
+        raise MirrorSobolError(f"{len(marginals)} pilot marginals for {p} input axes")
+    fvals = np.prod([m.pdf(v[:, i]) for i, m in enumerate(marginals)], axis=0)
+    if np.any(fvals <= 0.0) or not np.all(np.isfinite(fvals)):
+        raise MirrorSobolError("the pilot marginals' density must be positive and finite at all sample points")
     inv_h = 1.0 / h0
     log_norm = -np.sum(np.log(h0)) - 0.5 * p * math.log(2 * math.pi)
     out = np.empty(n)
@@ -304,13 +294,7 @@ def virtual_outputs(
             z = (v[None, :, i] - v[blk, i][:, None]) * inv_h[i]
             expo -= 0.5 * z * z
         out[blk] = np.exp(expo + log_norm) @ y
-    if loo:
-        if n < 2:
-            raise InsufficientSampleError("leave-one-out virtual outputs need n >= 2")
-        out = (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
-    else:
-        out = out / (n * fvals)
-    return out
+    return (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
 
 
 def default_grid(n: int, d: int, domain: Domain, size: int = 25) -> np.ndarray:
@@ -333,9 +317,6 @@ def _objective(h, sample_virtual, spec, kernel, f_x, domain, target):
     return abs(t_tilde - target)
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def bandwidth_curve(
     sample: FullSample,
     spec: SubsetSpec,
@@ -345,15 +326,14 @@ def bandwidth_curve(
     *,
     domain: Optional[Domain] = None,
     input_model=None,
-    refine: bool = False,
 ) -> dict:
     """Evaluate the selection objective on the grid and pick h*.
 
     Returns {"h_star", "target", "target_printed", "curve": [(h, |T~ - target|)]}.
     The objective compares the U-statistic on leave-one-out virtual outputs
-    to the pilot target (see pilot_target); ties go to the smaller h, and
-    refine=True runs three golden-section iterations between the grid
-    neighbors of the minimizer.
+    (see virtual_outputs) to the pilot target (see pilot_target); h* is the
+    grid minimizer, ties going to the smaller h.  Every grid entry must meet
+    the mirror condition on the mask's subdomain.
 
     The pilot marginals, for both the target and the virtual outputs'
     density f_V, are those of input_model, or uniform on the domain when
@@ -366,61 +346,24 @@ def bandwidth_curve(
             p = sample.V.shape[1]
             domain = Domain(np.zeros(p), np.ones(p))
     grid = np.asarray(config.grid, dtype=float)
+    sub = domain.subdomain(spec.mask)
     for h in grid:
-        if not check_mirror_condition(domain, float(h)):
+        if not check_mirror_condition(sub, float(h)):
             raise BandwidthTooLargeError(f"grid entry {h} violates the mirror condition")
     if input_model is not None:
         marginals = input_model.marginals
     else:
         marginals = tuple(Uniform(lo, hi) for lo, hi in zip(domain.lower, domain.upper))
     target, target_printed = pilot_target(sample, spec, config.h0, marginals)
-
-    def f_v(rows):
-        return np.prod([m.pdf(rows[:, i]) for i, m in enumerate(marginals)], axis=0)
-
-    y_virtual = virtual_outputs(sample, config.h0, f_v, loo=True)
+    y_virtual = virtual_outputs(sample, config.h0, marginals)
     sample_virtual = FullSample(V=sample.V, Y=y_virtual)
     values = np.array(
         [_objective(float(h), sample_virtual, spec, kernel, f_x, domain, target) for h in grid]
     )
     idx = int(np.argmin(values))  # first minimum = smallest h on an ascending grid
-    h_star = float(grid[idx])
-    best = float(values[idx])
-    if refine and grid.size > 1:
-        lo = float(grid[max(idx - 1, 0)])
-        hi = float(grid[min(idx + 1, grid.size - 1)])
-        a, b = lo, hi
-        c = b - _INV_GOLDEN * (b - a)
-        d_pt = a + _INV_GOLDEN * (b - a)
-        fc = _objective(c, sample_virtual, spec, kernel, f_x, domain, target)
-        fd = _objective(d_pt, sample_virtual, spec, kernel, f_x, domain, target)
-        for _ in range(3):
-            if fc <= fd:
-                b, d_pt, fd = d_pt, c, fc
-                c = b - _INV_GOLDEN * (b - a)
-                fc = _objective(c, sample_virtual, spec, kernel, f_x, domain, target)
-            else:
-                a, c, fc = c, d_pt, fd
-                d_pt = a + _INV_GOLDEN * (b - a)
-                fd = _objective(d_pt, sample_virtual, spec, kernel, f_x, domain, target)
-        for h_cand, val in ((c, fc), (d_pt, fd)):
-            if val < best or (val == best and h_cand < h_star):
-                h_star, best = float(h_cand), float(val)
     return {
-        "h_star": h_star,
+        "h_star": float(grid[idx]),
         "target": target,
         "target_printed": target_printed,
         "curve": [(float(h), float(v)) for h, v in zip(grid, values)],
     }
-
-
-def select_bandwidth(
-    sample: FullSample,
-    spec: SubsetSpec,
-    kernel: KernelD,
-    config: PilotConfig,
-    f_x,
-    **kwargs,
-) -> float:
-    """The selected bandwidth h*; see bandwidth_curve for the machinery."""
-    return bandwidth_curve(sample, spec, kernel, config, f_x, **kwargs)["h_star"]

@@ -21,6 +21,7 @@ limit theorem (all moments with the 1/n convention, no Bessel correction).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -54,7 +55,6 @@ __all__ = [
     "asymptotic_variance_t",
     "asymptotic_variance_sobol",
     "estimate_first_order_all",
-    "estimate_t_with_density_estimate",
 ]
 
 # Densities at or below this floor abort estimation: a vanishing f_X makes the
@@ -162,14 +162,14 @@ def default_bandwidth(n: int, k: int, d: int, domain: Domain) -> float:
 
 
 def _resolve_density(f_x, spec: SubsetSpec, domain: Optional[Domain]):
-    """Accept either a vectorized density callable or an InputModel."""
+    """Accept an InputModel, a density estimate exposing `eval_rows`, or a vectorized callable."""
     if isinstance(f_x, InputModel):
         fn = subset_density_fn(f_x, spec.mask)
         dom = domain if domain is not None else f_x.domain
         return fn, dom
     if domain is None:
-        raise MirrorSobolError("a domain is required when f_x is a bare callable")
-    return f_x, domain
+        raise MirrorSobolError("a domain is required when f_x is not an InputModel")
+    return getattr(f_x, "eval_rows", f_x), domain
 
 
 def _prepare(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_x, domain):
@@ -292,6 +292,12 @@ def _row_sums_sorted_1d(x: np.ndarray, y: np.ndarray, full_coeffs: np.ndarray, h
 # point estimators
 
 
+def _y_row_sums(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_x, domain) -> tuple:
+    """(G, f_X(X)) with G_a = sum_{b != a} Y_b K_h(A_{X_a}(X_b - X_a)): one weight column."""
+    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
+    return _row_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0], fvals
+
+
 def estimate_t(
     sample: FullSample,
     spec: SubsetSpec,
@@ -304,13 +310,13 @@ def estimate_t(
     """Point estimate of E[E[Y|X]^2] by the pairwise kernel U-statistic.
 
     `f_x` is either an `InputModel` (the subset density and domain are
-    derived from it) or a vectorized callable mapping the (n, d) masked rows
-    to their density values, in which case `domain` is required.  The result
-    is accumulated with exact compensated summation and does not depend on
-    the ordering of the sample rows.
+    derived from it), or the density of the masked rows given as a
+    vectorized callable or as a `DensityEstimate` (anything exposing
+    `eval_rows`), in which case `domain` is required.  The result is
+    accumulated with exact compensated summation and does not depend on the
+    ordering of the sample rows.
     """
-    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
-    g = _row_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0]
+    g, fvals = _y_row_sums(sample, spec, kernel, h, f_x, domain)
     n = sample.n
     return math.fsum((sample.Y / fvals) * g) / (n * (n - 1))
 
@@ -325,28 +331,8 @@ def estimate_g1_loo(
     domain: Optional[Domain] = None,
 ) -> np.ndarray:
     """Leave-one-out regression plug-in g1_hat(X_a) = G_a / ((n-1) f_X(X_a))."""
-    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
-    g = _row_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0]
+    g, fvals = _y_row_sums(sample, spec, kernel, h, f_x, domain)
     return g / ((sample.n - 1) * fvals)
-
-
-def estimate_t_with_density_estimate(
-    sample: FullSample,
-    spec: SubsetSpec,
-    kernel: KernelD,
-    h: float,
-    f_hat,
-    *,
-    domain: Optional[Domain] = None,
-) -> float:
-    """Same U-statistic with an estimated density in place of f_X.
-
-    `f_hat` may be a DensityEstimate (anything exposing `eval_rows`) or a
-    vectorized callable; plug-ins built by the density module carry a
-    positive floor, so the division is always defined.
-    """
-    f_fn = getattr(f_hat, "eval_rows", f_hat)
-    return estimate_t(sample, spec, kernel, h, f_fn, domain=domain)
 
 
 # --------------------------------------------------------------------------
@@ -406,6 +392,45 @@ def _normal_ci(center: float, var: float, n: int, level: float) -> tuple:
     return (center - halfwidth, center + halfwidth)
 
 
+def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_x, domain, ci_level: float):
+    """The estimation core behind every index function: (EstimateResult, g1_c).
+
+    g1_c is the leave-one-out regression plug-in of the centered outputs
+    Y - Ybar, which the first-order sweep needs for its joint covariance.
+    """
+    if not (0.0 < ci_level < 1.0):
+        raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
+    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
+    y = sample.Y
+    n = sample.n
+    s2 = _variance(y)
+    if s2 <= 0.0:
+        raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
+    y_c = y - float(np.mean(y))
+    # one pass for both columns; the centered one is its own column, not a
+    # difference of sums, so the ratio stays exactly affine invariant
+    g, g_c = _row_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
+    t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
+    t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
+    sobol = t_centered / s2
+    g1_c = g_c / ((n - 1) * fvals)
+    var_t = asymptotic_variance_t(sample, g / ((n - 1) * fvals))
+    # the variance of the centered ratio is the same delta-method formula
+    # evaluated on the centered sample (its mean term is zero by construction)
+    var_sobol = asymptotic_variance_sobol(FullSample(V=sample.V, Y=y_c), g1_c)
+    result = EstimateResult(
+        t_hat=t_hat,
+        sobol=sobol,
+        var_t=var_t,
+        var_sobol=var_sobol,
+        ci_level=ci_level,
+        ci=_normal_ci(sobol, var_sobol, n, ci_level),
+        n_used=n,
+        h_used=float(h),
+    )
+    return result, g1_c
+
+
 def estimate_sobol(
     sample: FullSample,
     spec: SubsetSpec,
@@ -426,36 +451,7 @@ def estimate_sobol(
     Empirical moments use the 1/n convention with no Bessel correction; the
     raw t_hat is reported alongside.
     """
-    if not (0.0 < ci_level < 1.0):
-        raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
-    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
-    y = sample.Y
-    n = sample.n
-    s2 = _variance(y)
-    if s2 <= 0.0:
-        raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-    y_c = y - float(np.mean(y))
-    # one pass for both columns; the centered one is its own column, not a
-    # difference of sums, so the ratio stays exactly affine invariant
-    g, g_c = _row_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
-    t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
-    t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
-    sobol = t_centered / s2
-    g1_hat = g / ((n - 1) * fvals)
-    var_t = asymptotic_variance_t(sample, g1_hat)
-    # the variance of the centered ratio is the same delta-method formula
-    # evaluated on the centered sample (its mean term is zero by construction)
-    var_sobol = asymptotic_variance_sobol(FullSample(V=sample.V, Y=y_c), g_c / ((n - 1) * fvals))
-    return EstimateResult(
-        t_hat=t_hat,
-        sobol=sobol,
-        var_t=var_t,
-        var_sobol=var_sobol,
-        ci_level=ci_level,
-        ci=_normal_ci(sobol, var_sobol, n, ci_level),
-        n_used=n,
-        h_used=float(h),
-    )
+    return _estimate(sample, spec, kernel, h, f_x, domain, ci_level)[0]
 
 
 def estimate_total_sobol(
@@ -468,30 +464,20 @@ def estimate_total_sobol(
     domain: Optional[Domain] = None,
     ci_level: float = 0.95,
 ) -> EstimateResult:
-    """Total index of the group `spec`: 1 - S^{complement}, via estimate_sobol.
+    """Total index of the group `spec`: 1 - S^{complement}.
 
-    The kernel must have the complement's dimension.  The returned interval
-    is the reflected interval of the complement estimate.  `f_x` must be an
-    InputModel so the complement's density can be derived from it.
+    The kernel must have the complement's dimension.  The returned result
+    is the complement estimate with the index and its interval reflected.
+    `f_x` must be an InputModel so the complement's density can be derived
+    from it.
     """
     if not isinstance(f_x, InputModel):
         raise MirrorSobolError("total index estimation needs an InputModel to derive the complement density")
     complement = tuple(i for i in range(f_x.p) if i not in spec.mask)
     if not complement:
         raise MirrorSobolError("total index of the full input set is identically 1")
-    res = estimate_sobol(
-        sample, SubsetSpec(complement), kernel, h, f_x, domain=domain, ci_level=ci_level
-    )
-    return EstimateResult(
-        t_hat=res.t_hat,
-        sobol=1.0 - res.sobol,
-        var_t=res.var_t,
-        var_sobol=res.var_sobol,
-        ci_level=res.ci_level,
-        ci=(1.0 - res.ci[1], 1.0 - res.ci[0]),
-        n_used=res.n_used,
-        h_used=res.h_used,
-    )
+    res = _estimate(sample, SubsetSpec(complement), kernel, h, f_x, domain, ci_level)[0]
+    return dataclasses.replace(res, sobol=1.0 - res.sobol, ci=(1.0 - res.ci[1], 1.0 - res.ci[0]))
 
 
 def estimate_first_order_all(
@@ -504,57 +490,33 @@ def estimate_first_order_all(
 ) -> tuple:
     """All first-order indices on one sample, with their joint covariance.
 
-    Returns (results, Sigma): per-axis EstimateResult list and the p x p
-    delta-method covariance J' Gamma J, where Gamma is the empirical
-    covariance of (2 Y g1_hat^(1), ..., 2 Y g1_hat^(p), Y, Y^2) and J the
-    Jacobian of the p-fold ratio map at the empirical moments.  The diagonal
-    of Sigma reproduces each per-axis variance exactly.
+    Returns (results, Sigma): per-axis EstimateResult list, each equal to
+    estimate_sobol on that axis, and the p x p delta-method covariance
+    J' Gamma J, where Gamma is the empirical covariance of
+    (2 Y g1_hat^(1), ..., 2 Y g1_hat^(p), Y, Y^2) and J the Jacobian of the
+    p-fold ratio map at the empirical moments.  The diagonal of Sigma
+    reproduces each per-axis variance exactly.
     """
     if kernel.dim != 1:
         raise MirrorSobolError("first-order sweep needs a 1-dimensional kernel")
     p = model.p
-    y = sample.Y
-    n = sample.n
-    v = _variance(y)
-    if v <= 0.0:
-        raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-    y_c = y - float(np.mean(y))
-    centered_sample = FullSample(V=sample.V, Y=y_c)
-    m_c = float(np.mean(y_c))  # zero up to rounding; kept in the Jacobian for exactness
+    y_c = sample.Y - float(np.mean(sample.Y))
     results = []
-    rows = np.empty((p + 2, n))
-    s_vec = np.empty(p)
+    rows = np.empty((p + 2, sample.n))
     for i in range(p):
-        spec = SubsetSpec((i,))
-        xm, fvals, sub = _prepare(sample, spec, kernel, h, model, None)
-        g, g_c = _row_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
-        t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
-        g1_hat = g / ((n - 1) * fvals)
-        t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
-        g1_c = g_c / ((n - 1) * fvals)
-        s_vec[i] = t_centered / v
+        res, g1_c = _estimate(sample, SubsetSpec((i,)), kernel, h, model, None, ci_level)
+        results.append(res)
         rows[i] = 2.0 * y_c * g1_c
-        var_sob = asymptotic_variance_sobol(centered_sample, g1_c)
-        results.append(
-            EstimateResult(
-                t_hat=t_hat,
-                sobol=float(s_vec[i]),
-                var_t=asymptotic_variance_t(sample, g1_hat),
-                var_sobol=var_sob,
-                ci_level=ci_level,
-                ci=_normal_ci(float(s_vec[i]), var_sob, n, ci_level),
-                n_used=n,
-                h_used=float(h),
-            )
-        )
     rows[p] = y_c
     rows[p + 1] = y_c * y_c
     centered = rows - rows.mean(axis=1, keepdims=True)
-    gamma = (centered @ centered.T) / n
+    gamma = (centered @ centered.T) / sample.n
+    v = _variance(sample.Y)
+    m_c = float(np.mean(y_c))  # zero up to rounding; kept in the Jacobian for exactness
     jac = np.zeros((p + 2, p))
-    for i in range(p):
+    for i, res in enumerate(results):
         jac[i, i] = 1.0 / v
-        jac[p, i] = 2.0 * m_c * (s_vec[i] - 1.0) / v
-        jac[p + 1, i] = -s_vec[i] / v
+        jac[p, i] = 2.0 * m_c * (res.sobol - 1.0) / v
+        jac[p + 1, i] = -res.sobol / v
     sigma = jac.T @ gamma @ jac
     return results, sigma

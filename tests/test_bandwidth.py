@@ -18,7 +18,6 @@ from mirrorsobol.bandwidth import (
     default_grid,
     pilot_target,
     rule_of_thumb_h0,
-    select_bandwidth,
     virtual_outputs,
 )
 from mirrorsobol.domain import Domain, check_mirror_condition
@@ -39,6 +38,9 @@ def _sample(n, p, seed=0):
     v = rng.random((n, p))
     y = v.sum(axis=1) + 0.25
     return FullSample(V=v, Y=y)
+
+
+UNIT_MARGINALS = (Uniform(0.0, 1.0),) * 3
 
 
 # ------------------------------------------------------------------
@@ -376,45 +378,49 @@ def test_target_custom_singular_density_fails_convergence():
 
 def test_virtual_outputs_hand_n2():
     v = np.array([[0.3], [0.7]])
-    y = np.array([2.0, 2.0])
+    y = np.array([2.0, 6.0])
     s = FullSample(V=v, Y=y)
     h0 = np.array([0.2])
-    out = virtual_outputs(s, h0)
-    k0 = norm.pdf(0.0) / 0.2
     k_cross = norm.pdf(0.4 / 0.2) / 0.2
-    want = 2.0 * (k0 + k_cross) / 2.0
-    assert np.allclose(out, want, rtol=1e-14), f"{out} vs {want}"
+    # with n = 2, each leave-one-out value is just the other point's term
+    out = virtual_outputs(s, h0, (Uniform(0.0, 1.0),))
+    assert out[0] == pytest.approx(6.0 * k_cross, rel=1e-12)
+    assert out[1] == pytest.approx(2.0 * k_cross, rel=1e-12)
+    # and it is divided by f_V = 1/2 on [0, 2]
+    wide = virtual_outputs(s, h0, (Uniform(0.0, 2.0),))
+    assert np.allclose(wide, 2.0 * out, rtol=1e-14), f"{wide} vs {2.0 * out}"
 
 
 def test_virtual_outputs_h0_floor():
     s = _sample(50, 1, seed=14)
-    tiny = virtual_outputs(s, [1e-9])
-    floored = virtual_outputs(s, [H0_FLOOR])
+    tiny = virtual_outputs(s, [1e-9], UNIT_MARGINALS[:1])
+    floored = virtual_outputs(s, [H0_FLOOR], UNIT_MARGINALS[:1])
     assert np.array_equal(tiny, floored), "h0 floor not applied"
 
 
 def test_virtual_outputs_pilot_regression_sanity():
     model = linear_model(1)
     s = model.draw(2000, seed=4)
-    yv = virtual_outputs(s, rule_of_thumb_h0(s))
+    yv = virtual_outputs(s, rule_of_thumb_h0(s), model.input_model.marginals)
     corr = np.corrcoef(yv, s.Y)[0, 1]
     assert corr >= 0.9, f"pilot correlation {corr} below 0.9"
     # more axes mean more uncorrected boundary shrinkage, but the pilot
     # must stay strongly informative
     model3 = linear_model(3)
     s3 = model3.draw(2000, seed=4)
-    corr3 = np.corrcoef(virtual_outputs(s3, rule_of_thumb_h0(s3)), s3.Y)[0, 1]
+    corr3 = np.corrcoef(virtual_outputs(s3, rule_of_thumb_h0(s3), model3.input_model.marginals), s3.Y)[0, 1]
     assert corr3 >= 0.6, f"pilot correlation {corr3} collapsed for p=3"
 
 
 def test_virtual_outputs_validation():
     s = _sample(20, 2, seed=1)
     with pytest.raises(MirrorSobolError):
-        virtual_outputs(s, [0.1])  # wrong length
+        virtual_outputs(s, [0.1], UNIT_MARGINALS[:2])  # wrong h0 length
     with pytest.raises(MirrorSobolError):
-        virtual_outputs(s, [0.1, 0.1], f_v=lambda v: np.zeros(v.shape[0]))
+        virtual_outputs(s, [0.1, 0.1], UNIT_MARGINALS[:1])  # wrong marginal count
     with pytest.raises(MirrorSobolError):
-        virtual_outputs(s, [0.1, 0.1], f_v=lambda v: np.ones(3))
+        # every row lies outside [2, 3], where the density is zero
+        virtual_outputs(s, [0.1, 0.1], (Uniform(0.0, 1.0), Uniform(2.0, 3.0)))
 
 
 # ------------------------------------------------------------------
@@ -431,8 +437,6 @@ def test_pilot_config_validation():
         PilotConfig(h0=[0.1], grid=[0.2, 0.1])
     with pytest.raises(MirrorSobolError):
         PilotConfig(h0=[-0.1], grid=[0.1])
-    with pytest.raises(MirrorSobolError):
-        PilotConfig(h0=[0.1], grid=[0.1], pilot_kernel="epanechnikov")
 
 
 def test_default_grid_shape_and_mirror():
@@ -449,25 +453,21 @@ def test_default_grid_shape_and_mirror():
 
 
 def test_virtual_outputs_loo_drops_self_term():
-    v = np.array([[0.3], [0.7]])
-    y = np.array([2.0, 6.0])
-    s = FullSample(V=v, Y=y)
-    h0 = np.array([0.2])
-    loo = virtual_outputs(s, h0, loo=True)
-    k_cross = norm.pdf(0.4 / 0.2) / 0.2
-    # with n = 2, each leave-one-out value is just the other point's term
-    assert loo[0] == pytest.approx(6.0 * k_cross, rel=1e-12)
-    assert loo[1] == pytest.approx(2.0 * k_cross, rel=1e-12)
-    both = virtual_outputs(s, h0)
-    k0 = norm.pdf(0.0) / 0.2
-    assert np.allclose(2.0 * both - loo, np.array([2.0, 6.0]) * k0, rtol=1e-12)
+    # the virtual output of a row does not depend on that row's own Y
+    s = _sample(30, 2, seed=9)
+    y = s.Y.copy()
+    y[7] += 5.0
+    base = virtual_outputs(s, [0.2, 0.3], UNIT_MARGINALS[:2])
+    moved = virtual_outputs(FullSample(V=s.V, Y=y), [0.2, 0.3], UNIT_MARGINALS[:2])
+    assert moved[7] == pytest.approx(base[7], rel=1e-13)
+    assert np.all(moved[np.arange(30) != 7] > base[np.arange(30) != 7])
 
 
 def test_select_grid_of_one():
     s = _sample(60, 1, seed=21)
     cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=[0.17])
     kern = build_kernel(1, 1)
-    h = select_bandwidth(s, SubsetSpec(mask=(0,)), kern, cfg, lambda x: np.ones(x.shape[0]))
+    h = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, lambda x: np.ones(x.shape[0]))["h_star"]
     assert h == 0.17
 
 
@@ -476,7 +476,7 @@ def test_select_mirror_violation():
     cfg = PilotConfig(h0=[0.1], grid=[0.5, 1.7])
     kern = build_kernel(1, 1)
     with pytest.raises(BandwidthTooLargeError):
-        select_bandwidth(s, SubsetSpec(mask=(0,)), kern, cfg, lambda x: np.ones(x.shape[0]))
+        bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, lambda x: np.ones(x.shape[0]))
 
 
 def test_select_scale_invariance():
@@ -487,10 +487,10 @@ def test_select_scale_invariance():
     kern = build_kernel(2, 1)
     cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=default_grid(300, 1, Domain(np.zeros(2), np.ones(2))))
     f_x = lambda x: np.ones(x.shape[0])
-    h_base = select_bandwidth(s, spec, kern, cfg, f_x)
+    h_base = bandwidth_curve(s, spec, kern, cfg, f_x)["h_star"]
     for lam in (4.0, 3.0, -2.0):
         scaled = FullSample(V=s.V, Y=lam * s.Y)
-        h_lam = select_bandwidth(scaled, spec, kern, cfg, f_x)
+        h_lam = bandwidth_curve(scaled, spec, kern, cfg, f_x)["h_star"]
         assert h_lam == h_base, f"lambda={lam}: h* moved {h_base} -> {h_lam}"
 
 
@@ -510,19 +510,22 @@ def test_bandwidth_curve_fields_and_determinism():
     assert min(vals) == dict(out1["curve"])[out1["h_star"]]
 
 
-def test_bandwidth_refine_stays_bracketed():
-    s = _sample(200, 1, seed=6)
-    grid = default_grid(200, 1, Domain(np.zeros(1), np.ones(1)))
-    cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=grid)
-    kern = build_kernel(2, 1)
+def test_curve_checks_the_grid_on_the_mask_subdomain():
+    # the off-mask axis is 10x narrower than the mask axis; the grid runs to
+    # the mask axis's mirror limit and must be accepted
+    rng = np.random.default_rng(12)
+    v = rng.random((300, 2)) * np.array([1.0, 0.1])
+    s = FullSample(V=v, Y=v[:, 0] + 5.0 * v[:, 1])
+    dom = Domain(np.zeros(2), np.array([1.0, 0.1]))
+    cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=default_grid(300, 1, dom.subdomain((0,))))
+    spec, kern = SubsetSpec(mask=(0,)), build_kernel(2, 1)
     f_x = lambda x: np.ones(x.shape[0])
-    coarse = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, f_x)
-    fine = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, f_x, refine=True)
-    idx = list(grid).index(coarse["h_star"])
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, len(grid) - 1)]
-    assert lo <= fine["h_star"] <= hi
-    assert dict(fine["curve"]) == dict(coarse["curve"])
+    out = bandwidth_curve(s, spec, kern, cfg, f_x, domain=dom)
+    assert out["h_star"] in cfg.grid
+    # beyond the mask axis's own limit the grid is still rejected
+    too_wide = PilotConfig(h0=cfg.h0, grid=(0.5, 2.5))
+    with pytest.raises(BandwidthTooLargeError):
+        bandwidth_curve(s, spec, kern, too_wide, f_x, domain=dom)
 
 
 def test_curve_uses_the_input_density_off_the_unit_cube():

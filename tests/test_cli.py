@@ -282,6 +282,25 @@ def test_estimate_auto_reports_infinite_pilot_target(tmp_path, capsys):
     assert main(argv[:5] + ["--h", "0.2", "--marginals", marginals, "--output", str(tmp_path / "h.json")]) == 0
 
 
+def test_estimate_auto_with_a_narrow_axis_off_the_mask(tmp_path):
+    # v1 ~ U(0, 1), v2 ~ U(0, 0.1), y = v1 + 10 v2: S1 = 1/2; the grid runs up
+    # to the mask axis's width, ten times the off-mask one
+    rng = np.random.default_rng(13)
+    n = 1000
+    v = rng.random((n, 2)) * np.array([1.0, 0.1])
+    lines = ["v1,v2,y"] + [f"{a!r},{b!r},{a + 10.0 * b!r}" for a, b in v.tolist()]
+    csv_path = _write(tmp_path, "narrow.csv", "\n".join(lines) + "\n")
+    marginals = json.dumps({"marginals": [{"uniform": [0, 1]}, {"uniform": [0, 0.1]}]})
+    out = str(tmp_path / "est.json")
+    argv = ["estimate", "--csv", csv_path, "--mask", "1", "--auto", "--marginals", marginals, "--output", out]
+    assert main(argv) == 0
+    obj = json.loads(open(out).read())
+    assert obj["bandwidth"]["mode"] == "auto" and 0.0 < obj["bandwidth"]["h"] <= 1.0
+    res = obj["result"]
+    se = math.sqrt(res["var_sobol"] / n)
+    assert abs(res["sobol"] - 0.5) < 5 * se, f"sobol {res['sobol']} vs truth 0.5 (se {se})"
+
+
 def test_estimate_uniform_max_plugin_csv(tmp_path):
     # inputs uniform on [0, 0.8]; the plug-in should recover theta ~ 0.8
     rng = np.random.default_rng(5)

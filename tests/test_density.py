@@ -20,12 +20,7 @@ from mirrorsobol.errors import (
     InsufficientSampleError,
     MirrorSobolError,
 )
-from mirrorsobol.estimator import (
-    FullSample,
-    SubsetSpec,
-    estimate_t,
-    estimate_t_with_density_estimate,
-)
+from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_t
 from mirrorsobol.kernels import build_kernel
 
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
@@ -282,7 +277,8 @@ def test_estimator_accepts_uniform_max_plugin():
     kern = build_kernel(1, 1)
     t_exact = estimate_t(sample, spec, kern, 0.2, lambda x: np.ones(x.shape[0]), domain=UNIT)
     est = uniform_max_estimator(v[:, 0])
-    t_plug = estimate_t_with_density_estimate(sample, spec, kern, 0.2, est, domain=UNIT)
+    t_plug = estimate_t(sample, spec, kern, 0.2, est, domain=UNIT)
+    assert t_plug == estimate_t(sample, spec, kern, 0.2, est.eval_rows, domain=UNIT)
     assert t_plug == pytest.approx(est.params["theta_hat"] * t_exact, rel=1e-12)
 
 
@@ -297,7 +293,8 @@ def test_estimator_accepts_mirror_kde_plugin():
     aux = rng.random((4000, 1))  # separate draw; the model is never run on it
     f_hat = mirror_kde(aux, build_kernel(2, 1), eta=1.0, domain=UNIT)
     t_exact = estimate_t(sample, spec, kern, 0.15, lambda x: np.ones(x.shape[0]), domain=UNIT)
-    t_plug = estimate_t_with_density_estimate(sample, spec, kern, 0.15, f_hat, domain=UNIT)
+    t_plug = estimate_t(sample, spec, kern, 0.15, f_hat, domain=UNIT)
+    assert t_plug == estimate_t(sample, spec, kern, 0.15, f_hat.eval_rows, domain=UNIT)
     assert abs(t_plug - t_exact) < 0.12, f"plug-in t {t_plug} vs exact-density t {t_exact}"
 
 

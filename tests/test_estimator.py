@@ -1,5 +1,6 @@
 """Tests for the pairwise kernel estimator and its variance plug-ins."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import kstest
 
 from mirrorsobol import _window
 from mirrorsobol._window import window_sums
+from mirrorsobol.density import mirror_kde
 from mirrorsobol.domain import Domain, sign_matrix
 from mirrorsobol.errors import (
     BandwidthTooLargeError,
@@ -30,12 +32,17 @@ from mirrorsobol.estimator import (
     estimate_g1_loo,
     estimate_sobol,
     estimate_t,
-    estimate_t_with_density_estimate,
     estimate_total_sobol,
 )
 from mirrorsobol.inputs import InputModel, Uniform
 from mirrorsobol.kernels import build_kernel, custom_base
-from mirrorsobol.testbed import brute_force_t, curved_model, linear_model, product_model
+from mirrorsobol.testbed import (
+    brute_force_t,
+    curved_model,
+    ishigami_model,
+    linear_model,
+    product_model,
+)
 
 UNIT1 = InputModel((Uniform(0.0, 1.0),))
 UNIT2 = InputModel((Uniform(0.0, 1.0), Uniform(0.0, 1.0)))
@@ -382,6 +389,12 @@ def test_total_sobol_linear():
     res = estimate_total_sobol(fs, SubsetSpec((0, 1)), build_kernel(1, 1), 0.15, m.input_model)
     # total effect of {0,1} = 1 - S({2}) = 2/3 for the additive model
     assert abs(res.sobol - 2.0 / 3.0) < 0.1, f"total index {res.sobol} far from 2/3"
+    # exactly the complement's estimate, reflected
+    for mask, complement in (((0, 1), (2,)), ((0,), (1, 2))):
+        kern = build_kernel(1, len(complement))
+        total = estimate_total_sobol(fs, SubsetSpec(mask), kern, 0.15, m.input_model, ci_level=0.9)
+        comp = estimate_sobol(fs, SubsetSpec(complement), kern, 0.15, m.input_model, ci_level=0.9)
+        assert total == dataclasses.replace(comp, sobol=1.0 - comp.sobol, ci=(1.0 - comp.ci[1], 1.0 - comp.ci[0]))
     with pytest.raises(MirrorSobolError):
         estimate_total_sobol(fs, SubsetSpec((0, 1, 2)), build_kernel(2, 3), 0.15, m.input_model)
     with pytest.raises(MirrorSobolError):
@@ -393,11 +406,17 @@ def test_density_estimate_variant_matches_exact_callable():
     fs = m.draw(150, seed=19)
     spec = SubsetSpec((0,))
     k = build_kernel(1, 1)
+    dom = m.input_model.domain
     t_model = estimate_t(fs, spec, k, 0.3, m.input_model)
-    t_callable = estimate_t_with_density_estimate(
-        fs, spec, k, 0.3, lambda x: np.ones(x.shape[0]), domain=m.input_model.domain
-    )
+    t_callable = estimate_t(fs, spec, k, 0.3, lambda x: np.ones(x.shape[0]), domain=dom)
     assert abs(t_model - t_callable) <= 1e-13 * abs(t_model), f"{t_model} vs {t_callable}"
+    # a DensityEstimate goes in as f_x directly, bit-equal to its eval_rows
+    f_hat = mirror_kde(m.draw(400, seed=20).V[:, :1], build_kernel(2, 1), eta=0.5, domain=dom.subdomain((0,)))
+    t_plug = estimate_t(fs, spec, k, 0.3, f_hat, domain=dom)
+    assert t_plug == estimate_t(fs, spec, k, 0.3, f_hat.eval_rows, domain=dom)
+    assert estimate_sobol(fs, spec, k, 0.3, f_hat, domain=dom) == estimate_sobol(
+        fs, spec, k, 0.3, f_hat.eval_rows, domain=dom
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +424,27 @@ def test_density_estimate_variant_matches_exact_callable():
 
 
 def test_first_order_all_p1_reduces_to_estimate_sobol():
-    m = linear_model(1)
-    fs = m.draw(600, seed=23)
+    # p = 1 and three multi-input models: every axis of the sweep is estimate_sobol on that axis
     k = build_kernel(1, 1)
-    results, sigma = estimate_first_order_all(fs, k, 0.2, m.input_model)
-    single = estimate_sobol(fs, SubsetSpec((0,)), k, 0.2, m.input_model)
-    assert results[0].sobol == single.sobol, "p=1 must reduce to estimate_sobol exactly"
-    assert abs(sigma[0, 0] - single.var_sobol) <= 1e-9 * max(single.var_sobol, 1e-12), (
-        f"covariance diagonal {sigma[0, 0]} vs scalar variance {single.var_sobol}"
-    )
+    cases = ((linear_model(1), 0.2), (linear_model(3), 0.2), (ishigami_model(), 0.9), (product_model(), 0.25))
+    for model, h in cases:
+        fs = model.draw(600, seed=23)
+        results, sigma = estimate_first_order_all(fs, k, h, model.input_model, ci_level=0.9)
+        assert len(results) == model.input_model.p
+        for i, res in enumerate(results):
+            single = estimate_sobol(fs, SubsetSpec((i,)), k, h, model.input_model, ci_level=0.9)
+            assert res == single, f"axis {i}: the sweep must equal estimate_sobol field for field"
+            assert abs(sigma[i, i] - single.var_sobol) <= 1e-9 * max(single.var_sobol, 1e-12), (
+                f"covariance diagonal {sigma[i, i]} vs scalar variance {single.var_sobol}"
+            )
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
+def test_first_order_all_rejects_bad_level(level):
+    m = linear_model(3)
+    fs = m.draw(500, seed=1)
+    with pytest.raises(MirrorSobolError):
+        estimate_first_order_all(fs, build_kernel(1, 1), 0.2, m.input_model, ci_level=level)
 
 
 def test_first_order_all_linear_symmetric():
