@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
 
@@ -72,15 +72,13 @@ def pick_freeze_estimate(pf: PickFreezeSample) -> float:
     return numer / denom
 
 
-_NN_BLOCK = 1024
-
-
 def nn_estimate(first, second) -> float:
     """Two-sample nearest-neighbor estimate of E[E[Y|X]^2].
 
     The first sample provides the regression values; each point of the second
     sample is matched to its Euclidean nearest neighbor in the first sample
-    (ties broken by lowest index) and contributes Y_second * Y_first_neighbor.
+    (a k-d tree query, O(n log n); ties go to the lowest index) and
+    contributes Y_second * Y_first_neighbor.
     Valid as a sqrt(n) estimator only for d <= 3; higher dimensions warn.
     """
     x1, y1 = _paired(first, "first")
@@ -93,12 +91,40 @@ def nn_estimate(first, second) -> float:
             "the sqrt(n) limit theorem holds only for d <= 3",
             stacklevel=2,
         )
-    products = np.empty(x2.shape[0])
-    for start in range(0, x2.shape[0], _NN_BLOCK):
-        block = slice(start, min(start + _NN_BLOCK, x2.shape[0]))
-        idx = np.argmin(cdist(x2[block], x1), axis=1)  # argmin takes the lowest index on ties
-        products[block] = y2[block] * y1[idx]
-    return float(np.mean(products))
+    return float(np.mean(y2 * y1[_nearest(x1, x2)]))
+
+
+def _nearest(x1, x2) -> np.ndarray:
+    """argmin(cdist(x2, x1), axis=1): each x2 row's nearest x1 row, lowest index on ties.
+
+    The tree (Friedman, Bentley & Finkel 1977) holds each distinct x1 row
+    once, under its lowest index, and rounds in its own order, so a row whose
+    two nearest distances agree to rounding re-measures its ball of candidates
+    with cdist's arithmetic, sqrt(sum (u - v)^2).
+    """
+    order = np.lexsort(x1.T[::-1])  # stable: the first of equal rows has the lowest index
+    sorted1 = x1[order]
+    distinct = np.r_[True, np.any(sorted1[1:] != sorted1[:-1], axis=1)]
+    rows1, lowest = sorted1[distinct], order[distinct]
+    tree = cKDTree(rows1)
+    dist, idx = tree.query(x2, k=2)  # a single distinct row gives dist[:, 1] = inf
+    # past this reach the tree's nearest row is the unique minimum: the slack
+    # covers its rounded box bounds
+    scale = max(np.max(np.abs(x1)), np.max(np.abs(x2)))
+    reach = dist[:, 0] * (1.0 + 1e-12) + 8.0 * np.spacing(scale)
+    idx = lowest[idx[:, 0]]
+    tied = np.flatnonzero(dist[:, 1] <= reach)
+    if tied.size:
+        found = tree.query_ball_point(x2[tied], reach[tied])
+        rows = np.repeat(tied, [len(c) for c in found])
+        cand = np.concatenate(found)
+        sq = 0.0
+        for u, v in zip(x2[rows].T, rows1[cand].T):
+            sq = sq + (u - v) * (u - v)
+        order = np.lexsort((lowest[cand], np.sqrt(sq), rows))
+        pick = order[np.r_[True, np.diff(rows[order]) != 0]]
+        idx[rows[pick]] = lowest[cand[pick]]
+    return idx
 
 
 def _paired(sample, label):
@@ -114,6 +140,8 @@ def _paired(sample, label):
         raise MirrorSobolError(f"{label} sample must pair an (n, d) X with an n-vector Y")
     if x.shape[0] == 0:
         raise InsufficientSampleError(f"{label} sample is empty")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise MirrorSobolError(f"{label} sample X and Y must be finite")
     return x, y
 
 
@@ -124,12 +152,10 @@ def rank_estimate(X, Y) -> float:
     stable sort makes the result deterministic under ties; it is equivalent
     to perturbing tied X values by an index-ordered jitter of 1e-12.
     """
-    x = np.asarray(X, dtype=float)
-    y = np.asarray(Y, dtype=float)
-    if x.ndim != 1:
-        raise MirrorSobolError(f"rank estimation supports d = 1 only, got a {x.ndim}-d X")
-    if y.ndim != 1 or x.shape != y.shape:
-        raise MirrorSobolError("X and Y must be 1-d arrays of equal length")
+    x, y = _paired((X, Y), "rank")
+    if x.shape[1] != 1:
+        raise MirrorSobolError(f"rank estimation supports d = 1 only, got a {x.shape[1]}-d X")
+    x = x[:, 0]
     n = x.size
     if n < 2:
         raise InsufficientSampleError(f"rank estimation needs n >= 2, got {n}")

@@ -70,6 +70,7 @@ _STUDY_COLUMNS = (
 _COMPARE_COLUMNS = _STUDY_COLUMNS[:-1] + ("limiting_variance",)
 _ESTIMATOR_NAMES = ("kernel", "pf", "nn", "rank")
 _AUX_STREAM = 9  # reserved stream for plug-in auxiliary draws
+_MAX_THREADS = 256  # fixed so that a config is valid on any machine
 
 
 class ConfigError(MirrorSobolError):
@@ -198,8 +199,8 @@ class RunConfig:
         if not (0.0 < self.ci_level < 1.0):
             raise ConfigError("ci_level", f"ci_level must be in (0, 1), got {self.ci_level}")
         object.__setattr__(self, "threads", int(self.threads))
-        if self.threads < 1:
-            raise ConfigError("threads", f"threads must be >= 1, got {self.threads}")
+        if not 1 <= self.threads <= _MAX_THREADS:
+            raise ConfigError("threads", f"--threads must be in [1, {_MAX_THREADS}], got {self.threads}")
 
         grid = tuple(int(v) for v in self.n_grid)
         if any(v < 2 for v in grid) or list(grid) != sorted(set(grid)):
@@ -639,7 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON for CSV input')
         sp.add_argument("--output", help="output file path")
         sp.add_argument("--ci-level", dest="ci_level", type=float, default=0.95)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1, help=f"study worker threads, 1 to {_MAX_THREADS}")
         if study:
             sp.add_argument("--n-grid", dest="n_grid", type=_int_list, default=(), help="e.g. 500,1000,2000")
             sp.add_argument("--seeds", type=int, default=100, help="number of seeds (0..seeds-1)")

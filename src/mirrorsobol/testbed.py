@@ -449,6 +449,8 @@ class ExperimentPlan:
         unknown = set(self.estimators) - {"kernel", "pf", "nn", "rank"}
         if unknown:
             raise MirrorSobolError(f"unknown estimators {sorted(unknown)}")
+        if self.threads < 1:
+            raise MirrorSobolError(f"threads must be >= 1, got {self.threads}")
 
     def h_at(self, n: int) -> float:
         if callable(self.h_rule):
@@ -458,14 +460,11 @@ class ExperimentPlan:
 
 def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int) -> list:
     """Evaluate fn on every seed; results ordered by seed index regardless of threads."""
-    if threads <= 1:
+    workers = min(threads, len(seeds))
+    if workers <= 1:
         return [fn(s) for s in seeds]
-    out = [None] * len(seeds)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(fn, s): i for i, s in enumerate(seeds)}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return out
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, seeds))
 
 
 def _kernel_run(model: AnalyticModel, mask, n: int, h: float, order: int, seed: int, ci_level: float):

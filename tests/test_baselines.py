@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
+from mirrorsobol import baselines
 from mirrorsobol.baselines import (
     PickFreezeSample,
     VarianceOracles,
@@ -98,6 +103,111 @@ def test_nn_empty_and_mismatch():
         nn_estimate((np.empty(0), np.empty(0)), (np.array([0.5]), np.array([1.0])))
     with pytest.raises(MirrorSobolError):
         nn_estimate((np.zeros((4, 2)), np.zeros(4)), (np.zeros((4, 3)), np.zeros(4)))
+
+
+def _dense_nearest(x1, x2):
+    """The dense search the tree replaced; argmin takes the lowest index on ties."""
+    return np.argmin(cdist(x2, x1), axis=1)
+
+
+@st.composite
+def _nn_cases(draw):
+    d = draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+
+    def coord():
+        # eighths put many first-sample points at the same distance
+        return draw(st.one_of(st.integers(0, 8).map(lambda k: k / 8.0), st.floats(0.0, 1.0)))
+
+    pool = offset + np.array([[coord() for _ in range(d)] for _ in range(draw(st.integers(1, 6)))])
+    n1 = draw(st.sampled_from([1, 2, draw(st.integers(3, 30))]))
+    x1 = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n1, max_size=n1))]
+
+    def second_row():
+        kind = draw(st.integers(0, 2))
+        if kind == 0:  # a duplicate of a pool point, often of a first-sample row
+            return pool[draw(st.integers(0, len(pool) - 1))]
+        if kind == 1:  # the midpoint of two first-sample rows
+            i, j = draw(st.integers(0, n1 - 1)), draw(st.integers(0, n1 - 1))
+            return 0.5 * (x1[i] + x1[j])
+        return offset + np.array([coord() for _ in range(d)])
+
+    x2 = np.array([second_row() for _ in range(draw(st.integers(1, 30)))])
+    y1 = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n1)])
+    y2 = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(x2.shape[0])])
+    return x1, y1, x2, y2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nn_cases())
+@example((np.array([[0.25]]), np.array([1.5]), np.array([[0.0], [0.25], [1.0]]), np.array([1.0, -1.0, 2.0])))
+@example((np.array([[0.0], [1.0]]), np.array([1.0, 3.0]), np.array([[0.5], [1.0]]), np.array([2.0, 1.0])))
+def test_nn_tree_matches_dense_search(case):
+    x1, y1, x2, y2 = case
+    dense = _dense_nearest(x1, x2)
+    assert np.array_equal(baselines._nearest(x1, x2), dense), "tree and dense search picked different neighbours"
+    assert nn_estimate((x1, y1), (x2, y2)) == float(np.mean(y2 * y1[dense])), "estimate not bit-identical"
+
+
+def test_nn_many_way_tie_takes_lowest_index(monkeypatch):
+    calls = []
+
+    class CountingTree(cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            calls.append(args)
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "cKDTree", CountingTree)
+    # the four corners of the unit square are equidistant from its center
+    x1 = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [3.0, 3.0]])
+    first = (x1, np.array([7.0, 2.0, 3.0, 4.0, 5.0]))
+    second = (np.array([[0.5, 0.5], [3.0, 2.9]]), np.array([2.0, 1.0]))
+    assert nn_estimate(first, second) == 0.5 * (2.0 * 7.0 + 1.0 * 5.0)
+    assert len(calls) == 1, "the tied row must be settled by the ball lookup"
+
+
+def test_nn_duplicate_rows_stay_out_of_the_tie_lookup(monkeypatch):
+    sizes = []
+
+    class CountingTree(cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            found = super().query_ball_point(*args, **kwargs)
+            sizes.extend(len(c) for c in found)
+            return found
+
+    monkeypatch.setattr(baselines, "cKDTree", CountingTree)
+    rng = np.random.default_rng(3)
+    x1 = rng.integers(0, 2, (5000, 1)).astype(float)
+    x2 = np.array([[0.0], [0.5], [1.0], [0.25]])
+    assert np.array_equal(baselines._nearest(x1, x2), _dense_nearest(x1, x2))
+    # only 0.5 is tied, between the two distinct values, not their 5000 copies
+    assert sizes == [2], sizes
+
+
+def test_nn_matches_dense_search_where_tree_rounding_differs():
+    # permuted coordinates are at the same exact distance from the origin;
+    # the tree sums the squares of d = 8 in another order than cdist, so
+    # the rounded distances can tie in one and not in the other
+    rng = np.random.default_rng(0)
+    origin = np.zeros((1, 8))
+    for a in rng.random((200, 8)):
+        x1 = np.array([a[rng.permutation(8)] for _ in range(3)])
+        assert np.array_equal(baselines._nearest(x1, origin), _dense_nearest(x1, origin))
+
+
+@pytest.mark.parametrize("where", ["x", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_baselines_reject_non_finite_inputs(where, bad):
+    x = np.array([0.1, 0.5, 0.9])
+    y = np.array([1.0, 2.0, 3.0])
+    bx, by = x.copy(), y.copy()
+    (bx if where == "x" else by)[1] = bad
+    with pytest.raises(MirrorSobolError, match="finite"):
+        nn_estimate((bx, by), (x, y))
+    with pytest.raises(MirrorSobolError, match="finite"):
+        nn_estimate((x, y), (bx, by))
+    with pytest.raises(MirrorSobolError, match="finite"):
+        rank_estimate(bx, by)
 
 
 def test_rank_hand_case_n2():

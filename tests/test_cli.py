@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mirrorsobol.cli import (
 )
 from mirrorsobol.errors import MirrorSobolError
 from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_sobol
+from mirrorsobol import testbed
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import linear_model
 
@@ -97,6 +99,28 @@ def test_config_errors_name_the_field(over, field):
     with pytest.raises(ConfigError) as excinfo:
         _cfg(**over)
     assert _field_of(excinfo) == field, f"expected field {field!r}, got {_field_of(excinfo)!r}"
+
+
+@pytest.mark.parametrize("threads", [0, -5, 257, 10**6])
+def test_threads_guard_fails_before_any_pool(threads, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(testbed, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    args = [
+        "compare", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2",
+        "--seeds", "4", "--estimators", "kernel,nn", "--threads", str(threads),
+    ]
+    code = main(args)
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2, f"an out-of-range thread count must fail at parse time, got exit {code}"
+    assert error["field"] == "threads" and "--threads" in error["message"], error
+    assert threading.active_count() == before, "the guard must start no threads"
+
+
+def test_threads_ceiling_is_accepted():
+    assert _cfg(threads=256).threads == 256
 
 
 def test_config_study_constraints():

@@ -1,8 +1,11 @@
 """Tests for the analytic models, oracles, and study drivers."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from mirrorsobol import testbed
 from mirrorsobol.baselines import pick_freeze_estimate
 from mirrorsobol.errors import MirrorSobolError
 from mirrorsobol.estimator import FullSample, SubsetSpec
@@ -168,6 +171,26 @@ def test_convergence_study_threaded_matches_serial():
     serial = convergence_study(ExperimentPlan(**kwargs, threads=1))
     threaded = convergence_study(ExperimentPlan(**kwargs, threads=4))
     assert serial["rows"] == threaded["rows"], "thread count must not change study results"
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_plan_rejects_nonpositive_threads(threads):
+    with pytest.raises(MirrorSobolError, match="threads"):
+        ExperimentPlan(model=linear_model(3), masks=((0,),), n_grid=(100,), h_rule=0.2, threads=threads)
+
+
+def test_over_seeds_starts_no_more_workers_than_seeds(monkeypatch):
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(testbed, "ThreadPoolExecutor", Recording)
+    assert testbed._over_seeds(lambda s: s * s, (3, 1, 2), threads=8) == [9, 1, 4]
+    assert testbed._over_seeds(lambda s: -s, (5,), threads=8) == [-5]
+    assert sizes == [3], f"expected one pool of 3 workers, got {sizes}"
 
 
 def test_coverage_study_negative_control():
