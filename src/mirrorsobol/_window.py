@@ -1,35 +1,92 @@
-"""Mirrored kernel sums over each anchor's window, found by k-d tree range queries."""
+"""Mirrored kernel sums over each anchor's window.
+
+Two backends compute the same sums.  Range moments serve polynomial kernels
+(the uniform base): each window is summed from moments of the points about
+the centers of cells of side h/2, so its pairs are never listed.  They run
+in one dimension always, and in two when the windows hold enough pairs to
+pay for the structure.  The k-d tree serves everything else: it lists the
+pairs of each window and evaluates the kernel on every one.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .domain import Domain, sign_matrix
 
-# expected candidate pairs per anchor block; larger blocks raise the peak
-# memory without running faster
+# expected candidate pairs per anchor block of the tree; larger blocks raise
+# the peak memory without running faster
 _PAIR_BUDGET = 2**16
+# expected window pairs per anchor from which range moments serve d = 2: the
+# tree costs about 130 ns per pair, range moments about the same at any h;
+# measured, they break even near 35 pairs per anchor at n = 2000 and 75 at
+# n = 10^4
+_MOMENT_CROSSOVER = 60.0
 
 
 def window_sums(x, weights, kernel, h: float, domain: Domain, anchors=None) -> np.ndarray:
     """S[a, c] = sum_b weights[b, c] K_h(A_{q_a}(x_b - q_a)) for every anchor q_a.
 
-    x holds the (m, d) points and weights their (m, r) weight columns.  The
-    kernel vanishes outside the box q_a + s_a [lo h, hi h]^d, a max-norm
-    ball, so a range query (Bentley 1975) at a radius inflated past the
-    rounding of the ball centers proposes the candidate pairs, and the
-    kernel's closed-support test decides each one, with the same arithmetic
-    as a dense sweep.  The cost is O(m log m + pairs in a window), not m^2.
-    With anchors None the anchors are the points and the pair b = a is left
-    out (duplicate rows stay in); the rows are then put in a canonical order,
-    so the sums do not depend on the input row order.
+    x holds the (m, d) points and weights their (m, r) weight columns.  With
+    anchors None the anchors are the points and the pair b = a is left out
+    (duplicate rows stay in); the rows are then put in a canonical order, so
+    the sums do not depend on the input row order, and polynomial kernels
+    take the range-moment backend in d = 1, and in d = 2 once the expected
+    window pairs per anchor, tied rows counted, reach _MOMENT_CROSSOVER.
+    Every other call takes the tree, and so do samples whose cell indices or
+    layout keys would not fit in int64.
     """
-    self_pairs = anchors is None
-    if self_pairs:
+    if anchors is not None:
+        return _tree_sums(x, weights, kernel, h, domain, anchors, self_pairs=False)
+    order = np.lexsort(x.T[::-1])
+    # tied[i]: sorted row i + 1 equals row i; the weights order tied rows
+    tied = np.all(x[order[1:]] == x[order[:-1]], axis=1)
+    if np.any(tied):
         order = np.lexsort(np.vstack([weights.T[::-1], x.T[::-1]]))
-        x, weights = x[order], weights[order]
-        anchors = x
+    x, weights = x[order], weights[order]
+    coeffs = kernel.factor.full_coeffs
+    if coeffs is not None and _moments_pay(tied, (kernel.support[1] - kernel.support[0]) * h, domain):
+        moment_sums = _moment_sums_1d if x.shape[1] == 1 else _moment_sums_2d
+        out = moment_sums(x, weights, coeffs, kernel.support, h, domain)
+    else:
+        out = _tree_sums(x, weights, kernel, h, domain, x, self_pairs=True)
+    out[order] = out.copy()
+    return out
+
+
+def _moments_pay(tied: np.ndarray, side: float, domain: Domain) -> bool:
+    """Whether range moments serve points whose sorted rows repeat where `tied` is set.
+
+    `side` is the window side, which is also the cell side.  Cell indices
+    reach widths / side, and the d = 2 layout keys (n + 1)^3; where either
+    would not fit in int64 the tree serves.
+    """
+    n, d = tied.size + 1, domain.dim
+    if float(np.max(domain.widths)) / side >= 2.0**62 or (d == 2 and float(n + 1) ** 3 >= 2.0**63):
+        return False
+    if d != 2:
+        return d == 1
+    spread = n * n * float(np.prod(np.minimum(1.0, side / domain.widths)))
+    groups = np.diff(np.flatnonzero(np.concatenate(([True], ~tied, [True]))))
+    return spread + float(np.sum(groups.astype(float) ** 2)) >= _MOMENT_CROSSOVER * n
+
+
+# --------------------------------------------------------------------------
+# the tree backend
+
+
+def _tree_sums(x, weights, kernel, h: float, domain: Domain, anchors, self_pairs: bool) -> np.ndarray:
+    """Window sums by k-d tree range queries (Bentley 1975).
+
+    The kernel vanishes outside the box q_a + s_a [lo h, hi h]^d, a max-norm
+    ball, so a range query at a radius inflated past the rounding of the
+    ball centers proposes the candidate pairs, and the kernel's closed-support
+    test decides each one, with the same arithmetic as a dense sweep.  The
+    cost is O(m log m + pairs in a window), not m^2.
+    """
     signs = sign_matrix(domain, anchors)
     lo, hi = kernel.support
     centers = anchors + signs * (0.5 * (lo + hi) * h)
@@ -52,6 +109,258 @@ def window_sums(x, weights, kernel, h: float, domain: Domain, anchors=None) -> n
         wb = np.take(weights, b, axis=0)
         for c in range(weights.shape[1]):
             out[start:stop, c] = np.bincount(a, weights=kvals * wb[:, c], minlength=stop - start)
-    if self_pairs:
-        out[order] = out.copy()
+    return out
+
+
+# --------------------------------------------------------------------------
+# the range-moment backend
+#
+# On its support [lo, hi] (for the uniform base [0, 1/2], which holds 0) the
+# kernel factor is the polynomial K_1(t) = sum_m c_m t^m.  Each point b
+# carries the moments w_b (x_b - mu)^l about the center mu of its cell, of
+# the window's side (hi - lo) h; anchoring at the cell keeps every power of
+# order h^l.  A window meets at most two cells per axis (three when rounding
+# puts a point on a cell edge).
+# Over the part of the window in one cell, the binomial theorem moves the
+# moments from mu to the anchor x_a,
+#     S_m = sum_l C(m, l) (mu - x_a)^(m-l) D_l,
+# and the kernel sum is sum_m c_m (s_a / h)^m S_m per axis.  The self pair
+# b = a is in every window and is subtracted at the end as c_0^d w_a.
+
+
+def _cells(x: np.ndarray, lo: float, side: float) -> np.ndarray:
+    """Cell of side `side` of each coordinate x >= lo; cells are monotone in x."""
+    return ((x - lo) // side).astype(np.int64)
+
+
+def _center(c: np.ndarray, lo: float, side: float) -> np.ndarray:
+    return lo + (c + 0.5) * side
+
+
+def _powers(offsets: np.ndarray, k: int) -> np.ndarray:
+    """offsets^l for l = 0..k, by repeated multiplication."""
+    out = np.ones((k + 1, offsets.size))
+    for l in range(1, k + 1):
+        out[l] = out[l - 1] * offsets
+    return out
+
+
+def _binomials(k: int) -> np.ndarray:
+    return np.array([[math.comb(m, l) for l in range(k + 1)] for m in range(k + 1)], dtype=float)
+
+
+def _shift_into(out: np.ndarray, d: np.ndarray, delta: np.ndarray, binom: np.ndarray) -> None:
+    """out[m] += sum_l C(m, l) delta^(m-l) d[l]: moments about a cell center moved to the anchor.
+
+    Axis 0 of d and out is the moment order, axis -2 the anchor; delta holds
+    mu - x_a per anchor.
+    """
+    k = d.shape[0] - 1
+    pow_delta = np.ones((delta.size, 1))
+    for diff in range(k + 1):
+        for l in range(k + 1 - diff):
+            out[l + diff] += binom[l + diff, l] * pow_delta * d[l]
+        if diff < k:
+            pow_delta = pow_delta * delta[:, None]
+
+
+def _kernel_sum(s: np.ndarray, coeffs: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """sum_m c_m ratio^m s[m] over axis 0, ratio = s_a / h per anchor."""
+    out = np.zeros(s.shape[1:])
+    ratio_pow = np.ones((ratio.size, 1))
+    for m in range(coeffs.size):
+        out += coeffs[m] * ratio_pow * s[m]
+        if m < coeffs.size - 1:
+            ratio_pow = ratio_pow * ratio[:, None]
+    return out
+
+
+def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: tuple, h: float, sub: Domain) -> np.ndarray:
+    """Range moments in one dimension; x holds (n, 1) sorted points and y their (n, r) weights.
+
+    The window of each anchor is a run of the sorted points, and each cell a
+    run too, so every window-cell part is a difference of two prefix sums.
+    """
+    xs = x[:, 0]
+    n = xs.size
+    k = coeffs.size - 1
+    lo = float(sub.lower[0])
+    side = (support[1] - support[0]) * h
+    sigma = sign_matrix(sub, x)[:, 0]
+    cell = _cells(xs, lo, side)
+
+    # prefix[l][j] = sum over the first j points of y (x - mu_cell)^l
+    prefix = np.zeros((k + 1, n + 1, y.shape[1]))
+    for l, pw in enumerate(_powers(xs - _center(cell, lo, side), k)):
+        prefix[l, 1:] = np.cumsum(y * pw[:, None], axis=0)
+    binom = _binomials(k)
+
+    b_lo, b_hi = _window_ranks(xs, xs, sigma, h, support)
+    c0 = cell[b_lo]
+
+    s_m = np.zeros((k + 1,) + y.shape)
+    for t in range(3):
+        c = c0 + t
+        seg_s = np.maximum(b_lo, np.searchsorted(cell, c, side="left"))
+        seg_e = np.minimum(b_hi, np.searchsorted(cell, c + 1, side="left"))
+        live = seg_e > seg_s
+        if not np.any(live):
+            continue
+        delta = np.where(live, _center(c, lo, side) - xs, 0.0)
+        d_l = np.where(live[None, :, None], prefix[:, seg_e] - prefix[:, seg_s], 0.0)
+        _shift_into(s_m, d_l, delta, binom)
+    g = _kernel_sum(s_m, coeffs, sigma / h)
+    return (g - coeffs[0] * y) / h
+
+
+def _window_ranks(xs: np.ndarray, x: np.ndarray, sigma: np.ndarray, h: float, support: tuple) -> tuple:
+    """Positions [first, stop) in the sorted values xs of each anchor's window along one axis.
+
+    b is in the window when lo <= sigma (x_b - x_a) / h <= hi, (lo, hi) the
+    support holding 0, evaluated as the kernel evaluates its closed-support
+    test.  The scaled offset is monotone in x_b, so the window is a run of
+    xs holding the anchor; ends guessed by searchsorted are moved across
+    runs of tied values until the first and last points pass the test and
+    their outer neighbours fail it.
+    """
+    n = xs.size
+    lo, hi = support
+
+    def inside(i):
+        t = (sigma * (xs[i] - x)) / h
+        return (t >= lo) & (t <= hi)
+
+    first = np.searchsorted(xs, np.where(sigma > 0, x + lo * h, x - hi * h), side="left")
+    stop = np.searchsorted(xs, np.where(sigma > 0, x + hi * h, x - lo * h), side="right")
+    while True:
+        before, after = np.maximum(first - 1, 0), np.minimum(stop, n - 1)
+        widen_first = (first > 0) & inside(before)
+        narrow_first = ~inside(first)
+        widen_stop = (stop < n) & inside(after)
+        narrow_stop = ~inside(stop - 1)
+        if not (widen_first | narrow_first | widen_stop | narrow_stop).any():
+            return first, stop
+        first = np.where(widen_first, np.searchsorted(xs, xs[before], side="left"), first)
+        first = np.where(narrow_first, np.searchsorted(xs, xs[first], side="right"), first)
+        stop = np.where(widen_stop, np.searchsorted(xs, xs[after], side="right"), stop)
+        stop = np.where(narrow_stop, np.searchsorted(xs, xs[stop - 1], side="left"), stop)
+
+
+def _moment_sums_2d(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: tuple, h: float, sub: Domain) -> np.ndarray:
+    """Range moments in two dimensions; x holds (n, 2) points and w their (n, r) weights.
+
+    Points are ranked along each axis and laid out cell by cell, by axis-1
+    rank within a cell.  The part of a window in one cell is then a run of
+    positions (its axis-1 range) restricted to an axis-2 rank range, of which
+    only one end falls inside the cell in most cases.  A wavelet matrix over
+    the axis-2 ranks (Claude, Navarro & Ordonez, Inf. Syst. 2015) sums the
+    moments of a position run below a rank threshold in one descent of at
+    most log2 n levels.  Each level's moment prefix sums are built as the descent
+    reaches it, so the memory is O(n (k+1)^2 r) and the time
+    O(n log n (k+1)^2 r), whatever h is.
+    """
+    n = x.shape[0]
+    k = coeffs.size - 1
+    r = w.shape[1]
+    side = (support[1] - support[0]) * h
+    sigma = sign_matrix(sub, x)
+    rank, cell, sorted_cell, first, stop, offsets = [], [], [], [], [], []
+    for j in range(2):
+        lo = float(sub.lower[j])
+        order = np.argsort(x[:, j], kind="stable")
+        rank_j = np.empty(n, dtype=np.int64)
+        rank_j[order] = np.arange(n)
+        cell_j = _cells(x[:, j], lo, side)
+        f, s = _window_ranks(x[order, j], x[:, j], sigma[:, j], h, support)
+        rank.append(rank_j)
+        cell.append(cell_j)
+        sorted_cell.append(cell_j[order])
+        first.append(f)
+        stop.append(s)
+        offsets.append(x[:, j] - _center(cell_j, lo, side))
+
+    # lay the points out cell by cell; a cell is named by the rank where it
+    # starts on each axis, which keeps the keys below n^3
+    cell_start = [np.searchsorted(sorted_cell[j], cell[j], side="left") for j in range(2)]
+    key = (cell_start[0] * (n + 1) + cell_start[1]) * n + rank[0]
+    layout = np.argsort(key, kind="stable")
+    key = key[layout]
+    p1, p2 = (_powers(off, k) for off in offsets)
+    # moments[b, (l1, l2, c)] = w_bc (x_b1 - mu_1)^l1 (x_b2 - mu_2)^l2, in layout order
+    moments = (p1.T[:, :, None, None] * p2.T[:, None, :, None] * w[:, None, None, :]).reshape(n, -1)[layout]
+
+    # one query per anchor and nonempty cell its window meets
+    meets = [(sorted_cell[j][first[j]], sorted_cell[j][stop[j] - 1]) for j in range(2)]
+    spans = [c_last - c_first + 1 for c_first, c_last in meets]
+    qa, qc1, qc2 = [], [], []
+    for t1 in range(int(spans[0].max())):
+        for t2 in range(int(spans[1].max())):
+            sel = np.flatnonzero((t1 < spans[0]) & (t2 < spans[1]))
+            qa.append(sel)
+            qc1.append(meets[0][0][sel] + t1)
+            qc2.append(meets[1][0][sel] + t2)
+    qa, qc1, qc2 = (np.concatenate(v) for v in (qa, qc1, qc2))
+    # a cell between the window's first and last may hold no point on its
+    # axis; its start rank is then the next cell's, so its query would sum
+    # that cell a second time
+    cell1_lo, cell1_hi = (np.searchsorted(sorted_cell[0], qc1, side=s) for s in ("left", "right"))
+    cell2_lo, cell2_hi = (np.searchsorted(sorted_cell[1], qc2, side=s) for s in ("left", "right"))
+    base = (cell1_lo * (n + 1) + cell2_lo) * n
+    pos_lo = np.searchsorted(key, base + first[0][qa], side="left")
+    pos_hi = np.searchsorted(key, base + stop[0][qa], side="left")
+    live = np.flatnonzero((pos_hi > pos_lo) & (cell1_hi > cell1_lo) & (cell2_hi > cell2_lo))
+    qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi = (v[live] for v in (qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi))
+
+    # the axis-2 rank range of a query cuts its cell at one end, rarely at
+    # both; ranks count from the start of the cell's row of cells
+    cut_hi = np.flatnonzero(stop[1][qa] < cell2_hi)
+    cut_lo = np.flatnonzero(first[1][qa] > cell2_lo)
+    prefix = _prefix(moments)
+    d = prefix[pos_hi] - prefix[pos_lo]
+    terms = np.concatenate([cut_hi, cut_lo])
+    bound = np.concatenate([stop[1][qa[cut_hi]], first[1][qa[cut_lo]]]) - cell2_lo[terms]
+    below = _wavelet_sums((rank[1] - cell_start[1])[layout], moments, pos_lo[terms], pos_hi[terms], bound)
+    d[cut_hi] = below[: cut_hi.size]
+    d[cut_lo] -= below[cut_hi.size :]
+
+    binom = _binomials(k)
+    d = d.reshape(-1, k + 1, k + 1, r).transpose(1, 2, 0, 3)
+    shifted = np.zeros_like(d)
+    _shift_into(shifted, d, _center(qc1, float(sub.lower[0]), side) - x[qa, 0], binom)
+    s_m = np.zeros_like(d)
+    _shift_into(s_m.swapaxes(0, 1), shifted.swapaxes(0, 1), _center(qc2, float(sub.lower[1]), side) - x[qa, 1], binom)
+    g_q = _kernel_sum(_kernel_sum(s_m, coeffs, sigma[qa, 0] / h), coeffs, sigma[qa, 1] / h)
+    g = np.column_stack([np.bincount(qa, weights=g_q[:, c], minlength=n) for c in range(r)])
+    return (g - (coeffs[0] * coeffs[0]) * w) / (h * h)
+
+
+def _prefix(values: np.ndarray) -> np.ndarray:
+    """Prefix sums along axis 0, from 0."""
+    out = np.zeros((values.shape[0] + 1, values.shape[1]))
+    np.cumsum(values, axis=0, out=out[1:])
+    return out
+
+
+def _wavelet_sums(seq: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """sum of values[i] over lo <= i < hi with seq[i] < bound, per query; seq holds integers >= 0.
+
+    Each level of the wavelet matrix splits the sequence stably by one bit
+    of seq, most significant first.  Where the bound has that bit set, the
+    query's elements with the bit clear are all below it: their sum is a
+    difference of two prefix sums over the split sequence, and the query
+    follows the elements with the bit set; otherwise it follows the rest.
+    """
+    out = np.zeros((lo.size, values.shape[1]))
+    for level in reversed(range(max(1, int(seq.max()).bit_length()))):
+        bit = (seq >> level) & 1
+        zeros = np.concatenate(([0], np.cumsum(1 - bit)))
+        split = np.concatenate([np.flatnonzero(bit == 0), np.flatnonzero(bit)])
+        seq, values = seq[split], np.take(values, split, axis=0)
+        z_lo, z_hi = zeros[lo], zeros[hi]
+        take = ((bound >> level) & 1).astype(bool)
+        prefix = _prefix(values)
+        # a query that does not take this level reads prefix[0] - prefix[0] = 0
+        out += np.take(prefix, np.where(take, z_hi, 0), axis=0) - np.take(prefix, np.where(take, z_lo, 0), axis=0)
+        lo = np.where(take, zeros[-1] + lo - z_lo, z_lo)
+        hi = np.where(take, zeros[-1] + hi - z_hi, z_hi)
     return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ._window import window_sums
 from .domain import Domain, check_mirror_condition
@@ -158,7 +158,7 @@ def default_bandwidth(n: int, k: int, d: int, domain: Domain) -> float:
 
 
 # --------------------------------------------------------------------------
-# validation and the shared kernel-row-sum core
+# validation
 
 
 def _resolve_density(f_x, spec: SubsetSpec, domain: Optional[Domain]):
@@ -207,87 +207,6 @@ def _prepare(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_
     return xm, fvals, sub
 
 
-def _row_sums(xm: np.ndarray, weights: np.ndarray, kernel: KernelD, h: float, sub: Domain) -> np.ndarray:
-    """G[a, c] = sum_{b != a} weights[b, c] K_h(A_{X_a}(X_b - X_a)) for every row a and weight column c."""
-    if kernel.dim == 1 and kernel.factor.full_coeffs is not None:
-        return _row_sums_sorted_1d(xm[:, 0], weights, kernel.factor.full_coeffs, h, sub)
-    return window_sums(xm, weights, kernel, h, sub)
-
-
-def _row_sums_sorted_1d(x: np.ndarray, y: np.ndarray, full_coeffs: np.ndarray, h: float, sub: Domain) -> np.ndarray:
-    """Sorted-window evaluation of the row sums in one dimension; y holds (n, r) weights.
-
-    On [0, 1/2] the kernel is the polynomial with coefficients `full_coeffs`,
-    so G_a = (1/h) sum_m a_m (sigma_a/h)^m S_m(a) with the window moment sums
-    S_m(a) = sum_{b in window(a)} Y_b (x_b - x_a)^m.  The sums come from
-    prefix arrays of Y (x - mu_c)^l anchored at the centers mu_c of cells of
-    width h/2, recombined binomially; anchoring keeps every power well
-    scaled, and the final pass is exact compensated summation, so the result
-    does not depend on the input row order.
-    """
-    n = x.size
-    k = full_coeffs.size - 1
-    lo = float(sub.lower[0])
-    width = float(sub.widths[0])
-    half = 0.5 * h
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    sigma = np.where(xs <= lo + 0.5 * width, 1.0, -1.0)
-
-    ncells = int(math.ceil(width / half)) + 1
-    cell = np.clip((xs - lo) // half, 0, ncells - 1).astype(np.int64)
-    # first sorted index belonging to each cell (cells are monotone in xs)
-    cell_start = np.searchsorted(cell, np.arange(ncells + 1), side="left")
-    centers = lo + (np.arange(ncells) + 0.5) * half
-
-    # prefix[l][j] = sum over the first j sorted points of Y (x - mu_cell)^l
-    offsets = xs - centers[cell]
-    prefix = np.zeros((k + 1, n + 1, ys.shape[1]))
-    pow_off = np.ones(n)
-    for l in range(k + 1):
-        prefix[l, 1:] = np.cumsum(ys * pow_off[:, None], axis=0)
-        if l < k:
-            pow_off = pow_off * offsets
-    binom = np.array([[math.comb(m, l) for l in range(k + 1)] for m in range(k + 1)], dtype=float)
-
-    w_lo = np.where(sigma > 0, xs, xs - half)
-    w_hi = np.where(sigma > 0, xs + half, xs)
-    b_lo = np.searchsorted(xs, w_lo, side="left")
-    b_hi = np.searchsorted(xs, w_hi, side="right")
-    c0 = np.clip((w_lo - lo) // half, 0, ncells - 1).astype(np.int64)
-
-    s_m = np.zeros((k + 1,) + ys.shape)
-    for t in range(3):
-        c_raw = c0 + t
-        in_range = c_raw < ncells
-        c = np.where(in_range, c_raw, ncells - 1)
-        seg_s = np.maximum(b_lo, cell_start[c])
-        seg_e = np.minimum(b_hi, cell_start[c + 1])
-        live = in_range & (seg_e > seg_s)
-        if not np.any(live):
-            continue
-        delta = np.where(live, centers[c] - xs, 0.0)
-        d_l = np.where(live[None, :, None], prefix[:, seg_e] - prefix[:, seg_s], 0.0)
-        pow_delta = np.ones((n, 1))
-        # S_m += sum_l C(m, l) (mu_c - x_a)^{m-l} D_l, accumulated by m - l
-        for diff in range(k + 1):
-            for l in range(k + 1 - diff):
-                s_m[l + diff] += binom[l + diff, l] * pow_delta * d_l[l]
-            if diff < k:
-                pow_delta = pow_delta * delta[:, None]
-    g_sorted = np.zeros(ys.shape)
-    sig_pow = np.ones((n, 1))
-    for m in range(k + 1):
-        g_sorted += full_coeffs[m] * sig_pow * s_m[m]
-        if m < k:
-            sig_pow = sig_pow * (sigma[:, None] / h)
-    g_sorted = (g_sorted - full_coeffs[0] * ys) / h
-    out = np.empty(ys.shape)
-    out[order] = g_sorted
-    return out
-
-
 # --------------------------------------------------------------------------
 # point estimators
 
@@ -295,7 +214,7 @@ def _row_sums_sorted_1d(x: np.ndarray, y: np.ndarray, full_coeffs: np.ndarray, h
 def _y_row_sums(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_x, domain) -> tuple:
     """(G, f_X(X)) with G_a = sum_{b != a} Y_b K_h(A_{X_a}(X_b - X_a)): one weight column."""
     xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
-    return _row_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0], fvals
+    return window_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0], fvals
 
 
 def estimate_t(
@@ -387,7 +306,7 @@ def asymptotic_variance_sobol(sample: FullSample, g1_hat: np.ndarray) -> float:
 
 
 def _normal_ci(center: float, var: float, n: int, level: float) -> tuple:
-    z = float(norm.ppf(0.5 + 0.5 * level))
+    z = float(ndtri(0.5 + 0.5 * level))
     halfwidth = z * math.sqrt(max(var, 0.0) / n)
     return (center - halfwidth, center + halfwidth)
 
@@ -409,7 +328,7 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
     y_c = y - float(np.mean(y))
     # one pass for both columns; the centered one is its own column, not a
     # difference of sums, so the ratio stays exactly affine invariant
-    g, g_c = _row_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
+    g, g_c = window_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
     t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
     t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
     sobol = t_centered / s2

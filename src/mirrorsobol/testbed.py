@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy.special import ndtri
 
 from ._quad import gauss_legendre
 from .baselines import PickFreezeSample, VarianceOracles
@@ -582,10 +583,8 @@ def coverage_study(plan: ExperimentPlan, level: Optional[float] = None, variance
     setting it to 0.5 is the deliberate-miscalibration negative control.
     Only the kernel estimator produces intervals.
     """
-    from scipy.stats import norm
-
     level = plan.ci_level if level is None else float(level)
-    z = float(norm.ppf(0.5 + 0.5 * level))
+    z = float(ndtri(0.5 + 0.5 * level))
     rows = []
     for mask in plan.masks:
         truth = plan.model.sobol_of(mask)

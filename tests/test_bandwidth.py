@@ -30,7 +30,7 @@ from mirrorsobol.errors import (
 from mirrorsobol.estimator import FullSample, SubsetSpec
 from mirrorsobol.inputs import Beta, Custom, Uniform
 from mirrorsobol.kernels import build_kernel
-from mirrorsobol.testbed import ishigami_model, linear_model
+from mirrorsobol.testbed import ishigami_model, linear_model, product_model
 
 
 def _sample(n, p, seed=0):
@@ -136,11 +136,16 @@ def _assert_matches_oracle(sample, mask, h0, marginals, rtol):
     got = pilot_target(sample, SubsetSpec(mask=mask), h0, marginals)
     pair, single = _oracle_tables(sample, mask, h0, marginals)
     y = np.asarray(sample.Y, dtype=float)
+    # gradual underflow: a product with a subnormal output keeps only the bits
+    # above the smallest subnormal, a few of them per pair, times the largest
+    # kernel factor of a pair
+    k_max = np.prod([m.max() for m in pair]) * np.prod([np.max(v) ** 2 for v in single])
+    underflow = 4.0 * y.size**2 * k_max * np.finfo(float).smallest_subnormal
     # signed outputs can cancel, so the scale is the all-positive sum
     for full, g in zip((True, False), got):
         want = _naive_target(y, pair, single, full=full)
         scale = _naive_target(np.abs(y), pair, single, full=full)
-        assert abs(g - want) <= rtol * scale, f"quadrature {g} vs pair sum {want} (scale {scale})"
+        assert abs(g - want) <= rtol * scale + underflow, f"quadrature {g} vs pair sum {want} (scale {scale})"
 
 
 def _flat(a, b):
@@ -389,6 +394,34 @@ def test_virtual_outputs_hand_n2():
     # and it is divided by f_V = 1/2 on [0, 2]
     wide = virtual_outputs(s, h0, (Uniform(0.0, 2.0),))
     assert np.allclose(wide, 2.0 * out, rtol=1e-14), f"{wide} vs {2.0 * out}"
+
+
+def _virtual_outputs_reference(sample, h0, marginals):
+    """The dense formula of virtual_outputs in 512-row blocks, allocating each block afresh."""
+    v, y = sample.V, sample.Y
+    n, p = v.shape
+    h0 = np.maximum(np.asarray(h0, dtype=float), H0_FLOOR)
+    fvals = np.prod([m.pdf(v[:, i]) for i, m in enumerate(marginals)], axis=0)
+    inv_h = 1.0 / h0
+    log_norm = -np.sum(np.log(h0)) - 0.5 * p * math.log(2 * math.pi)
+    out = np.empty(n)
+    for start in range(0, n, 512):
+        blk = slice(start, min(start + 512, n))
+        expo = np.zeros((blk.stop - blk.start, n))
+        for i in range(p):
+            z = (v[None, :, i] - v[blk, i][:, None]) * inv_h[i]
+            expo -= 0.5 * z * z
+        out[blk] = np.exp(expo + log_norm) @ y
+    return (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
+
+
+@pytest.mark.parametrize("model, n", [(linear_model(3), 700), (ishigami_model(), 600), (product_model(), 650)])
+def test_virtual_outputs_bit_equal_to_the_dense_formula(model, n):
+    # the in-place blocked evaluation keeps the arithmetic of each entry
+    s = model.draw(n, seed=4)
+    h0 = rule_of_thumb_h0(s)
+    marginals = model.input_model.marginals
+    assert np.array_equal(virtual_outputs(s, h0, marginals), _virtual_outputs_reference(s, h0, marginals))
 
 
 def test_virtual_outputs_h0_floor():

@@ -4,11 +4,14 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import mirrorsobol
 from mirrorsobol.cli import (
     ConfigError,
     CsvFormatError,
@@ -470,6 +473,27 @@ def test_coverage_command(tmp_path):
     assert len(rows) == 1
     cov = float(rows[0]["coverage"])
     assert 0.0 <= cov <= 1.0, f"coverage {cov} out of [0, 1]"
+
+
+def test_cli_start_and_coverage_run_leave_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs about 0.7 s to import; the normal cdf and quantile
+    # come from scipy.special instead
+    out = str(tmp_path / "cov.csv")
+    code = "\n".join(
+        [
+            "import sys",
+            "from mirrorsobol import cli",
+            "assert 'scipy.stats' not in sys.modules, 'loaded by the import'",
+            "argv = ['coverage', '--model', 'product', '--n', '200', '--mask', '1,2', '--h', '0.3', '--seeds', '3']",
+            f"assert cli.main(argv + ['--output', {out!r}]) == 0",
+            "assert 'scipy.stats' not in sys.modules, 'loaded by the coverage run'",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(mirrorsobol.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert os.path.exists(out)
 
 
 def test_compare_command_limiting_variances(tmp_path):

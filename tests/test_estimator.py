@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
@@ -24,7 +25,6 @@ from mirrorsobol.errors import (
 from mirrorsobol.estimator import (
     FullSample,
     SubsetSpec,
-    _row_sums_sorted_1d,
     asymptotic_variance_sobol,
     asymptotic_variance_t,
     default_bandwidth,
@@ -127,6 +127,32 @@ def test_matches_brute_force_with_boundary_points_and_ties():
             )
 
 
+def _tree_sums(x, w, kernel, h, dom):
+    """The k-d tree backend, whatever backend window_sums would choose."""
+    return _window._tree_sums(x, w, kernel, h, dom, x, self_pairs=True)
+
+
+@pytest.mark.parametrize(
+    "xa, xb, h, box",
+    [
+        # x_b = x_a + h/2 rounded up: (x_b - x_a) / h rounds to 0.5000000000000001, out
+        (-0.5150372933919337, -0.5150372933919337 + 0.5 * 0.20261940833637054, 0.20261940833637054, (-1.0, 0.0)),
+        # x_b one float past x_a + h/2 rounded: (x_b - x_a) / h rounds to 0.5, in
+        (-0.9972614998298519, np.nextafter(-0.9972614998298519 + 0.5 * 1.6501217528309111, 1.0), 1.6501217528309111, (-1.0, 1.0)),
+        # x_b below x_a by the smallest subnormal: (x_b - x_a) / h underflows to -0.0, in
+        (5e-324, 0.0, 2.0, (0.0, 2.0)),
+    ],
+)
+def test_sorted_path_decides_the_window_edge_as_the_kernel_does(xa, xb, h, box):
+    fs = FullSample(V=np.array([[xa], [xb]]), Y=np.array([1.0, 1.0]))
+    model = InputModel((Uniform(*box),))
+    spec = SubsetSpec((0,))
+    for order in (0, 2):
+        kernel = build_kernel(order, 1)
+        t_ref = brute_force_t(fs, spec, kernel, h, model)
+        assert abs(estimate_t(fs, spec, kernel, h, model) - t_ref) <= 1e-12 * abs(t_ref), (order, t_ref)
+
+
 def test_sorted_path_agrees_with_sparse_path():
     rng = np.random.default_rng(3)
     model = UNIT1
@@ -136,15 +162,16 @@ def test_sorted_path_agrees_with_sparse_path():
         y = rng.normal(size=n)
         w = np.column_stack([y, y - y.mean()])
         kernel = build_kernel(order, 1)
-        fast = _row_sums_sorted_1d(x[:, 0], w, kernel.factor.full_coeffs, h, dom)
-        sparse = window_sums(x, w, kernel, h, dom)
+        # a polynomial kernel in d = 1 takes the sorted range-moment path
+        fast = window_sums(x, w, kernel, h, dom)
+        sparse = _tree_sums(x, w, kernel, h, dom)
         err = np.max(np.abs(fast - sparse)) / max(np.max(np.abs(sparse)), 1e-12)
         assert err <= 1e-10, f"sorted path deviates from sparse path by {err} (n={n}, h={h}, k={order})"
         # each weight column is computed as it would be on its own
         for c in range(2):
-            alone = _row_sums_sorted_1d(x[:, 0], w[:, c : c + 1], kernel.factor.full_coeffs, h, dom)
+            alone = window_sums(x, w[:, c : c + 1], kernel, h, dom)
             assert np.array_equal(fast[:, c : c + 1], alone)
-            assert np.array_equal(sparse[:, c : c + 1], window_sums(x, w[:, c : c + 1], kernel, h, dom))
+            assert np.array_equal(sparse[:, c : c + 1], _tree_sums(x, w[:, c : c + 1], kernel, h, dom))
 
 
 def test_sparse_path_spans_multiple_blocks(monkeypatch):
@@ -173,10 +200,14 @@ _KERNELS.update({(k, d): build_kernel(k, d) for k in (0, 1, 2) for d in (2, 3)})
 
 
 @st.composite
-def _window_cases(draw):
-    """Samples that stress the range query: ties, edges, midpoints, window boundaries, far boxes."""
-    d = draw(st.integers(1, 3))
-    order = draw(st.sampled_from([1, 2] if d == 1 else [0, 1, 2]))
+def _window_cases(draw, moments=False):
+    """Samples that stress the range query: ties, edges, midpoints, window boundaries, far boxes.
+
+    With moments=True the kernels are polynomial (uniform base) in d = 1 and
+    2, the cases of the range-moment backend.
+    """
+    d = draw(st.integers(1, 2 if moments else 3))
+    order = draw(st.sampled_from([0, 1, 2] if moments or d > 1 else [1, 2]))
     far = draw(st.booleans())
     lo = np.array([1e6 if far else draw(st.sampled_from([0.0, -1.0, 0.5])) for _ in range(d)])
     width = np.array([draw(st.sampled_from([1.0, 2.0])) for _ in range(d)])
@@ -197,7 +228,8 @@ def _window_cases(draw):
     rows = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
     y = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n)])
     budget = draw(st.sampled_from([1, _window._PAIR_BUDGET]))
-    return rows, y, _KERNELS[(order, d)], h, InputModel(tuple(Uniform(a, b) for a, b in zip(lo, hi))), budget
+    kernel = build_kernel(order, d) if moments else _KERNELS[(order, d)]
+    return rows, y, kernel, h, InputModel(tuple(Uniform(a, b) for a, b in zip(lo, hi))), budget
 
 
 def _absolute_scale(rows, y, kernel, h, model):
@@ -210,8 +242,27 @@ def _absolute_scale(rows, y, kernel, h, model):
     return float(np.abs(y) @ kvals @ np.abs(y)) * float(np.prod(model.domain.widths)) / (n * (n - 1))
 
 
+def _underflow(n, kernel, h, model):
+    """Gradual underflow: a product with a subnormal factor keeps only the bits above the
+    smallest subnormal, so two summation orders may differ by a few smallest subnormals
+    per pair, scaled by the largest |K_h / f_X|."""
+    t = np.linspace(*kernel.support, 1025)
+    k_max = float(np.max(np.abs(kernel.factor.eval(t)))) ** kernel.dim / h**kernel.dim
+    return 4.0 * n * n * k_max * float(np.prod(model.domain.widths)) * np.finfo(float).smallest_subnormal
+
+
 @settings(max_examples=150, deadline=None)
 @given(_window_cases())
+@example(
+    (
+        np.zeros((3, 2)),
+        np.array([2.2e-313, 0.0, 0.5]),
+        _KERNELS[(0, 2)],
+        0.25,
+        UNIT2,
+        _window._PAIR_BUDGET,
+    )
+)
 def test_sparse_backend_matches_brute_force(case):
     rows, y, kernel, h, model, budget = case
     fs = FullSample(V=rows, Y=y)
@@ -221,7 +272,139 @@ def test_sparse_backend_matches_brute_force(case):
         t_fast = estimate_t(fs, spec, kernel, h, model)
     t_ref = brute_force_t(fs, spec, kernel, h, model)
     scale = max(abs(t_ref), _absolute_scale(rows, y, kernel, h, model))
-    assert abs(t_fast - t_ref) <= 1e-12 * scale, f"sparse {t_fast!r} vs brute force {t_ref!r} (h={h})"
+    tol = 1e-12 * scale + _underflow(y.size, kernel, h, model)
+    assert abs(t_fast - t_ref) <= tol, f"sparse {t_fast!r} vs brute force {t_ref!r} (h={h})"
+
+
+def _moment_scale(rows, y, kernel, h, model):
+    """The absolute-term scale of the range-moment backend.
+
+    Each window sum is a difference of prefix sums over the moments of every
+    point, with the self pair added and taken out again, so the rounding
+    scales with all pairs, not only the window's: sum_a sum_b |y_a y_b| with
+    |K_1| bounded by sum_m |c_m| (the re-expanded terms have |t| <= 1).
+    """
+    n, d = rows.shape
+    k_abs = (float(np.sum(np.abs(kernel.factor.full_coeffs))) / h) ** d
+    return float(np.sum(np.abs(y))) ** 2 * k_abs * float(np.prod(model.domain.widths)) / (n * (n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_window_cases(moments=True))
+@example(
+    (
+        np.zeros((3, 2)),
+        np.array([2.2e-313, 0.0, 0.5]),
+        build_kernel(0, 2),
+        0.25,
+        UNIT2,
+        _window._PAIR_BUDGET,
+    )
+)
+def test_range_moment_backend_matches_brute_force(case):
+    rows, y, kernel, h, model, _ = case
+    fs = FullSample(V=rows, Y=y)
+    spec = SubsetSpec(tuple(range(rows.shape[1])))
+    # every d = 2 call takes range moments, whatever the sample's occupancy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_MOMENT_CROSSOVER", 0.0)
+        mp.setattr(_window, "_tree_sums", None)
+        t_fast = estimate_t(fs, spec, kernel, h, model)
+    t_ref = brute_force_t(fs, spec, kernel, h, model)
+    scale = max(abs(t_ref), _moment_scale(rows, y, kernel, h, model))
+    tol = 1e-12 * scale + _underflow(y.size, kernel, h, model)
+    assert abs(t_fast - t_ref) <= tol, f"range moments {t_fast!r} vs brute force {t_ref!r} (h={h})"
+
+
+def test_range_moments_agree_with_tree_on_spread_and_tied_samples():
+    rng = np.random.default_rng(7)
+    dom = Domain(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+    for n, h, order in [(400, 0.1, 1), (400, 0.35, 2), (300, 1.0, 3), (200, 0.6, 0)]:
+        x = dom.lower + rng.random((n, 2)) * dom.widths
+        x[: n // 4] = x[0]  # a cluster of tied rows
+        x[n // 4 : n // 2, 1] = np.round(x[n // 4 : n // 2, 1] * 8) / 8  # ties on one axis
+        w = np.column_stack([rng.normal(size=n), rng.random(n)])
+        kernel = build_kernel(order, 2)
+        tree = _tree_sums(x, w, kernel, h, dom)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_window, "_MOMENT_CROSSOVER", 0.0)
+            moments = window_sums(x, w, kernel, h, dom)
+        err = np.max(np.abs(moments - tree)) / np.max(np.abs(tree))
+        assert err <= 1e-12, f"range moments deviate from the tree by {err} (n={n}, h={h}, k={order})"
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("reps, crossover", [(1, 0.0), (2, 0.0), (100, _window._MOMENT_CROSSOVER)])
+def test_range_moments_skip_an_empty_middle_cell(axis, reps, crossover):
+    # cells of side h/2 = 0.25: a sits just below the edge of cell 1 and b
+    # on the edge of cell 2, and (0.5 - a) / h rounds to 0.5, so a's window
+    # meets cells 0 to 2 on one axis while cell 1 holds no point; 100 tied
+    # rows of each reach range moments at the default crossover
+    a, b = [0.3, 0.3], [0.3, 0.3]
+    a[axis], b[axis] = 0.25 - 2.0**-55, 0.5
+    fs = FullSample(V=np.array([a] * reps + [b] * reps), Y=np.linspace(1.0, 2.0, 2 * reps))
+    spec = SubsetSpec((0, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_MOMENT_CROSSOVER", crossover)
+        mp.setattr(_window, "_tree_sums", None)
+        for order in (0, 2):
+            kernel = build_kernel(order, 2)
+            t_fast = estimate_t(fs, spec, kernel, 0.5, UNIT2)
+            t_ref = brute_force_t(fs, spec, kernel, 0.5, UNIT2)
+            assert abs(t_fast - t_ref) <= 1e-12 * _moment_scale(fs.V, fs.Y, kernel, 0.5, UNIT2), (order, t_fast, t_ref)
+
+
+def test_range_moments_leave_int64_overflow_to_the_tree():
+    # cell indices reach widths / side and the d = 2 layout keys (n + 1)^3
+    ok = np.zeros(999, dtype=bool)
+    assert _window._moments_pay(ok, 0.25, UNIT1.domain)
+    assert not _window._moments_pay(ok, 2.0**-62, UNIT1.domain)
+    assert not _window._moments_pay(ok, 2.0**-62, UNIT2.domain)
+    assert _window._moments_pay(np.ones(2**20, dtype=bool), 0.5, UNIT2.domain)
+    assert not _window._moments_pay(np.ones(2**21, dtype=bool), 0.5, UNIT2.domain)
+    # a bandwidth far below the cell-index range is summed right by the tree
+    fs = FullSample(V=np.array([[0.3], [0.3], [0.7]]), Y=np.array([1.0, 2.0, 3.0]))
+    kernel = build_kernel(0, 1)
+    t_ref = brute_force_t(fs, SubsetSpec((0,)), kernel, 1e-300, UNIT1)
+    assert estimate_t(fs, SubsetSpec((0,)), kernel, 1e-300, UNIT1) == pytest.approx(t_ref, rel=1e-12)
+
+
+def test_window_sums_backend_choice(monkeypatch):
+    # range moments need a polynomial kernel and, in d = 2, about 60 expected
+    # window pairs per anchor, tied rows counted; the tree takes the rest
+    def moments_called(*args):
+        raise AssertionError("range moments")
+
+    monkeypatch.setattr(_window, "_moment_sums_2d", moments_called)
+    rng = np.random.default_rng(3)
+    x = rng.random((2000, 2))
+    w = rng.normal(size=(2000, 1))
+    kernel = build_kernel(2, 2)
+    window_sums(x, w, kernel, 0.06, UNIT2.domain)  # about 2 pairs per anchor: the tree
+    window_sums(x, w, build_kernel(2, 2, base=custom_base(_ramp, (0.0, 0.5), 2)), 0.6, UNIT2.domain)
+    window_sums(x, w, kernel, 0.6, UNIT2.domain, anchors=x[:10])
+    for sample, h in [(x, 0.6), (np.repeat(x[:20], 100, axis=0), 0.06)]:
+        with pytest.raises(AssertionError, match="range moments"):
+            window_sums(sample, w, kernel, h, UNIT2.domain)
+
+
+def test_tied_rows_keep_memory_bounded():
+    # 1500 identical rows: the tree would hold every pair of the one block
+    n = 1500
+    v = np.tile([0.3, 0.7], (n, 1))
+    y = np.random.default_rng(0).normal(size=n)
+    h = n**-0.375
+    kernel = build_kernel(2, 2)
+    tracemalloc.start()
+    try:
+        t = estimate_t(FullSample(V=v, Y=y), SubsetSpec((0, 1)), kernel, h, UNIT2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    k0 = float(kernel.factor.full_coeffs[0]) ** 2 / h**2
+    want = k0 * (math.fsum(y) ** 2 - math.fsum(y * y)) / (n * (n - 1))
+    assert abs(t - want) <= 1e-12 * k0 * float(np.sum(np.abs(y))) ** 2 / (n * (n - 1))
 
 
 def test_row_permutation_invariance():
@@ -245,6 +428,21 @@ def test_row_permutation_invariance_2d():
     perm = np.random.default_rng(1).permutation(400)
     fs_perm = FullSample(V=fs.V[perm], Y=fs.Y[perm])
     t_perm = estimate_t(fs_perm, spec, k, 0.3, m.input_model)
+    assert abs(t - t_perm) <= 1e-13 * abs(t), f"permutation changed the estimate: {t} vs {t_perm}"
+
+
+def test_row_permutation_invariance_range_moments(monkeypatch):
+    monkeypatch.setattr(_window, "_MOMENT_CROSSOVER", 0.0)
+    m = product_model()
+    fs = m.draw(400, seed=9)
+    v = fs.V.copy()
+    v[:50] = v[0]  # tied rows
+    fs = FullSample(V=v, Y=fs.Y)
+    spec = SubsetSpec((0, 1))
+    k = build_kernel(2, 2)
+    t = estimate_t(fs, spec, k, 0.3, m.input_model)
+    perm = np.random.default_rng(1).permutation(400)
+    t_perm = estimate_t(FullSample(V=fs.V[perm], Y=fs.Y[perm]), spec, k, 0.3, m.input_model)
     assert abs(t - t_perm) <= 1e-13 * abs(t), f"permutation changed the estimate: {t} vs {t_perm}"
 
 
