@@ -1,7 +1,6 @@
 """Mirror-corrected kernel U-statistic estimation of Sobol' sensitivity indices."""
 
 from .bandwidth import (
-    PilotConfig,
     bandwidth_curve,
     default_grid,
     rule_of_thumb_h0,
@@ -40,7 +39,6 @@ from .testbed import builtin_models, model_by_name
 __version__ = "0.1.0"
 
 __all__ = [
-    "PilotConfig",
     "bandwidth_curve",
     "default_grid",
     "rule_of_thumb_h0",

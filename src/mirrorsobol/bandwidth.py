@@ -9,7 +9,6 @@ on the virtual outputs match the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,16 +17,14 @@ from scipy import special
 from .domain import Domain, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
-    InsufficientSampleError,
     MirrorSobolError,
     PilotTargetError,
 )
 from .estimator import FullSample, SubsetSpec, estimate_t
-from .inputs import Beta, Uniform
+from .inputs import Beta, InputModel, Uniform
 from .kernels import KernelD
 
 __all__ = [
-    "PilotConfig",
     "rule_of_thumb_h0",
     "compute_beta_single",
     "pilot_target",
@@ -39,29 +36,8 @@ __all__ = [
 # below this pilot bandwidth the virtual outputs blow up like K(0)^p / h0^p;
 # every consumer of h0 clips at this floor
 H0_FLOOR = 1e-3
-
-@dataclass(frozen=True)
-class PilotConfig:
-    """Pilot bandwidths and the candidate grid for the main bandwidth."""
-
-    h0: tuple
-    grid: tuple
-
-    def __post_init__(self):
-        h0 = tuple(float(v) for v in np.asarray(self.h0, dtype=float).ravel())
-        grid = tuple(float(v) for v in np.asarray(self.grid, dtype=float).ravel())
-        if len(h0) == 0:
-            raise MirrorSobolError("pilot config needs at least one h0 entry")
-        if any(not (np.isfinite(v) and v > 0) for v in h0):
-            raise MirrorSobolError(f"pilot bandwidths must be positive reals, got {h0}")
-        if len(grid) == 0:
-            raise MirrorSobolError("the candidate grid is empty")
-        if any(not (np.isfinite(v) and v > 0) for v in grid):
-            raise MirrorSobolError(f"grid entries must be positive reals, got {grid}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise MirrorSobolError("the candidate grid must be strictly ascending")
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "grid", grid)
+# candidate bandwidths in the default selection grid
+_GRID_SIZE = 25
 
 
 def _clipped_h0(h0) -> np.ndarray:
@@ -71,11 +47,22 @@ def _clipped_h0(h0) -> np.ndarray:
     return np.maximum(h0, H0_FLOOR)
 
 
+def _pilot_inputs(sample: FullSample, h0, marginals) -> tuple:
+    """(V, Y, clipped h0) of a pilot computation; one h0 and one marginal per input axis."""
+    v = np.asarray(sample.V, dtype=float)
+    y = np.asarray(sample.Y, dtype=float)
+    p = v.shape[1]
+    h0 = _clipped_h0(h0)
+    if h0.size != p:
+        raise MirrorSobolError(f"h0 has {h0.size} entries for {p} input axes")
+    if len(marginals) != p:
+        raise MirrorSobolError(f"{len(marginals)} pilot marginals for {p} input axes")
+    return v, y, h0
+
+
 def rule_of_thumb_h0(sample: FullSample) -> np.ndarray:
     """Scott-type pilot bandwidths h0_i = std(V_i) * n^(-1/(4+p))."""
     n, p = sample.V.shape
-    if n < 2:
-        raise InsufficientSampleError(f"pilot bandwidths need n >= 2, got {n}")
     spread = np.ptp(sample.V, axis=0)
     if np.any(spread == 0.0):
         bad = np.nonzero(spread == 0.0)[0].tolist()
@@ -213,14 +200,8 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
     naming the axis, when the target is infinite (a Beta mask marginal with
     a shape >= 2), beyond the work budget, or unresolved by the quadrature.
     """
-    v = np.asarray(sample.V, dtype=float)
-    y = np.asarray(sample.Y, dtype=float)
+    v, y, h0 = _pilot_inputs(sample, h0, marginals)
     n, p = v.shape
-    h0 = _clipped_h0(h0)
-    if h0.size != p:
-        raise MirrorSobolError(f"h0 has {h0.size} entries for {p} input axes")
-    if len(marginals) != p:
-        raise MirrorSobolError(f"{len(marginals)} pilot marginals for {p} input axes")
     mask = tuple(spec.mask)
     u = y.copy()
     for i in range(p):
@@ -274,14 +255,8 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     pilot_target).  Dropping the self-term centers the selection objective:
     with it, the virtual U-statistic is coupled to its own target.
     """
-    v = np.asarray(sample.V, dtype=float)
-    y = np.asarray(sample.Y, dtype=float)
+    v, y, h0 = _pilot_inputs(sample, h0, marginals)
     n, p = v.shape
-    h0 = _clipped_h0(h0)
-    if h0.size != p:
-        raise MirrorSobolError(f"h0 has {h0.size} entries for {p} input axes")
-    if len(marginals) != p:
-        raise MirrorSobolError(f"{len(marginals)} pilot marginals for {p} input axes")
     fvals = np.prod([m.pdf(v[:, i]) for i, m in enumerate(marginals)], axis=0)
     if np.any(fvals <= 0.0) or not np.all(np.isfinite(fvals)):
         raise MirrorSobolError("the pilot marginals' density must be positive and finite at all sample points")
@@ -307,7 +282,7 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     return (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
 
 
-def default_grid(n: int, d: int, domain: Domain, size: int = 25) -> np.ndarray:
+def default_grid(n: int, d: int, domain: Domain) -> np.ndarray:
     """Log-spaced candidate bandwidths from (0.05 n)^(-1/d) up to the mirror limit.
 
     The lower endpoint keeps every candidate above the pair-informative
@@ -319,7 +294,7 @@ def default_grid(n: int, d: int, domain: Domain, size: int = 25) -> np.ndarray:
     lo = (0.05 * n) ** (-1.0 / d)
     if lo >= hi:
         lo = hi / 100.0
-    return np.geomspace(lo, hi, size)
+    return np.geomspace(lo, hi, _GRID_SIZE)
 
 
 def _objective(h, sample_virtual, spec, kernel, f_x, domain, target):
@@ -331,41 +306,56 @@ def bandwidth_curve(
     sample: FullSample,
     spec: SubsetSpec,
     kernel: KernelD,
-    config: PilotConfig,
     f_x,
     *,
+    h0=None,
+    grid=None,
     domain: Optional[Domain] = None,
-    input_model=None,
+    input_model: Optional[InputModel] = None,
 ) -> dict:
     """Evaluate the selection objective on the grid and pick h*.
 
     Returns {"h_star", "target", "target_printed", "curve": [(h, |T~ - target|)]}.
     The objective compares the U-statistic on leave-one-out virtual outputs
     (see virtual_outputs) to the pilot target (see pilot_target); h* is the
-    grid minimizer, ties going to the smaller h.  Every grid entry must meet
-    the mirror condition on the mask's subdomain.
+    grid minimizer, ties going to the smaller h.  The pilot bandwidths h0
+    default to rule_of_thumb_h0(sample), and the strictly ascending grid to
+    default_grid on the mask's subdomain, where every grid entry must meet
+    the mirror condition.
 
-    The pilot marginals, for both the target and the virtual outputs'
-    density f_V, are those of input_model, or uniform on the domain when
-    there is none.
+    When f_x is an InputModel it stands in for a missing input_model.  The
+    domain defaults to the input model's box, else the unit cube.  The pilot
+    marginals, for both the target and the virtual outputs' density f_V, are
+    those of the input model, or uniform on the domain when there is none.
     """
+    if input_model is None and isinstance(f_x, InputModel):
+        input_model = f_x
     if domain is None:
         if input_model is not None:
             domain = input_model.domain
         else:
             p = sample.V.shape[1]
             domain = Domain(np.zeros(p), np.ones(p))
-    grid = np.asarray(config.grid, dtype=float)
-    sub = domain.subdomain(spec.mask)
-    for h in grid:
-        if not check_mirror_condition(sub, float(h)):
-            raise BandwidthTooLargeError(f"grid entry {h} violates the mirror condition")
     if input_model is not None:
         marginals = input_model.marginals
     else:
         marginals = tuple(Uniform(lo, hi) for lo, hi in zip(domain.lower, domain.upper))
-    target, target_printed = pilot_target(sample, spec, config.h0, marginals)
-    y_virtual = virtual_outputs(sample, config.h0, marginals)
+    sub = domain.subdomain(spec.mask)
+    grid = default_grid(sample.n, spec.d, sub) if grid is None else np.asarray(grid, dtype=float).ravel()
+    if grid.size == 0:
+        raise MirrorSobolError("the candidate grid is empty")
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise MirrorSobolError(f"grid entries must be positive reals, got {grid}")
+    if np.any(np.diff(grid) <= 0):
+        raise MirrorSobolError("the candidate grid must be strictly ascending")
+    for h in grid:
+        if not check_mirror_condition(sub, float(h)):
+            raise BandwidthTooLargeError(f"grid entry {h} violates the mirror condition")
+    if h0 is None:
+        h0 = rule_of_thumb_h0(sample)
+    _pilot_inputs(sample, h0, marginals)  # checks h0 before any pilot work
+    target, target_printed = pilot_target(sample, spec, h0, marginals)
+    y_virtual = virtual_outputs(sample, h0, marginals)
     sample_virtual = FullSample(V=sample.V, Y=y_virtual)
     values = np.array(
         [_objective(float(h), sample_virtual, spec, kernel, f_x, domain, target) for h in grid]

@@ -187,6 +187,10 @@ class VarianceOracles:
     moments: Callable
 
 
+# relative agreement limiting_variance_efficient requires of the two forms
+_FORMS_RTOL = 1e-6
+
+
 def efficient_variance_forms(oracles: VarianceOracles) -> tuple:
     """Both printed forms of sigma_T^2.
 
@@ -211,17 +215,17 @@ def efficient_variance_forms(oracles: VarianceOracles) -> tuple:
     return form_one, form_two
 
 
-def limiting_variance_efficient(oracles: VarianceOracles, *, check_tol: float = 1e-6) -> float:
+def limiting_variance_efficient(oracles: VarianceOracles) -> float:
     """sigma_T^2, the limiting variance of the efficient estimator of t.
 
-    Evaluates both printed forms and verifies they agree within `check_tol`
+    Evaluates both printed forms and verifies they agree within `_FORMS_RTOL`
     relative before returning the direct form.
     """
     form_one, form_two = efficient_variance_forms(oracles)
     scale = max(abs(form_one), abs(form_two), 1e-12)
-    if abs(form_one - form_two) > check_tol * scale:
+    if abs(form_one - form_two) > _FORMS_RTOL * scale:
         raise MirrorSobolError(
-            f"sigma_T^2 forms disagree: {form_one} vs {form_two} (tolerance {check_tol} relative)"
+            f"sigma_T^2 forms disagree: {form_one} vs {form_two} (tolerance {_FORMS_RTOL} relative)"
         )
     return form_one
 

@@ -35,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import PilotConfig, bandwidth_curve, default_grid, rule_of_thumb_h0
+from .bandwidth import bandwidth_curve
+from .baselines import limiting_variance_nn, limiting_variance_sobol_centered
 from .density import beta_moment_estimator, mirror_kde, uniform_max_estimator
 from .domain import Domain
 from .errors import MirrorSobolError
@@ -43,6 +44,7 @@ from .estimator import FullSample, SubsetSpec, estimate_sobol
 from .inputs import InputModel, input_model_from_json, sample as draw_inputs
 from .kernels import build_kernel
 from .testbed import (
+    _ESTIMATOR_NAMES,
     ExperimentPlan,
     builtin_models,
     convergence_study,
@@ -54,7 +56,8 @@ from .testbed import (
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "MIRRORSOBOL_OUTPUT_DIR"
 
-_COMMANDS = ("estimate", "bandwidth", "convergence", "coverage", "compare")
+_STUDIES = ("convergence", "coverage", "compare")
+_COMMANDS = ("estimate", "bandwidth") + _STUDIES
 _STUDY_COLUMNS = (
     "model",
     "mask",
@@ -68,7 +71,6 @@ _STUDY_COLUMNS = (
     "coverage",
 )
 _COMPARE_COLUMNS = _STUDY_COLUMNS[:-1] + ("limiting_variance",)
-_ESTIMATOR_NAMES = ("kernel", "pf", "nn", "rank")
 _AUX_STREAM = 9  # reserved stream for plug-in auxiliary draws
 _MAX_THREADS = 256  # fixed so that a config is valid on any machine
 
@@ -107,8 +109,8 @@ class RunConfig:
         {"plugin": {"mirror_kde": {"eta": 0.5, "h": 0.2, "m": 4000}}}
 
     Study commands use ``n_grid`` (convergence; coverage falls back to
-    ``(n,)``), ``seeds`` (seed count, seeds are 0..seeds-1) and
-    ``estimators``.  The config round-trips losslessly through
+    ``(n,)``), ``seeds`` (seed count, seeds are 0..seeds-1, so ``seed``
+    must stay 0) and ``estimators``.  The config round-trips losslessly through
     ``to_json``/``from_json``.
     """
 
@@ -154,6 +156,8 @@ class RunConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise ConfigError("seed", f"seed must be nonnegative, got {self.seed}")
+        if self.seed != 0 and self.command in _STUDIES:
+            raise ConfigError("seed", f"{self.command} always runs seeds 0..seeds-1 and takes no seed, got {self.seed}")
 
         mask = tuple(int(i) for i in self.mask)
         if len(mask) == 0:
@@ -185,7 +189,7 @@ class RunConfig:
             if not (c > 0 and 0 < gamma < 1):
                 raise ConfigError("bandwidth", f"rule needs c > 0 and 0 < gamma < 1, got ({c}, {gamma})")
             object.__setattr__(self, "rule", (c, gamma))
-        if self.auto and self.command in ("convergence", "coverage", "compare"):
+        if self.auto and self.command in _STUDIES:
             raise ConfigError("bandwidth", "auto bandwidth applies to single runs; studies take fixed h or a rule")
 
         _parse_density_spec(self.density)  # validates; raises ConfigError
@@ -210,7 +214,7 @@ class RunConfig:
             raise ConfigError("n_grid", "convergence needs a nonempty n_grid")
         if self.command == "coverage" and len(grid) == 0 and self.n is None:
             raise ConfigError("n_grid", "coverage needs n_grid or n")
-        if self.command in ("convergence", "coverage", "compare") and self.model is None:
+        if self.command in _STUDIES and self.model is None:
             raise ConfigError("input", f"{self.command} needs a builtin model (truth is required)")
 
         object.__setattr__(self, "seeds", int(self.seeds))
@@ -244,11 +248,7 @@ class RunConfig:
                 raise ConfigError(key, f"unknown config field {key!r}")
         if "command" not in obj:
             raise ConfigError("command", "config is missing the command field")
-        kwargs = dict(obj)
-        for key in ("mask", "n_grid", "estimators", "rule"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return RunConfig(**kwargs)
+        return RunConfig(**obj)  # __post_init__ turns the JSON lists into tuples
 
 
 def _parse_density_spec(density) -> tuple:
@@ -326,17 +326,20 @@ def load_sample_csv(path: str) -> FullSample:
 # resolution helpers
 
 
-def _load_input(config: RunConfig):
-    """Returns (sample, model-or-None, input_model-or-None)."""
+def _load_input(config: RunConfig) -> tuple:
+    """Returns (sample, spec, kernel, input_model-or-None, f_x, domain, density info) of a single run."""
     if config.model is not None:
         model = model_by_name(config.model)
         fs = model.draw(config.n, config.seed)
-        return fs, model, model.input_model
-    fs = load_sample_csv(config.csv)
-    input_model = input_model_from_json(config.marginals) if config.marginals is not None else None
-    if input_model is not None and input_model.p != fs.p:
-        raise ConfigError("marginals", f"marginals describe {input_model.p} inputs but the CSV has {fs.p}")
-    return fs, None, input_model
+        input_model = model.input_model
+    else:
+        fs = load_sample_csv(config.csv)
+        input_model = input_model_from_json(config.marginals) if config.marginals is not None else None
+        if input_model is not None and input_model.p != fs.p:
+            raise ConfigError("marginals", f"marginals describe {input_model.p} inputs but the CSV has {fs.p}")
+    spec = SubsetSpec(_mask0(config, fs.p))
+    kernel = build_kernel(config.kernel_order, spec.d)
+    return (fs, spec, kernel, input_model) + _setup_density(config, fs, spec.mask, input_model)
 
 
 def _mask0(config: RunConfig, p: int) -> tuple:
@@ -402,20 +405,11 @@ def _resolve_h(config: RunConfig, fs: FullSample, spec, kernel, f_x, domain, inp
     if config.h is not None:
         return config.h, {"mode": "fixed", "h": config.h}
     if config.rule is not None:
+        h = _h_rule_fn(config)(fs.n)
         c, gamma = config.rule
-        h = c * fs.n ** (-gamma)
         return h, {"mode": "rule", "c": c, "gamma": gamma, "h": h}
-    out = _auto_curve(fs, spec, kernel, f_x, domain, input_model)
+    out = bandwidth_curve(fs, spec, kernel, f_x, domain=domain, input_model=input_model)
     return out["h_star"], {"mode": "auto", "h": out["h_star"], "target": out["target"]}
-
-
-def _auto_curve(fs: FullSample, spec, kernel, f_x, domain, input_model) -> dict:
-    """Pilot selection with rule-of-thumb pilot bandwidths on the default grid."""
-    pilot = PilotConfig(
-        h0=tuple(rule_of_thumb_h0(fs)),
-        grid=tuple(default_grid(fs.n, spec.d, domain.subdomain(spec.mask))),
-    )
-    return bandwidth_curve(fs, spec, kernel, pilot, f_x, domain=domain, input_model=input_model)
 
 
 def _h_rule_fn(config: RunConfig):
@@ -491,10 +485,7 @@ def _csv_artifact(config: RunConfig, columns: tuple, rows: list, trailer: list =
 
 
 def _cmd_estimate(config: RunConfig) -> str:
-    fs, _, input_model = _load_input(config)
-    spec = SubsetSpec(_mask0(config, fs.p))
-    kernel = build_kernel(config.kernel_order, spec.d)
-    f_x, domain, density_info = _setup_density(config, fs, spec.mask, input_model)
+    fs, spec, kernel, input_model, f_x, domain, density_info = _load_input(config)
     h, band_info = _resolve_h(config, fs, spec, kernel, f_x, domain, input_model)
     res = estimate_sobol(fs, spec, kernel, h, f_x, domain=domain, ci_level=config.ci_level)
     body = {"result": res.to_json(), "density": density_info, "bandwidth": band_info}
@@ -502,11 +493,8 @@ def _cmd_estimate(config: RunConfig) -> str:
 
 
 def _cmd_bandwidth(config: RunConfig) -> str:
-    fs, _, input_model = _load_input(config)
-    spec = SubsetSpec(_mask0(config, fs.p))
-    kernel = build_kernel(config.kernel_order, spec.d)
-    f_x, domain, density_info = _setup_density(config, fs, spec.mask, input_model)
-    out = _auto_curve(fs, spec, kernel, f_x, domain, input_model)
+    fs, spec, kernel, input_model, f_x, domain, density_info = _load_input(config)
+    out = bandwidth_curve(fs, spec, kernel, f_x, domain=domain, input_model=input_model)
     body = {
         "h_star": out["h_star"],
         "target": out["target"],
@@ -530,7 +518,7 @@ def _cmd_convergence(config: RunConfig) -> str:
 def _cmd_coverage(config: RunConfig) -> str:
     n_grid = config.n_grid if config.n_grid else (config.n,)
     plan = _build_plan(config, n_grid)
-    out = coverage_study(plan, level=config.ci_level, variance_scale=config.variance_scale)
+    out = coverage_study(plan, variance_scale=config.variance_scale)
     return _write_text(_output_path(config), _csv_artifact(config, _STUDY_COLUMNS, out["rows"]))
 
 
@@ -546,8 +534,6 @@ def _limiting_variance_cell(model, mask0, estimator: str, cache: dict):
         first = mom(lambda y, x: y * oracles.g1(x))
         second = mom(lambda y, x: (y * oracles.g1(x)) ** 2)
         return 4.0 * (second - first**2)
-    from .baselines import limiting_variance_nn, limiting_variance_sobol_centered
-
     if estimator == "kernel_sobol":
         # the shipped Sobol' estimator centers the output first
         return limiting_variance_sobol_centered(oracles)
@@ -624,50 +610,44 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     model_names = [m.name for m in builtin_models()]
 
-    def common(sp, study: bool):
+    def common(name: str, summary: str, study: bool):
+        # unset flags stay out of the namespace, so RunConfig alone owns the defaults
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--csv", help="sample CSV with header v1,...,vp,y")
         src.add_argument("--model", choices=model_names, help="builtin analytic model")
         sp.add_argument("--n", type=int, help="sample size for builtin input")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int)
         sp.add_argument("--mask", type=_int_list, required=True, help="1-based input axes, e.g. 1 or 1,3")
-        sp.add_argument("--order", dest="kernel_order", type=int, default=2, help="kernel order k")
+        sp.add_argument("--order", dest="kernel_order", type=int, help="kernel order k")
         band = sp.add_mutually_exclusive_group()
         band.add_argument("--h", type=float, help="fixed bandwidth")
         band.add_argument("--auto", action="store_true", help="data-driven bandwidth selection")
         band.add_argument("--rule", nargs=2, type=float, metavar=("C", "GAMMA"), help="h = C * n^-GAMMA")
-        sp.add_argument("--density", type=_json_arg, default=None, help='"exact" or {"plugin": ...} JSON')
+        sp.add_argument("--density", type=_json_arg, help='"exact" or {"plugin": ...} JSON')
         sp.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON for CSV input')
         sp.add_argument("--output", help="output file path")
-        sp.add_argument("--ci-level", dest="ci_level", type=float, default=0.95)
-        sp.add_argument("--threads", type=int, default=1, help=f"study worker threads, 1 to {_MAX_THREADS}")
+        sp.add_argument("--ci-level", dest="ci_level", type=float)
+        sp.add_argument("--threads", type=int, help=f"study worker threads, 1 to {_MAX_THREADS}")
         if study:
-            sp.add_argument("--n-grid", dest="n_grid", type=_int_list, default=(), help="e.g. 500,1000,2000")
-            sp.add_argument("--seeds", type=int, default=100, help="number of seeds (0..seeds-1)")
-            sp.add_argument(
-                "--estimators", type=_str_list, default=("kernel",), help=f"subset of {','.join(_ESTIMATOR_NAMES)}"
-            )
+            sp.add_argument("--n-grid", dest="n_grid", type=_int_list, help="e.g. 500,1000,2000")
+            sp.add_argument("--seeds", type=int, help="number of seeds (0..seeds-1)")
+            sp.add_argument("--estimators", type=_str_list, help=f"subset of {','.join(_ESTIMATOR_NAMES)}")
+        return sp
 
-    common(sub.add_parser("estimate", help="one estimate with CI, JSON out"), study=False)
-    common(sub.add_parser("bandwidth", help="bandwidth selection curve, JSON out"), study=False)
-    common(sub.add_parser("convergence", help="RMSE vs n study, CSV out"), study=True)
-    cov = sub.add_parser("coverage", help="CI coverage study, CSV out")
-    common(cov, study=True)
-    cov.add_argument("--variance-scale", dest="variance_scale", type=float, default=1.0)
-    common(sub.add_parser("compare", help="estimator comparison table, CSV out"), study=True)
+    common("estimate", "one estimate with CI, JSON out", study=False)
+    common("bandwidth", "bandwidth selection curve, JSON out", study=False)
+    common("convergence", "RMSE vs n study, CSV out", study=True)
+    cov = common("coverage", "CI coverage study, CSV out", study=True)
+    cov.add_argument("--variance-scale", dest="variance_scale", type=float)
+    common("compare", "estimator comparison table, CSV out", study=True)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    if "density" in kwargs and kwargs["density"] is None:
-        del kwargs["density"]
-    if kwargs.get("rule") is not None:
-        kwargs["rule"] = tuple(kwargs["rule"])
     try:
-        config = RunConfig(**kwargs)
+        config = RunConfig(**vars(args))
     except MirrorSobolError as exc:
         sys.stdout.write(_error_payload(exc))
         return 2

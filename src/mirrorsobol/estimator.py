@@ -174,8 +174,6 @@ def _resolve_density(f_x, spec: SubsetSpec, domain: Optional[Domain]):
 
 def _prepare(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_x, domain):
     f_fn, dom = _resolve_density(f_x, spec, domain)
-    if sample.n < 2:
-        raise InsufficientSampleError(f"need at least 2 rows, got {sample.n}")
     if max(spec.mask) >= sample.p:
         raise MirrorSobolError(f"mask {spec.mask} out of range for {sample.p} inputs")
     if kernel.dim != spec.d:

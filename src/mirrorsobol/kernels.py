@@ -46,6 +46,8 @@ __all__ = [
 # Conditioning of the moment system degrades quickly with the degree; beyond
 # this order the construction is not trustworthy in double precision.
 MAX_ORDER = 10
+# mass and moment errors verify_order accepts
+_ORDER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,15 @@ def uniform_half(k: int) -> BaseDensity:
 def custom_base(density: Callable, support: tuple, k: int) -> BaseDensity:
     """Base density from a user-supplied handle; moments by quadrature.
 
-    The density must integrate to 1 over its (bounded) support within 1e-12.
+    The support must lie in [0, 1/2], the window the mirror condition
+    covers, and the density must integrate to 1 over it within 1e-12.
     """
     _check_order(k)
     from scipy.integrate import quad
 
     a, b = float(support[0]), float(support[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise MirrorSobolError(f"custom base support {support!r} must be a bounded interval")
+    if not (0.0 <= a < b <= 0.5):
+        raise MirrorSobolError(f"custom base support {support!r} must be an interval (a, b) with 0 <= a < b <= 1/2")
     moments = np.empty(2 * k + 1)
     for j in range(2 * k + 1):
         moments[j], _ = quad(lambda x, j=j: x**j * density(np.asarray(x)), a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -160,8 +163,7 @@ def build_orthonormal_basis(base: BaseDensity, k: int) -> OrthonormalBasis:
     gram = hankel(m[: k + 1], m[k : 2 * k + 1])
     rows = np.zeros((k + 1, k + 1))
     for deg in range(k + 1):
-        v = np.zeros(k + 1)
-        v[deg] = 1.0
+        v = _unit_vector(k + 1, deg)
         for _ in range(2):
             for i in range(deg):
                 v = v - (rows[i] @ gram @ v) * rows[i]
@@ -212,9 +214,7 @@ def monomial_coordinates(m: int, basis: OrthonormalBasis) -> np.ndarray:
         raise MirrorSobolError(f"monomial degree must be a nonnegative integer, got {m!r}")
     if m > basis.degree:
         raise MirrorSobolError(f"monomial degree {m} exceeds basis degree {basis.degree}")
-    e_m = np.zeros(basis.degree + 1)
-    e_m[m] = 1.0
-    lam = solve_triangular(basis.coeffs.T, e_m, lower=False)
+    lam = solve_triangular(basis.coeffs.T, _unit_vector(basis.degree + 1, m), lower=False)
     lam[m + 1 :] = 0.0
     return lam
 
@@ -326,12 +326,12 @@ def build_kernel(k: int, d: int, base: Optional[BaseDensity] = None) -> KernelD:
     return tensorize(build_kernel_1d(base, k), d)
 
 
-def verify_order(kernel: KernelD, tol: float = 1e-8) -> dict:
+def verify_order(kernel: KernelD) -> dict:
     """Check the moment conditions of the kernel by tensor Gauss-Legendre quadrature.
 
     Evaluates int u^beta K(u) du for every multi-index 0 < |beta| <= order
     plus the total mass, with max(2*order + 2, 16) nodes per axis, and
-    reports the worst violation.
+    reports the worst violation; it passes within _ORDER_TOL.
     """
     nodes = max(2 * kernel.order + 2, 16)
     points, weights = _quad.tensor_grid(nodes, [kernel.support] * kernel.dim)
@@ -352,7 +352,7 @@ def verify_order(kernel: KernelD, tol: float = 1e-8) -> dict:
         "mass_error": mass_error,
         "max_moment_violation": worst,
         "worst_index": worst_index,
-        "passed": bool(mass_error <= tol and worst <= tol),
+        "passed": bool(mass_error <= _ORDER_TOL and worst <= _ORDER_TOL),
     }
 
 

@@ -13,13 +13,13 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtri
 
-from ._quad import gauss_legendre
-from .baselines import PickFreezeSample, VarianceOracles
+from ._quad import tensor_grid
+from .baselines import PickFreezeSample, VarianceOracles, nn_estimate, pick_freeze_estimate, rank_estimate
 from .domain import apply_mirror, sigma_at
 from .errors import MirrorSobolError
 from .estimator import FullSample, SubsetSpec, estimate_sobol
@@ -97,50 +97,20 @@ def _uniform_inputs(p: int, lo: float = 0.0, hi: float = 1.0) -> InputModel:
     return InputModel(tuple(Uniform(lo, hi) for _ in range(p)))
 
 
-def linear_model(p: int = 3) -> AnalyticModel:
-    """Y = sum V_i with uniform inputs on [0, 1]^p.
+def _linear_model(name: str, alpha: float, p: int) -> AnalyticModel:
+    """Y = V @ w with w = (alpha, 1, ..., 1) and uniform inputs on [0, 1]^p.
 
-    For a mask of size d: g1(x) = sum x_i + (p - d)/2, the remaining inputs
-    contribute (p - d)/12 of conditional variance, Var(Y) = p/12, and the
-    index is d/p.
+    For a mask: g1(x) = x @ w_in + sum(w_out)/2, the remaining inputs
+    contribute sum(w_out^2)/12 of conditional variance, Var(Y) = sum(w^2)/12,
+    and the index is sum(w_in^2) / sum(w^2).  Products with the weights are
+    summed row-wise, so unit weights give exactly the plain row sums.
     """
     if p < 1:
-        raise MirrorSobolError("linear model needs p >= 1")
-    g1_funcs, g2_funcs, true_t, true_sobol = {}, {}, {}, {}
-    for d in range(1, p + 1):
-        for mask in itertools.combinations(range(p), d):
-            rest = p - d
-
-            def g1(xm, rest=rest):
-                return xm.sum(axis=1) + 0.5 * rest
-
-            def g2(xm, rest=rest, g1=g1):
-                return g1(xm) ** 2 + rest / 12.0
-
-            g1_funcs[mask] = g1
-            g2_funcs[mask] = g2
-            true_t[mask] = d / 12.0 + 0.25 * p * p
-            true_sobol[mask] = d / p
-    return AnalyticModel(
-        name=f"linear{p}",
-        input_model=_uniform_inputs(p),
-        g=lambda v: np.asarray(v, dtype=float).sum(axis=1),
-        g1_funcs=g1_funcs,
-        g2_funcs=g2_funcs,
-        true_t=true_t,
-        true_sobol=true_sobol,
-        mean_y=0.5 * p,
-        var_y=p / 12.0,
-    )
-
-
-def weighted_linear_model(alpha: float = 2.0, p: int = 3) -> AnalyticModel:
-    """Y = alpha V_1 + sum_{i >= 2} V_i on [0, 1]^p; S^1 = alpha^2 / (alpha^2 + p - 1)."""
-    if p < 1:
-        raise MirrorSobolError("weighted linear model needs p >= 1")
+        raise MirrorSobolError(f"{name} model needs p >= 1")
     w = np.ones(p)
     w[0] = alpha
-    var_y = float(np.sum(w**2)) / 12.0
+    total = float(np.sum(w**2))
+    var_y = total / 12.0
     mean_y = float(np.sum(w)) / 2.0
     g1_funcs, g2_funcs, true_t, true_sobol = {}, {}, {}, {}
     for d in range(1, p + 1):
@@ -149,20 +119,20 @@ def weighted_linear_model(alpha: float = 2.0, p: int = 3) -> AnalyticModel:
             w_out = np.delete(w, list(mask))
 
             def g1(xm, w_in=w_in, shift=float(np.sum(w_out)) / 2.0):
-                return xm @ w_in + shift
+                return (xm * w_in).sum(axis=1) + shift
 
             def g2(xm, g1=g1, cvar=float(np.sum(w_out**2)) / 12.0):
                 return g1(xm) ** 2 + cvar
 
             g1_funcs[mask] = g1
             g2_funcs[mask] = g2
-            part = float(np.sum(w_in**2)) / 12.0
-            true_t[mask] = part + mean_y**2
-            true_sobol[mask] = part / var_y
+            part = float(np.sum(w_in**2))
+            true_t[mask] = part / 12.0 + mean_y**2
+            true_sobol[mask] = part / total
     return AnalyticModel(
-        name=f"wlinear{p}",
+        name=f"{name}{p}",
         input_model=_uniform_inputs(p),
-        g=lambda v, w=w: np.asarray(v, dtype=float) @ w,
+        g=lambda v, w=w: (np.asarray(v, dtype=float) * w).sum(axis=1),
         g1_funcs=g1_funcs,
         g2_funcs=g2_funcs,
         true_t=true_t,
@@ -170,6 +140,16 @@ def weighted_linear_model(alpha: float = 2.0, p: int = 3) -> AnalyticModel:
         mean_y=mean_y,
         var_y=var_y,
     )
+
+
+def linear_model(p: int = 3) -> AnalyticModel:
+    """Y = sum V_i on [0, 1]^p: t = d/12 + (p/2)^2 and S = d/p for a mask of size d."""
+    return _linear_model("linear", 1.0, p)
+
+
+def weighted_linear_model(alpha: float = 2.0, p: int = 3) -> AnalyticModel:
+    """Y = alpha V_1 + sum_{i >= 2} V_i on [0, 1]^p; S^1 = alpha^2 / (alpha^2 + p - 1)."""
+    return _linear_model("wlinear", alpha, p)
 
 
 def ishigami_model(a: float = 7.0, b: float = 0.1) -> AnalyticModel:
@@ -372,14 +352,17 @@ def pick_freeze_design(model: AnalyticModel, mask, n: int, seed: int) -> PickFre
 
 _GL_NODES = 64
 _CHUNK = 1 << 20
+# the fixed-seed Monte Carlo engine of variance_oracles for p > 4
+_MC_DRAWS = 10**6
+_MC_SEED = 20240501
 
 
-def variance_oracles(model: AnalyticModel, mask, *, mc_draws: int = 10**6, mc_seed: int = 20240501) -> VarianceOracles:
+def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
     """Expectation engine plus closed-form g1/g2 for limiting-variance formulas.
 
     For p <= 4 the engine is a 64-point tensor Gauss-Legendre rule over the
     full input box weighted by the joint density (exact for the polynomial
-    models); otherwise a fixed-seed Monte Carlo average over `mc_draws`
+    models); otherwise a fixed-seed Monte Carlo average over `_MC_DRAWS`
     rows, so results stay deterministic.  The factory also checks the
     conditional-variance inequality g2 >= g1^2 on the engine's nodes.
     """
@@ -389,18 +372,12 @@ def variance_oracles(model: AnalyticModel, mask, *, mc_draws: int = 10**6, mc_se
     p = model.p
     cols = list(key)
     if p <= 4:
-        axes = []
-        for marg in model.input_model.marginals:
-            axes.append(gauss_legendre(_GL_NODES, *marg.support))
-        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        points = np.column_stack([m.ravel() for m in mesh])
-        w_mesh = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        weights = np.ones(points.shape[0])
-        for axis in range(p):
-            weights *= w_mesh[axis].ravel() * model.input_model.marginals[axis].pdf(points[:, axis])
+        marginals = model.input_model.marginals
+        points, weights = tensor_grid(_GL_NODES, [m.support for m in marginals])
+        for axis, marg in enumerate(marginals):
+            weights *= marg.pdf(points[:, axis])
     else:
-        rng_sample = sample(model.input_model, mc_draws, mc_seed)
-        points = rng_sample
+        points = sample(model.input_model, _MC_DRAWS, _MC_SEED)
         weights = np.full(points.shape[0], 1.0 / points.shape[0])
     y_all = model.g(points)
     xm_all = points[:, cols]
@@ -422,6 +399,10 @@ def variance_oracles(model: AnalyticModel, mask, *, mc_draws: int = 10**6, mc_se
 
 # --------------------------------------------------------------------------
 # experiment drivers
+
+
+# the estimators a study can run
+_ESTIMATOR_NAMES = ("kernel", "pf", "nn", "rank")
 
 
 @dataclass(frozen=True)
@@ -447,7 +428,7 @@ class ExperimentPlan:
             raise MirrorSobolError("seeds must be distinct")
         if list(self.n_grid) != sorted(self.n_grid):
             raise MirrorSobolError("n_grid must be ascending")
-        unknown = set(self.estimators) - {"kernel", "pf", "nn", "rank"}
+        unknown = set(self.estimators) - set(_ESTIMATOR_NAMES)
         if unknown:
             raise MirrorSobolError(f"unknown estimators {sorted(unknown)}")
         if self.threads < 1:
@@ -521,8 +502,6 @@ def convergence_study(plan: ExperimentPlan) -> dict:
                     )
                 )
             if "pf" in plan.estimators:
-                from .baselines import pick_freeze_estimate
-
                 vals = _over_seeds(
                     lambda s: pick_freeze_estimate(pick_freeze_design(plan.model, mask, n, s)),
                     plan.seeds,
@@ -530,8 +509,6 @@ def convergence_study(plan: ExperimentPlan) -> dict:
                 )
                 rows.append(_summary_row(plan.model, mask, "pf", n, None, vals, plan.model.sobol_of(mask)))
             if "nn" in plan.estimators:
-                from .baselines import nn_estimate
-
                 def nn_once(s, mask=mask, n=n):
                     fs1 = plan.model.draw(n, s, stream=0)
                     fs2 = plan.model.draw(n, s, stream=1)
@@ -541,8 +518,6 @@ def convergence_study(plan: ExperimentPlan) -> dict:
                 vals = _over_seeds(nn_once, plan.seeds, plan.threads)
                 rows.append(_summary_row(plan.model, mask, "nn_t", n, None, vals, plan.model.t_of(mask)))
             if "rank" in plan.estimators:
-                from .baselines import rank_estimate
-
                 if len(mask) != 1:
                     raise MirrorSobolError("rank estimator only supports singleton masks")
 
@@ -552,19 +527,15 @@ def convergence_study(plan: ExperimentPlan) -> dict:
 
                 vals = _over_seeds(rank_once, plan.seeds, plan.threads)
                 rows.append(_summary_row(plan.model, mask, "rank", n, None, vals, plan.model.sobol_of(mask)))
-    slopes = {}
-    for (est, mask_label), pairs in _group_rmse(rows).items():
-        if len(pairs) >= 2:
-            ns, rmses = zip(*pairs)
-            slopes[(est, mask_label)] = fit_loglog_slope(ns, rmses)
-    return {"rows": rows, "slopes": slopes}
-
-
-def _group_rmse(rows) -> dict:
     grouped = {}
     for row in rows:
         grouped.setdefault((row["estimator"], row["mask"]), []).append((row["n"], row["rmse"]))
-    return grouped
+    slopes = {}
+    for key, pairs in grouped.items():
+        if len(pairs) >= 2:
+            ns, rmses = zip(*pairs)
+            slopes[key] = fit_loglog_slope(ns, rmses)
+    return {"rows": rows, "slopes": slopes}
 
 
 def fit_loglog_slope(ns, rmses) -> float:
@@ -576,22 +547,21 @@ def fit_loglog_slope(ns, rmses) -> float:
     return float(np.polyfit(np.log(ns), np.log(rmses), 1)[0])
 
 
-def coverage_study(plan: ExperimentPlan, level: Optional[float] = None, variance_scale: float = 1.0) -> dict:
-    """Fraction of seeds whose CI covers the true index, per mask and n.
+def coverage_study(plan: ExperimentPlan, variance_scale: float = 1.0) -> dict:
+    """Fraction of seeds whose CI covers the true index, per mask and n, at level plan.ci_level.
 
     `variance_scale` rescales the variance before the interval is formed;
     setting it to 0.5 is the deliberate-miscalibration negative control.
     Only the kernel estimator produces intervals.
     """
-    level = plan.ci_level if level is None else float(level)
-    z = float(ndtri(0.5 + 0.5 * level))
+    z = float(ndtri(0.5 + 0.5 * plan.ci_level))
     rows = []
     for mask in plan.masks:
         truth = plan.model.sobol_of(mask)
         for n in plan.n_grid:
             h = plan.h_at(n)
             res = _over_seeds(
-                lambda s: _kernel_run(plan.model, mask, n, h, plan.kernel_order, s, level),
+                lambda s: _kernel_run(plan.model, mask, n, h, plan.kernel_order, s, plan.ci_level),
                 plan.seeds,
                 plan.threads,
             )
@@ -601,4 +571,4 @@ def coverage_study(plan: ExperimentPlan, level: Optional[float] = None, variance
             row = _summary_row(plan.model, mask, "kernel_sobol", n, h, centers, truth)
             row["coverage"] = float(np.mean(covered))
             rows.append(row)
-    return {"rows": rows, "level": level, "variance_scale": variance_scale}
+    return {"rows": rows, "level": plan.ci_level, "variance_scale": variance_scale}

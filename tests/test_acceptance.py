@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from mirrorsobol.bandwidth import PilotConfig, bandwidth_curve, default_grid, rule_of_thumb_h0
+from mirrorsobol.bandwidth import bandwidth_curve, default_grid
 from mirrorsobol.baselines import (
     efficient_variance_forms,
     limiting_variance_sobol_centered,
@@ -129,9 +129,9 @@ def test_clt_interval_coverage_with_negative_control():
         seeds=tuple(range(300)),
         estimators=("kernel",),
     )
-    nominal = coverage_study(plan, level=0.95)["rows"][0]["coverage"]
+    nominal = coverage_study(plan)["rows"][0]["coverage"]
     assert 0.90 <= nominal <= 0.98, f"95% interval coverage {nominal} outside [0.90, 0.98]"
-    halved = coverage_study(plan, level=0.95, variance_scale=0.5)["rows"][0]["coverage"]
+    halved = coverage_study(plan, variance_scale=0.5)["rows"][0]["coverage"]
     assert halved < 0.90, f"halved-variance negative control {halved} should undercover"
 
 
@@ -211,8 +211,7 @@ def test_bandwidth_selection_tracks_grid_optimum():
     selected, per_h = [], {h: [] for h in grid}
     for seed in range(seeds):
         fs = LINEAR3.draw(n, seed)
-        config = PilotConfig(h0=tuple(rule_of_thumb_h0(fs)), grid=grid)
-        h_star = bandwidth_curve(fs, FIRST, kernel, config, LINEAR3.input_model)["h_star"]
+        h_star = bandwidth_curve(fs, FIRST, kernel, LINEAR3.input_model, grid=grid)["h_star"]
         selected.append(estimate_sobol(fs, FIRST, kernel, h_star, LINEAR3.input_model).sobol)
         for h in grid:
             per_h[h].append(estimate_sobol(fs, FIRST, kernel, h, LINEAR3.input_model).sobol)
@@ -229,10 +228,9 @@ def test_bandwidth_selection_tracks_grid_optimum():
     )
     # the selected bandwidth is invariant under output rescaling
     fs = LINEAR3.draw(n, 0)
-    config = PilotConfig(h0=tuple(rule_of_thumb_h0(fs)), grid=grid)
-    base = bandwidth_curve(fs, FIRST, kernel, config, LINEAR3.input_model)["h_star"]
+    base = bandwidth_curve(fs, FIRST, kernel, LINEAR3.input_model, grid=grid)["h_star"]
     scaled_fs = FullSample(V=fs.V, Y=3.0 * fs.Y)
-    scaled = bandwidth_curve(scaled_fs, FIRST, kernel, config, LINEAR3.input_model)["h_star"]
+    scaled = bandwidth_curve(scaled_fs, FIRST, kernel, LINEAR3.input_model, grid=grid)["h_star"]
     assert base == scaled, f"argmin moved under Y -> 3Y: {base} vs {scaled}"
 
 

@@ -12,7 +12,6 @@ from scipy.stats import norm
 from mirrorsobol import bandwidth
 from mirrorsobol.bandwidth import (
     H0_FLOOR,
-    PilotConfig,
     bandwidth_curve,
     compute_beta_single,
     default_grid,
@@ -461,15 +460,28 @@ def test_virtual_outputs_validation():
 # ------------------------------------------------------------------
 
 
-def test_pilot_config_validation():
+class _PilotCalled(Exception):
+    pass
+
+
+def test_curve_checks_h0_and_grid_before_pilot_work(monkeypatch):
+    def pilot(*args, **kwargs):
+        raise _PilotCalled
+
+    monkeypatch.setattr(bandwidth, "pilot_target", pilot)
+    s = _sample(60, 1, seed=21)
+    f_x = lambda x: np.ones(x.shape[0])
+    curve = lambda **kw: bandwidth_curve(s, SubsetSpec(mask=(0,)), build_kernel(1, 1), f_x, **kw)
     with pytest.raises(MirrorSobolError):
-        PilotConfig(h0=[], grid=[0.1])
+        curve(h0=[], grid=[0.1])
     with pytest.raises(MirrorSobolError):
-        PilotConfig(h0=[0.1], grid=[])
+        curve(h0=[0.1], grid=[])
     with pytest.raises(MirrorSobolError):
-        PilotConfig(h0=[0.1], grid=[0.2, 0.1])
+        curve(h0=[0.1], grid=[0.2, 0.1])
     with pytest.raises(MirrorSobolError):
-        PilotConfig(h0=[-0.1], grid=[0.1])
+        curve(h0=[-0.1], grid=[0.1])
+    with pytest.raises(_PilotCalled):  # the patch is live: valid inputs reach the pilot
+        curve(h0=[0.1], grid=[0.1, 0.2])
 
 
 def test_default_grid_shape_and_mirror():
@@ -498,18 +510,16 @@ def test_virtual_outputs_loo_drops_self_term():
 
 def test_select_grid_of_one():
     s = _sample(60, 1, seed=21)
-    cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=[0.17])
     kern = build_kernel(1, 1)
-    h = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, lambda x: np.ones(x.shape[0]))["h_star"]
+    h = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, lambda x: np.ones(x.shape[0]), grid=[0.17])["h_star"]
     assert h == 0.17
 
 
 def test_select_mirror_violation():
     s = _sample(60, 1, seed=21)
-    cfg = PilotConfig(h0=[0.1], grid=[0.5, 1.7])
     kern = build_kernel(1, 1)
     with pytest.raises(BandwidthTooLargeError):
-        bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, lambda x: np.ones(x.shape[0]))
+        bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, lambda x: np.ones(x.shape[0]), h0=[0.1], grid=[0.5, 1.7])
 
 
 def test_select_scale_invariance():
@@ -518,25 +528,25 @@ def test_select_scale_invariance():
     s = _sample(300, 2, seed=8)
     spec = SubsetSpec(mask=(0,))
     kern = build_kernel(2, 1)
-    cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=default_grid(300, 1, Domain(np.zeros(2), np.ones(2))))
+    grid = default_grid(300, 1, Domain(np.zeros(2), np.ones(2)))
     f_x = lambda x: np.ones(x.shape[0])
-    h_base = bandwidth_curve(s, spec, kern, cfg, f_x)["h_star"]
+    h_base = bandwidth_curve(s, spec, kern, f_x, grid=grid)["h_star"]
     for lam in (4.0, 3.0, -2.0):
         scaled = FullSample(V=s.V, Y=lam * s.Y)
-        h_lam = bandwidth_curve(scaled, spec, kern, cfg, f_x)["h_star"]
+        h_lam = bandwidth_curve(scaled, spec, kern, f_x, grid=grid)["h_star"]
         assert h_lam == h_base, f"lambda={lam}: h* moved {h_base} -> {h_lam}"
 
 
 def test_bandwidth_curve_fields_and_determinism():
     s = _sample(200, 1, seed=2)
-    cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=default_grid(200, 1, Domain(np.zeros(1), np.ones(1))))
+    grid = default_grid(200, 1, Domain(np.zeros(1), np.ones(1)))
     kern = build_kernel(2, 1)
     f_x = lambda x: np.ones(x.shape[0])
-    out1 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, f_x)
-    out2 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, cfg, f_x)
+    out1 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, f_x, grid=grid)
+    out2 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, f_x, grid=grid)
     assert out1 == out2
     assert set(out1) == {"h_star", "target", "target_printed", "curve"}
-    assert len(out1["curve"]) == len(cfg.grid)
+    assert len(out1["curve"]) == len(grid)
     hs = [h for h, _ in out1["curve"]]
     assert out1["h_star"] in hs
     vals = [v for _, v in out1["curve"]]
@@ -550,15 +560,14 @@ def test_curve_checks_the_grid_on_the_mask_subdomain():
     v = rng.random((300, 2)) * np.array([1.0, 0.1])
     s = FullSample(V=v, Y=v[:, 0] + 5.0 * v[:, 1])
     dom = Domain(np.zeros(2), np.array([1.0, 0.1]))
-    cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=default_grid(300, 1, dom.subdomain((0,))))
+    grid = default_grid(300, 1, dom.subdomain((0,)))
     spec, kern = SubsetSpec(mask=(0,)), build_kernel(2, 1)
     f_x = lambda x: np.ones(x.shape[0])
-    out = bandwidth_curve(s, spec, kern, cfg, f_x, domain=dom)
-    assert out["h_star"] in cfg.grid
+    out = bandwidth_curve(s, spec, kern, f_x, grid=grid, domain=dom)
+    assert out["h_star"] in grid
     # beyond the mask axis's own limit the grid is still rejected
-    too_wide = PilotConfig(h0=cfg.h0, grid=(0.5, 2.5))
     with pytest.raises(BandwidthTooLargeError):
-        bandwidth_curve(s, spec, kern, too_wide, f_x, domain=dom)
+        bandwidth_curve(s, spec, kern, f_x, grid=(0.5, 2.5), domain=dom)
 
 
 def test_curve_uses_the_input_density_off_the_unit_cube():
@@ -568,8 +577,21 @@ def test_curve_uses_the_input_density_off_the_unit_cube():
     s = model.draw(600, seed=0)
     spec = SubsetSpec(mask=(0,))
     dom = model.input_model.domain
-    cfg = PilotConfig(h0=rule_of_thumb_h0(s), grid=default_grid(600, 1, dom.subdomain((0,))))
-    out = bandwidth_curve(s, spec, build_kernel(2, 1), cfg, model.input_model, input_model=model.input_model)
+    grid = default_grid(600, 1, dom.subdomain((0,)))
+    out = bandwidth_curve(s, spec, build_kernel(2, 1), model.input_model, grid=grid, input_model=model.input_model)
     vals = [v for _, v in out["curve"]]
     assert max(vals) > 10.0 * min(vals), f"flat objective curve {vals}"
     assert min(vals) < 0.1 * out["target"]
+
+
+def test_curve_takes_domain_and_marginals_from_an_input_model_density():
+    # f_x alone carries the [-pi, pi]^3 box: no unit-cube grid, no unit pilot marginals
+    model = ishigami_model()
+    s = model.draw(400, seed=0)
+    spec, kern = SubsetSpec(mask=(0,)), build_kernel(2, 1)
+    alone = bandwidth_curve(s, spec, kern, model.input_model)
+    explicit = bandwidth_curve(
+        s, spec, kern, model.input_model, domain=model.input_model.domain, input_model=model.input_model
+    )
+    assert alone == explicit
+    assert alone["curve"][-1][0] == pytest.approx(2.0 * np.pi)  # the grid runs to the box's mirror limit

@@ -16,6 +16,7 @@ from mirrorsobol.cli import (
     ConfigError,
     CsvFormatError,
     RunConfig,
+    _build_parser,
     load_sample_csv,
     main,
     run,
@@ -577,6 +578,24 @@ def test_main_argv_roundtrip(tmp_path):
     obj = json.loads(open(out).read())
     assert obj["config"]["rule"] == [1.0, 0.4]
     assert obj["config"]["mask"] == [1]
+
+
+@pytest.mark.parametrize(
+    "command, sizes",
+    [("convergence", ["--n-grid", "100,200"]), ("coverage", ["--n", "200"]), ("compare", ["--n", "200"])],
+)
+def test_studies_reject_a_seed(command, sizes, tmp_path, capsys):
+    # studies always run seeds 0..seeds-1; a passed seed would be recorded but unused
+    argv = [command, "--model", "linear3", "--mask", "1", "--rule", "1.0", "0.3", "--seeds", "2"] + sizes
+    code = main(argv + ["--seed", "3", "--output", str(tmp_path / "study.csv")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == "seed"
+    assert not (tmp_path / "study.csv").exists()
+
+
+def test_unset_flags_leave_the_defaults_to_run_config():
+    args = _build_parser().parse_args(["coverage", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2"])
+    assert vars(args) == {"command": "coverage", "model": "linear3", "n": 200, "mask": (1,), "h": 0.2}
 
 
 def test_main_reports_config_errors(capsys):

@@ -58,6 +58,17 @@ def test_custom_base_requires_unit_mass():
         custom_base(lambda x: np.full_like(np.asarray(x, float), 3.0), (0.0, 0.5), 1)
 
 
+def test_custom_base_support_must_lie_in_the_mirror_window():
+    # the mirror condition covers windows [0, h/2]; other supports gave wrong
+    # estimates without a warning
+    unit_mass = lambda a, b: (lambda x: np.full_like(np.asarray(x, float), 1.0 / (b - a)))
+    for support in ((0.0, 1.0), (-0.25, 0.25)):
+        with pytest.raises(MirrorSobolError, match="1/2"):
+            custom_base(unit_mass(*support), support, 1)
+    for support in ((0.0, 0.5), (0.1, 0.4)):
+        assert custom_base(unit_mass(*support), support, 1).support == support
+
+
 def test_custom_base_recovers_uniform():
     base = custom_base(lambda x: np.full_like(np.asarray(x, float), 2.0), (0.0, 0.5), 2)
     np.testing.assert_allclose(base.moments, uniform_half(2).moments, atol=1e-12)
@@ -284,13 +295,13 @@ def test_kernel_evaluation_is_deterministic():
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_verify_order_passes(k, d):
-    report = verify_order(build_kernel(k, d), tol=1e-8)
+    report = verify_order(build_kernel(k, d))
     assert report["passed"], f"k={k} d={d}: {report}"
     assert report["mass_error"] <= 1e-9
 
 
 def test_verify_order_high_order():
-    report = verify_order(build_kernel(10, 1), tol=1e-8)
+    report = verify_order(build_kernel(10, 1))
     assert report["passed"], report
 
 

@@ -13,10 +13,11 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_names_stay_removed():
-    for name in ("select_bandwidth", "estimate_t_with_density_estimate", "brute_force_t"):
+    for name in ("select_bandwidth", "estimate_t_with_density_estimate", "brute_force_t", "PilotConfig"):
         assert name not in mirrorsobol.__all__
         assert not hasattr(mirrorsobol, name), f"mirrorsobol.{name} should not exist"
     assert not hasattr(bandwidth, "select_bandwidth")
+    assert not hasattr(bandwidth, "PilotConfig")
     assert not hasattr(estimator, "estimate_t_with_density_estimate")
     # the oracle stays where the tests and studies use it
     assert "brute_force_t" in testbed.__all__

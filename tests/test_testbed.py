@@ -21,6 +21,7 @@ from mirrorsobol.testbed import (
     ishigami_model,
     linear_model,
     model_by_name,
+    weighted_linear_model,
     pick_freeze_design,
     product_model,
 )
@@ -42,6 +43,26 @@ def test_true_sobol_sums_and_bounds():
         full = tuple(range(model.p))
         if full in model.true_sobol:
             assert abs(model.sobol_of(full) - 1.0) < 1e-12, f"{model.name}: full-mask index must be 1"
+
+
+def test_linear_models_match_their_hand_formulas_exactly():
+    rng = np.random.default_rng(5)
+    for p in range(1, 5):
+        m = linear_model(p)
+        assert (m.name, m.mean_y, m.var_y) == (f"linear{p}", p / 2, p / 12)
+        v = rng.random((50, p))
+        assert np.array_equal(m.g(v), v.sum(axis=1))
+        for mask in m.masks():
+            d = len(mask)
+            assert m.t_of(mask) == d / 12 + (p / 2) ** 2
+            assert m.sobol_of(mask) == d / p
+            xm = v[:, :d]
+            assert np.array_equal(m.g1(mask, xm), xm.sum(axis=1) + (p - d) / 2)
+            assert np.array_equal(m.g2(mask, xm), (xm.sum(axis=1) + (p - d) / 2) ** 2 + (p - d) / 12)
+        unit = weighted_linear_model(1.0, p)
+        assert (unit.true_t, unit.true_sobol, unit.mean_y, unit.var_y) == (m.true_t, m.true_sobol, m.mean_y, m.var_y)
+    w = weighted_linear_model(2.0, 3)
+    assert w.name == "wlinear3" and w.sobol_of((0,)) == 4 / 6 and w.t_of((0,)) == 4 / 12 + 2.0**2
 
 
 def test_truth_consistency_t_vs_sobol():
@@ -203,8 +224,8 @@ def test_coverage_study_negative_control():
         kernel_order=1,
         seeds=tuple(range(120)),
     )
-    nominal = coverage_study(plan, level=0.95)
-    halved = coverage_study(plan, level=0.95, variance_scale=0.5)
+    nominal = coverage_study(plan)
+    halved = coverage_study(plan, variance_scale=0.5)
     cov = nominal["rows"][0]["coverage"]
     cov_half = halved["rows"][0]["coverage"]
     assert cov >= 0.85, f"nominal coverage {cov} implausibly low"
