@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
+from .estimator import _sobol_delta_variance
 
 __all__ = [
     "PickFreezeSample",
@@ -206,13 +207,19 @@ def efficient_variance_forms(oracles: VarianceOracles) -> tuple:
     z_sq = mom(lambda y, x: (g1(x) * (2.0 * y - g1(x))) ** 2)
     form_one = z_sq - z_mean * z_mean
 
-    yg_mean = mom(lambda y, x: y * g1(x))
-    yg_sq = mom(lambda y, x: (y * g1(x)) ** 2)
-    tau2 = yg_sq - yg_mean * yg_mean
     g1sq_mean = mom(lambda y, x: g1(x) ** 2)
     g1_4 = mom(lambda y, x: g1(x) ** 4)
-    form_two = 4.0 * tau2 - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)
+    form_two = _limiting_variance_t(oracles) - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)
     return form_one, form_two
+
+
+def _limiting_variance_t(oracles: VarianceOracles) -> float:
+    """4 tau^2 = 4 Var(Y g1(X)), the limiting variance of the kernel U-statistic of t."""
+    mom = oracles.moments
+    g1 = oracles.g1
+    yg_mean = mom(lambda y, x: y * g1(x))
+    yg_sq = mom(lambda y, x: (y * g1(x)) ** 2)
+    return 4.0 * (yg_sq - yg_mean * yg_mean)
 
 
 def limiting_variance_efficient(oracles: VarianceOracles) -> float:
@@ -285,10 +292,7 @@ def limiting_variance_sobol_plugin(oracles: VarianceOracles) -> float:
     cov_yg_y2 = mom(lambda y, x: y**3 * g1(x)) - t * e_y2
     cov_y_y2 = mom(lambda y, x: y**3) - m * e_y2
     var_y2 = mom(lambda y, x: y**4) - e_y2 * e_y2
-    block1 = 4.0 * (var_yg - 2.0 * cov_yg_y * m + m * m * v)
-    block2 = 4.0 * s * (2.0 * cov_yg_y * m - cov_yg_y2 - 2.0 * m * m * v + m * cov_y_y2)
-    block3 = s * s * (4.0 * m * m * v - 4.0 * m * cov_y_y2 + var_y2)
-    return (block1 + block2 + block3) / (v * v)
+    return _sobol_delta_variance(m, v, s, var_yg, cov_yg_y, cov_yg_y2, cov_y_y2, var_y2)
 
 
 def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:

@@ -295,12 +295,21 @@ def asymptotic_variance_sobol(sample: FullSample, g1_hat: np.ndarray) -> float:
     cov_yg_y2 = _covariance(yg, y2)
     cov_y_y2 = _covariance(y, y2)
     var_y2 = _variance(y2)
+    # the three blocks form a quadratic form in a covariance matrix, so any
+    # negative value can only be rounding noise
+    return max(0.0, _sobol_delta_variance(m, v, s, var_yg, cov_yg_y, cov_yg_y2, cov_y_y2, var_y2))
+
+
+def _sobol_delta_variance(m, v, s, var_yg, cov_yg_y, cov_yg_y2, cov_y_y2, var_y2) -> float:
+    """Delta-method variance of S = (E[Y g1] - E[Y]^2) / Var(Y) from the moments of (Y g1, Y, Y^2).
+
+    m = E[Y], v = Var(Y) and s the index; the other arguments are the
+    (co)variances of Y g1(X), Y and Y^2 that their names spell out.
+    """
     block1 = 4.0 * (var_yg - 2.0 * cov_yg_y * m + m * m * v)
     block2 = 4.0 * s * (2.0 * cov_yg_y * m - cov_yg_y2 - 2.0 * m * m * v + m * cov_y_y2)
     block3 = s * s * (4.0 * m * m * v - 4.0 * m * cov_y_y2 + var_y2)
-    # the three blocks form a quadratic form in a covariance matrix, so any
-    # negative value can only be rounding noise
-    return max(0.0, (block1 + block2 + block3) / (v * v))
+    return (block1 + block2 + block3) / (v * v)
 
 
 def _normal_ci(center: float, var: float, n: int, level: float) -> tuple:

@@ -1,25 +1,31 @@
 """Construction of signed higher-order smoothing kernels.
 
-A 1-D kernel of order k is K_1(x) = (sum_i c_i psi_i(x)) f_0(x), where f_0
-is a base probability density on [0, 1/2], psi_0, ..., psi_k are its
-orthonormal polynomials, and c solves the moment system
+A 1-D kernel of order k is K_1(x) = P(x) f_0(x), where f_0 is a base
+probability density on [0, 1/2] and P = sum_j p_j x^j is the degree-k
+polynomial whose moments against f_0 are delta_{m0}:
 
-    sum_i lambda_i^m c_i = delta_{m0},   lambda_i^m = int x^m psi_i(x) f_0(x) dx,
+    sum_j p_j m_{m+j} = delta_{m0},   m_i = int x^i f_0(x) dx,   m = 0, ..., k.
 
-for m = 0, ..., k.  By construction K_1 integrates to 1 and its moments of
-orders 1..k vanish.  Multivariate kernels are tensor products of the 1-D
-factor; the scaled kernel is K_h(x) = K(x/h) / h^d.
+So K_1 integrates to 1 and its moments of orders 1..k vanish.  The matrix
+of this system is the Hankel moment matrix of f_0, positive definite for any
+density, and P is its reproducing kernel at 0 (Berlinet, "Hierarchies of
+higher order kernels", 1993).  This is the same polynomial as the paper's
+P = sum_i c_i psi_i with orthonormal psi_i and sum_i lambda_i^m c_i =
+delta_{m0}, lambda_i^m = int x^m psi_i f_0: both say int x^m P f_0 =
+delta_{m0}, written in two bases.  The system is solved once, exactly, in
+rational arithmetic on the exact moments (the uniform base) or on the exact
+values of the float moments (a custom base), and each coefficient is rounded
+to float once.  Multivariate kernels are tensor products of the 1-D factor;
+the scaled kernel is K_h(x) = K(x/h) / h^d.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import hankel, solve_triangular
 
 from . import _quad
 from .errors import MirrorSobolError
@@ -27,24 +33,18 @@ from .errors import MirrorSobolError
 __all__ = [
     "MAX_ORDER",
     "BaseDensity",
-    "OrthonormalBasis",
     "Kernel1D",
     "KernelD",
     "uniform_half",
     "custom_base",
-    "build_orthonormal_basis",
-    "monomial_coordinates",
-    "solve_kernel_coefficients",
     "build_kernel_1d",
-    "tensorize",
     "verify_order",
     "build_kernel",
-    "kernel_to_spec",
-    "kernel_from_spec",
 ]
 
 # Conditioning of the moment system degrades quickly with the degree; beyond
-# this order the construction is not trustworthy in double precision.
+# this order the float moments of a custom base and the float coefficients
+# are not trustworthy.
 MAX_ORDER = 10
 # mass and moment errors verify_order accepts
 _ORDER_TOL = 1e-8
@@ -115,27 +115,6 @@ def custom_base(density: Callable, support: tuple, k: int) -> BaseDensity:
     return BaseDensity(kind="custom", support=(a, b), density=density, moments=moments)
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """Orthonormal polynomials of the base density, in monomial coordinates.
-
-    Row m of `coeffs` holds the monomial coefficients of psi_m (constant term
-    first); the matrix is lower triangular and deg(psi_m) = m exactly.
-    """
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    def eval(self, m: int, x) -> np.ndarray:
-        """Evaluate psi_m at points x."""
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs[m])
-
-
 def _check_order(k) -> int:
     if not isinstance(k, (int, np.integer)):
         raise MirrorSobolError(f"kernel order must be an integer, got {k!r}")
@@ -146,104 +125,32 @@ def _check_order(k) -> int:
     return int(k)
 
 
-def build_orthonormal_basis(base: BaseDensity, k: int) -> OrthonormalBasis:
-    """Gram-Schmidt of the monomials 1, x, ..., x^k under the f_0 inner product.
+def _solve_moment_system(moments, k: int) -> list:
+    """Exact Gauss-Jordan solve of sum_j p_j m_{i+j} = delta_{i0}, i = 0..k.
 
-    The inner product of two monomial coefficient vectors a, b is a' M b with
-    the Hankel moment matrix M[i, j] = m_{i+j}.  Orthogonalization runs two
-    passes to keep the loss of orthogonality near machine precision at
-    moderate degrees.
+    `moments` are Fractions.  The Hankel matrix of a density is positive
+    definite, so elimination in order meets only positive pivots; any other
+    pivot means the moments belong to no density with more than k support
+    points.
     """
-    k = _check_order(k)
-    m = base.moments
-    if m.size < 2 * k + 1:
-        raise MirrorSobolError(f"need moments up to order {2 * k}, base provides {m.size - 1}")
-    if base.exact_moments is not None:
-        return OrthonormalBasis(degree=k, coeffs=_gram_schmidt_exact(base.exact_moments, k))
-    gram = hankel(m[: k + 1], m[k : 2 * k + 1])
-    rows = np.zeros((k + 1, k + 1))
-    for deg in range(k + 1):
-        v = _unit_vector(k + 1, deg)
-        for _ in range(2):
-            for i in range(deg):
-                v = v - (rows[i] @ gram @ v) * rows[i]
-        norm2 = v @ gram @ v
-        if not np.isfinite(norm2) or norm2 <= 0.0:
-            raise MirrorSobolError("degenerate base density: moment matrix is numerically singular")
-        rows[deg] = v / np.sqrt(norm2)
-    return OrthonormalBasis(degree=k, coeffs=rows)
-
-
-def _gram_schmidt_exact(moments, k: int) -> np.ndarray:
-    """Monic orthogonalization in exact rational arithmetic, normalized in float.
-
-    Cancellation in the Hankel inner products limits the float path to about
-    1e-9 by degree 6; with rational moments every projection is exact and only
-    the final normalization rounds.
-    """
-
-    def ip(a, b):
-        return sum(ai * moments[i + j] * bj for i, ai in enumerate(a) for j, bj in enumerate(b) if ai and bj)
-
-    ortho, norms2 = [], []
-    for deg in range(k + 1):
-        v = [Fraction(0)] * (k + 1)
-        v[deg] = Fraction(1)
-        for w, n2 in zip(ortho, norms2):
-            coef = ip(v, w) / n2
-            v = [vi - coef * wi for vi, wi in zip(v, w)]
-        n2 = ip(v, v)
-        if n2 <= 0:
-            raise MirrorSobolError("degenerate base density: moment matrix is singular")
-        ortho.append(v)
-        norms2.append(n2)
-    rows = np.zeros((k + 1, k + 1))
-    for deg, (w, n2) in enumerate(zip(ortho, norms2)):
-        scale = 1.0 / math.sqrt(float(n2))
-        rows[deg] = [float(wi) * scale for wi in w]
-    return rows
-
-
-def monomial_coordinates(m: int, basis: OrthonormalBasis) -> np.ndarray:
-    """Coordinates lambda^m of x^m in the orthonormal basis.
-
-    Solves the triangular change of basis x^m = sum_i lambda_i^m psi_i, which
-    coincides with lambda_i^m = int x^m psi_i f_0; entries with i > m vanish.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise MirrorSobolError(f"monomial degree must be a nonnegative integer, got {m!r}")
-    if m > basis.degree:
-        raise MirrorSobolError(f"monomial degree {m} exceeds basis degree {basis.degree}")
-    lam = solve_triangular(basis.coeffs.T, _unit_vector(basis.degree + 1, m), lower=False)
-    lam[m + 1 :] = 0.0
-    return lam
-
-
-def solve_kernel_coefficients(basis: OrthonormalBasis) -> np.ndarray:
-    """Solve sum_i lambda_i^m c_i = delta_{m0} for m = 0, ..., k.
-
-    The system matrix (rows lambda^0, ..., lambda^k) is lower triangular with
-    nonzero diagonal, hence uniquely solvable.
-    """
-    k = basis.degree
-    lam = np.vstack([monomial_coordinates(m, basis) for m in range(k + 1)])
-    cond = np.linalg.cond(lam)
-    if not np.isfinite(cond) or cond > 1e13:
-        raise MirrorSobolError(f"ill-conditioned basis: moment system condition number {cond:.2e}")
-    return solve_triangular(lam, _unit_vector(k + 1, 0), lower=True)
-
-
-def _unit_vector(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
+    rows = [[moments[i + j] for j in range(k + 1)] + [Fraction(int(i == 0))] for i in range(k + 1)]
+    for col in range(k + 1):
+        pivot = rows[col][col]
+        if pivot <= 0:
+            raise MirrorSobolError("degenerate base density: moment matrix is not positive definite")
+        rows[col] = [v / pivot for v in rows[col]]
+        for r in range(k + 1):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
 
 
 @dataclass(frozen=True)
 class Kernel1D:
     """1-D signed kernel K_1(x) = P(x) f_0(x) on the base support.
 
-    `poly_coeffs` are the monomial coefficients of P = sum_i c_i psi_i.  For
+    `poly_coeffs` are the monomial coefficients of P (constant first).  For
     the uniform base, K_1 itself is the polynomial with coefficients
     `full_coeffs` = 2 * poly_coeffs on [0, 1/2] (and 0 outside).
     """
@@ -282,6 +189,11 @@ class KernelD:
     factor: Kernel1D
     dim: int
 
+    def __post_init__(self):
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise MirrorSobolError(f"kernel dimension must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
+
     @property
     def order(self) -> int:
         return self.factor.order
@@ -306,24 +218,19 @@ class KernelD:
 
 def build_kernel_1d(base: BaseDensity, k: int) -> Kernel1D:
     """Build the order-k 1-D kernel for the given base density."""
-    basis = build_orthonormal_basis(base, k)
-    c = solve_kernel_coefficients(basis)
-    poly = c @ basis.coeffs
-    return Kernel1D(order=int(k), poly_coeffs=poly, base=base)
-
-
-def tensorize(factor: Kernel1D, d: int) -> KernelD:
-    """Tensor-product kernel of dimension d from a 1-D factor."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise MirrorSobolError(f"kernel dimension must be a positive integer, got {d!r}")
-    return KernelD(factor=factor, dim=int(d))
+    k = _check_order(k)
+    if base.moments.size < 2 * k + 1:
+        raise MirrorSobolError(f"need moments up to order {2 * k}, base provides {base.moments.size - 1}")
+    moments = base.exact_moments or [Fraction(m) for m in base.moments.tolist()]
+    poly = _solve_moment_system(moments, k)
+    return Kernel1D(order=k, poly_coeffs=[float(p) for p in poly], base=base)
 
 
 def build_kernel(k: int, d: int, base: Optional[BaseDensity] = None) -> KernelD:
     """Convenience: order-k, dimension-d kernel (uniform base by default)."""
     if base is None:
         base = uniform_half(k)
-    return tensorize(build_kernel_1d(base, k), d)
+    return KernelD(factor=build_kernel_1d(base, k), dim=d)
 
 
 def verify_order(kernel: KernelD) -> dict:
@@ -355,20 +262,3 @@ def verify_order(kernel: KernelD) -> dict:
         "passed": bool(mass_error <= _ORDER_TOL and worst <= _ORDER_TOL),
     }
 
-
-def kernel_to_spec(kernel: KernelD) -> dict:
-    """JSON-serializable kernel spec; coefficients are recomputed on load."""
-    if kernel.factor.base.kind != "uniform_half":
-        raise MirrorSobolError("only the uniform_half base is serializable; rebuild custom bases in code")
-    return {"order": kernel.order, "dim": kernel.dim, "base": "uniform_half"}
-
-
-def kernel_from_spec(spec: dict) -> KernelD:
-    """Rebuild a kernel from its JSON spec."""
-    try:
-        order, dim, base = spec["order"], spec["dim"], spec["base"]
-    except (KeyError, TypeError) as exc:
-        raise MirrorSobolError(f"invalid kernel spec {spec!r}") from exc
-    if base != "uniform_half":
-        raise MirrorSobolError(f"unsupported kernel base {base!r}; only 'uniform_half' loads from JSON")
-    return build_kernel(int(order), int(dim))

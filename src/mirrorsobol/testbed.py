@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._quad import tensor_grid
 from .baselines import PickFreezeSample, VarianceOracles, nn_estimate, pick_freeze_estimate, rank_estimate
 from .domain import apply_mirror, sigma_at
 from .errors import MirrorSobolError
-from .estimator import FullSample, SubsetSpec, estimate_sobol
+from .estimator import FullSample, SubsetSpec, _normal_ci, estimate_sobol
 from .inputs import InputModel, Uniform, sample, subset_density_fn
 from .kernels import KernelD, build_kernel
 
@@ -413,11 +412,11 @@ class ExperimentPlan:
     masks: tuple
     n_grid: tuple
     h_rule: Union[Callable[[int], float], float]
-    kernel_order: int = 2
-    seeds: tuple = tuple(range(100))
-    estimators: tuple = ("kernel",)
-    ci_level: float = 0.95
-    threads: int = 1
+    kernel_order: int
+    seeds: tuple
+    estimators: tuple
+    ci_level: float
+    threads: int
 
     def __post_init__(self):
         object.__setattr__(self, "masks", tuple(tuple(sorted(int(i) for i in m)) for m in self.masks))
@@ -554,7 +553,6 @@ def coverage_study(plan: ExperimentPlan, variance_scale: float = 1.0) -> dict:
     setting it to 0.5 is the deliberate-miscalibration negative control.
     Only the kernel estimator produces intervals.
     """
-    z = float(ndtri(0.5 + 0.5 * plan.ci_level))
     rows = []
     for mask in plan.masks:
         truth = plan.model.sobol_of(mask)
@@ -565,10 +563,8 @@ def coverage_study(plan: ExperimentPlan, variance_scale: float = 1.0) -> dict:
                 plan.seeds,
                 plan.threads,
             )
-            halfwidths = np.array([z * math.sqrt(max(r.var_sobol, 0.0) * variance_scale / n) for r in res])
-            centers = np.array([r.sobol for r in res])
-            covered = np.abs(centers - truth) <= halfwidths
-            row = _summary_row(plan.model, mask, "kernel_sobol", n, h, centers, truth)
-            row["coverage"] = float(np.mean(covered))
+            intervals = [_normal_ci(r.sobol, r.var_sobol * variance_scale, n, plan.ci_level) for r in res]
+            row = _summary_row(plan.model, mask, "kernel_sobol", n, h, [r.sobol for r in res], truth)
+            row["coverage"] = float(np.mean([lo <= truth <= hi for lo, hi in intervals]))
             rows.append(row)
     return {"rows": rows, "level": plan.ci_level, "variance_scale": variance_scale}

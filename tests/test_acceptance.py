@@ -112,6 +112,8 @@ def test_rmse_decays_at_root_n_rate():
         kernel_order=2,
         seeds=tuple(range(100)),
         estimators=("kernel",),
+        ci_level=0.95,
+        threads=1,
     )
     slopes = convergence_study(plan)["slopes"]
     for est in ("kernel_t", "kernel_sobol"):
@@ -128,6 +130,8 @@ def test_clt_interval_coverage_with_negative_control():
         kernel_order=1,
         seeds=tuple(range(300)),
         estimators=("kernel",),
+        ci_level=0.95,
+        threads=1,
     )
     nominal = coverage_study(plan)["rows"][0]["coverage"]
     assert 0.90 <= nominal <= 0.98, f"95% interval coverage {nominal} outside [0.90, 0.98]"

@@ -1,12 +1,15 @@
 """Tests for the kernel construction.
 
-Oracles: hand Gram-Schmidt for the uniform base (Var of U(0, 1/2) is 1/48,
-so psi_1 = sqrt(48) (x - 1/4)); the reproducing-kernel closed form for the
-coefficient vector, c_i = (-1)^i sqrt(2i + 1), which follows from
-psi_i(x) = sqrt(2i+1) P_i(4x - 1) with P_i the Legendre polynomials and
-psi_i(0) = sqrt(2i+1) (-1)^i; and independent Gauss-Legendre quadrature
-written out in this file.
+Oracles: the closed form of the uniform-base kernel polynomial,
+P(x) = sum_{i<=k} (2i+1) (-1)^i P_i(4x - 1) with P_i the Legendre
+polynomials (the reproducing kernel at 0 of the orthonormal polynomials
+psi_i(x) = sqrt(2i+1) P_i(4x - 1) of U(0, 1/2)), built in exact arithmetic by
+the Bonnet recursion; Cramer's rule with Leibniz determinants for a custom
+base; and independent Gauss-Legendre quadrature written out in this file.
 """
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,21 +17,15 @@ from scipy.integrate import quad
 
 from mirrorsobol.errors import MirrorSobolError
 from mirrorsobol.kernels import (
+    MAX_ORDER,
+    BaseDensity,
     KernelD,
     build_kernel,
     build_kernel_1d,
-    build_orthonormal_basis,
     custom_base,
-    kernel_from_spec,
-    kernel_to_spec,
-    monomial_coordinates,
-    solve_kernel_coefficients,
-    tensorize,
     uniform_half,
     verify_order,
 )
-
-SQRT48 = np.sqrt(48.0)
 
 
 def gl_nodes(n, a, b):
@@ -74,102 +71,99 @@ def test_custom_base_recovers_uniform():
     np.testing.assert_allclose(base.moments, uniform_half(2).moments, atol=1e-12)
 
 
-# ------------------------------------------------------------ orthonormal basis
-
-
-def test_psi0_is_constant_one():
-    basis = build_orthonormal_basis(uniform_half(0), 0)
-    np.testing.assert_allclose(basis.coeffs, [[1.0]], atol=1e-14)
-
-
-def test_psi1_hand_gram_schmidt():
-    # center x at its mean 1/4, normalize by std of U(0, 1/2) = 1/sqrt(48)
-    basis = build_orthonormal_basis(uniform_half(1), 1)
-    np.testing.assert_allclose(basis.coeffs[1], [-SQRT48 / 4.0, SQRT48], rtol=1e-13)
-
-
-def test_basis_is_lower_triangular_with_positive_diagonal():
-    basis = build_orthonormal_basis(uniform_half(5), 5)
-    assert np.allclose(np.triu(basis.coeffs, 1), 0.0)
-    assert np.all(np.diag(basis.coeffs) > 0)
-
-
-@pytest.mark.parametrize("k", [1, 3, 6, 10])
-def test_orthonormality_by_quadrature(k):
-    basis = build_orthonormal_basis(uniform_half(k), k)
-    x, w = gl_nodes(64, 0.0, 0.5)
-    vals = np.array([basis.eval(m, x) for m in range(k + 1)])
-    gram = (vals * (2.0 * w)) @ vals.T
-    resid = np.max(np.abs(gram - np.eye(k + 1)))
-    assert resid < 1e-10, f"orthonormality residual {resid:.3e} at k={k}"
-
-
-def test_basis_rejects_bad_order():
-    with pytest.raises(MirrorSobolError):
-        build_orthonormal_basis(uniform_half(1), -1)
-    with pytest.raises(MirrorSobolError):
-        uniform_half(11)
-
-
-# -------------------------------------------------------- monomial coordinates
-
-
-def test_lambda0_is_first_unit_vector():
-    basis = build_orthonormal_basis(uniform_half(3), 3)
-    np.testing.assert_allclose(monomial_coordinates(0, basis), [1, 0, 0, 0], atol=1e-14)
-
-
-def test_lambda1_hand_value():
-    # x = (1/4) psi_0 + (1/sqrt(48)) psi_1
-    basis = build_orthonormal_basis(uniform_half(2), 2)
-    np.testing.assert_allclose(monomial_coordinates(1, basis), [0.25, 1.0 / SQRT48, 0.0], atol=1e-13)
-
-
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_lambda_matches_quadrature(m):
-    # lambda_i^m = int x^m psi_i f_0
-    k = 3
-    basis = build_orthonormal_basis(uniform_half(k), k)
-    lam = monomial_coordinates(m, basis)
-    x, w = gl_nodes(64, 0.0, 0.5)
-    for i in range(k + 1):
-        ref = np.sum(w * x**m * basis.eval(i, x) * 2.0)
-        assert abs(lam[i] - ref) < 1e-12, f"lambda_{i}^{m}: {lam[i]} vs {ref}"
-
-
-def test_lambda_leading_entry_nonzero():
-    k = 4
-    basis = build_orthonormal_basis(uniform_half(k), k)
-    assert monomial_coordinates(k, basis)[k] != 0.0
-
-
-def test_lambda_degree_out_of_range():
-    basis = build_orthonormal_basis(uniform_half(1), 1)
-    with pytest.raises(MirrorSobolError):
-        monomial_coordinates(2, basis)
+def _ramp(x):
+    x = np.asarray(x, dtype=float)
+    return np.where((x >= 0.0) & (x <= 0.5), 8.0 * x, 0.0)
 
 
 # ------------------------------------------------------------ kernel coefficients
 
 
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _poly_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return [ai + bi for ai, bi in zip(a, b)]
+
+
+def _closed_form_poly(k):
+    """Exact monomial coefficients of sum_{i<=k} (2i+1) (-1)^i P_i(4x - 1)."""
+    t = [Fraction(-1), Fraction(4)]
+    legendre = [[Fraction(1)], t]
+    for n in range(1, k):
+        # Bonnet: (n+1) P_{n+1} = (2n+1) t P_n - n P_{n-1}
+        lead = [Fraction(2 * n + 1, n + 1) * c for c in _poly_mul(t, legendre[n])]
+        legendre.append(_poly_add(lead, [Fraction(-n, n + 1) * c for c in legendre[n - 1]]))
+    total = [Fraction(0)]
+    for i in range(k + 1):
+        total = _poly_add(total, [(2 * i + 1) * (-1) ** i * c for c in legendre[i]])
+    return total
+
+
+def _det(a):
+    """Leibniz determinant in exact arithmetic."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction((-1) ** inversions)
+        for i, p in enumerate(perm):
+            term *= a[i][p]
+        total += term
+    return total
+
+
 def test_coefficients_k0():
-    basis = build_orthonormal_basis(uniform_half(0), 0)
-    np.testing.assert_allclose(solve_kernel_coefficients(basis), [1.0], atol=1e-14)
+    np.testing.assert_array_equal(build_kernel_1d(uniform_half(0), 0).poly_coeffs, [1.0])
 
 
 def test_coefficients_k1_hand_solve():
-    # c_0 = 1 and (1/4) c_0 + (1/sqrt(48)) c_1 = 0  =>  c_1 = -sqrt(3)
-    basis = build_orthonormal_basis(uniform_half(1), 1)
-    np.testing.assert_allclose(solve_kernel_coefficients(basis), [1.0, -np.sqrt(3.0)], rtol=1e-13)
+    # p_0 + p_1 / 4 = 1 and p_0 / 4 + p_1 / 12 = 0  =>  P(x) = 4 - 12 x
+    np.testing.assert_array_equal(build_kernel_1d(uniform_half(1), 1).poly_coeffs, [4.0, -12.0])
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 6])
+@pytest.mark.parametrize("k", range(MAX_ORDER + 1))
 def test_coefficients_reproducing_kernel_form(k):
-    # c_i = psi_i(0) = (-1)^i sqrt(2i + 1) for the uniform base
-    basis = build_orthonormal_basis(uniform_half(k), k)
-    c = solve_kernel_coefficients(basis)
-    i = np.arange(k + 1)
-    np.testing.assert_allclose(c, (-1.0) ** i * np.sqrt(2 * i + 1.0), rtol=1e-10)
+    # the exact solve rounds once, so every coefficient is the rounded closed form
+    want = [float(c) for c in _closed_form_poly(k)]
+    assert build_kernel_1d(uniform_half(k), k).poly_coeffs.tolist() == want
+
+
+def test_custom_base_coefficients_solve_its_float_moments_exactly():
+    k = 3
+    base = custom_base(_ramp, (0.0, 0.5), k)
+    m = [Fraction(v) for v in base.moments.tolist()]
+    hankel = [[m[i + j] for j in range(k + 1)] for i in range(k + 1)]
+    det = _det(hankel)
+    want = []
+    for col in range(k + 1):
+        replaced = [row[:col] + [Fraction(int(i == 0))] + row[col + 1 :] for i, row in enumerate(hankel)]
+        want.append(float(_det(replaced) / det))
+    assert build_kernel_1d(base, k).poly_coeffs.tolist() == want
+
+
+def test_point_mass_base_is_degenerate():
+    # a point mass at 1/4 has a rank-one moment matrix
+    moments = 0.25 ** np.arange(5)
+    base = BaseDensity(kind="custom", support=(0.0, 0.5), density=lambda x: np.zeros_like(x), moments=moments)
+    with pytest.raises(MirrorSobolError, match="degenerate base density"):
+        build_kernel_1d(base, 2)
+
+
+def test_kernel_rejects_bad_order():
+    with pytest.raises(MirrorSobolError):
+        build_kernel_1d(uniform_half(1), -1)
+    with pytest.raises(MirrorSobolError):
+        uniform_half(MAX_ORDER + 1)
+    with pytest.raises(MirrorSobolError, match="need moments up to order 4"):
+        build_kernel_1d(uniform_half(1), 2)
 
 
 # ----------------------------------------------------------------- 1-D kernels
@@ -219,16 +213,16 @@ def test_kernel_l2_norm_closed_form():
 
 
 def test_tensorize_d1_equals_factor():
-    k1 = build_kernel_1d(uniform_half(2), 2)
-    kd = tensorize(k1, 1)
+    kd = build_kernel(2, 1)
     x = np.linspace(0.0, 0.5, 7)
-    np.testing.assert_array_equal(kd.eval(x[:, None]), k1.eval(x))
+    np.testing.assert_array_equal(kd.eval(x[:, None]), kd.factor.eval(x))
 
 
 def test_tensorize_rejects_zero_dim():
-    k1 = build_kernel_1d(uniform_half(1), 1)
-    with pytest.raises(MirrorSobolError):
-        tensorize(k1, 0)
+    factor = build_kernel_1d(uniform_half(1), 1)
+    for dim in (0, -1, 1.5):
+        with pytest.raises(MirrorSobolError, match="dimension"):
+            KernelD(factor=factor, dim=dim)
 
 
 def test_tensor_moments_d2():
@@ -309,24 +303,3 @@ def test_verify_order_nodes_rule():
     assert verify_order(build_kernel(1, 1))["nodes_per_axis"] == 16
     assert verify_order(build_kernel(8, 1))["nodes_per_axis"] == 18
 
-
-# --------------------------------------------------------------- serialization
-
-
-def test_kernel_spec_roundtrip():
-    kd = build_kernel(3, 2)
-    spec = kernel_to_spec(kd)
-    assert spec == {"order": 3, "dim": 2, "base": "uniform_half"}
-    again = kernel_from_spec(spec)
-    assert isinstance(again, KernelD)
-    pts = np.random.default_rng(1).uniform(0, 0.5, size=(20, 2))
-    np.testing.assert_array_equal(again.eval(pts), kd.eval(pts))
-
-
-def test_kernel_spec_rejects_custom_base():
-    base = custom_base(lambda x: np.full_like(np.asarray(x, float), 2.0), (0.0, 0.5), 1)
-    kd = tensorize(build_kernel_1d(base, 1), 1)
-    with pytest.raises(MirrorSobolError):
-        kernel_to_spec(kd)
-    with pytest.raises(MirrorSobolError):
-        kernel_from_spec({"order": 1, "dim": 1, "base": "gauss"})

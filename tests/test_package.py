@@ -1,14 +1,14 @@
 """Tests that pin the package's public surface."""
 
 import mirrorsobol
-from mirrorsobol import bandwidth, estimator, testbed
+from mirrorsobol import bandwidth, estimator, kernels, testbed
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in mirrorsobol.__all__ if not hasattr(mirrorsobol, name)]
     assert not missing, f"__all__ names without a binding: {missing}"
     assert len(set(mirrorsobol.__all__)) == len(mirrorsobol.__all__)
-    for module in (bandwidth, estimator, testbed):
+    for module in (bandwidth, estimator, kernels, testbed):
         assert all(hasattr(module, name) for name in module.__all__), module.__name__
 
 
@@ -19,5 +19,15 @@ def test_removed_names_stay_removed():
     assert not hasattr(bandwidth, "select_bandwidth")
     assert not hasattr(bandwidth, "PilotConfig")
     assert not hasattr(estimator, "estimate_t_with_density_estimate")
+    for name in (
+        "OrthonormalBasis",
+        "build_orthonormal_basis",
+        "monomial_coordinates",
+        "solve_kernel_coefficients",
+        "tensorize",
+        "kernel_to_spec",
+        "kernel_from_spec",
+    ):
+        assert not hasattr(kernels, name), f"mirrorsobol.kernels.{name} should not exist"
     # the oracle stays where the tests and studies use it
     assert "brute_force_t" in testbed.__all__

@@ -149,12 +149,13 @@ def test_brute_force_guard():
 
 def test_plan_validation():
     m = linear_model(2)
+    rest = dict(model=m, masks=((0,),), h_rule=0.2, kernel_order=2, ci_level=0.95, threads=1)
     with pytest.raises(MirrorSobolError):
-        ExperimentPlan(model=m, masks=((0,),), n_grid=(200, 100), h_rule=0.2, seeds=(0, 1))
+        ExperimentPlan(**rest, n_grid=(200, 100), seeds=(0, 1), estimators=("kernel",))
     with pytest.raises(MirrorSobolError):
-        ExperimentPlan(model=m, masks=((0,),), n_grid=(100,), h_rule=0.2, seeds=(0, 0))
+        ExperimentPlan(**rest, n_grid=(100,), seeds=(0, 0), estimators=("kernel",))
     with pytest.raises(MirrorSobolError):
-        ExperimentPlan(model=m, masks=((0,),), n_grid=(100,), h_rule=0.2, estimators=("bogus",))
+        ExperimentPlan(**rest, n_grid=(100,), seeds=tuple(range(100)), estimators=("bogus",))
 
 
 def test_convergence_study_shrinks_rmse():
@@ -167,6 +168,8 @@ def test_convergence_study_shrinks_rmse():
         kernel_order=1,
         seeds=tuple(range(30)),
         estimators=("kernel", "pf", "rank"),
+        ci_level=0.95,
+        threads=1,
     )
     out = convergence_study(plan)
     rows = out["rows"]
@@ -188,6 +191,7 @@ def test_convergence_study_threaded_matches_serial():
         kernel_order=1,
         seeds=tuple(range(8)),
         estimators=("kernel",),
+        ci_level=0.95,
     )
     serial = convergence_study(ExperimentPlan(**kwargs, threads=1))
     threaded = convergence_study(ExperimentPlan(**kwargs, threads=4))
@@ -197,7 +201,17 @@ def test_convergence_study_threaded_matches_serial():
 @pytest.mark.parametrize("threads", [0, -5])
 def test_plan_rejects_nonpositive_threads(threads):
     with pytest.raises(MirrorSobolError, match="threads"):
-        ExperimentPlan(model=linear_model(3), masks=((0,),), n_grid=(100,), h_rule=0.2, threads=threads)
+        ExperimentPlan(
+            model=linear_model(3),
+            masks=((0,),),
+            n_grid=(100,),
+            h_rule=0.2,
+            kernel_order=2,
+            seeds=tuple(range(100)),
+            estimators=("kernel",),
+            ci_level=0.95,
+            threads=threads,
+        )
 
 
 def test_over_seeds_starts_no_more_workers_than_seeds(monkeypatch):
@@ -223,6 +237,9 @@ def test_coverage_study_negative_control():
         h_rule=0.25,
         kernel_order=1,
         seeds=tuple(range(120)),
+        estimators=("kernel",),
+        ci_level=0.95,
+        threads=1,
     )
     nominal = coverage_study(plan)
     halved = coverage_study(plan, variance_scale=0.5)
@@ -241,7 +258,15 @@ def test_fit_loglog_slope_exact():
 def test_rank_requires_singleton_mask_in_study():
     m = curved_model()
     plan = ExperimentPlan(
-        model=m, masks=((0, 1),), n_grid=(100,), h_rule=0.2, seeds=(0, 1), estimators=("rank",)
+        model=m,
+        masks=((0, 1),),
+        n_grid=(100,),
+        h_rule=0.2,
+        kernel_order=2,
+        seeds=(0, 1),
+        estimators=("rank",),
+        ci_level=0.95,
+        threads=1,
     )
     with pytest.raises(MirrorSobolError):
         convergence_study(plan)
