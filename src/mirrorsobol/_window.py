@@ -1,11 +1,14 @@
 """Mirrored kernel sums over each anchor's window.
 
-Two backends compute the same sums.  Range moments serve polynomial kernels
-(the uniform base): each window is summed from moments of the points about
-the centers of cells of side h/2, so its pairs are never listed.  They run
-in one dimension always, and in two when the windows hold enough pairs to
-pay for the structure.  The k-d tree serves everything else: it lists the
-pairs of each window and evaluates the kernel on every one.
+Two backends compute the same sums.  Range moments use that the kernel is
+a polynomial on its support: each window is summed from moments of the
+points about the centers of cells of side h/2, so its pairs are never
+listed.  They serve the estimator's self-pair sums in one dimension always,
+and in two when the windows hold enough pairs to pay for the structure.
+The k-d tree serves everything else (d >= 3, small 2-D windows, sums at
+other anchors such as mirror_kde's, and samples too fine for int64 cell
+indices): it lists the pairs of each window and evaluates the kernel on
+every one.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ def window_sums(x, weights, kernel, h: float, domain: Domain, anchors=None) -> n
     x holds the (m, d) points and weights their (m, r) weight columns.  With
     anchors None the anchors are the points and the pair b = a is left out
     (duplicate rows stay in); the rows are then put in a canonical order, so
-    the sums do not depend on the input row order, and polynomial kernels
-    take the range-moment backend in d = 1, and in d = 2 once the expected
-    window pairs per anchor, tied rows counted, reach _MOMENT_CROSSOVER.
-    Every other call takes the tree, and so do samples whose cell indices or
+    the sums do not depend on the input row order, and they take the
+    range-moment backend in d = 1, and in d = 2 once the expected window
+    pairs per anchor, tied rows counted, reach _MOMENT_CROSSOVER.  Every
+    other call takes the tree, and so do samples whose cell indices or
     layout keys would not fit in int64.
     """
     if anchors is not None:
@@ -47,10 +50,9 @@ def window_sums(x, weights, kernel, h: float, domain: Domain, anchors=None) -> n
     if np.any(tied):
         order = np.lexsort(np.vstack([weights.T[::-1], x.T[::-1]]))
     x, weights = x[order], weights[order]
-    coeffs = kernel.factor.full_coeffs
-    if coeffs is not None and _moments_pay(tied, (kernel.support[1] - kernel.support[0]) * h, domain):
+    if _moments_pay(tied, (kernel.support[1] - kernel.support[0]) * h, domain):
         moment_sums = _moment_sums_1d if x.shape[1] == 1 else _moment_sums_2d
-        out = moment_sums(x, weights, coeffs, kernel.support, h, domain)
+        out = moment_sums(x, weights, kernel.coeffs, kernel.support, h, domain)
     else:
         out = _tree_sums(x, weights, kernel, h, domain, x, self_pairs=True)
     out[order] = out.copy()
@@ -70,8 +72,17 @@ def _moments_pay(tied: np.ndarray, side: float, domain: Domain) -> bool:
     if d != 2:
         return d == 1
     spread = n * n * float(np.prod(np.minimum(1.0, side / domain.widths)))
+    return spread + _tied_pairs(tied) >= _MOMENT_CROSSOVER * n
+
+
+def _tied_pairs(tied: np.ndarray) -> float:
+    """Sum of g^2 over the runs of g equal sorted rows, `tied` marking each row equal to the next.
+
+    Each row of a run has the whole run in its window, so these pairs are
+    there however small h is.
+    """
     groups = np.diff(np.flatnonzero(np.concatenate(([True], ~tied, [True]))))
-    return spread + float(np.sum(groups.astype(float) ** 2)) >= _MOMENT_CROSSOVER * n
+    return float(np.sum(groups.astype(float) ** 2))
 
 
 # --------------------------------------------------------------------------
@@ -85,7 +96,9 @@ def _tree_sums(x, weights, kernel, h: float, domain: Domain, anchors, self_pairs
     ball, so a range query at a radius inflated past the rounding of the
     ball centers proposes the candidate pairs, and the kernel's closed-support
     test decides each one, with the same arithmetic as a dense sweep.  The
-    cost is O(m log m + pairs in a window), not m^2.
+    cost is O(m log m + pairs in a window), not m^2.  Anchor blocks hold
+    about _PAIR_BUDGET expected pairs, counted for a spread sample and, with
+    self pairs (rows in canonical order), raised to the pairs of tied rows.
     """
     signs = sign_matrix(domain, anchors)
     lo, hi = kernel.support
@@ -93,6 +106,8 @@ def _tree_sums(x, weights, kernel, h: float, domain: Domain, anchors, self_pairs
     scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(anchors), initial=0.0)))
     reach = 0.5 * (hi - lo) * h * (1.0 + 1e-9) + 8.0 * np.spacing(scale)
     per_anchor = x.shape[0] * np.prod(np.minimum(1.0, 2.0 * reach / domain.widths))
+    if self_pairs:
+        per_anchor = max(per_anchor, _tied_pairs(np.all(x[1:] == x[:-1], axis=1)) / x.shape[0])
     block = max(1, int(_PAIR_BUDGET / max(per_anchor, 1.0)))
     tree = cKDTree(x)
     out = np.zeros((anchors.shape[0], weights.shape[1]))
@@ -115,12 +130,12 @@ def _tree_sums(x, weights, kernel, h: float, domain: Domain, anchors, self_pairs
 # --------------------------------------------------------------------------
 # the range-moment backend
 #
-# On its support [lo, hi] (for the uniform base [0, 1/2], which holds 0) the
-# kernel factor is the polynomial K_1(t) = sum_m c_m t^m.  Each point b
-# carries the moments w_b (x_b - mu)^l about the center mu of its cell, of
-# the window's side (hi - lo) h; anchoring at the cell keeps every power of
-# order h^l.  A window meets at most two cells per axis (three when rounding
-# puts a point on a cell edge).
+# On its support [lo, hi] = [0, 1/2], which holds 0, the kernel factor is
+# the polynomial K_1(t) = sum_m c_m t^m.  Each point b carries the moments
+# w_b (x_b - mu)^l about the center mu of its cell, of the window's side
+# (hi - lo) h; anchoring at the cell keeps every power of order h^l.  A
+# window meets at most two cells per axis (three when rounding puts a point
+# on a cell edge).
 # Over the part of the window in one cell, the binomial theorem moves the
 # moments from mu to the anchor x_a,
 #     S_m = sum_l C(m, l) (mu - x_a)^(m-l) D_l,

@@ -121,7 +121,6 @@ class RunConfig:
     seed: int = 0
     mask: tuple = ()
     kernel_order: int = 2
-    kernel_base: str = "uniform"
     h: Optional[float] = None
     auto: bool = False
     rule: Optional[tuple] = None
@@ -169,8 +168,6 @@ class RunConfig:
         object.__setattr__(self, "kernel_order", int(self.kernel_order))
         if self.kernel_order < 1:
             raise ConfigError("kernel_order", f"kernel order must be >= 1, got {self.kernel_order}")
-        if self.kernel_base != "uniform":
-            raise ConfigError("kernel_base", f"only the 'uniform' base is available, got {self.kernel_base!r}")
 
         modes = int(self.h is not None) + int(bool(self.auto)) + int(self.rule is not None)
         if modes != 1:

@@ -48,11 +48,11 @@ FIRST = SubsetSpec((0,))
 def test_kernel_moment_conditions_by_quadrature():
     # orders 0..4, dimensions 1..3: unit mass to 1e-9, vanishing moments to 1e-8
     for k in range(5):
-        factor = build_kernel(k, 1).factor
-        lo, hi = factor.support
+        kernel = build_kernel(k, 1)
+        lo, hi = kernel.support
         moments_1d = []
         for j in range(k + 1):
-            val, err = quad(lambda u, j=j: factor.eval(u) * u**j, lo, hi, limit=200)
+            val, err = quad(lambda u, j=j: float(kernel.eval([u])) * u**j, lo, hi, limit=200)
             assert err < 1e-11, f"k={k} j={j}: quadrature error {err} too large to certify"
             moments_1d.append(val)
         for d in (1, 2, 3):

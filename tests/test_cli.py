@@ -31,7 +31,7 @@ from mirrorsobol.testbed import linear_model
 def _cfg(**over):
     base = dict(command="estimate", model="linear3", n=200, seed=0, mask=(1,), h=0.2)
     base.update(over)
-    return RunConfig(**base)
+    return RunConfig.from_json(base)
 
 
 def _field_of(excinfo):
@@ -83,7 +83,7 @@ def test_config_roundtrip_plugin_density():
         (dict(mask=(0,)), "mask"),
         (dict(mask=(1, 1)), "mask"),
         (dict(kernel_order=0), "kernel_order"),
-        (dict(kernel_base="gauss"), "kernel_base"),
+        (dict(kernel_base="uniform"), "kernel_base"),  # a field configs no longer carry
         (dict(h=None), "bandwidth"),  # no mode at all
         (dict(auto=True), "bandwidth"),  # two modes
         (dict(h=-0.1), "bandwidth"),

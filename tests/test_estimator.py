@@ -35,7 +35,7 @@ from mirrorsobol.estimator import (
     estimate_total_sobol,
 )
 from mirrorsobol.inputs import InputModel, Uniform
-from mirrorsobol.kernels import build_kernel, custom_base
+from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import (
     brute_force_t,
     curved_model,
@@ -46,6 +46,7 @@ from mirrorsobol.testbed import (
 
 UNIT1 = InputModel((Uniform(0.0, 1.0),))
 UNIT2 = InputModel((Uniform(0.0, 1.0), Uniform(0.0, 1.0)))
+UNIT3 = InputModel((Uniform(0.0, 1.0),) * 3)
 
 
 def test_hand_case_n2():
@@ -162,7 +163,7 @@ def test_sorted_path_agrees_with_sparse_path():
         y = rng.normal(size=n)
         w = np.column_stack([y, y - y.mean()])
         kernel = build_kernel(order, 1)
-        # a polynomial kernel in d = 1 takes the sorted range-moment path
+        # d = 1 takes the sorted range-moment path
         fast = window_sums(x, w, kernel, h, dom)
         sparse = _tree_sums(x, w, kernel, h, dom)
         err = np.max(np.abs(fast - sparse)) / max(np.max(np.abs(sparse)), 1e-12)
@@ -188,26 +189,17 @@ def test_sparse_path_spans_multiple_blocks(monkeypatch):
     assert abs(t_fast - t_ref) <= 1e-12 * abs(t_ref), f"{t_fast} vs {t_ref}"
 
 
-# order-1 and order-2 kernels on the non-constant base 8x on [0, 1/2]; they
-# have no polynomial form, so d = 1 runs on the sparse backend too
-def _ramp(x):
-    x = np.asarray(x, dtype=float)
-    return np.where((x >= 0.0) & (x <= 0.5), 8.0 * x, 0.0)
-
-
-_KERNELS = {(k, 1): build_kernel(k, 1, base=custom_base(_ramp, (0.0, 0.5), k)) for k in (1, 2)}
-_KERNELS.update({(k, d): build_kernel(k, d) for k in (0, 1, 2) for d in (2, 3)})
+_KERNELS = {(k, d): build_kernel(k, d) for k in (0, 1, 2) for d in (1, 2, 3)}
 
 
 @st.composite
 def _window_cases(draw, moments=False):
     """Samples that stress the range query: ties, edges, midpoints, window boundaries, far boxes.
 
-    With moments=True the kernels are polynomial (uniform base) in d = 1 and
-    2, the cases of the range-moment backend.
+    With moments=True, d is 1 or 2, the cases of the range-moment backend.
     """
     d = draw(st.integers(1, 2 if moments else 3))
-    order = draw(st.sampled_from([0, 1, 2] if moments or d > 1 else [1, 2]))
+    order = draw(st.sampled_from([0, 1, 2]))
     far = draw(st.booleans())
     lo = np.array([1e6 if far else draw(st.sampled_from([0.0, -1.0, 0.5])) for _ in range(d)])
     width = np.array([draw(st.sampled_from([1.0, 2.0])) for _ in range(d)])
@@ -228,8 +220,7 @@ def _window_cases(draw, moments=False):
     rows = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
     y = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n)])
     budget = draw(st.sampled_from([1, _window._PAIR_BUDGET]))
-    kernel = build_kernel(order, d) if moments else _KERNELS[(order, d)]
-    return rows, y, kernel, h, InputModel(tuple(Uniform(a, b) for a, b in zip(lo, hi))), budget
+    return rows, y, _KERNELS[(order, d)], h, InputModel(tuple(Uniform(a, b) for a, b in zip(lo, hi))), budget
 
 
 def _absolute_scale(rows, y, kernel, h, model):
@@ -247,7 +238,7 @@ def _underflow(n, kernel, h, model):
     smallest subnormal, so two summation orders may differ by a few smallest subnormals
     per pair, scaled by the largest |K_h / f_X|."""
     t = np.linspace(*kernel.support, 1025)
-    k_max = float(np.max(np.abs(kernel.factor.eval(t)))) ** kernel.dim / h**kernel.dim
+    k_max = float(np.max(np.abs(np.polynomial.polynomial.polyval(t, kernel.coeffs)))) ** kernel.dim / h**kernel.dim
     return 4.0 * n * n * k_max * float(np.prod(model.domain.widths)) * np.finfo(float).smallest_subnormal
 
 
@@ -267,7 +258,9 @@ def test_sparse_backend_matches_brute_force(case):
     rows, y, kernel, h, model, budget = case
     fs = FullSample(V=rows, Y=y)
     spec = SubsetSpec(tuple(range(rows.shape[1])))
+    # every call takes the tree, d = 1 and 2 included
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_moments_pay", lambda *args: False)
         mp.setattr(_window, "_PAIR_BUDGET", budget)
         t_fast = estimate_t(fs, spec, kernel, h, model)
     t_ref = brute_force_t(fs, spec, kernel, h, model)
@@ -285,7 +278,7 @@ def _moment_scale(rows, y, kernel, h, model):
     |K_1| bounded by sum_m |c_m| (the re-expanded terms have |t| <= 1).
     """
     n, d = rows.shape
-    k_abs = (float(np.sum(np.abs(kernel.factor.full_coeffs))) / h) ** d
+    k_abs = (float(np.sum(np.abs(kernel.coeffs))) / h) ** d
     return float(np.sum(np.abs(y))) ** 2 * k_abs * float(np.prod(model.domain.widths)) / (n * (n - 1))
 
 
@@ -370,8 +363,8 @@ def test_range_moments_leave_int64_overflow_to_the_tree():
 
 
 def test_window_sums_backend_choice(monkeypatch):
-    # range moments need a polynomial kernel and, in d = 2, about 60 expected
-    # window pairs per anchor, tied rows counted; the tree takes the rest
+    # range moments need, in d = 2, about 60 expected window pairs per anchor,
+    # tied rows counted; the tree takes the rest
     def moments_called(*args):
         raise AssertionError("range moments")
 
@@ -381,30 +374,39 @@ def test_window_sums_backend_choice(monkeypatch):
     w = rng.normal(size=(2000, 1))
     kernel = build_kernel(2, 2)
     window_sums(x, w, kernel, 0.06, UNIT2.domain)  # about 2 pairs per anchor: the tree
-    window_sums(x, w, build_kernel(2, 2, base=custom_base(_ramp, (0.0, 0.5), 2)), 0.6, UNIT2.domain)
     window_sums(x, w, kernel, 0.6, UNIT2.domain, anchors=x[:10])
     for sample, h in [(x, 0.6), (np.repeat(x[:20], 100, axis=0), 0.06)]:
         with pytest.raises(AssertionError, match="range moments"):
             window_sums(sample, w, kernel, h, UNIT2.domain)
 
 
-def test_tied_rows_keep_memory_bounded():
-    # 1500 identical rows: the tree would hold every pair of the one block
-    n = 1500
-    v = np.tile([0.3, 0.7], (n, 1))
+def _check_tied_rows(model):
+    """1500 identical rows peak under 16 MiB and give the closed-form estimate."""
+    n, d = 1500, model.domain.dim
+    v = np.tile([0.3, 0.7, 0.5][:d], (n, 1))
     y = np.random.default_rng(0).normal(size=n)
     h = n**-0.375
-    kernel = build_kernel(2, 2)
+    kernel = build_kernel(2, d)
     tracemalloc.start()
     try:
-        t = estimate_t(FullSample(V=v, Y=y), SubsetSpec((0, 1)), kernel, h, UNIT2)
+        t = estimate_t(FullSample(V=v, Y=y), SubsetSpec(tuple(range(d))), kernel, h, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    k0 = float(kernel.factor.full_coeffs[0]) ** 2 / h**2
+    k0 = float(kernel.coeffs[0]) ** d / h**d
     want = k0 * (math.fsum(y) ** 2 - math.fsum(y * y)) / (n * (n - 1))
     assert abs(t - want) <= 1e-12 * k0 * float(np.sum(np.abs(y))) ** 2 / (n * (n - 1))
+
+
+def test_tied_rows_keep_memory_bounded():
+    # range moments serve tied rows in d = 2; the tree would hold every pair of the one block
+    _check_tied_rows(UNIT2)
+
+
+def test_tied_rows_keep_tree_blocks_bounded_in_3d():
+    # the tree serves d = 3, in anchor blocks sized for the tied pairs, not for a spread sample
+    _check_tied_rows(UNIT3)
 
 
 def test_row_permutation_invariance():

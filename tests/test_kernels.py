@@ -1,79 +1,26 @@
 """Tests for the kernel construction.
 
-Oracles: the closed form of the uniform-base kernel polynomial,
+Oracles: the closed form of the kernel polynomial,
 P(x) = sum_{i<=k} (2i+1) (-1)^i P_i(4x - 1) with P_i the Legendre
 polynomials (the reproducing kernel at 0 of the orthonormal polynomials
 psi_i(x) = sqrt(2i+1) P_i(4x - 1) of U(0, 1/2)), built in exact arithmetic by
-the Bonnet recursion; Cramer's rule with Leibniz determinants for a custom
-base; and independent Gauss-Legendre quadrature written out in this file.
+the Bonnet recursion, and independent Gauss-Legendre quadrature written out
+in this file.
 """
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from mirrorsobol.errors import MirrorSobolError
-from mirrorsobol.kernels import (
-    MAX_ORDER,
-    BaseDensity,
-    KernelD,
-    build_kernel,
-    build_kernel_1d,
-    custom_base,
-    uniform_half,
-    verify_order,
-)
+from mirrorsobol.kernels import MAX_ORDER, KernelD, build_kernel, verify_order
 
 
 def gl_nodes(n, a, b):
     """Independent Gauss-Legendre rule on [a, b] for use as a test oracle."""
     x, w = np.polynomial.legendre.leggauss(n)
     return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
-
-
-# ---------------------------------------------------------------- base density
-
-
-def test_uniform_half_moments_closed_form():
-    base = uniform_half(4)
-    j = np.arange(9)
-    np.testing.assert_allclose(base.moments, 0.5**j / (j + 1.0), rtol=0, atol=1e-15)
-
-
-def test_uniform_half_moments_match_quadrature():
-    base = uniform_half(3)
-    for j in range(7):
-        ref, _ = quad(lambda x, j=j: x**j * 2.0, 0.0, 0.5)
-        assert abs(base.moments[j] - ref) < 1e-14, f"moment {j}: {base.moments[j]} vs {ref}"
-
-
-def test_custom_base_requires_unit_mass():
-    with pytest.raises(MirrorSobolError):
-        custom_base(lambda x: np.full_like(np.asarray(x, float), 3.0), (0.0, 0.5), 1)
-
-
-def test_custom_base_support_must_lie_in_the_mirror_window():
-    # the mirror condition covers windows [0, h/2]; other supports gave wrong
-    # estimates without a warning
-    unit_mass = lambda a, b: (lambda x: np.full_like(np.asarray(x, float), 1.0 / (b - a)))
-    for support in ((0.0, 1.0), (-0.25, 0.25)):
-        with pytest.raises(MirrorSobolError, match="1/2"):
-            custom_base(unit_mass(*support), support, 1)
-    for support in ((0.0, 0.5), (0.1, 0.4)):
-        assert custom_base(unit_mass(*support), support, 1).support == support
-
-
-def test_custom_base_recovers_uniform():
-    base = custom_base(lambda x: np.full_like(np.asarray(x, float), 2.0), (0.0, 0.5), 2)
-    np.testing.assert_allclose(base.moments, uniform_half(2).moments, atol=1e-12)
-
-
-def _ramp(x):
-    x = np.asarray(x, dtype=float)
-    return np.where((x >= 0.0) & (x <= 0.5), 8.0 * x, 0.0)
 
 
 # ------------------------------------------------------------ kernel coefficients
@@ -107,89 +54,55 @@ def _closed_form_poly(k):
     return total
 
 
-def _det(a):
-    """Leibniz determinant in exact arithmetic."""
-    n = len(a)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = Fraction((-1) ** inversions)
-        for i, p in enumerate(perm):
-            term *= a[i][p]
-        total += term
-    return total
-
-
 def test_coefficients_k0():
-    np.testing.assert_array_equal(build_kernel_1d(uniform_half(0), 0).poly_coeffs, [1.0])
+    # K_1 = 2 P = f_0
+    np.testing.assert_array_equal(build_kernel(0, 1).coeffs, [2.0])
 
 
 def test_coefficients_k1_hand_solve():
-    # p_0 + p_1 / 4 = 1 and p_0 / 4 + p_1 / 12 = 0  =>  P(x) = 4 - 12 x
-    np.testing.assert_array_equal(build_kernel_1d(uniform_half(1), 1).poly_coeffs, [4.0, -12.0])
+    # p_0 + p_1 / 4 = 1 and p_0 / 4 + p_1 / 12 = 0  =>  P(x) = 4 - 12 x, K_1 = 2 P
+    np.testing.assert_array_equal(build_kernel(1, 1).coeffs, [8.0, -24.0])
 
 
 @pytest.mark.parametrize("k", range(MAX_ORDER + 1))
 def test_coefficients_reproducing_kernel_form(k):
-    # the exact solve rounds once, so every coefficient is the rounded closed form
-    want = [float(c) for c in _closed_form_poly(k)]
-    assert build_kernel_1d(uniform_half(k), k).poly_coeffs.tolist() == want
-
-
-def test_custom_base_coefficients_solve_its_float_moments_exactly():
-    k = 3
-    base = custom_base(_ramp, (0.0, 0.5), k)
-    m = [Fraction(v) for v in base.moments.tolist()]
-    hankel = [[m[i + j] for j in range(k + 1)] for i in range(k + 1)]
-    det = _det(hankel)
-    want = []
-    for col in range(k + 1):
-        replaced = [row[:col] + [Fraction(int(i == 0))] + row[col + 1 :] for i, row in enumerate(hankel)]
-        want.append(float(_det(replaced) / det))
-    assert build_kernel_1d(base, k).poly_coeffs.tolist() == want
-
-
-def test_point_mass_base_is_degenerate():
-    # a point mass at 1/4 has a rank-one moment matrix
-    moments = 0.25 ** np.arange(5)
-    base = BaseDensity(kind="custom", support=(0.0, 0.5), density=lambda x: np.zeros_like(x), moments=moments)
-    with pytest.raises(MirrorSobolError, match="degenerate base density"):
-        build_kernel_1d(base, 2)
+    # the exact solve rounds once, so every coefficient is the rounded closed form of 2 P
+    want = [float(2 * c) for c in _closed_form_poly(k)]
+    assert build_kernel(k, 1).coeffs.tolist() == want
 
 
 def test_kernel_rejects_bad_order():
-    with pytest.raises(MirrorSobolError):
-        build_kernel_1d(uniform_half(1), -1)
-    with pytest.raises(MirrorSobolError):
-        uniform_half(MAX_ORDER + 1)
-    with pytest.raises(MirrorSobolError, match="need moments up to order 4"):
-        build_kernel_1d(uniform_half(1), 2)
+    with pytest.raises(MirrorSobolError, match="nonnegative"):
+        build_kernel(-1, 1)
+    with pytest.raises(MirrorSobolError, match="maximum"):
+        build_kernel(MAX_ORDER + 1, 1)
+    with pytest.raises(MirrorSobolError, match="integer"):
+        build_kernel(1.0, 1)
 
 
 # ----------------------------------------------------------------- 1-D kernels
 
 
 def test_kernel_k0_is_base_density():
-    k1 = build_kernel_1d(uniform_half(0), 0)
+    k1 = build_kernel(0, 1)
     x = np.array([0.0, 0.2, 0.5])
-    np.testing.assert_allclose(k1.eval(x), [2.0, 2.0, 2.0], atol=1e-14)
-    assert k1.eval(np.array([0.6]))[0] == 0.0
-    assert k1.eval(np.array([-0.01]))[0] == 0.0
+    np.testing.assert_allclose(k1.eval(x[:, None]), [2.0, 2.0, 2.0], atol=1e-14)
+    assert k1.eval(np.array([[0.6]]))[0] == 0.0
+    assert k1.eval(np.array([[-0.01]]))[0] == 0.0
 
 
 def test_kernel_k1_closed_form():
     # K_1(x) = 2 (1 - sqrt(3) psi_1(x)) = 8 - 24 x on [0, 1/2]
-    k1 = build_kernel_1d(uniform_half(1), 1)
+    k1 = build_kernel(1, 1)
     x = np.linspace(0.0, 0.5, 11)
-    np.testing.assert_allclose(k1.eval(x), 8.0 - 24.0 * x, rtol=1e-12)
-    np.testing.assert_allclose(k1.full_coeffs, [8.0, -24.0], rtol=1e-12)
+    np.testing.assert_allclose(k1.eval(x[:, None]), 8.0 - 24.0 * x, rtol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_kernel_moment_conditions_by_quadrature(k):
-    k1 = build_kernel_1d(uniform_half(k), k)
+    k1 = build_kernel(k, 1)
     x, w = gl_nodes(64, 0.0, 0.5)
-    vals = k1.eval(x)
+    vals = k1.eval(x[:, None])
     assert abs(np.sum(w * vals) - 1.0) < 1e-10
     for m in range(1, k + 1):
         mom = np.sum(w * x**m * vals)
@@ -197,32 +110,41 @@ def test_kernel_moment_conditions_by_quadrature(k):
 
 
 def test_kernel_k2_changes_sign():
-    k1 = build_kernel_1d(uniform_half(2), 2)
-    vals = k1.eval(np.linspace(0.0, 0.5, 201))
+    k1 = build_kernel(2, 1)
+    vals = k1.eval(np.linspace(0.0, 0.5, 201)[:, None])
     assert vals.min() < 0.0 < vals.max()
 
 
 def test_kernel_l2_norm_closed_form():
     # int K_1^2 dx = 2 sum c_i^2 = 2 (1 + 3 + 5) = 18 for k = 2
-    k1 = build_kernel_1d(uniform_half(2), 2)
+    k1 = build_kernel(2, 1)
     x, w = gl_nodes(64, 0.0, 0.5)
-    np.testing.assert_allclose(np.sum(w * k1.eval(x) ** 2), 18.0, rtol=1e-12)
+    np.testing.assert_allclose(np.sum(w * k1.eval(x[:, None]) ** 2), 18.0, rtol=1e-12)
 
 
 # -------------------------------------------------------------- tensor kernels
 
 
 def test_tensorize_d1_equals_factor():
+    # K_1 is the polynomial with coefficients `coeffs` on the closed support, 0 outside
     kd = build_kernel(2, 1)
-    x = np.linspace(0.0, 0.5, 7)
-    np.testing.assert_array_equal(kd.eval(x[:, None]), kd.factor.eval(x))
+    assert KernelD.support == kd.support == (0.0, 0.5)
+    x = np.linspace(-0.25, 0.75, 9)
+    want = np.where((x >= 0.0) & (x <= 0.5), np.polynomial.polynomial.polyval(x, kd.coeffs), 0.0)
+    np.testing.assert_array_equal(kd.eval(x[:, None]), want)
+    # and the d-dimensional kernel is the product of its 1-D factors
+    pts = np.random.default_rng(5).uniform(-0.1, 0.6, size=(30, 3))
+    factors = [kd.eval(pts[:, j : j + 1]) for j in range(3)]
+    np.testing.assert_array_equal(build_kernel(2, 3).eval(pts), factors[0] * factors[1] * factors[2])
 
 
 def test_tensorize_rejects_zero_dim():
-    factor = build_kernel_1d(uniform_half(1), 1)
+    coeffs = build_kernel(1, 1).coeffs
     for dim in (0, -1, 1.5):
         with pytest.raises(MirrorSobolError, match="dimension"):
-            KernelD(factor=factor, dim=dim)
+            KernelD(order=1, dim=dim, coeffs=coeffs)
+        with pytest.raises(MirrorSobolError, match="dimension"):
+            build_kernel(1, dim)
 
 
 def test_tensor_moments_d2():

@@ -27,6 +27,11 @@ def test_removed_names_stay_removed():
         "tensorize",
         "kernel_to_spec",
         "kernel_from_spec",
+        "BaseDensity",
+        "uniform_half",
+        "custom_base",
+        "build_kernel_1d",
+        "Kernel1D",
     ):
         assert not hasattr(kernels, name), f"mirrorsobol.kernels.{name} should not exist"
     # the oracle stays where the tests and studies use it
