@@ -32,7 +32,7 @@ from .estimator import (
     estimate_t,
     estimate_total_sobol,
 )
-from .inputs import Beta, Custom, InputModel, Uniform, input_model_from_json
+from .inputs import Beta, InputModel, Uniform, input_model_from_json
 from .kernels import build_kernel
 from .testbed import builtin_models, model_by_name
 
@@ -65,7 +65,6 @@ __all__ = [
     "estimate_t",
     "estimate_total_sobol",
     "Beta",
-    "Custom",
     "InputModel",
     "Uniform",
     "input_model_from_json",

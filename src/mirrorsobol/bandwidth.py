@@ -3,7 +3,9 @@
 A Gaussian-kernel pilot regressor (never mirror-corrected) supplies both a
 target for E[g1(X)^2], computed as one tensor Gauss quadrature over the
 mask axes, and virtual outputs; the selected h makes the kernel U-statistic
-on the virtual outputs match the target.
+on the virtual outputs match the target.  The pilot marginals are `Uniform`
+or `Beta`: a Uniform mask axis takes composite Gauss-Legendre panels, a Beta
+mask axis adds Gauss-Jacobi end panels for its 1/f.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ def _pilot_inputs(sample: FullSample, h0, marginals) -> tuple:
         raise MirrorSobolError(f"h0 has {h0.size} entries for {p} input axes")
     if len(marginals) != p:
         raise MirrorSobolError(f"{len(marginals)} pilot marginals for {p} input axes")
+    InputModel(marginals)  # checks that every marginal is Uniform or Beta
     return v, y, h0
 
 
@@ -99,8 +102,6 @@ _WORK_BUDGET = 2**33
 _NODE_BUDGET = 2**22
 # rows per block: bounds the kernel matrices to O(block * G) memory
 _BLOCK_ENTRIES = 2**21
-# G-node versus 2G-node agreement required of a Custom density's rule
-_CONVERGENCE_RTOL = 1e-9
 
 
 def _gauss_kernel(v: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
@@ -108,23 +109,18 @@ def _gauss_kernel(v: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
 
 
-def _self_overlap(v: np.ndarray, h: float, x: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    """Per-point quadrature of K_h(v_j - x)^2 / f(x) on one axis."""
-    step = max(1, _BLOCK_ENTRIES // x.size)
-    return np.concatenate([_gauss_kernel(v[s : s + step], h, x) ** 2 @ wf for s in range(0, v.size, step)])
-
-
 def _legendre_rule(marginal, g: int):
-    """Composite Gauss-Legendre nodes on the support, weights divided by f (0 where f = 0)."""
+    """Composite Gauss-Legendre nodes on the support, weights divided by f.
+
+    Uniform and Beta densities are positive at every Gauss node, which lies
+    strictly inside its panel.
+    """
     a, b = marginal.support
     edges = np.linspace(a, b, g // _PANEL_T.size + 1)
     half = 0.5 * np.diff(edges)[:, None]
     x = (edges[:-1, None] + half * (_PANEL_T + 1.0)).ravel()
     w = (half * _PANEL_W).ravel()
-    f = np.asarray(marginal.pdf(x), dtype=float)
-    with np.errstate(divide="ignore"):
-        wf = np.where(f > 0.0, w / f, 0.0)
-    return x, wf
+    return x, w / marginal.pdf(x)
 
 
 def _beta_rule(marginal, g: int):
@@ -160,31 +156,6 @@ def _node_count(axis: int, h0_i: float, marginal) -> int:
     return panels * _PANEL_T.size
 
 
-def _axis_rule(axis: int, v: np.ndarray, h0_i: float, marginal, g: int):
-    """Nodes x and weights w/f of the pilot quadrature on one mask axis.
-
-    A Beta marginal's 1/f is a Jacobi weight, integrated by Gauss-Jacobi end
-    panels (see _beta_rule).  Other marginals use composite Gauss-Legendre;
-    a Custom density, whose 1/f may be singular, must give the same
-    per-point overlaps on G and 2G nodes.
-    """
-    if isinstance(marginal, Beta):
-        return _beta_rule(marginal, g)
-    x, wf = _legendre_rule(marginal, g)
-    if not isinstance(marginal, Uniform):
-        coarse = _self_overlap(v, h0_i, x, wf)
-        fine = _self_overlap(v, h0_i, *_legendre_rule(marginal, 2 * g))
-        gap = float(np.max(np.abs(fine - coarse)))
-        if not (gap <= _CONVERGENCE_RTOL * float(np.max(fine))):
-            raise PilotTargetError(
-                axis,
-                f"the pilot quadrature on mask axis {axis} does not converge: {g} and {2 * g} nodes "
-                f"differ by {gap:.3g} (is 1/f singular on the support?); "
-                "set the bandwidth with --h or --rule instead of --auto",
-            )
-    return x, wf
-
-
 def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
     """Pilot estimate of E[g1(X)^2]; returns (target, target_printed).
 
@@ -198,7 +169,7 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
 
     marginals holds one marginal per input axis.  Raises PilotTargetError,
     naming the axis, when the target is infinite (a Beta mask marginal with
-    a shape >= 2), beyond the work budget, or unresolved by the quadrature.
+    a shape >= 2) or beyond the work budget.
     """
     v, y, h0 = _pilot_inputs(sample, h0, marginals)
     n, p = v.shape
@@ -217,7 +188,10 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
             f"kernel products, beyond the budget of {_WORK_BUDGET} ({_NODE_BUDGET} nodes); axis {worst} "
             "needs the most nodes; set the bandwidth with --h or --rule instead of --auto",
         )
-    rules = [_axis_rule(i, v[:, i], h0[i], marginals[i], g) for i, g in zip(mask, sizes)]
+    rules = [
+        (_beta_rule if isinstance(marginals[i], Beta) else _legendre_rule)(marginals[i], g)
+        for i, g in zip(mask, sizes)
+    ]
     # g^ is accumulated as (rows of the Khatri-Rao product of all but the
     # last axis)^T @ (kernel matrix of the last axis), one row block at a time
     lead = nodes // sizes[-1]

@@ -184,7 +184,6 @@ class VarianceOracles:
 
     g1: Callable
     g2: Callable
-    f_x: Callable
     moments: Callable
 
 
@@ -310,7 +309,6 @@ def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:
     shifted = VarianceOracles(
         g1=lambda xm: g1(xm) - m,
         g2=lambda xm: g2(xm) - 2.0 * m * g1(xm) + m * m,
-        f_x=oracles.f_x,
         moments=lambda phi: mom(lambda y, xm: phi(y - m, xm)),
     )
     return limiting_variance_sobol_plugin(shifted)

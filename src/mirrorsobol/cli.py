@@ -41,8 +41,8 @@ from .density import beta_moment_estimator, mirror_kde, uniform_max_estimator
 from .domain import Domain
 from .errors import MirrorSobolError
 from .estimator import FullSample, SubsetSpec, estimate_sobol
-from .inputs import InputModel, input_model_from_json, sample as draw_inputs
-from .kernels import build_kernel
+from .inputs import input_model_from_json, sample as draw_inputs
+from .kernels import MAX_ORDER, build_kernel
 from .testbed import (
     _ESTIMATOR_NAMES,
     ExperimentPlan,
@@ -166,8 +166,8 @@ class RunConfig:
         object.__setattr__(self, "mask", tuple(sorted(mask)))
 
         object.__setattr__(self, "kernel_order", int(self.kernel_order))
-        if self.kernel_order < 1:
-            raise ConfigError("kernel_order", f"kernel order must be >= 1, got {self.kernel_order}")
+        if not 1 <= self.kernel_order <= MAX_ORDER:
+            raise ConfigError("kernel_order", f"kernel order must be in [1, {MAX_ORDER}], got {self.kernel_order}")
 
         modes = int(self.h is not None) + int(bool(self.auto)) + int(self.rule is not None)
         if modes != 1:

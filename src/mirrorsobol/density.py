@@ -48,11 +48,6 @@ class DensityEstimate:
     floor: float
     eval_rows: Callable[[np.ndarray], np.ndarray]
 
-    def eval(self, x) -> float:
-        """Density at a single point (scalar or length-d vector)."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.eval_rows(arr[None, :])[0])
-
 
 def uniform_max_estimator(aux) -> DensityEstimate:
     """Endpoint plug-in for Uniform(0, theta): theta_hat = max(aux).
@@ -94,7 +89,8 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
     a_hat = b mean / (1 - mean).  If a_hat lands in the closed interval
     [1, 3/2] the density is Beta(a_hat, b); otherwise the constant fallback
     4/pi.  The parametric branch is positive on the open unit interval, so
-    the nominal floor only guards exact-endpoint queries.
+    the nominal floor only guards exact-endpoint queries.  Both branches
+    reject queries outside [0, 1].
     """
     if not (1.0 < b < 1.5):
         raise MirrorSobolError(f"the known shape b must lie in (1, 3/2), got {b}")
@@ -108,22 +104,6 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
         raise MirrorSobolError(f"sample mean {mean} >= 1 leaves the moment estimator undefined")
     a_hat = b * mean / (1.0 - mean)
     fallback = not (1.0 <= a_hat <= 1.5)
-    if fallback:
-        level = FALLBACK_ETA
-
-        def eval_rows(rows: np.ndarray) -> np.ndarray:
-            rows = np.asarray(rows, dtype=float)
-            if rows.ndim != 2 or rows.shape[1] != 1:
-                raise MirrorSobolError("beta moment density is one-dimensional")
-            return np.full(rows.shape[0], level)
-
-        return DensityEstimate(
-            kind="beta_moment",
-            params={"a_hat": a_hat, "b": float(b), "eta": FALLBACK_ETA, "fallback": True},
-            floor=level,
-            eval_rows=eval_rows,
-        )
-
     norm = special.beta(a_hat, b)
 
     def eval_rows(rows: np.ndarray) -> np.ndarray:
@@ -133,6 +113,8 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
         x = rows[:, 0]
         if np.any((x < 0.0) | (x > 1.0)):
             raise DomainViolationError("beta density queried outside [0, 1]")
+        if fallback:
+            return np.full(x.shape[0], FALLBACK_ETA)
         with np.errstate(divide="ignore", invalid="ignore"):
             pdf = np.where(
                 (x > 0.0) & (x < 1.0),
@@ -143,8 +125,8 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
 
     return DensityEstimate(
         kind="beta_moment",
-        params={"a_hat": a_hat, "b": float(b), "eta": FALLBACK_ETA, "fallback": False},
-        floor=_NOMINAL_FLOOR,
+        params={"a_hat": a_hat, "b": float(b), "eta": FALLBACK_ETA, "fallback": fallback},
+        floor=FALLBACK_ETA if fallback else _NOMINAL_FLOOR,
         eval_rows=eval_rows,
     )
 

@@ -3,8 +3,8 @@
 The estimator smooths with a kernel supported on ``[0, 1/2]^d`` in kernel
 coordinates.  Near the upper half of an axis the kernel window is reflected
 inward by flipping the sign of the corresponding displacement coordinate:
-``sigma_at`` computes the per-axis signs, ``apply_mirror`` applies them, and
-``check_mirror_condition`` is the geometric guard that the scaled window
+``sign_matrix`` gives the per-axis signs of the reflection A_x at each row,
+and ``check_mirror_condition`` is the geometric guard that the scaled window
 ``[0, h/2]^d`` fits inside the domain when anchored at any point.
 """
 
@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolationError, MirrorSobolError
+from .errors import MirrorSobolError
 
 __all__ = [
     "Domain",
-    "MirrorSigns",
-    "sigma_at",
-    "apply_mirror",
+    "sign_matrix",
     "check_mirror_condition",
 ]
 
@@ -75,58 +73,6 @@ class Domain:
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
 
-    def to_json(self) -> dict:
-        return {"lower": self.lower.tolist(), "upper": self.upper.tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Domain":
-        try:
-            return Domain(np.asarray(obj["lower"], dtype=float), np.asarray(obj["upper"], dtype=float))
-        except (KeyError, TypeError) as exc:
-            raise MirrorSobolError(f"invalid domain spec {obj!r}") from exc
-
-
-@dataclass(frozen=True)
-class MirrorSigns:
-    """Per-axis signs of the diagonal reflection A_x (each entry is +1 or -1)."""
-
-    signs: np.ndarray
-
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.signs, dtype=float))
-        if not np.all(np.abs(s) == 1.0):
-            raise MirrorSobolError("mirror signs must all be +1 or -1")
-        s.flags.writeable = False
-        object.__setattr__(self, "signs", s)
-
-    @property
-    def dim(self) -> int:
-        return self.signs.size
-
-
-def sigma_at(domain: Domain, x) -> MirrorSigns:
-    """Mirror signs at a point: +1 on the closed lower half of each axis, -1 above.
-
-    The midpoint itself maps to +1; the upper boundary maps to -1.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != domain.lower.shape:
-        raise MirrorSobolError(f"point has dimension {x.size}, domain has {domain.dim}")
-    if not domain.contains(x):
-        raise DomainViolationError(f"point {x.tolist()} lies outside the domain")
-    return MirrorSigns(np.where(x <= domain.midpoints, 1.0, -1.0))
-
-
-def apply_mirror(signs: MirrorSigns, u) -> np.ndarray:
-    """Apply the diagonal reflection: u -> (s_1 u_1, ..., s_d u_d).
-
-    The map is its own inverse (each diagonal entry is +-1).
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape[-1] != signs.dim:
-        raise MirrorSobolError(f"vector has dimension {u.shape[-1]}, signs have {signs.dim}")
-    return signs.signs * u
-
 
 def check_mirror_condition(domain: Domain, h: float) -> bool:
     """True iff the scaled kernel window [0, h/2]^d fits inside the domain.
@@ -141,8 +87,10 @@ def check_mirror_condition(domain: Domain, h: float) -> bool:
 
 
 def sign_matrix(domain: Domain, x_rows: np.ndarray) -> np.ndarray:
-    """Vectorized sigma_at over rows: (n, d) points -> (n, d) array of +-1.
+    """Signs of the diagonal reflection A_x at each row: (n, d) points -> (n, d) of +-1.
 
-    Rows are assumed to lie in the domain; callers validate membership once.
+    +1 on the closed lower half of each axis, -1 above: the midpoint itself
+    maps to +1, the upper boundary to -1.  Rows are assumed to lie in the
+    domain; callers validate membership once.
     """
     return np.where(np.asarray(x_rows, dtype=float) <= domain.midpoints, 1.0, -1.0)

@@ -1,16 +1,18 @@
 """Independent input marginals, subset densities, and seeded sampling.
 
-An `InputModel` is a product of univariate marginals (uniform, beta on
-[0, 1], or custom).  It exposes the product density over any subset of
-coordinates and draws reproducible samples via inverse-CDF transforms of a
-counter-based generator.  Densities are reported exactly (including exact
-zeros); the division floor is applied by callers.
+An `InputModel` is a product of univariate marginals, each `Uniform` on
+[a, b] or `Beta` on [0, 1].  It exposes the product density over any
+nonempty subset of coordinates, vectorized over rows, and draws
+reproducible samples via inverse-CDF transforms of a counter-based
+generator.  Densities are reported exactly (including exact zeros); the
+division floor is applied by callers.  Any other known density enters the
+estimator as a vectorized `f_x` together with a `domain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -21,9 +23,7 @@ from .errors import MirrorSobolError
 __all__ = [
     "Uniform",
     "Beta",
-    "Custom",
     "InputModel",
-    "density_subset",
     "subset_density_fn",
     "sample",
     "input_model_from_json",
@@ -87,40 +87,6 @@ class Beta:
 
 
 @dataclass(frozen=True)
-class Custom:
-    """User-supplied marginal: vectorized density, bounded support, sampler(n, rng)."""
-
-    density: Callable[[np.ndarray], np.ndarray]
-    support_interval: tuple
-    sampler: Callable[[int, np.random.Generator], np.ndarray]
-
-    def __post_init__(self):
-        from scipy.integrate import quad
-
-        a, b = float(self.support_interval[0]), float(self.support_interval[1])
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise MirrorSobolError(f"custom marginal support {self.support_interval!r} must be bounded")
-        mass, _ = quad(lambda x: float(self.density(np.asarray(x))), a, b, limit=200)
-        if abs(mass - 1.0) > 1e-8:
-            raise MirrorSobolError(f"custom marginal density integrates to {mass!r}, not 1 within 1e-8")
-        object.__setattr__(self, "support_interval", (a, b))
-
-    @property
-    def support(self) -> tuple:
-        return self.support_interval
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        a, b = self.support_interval
-        return np.where((x >= a) & (x <= b), self.density(x), 0.0)
-
-    transform = None
-
-    def to_json(self) -> dict:
-        raise MirrorSobolError("custom marginals are not JSON-serializable")
-
-
-@dataclass(frozen=True)
 class InputModel:
     """Product of independent marginals; the domain is the box of their supports."""
 
@@ -130,6 +96,9 @@ class InputModel:
         object.__setattr__(self, "marginals", tuple(self.marginals))
         if len(self.marginals) == 0:
             raise MirrorSobolError("input model needs at least one marginal")
+        for i, marg in enumerate(self.marginals):
+            if not isinstance(marg, (Uniform, Beta)):
+                raise MirrorSobolError(f"marginal {i} is a {type(marg).__name__}, not a Uniform or Beta marginal")
 
     @property
     def p(self) -> int:
@@ -145,32 +114,15 @@ class InputModel:
         return {"marginals": [m.to_json() for m in self.marginals]}
 
 
-def _check_mask(mask, p: int, allow_empty: bool = False) -> tuple:
+def _check_mask(mask, p: int) -> tuple:
     idx = tuple(int(i) for i in mask)
-    if len(idx) == 0 and not allow_empty:
+    if len(idx) == 0:
         raise MirrorSobolError("mask must be nonempty")
     if len(set(idx)) != len(idx):
         raise MirrorSobolError(f"mask {list(mask)} has duplicate axes")
     if any(i < 0 or i >= p for i in idx):
         raise MirrorSobolError(f"mask {list(mask)} out of range for {p} inputs (axes are 0-based)")
     return idx
-
-
-def density_subset(model: InputModel, mask, x) -> float:
-    """Product density of the masked coordinates at a single point.
-
-    Out-of-support coordinates give an exact 0; the empty mask gives 1.
-    """
-    idx = _check_mask(mask, model.p, allow_empty=True)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(idx) == 0:
-        return 1.0
-    if x.size != len(idx):
-        raise MirrorSobolError(f"point has {x.size} coordinates, mask selects {len(idx)}")
-    out = 1.0
-    for j, i in enumerate(idx):
-        out *= float(model.marginals[i].pdf(x[j]))
-    return out
 
 
 def subset_density_fn(model: InputModel, mask) -> Callable[[np.ndarray], np.ndarray]:
@@ -194,20 +146,14 @@ def sample(model: InputModel, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """Draw n i.i.d. rows from the product law, deterministically in (seed, stream).
 
     One PCG64 generator is derived from SeedSequence((seed, stream)); each
-    column is filled by the inverse-CDF transform of a shared uniform block,
-    custom samplers consuming the generator in column order.
+    column is the inverse-CDF transform of a column of one shared uniform
+    block.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise MirrorSobolError(f"sample size must be a positive integer, got {n!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(stream)))))
     u = rng.random((int(n), model.p))
-    cols = []
-    for i, marg in enumerate(model.marginals):
-        if marg.transform is not None:
-            cols.append(marg.transform(u[:, i]))
-        else:
-            cols.append(np.asarray(marg.sampler(int(n), rng), dtype=float))
-    return np.column_stack(cols)
+    return np.column_stack([marg.transform(u[:, i]) for i, marg in enumerate(model.marginals)])
 
 
 def input_model_from_json(obj: dict) -> InputModel:

@@ -12,15 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from ._quad import tensor_grid
 from .baselines import PickFreezeSample, VarianceOracles, nn_estimate, pick_freeze_estimate, rank_estimate
-from .domain import apply_mirror, sigma_at
-from .errors import MirrorSobolError
+from .domain import sign_matrix
+from .errors import DomainViolationError, MirrorSobolError
 from .estimator import FullSample, SubsetSpec, _normal_ci, estimate_sobol
 from .inputs import InputModel, Uniform, sample, subset_density_fn
 from .kernels import KernelD, build_kernel
@@ -321,16 +321,18 @@ def brute_force_t(
         dom = domain
     sub = dom.subdomain(spec.mask)
     xm = sample.V[:, spec.mask]
+    outside = np.nonzero(~sub.contains(xm))[0]
+    if outside.size:
+        raise DomainViolationError(f"rows {outside[:10].tolist()} lie outside the domain on the masked axes")
+    signs = sign_matrix(sub, xm)
     y = sample.Y
     fvals = np.asarray(f_fn(xm), dtype=float)
     n = sample.n
     total = 0.0
     for j in range(n):
-        s_j = sigma_at(sub, xm[j])
         for jp in range(j + 1, n):
-            s_jp = sigma_at(sub, xm[jp])
-            left = kernel.eval_scaled(apply_mirror(s_j, xm[jp] - xm[j]), h) / fvals[j]
-            right = kernel.eval_scaled(apply_mirror(s_jp, xm[j] - xm[jp]), h) / fvals[jp]
+            left = kernel.eval_scaled(signs[j] * (xm[jp] - xm[j]), h) / fvals[j]
+            right = kernel.eval_scaled(signs[jp] * (xm[j] - xm[jp]), h) / fvals[jp]
             total += (y[j] * y[jp] / 2.0) * (left + right)
     return total / math.comb(n, 2)
 
@@ -393,7 +395,7 @@ def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
         raise MirrorSobolError(
             f"conditional variance negative for model {model.name!r}, mask {key}: min gap {np.min(gap)}"
         )
-    return VarianceOracles(g1=g1_fn, g2=g2_fn, f_x=subset_density_fn(model.input_model, key), moments=moments)
+    return VarianceOracles(g1=g1_fn, g2=g2_fn, moments=moments)
 
 
 # --------------------------------------------------------------------------

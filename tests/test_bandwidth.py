@@ -27,7 +27,7 @@ from mirrorsobol.errors import (
     PilotTargetError,
 )
 from mirrorsobol.estimator import FullSample, SubsetSpec
-from mirrorsobol.inputs import Beta, Custom, Uniform
+from mirrorsobol.inputs import Beta, Uniform
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import ishigami_model, linear_model, product_model
 
@@ -147,14 +147,6 @@ def _assert_matches_oracle(sample, mask, h0, marginals, rtol):
         assert abs(g - want) <= rtol * scale + underflow, f"quadrature {g} vs pair sum {want} (scale {scale})"
 
 
-def _flat(a, b):
-    return Custom(
-        density=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / (b - a)),
-        support_interval=(a, b),
-        sampler=lambda n, rng: rng.uniform(a, b, n),
-    )
-
-
 # ------------------------------------------------------------------
 # pilot target
 # ------------------------------------------------------------------
@@ -177,13 +169,7 @@ def test_beta_pair_hand_value():
 
 
 def test_beta_pair_closed_form_matches_quadrature():
-    # a flat Custom density takes the Legendre rule with its convergence
-    # check; it must equal the Uniform marginal and the closed-form oracle
     s = _sample(15, 1, seed=7)
-    spec = SubsetSpec(mask=(0,))
-    uniform = pilot_target(s, spec, [0.09], [Uniform(0.0, 1.0)])
-    flat = pilot_target(s, spec, [0.09], [_flat(0.0, 1.0)])
-    assert flat == pytest.approx(uniform, rel=1e-12, abs=0.0)
     _assert_matches_oracle(s, (0,), [0.09], [Uniform(0.0, 1.0)], rtol=1e-12)
 
 
@@ -192,10 +178,6 @@ def test_beta_pair_shifted_uniform_support():
     v = rng.uniform(0.0, 2.0, size=(8, 1))
     s = FullSample(V=v, Y=np.ones(8))
     _assert_matches_oracle(s, (0,), [0.15], [Uniform(0.0, 2.0)], rtol=1e-12)
-    spec = SubsetSpec(mask=(0,))
-    closed = pilot_target(s, spec, [0.15], [Uniform(0.0, 2.0)])
-    flat = pilot_target(s, spec, [0.15], [_flat(0.0, 2.0)])
-    assert flat == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_beta_pair_symmetric_nonnegative():
@@ -222,6 +204,22 @@ def test_beta_single_values():
     # interior mass increases toward 1 as h0 shrinks
     wide = compute_beta_single(s, 0, 0.3)
     assert wide[0] < out[0]
+
+
+def test_pilot_rejects_a_foreign_marginal():
+    # the pilot quadrature has rules for Uniform and Beta marginals only
+    class Flat:
+        support = (0.0, 1.0)
+
+        def pdf(self, x):
+            return np.ones_like(np.asarray(x, dtype=float))
+
+    s = _sample(5, 2, seed=1)
+    marginals = [Uniform(0.0, 1.0), Flat()]
+    with pytest.raises(MirrorSobolError, match="marginal 1 is a Flat"):
+        pilot_target(s, SubsetSpec(mask=(0,)), [0.1, 0.1], marginals)
+    with pytest.raises(MirrorSobolError, match="marginal 1 is a Flat"):
+        virtual_outputs(s, [0.1, 0.1], marginals)
 
 
 def test_target_zero_output():
@@ -320,16 +318,6 @@ def test_target_beta_stable_as_nodes_grow(a, b, seed):
     assert targets[1] == pytest.approx(targets[0], rel=1e-11, abs=0)
 
 
-def test_target_smooth_custom_matches_pair_sum_oracle():
-    tilted = Custom(
-        density=lambda x: 0.5 + np.asarray(x, dtype=float),
-        support_interval=(0.0, 1.0),
-        sampler=lambda n, rng: (np.sqrt(1.0 + 8.0 * rng.random(n)) - 1.0) / 2.0,
-    )
-    s = _sample(6, 2, seed=4)
-    _assert_matches_oracle(s, (1,), [0.1, 0.08], [Uniform(0.0, 1.0), tilted], rtol=1e-9)
-
-
 def test_target_infinite_for_beta_shape_two():
     # 1/f ~ x^(1-a) is not integrable at 0 once a >= 2
     s = FullSample(V=np.array([[0.2], [0.5], [0.8]]), Y=np.array([1.0, 2.0, 3.0]))
@@ -359,20 +347,6 @@ def test_target_budget_admits_masks_up_to_three_at_ten_thousand():
     for mask in ((0,), (0, 1), (0, 1, 2)):
         full, printed = pilot_target(s, SubsetSpec(mask=mask), h0, model.input_model.marginals)
         assert 0.0 < printed < full
-
-
-def test_target_custom_singular_density_fails_convergence():
-    # f(x) = 1.5 sqrt(x): 1/f is integrable but singular at 0, where the
-    # Legendre rule converges too slowly to trust
-    root = Custom(
-        density=lambda x: 1.5 * np.sqrt(np.clip(np.asarray(x, dtype=float), 0.0, None)),
-        support_interval=(0.0, 1.0),
-        sampler=lambda n, rng: rng.random(n) ** (2.0 / 3.0),
-    )
-    s = FullSample(V=np.array([[0.9, 0.01], [0.4, 0.3], [0.1, 0.7]]), Y=np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(PilotTargetError, match="does not converge") as err:
-        pilot_target(s, SubsetSpec(mask=(0, 1)), [0.1, 0.1], [Uniform(0.0, 1.0), root])
-    assert err.value.axis == 1 and "--h or --rule" in str(err.value)
 
 
 # ------------------------------------------------------------------

@@ -97,6 +97,7 @@ def test_config_roundtrip_plugin_density():
         (dict(n_grid=(400, 200)), "n_grid"),
         (dict(model="unknown_model"), "model"),
         (dict(marginals={"marginals": [{"uniform": [0, 1]}]}), "marginals"),
+        (dict(kernel_order=11), "kernel_order"),  # above kernels.MAX_ORDER
     ],
 )
 def test_config_errors_name_the_field(over, field):

@@ -13,7 +13,7 @@ from mirrorsobol.density import (
     plugin_mse_diagnostic,
     uniform_max_estimator,
 )
-from mirrorsobol.domain import Domain, apply_mirror, sigma_at
+from mirrorsobol.domain import Domain, sign_matrix
 from mirrorsobol.errors import (
     BandwidthTooLargeError,
     DomainViolationError,
@@ -26,6 +26,11 @@ from mirrorsobol.kernels import build_kernel
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
 
 
+def _at(est, x):
+    """Estimated density at one point, through a one-row eval_rows call."""
+    return float(est.eval_rows(np.array([[x]], dtype=float))[0])
+
+
 # ------------------------------------------------------------------
 # uniform endpoint plug-in
 # ------------------------------------------------------------------
@@ -36,7 +41,7 @@ def test_uniform_max_basic():
     assert est.kind == "uniform_max"
     assert est.params["theta_hat"] == 0.9, f"theta_hat {est.params['theta_hat']} != 0.9"
     want = 1.0 / 0.9
-    assert est.eval(0.3) == want
+    assert _at(est, 0.3) == want
     rows = est.eval_rows(np.array([[0.0], [0.9], [0.45]]))
     assert np.all(rows == want), f"constant density violated: {rows}"
     assert est.floor == want
@@ -45,15 +50,15 @@ def test_uniform_max_basic():
 def test_uniform_max_query_beyond_endpoint_errors():
     est = uniform_max_estimator(np.array([0.2, 0.9, 0.5]))
     with pytest.raises(DomainViolationError):
-        est.eval(0.95)
+        _at(est, 0.95)
     with pytest.raises(DomainViolationError):
-        est.eval(-0.01)
+        _at(est, -0.01)
 
 
 def test_uniform_max_all_equal():
     est = uniform_max_estimator(np.full(5, 0.5))
-    assert est.eval(0.5) == 2.0
-    assert est.eval(0.0) == 2.0
+    assert _at(est, 0.5) == 2.0
+    assert _at(est, 0.0) == 2.0
 
 
 def test_uniform_max_validation():
@@ -96,15 +101,27 @@ def test_beta_moment_accepted_branch():
     assert est.params["a_hat"] == pytest.approx(1.2, abs=1e-15)
     for x in (0.1, 0.5, 0.93):
         want = stats.beta.pdf(x, est.params["a_hat"], 1.2)
-        assert est.eval(x) == pytest.approx(want, rel=1e-12), f"pdf mismatch at {x}"
+        assert _at(est, x) == pytest.approx(want, rel=1e-12), f"pdf mismatch at {x}"
 
 
 def test_beta_moment_fallback_branch():
     est = beta_moment_estimator(np.full(10, 0.9), b=1.2)
     assert est.params["fallback"] is True
     assert est.params["a_hat"] == pytest.approx(10.8, rel=1e-14)
-    assert est.eval(0.123) == FALLBACK_ETA
-    assert est.eval(0.9) == pytest.approx(1.2732395447, abs=1e-9)
+    assert _at(est, 0.123) == FALLBACK_ETA
+    assert _at(est, 0.9) == pytest.approx(1.2732395447, abs=1e-9)
+
+
+def test_beta_moment_fallback_rejects_queries_outside_unit_interval():
+    # the constant branch checks the same [0, 1] range as the parametric one
+    est = beta_moment_estimator(np.full(10, 0.9), b=1.2)
+    assert est.params["fallback"] is True
+    for x in (1.3, -0.5):
+        with pytest.raises(DomainViolationError):
+            est.eval_rows(np.array([[0.5], [x]]))
+    with pytest.raises(MirrorSobolError):
+        est.eval_rows(np.array([0.5, 0.6]))
+    np.testing.assert_array_equal(est.eval_rows(np.array([[0.0], [1.0]])), [FALLBACK_ETA, FALLBACK_ETA])
 
 
 def test_beta_fallback_constant_matches_quadrature():
@@ -142,7 +159,7 @@ def test_beta_moment_validation():
         with pytest.raises(MirrorSobolError):
             beta_moment_estimator(np.array([0.4, 0.5]), b=bad_b)
     with pytest.raises(DomainViolationError):
-        beta_moment_estimator(np.array([0.4, 0.6]), b=1.2).eval(1.3)
+        _at(beta_moment_estimator(np.array([0.4, 0.6]), b=1.2), 1.3)
 
 
 def test_beta_moment_recovers_true_density():
@@ -166,8 +183,8 @@ def test_mirror_kde_single_point_hand_values():
     # far from it the floor eta/2 takes over
     kern = build_kernel(0, 1)
     est = mirror_kde(np.array([[0.5]]), kern, h_kde=0.5, eta=1.0, domain=UNIT)
-    assert est.eval(0.5) == 4.0
-    assert est.eval(0.1) == 0.5
+    assert _at(est, 0.5) == 4.0
+    assert _at(est, 0.1) == 0.5
     assert est.floor == 0.5
 
 
@@ -199,7 +216,7 @@ def test_mirror_kde_validation():
         mirror_kde(np.empty((0, 1)), kern, h_kde=0.2, eta=1.0, domain=UNIT)
     est = mirror_kde(np.array([[0.5]]), kern, h_kde=0.2, eta=1.0, domain=UNIT)
     with pytest.raises(DomainViolationError):
-        est.eval(1.4)
+        _at(est, 1.4)
     with pytest.raises(MirrorSobolError):
         mirror_kde(np.array([[0.5, 0.5]]), kern, h_kde=0.2, eta=1.0, domain=UNIT)
 
@@ -223,8 +240,8 @@ def test_mirror_kde_uniform_mise():
     vals = est.eval_rows(grid[:, None])
     mise = float(np.mean((vals - 1.0) ** 2))
     assert mise <= 0.05, f"MISE {mise} > 0.05"
-    assert abs(est.eval(0.0) - 1.0) <= 0.3, f"boundary value {est.eval(0.0)}"
-    assert abs(est.eval(1.0) - 1.0) <= 0.3, f"boundary value {est.eval(1.0)}"
+    assert abs(_at(est, 0.0) - 1.0) <= 0.3, f"boundary value {_at(est, 0.0)}"
+    assert abs(_at(est, 1.0) - 1.0) <= 0.3, f"boundary value {_at(est, 1.0)}"
 
 
 def test_mirror_kde_blocked_queries_match():
@@ -233,8 +250,8 @@ def test_mirror_kde_blocked_queries_match():
     est = mirror_kde(rng.random((50, 1)), kern, h_kde=0.2, eta=0.5, domain=UNIT)
     grid = np.linspace(0.0, 1.0, 37)[:, None]
     whole = est.eval_rows(grid)
-    single = np.array([est.eval(x) for x in grid[:, 0]])
-    assert np.allclose(whole, single, rtol=0, atol=1e-15)
+    single = np.array([_at(est, x) for x in grid[:, 0]])
+    np.testing.assert_allclose(whole, single, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -253,10 +270,10 @@ def test_mirror_kde_matches_literal_formula(d):
     est = mirror_kde(aux, kern, h_kde=h, eta=eta, domain=dom)
     literal = []
     for q in queries:
-        signs = sigma_at(dom, q)
+        signs = sign_matrix(dom, q[None, :])[0]
         total = 0.0
         for x in aux:
-            total += float(kern.eval_scaled(apply_mirror(signs, x - q), h))
+            total += float(kern.eval_scaled(signs * (x - q), h))
         literal.append(max(total / aux.shape[0], eta / 2.0))
     np.testing.assert_allclose(est.eval_rows(queries), literal, rtol=1e-12, atol=0)
 

@@ -9,76 +9,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorsobol.domain import (
-    Domain,
-    MirrorSigns,
-    apply_mirror,
-    check_mirror_condition,
-    sigma_at,
-    sign_matrix,
-)
-from mirrorsobol.errors import DomainViolationError, MirrorSobolError
+from mirrorsobol.domain import Domain, check_mirror_condition, sign_matrix
+from mirrorsobol.errors import MirrorSobolError
 
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
 UNIT2 = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
 
+def _signs(dom, x):
+    """Signs of A_x at one point, through a one-row sign_matrix call."""
+    return sign_matrix(dom, np.array([x], dtype=float))[0]
+
+
 def test_sigma_lower_half_is_plus_one():
-    assert sigma_at(UNIT, [0.25]).signs[0] == 1.0
+    assert _signs(UNIT, [0.25])[0] == 1.0
 
 
 def test_sigma_midpoint_is_plus_one():
     # the flip happens strictly above the midpoint
-    assert sigma_at(UNIT, [0.5]).signs[0] == 1.0
-    assert sigma_at(UNIT, [0.5 + 1e-12]).signs[0] == -1.0
+    assert _signs(UNIT, [0.5])[0] == 1.0
+    assert _signs(UNIT, [0.5 + 1e-12])[0] == -1.0
 
 
 def test_sigma_upper_boundary_is_minus_one():
-    assert sigma_at(UNIT, [1.0]).signs[0] == -1.0
+    assert _signs(UNIT, [1.0])[0] == -1.0
 
 
 def test_sigma_componentwise():
-    signs = sigma_at(UNIT2, [0.1, 0.9])
-    np.testing.assert_array_equal(signs.signs, [1.0, -1.0])
+    np.testing.assert_array_equal(_signs(UNIT2, [0.1, 0.9]), [1.0, -1.0])
 
 
 def test_sigma_shifted_domain():
     dom = Domain(np.array([2.0]), np.array([6.0]))  # midpoint 4
-    assert sigma_at(dom, [3.9]).signs[0] == 1.0
-    assert sigma_at(dom, [4.1]).signs[0] == -1.0
+    assert _signs(dom, [3.9])[0] == 1.0
+    assert _signs(dom, [4.1])[0] == -1.0
 
 
-def test_sigma_outside_domain_raises():
-    with pytest.raises(DomainViolationError):
-        sigma_at(UNIT, [1.5])
-
-
-def test_sigma_dimension_mismatch():
-    with pytest.raises(MirrorSobolError):
-        sigma_at(UNIT2, [0.5])
-
-
-def test_sign_matrix_matches_sigma_at():
-    rows = np.array([[0.1, 0.9], [0.6, 0.2], [0.5, 0.5]])
+def test_sign_matrix_rows_match_one_row_calls():
+    rows = np.array([[0.1, 0.9], [0.6, 0.2], [0.5, 0.5], [1.0, 0.0]])
     got = sign_matrix(UNIT2, rows)
-    want = np.array([sigma_at(UNIT2, r).signs for r in rows])
-    np.testing.assert_array_equal(got, want)
-
-
-def test_apply_mirror_identity_and_flip():
-    u = np.array([0.3, 0.2])
-    np.testing.assert_array_equal(apply_mirror(MirrorSigns(np.array([1.0, 1.0])), u), u)
-    np.testing.assert_array_equal(apply_mirror(MirrorSigns(np.array([-1.0, 1.0])), u), [-0.3, 0.2])
-
-
-def test_apply_mirror_dimension_mismatch():
-    with pytest.raises(MirrorSobolError):
-        apply_mirror(MirrorSigns(np.array([1.0, -1.0])), [0.1])
-
-
-def test_mirror_signs_validation():
-    with pytest.raises(MirrorSobolError):
-        MirrorSigns(np.array([1.0, 0.5]))
+    np.testing.assert_array_equal(got, [[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
+    np.testing.assert_array_equal(got, np.array([_signs(UNIT2, r) for r in rows]))
 
 
 def test_mirror_condition_examples():
@@ -114,31 +85,11 @@ def test_domain_subdomain_and_contains():
     assert not dom.contains([0.5, 0.0, 5.5])
 
 
-def test_domain_json_roundtrip():
-    dom = Domain(np.array([-1.0, 0.5]), np.array([2.0, 0.75]))
-    again = Domain.from_json(dom.to_json())
-    np.testing.assert_array_equal(again.lower, dom.lower)
-    np.testing.assert_array_equal(again.upper, dom.upper)
-
-
 def test_sigma_has_all_sign_patterns_in_2d():
     # the sign field is piecewise constant with 2^d distinct values
     pts = [(0.2, 0.2), (0.2, 0.8), (0.8, 0.2), (0.8, 0.8)]
-    seen = {tuple(sigma_at(UNIT2, p).signs) for p in pts}
+    seen = {tuple(row) for row in sign_matrix(UNIT2, np.array(pts))}
     assert len(seen) == 4, f"expected 4 sign patterns, saw {seen}"
-
-
-@given(
-    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=5),
-    seed=st.integers(0, 2**31 - 1),
-)
-@settings(max_examples=50, deadline=None)
-def test_apply_mirror_is_involution(signs, seed):
-    rng = np.random.default_rng(seed)
-    s = MirrorSigns(np.array(signs))
-    u = rng.uniform(-2, 2, size=len(signs))
-    np.testing.assert_array_equal(apply_mirror(s, apply_mirror(s, u)), u)
-    assert np.max(np.abs(apply_mirror(s, u))) == np.max(np.abs(u))
 
 
 @given(
@@ -157,5 +108,5 @@ def test_mirrored_window_stays_inside(d, seed, h_frac):
     assert check_mirror_condition(dom, h)
     x = rng.uniform(lo, hi)
     u = rng.uniform(0, 0.5, size=d)
-    moved = x + h * apply_mirror(sigma_at(dom, x), u)
+    moved = x + h * _signs(dom, x) * u
     assert dom.contains(moved), f"{moved} escaped {lo}..{hi} (h={h})"

@@ -11,10 +11,8 @@ import pytest
 from mirrorsobol.errors import MirrorSobolError
 from mirrorsobol.inputs import (
     Beta,
-    Custom,
     InputModel,
     Uniform,
-    density_subset,
     input_model_from_json,
     sample,
     subset_density_fn,
@@ -23,44 +21,47 @@ from mirrorsobol.inputs import (
 UNIFORM3 = InputModel((Uniform(0, 1), Uniform(0, 1), Uniform(0, 1)))
 
 
+def density_at(model, mask, x):
+    """Subset density at one point, through a one-row subset_density_fn call."""
+    return float(subset_density_fn(model, mask)(np.array([x], dtype=float))[0])
+
+
 def test_uniform_density_is_one_on_unit_interval():
-    assert density_subset(UNIFORM3, [0, 1, 2], [0.2, 0.5, 0.9]) == 1.0
+    assert density_at(UNIFORM3, [0, 1, 2], [0.2, 0.5, 0.9]) == 1.0
 
 
 def test_uniform_density_scales_with_width():
     model = InputModel((Uniform(0, 2),))
-    assert density_subset(model, [0], [1.0]) == 0.5
+    assert density_at(model, [0], [1.0]) == 0.5
 
 
 def test_beta22_density_hand_value():
     model = InputModel((Beta(2, 2),))
-    assert abs(density_subset(model, [0], [0.5]) - 1.5) < 1e-12
-
-
-def test_empty_mask_density_is_one():
-    assert density_subset(UNIFORM3, [], []) == 1.0
+    assert abs(density_at(model, [0], [0.5]) - 1.5) < 1e-12
 
 
 def test_out_of_support_density_is_zero():
-    assert density_subset(UNIFORM3, [0], [1.5]) == 0.0
-    assert density_subset(InputModel((Beta(2, 2),)), [0], [-0.1]) == 0.0
+    assert density_at(UNIFORM3, [0], [1.5]) == 0.0
+    assert density_at(InputModel((Beta(2, 2),)), [0], [-0.1]) == 0.0
 
 
 def test_density_subset_mask_validation():
+    for mask in ([], [0, 0], [3]):
+        with pytest.raises(MirrorSobolError):
+            subset_density_fn(UNIFORM3, mask)
     with pytest.raises(MirrorSobolError):
-        density_subset(UNIFORM3, [0, 0], [0.1, 0.2])
-    with pytest.raises(MirrorSobolError):
-        density_subset(UNIFORM3, [3], [0.1])
-    with pytest.raises(MirrorSobolError):
-        density_subset(UNIFORM3, [0, 1], [0.1])
+        density_at(UNIFORM3, [0, 1], [0.1])
 
 
 def test_subset_density_fn_matches_scalar_version():
+    # the whole-rows call equals one-row calls, and the hand product of pdfs:
+    # Beta(2, 2) is 6 x (1 - x), Uniform(-1, 1) is 1/2
     model = InputModel((Uniform(0, 2), Beta(2, 2), Uniform(-1, 1)))
     f = subset_density_fn(model, [1, 2])
     rows = np.array([[0.5, 0.0], [0.25, 0.5], [0.9, -0.5]])
-    want = [density_subset(model, [1, 2], r) for r in rows]
-    np.testing.assert_allclose(f(rows), want, rtol=1e-14)
+    got = f(rows)
+    np.testing.assert_array_equal(got, [density_at(model, [1, 2], r) for r in rows])
+    np.testing.assert_allclose(got, [0.75, 0.5625, 0.27], rtol=1e-14)
 
 
 def test_subset_density_fn_rejects_bad_shape():
@@ -134,19 +135,17 @@ def test_full_mask_density_integrates_to_one_uniform():
     assert abs(integral - 1.0) < 1e-6
 
 
-def test_custom_marginal_validation_and_sampling():
-    tri = Custom(
-        density=lambda x: 2.0 * np.asarray(x, float),
-        support_interval=(0.0, 1.0),
-        sampler=lambda n, rng: np.sqrt(rng.random(n)),
-    )
-    model = InputModel((tri,))
-    v = sample(model, 50_000, seed=11)
-    # mean of the triangular law on [0,1] is 2/3
-    assert abs(v.mean() - 2.0 / 3.0) < 0.005
-    assert density_subset(model, [0], [0.5]) == 1.0
-    with pytest.raises(MirrorSobolError):
-        Custom(density=lambda x: np.asarray(x, float), support_interval=(0.0, 1.0), sampler=None)
+def test_input_model_rejects_foreign_marginal():
+    # the sampler and the pilot quadrature know only Uniform and Beta; any
+    # other known density goes in as a vectorized f_x with a domain
+    class Triangular:
+        support = (0.0, 1.0)
+
+        def pdf(self, x):
+            return 2.0 * np.asarray(x, dtype=float)
+
+    with pytest.raises(MirrorSobolError, match="marginal 1 is a Triangular"):
+        InputModel((Uniform(0, 1), Triangular()))
 
 
 def test_json_roundtrip():

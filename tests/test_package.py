@@ -1,14 +1,16 @@
 """Tests that pin the package's public surface."""
 
+import dataclasses
+
 import mirrorsobol
-from mirrorsobol import bandwidth, estimator, kernels, testbed
+from mirrorsobol import bandwidth, baselines, density, domain, estimator, inputs, kernels, testbed
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in mirrorsobol.__all__ if not hasattr(mirrorsobol, name)]
     assert not missing, f"__all__ names without a binding: {missing}"
     assert len(set(mirrorsobol.__all__)) == len(mirrorsobol.__all__)
-    for module in (bandwidth, estimator, kernels, testbed):
+    for module in (bandwidth, density, domain, estimator, inputs, kernels, testbed):
         assert all(hasattr(module, name) for name in module.__all__), module.__name__
 
 
@@ -34,5 +36,13 @@ def test_removed_names_stay_removed():
         "Kernel1D",
     ):
         assert not hasattr(kernels, name), f"mirrorsobol.kernels.{name} should not exist"
+    for name in ("MirrorSigns", "sigma_at", "apply_mirror"):
+        assert not hasattr(domain, name), f"mirrorsobol.domain.{name} should not exist"
+    assert not hasattr(domain.Domain, "to_json") and not hasattr(domain.Domain, "from_json")
+    for name in ("Custom", "density_subset"):
+        assert not hasattr(inputs, name), f"mirrorsobol.inputs.{name} should not exist"
+    assert "Custom" not in mirrorsobol.__all__ and not hasattr(mirrorsobol, "Custom")
+    assert not hasattr(density.DensityEstimate, "eval")
+    assert "f_x" not in {f.name for f in dataclasses.fields(baselines.VarianceOracles)}
     # the oracle stays where the tests and studies use it
     assert "brute_force_t" in testbed.__all__

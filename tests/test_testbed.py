@@ -7,7 +7,8 @@ import pytest
 
 from mirrorsobol import testbed
 from mirrorsobol.baselines import pick_freeze_estimate
-from mirrorsobol.errors import MirrorSobolError
+from mirrorsobol.domain import Domain
+from mirrorsobol.errors import DomainViolationError, MirrorSobolError
 from mirrorsobol.estimator import FullSample, SubsetSpec
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import (
@@ -145,6 +146,20 @@ def test_brute_force_guard():
         )
     with pytest.raises(MirrorSobolError):
         brute_force_t(fs, SubsetSpec((0,)), build_kernel(0, 1), 0.2, lambda x: np.ones(len(x)))
+
+
+def test_brute_force_rejects_rows_outside_the_box():
+    # the mirror signs are defined on the box only; row 3 leaves it on the
+    # masked axis, so the oracle names it rather than summing a sign for it
+    fs = linear_model(2).draw(6, seed=2)
+    v = fs.V.copy()
+    v[3, 1] = 1.25
+    bad = FullSample(V=v, Y=fs.Y)
+    box = Domain(np.zeros(2), np.ones(2))
+    with pytest.raises(DomainViolationError, match=r"rows \[3\]"):
+        brute_force_t(bad, SubsetSpec((1,)), build_kernel(1, 1), 0.2, lambda x: np.ones(len(x)), domain=box)
+    # off the mask the row is never read
+    brute_force_t(bad, SubsetSpec((0,)), build_kernel(1, 1), 0.2, lambda x: np.ones(len(x)), domain=box)
 
 
 def test_plan_validation():
