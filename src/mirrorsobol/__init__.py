@@ -9,7 +9,6 @@ from .density import (
     DensityEstimate,
     beta_moment_estimator,
     mirror_kde,
-    plugin_mse_diagnostic,
     uniform_max_estimator,
 )
 from .domain import Domain, check_mirror_condition
@@ -45,7 +44,6 @@ __all__ = [
     "DensityEstimate",
     "beta_moment_estimator",
     "mirror_kde",
-    "plugin_mse_diagnostic",
     "uniform_max_estimator",
     "Domain",
     "check_mirror_condition",

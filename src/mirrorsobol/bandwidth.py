@@ -28,7 +28,6 @@ from .kernels import KernelD
 
 __all__ = [
     "rule_of_thumb_h0",
-    "compute_beta_single",
     "pilot_target",
     "virtual_outputs",
     "default_grid",
@@ -74,7 +73,7 @@ def rule_of_thumb_h0(sample: FullSample) -> np.ndarray:
     return stds * n ** (-1.0 / (4.0 + p))
 
 
-def compute_beta_single(sample: FullSample, i: int, h0_i: float, support=(0.0, 1.0)) -> np.ndarray:
+def _beta_single(sample: FullSample, i: int, h0_i: float, support) -> np.ndarray:
     """Off-mask mass vector for axis i: pilot kernel mass over the support.
 
     For an interval support this is exactly a difference of normal cdfs, so
@@ -177,7 +176,7 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
     u = y.copy()
     for i in range(p):
         if i not in mask:
-            u = u * compute_beta_single(sample, i, h0[i], support=marginals[i].support)
+            u = u * _beta_single(sample, i, h0[i], marginals[i].support)
     sizes = [_node_count(i, h0[i], marginals[i]) for i in mask]
     nodes = math.prod(sizes)
     if n * nodes > _WORK_BUDGET or nodes > _NODE_BUDGET:
@@ -327,7 +326,6 @@ def bandwidth_curve(
             raise BandwidthTooLargeError(f"grid entry {h} violates the mirror condition")
     if h0 is None:
         h0 = rule_of_thumb_h0(sample)
-    _pilot_inputs(sample, h0, marginals)  # checks h0 before any pilot work
     target, target_printed = pilot_target(sample, spec, h0, marginals)
     y_virtual = virtual_outputs(sample, h0, marginals)
     sample_virtual = FullSample(V=sample.V, Y=y_virtual)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
-from .estimator import _sobol_delta_variance
+from .estimator import _ratio_covariance
 
 __all__ = [
     "PickFreezeSample",
@@ -28,6 +28,7 @@ __all__ = [
     "efficient_variance_forms",
     "limiting_variance_efficient",
     "limiting_variance_nn",
+    "limiting_variance_t",
     "limiting_variance_sobol_efficient",
     "limiting_variance_sobol_plugin",
     "limiting_variance_sobol_centered",
@@ -208,17 +209,8 @@ def efficient_variance_forms(oracles: VarianceOracles) -> tuple:
 
     g1sq_mean = mom(lambda y, x: g1(x) ** 2)
     g1_4 = mom(lambda y, x: g1(x) ** 4)
-    form_two = _limiting_variance_t(oracles) - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)
+    form_two = limiting_variance_t(oracles) - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)
     return form_one, form_two
-
-
-def _limiting_variance_t(oracles: VarianceOracles) -> float:
-    """4 tau^2 = 4 Var(Y g1(X)), the limiting variance of the kernel U-statistic of t."""
-    mom = oracles.moments
-    g1 = oracles.g1
-    yg_mean = mom(lambda y, x: y * g1(x))
-    yg_sq = mom(lambda y, x: (y * g1(x)) ** 2)
-    return 4.0 * (yg_sq - yg_mean * yg_mean)
 
 
 def limiting_variance_efficient(oracles: VarianceOracles) -> float:
@@ -271,27 +263,48 @@ def limiting_variance_sobol_efficient(
     return (z_sq - z_mean * z_mean) / (var_y * var_y)
 
 
-def limiting_variance_sobol_plugin(oracles: VarianceOracles) -> float:
-    """Delta-method variance of the moment-ratio Sobol' estimator at population moments.
+def _population_ratio_covariance(oracles: VarianceOracles, shift: float) -> tuple:
+    """(Gamma, Var(S)) at population moments, the output shifted to Y - shift.
 
-    The same three-block formula used by the empirical plug-in, with every
-    moment evaluated through the oracle engine instead of from data.
+    Gamma is the covariance of the rows (2 Y_s g1_s(X), Y_s, Y_s^2) of
+    Y_s = Y - shift, g1_s = g1 - shift, and Var(S) the estimator's own
+    delta-method rule `_ratio_covariance` on it.
     """
     mom = oracles.moments
     g1 = oracles.g1
-    m = mom(lambda y, x: y)
-    e_y2 = mom(lambda y, x: y * y)
-    v = e_y2 - m * m
+    rows = (
+        lambda y, x: 2.0 * (y - shift) * (g1(x) - shift),
+        lambda y, x: y - shift,
+        lambda y, x: (y - shift) * (y - shift),
+    )
+    means = [mom(row) for row in rows]
+    gamma = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            second = mom(lambda y, x: rows[i](y, x) * rows[j](y, x))
+            gamma[i, j] = gamma[j, i] = second - means[i] * means[j]
+    m, v = means[1], gamma[1, 1]
     if v <= 0.0:
         raise DegenerateOutputError("Var(Y) must be positive")
-    t = mom(lambda y, x: y * g1(x))
-    s = (t - m * m) / v
-    var_yg = mom(lambda y, x: (y * g1(x)) ** 2) - t * t
-    cov_yg_y = mom(lambda y, x: y * y * g1(x)) - t * m
-    cov_yg_y2 = mom(lambda y, x: y**3 * g1(x)) - t * e_y2
-    cov_y_y2 = mom(lambda y, x: y**3) - m * e_y2
-    var_y2 = mom(lambda y, x: y**4) - e_y2 * e_y2
-    return _sobol_delta_variance(m, v, s, var_yg, cov_yg_y, cov_yg_y2, cov_y_y2, var_y2)
+    sobol = (0.5 * means[0] - m * m) / v
+    return gamma, float(_ratio_covariance(gamma, sobol, m, v)[0, 0])
+
+
+def limiting_variance_t(oracles: VarianceOracles) -> float:
+    """4 tau^2 = 4 Var(Y g1(X)), the limiting variance of the kernel U-statistic of t.
+
+    It is Gamma[0, 0], the variance of the influence row 2Y g1(X).
+    """
+    return float(_population_ratio_covariance(oracles, 0.0)[0][0, 0])
+
+
+def limiting_variance_sobol_plugin(oracles: VarianceOracles) -> float:
+    """Delta-method variance of the moment-ratio Sobol' estimator at population moments.
+
+    The empirical plug-in's rule, with every moment evaluated through the
+    oracle engine instead of from data.
+    """
+    return _population_ratio_covariance(oracles, 0.0)[1]
 
 
 def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:
@@ -299,16 +312,6 @@ def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:
 
     Centering Y at its mean before forming the moment ratio leaves the
     population ratio unchanged but shrinks the delta-method variance;
-    this is the limit the shipped `estimate_sobol` attains.  Evaluates
-    the plug-in formula on the shifted law of (Y - E[Y], X).
+    this is the limit the shipped `estimate_sobol` attains.
     """
-    mom = oracles.moments
-    m = mom(lambda y, x: y)
-    g1 = oracles.g1
-    g2 = oracles.g2
-    shifted = VarianceOracles(
-        g1=lambda xm: g1(xm) - m,
-        g2=lambda xm: g2(xm) - 2.0 * m * g1(xm) + m * m,
-        moments=lambda phi: mom(lambda y, xm: phi(y - m, xm)),
-    )
-    return limiting_variance_sobol_plugin(shifted)
+    return _population_ratio_covariance(oracles, oracles.moments(lambda y, x: y))[1]

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .bandwidth import bandwidth_curve
-from .baselines import _limiting_variance_t, limiting_variance_nn, limiting_variance_sobol_centered
+from .baselines import limiting_variance_nn, limiting_variance_sobol_centered, limiting_variance_t
 from .density import beta_moment_estimator, mirror_kde, uniform_max_estimator
 from .domain import Domain
 from .errors import MirrorSobolError
@@ -526,7 +526,7 @@ def _limiting_variance_cell(model, mask0, estimator: str, cache: dict):
         cache["oracles"] = variance_oracles(model, mask0)
     oracles = cache["oracles"]
     if estimator == "kernel_t":
-        return _limiting_variance_t(oracles)
+        return limiting_variance_t(oracles)
     if estimator == "kernel_sobol":
         # the shipped Sobol' estimator centers the output first
         return limiting_variance_sobol_centered(oracles)

@@ -30,7 +30,6 @@ __all__ = [
     "uniform_max_estimator",
     "beta_moment_estimator",
     "mirror_kde",
-    "plugin_mse_diagnostic",
 ]
 
 # (2 * integral of sqrt(x(1-x)) over [0,1])^{-1} = (2 * pi/8)^{-1}
@@ -189,30 +188,3 @@ def mirror_kde(
         eval_rows=eval_rows,
     )
 
-
-def plugin_mse_diagnostic(f_true_at_sample, f_hat_at_sample, h: float, n: int, d: int = 1) -> dict:
-    """Advisory report on the relative-MSE condition for density plug-ins.
-
-    Returns the empirical mean of ((f - f_hat)/f_hat)^2 together with the
-    reference rate h^d/n and their ratio.  The underlying condition is
-    asymptotic, so this is a diagnostic, not a test; coverage experiments
-    are the real check.
-    """
-    f_true = np.asarray(f_true_at_sample, dtype=float).ravel()
-    f_hat = np.asarray(f_hat_at_sample, dtype=float).ravel()
-    if f_true.shape != f_hat.shape:
-        raise MirrorSobolError("f_true and f_hat vectors must have the same length")
-    if np.any(f_hat <= 0.0):
-        raise MirrorSobolError("f_hat values must be positive")
-    if not (h > 0.0 and n >= 1 and d >= 1):
-        raise MirrorSobolError("h must be positive and n, d at least 1")
-    mse = float(np.mean(((f_true - f_hat) / f_hat) ** 2))
-    reference = float(h**d / n)
-    return {
-        "mean_squared_relative_error": mse,
-        "reference": reference,
-        "ratio": mse / reference,
-        "h": float(h),
-        "n": int(n),
-        "d": int(d),
-    }

@@ -12,11 +12,14 @@ window inside the domain.  Grouping the sum by the anchor point gives
     T = (1 / (n (n-1))) sum_a (Y_a / f_X(X_a)) G_a,
     G_a = sum_{b != a} Y_b K_h(A_{X_a}(X_b - X_a)),
 
-so one pass producing the row sums G serves the point estimate, the
-leave-one-out regression plug-in g1_hat_a = G_a / ((n-1) f_X(X_a)), and all
-variance estimates.  The Sobol' ratio, its delta-method variance, and the
-joint first-order covariance follow the plug-in formulas of the central
-limit theorem (all moments with the 1/n convention, no Bessel correction).
+so one pass producing the row sums G serves the point estimate and the
+leave-one-out regression plug-in g1_hat_a = G_a / ((n-1) f_X(X_a)).  Every
+Sobol' variance comes from one delta-method rule, `_ratio_covariance`: J' Gamma J,
+where Gamma is the covariance of the rows (2Y g1_hat, Y, Y^2) and J the
+Jacobian of the ratio S = (T - E[Y]^2) / Var(Y).  It serves `estimate_sobol`,
+the first-order sweep (one row 2Y g1_hat per axis), the total index, and,
+at population moments, the limiting variances of `baselines`.  Empirical
+moments use the 1/n convention, with no Bessel correction.
 """
 
 from __future__ import annotations
@@ -49,11 +52,8 @@ __all__ = [
     "EstimateResult",
     "default_bandwidth",
     "estimate_t",
-    "estimate_g1_loo",
     "estimate_sobol",
     "estimate_total_sobol",
-    "asymptotic_variance_t",
-    "asymptotic_variance_sobol",
     "estimate_first_order_all",
 ]
 
@@ -209,12 +209,6 @@ def _prepare(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_
 # point estimators
 
 
-def _y_row_sums(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_x, domain) -> tuple:
-    """(G, f_X(X)) with G_a = sum_{b != a} Y_b K_h(A_{X_a}(X_b - X_a)): one weight column."""
-    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
-    return window_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0], fvals
-
-
 def estimate_t(
     sample: FullSample,
     spec: SubsetSpec,
@@ -233,27 +227,14 @@ def estimate_t(
     accumulated with exact compensated summation and does not depend on the
     ordering of the sample rows.
     """
-    g, fvals = _y_row_sums(sample, spec, kernel, h, f_x, domain)
+    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
+    g = window_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0]
     n = sample.n
     return math.fsum((sample.Y / fvals) * g) / (n * (n - 1))
 
 
-def estimate_g1_loo(
-    sample: FullSample,
-    spec: SubsetSpec,
-    kernel: KernelD,
-    h: float,
-    f_x: Union[Callable, InputModel],
-    *,
-    domain: Optional[Domain] = None,
-) -> np.ndarray:
-    """Leave-one-out regression plug-in g1_hat(X_a) = G_a / ((n-1) f_X(X_a))."""
-    g, fvals = _y_row_sums(sample, spec, kernel, h, f_x, domain)
-    return g / ((sample.n - 1) * fvals)
-
-
 # --------------------------------------------------------------------------
-# variances and confidence intervals
+# the delta-method rule and confidence intervals
 
 
 def _variance(v: np.ndarray) -> float:
@@ -261,55 +242,23 @@ def _variance(v: np.ndarray) -> float:
     return max(0.0, float(np.mean(v * v) - np.mean(v) ** 2))
 
 
-def _covariance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean(a * b) - np.mean(a) * np.mean(b))
+def _empirical_covariance(rows: np.ndarray) -> np.ndarray:
+    """Covariance matrix of the rows of a (k, n) array, 1/n convention."""
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    return (centered @ centered.T) / rows.shape[1]
 
 
-def asymptotic_variance_t(sample: FullSample, g1_hat: np.ndarray) -> float:
-    """CLT variance 4 tau^2 of T, with tau^2 = Var(Y g1(X)) evaluated as a plug-in."""
-    g1_hat = np.asarray(g1_hat, dtype=float)
-    if not np.all(np.isfinite(g1_hat)):
-        raise MirrorSobolError("g1_hat contains non-finite values")
-    return 4.0 * _variance(sample.Y * g1_hat)
+def _ratio_covariance(gamma: np.ndarray, sobol, m: float, v: float) -> np.ndarray:
+    """J' Gamma J, the delta-method covariance of q ratios S_i = (T_i - m^2) / v.
 
-
-def asymptotic_variance_sobol(sample: FullSample, g1_hat: np.ndarray) -> float:
-    """Delta-method variance of the Sobol' ratio, every moment replaced empirically.
-
-    Uses the closed form in Var(Yg1), Cov(Yg1, Y), Cov(Yg1, Y^2), Var(Y),
-    Var(Y^2), Cov(Y, Y^2), E[Y], with the index itself replaced by its
-    plug-in estimate mean(Y g1_hat) via the pairwise identity.
+    Gamma is the covariance of (2Y g1^(1), ..., 2Y g1^(q), Y, Y^2); the row
+    2Y g1^(i) is the influence of the U-statistic T_i, so J holds 1/v for
+    T_i, 2m(S_i - 1)/v for E[Y] and -S_i/v for E[Y^2].  m = E[Y] and
+    v = Var(Y), empirical or population alike.
     """
-    y = sample.Y
-    g1_hat = np.asarray(g1_hat, dtype=float)
-    yg = y * g1_hat
-    y2 = y * y
-    m = float(np.mean(y))
-    v = _variance(y)
-    if v <= 0.0:
-        raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-    t_hat = float(np.mean(yg))
-    s = (t_hat - m * m) / v
-    var_yg = _variance(yg)
-    cov_yg_y = _covariance(yg, y)
-    cov_yg_y2 = _covariance(yg, y2)
-    cov_y_y2 = _covariance(y, y2)
-    var_y2 = _variance(y2)
-    # the three blocks form a quadratic form in a covariance matrix, so any
-    # negative value can only be rounding noise
-    return max(0.0, _sobol_delta_variance(m, v, s, var_yg, cov_yg_y, cov_yg_y2, cov_y_y2, var_y2))
-
-
-def _sobol_delta_variance(m, v, s, var_yg, cov_yg_y, cov_yg_y2, cov_y_y2, var_y2) -> float:
-    """Delta-method variance of S = (E[Y g1] - E[Y]^2) / Var(Y) from the moments of (Y g1, Y, Y^2).
-
-    m = E[Y], v = Var(Y) and s the index; the other arguments are the
-    (co)variances of Y g1(X), Y and Y^2 that their names spell out.
-    """
-    block1 = 4.0 * (var_yg - 2.0 * cov_yg_y * m + m * m * v)
-    block2 = 4.0 * s * (2.0 * cov_yg_y * m - cov_yg_y2 - 2.0 * m * m * v + m * cov_y_y2)
-    block3 = s * s * (4.0 * m * m * v - 4.0 * m * cov_y_y2 + var_y2)
-    return (block1 + block2 + block3) / (v * v)
+    sobol = np.atleast_1d(np.asarray(sobol, dtype=float))
+    jac = np.vstack([np.eye(sobol.size), 2.0 * m * (sobol - 1.0), -sobol]) / v
+    return jac.T @ gamma @ jac
 
 
 def _normal_ci(center: float, var: float, n: int, level: float) -> tuple:
@@ -319,10 +268,11 @@ def _normal_ci(center: float, var: float, n: int, level: float) -> tuple:
 
 
 def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_x, domain, ci_level: float):
-    """The estimation core behind every index function: (EstimateResult, g1_c).
+    """The estimation core behind every index function: (EstimateResult, influence).
 
-    g1_c is the leave-one-out regression plug-in of the centered outputs
-    Y - Ybar, which the first-order sweep needs for its joint covariance.
+    influence is the row 2 Y_c g1_c of the centered outputs Y_c = Y - Ybar
+    and their leave-one-out plug-in, which the first-order sweep stacks for
+    its joint covariance.
     """
     if not (0.0 < ci_level < 1.0):
         raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
@@ -339,11 +289,13 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
     t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
     t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
     sobol = t_centered / s2
-    g1_c = g_c / ((n - 1) * fvals)
-    var_t = asymptotic_variance_t(sample, g / ((n - 1) * fvals))
-    # the variance of the centered ratio is the same delta-method formula
-    # evaluated on the centered sample (its mean term is zero by construction)
-    var_sobol = asymptotic_variance_sobol(FullSample(V=sample.V, Y=y_c), g1_c)
+    # 2 Y g1 is exactly twice Y g1, so var_t is 4 Var(Y g1)
+    var_t = _variance(2.0 * y * (g / ((n - 1) * fvals)))
+    influence = 2.0 * y_c * (g_c / ((n - 1) * fvals))
+    rows = np.stack([influence, y_c, y_c * y_c])
+    # a quadratic form in a covariance matrix: a negative value is rounding noise
+    rule = _ratio_covariance(_empirical_covariance(rows), sobol, float(np.mean(y_c)), _variance(y_c))
+    var_sobol = max(0.0, float(rule[0, 0]))
     result = EstimateResult(
         t_hat=t_hat,
         sobol=sobol,
@@ -354,7 +306,7 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
         n_used=n,
         h_used=float(h),
     )
-    return result, g1_c
+    return result, influence
 
 
 def estimate_sobol(
@@ -418,10 +370,10 @@ def estimate_first_order_all(
 
     Returns (results, Sigma): per-axis EstimateResult list, each equal to
     estimate_sobol on that axis, and the p x p delta-method covariance
-    J' Gamma J, where Gamma is the empirical covariance of
-    (2 Y g1_hat^(1), ..., 2 Y g1_hat^(p), Y, Y^2) and J the Jacobian of the
-    p-fold ratio map at the empirical moments.  The diagonal of Sigma
-    reproduces each per-axis variance exactly.
+    J' Gamma J from `_ratio_covariance`, where Gamma is the empirical
+    covariance of the centered rows (2 Y g1_hat^(1), ..., 2 Y g1_hat^(p), Y, Y^2).
+    The per-axis variances come from the same rule on the same rows, so the
+    diagonal of Sigma reproduces them.
     """
     if kernel.dim != 1:
         raise MirrorSobolError("first-order sweep needs a 1-dimensional kernel")
@@ -430,19 +382,10 @@ def estimate_first_order_all(
     results = []
     rows = np.empty((p + 2, sample.n))
     for i in range(p):
-        res, g1_c = _estimate(sample, SubsetSpec((i,)), kernel, h, model, None, ci_level)
+        res, rows[i] = _estimate(sample, SubsetSpec((i,)), kernel, h, model, None, ci_level)
         results.append(res)
-        rows[i] = 2.0 * y_c * g1_c
     rows[p] = y_c
     rows[p + 1] = y_c * y_c
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    gamma = (centered @ centered.T) / sample.n
-    v = _variance(sample.Y)
-    m_c = float(np.mean(y_c))  # zero up to rounding; kept in the Jacobian for exactness
-    jac = np.zeros((p + 2, p))
-    for i, res in enumerate(results):
-        jac[i, i] = 1.0 / v
-        jac[p, i] = 2.0 * m_c * (res.sobol - 1.0) / v
-        jac[p + 1, i] = -res.sobol / v
-    sigma = jac.T @ gamma @ jac
+    sobol = np.array([res.sobol for res in results])
+    sigma = _ratio_covariance(_empirical_covariance(rows), sobol, float(np.mean(y_c)), _variance(y_c))
     return results, sigma

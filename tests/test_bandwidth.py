@@ -13,7 +13,6 @@ from mirrorsobol import bandwidth
 from mirrorsobol.bandwidth import (
     H0_FLOOR,
     bandwidth_curve,
-    compute_beta_single,
     default_grid,
     pilot_target,
     rule_of_thumb_h0,
@@ -111,7 +110,7 @@ def _oracle_tables(sample, mask, h0, marginals):
         if i in mask:
             pair.append(_pair_table(sample.V[:, i], max(h0[i], H0_FLOOR), marg))
         else:
-            single.append(compute_beta_single(sample, i, h0[i], support=marg.support))
+            single.append(bandwidth._beta_single(sample, i, h0[i], marg.support))
     return pair, single
 
 
@@ -197,12 +196,12 @@ def test_beta_pair_symmetric_nonnegative():
 def test_beta_single_values():
     v = np.column_stack([np.array([0.5, 0.0, 0.9])])
     s = FullSample(V=v, Y=np.ones(3))
-    out = compute_beta_single(s, 0, 0.05)
+    out = bandwidth._beta_single(s, 0, 0.05, (0.0, 1.0))
     assert abs(out[0] - 1.0) < 1e-12, f"interior mass {out[0]}"
     assert out[1] == pytest.approx(norm.cdf(1.0 / 0.05) - 0.5, rel=1e-14)
     assert np.all(out <= 1.0) and np.all(out > 0.0)
     # interior mass increases toward 1 as h0 shrinks
-    wide = compute_beta_single(s, 0, 0.3)
+    wide = bandwidth._beta_single(s, 0, 0.3, (0.0, 1.0))
     assert wide[0] < out[0]
 
 
@@ -442,7 +441,8 @@ def test_curve_checks_h0_and_grid_before_pilot_work(monkeypatch):
     def pilot(*args, **kwargs):
         raise _PilotCalled
 
-    monkeypatch.setattr(bandwidth, "pilot_target", pilot)
+    # pilot_target checks h0 first; its pilot work starts with the node count
+    monkeypatch.setattr(bandwidth, "_node_count", pilot)
     s = _sample(60, 1, seed=21)
     f_x = lambda x: np.ones(x.shape[0])
     curve = lambda **kw: bandwidth_curve(s, SubsetSpec(mask=(0,)), build_kernel(1, 1), f_x, **kw)

@@ -10,7 +10,6 @@ from mirrorsobol.density import (
     FALLBACK_ETA,
     beta_moment_estimator,
     mirror_kde,
-    plugin_mse_diagnostic,
     uniform_max_estimator,
 )
 from mirrorsobol.domain import Domain, sign_matrix
@@ -313,50 +312,3 @@ def test_estimator_accepts_mirror_kde_plugin():
     t_plug = estimate_t(sample, spec, kern, 0.15, f_hat, domain=UNIT)
     assert t_plug == estimate_t(sample, spec, kern, 0.15, f_hat.eval_rows, domain=UNIT)
     assert abs(t_plug - t_exact) < 0.12, f"plug-in t {t_plug} vs exact-density t {t_exact}"
-
-
-# ------------------------------------------------------------------
-# relative-MSE diagnostic
-# ------------------------------------------------------------------
-
-
-def test_plugin_mse_diagnostic_zero_when_exact():
-    f = np.full(50, 1.7)
-    rep = plugin_mse_diagnostic(f, f, h=0.1, n=1000)
-    assert rep["mean_squared_relative_error"] == 0.0
-    assert rep["ratio"] == 0.0
-    assert rep["reference"] == pytest.approx(0.1 / 1000)
-    assert set(rep) == {"mean_squared_relative_error", "reference", "ratio", "h", "n", "d"}
-
-
-def test_plugin_mse_diagnostic_uniform_endpoint():
-    # uniform endpoint plug-in at n = 1e4, h = n^{-0.4}: the relative MSE is
-    # (theta_hat - theta)^2 / theta^2, far below h/n
-    n = 10_000
-    h = n ** (-0.4)
-    rng = np.random.default_rng(8)
-    reps = 400
-    mses = np.empty(reps)
-    for r in range(reps):
-        theta_hat = rng.random(n).max()
-        rep = plugin_mse_diagnostic(np.ones(32), np.full(32, 1.0 / theta_hat), h=h, n=n)
-        mses[r] = rep["mean_squared_relative_error"]
-    mean_mse = mses.mean()
-    want = 2.0 / ((n + 1) * (n + 2))
-    assert want / 3 <= mean_mse <= 3 * want, f"mean MSE {mean_mse:.3e} vs {want:.3e}"
-    assert mean_mse <= 0.1 * h / n, f"not small next to h/n: {mean_mse:.3e} vs {h / n:.3e}"
-
-
-def test_plugin_mse_diagnostic_monotone_and_validation():
-    f = np.ones(20)
-    small = plugin_mse_diagnostic(f * 1.01, f, h=0.1, n=100)
-    large = plugin_mse_diagnostic(f * 1.10, f, h=0.1, n=100)
-    assert large["mean_squared_relative_error"] > small["mean_squared_relative_error"]
-    rep3 = plugin_mse_diagnostic(f, f * 0.9, h=0.2, n=50, d=3)
-    assert rep3["reference"] == pytest.approx(0.2**3 / 50)
-    with pytest.raises(MirrorSobolError):
-        plugin_mse_diagnostic(np.ones(3), np.ones(4), h=0.1, n=10)
-    with pytest.raises(MirrorSobolError):
-        plugin_mse_diagnostic(np.ones(3), np.zeros(3), h=0.1, n=10)
-    with pytest.raises(MirrorSobolError):
-        plugin_mse_diagnostic(np.ones(3), np.ones(3), h=-0.1, n=10)

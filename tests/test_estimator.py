@@ -25,16 +25,15 @@ from mirrorsobol.errors import (
 from mirrorsobol.estimator import (
     FullSample,
     SubsetSpec,
-    asymptotic_variance_sobol,
-    asymptotic_variance_t,
+    _empirical_covariance,
+    _ratio_covariance,
     default_bandwidth,
     estimate_first_order_all,
-    estimate_g1_loo,
     estimate_sobol,
     estimate_t,
     estimate_total_sobol,
 )
-from mirrorsobol.inputs import InputModel, Uniform
+from mirrorsobol.inputs import InputModel, Uniform, subset_density_fn
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import (
     brute_force_t,
@@ -47,6 +46,21 @@ from mirrorsobol.testbed import (
 UNIT1 = InputModel((Uniform(0.0, 1.0),))
 UNIT2 = InputModel((Uniform(0.0, 1.0), Uniform(0.0, 1.0)))
 UNIT3 = InputModel((Uniform(0.0, 1.0),) * 3)
+
+
+def _g1_loo(fs, spec, kernel, h, model):
+    """Leave-one-out plug-in g1_hat_a = G_a / ((n-1) f_X(X_a)) from the window row sums."""
+    xm = fs.V[:, spec.mask]
+    g = window_sums(xm, fs.Y[:, None], kernel, h, model.domain.subdomain(spec.mask))[:, 0]
+    return g / ((fs.n - 1) * subset_density_fn(model, spec.mask)(xm))
+
+
+def _sobol_variance(y, g1):
+    """Delta-method variance of the plug-in ratio (mean(Y g1) - Ybar^2) / Var(Y)."""
+    m, v = float(np.mean(y)), float(np.var(y))
+    sobol = (float(np.mean(y * g1)) - m * m) / v
+    gamma = _empirical_covariance(np.stack([2.0 * y * g1, y, y * y]))
+    return float(_ratio_covariance(gamma, sobol, m, v)[0, 0])
 
 
 def test_hand_case_n2():
@@ -64,7 +78,7 @@ def test_hand_case_n3_g1_loo():
     fs = FullSample(V=np.array([[0.1], [0.2], [0.9]]), Y=np.array([1.0, 2.0, 3.0]))
     spec = SubsetSpec((0,))
     k = build_kernel(0, 1)
-    g1 = estimate_g1_loo(fs, spec, k, 0.4, UNIT1)
+    g1 = _g1_loo(fs, spec, k, 0.4, UNIT1)
     assert np.allclose(g1, [5.0, 0.0, 0.0], atol=1e-12), f"g1_loo mismatch: {g1}"
     t = estimate_t(fs, spec, k, 0.4, UNIT1)
     assert abs(t - 5.0 / 3.0) < 1e-13, f"hand-computed n=3 value is 5/3, got {t}"
@@ -76,7 +90,7 @@ def test_grouped_identity_t_equals_mean_y_g1():
     spec = SubsetSpec((2,))
     k = build_kernel(2, 1)
     t = estimate_t(fs, spec, k, 0.2, m.input_model)
-    g1 = estimate_g1_loo(fs, spec, k, 0.2, m.input_model)
+    g1 = _g1_loo(fs, spec, k, 0.2, m.input_model)
     t2 = float(np.mean(fs.Y * g1))
     assert abs(t - t2) <= 1e-12 * abs(t), f"grouped identity broken: {t} vs {t2}"
 
@@ -475,9 +489,9 @@ def test_g1_loo_constant_and_zero_output():
     rng = np.random.default_rng(8)
     v = rng.random((2000, 1))
     k = build_kernel(1, 1)
-    ones = estimate_g1_loo(FullSample(V=v, Y=np.ones(2000)), SubsetSpec((0,)), k, 0.2, UNIT1)
+    ones = _g1_loo(FullSample(V=v, Y=np.ones(2000)), SubsetSpec((0,)), k, 0.2, UNIT1)
     assert abs(ones.mean() - 1.0) < 0.05, f"g1_loo of Y=1 should average near 1, got {ones.mean()}"
-    zeros = estimate_g1_loo(FullSample(V=v, Y=np.zeros(2000)), SubsetSpec((0,)), k, 0.2, UNIT1)
+    zeros = _g1_loo(FullSample(V=v, Y=np.zeros(2000)), SubsetSpec((0,)), k, 0.2, UNIT1)
     assert np.all(zeros == 0.0), "g1_loo of Y=0 must be identically zero"
 
 
@@ -486,16 +500,16 @@ def test_g1_loo_constant_and_zero_output():
 
 
 def test_variance_t_zero_output():
+    # k=0, h=0.2: no point lies in another's mirrored window [x, x +- 0.1], so g1 = 0
     fs = FullSample(V=np.array([[0.1], [0.6], [0.9]]), Y=np.array([1.0, 2.0, 3.0]))
-    assert asymptotic_variance_t(fs, np.zeros(3)) == 0.0
+    assert estimate_sobol(fs, SubsetSpec((0,)), build_kernel(0, 1), 0.2, UNIT1).var_t == 0.0
 
 
 def test_variance_t_scaling():
     m = linear_model(2)
     fs = m.draw(500, seed=7)
-    g1 = estimate_g1_loo(fs, SubsetSpec((0,)), build_kernel(1, 1), 0.25, m.input_model)
-    v1 = asymptotic_variance_t(fs, g1)
-    v2 = asymptotic_variance_t(FullSample(V=fs.V, Y=2.0 * fs.Y), 2.0 * g1)
+    v1 = estimate_sobol(fs, SubsetSpec((0,)), build_kernel(1, 1), 0.25, m.input_model).var_t
+    v2 = estimate_sobol(FullSample(V=fs.V, Y=2.0 * fs.Y), SubsetSpec((0,)), build_kernel(1, 1), 0.25, m.input_model).var_t
     assert abs(v2 - 16.0 * v1) <= 1e-10 * v1, f"doubling Y must scale 4*Var(Yg1) by 16: {v2} vs {16 * v1}"
 
 
@@ -505,8 +519,7 @@ def test_variance_t_linear_p2_oracle():
     # = 103/240, so 4 tau^2 = 103/60.
     m = linear_model(2)
     fs = m.draw(10_000, seed=12)
-    g1 = estimate_g1_loo(fs, SubsetSpec((0,)), build_kernel(1, 1), 0.3, m.input_model)
-    value = asymptotic_variance_t(fs, g1)
+    value = estimate_sobol(fs, SubsetSpec((0,)), build_kernel(1, 1), 0.3, m.input_model).var_t
     truth = 103.0 / 60.0
     assert abs(value - truth) <= 0.10 * truth, f"plug-in 4*tau^2 {value} not within 10% of {truth}"
 
@@ -518,7 +531,7 @@ def test_variance_sobol_linear_p3_oracle():
     m = linear_model(3)
     fs = m.draw(20_000, seed=31)
     g1_true = m.g1((1,), fs.V[:, [1]])
-    value = asymptotic_variance_sobol(fs, g1_true)
+    value = _sobol_variance(fs.Y, g1_true)
     truth = 12.7111
     assert abs(value - truth) <= 0.10 * truth, f"sigma^2 plug-in {value} not within 10% of {truth}"
 
@@ -529,8 +542,8 @@ def test_variance_sobol_reduces_to_first_block_when_independent():
     v = rng.random((20_000, 2))
     y = np.sin(6.0 * v[:, 1]) + 0.3 * rng.normal(size=20_000)
     fs = FullSample(V=v, Y=y)
-    g1 = estimate_g1_loo(fs, SubsetSpec((0,)), build_kernel(1, 1), 0.3, UNIT2)
-    full = asymptotic_variance_sobol(fs, g1)
+    g1 = _g1_loo(fs, SubsetSpec((0,)), build_kernel(1, 1), 0.3, UNIT2)
+    full = _sobol_variance(y, g1)
     yg = y * g1
     mm, vv = y.mean(), y.var()
     block1 = 4.0 * (yg.var() - 2.0 * np.mean((yg - yg.mean()) * (y - mm)) * mm + mm * mm * vv) / vv**2
@@ -540,17 +553,63 @@ def test_variance_sobol_reduces_to_first_block_when_independent():
 def test_variance_sobol_relabeling_invariance():
     m = curved_model()
     fs = m.draw(300, seed=6)
-    g1 = estimate_g1_loo(fs, SubsetSpec((0,)), build_kernel(1, 1), 0.3, m.input_model)
-    base = asymptotic_variance_sobol(fs, g1)
+    g1 = _g1_loo(fs, SubsetSpec((0,)), build_kernel(1, 1), 0.3, m.input_model)
+    base = _sobol_variance(fs.Y, g1)
     perm = np.random.default_rng(0).permutation(300)
-    permuted = asymptotic_variance_sobol(FullSample(V=fs.V[perm], Y=fs.Y[perm]), g1[perm])
+    permuted = _sobol_variance(fs.Y[perm], g1[perm])
     assert abs(base - permuted) <= 1e-10 * base, f"row relabeling changed sigma^2: {base} vs {permuted}"
 
 
 def test_variance_sobol_degenerate_output():
+    # the sweep's joint covariance has no rule for a constant output either
     fs = FullSample(V=np.array([[0.1], [0.5], [0.9]]), Y=np.full(3, 2.0))
     with pytest.raises(DegenerateOutputError):
-        asymptotic_variance_sobol(fs, np.ones(3))
+        estimate_first_order_all(fs, build_kernel(1, 1), 0.2, UNIT1)
+
+
+def _three_block_variance(m, v, s, var_yg, cov_yg_y, cov_yg_y2, cov_y_y2, var_y2):
+    """Closed form of the delta-method variance of S = (E[Y g1] - E[Y]^2) / Var(Y).
+
+    m = E[Y], v = Var(Y), s the index; the rest are the (co)variances of
+    Y g1, Y and Y^2 that their names spell out.
+    """
+    block1 = 4.0 * (var_yg - 2.0 * cov_yg_y * m + m * m * v)
+    block2 = 4.0 * s * (2.0 * cov_yg_y * m - cov_yg_y2 - 2.0 * m * m * v + m * cov_y_y2)
+    block3 = s * s * (4.0 * m * m * v - 4.0 * m * cov_y_y2 + var_y2)
+    return (block1 + block2 + block3) / (v * v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=80),
+    mean=st.floats(min_value=-5.0, max_value=5.0).filter(lambda x: abs(x) >= 0.1),
+    coupling=st.floats(min_value=-2.0, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ratio_covariance_matches_three_block_form(n, mean, coupling, seed):
+    rng = np.random.default_rng(seed)
+    y = mean + rng.normal(size=n)
+    g1s = coupling * y + rng.normal(size=(3, n))
+    m, v = float(np.mean(y)), float(np.var(y))
+    singles = []
+    for g1 in g1s:
+        yg = y * g1
+        s = (float(np.mean(yg)) - m * m) / v
+        gamma = _empirical_covariance(np.stack([2.0 * yg, y, y * y]))
+        rule = float(_ratio_covariance(gamma, s, m, v)[0, 0])
+        cov = np.cov(np.stack([yg, y, y * y]), bias=True)
+        oracle = _three_block_variance(m, v, s, cov[0, 0], cov[0, 1], cov[0, 2], cov[1, 2], cov[2, 2])
+        # relative to the rounding scale |J|' |Gamma| |J| of the quadratic form:
+        # at n = 4 with a nearly constant Y (S ~ -500) both forms cancel 5 digits
+        jac = np.abs(np.array([1.0, 2.0 * m * (s - 1.0), -s]) / v)
+        assert abs(rule - oracle) <= 1e-12 * float(jac @ np.abs(gamma) @ jac), (rule, oracle)
+        singles.append((rule, s))
+    # q = 3: the joint rule's diagonal is the three single-ratio rules
+    sobol = np.array([s for _, s in singles])
+    joint = _ratio_covariance(_empirical_covariance(np.vstack([2.0 * y * g1s, y, y * y])), sobol, m, v)
+    assert joint.shape == (3, 3)
+    for i, (rule, _) in enumerate(singles):
+        assert abs(joint[i, i] - rule) <= 1e-13 * abs(rule), (i, joint[i, i], rule)
 
 
 # ---------------------------------------------------------------------------

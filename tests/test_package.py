@@ -10,7 +10,7 @@ def test_every_exported_name_resolves():
     missing = [name for name in mirrorsobol.__all__ if not hasattr(mirrorsobol, name)]
     assert not missing, f"__all__ names without a binding: {missing}"
     assert len(set(mirrorsobol.__all__)) == len(mirrorsobol.__all__)
-    for module in (bandwidth, density, domain, estimator, inputs, kernels, testbed):
+    for module in (bandwidth, baselines, density, domain, estimator, inputs, kernels, testbed):
         assert all(hasattr(module, name) for name in module.__all__), module.__name__
 
 
@@ -44,5 +44,18 @@ def test_removed_names_stay_removed():
     assert "Custom" not in mirrorsobol.__all__ and not hasattr(mirrorsobol, "Custom")
     assert not hasattr(density.DensityEstimate, "eval")
     assert "f_x" not in {f.name for f in dataclasses.fields(baselines.VarianceOracles)}
+    for module, name in (
+        (estimator, "asymptotic_variance_t"),
+        (estimator, "asymptotic_variance_sobol"),
+        (estimator, "_sobol_delta_variance"),
+        (estimator, "_covariance"),
+        (estimator, "estimate_g1_loo"),
+        (estimator, "_y_row_sums"),
+        (density, "plugin_mse_diagnostic"),
+        (bandwidth, "compute_beta_single"),
+        (baselines, "_limiting_variance_t"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name} should not exist"
+        assert not hasattr(mirrorsobol, name), f"mirrorsobol.{name} should not exist"
     # the oracle stays where the tests and studies use it
     assert "brute_force_t" in testbed.__all__
