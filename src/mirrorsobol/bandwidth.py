@@ -255,8 +255,8 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     return (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
 
 
-def default_grid(n: int, d: int, domain: Domain) -> np.ndarray:
-    """Log-spaced candidate bandwidths from (0.05 n)^(-1/d) up to the mirror limit.
+def default_grid(n: int, domain: Domain) -> np.ndarray:
+    """Log-spaced candidate bandwidths from (0.05 n)^(-1/d) up to the mirror limit, d = domain.dim.
 
     The lower endpoint keeps every candidate above the pair-informative
     threshold n^(-1/d) / 20^(1/d); below roughly n^(-1/d) the pair windows
@@ -264,7 +264,7 @@ def default_grid(n: int, d: int, domain: Domain) -> np.ndarray:
     """
     widths = domain.upper - domain.lower
     hi = float(widths.min())
-    lo = (0.05 * n) ** (-1.0 / d)
+    lo = (0.05 * n) ** (-1.0 / domain.dim)
     if lo >= hi:
         lo = hi / 100.0
     return np.geomspace(lo, hi, _GRID_SIZE)
@@ -297,24 +297,23 @@ def bandwidth_curve(
     the mirror condition.
 
     When f_x is an InputModel it stands in for a missing input_model.  The
-    domain defaults to the input model's box, else the unit cube.  The pilot
-    marginals, for both the target and the virtual outputs' density f_V, are
-    those of the input model, or uniform on the domain when there is none.
+    domain defaults to the input model's box; without an input model it is
+    required.  The pilot marginals, for both the target and the virtual
+    outputs' density f_V, are those of the input model, or uniform on the
+    domain when there is none.
     """
     if input_model is None and isinstance(f_x, InputModel):
         input_model = f_x
     if domain is None:
-        if input_model is not None:
-            domain = input_model.domain
-        else:
-            p = sample.V.shape[1]
-            domain = Domain(np.zeros(p), np.ones(p))
+        if input_model is None:
+            raise MirrorSobolError("a domain is required when f_x is not an InputModel")
+        domain = input_model.domain
     if input_model is not None:
         marginals = input_model.marginals
     else:
         marginals = tuple(Uniform(lo, hi) for lo, hi in zip(domain.lower, domain.upper))
     sub = domain.subdomain(spec.mask)
-    grid = default_grid(sample.n, spec.d, sub) if grid is None else np.asarray(grid, dtype=float).ravel()
+    grid = default_grid(sample.n, sub) if grid is None else np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise MirrorSobolError("the candidate grid is empty")
     if not np.all(np.isfinite(grid) & (grid > 0)):

@@ -335,8 +335,8 @@ def _load_input(config: RunConfig) -> tuple:
         if input_model is not None and input_model.p != fs.p:
             raise ConfigError("marginals", f"marginals describe {input_model.p} inputs but the CSV has {fs.p}")
     spec = SubsetSpec(_mask0(config, fs.p))
-    kernel = build_kernel(config.kernel_order, spec.d)
-    return (fs, spec, kernel, input_model) + _setup_density(config, fs, spec.mask, input_model)
+    kernel = build_kernel(config.kernel_order)
+    return (fs, spec, kernel, input_model) + _setup_density(config, fs, spec.mask, kernel, input_model)
 
 
 def _mask0(config: RunConfig, p: int) -> tuple:
@@ -357,7 +357,7 @@ def _override_axis(domain: Domain, axis: int, lo: float, hi: float) -> Domain:
     return Domain(lower, upper)
 
 
-def _setup_density(config: RunConfig, fs: FullSample, mask0: tuple, input_model):
+def _setup_density(config: RunConfig, fs: FullSample, mask0: tuple, kernel, input_model):
     """Returns (f_x, full-p domain, density info dict for the artifact)."""
     kind, params = _parse_density_spec(config.density)
     d = len(mask0)
@@ -387,13 +387,7 @@ def _setup_density(config: RunConfig, fs: FullSample, mask0: tuple, input_model)
         pts = draw_inputs(input_model, m, config.seed, stream=_AUX_STREAM)[:, mask0]
     else:
         pts = fs.V[:, mask0]
-    est = mirror_kde(
-        pts,
-        build_kernel(config.kernel_order, d),
-        h_kde=params.get("h"),
-        eta=params["eta"],
-        domain=domain.subdomain(mask0),
-    )
+    est = mirror_kde(pts, kernel, h_kde=params.get("h"), eta=params["eta"], domain=domain.subdomain(mask0))
     return est.eval_rows, domain, {"kind": est.kind, "params": est.params}
 
 

@@ -44,7 +44,6 @@ class DensityEstimate:
 
     kind: str
     params: dict
-    floor: float
     eval_rows: Callable[[np.ndarray], np.ndarray]
 
 
@@ -77,9 +76,7 @@ def uniform_max_estimator(aux) -> DensityEstimate:
             )
         return np.full(x.shape[0], level)
 
-    return DensityEstimate(
-        kind="uniform_max", params={"theta_hat": theta_hat}, floor=level, eval_rows=eval_rows
-    )
+    return DensityEstimate(kind="uniform_max", params={"theta_hat": theta_hat}, eval_rows=eval_rows)
 
 
 def beta_moment_estimator(aux, b: float) -> DensityEstimate:
@@ -125,7 +122,6 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
     return DensityEstimate(
         kind="beta_moment",
         params={"a_hat": a_hat, "b": float(b), "eta": FALLBACK_ETA, "fallback": fallback},
-        floor=FALLBACK_ETA if fallback else _NOMINAL_FLOOR,
         eval_rows=eval_rows,
     )
 
@@ -134,8 +130,8 @@ def mirror_kde(
     aux,
     kernel: KernelD,
     h_kde: Optional[float] = None,
-    eta: Optional[float] = None,
     *,
+    eta: float,
     domain: Domain,
 ) -> DensityEstimate:
     """Mirror-corrected kernel density estimate floored at eta/2.
@@ -145,8 +141,6 @@ def mirror_kde(
     defaults to m^(-1/(2k+d)) for an order-k kernel in dimension d.  Because
     of the flooring the estimate need not integrate to one.
     """
-    if eta is None:
-        raise MirrorSobolError("mirror_kde requires eta, the known lower bound on the density")
     if not (np.isfinite(eta) and eta > 0.0):
         raise MirrorSobolError(f"eta must be a positive real, got {eta}")
     pts = np.asarray(aux, dtype=float)
@@ -157,8 +151,6 @@ def mirror_kde(
     m, d = pts.shape
     if domain.dim != d:
         raise MirrorSobolError(f"domain is {domain.dim}-d but the auxiliary sample is {d}-d")
-    if kernel.dim != d:
-        raise MirrorSobolError(f"kernel is {kernel.dim}-d but the auxiliary sample is {d}-d")
     if not np.all(domain.contains(pts)):
         raise DomainViolationError("auxiliary sample leaves the stated domain")
     if h_kde is None:
@@ -184,7 +176,6 @@ def mirror_kde(
     return DensityEstimate(
         kind="mirror_kde",
         params={"h_kde": h_kde, "eta": float(eta), "m": m},
-        floor=floor,
         eval_rows=eval_rows,
     )
 

@@ -110,10 +110,6 @@ class SubsetSpec:
             raise MirrorSobolError(f"subset mask {idx} must use 0-based nonnegative axes")
         object.__setattr__(self, "mask", idx)
 
-    @property
-    def d(self) -> int:
-        return len(self.mask)
-
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -141,13 +137,14 @@ class EstimateResult:
         }
 
 
-def default_bandwidth(n: int, k: int, d: int, domain: Domain) -> float:
-    """Default rate h = c n^{-gamma}, gamma the midpoint of (1/(2k), 1/d).
+def default_bandwidth(n: int, k: int, domain: Domain) -> float:
+    """Default rate h = c n^{-gamma}, gamma the midpoint of (1/(2k), 1/d), d = domain.dim.
 
     The admissible window requires k > d/2; outside it no rate satisfies the
     central limit theorem conditions and an error is raised.  The constant c
     is the smallest axis width, so the mirror condition holds automatically.
     """
+    d = domain.dim
     if 2 * k <= d:
         raise MirrorSobolError(
             f"kernel order {k} is too small for dimension {d}: the admissible "
@@ -172,12 +169,10 @@ def _resolve_density(f_x, spec: SubsetSpec, domain: Optional[Domain]):
     return getattr(f_x, "eval_rows", f_x), domain
 
 
-def _prepare(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f_x, domain):
+def _prepare(sample: FullSample, spec: SubsetSpec, h: float, f_x, domain):
     f_fn, dom = _resolve_density(f_x, spec, domain)
     if max(spec.mask) >= sample.p:
         raise MirrorSobolError(f"mask {spec.mask} out of range for {sample.p} inputs")
-    if kernel.dim != spec.d:
-        raise MirrorSobolError(f"kernel dimension {kernel.dim} does not match mask size {spec.d}")
     if dom.dim != sample.p:
         raise MirrorSobolError(
             f"domain dimension {dom.dim} does not match the sample's input count {sample.p}; "
@@ -227,7 +222,7 @@ def estimate_t(
     accumulated with exact compensated summation and does not depend on the
     ordering of the sample rows.
     """
-    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
+    xm, fvals, sub = _prepare(sample, spec, h, f_x, domain)
     g = window_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0]
     n = sample.n
     return math.fsum((sample.Y / fvals) * g) / (n * (n - 1))
@@ -276,15 +271,17 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
     """
     if not (0.0 < ci_level < 1.0):
         raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
-    xm, fvals, sub = _prepare(sample, spec, kernel, h, f_x, domain)
+    xm, fvals, sub = _prepare(sample, spec, h, f_x, domain)
     y = sample.Y
     n = sample.n
-    s2 = _variance(y)
+    y_c = y - float(np.mean(y))
+    # the variance of the centered column, so the ratio does not lose digits
+    # when |E[Y]| is large against sd(Y)
+    s2 = _variance(y_c)
     if s2 <= 0.0:
         raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-    y_c = y - float(np.mean(y))
     # one pass for both columns; the centered one is its own column, not a
-    # difference of sums, so the ratio stays exactly affine invariant
+    # difference of sums, so shifting Y moves the ratio only by rounding
     g, g_c = window_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
     t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
     t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
@@ -294,7 +291,7 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
     influence = 2.0 * y_c * (g_c / ((n - 1) * fvals))
     rows = np.stack([influence, y_c, y_c * y_c])
     # a quadratic form in a covariance matrix: a negative value is rounding noise
-    rule = _ratio_covariance(_empirical_covariance(rows), sobol, float(np.mean(y_c)), _variance(y_c))
+    rule = _ratio_covariance(_empirical_covariance(rows), sobol, float(np.mean(y_c)), s2)
     var_sobol = max(0.0, float(rule[0, 0]))
     result = EstimateResult(
         t_hat=t_hat,
@@ -324,10 +321,10 @@ def estimate_sobol(
     The ratio is the variance plug-in T(Y - Ybar) / s_Y^2, i.e. the pairwise
     statistic applied to outputs centered at their empirical mean.  Since the
     index of the centered output equals the index of the raw output, this is
-    the same plug-in ratio, but it is exactly invariant under affine output
-    maps and avoids the mean-coupling noise terms of the uncentered form.
-    Empirical moments use the 1/n convention with no Bessel correction; the
-    raw t_hat is reported alongside.
+    the same plug-in ratio, but it is invariant under affine output maps up
+    to rounding and avoids the mean-coupling noise terms of the uncentered
+    form.  Empirical moments use the 1/n convention with no Bessel
+    correction; the raw t_hat is reported alongside.
     """
     return _estimate(sample, spec, kernel, h, f_x, domain, ci_level)[0]
 
@@ -344,10 +341,9 @@ def estimate_total_sobol(
 ) -> EstimateResult:
     """Total index of the group `spec`: 1 - S^{complement}.
 
-    The kernel must have the complement's dimension.  The returned result
-    is the complement estimate with the index and its interval reflected.
-    `f_x` must be an InputModel so the complement's density can be derived
-    from it.
+    The returned result is the complement estimate with the index and its
+    interval reflected.  `f_x` must be an InputModel so the complement's
+    density can be derived from it.
     """
     if not isinstance(f_x, InputModel):
         raise MirrorSobolError("total index estimation needs an InputModel to derive the complement density")
@@ -375,8 +371,6 @@ def estimate_first_order_all(
     The per-axis variances come from the same rule on the same rows, so the
     diagonal of Sigma reproduces them.
     """
-    if kernel.dim != 1:
-        raise MirrorSobolError("first-order sweep needs a 1-dimensional kernel")
     p = model.p
     y_c = sample.Y - float(np.mean(sample.Y))
     results = []

@@ -52,9 +52,6 @@ class Uniform:
     def transform(self, u) -> np.ndarray:
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
 
-    def to_json(self) -> dict:
-        return {"uniform": [self.a, self.b]}
-
 
 @dataclass(frozen=True)
 class Beta:
@@ -82,9 +79,6 @@ class Beta:
     def transform(self, u) -> np.ndarray:
         return special.betaincinv(self.a, self.b, np.asarray(u, dtype=float))
 
-    def to_json(self) -> dict:
-        return {"beta": [self.a, self.b]}
-
 
 @dataclass(frozen=True)
 class InputModel:
@@ -109,9 +103,6 @@ class InputModel:
         lo = np.array([m.support[0] for m in self.marginals])
         hi = np.array([m.support[1] for m in self.marginals])
         return Domain(lo, hi)
-
-    def to_json(self) -> dict:
-        return {"marginals": [m.to_json() for m in self.marginals]}
 
 
 def _check_mask(mask, p: int) -> tuple:

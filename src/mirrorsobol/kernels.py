@@ -14,8 +14,8 @@ P = sum_i c_i psi_i with orthonormal psi_i and sum_i lambda_i^m c_i =
 delta_{m0}, lambda_i^m = int x^m psi_i f_0: both say int x^m P f_0 =
 delta_{m0}, written in two bases.  The system is solved once, exactly, in
 rational arithmetic, and each coefficient of K_1 = 2P is rounded to float
-once.  Multivariate kernels are tensor products of K_1; the scaled kernel
-is K_h(x) = K(x/h) / h^d.
+once.  Multivariate kernels are tensor products of K_1 over the axes of
+the points they are applied to; the scaled kernel is K_h(x) = K(x/h) / h^d.
 """
 
 from __future__ import annotations
@@ -72,30 +72,28 @@ def _solve_moment_system(k: int) -> list:
 
 @dataclass(frozen=True)
 class KernelD:
-    """Tensor-product kernel K(u_1, ..., u_d) = K_1(u_1) ... K_1(u_d) of order `order`.
+    """Tensor-product kernel K(u_1, ..., u_d) = K_1(u_1) ... K_1(u_d).
 
     `coeffs` are the monomial coefficients of K_1 = 2P (constant first) on
-    its closed support [0, 1/2]; K_1 is 0 outside.
+    its closed support [0, 1/2]; K_1 is 0 outside.  The order is the degree
+    of P, and the dimension d is that of the points K is applied to.
     """
 
-    order: int
-    dim: int
     coeffs: np.ndarray
     support = _SUPPORT
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise MirrorSobolError(f"kernel dimension must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
         c = np.asarray(self.coeffs, dtype=float)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
+    @property
+    def order(self) -> int:
+        return self.coeffs.size - 1
+
     def eval(self, u) -> np.ndarray:
-        """Evaluate K at points of shape (..., dim)."""
+        """Evaluate K at points of shape (..., d), multiplying K_1 over the last axis."""
         u = np.asarray(u, dtype=float)
-        if u.shape[-1] != self.dim:
-            raise MirrorSobolError(f"points have dimension {u.shape[-1]}, kernel has {self.dim}")
         lo, hi = self.support
         factors = np.where((u >= lo) & (u <= hi), np.polynomial.polynomial.polyval(u, self.coeffs), 0.0)
         return np.prod(factors, axis=-1)
@@ -104,36 +102,37 @@ class KernelD:
         """Evaluate K_h(u) = K(u/h) / h^d."""
         if not (np.isfinite(h) and h > 0):
             raise MirrorSobolError(f"bandwidth must be a positive real, got {h!r}")
-        return self.eval(np.asarray(u, dtype=float) / h) / h**self.dim
+        u = np.asarray(u, dtype=float)
+        return self.eval(u / h) / h ** u.shape[-1]
 
 
-def build_kernel(k: int, d: int) -> KernelD:
-    """The order-k kernel in dimension d."""
+def build_kernel(k: int) -> KernelD:
+    """The order-k kernel, in any dimension."""
     k = _check_order(k)
-    return KernelD(order=k, dim=d, coeffs=[float(2 * p) for p in _solve_moment_system(k)])
+    return KernelD([float(2 * p) for p in _solve_moment_system(k)])
 
 
-def verify_order(kernel: KernelD) -> dict:
-    """Check the moment conditions of the kernel by tensor Gauss-Legendre quadrature.
+def verify_order(kernel: KernelD, d: int) -> dict:
+    """Check the moment conditions of the kernel in dimension d by tensor Gauss-Legendre quadrature.
 
     Evaluates int u^beta K(u) du for every multi-index 0 < |beta| <= order
     plus the total mass, with max(2*order + 2, 16) nodes per axis, and
     reports the worst violation; it passes within _ORDER_TOL.
     """
     nodes = max(2 * kernel.order + 2, 16)
-    points, weights = _quad.tensor_grid(nodes, [kernel.support] * kernel.dim)
+    points, weights = _quad.tensor_grid(nodes, [kernel.support] * d)
     kvals = weights * kernel.eval(points)
     mass = float(np.sum(kvals))
     worst = 0.0
     worst_index = None
-    for beta in _quad.multi_indices(kernel.dim, kernel.order):
+    for beta in _quad.multi_indices(d, kernel.order):
         moment = float(np.sum(kvals * np.prod(points ** np.asarray(beta), axis=1)))
         if abs(moment) > worst:
             worst, worst_index = abs(moment), beta
     mass_error = abs(mass - 1.0)
     return {
         "order": kernel.order,
-        "dim": kernel.dim,
+        "dim": d,
         "nodes_per_axis": nodes,
         "mass": mass,
         "mass_error": mass_error,

@@ -452,8 +452,7 @@ def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int)
 
 def _kernel_run(model: AnalyticModel, mask, n: int, h: float, order: int, seed: int, ci_level: float):
     fs = model.draw(n, seed)
-    kernel = build_kernel(order, len(mask))
-    return estimate_sobol(fs, SubsetSpec(mask), kernel, h, model.input_model, ci_level=ci_level)
+    return estimate_sobol(fs, SubsetSpec(mask), build_kernel(order), h, model.input_model, ci_level=ci_level)
 
 
 def _mask_label(mask) -> str:

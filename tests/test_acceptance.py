@@ -48,7 +48,7 @@ FIRST = SubsetSpec((0,))
 def test_kernel_moment_conditions_by_quadrature():
     # orders 0..4, dimensions 1..3: unit mass to 1e-9, vanishing moments to 1e-8
     for k in range(5):
-        kernel = build_kernel(k, 1)
+        kernel = build_kernel(k)
         lo, hi = kernel.support
         moments_1d = []
         for j in range(k + 1):
@@ -79,7 +79,7 @@ def test_estimator_matches_brute_force_on_200_random_configs():
         fs = FullSample(V=v, Y=y)
         h = float(rng.uniform(0.05, 1.0))
         spec = SubsetSpec(mask)
-        kernel = build_kernel(k, d)
+        kernel = build_kernel(k)
         fast = estimate_t(fs, spec, kernel, h, model)
         slow = brute_force_t(fs, spec, kernel, h, model)
         scale = max(abs(slow), 1.0)
@@ -93,7 +93,7 @@ def test_first_order_index_consistency_linear():
     # median |S_hat - 1/3| over 100 seeds at n=5000, order-2 kernel, h = n^-0.4
     n = 5000
     h = n**-0.4
-    kernel = build_kernel(2, 1)
+    kernel = build_kernel(2)
     errs = []
     for seed in range(100):
         fs = LINEAR3.draw(n, seed)
@@ -154,7 +154,7 @@ def test_bias_halving_ratio_product_model():
     n, seeds = 200_000, 50
     samples = [model.draw(n, s) for s in range(seeds)]
     for k in (1, 2):
-        kernel = build_kernel(k, 1)
+        kernel = build_kernel(k)
         bias = {}
         for h in (0.2, 0.1):
             vals = [estimate_t(fs, FIRST, kernel, h, model.input_model) for fs in samples]
@@ -171,7 +171,7 @@ def test_bias_halving_ratio_with_curvature():
     model = curved_model()
     t_true = model.t_of((0,))
     n, seeds = 80_000, 60
-    kernel = build_kernel(1, 1)
+    kernel = build_kernel(1)
     bias, se = {}, {}
     for h in (0.3, 0.15):
         vals = [estimate_t(model.draw(n, s), FIRST, kernel, h, model.input_model) for s in range(seeds)]
@@ -191,7 +191,7 @@ def test_efficiency_identity_and_variance_bound():
     # simulated n * Var of the Sobol' estimator respects the efficiency bound
     n, seeds = 2000, 100
     h = n**-0.4
-    kernel = build_kernel(2, 1)
+    kernel = build_kernel(2)
     vals = [estimate_sobol(LINEAR3.draw(n, s), FIRST, kernel, h, LINEAR3.input_model).sobol for s in range(seeds)]
     nvar = n * float(np.var(vals, ddof=1))
     mc_se = nvar * math.sqrt(2.0 / (seeds - 1))
@@ -208,10 +208,10 @@ def test_efficiency_identity_and_variance_bound():
 def test_bandwidth_selection_tracks_grid_optimum():
     # selected-h RMSE within 1.5x of the best fixed grid bandwidth, 100 seeds
     n, seeds = 2000, 100
-    kernel = build_kernel(2, 1)
+    kernel = build_kernel(2)
     truth = LINEAR3.sobol_of((0,))
     domain = LINEAR3.input_model.domain
-    grid = tuple(default_grid(n, 1, domain.subdomain((0,))))
+    grid = tuple(default_grid(n, domain.subdomain((0,))))
     selected, per_h = [], {h: [] for h in grid}
     for seed in range(seeds):
         fs = LINEAR3.draw(n, seed)
@@ -244,7 +244,7 @@ def test_estimation_with_plugged_in_uniform_endpoint():
     t_true = model.t_of((0,))
     n, seeds = 4000, 300
     h = n**-0.3
-    kernel = build_kernel(1, 1)
+    kernel = build_kernel(1)
     z = norm.ppf(0.975)
     covered, sq_errs = 0, []
     for seed in range(seeds):

@@ -41,6 +41,10 @@ def _sample(n, p, seed=0):
 UNIT_MARGINALS = (Uniform(0.0, 1.0),) * 3
 
 
+def _unit(p):
+    return Domain(np.zeros(p), np.ones(p))
+
+
 # ------------------------------------------------------------------
 # rule of thumb
 # ------------------------------------------------------------------
@@ -445,7 +449,7 @@ def test_curve_checks_h0_and_grid_before_pilot_work(monkeypatch):
     monkeypatch.setattr(bandwidth, "_node_count", pilot)
     s = _sample(60, 1, seed=21)
     f_x = lambda x: np.ones(x.shape[0])
-    curve = lambda **kw: bandwidth_curve(s, SubsetSpec(mask=(0,)), build_kernel(1, 1), f_x, **kw)
+    curve = lambda **kw: bandwidth_curve(s, SubsetSpec(mask=(0,)), build_kernel(1), f_x, domain=_unit(1), **kw)
     with pytest.raises(MirrorSobolError):
         curve(h0=[], grid=[0.1])
     with pytest.raises(MirrorSobolError):
@@ -460,15 +464,21 @@ def test_curve_checks_h0_and_grid_before_pilot_work(monkeypatch):
 
 def test_default_grid_shape_and_mirror():
     dom = Domain(np.zeros(2), np.ones(2))
-    grid = default_grid(1000, 1, dom)
+    grid = default_grid(1000, dom.subdomain((0,)))
     assert grid.shape == (25,)
     assert np.all(np.diff(grid) > 0)
     assert grid[0] == pytest.approx((0.05 * 1000) ** (-1.0), rel=1e-12)
     assert grid[-1] == pytest.approx(1.0, rel=1e-12)
     assert all(check_mirror_condition(dom, float(h)) for h in grid)
     # lower endpoint stays above the pair-informative threshold scale
-    grid2 = default_grid(1000, 2, dom)
+    grid2 = default_grid(1000, dom)
     assert grid2[0] == pytest.approx(50.0 ** (-0.5), rel=1e-12)
+
+
+def test_curve_needs_a_domain_for_a_bare_density():
+    s = _sample(60, 1, seed=21)
+    with pytest.raises(MirrorSobolError, match="a domain is required when f_x is not an InputModel"):
+        bandwidth_curve(s, SubsetSpec(mask=(0,)), build_kernel(1), lambda x: np.ones(x.shape[0]), grid=[0.17])
 
 
 def test_virtual_outputs_loo_drops_self_term():
@@ -484,16 +494,18 @@ def test_virtual_outputs_loo_drops_self_term():
 
 def test_select_grid_of_one():
     s = _sample(60, 1, seed=21)
-    kern = build_kernel(1, 1)
-    h = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, lambda x: np.ones(x.shape[0]), grid=[0.17])["h_star"]
+    kern = build_kernel(1)
+    f_x = lambda x: np.ones(x.shape[0])
+    h = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, f_x, grid=[0.17], domain=_unit(1))["h_star"]
     assert h == 0.17
 
 
 def test_select_mirror_violation():
     s = _sample(60, 1, seed=21)
-    kern = build_kernel(1, 1)
+    kern = build_kernel(1)
+    f_x = lambda x: np.ones(x.shape[0])
     with pytest.raises(BandwidthTooLargeError):
-        bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, lambda x: np.ones(x.shape[0]), h0=[0.1], grid=[0.5, 1.7])
+        bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, f_x, h0=[0.1], grid=[0.5, 1.7], domain=_unit(1))
 
 
 def test_select_scale_invariance():
@@ -501,23 +513,23 @@ def test_select_scale_invariance():
     # scaling Y leaves the argmin unchanged
     s = _sample(300, 2, seed=8)
     spec = SubsetSpec(mask=(0,))
-    kern = build_kernel(2, 1)
-    grid = default_grid(300, 1, Domain(np.zeros(2), np.ones(2)))
+    kern = build_kernel(2)
+    grid = default_grid(300, _unit(1))
     f_x = lambda x: np.ones(x.shape[0])
-    h_base = bandwidth_curve(s, spec, kern, f_x, grid=grid)["h_star"]
+    h_base = bandwidth_curve(s, spec, kern, f_x, grid=grid, domain=_unit(2))["h_star"]
     for lam in (4.0, 3.0, -2.0):
         scaled = FullSample(V=s.V, Y=lam * s.Y)
-        h_lam = bandwidth_curve(scaled, spec, kern, f_x, grid=grid)["h_star"]
+        h_lam = bandwidth_curve(scaled, spec, kern, f_x, grid=grid, domain=_unit(2))["h_star"]
         assert h_lam == h_base, f"lambda={lam}: h* moved {h_base} -> {h_lam}"
 
 
 def test_bandwidth_curve_fields_and_determinism():
     s = _sample(200, 1, seed=2)
-    grid = default_grid(200, 1, Domain(np.zeros(1), np.ones(1)))
-    kern = build_kernel(2, 1)
+    grid = default_grid(200, _unit(1))
+    kern = build_kernel(2)
     f_x = lambda x: np.ones(x.shape[0])
-    out1 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, f_x, grid=grid)
-    out2 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, f_x, grid=grid)
+    out1 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, f_x, grid=grid, domain=_unit(1))
+    out2 = bandwidth_curve(s, SubsetSpec(mask=(0,)), kern, f_x, grid=grid, domain=_unit(1))
     assert out1 == out2
     assert set(out1) == {"h_star", "target", "target_printed", "curve"}
     assert len(out1["curve"]) == len(grid)
@@ -534,8 +546,8 @@ def test_curve_checks_the_grid_on_the_mask_subdomain():
     v = rng.random((300, 2)) * np.array([1.0, 0.1])
     s = FullSample(V=v, Y=v[:, 0] + 5.0 * v[:, 1])
     dom = Domain(np.zeros(2), np.array([1.0, 0.1]))
-    grid = default_grid(300, 1, dom.subdomain((0,)))
-    spec, kern = SubsetSpec(mask=(0,)), build_kernel(2, 1)
+    grid = default_grid(300, dom.subdomain((0,)))
+    spec, kern = SubsetSpec(mask=(0,)), build_kernel(2)
     f_x = lambda x: np.ones(x.shape[0])
     out = bandwidth_curve(s, spec, kern, f_x, grid=grid, domain=dom)
     assert out["h_star"] in grid
@@ -551,8 +563,8 @@ def test_curve_uses_the_input_density_off_the_unit_cube():
     s = model.draw(600, seed=0)
     spec = SubsetSpec(mask=(0,))
     dom = model.input_model.domain
-    grid = default_grid(600, 1, dom.subdomain((0,)))
-    out = bandwidth_curve(s, spec, build_kernel(2, 1), model.input_model, grid=grid, input_model=model.input_model)
+    grid = default_grid(600, dom.subdomain((0,)))
+    out = bandwidth_curve(s, spec, build_kernel(2), model.input_model, grid=grid, input_model=model.input_model)
     vals = [v for _, v in out["curve"]]
     assert max(vals) > 10.0 * min(vals), f"flat objective curve {vals}"
     assert min(vals) < 0.1 * out["target"]
@@ -562,7 +574,7 @@ def test_curve_takes_domain_and_marginals_from_an_input_model_density():
     # f_x alone carries the [-pi, pi]^3 box: no unit-cube grid, no unit pilot marginals
     model = ishigami_model()
     s = model.draw(400, seed=0)
-    spec, kern = SubsetSpec(mask=(0,)), build_kernel(2, 1)
+    spec, kern = SubsetSpec(mask=(0,)), build_kernel(2)
     alone = bandwidth_curve(s, spec, kern, model.input_model)
     explicit = bandwidth_curve(
         s, spec, kern, model.input_model, domain=model.input_model.domain, input_model=model.input_model

@@ -411,7 +411,7 @@ def test_kernel_and_pf_agree_on_product_model():
     m = product_model()
     n, reps = 5000, 12
     kern, pf_vals = [], []
-    kernel = build_kernel(1, 1)
+    kernel = build_kernel(1)
     for seed in range(reps):
         fs = m.draw(n, seed)
         kern.append(estimate_sobol(fs, SubsetSpec((0,)), kernel, 0.2, m.input_model).sobol)

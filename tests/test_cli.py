@@ -249,7 +249,7 @@ def test_estimate_csv_matches_library_call(tmp_path):
     from mirrorsobol.inputs import input_model_from_json
 
     direct = estimate_sobol(
-        FullSample(V=v, Y=y), SubsetSpec((1,)), build_kernel(2, 1), 0.25, input_model_from_json(marg)
+        FullSample(V=v, Y=y), SubsetSpec((1,)), build_kernel(2), 0.25, input_model_from_json(marg)
     )
     assert obj["result"]["t_hat"] == direct.t_hat, "CLI must reproduce the library call exactly"
     assert obj["result"]["sobol"] == direct.sobol

@@ -8,6 +8,7 @@ the Bonnet recursion, and independent Gauss-Legendre quadrature written out
 in this file.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -56,35 +57,35 @@ def _closed_form_poly(k):
 
 def test_coefficients_k0():
     # K_1 = 2 P = f_0
-    np.testing.assert_array_equal(build_kernel(0, 1).coeffs, [2.0])
+    np.testing.assert_array_equal(build_kernel(0).coeffs, [2.0])
 
 
 def test_coefficients_k1_hand_solve():
     # p_0 + p_1 / 4 = 1 and p_0 / 4 + p_1 / 12 = 0  =>  P(x) = 4 - 12 x, K_1 = 2 P
-    np.testing.assert_array_equal(build_kernel(1, 1).coeffs, [8.0, -24.0])
+    np.testing.assert_array_equal(build_kernel(1).coeffs, [8.0, -24.0])
 
 
 @pytest.mark.parametrize("k", range(MAX_ORDER + 1))
 def test_coefficients_reproducing_kernel_form(k):
     # the exact solve rounds once, so every coefficient is the rounded closed form of 2 P
     want = [float(2 * c) for c in _closed_form_poly(k)]
-    assert build_kernel(k, 1).coeffs.tolist() == want
+    assert build_kernel(k).coeffs.tolist() == want
 
 
 def test_kernel_rejects_bad_order():
     with pytest.raises(MirrorSobolError, match="nonnegative"):
-        build_kernel(-1, 1)
+        build_kernel(-1)
     with pytest.raises(MirrorSobolError, match="maximum"):
-        build_kernel(MAX_ORDER + 1, 1)
+        build_kernel(MAX_ORDER + 1)
     with pytest.raises(MirrorSobolError, match="integer"):
-        build_kernel(1.0, 1)
+        build_kernel(1.0)
 
 
 # ----------------------------------------------------------------- 1-D kernels
 
 
 def test_kernel_k0_is_base_density():
-    k1 = build_kernel(0, 1)
+    k1 = build_kernel(0)
     x = np.array([0.0, 0.2, 0.5])
     np.testing.assert_allclose(k1.eval(x[:, None]), [2.0, 2.0, 2.0], atol=1e-14)
     assert k1.eval(np.array([[0.6]]))[0] == 0.0
@@ -93,14 +94,14 @@ def test_kernel_k0_is_base_density():
 
 def test_kernel_k1_closed_form():
     # K_1(x) = 2 (1 - sqrt(3) psi_1(x)) = 8 - 24 x on [0, 1/2]
-    k1 = build_kernel(1, 1)
+    k1 = build_kernel(1)
     x = np.linspace(0.0, 0.5, 11)
     np.testing.assert_allclose(k1.eval(x[:, None]), 8.0 - 24.0 * x, rtol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_kernel_moment_conditions_by_quadrature(k):
-    k1 = build_kernel(k, 1)
+    k1 = build_kernel(k)
     x, w = gl_nodes(64, 0.0, 0.5)
     vals = k1.eval(x[:, None])
     assert abs(np.sum(w * vals) - 1.0) < 1e-10
@@ -110,14 +111,14 @@ def test_kernel_moment_conditions_by_quadrature(k):
 
 
 def test_kernel_k2_changes_sign():
-    k1 = build_kernel(2, 1)
+    k1 = build_kernel(2)
     vals = k1.eval(np.linspace(0.0, 0.5, 201)[:, None])
     assert vals.min() < 0.0 < vals.max()
 
 
 def test_kernel_l2_norm_closed_form():
     # int K_1^2 dx = 2 sum c_i^2 = 2 (1 + 3 + 5) = 18 for k = 2
-    k1 = build_kernel(2, 1)
+    k1 = build_kernel(2)
     x, w = gl_nodes(64, 0.0, 0.5)
     np.testing.assert_allclose(np.sum(w * k1.eval(x[:, None]) ** 2), 18.0, rtol=1e-12)
 
@@ -127,7 +128,7 @@ def test_kernel_l2_norm_closed_form():
 
 def test_tensorize_d1_equals_factor():
     # K_1 is the polynomial with coefficients `coeffs` on the closed support, 0 outside
-    kd = build_kernel(2, 1)
+    kd = build_kernel(2)
     assert KernelD.support == kd.support == (0.0, 0.5)
     x = np.linspace(-0.25, 0.75, 9)
     want = np.where((x >= 0.0) & (x <= 0.5), np.polynomial.polynomial.polyval(x, kd.coeffs), 0.0)
@@ -135,20 +136,24 @@ def test_tensorize_d1_equals_factor():
     # and the d-dimensional kernel is the product of its 1-D factors
     pts = np.random.default_rng(5).uniform(-0.1, 0.6, size=(30, 3))
     factors = [kd.eval(pts[:, j : j + 1]) for j in range(3)]
-    np.testing.assert_array_equal(build_kernel(2, 3).eval(pts), factors[0] * factors[1] * factors[2])
+    np.testing.assert_array_equal(build_kernel(2).eval(pts), factors[0] * factors[1] * factors[2])
 
 
-def test_tensorize_rejects_zero_dim():
-    coeffs = build_kernel(1, 1).coeffs
-    for dim in (0, -1, 1.5):
-        with pytest.raises(MirrorSobolError, match="dimension"):
-            KernelD(order=1, dim=dim, coeffs=coeffs)
-        with pytest.raises(MirrorSobolError, match="dimension"):
-            build_kernel(1, dim)
+def test_kernel_is_its_coefficients():
+    # the order is the degree of P and the dimension is that of the points
+    assert tuple(f.name for f in dataclasses.fields(KernelD)) == ("coeffs",)
+    for k in (0, 1, 4):
+        assert build_kernel(k).order == k
+    kd = KernelD(build_kernel(2).coeffs)
+    assert kd.order == 2
+    u = np.full((1, 3), 0.1)
+    h = 0.3
+    for d in (1, 2, 3):
+        assert kd.eval_scaled(u[:, :d], h)[0] == kd.eval(u[:, :d] / h)[0] / h**d
 
 
 def test_tensor_moments_d2():
-    kd = build_kernel(2, 2)
+    kd = build_kernel(2)
     x, w = gl_nodes(32, 0.0, 0.5)
     xx1, xx2 = np.meshgrid(x, x, indexing="ij")
     ww = np.outer(w, w)
@@ -159,7 +164,7 @@ def test_tensor_moments_d2():
 
 
 def test_point_outside_support_is_zero():
-    kd = build_kernel(1, 3)
+    kd = build_kernel(1)
     assert kd.eval(np.array([0.1, 0.7, 0.1])) == 0.0
     assert kd.eval(np.array([0.1, 0.2, -0.1])) == 0.0
 
@@ -168,7 +173,7 @@ def test_point_outside_support_is_zero():
 
 
 def test_eval_scaled_at_zero_and_h1():
-    kd = build_kernel(1, 2)
+    kd = build_kernel(1)
     h = 0.25
     np.testing.assert_allclose(kd.eval_scaled(np.zeros(2), h), kd.eval(np.zeros(2)) / h**2, rtol=1e-14)
     x = np.array([0.1, 0.3])
@@ -176,7 +181,7 @@ def test_eval_scaled_at_zero_and_h1():
 
 
 def test_eval_scaled_identity():
-    kd = build_kernel(2, 2)
+    kd = build_kernel(2)
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 0.2, size=(40, 2))
     h = 0.37
@@ -185,14 +190,14 @@ def test_eval_scaled_identity():
 
 @pytest.mark.parametrize("h", [0.1, 0.5])
 def test_scaled_kernel_mass(h):
-    kd = build_kernel(2, 1)
+    kd = build_kernel(2)
     x, w = gl_nodes(64, 0.0, h / 2.0)
     mass = np.sum(w * kd.eval_scaled(x[:, None], h))
     assert abs(mass - 1.0) < 1e-9, f"mass at h={h}: {mass}"
 
 
 def test_eval_scaled_invalid_h():
-    kd = build_kernel(1, 1)
+    kd = build_kernel(1)
     with pytest.raises(MirrorSobolError):
         kd.eval_scaled(np.array([0.1]), 0.0)
     with pytest.raises(MirrorSobolError):
@@ -200,7 +205,7 @@ def test_eval_scaled_invalid_h():
 
 
 def test_kernel_evaluation_is_deterministic():
-    kd = build_kernel(3, 2)
+    kd = build_kernel(3)
     pts = np.random.default_rng(0).uniform(0, 0.5, size=(50, 2))
     np.testing.assert_array_equal(kd.eval(pts), kd.eval(pts.copy()))
 
@@ -211,17 +216,17 @@ def test_kernel_evaluation_is_deterministic():
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_verify_order_passes(k, d):
-    report = verify_order(build_kernel(k, d))
+    report = verify_order(build_kernel(k), d)
     assert report["passed"], f"k={k} d={d}: {report}"
     assert report["mass_error"] <= 1e-9
 
 
 def test_verify_order_high_order():
-    report = verify_order(build_kernel(10, 1))
+    report = verify_order(build_kernel(10), 1)
     assert report["passed"], report
 
 
 def test_verify_order_nodes_rule():
-    assert verify_order(build_kernel(1, 1))["nodes_per_axis"] == 16
-    assert verify_order(build_kernel(8, 1))["nodes_per_axis"] == 18
+    assert verify_order(build_kernel(1), 1)["nodes_per_axis"] == 16
+    assert verify_order(build_kernel(8), 1)["nodes_per_axis"] == 18
 

@@ -43,6 +43,10 @@ def test_removed_names_stay_removed():
         assert not hasattr(inputs, name), f"mirrorsobol.inputs.{name} should not exist"
     assert "Custom" not in mirrorsobol.__all__ and not hasattr(mirrorsobol, "Custom")
     assert not hasattr(density.DensityEstimate, "eval")
+    assert "floor" not in {f.name for f in dataclasses.fields(density.DensityEstimate)}
+    for cls in (inputs.Uniform, inputs.Beta, inputs.InputModel):
+        assert not hasattr(cls, "to_json"), f"{cls.__name__}.to_json should not exist"
+    assert not hasattr(estimator.SubsetSpec, "d")
     assert "f_x" not in {f.name for f in dataclasses.fields(baselines.VarianceOracles)}
     for module, name in (
         (estimator, "asymptotic_variance_t"),

@@ -140,12 +140,12 @@ def test_brute_force_guard():
         brute_force_t(
             FullSample(V=np.zeros((10_001, 1)) + 0.5, Y=np.ones(10_001)),
             SubsetSpec((0,)),
-            build_kernel(0, 1),
+            build_kernel(0),
             0.2,
             m.input_model,
         )
     with pytest.raises(MirrorSobolError):
-        brute_force_t(fs, SubsetSpec((0,)), build_kernel(0, 1), 0.2, lambda x: np.ones(len(x)))
+        brute_force_t(fs, SubsetSpec((0,)), build_kernel(0), 0.2, lambda x: np.ones(len(x)))
 
 
 def test_brute_force_rejects_rows_outside_the_box():
@@ -157,9 +157,9 @@ def test_brute_force_rejects_rows_outside_the_box():
     bad = FullSample(V=v, Y=fs.Y)
     box = Domain(np.zeros(2), np.ones(2))
     with pytest.raises(DomainViolationError, match=r"rows \[3\]"):
-        brute_force_t(bad, SubsetSpec((1,)), build_kernel(1, 1), 0.2, lambda x: np.ones(len(x)), domain=box)
+        brute_force_t(bad, SubsetSpec((1,)), build_kernel(1), 0.2, lambda x: np.ones(len(x)), domain=box)
     # off the mask the row is never read
-    brute_force_t(bad, SubsetSpec((0,)), build_kernel(1, 1), 0.2, lambda x: np.ones(len(x)), domain=box)
+    brute_force_t(bad, SubsetSpec((0,)), build_kernel(1), 0.2, lambda x: np.ones(len(x)), domain=box)
 
 
 def test_plan_validation():
