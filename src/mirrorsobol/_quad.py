@@ -1,12 +1,10 @@
-"""Gauss-Legendre quadrature helpers used by kernel checks and variance oracles."""
+"""Gauss-Legendre quadrature for the variance oracles of the testbed."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-__all__ = ["gauss_legendre", "tensor_grid", "multi_indices"]
+__all__ = ["gauss_legendre", "tensor_grid"]
 
 
 def gauss_legendre(n_nodes: int, a: float, b: float):
@@ -33,12 +31,3 @@ def tensor_grid(n_nodes: int, bounds):
         weights = weights * wm.reshape(-1)
     return points, weights
 
-
-def multi_indices(d: int, max_total: int):
-    """All multi-indices beta in N^d with 1 <= |beta| <= max_total, sorted."""
-    out = []
-    for beta in itertools.product(range(max_total + 1), repeat=d):
-        if 0 < sum(beta) <= max_total:
-            out.append(beta)
-    out.sort(key=lambda b: (sum(b), b))
-    return out

@@ -77,13 +77,11 @@ def _beta_single(sample: FullSample, i: int, h0_i: float, support) -> np.ndarray
     """Off-mask mass vector for axis i: pilot kernel mass over the support.
 
     For an interval support this is exactly a difference of normal cdfs, so
-    no quadrature is needed.
+    no quadrature is needed.  h0_i is already clipped, and the marginal
+    checked its support when it was built.
     """
-    h0_i = float(_clipped_h0([h0_i])[0])
-    a, b = float(support[0]), float(support[1])
-    if not (b > a):
-        raise MirrorSobolError(f"support must be a nondegenerate interval, got ({a}, {b})")
-    v = np.asarray(sample.V[:, i], dtype=float)
+    a, b = support
+    v = sample.V[:, i]
     return special.ndtr((b - v) / h0_i) - special.ndtr((a - v) / h0_i)
 
 

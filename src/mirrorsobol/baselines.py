@@ -1,9 +1,11 @@
 """Baseline estimators (Pick-Freeze, two-sample 1-NN, rank) and limiting variances.
 
 The baselines carry their own standard formulas and are validated against
-analytic models only; the limiting-variance evaluators integrate closed-form
-conditional moments by quadrature (or fixed-seed Monte Carlo) for efficiency
-comparisons with the kernel estimator.
+analytic models only.  The three limiting variances are those that the
+`compare` study prints next to its estimators: they integrate closed-form
+conditional moments by quadrature (or fixed-seed Monte Carlo), and the two
+of the kernel estimator are the estimator's own delta-method rule at
+population moments.
 """
 
 from __future__ import annotations
@@ -25,12 +27,8 @@ __all__ = [
     "pick_freeze_estimate",
     "nn_estimate",
     "rank_estimate",
-    "efficient_variance_forms",
-    "limiting_variance_efficient",
     "limiting_variance_nn",
     "limiting_variance_t",
-    "limiting_variance_sobol_efficient",
-    "limiting_variance_sobol_plugin",
     "limiting_variance_sobol_centered",
 ]
 
@@ -188,46 +186,6 @@ class VarianceOracles:
     moments: Callable
 
 
-# relative agreement limiting_variance_efficient requires of the two forms
-_FORMS_RTOL = 1e-6
-
-
-def efficient_variance_forms(oracles: VarianceOracles) -> tuple:
-    """Both printed forms of sigma_T^2.
-
-    Form one is Var(g1(X)(2Y - g1(X))) over the joint law; form two is
-    4 tau^2 - 3 Var(g1(X)^2) with tau^2 = Var(Y g1(X)).  They are equal by
-    the tower property; evaluating them from different integrals provides a
-    non-trivial cross-check of the algebra.
-    """
-    mom = oracles.moments
-    g1 = oracles.g1
-
-    z_mean = mom(lambda y, x: g1(x) * (2.0 * y - g1(x)))
-    z_sq = mom(lambda y, x: (g1(x) * (2.0 * y - g1(x))) ** 2)
-    form_one = z_sq - z_mean * z_mean
-
-    g1sq_mean = mom(lambda y, x: g1(x) ** 2)
-    g1_4 = mom(lambda y, x: g1(x) ** 4)
-    form_two = limiting_variance_t(oracles) - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)
-    return form_one, form_two
-
-
-def limiting_variance_efficient(oracles: VarianceOracles) -> float:
-    """sigma_T^2, the limiting variance of the efficient estimator of t.
-
-    Evaluates both printed forms and verifies they agree within `_FORMS_RTOL`
-    relative before returning the direct form.
-    """
-    form_one, form_two = efficient_variance_forms(oracles)
-    scale = max(abs(form_one), abs(form_two), 1e-12)
-    if abs(form_one - form_two) > _FORMS_RTOL * scale:
-        raise MirrorSobolError(
-            f"sigma_T^2 forms disagree: {form_one} vs {form_two} (tolerance {_FORMS_RTOL} relative)"
-        )
-    return form_one
-
-
 def limiting_variance_nn(oracles: VarianceOracles) -> float:
     """sigma_D^2, the limiting variance of the two-sample nearest-neighbor estimator.
 
@@ -242,25 +200,16 @@ def limiting_variance_nn(oracles: VarianceOracles) -> float:
     return 2.0 * (e_g2_sq - e_g1_sq * e_g1_sq + 0.5 * (e_g2_g1sq - e_g1_4))
 
 
-def limiting_variance_sobol_efficient(
-    oracles: VarianceOracles, mean_y: float, var_y: float, s_x: float
-) -> float:
-    """sigma_min^2, the minimal limiting variance for the Sobol' index.
-
-    sigma_min^2 = Var( 2 E[Y](1-S) Y + S Y^2 + g1(X)(g1(X) - 2Y) ) / Var(Y)^2.
-    """
-    if var_y <= 0.0:
-        raise DegenerateOutputError("Var(Y) must be positive")
+def _population_covariance(oracles: VarianceOracles, rows) -> tuple:
+    """(means, Gamma) of the influence rows phi(y, x) over the joint law."""
     mom = oracles.moments
-    g1 = oracles.g1
-    a = 2.0 * mean_y * (1.0 - s_x)
-
-    def z(y, x):
-        return a * y + s_x * y * y + g1(x) * (g1(x) - 2.0 * y)
-
-    z_mean = mom(z)
-    z_sq = mom(lambda y, x: z(y, x) ** 2)
-    return (z_sq - z_mean * z_mean) / (var_y * var_y)
+    means = [mom(row) for row in rows]
+    gamma = np.empty((len(rows), len(rows)))
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            second = mom(lambda y, x: rows[i](y, x) * rows[j](y, x))
+            gamma[i, j] = gamma[j, i] = second - means[i] * means[j]
+    return means, gamma
 
 
 def _population_ratio_covariance(oracles: VarianceOracles, shift: float) -> tuple:
@@ -270,19 +219,13 @@ def _population_ratio_covariance(oracles: VarianceOracles, shift: float) -> tupl
     Y_s = Y - shift, g1_s = g1 - shift, and Var(S) the estimator's own
     delta-method rule `_ratio_covariance` on it.
     """
-    mom = oracles.moments
     g1 = oracles.g1
     rows = (
         lambda y, x: 2.0 * (y - shift) * (g1(x) - shift),
         lambda y, x: y - shift,
         lambda y, x: (y - shift) * (y - shift),
     )
-    means = [mom(row) for row in rows]
-    gamma = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            second = mom(lambda y, x: rows[i](y, x) * rows[j](y, x))
-            gamma[i, j] = gamma[j, i] = second - means[i] * means[j]
+    means, gamma = _population_covariance(oracles, rows)
     m, v = means[1], gamma[1, 1]
     if v <= 0.0:
         raise DegenerateOutputError("Var(Y) must be positive")
@@ -296,15 +239,6 @@ def limiting_variance_t(oracles: VarianceOracles) -> float:
     It is Gamma[0, 0], the variance of the influence row 2Y g1(X).
     """
     return float(_population_ratio_covariance(oracles, 0.0)[0][0, 0])
-
-
-def limiting_variance_sobol_plugin(oracles: VarianceOracles) -> float:
-    """Delta-method variance of the moment-ratio Sobol' estimator at population moments.
-
-    The empirical plug-in's rule, with every moment evaluated through the
-    oracle engine instead of from data.
-    """
-    return _population_ratio_covariance(oracles, 0.0)[1]
 
 
 def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:

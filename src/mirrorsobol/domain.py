@@ -31,8 +31,8 @@ class Domain:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo = np.atleast_1d(np.array(self.lower, dtype=float))
+        hi = np.atleast_1d(np.array(self.upper, dtype=float))
         if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
             raise MirrorSobolError("domain bounds must be 1-D arrays of equal length")
         if lo.size == 0:

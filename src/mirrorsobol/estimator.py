@@ -70,8 +70,8 @@ class FullSample:
     Y: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.V, dtype=float)
-        y = np.asarray(self.Y, dtype=float)
+        v = np.array(self.V, dtype=float)
+        y = np.array(self.Y, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2 or y.ndim != 1 or v.shape[0] != y.shape[0]:

@@ -25,18 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _quad
 from .errors import MirrorSobolError
 
-__all__ = ["MAX_ORDER", "KernelD", "build_kernel", "verify_order"]
+__all__ = ["MAX_ORDER", "KernelD", "build_kernel"]
 
 # The monomial coefficients of K_1 are integers of alternating sign that grow
 # about tenfold per order (2.3e10 at k = 10), so evaluating K_1 in floats loses
 # digits to cancellation: its mass error is 1.2e-11 at k = 10 and passes the
-# verify_order tolerance only up to k = 12.
+# 1e-8 moment tolerance of the kernel tests only up to k = 12.
 MAX_ORDER = 10
-# mass and moment errors verify_order accepts
-_ORDER_TOL = 1e-8
 # the closed support of K_1
 _SUPPORT = (0.0, 0.5)
 
@@ -83,7 +80,7 @@ class KernelD:
     support = _SUPPORT
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -111,32 +108,3 @@ def build_kernel(k: int) -> KernelD:
     k = _check_order(k)
     return KernelD([float(2 * p) for p in _solve_moment_system(k)])
 
-
-def verify_order(kernel: KernelD, d: int) -> dict:
-    """Check the moment conditions of the kernel in dimension d by tensor Gauss-Legendre quadrature.
-
-    Evaluates int u^beta K(u) du for every multi-index 0 < |beta| <= order
-    plus the total mass, with max(2*order + 2, 16) nodes per axis, and
-    reports the worst violation; it passes within _ORDER_TOL.
-    """
-    nodes = max(2 * kernel.order + 2, 16)
-    points, weights = _quad.tensor_grid(nodes, [kernel.support] * d)
-    kvals = weights * kernel.eval(points)
-    mass = float(np.sum(kvals))
-    worst = 0.0
-    worst_index = None
-    for beta in _quad.multi_indices(d, kernel.order):
-        moment = float(np.sum(kvals * np.prod(points ** np.asarray(beta), axis=1)))
-        if abs(moment) > worst:
-            worst, worst_index = abs(moment), beta
-    mass_error = abs(mass - 1.0)
-    return {
-        "order": kernel.order,
-        "dim": d,
-        "nodes_per_axis": nodes,
-        "mass": mass,
-        "mass_error": mass_error,
-        "max_moment_violation": worst,
-        "worst_index": worst_index,
-        "passed": bool(mass_error <= _ORDER_TOL and worst <= _ORDER_TOL),
-    }

@@ -1,0 +1,30 @@
+"""Efficiency bounds of the Sobol' index: a test oracle on the package's delta-method rule.
+
+sigma_T^2 = Var(g1(2Y - g1)) is the variance of the efficient influence row
+of t = E[g1^2]; sigma_min^2 is `estimator._ratio_covariance` with that row in
+place of 2Y g1 (Da Veiga & Gamboa, J. Nonparametr. Stat. 2013).
+"""
+
+from mirrorsobol.baselines import _population_covariance, limiting_variance_t
+from mirrorsobol.estimator import _ratio_covariance
+
+
+def efficient_bounds(oracles) -> tuple:
+    """(sigma_T^2, sigma_min^2) at population moments, over the rows (g1(2Y - g1), Y, Y^2)."""
+    g1 = oracles.g1
+    rows = (
+        lambda y, x: g1(x) * (2.0 * y - g1(x)),
+        lambda y, x: y,
+        lambda y, x: y * y,
+    )
+    means, gamma = _population_covariance(oracles, rows)
+    m, v = means[1], gamma[1, 1]
+    sobol = (means[0] - m * m) / v
+    return float(gamma[0, 0]), float(_ratio_covariance(gamma, sobol, m, v)[0, 0])
+
+
+def sigma_t_second_form(oracles) -> float:
+    """4 tau^2 - 3 Var(g1^2), sigma_T^2 by the tower property from other integrals."""
+    g1sq_mean = oracles.moments(lambda y, x: oracles.g1(x) ** 2)
+    g1_4 = oracles.moments(lambda y, x: oracles.g1(x) ** 4)
+    return limiting_variance_t(oracles) - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)

@@ -15,15 +15,12 @@ import math
 
 import numpy as np
 import pytest
+from efficiency import efficient_bounds, sigma_t_second_form
 from scipy.integrate import quad
 from scipy.stats import norm
 
 from mirrorsobol.bandwidth import bandwidth_curve, default_grid
-from mirrorsobol.baselines import (
-    efficient_variance_forms,
-    limiting_variance_sobol_centered,
-    limiting_variance_sobol_efficient,
-)
+from mirrorsobol.baselines import limiting_variance_sobol_centered
 from mirrorsobol.cli import main
 from mirrorsobol.density import uniform_max_estimator
 from mirrorsobol.domain import Domain
@@ -185,7 +182,8 @@ def test_bias_halving_ratio_with_curvature():
 def test_efficiency_identity_and_variance_bound():
     # both printed forms of sigma_T^2 agree by quadrature on two models
     for model, mask in [(LINEAR3, (0,)), (product_model(), (0,))]:
-        one, two = efficient_variance_forms(variance_oracles(model, mask))
+        orc = variance_oracles(model, mask)
+        one, two = efficient_bounds(orc)[0], sigma_t_second_form(orc)
         rel = abs(one - two) / max(abs(one), abs(two))
         assert rel <= 1e-6, f"{model.name}: sigma_T^2 forms {one} vs {two} differ by {rel}"
     # simulated n * Var of the Sobol' estimator respects the efficiency bound
@@ -196,8 +194,7 @@ def test_efficiency_identity_and_variance_bound():
     nvar = n * float(np.var(vals, ddof=1))
     mc_se = nvar * math.sqrt(2.0 / (seeds - 1))
     oracles = variance_oracles(LINEAR3, (0,))
-    s_true = LINEAR3.sobol_of((0,))
-    sigma_min = limiting_variance_sobol_efficient(oracles, LINEAR3.mean_y, LINEAR3.var_y, s_true)
+    sigma_min = efficient_bounds(oracles)[1]
     assert nvar >= sigma_min - 2.0 * mc_se, (
         f"simulated n*Var {nvar:.3f} below the efficiency bound {sigma_min:.3f} - 2*{mc_se:.3f}"
     )

@@ -114,7 +114,7 @@ def _oracle_tables(sample, mask, h0, marginals):
         if i in mask:
             pair.append(_pair_table(sample.V[:, i], max(h0[i], H0_FLOOR), marg))
         else:
-            single.append(bandwidth._beta_single(sample, i, h0[i], marg.support))
+            single.append(bandwidth._beta_single(sample, i, max(h0[i], H0_FLOOR), marg.support))
     return pair, single
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from efficiency import efficient_bounds, sigma_t_second_form
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -13,17 +14,15 @@ from mirrorsobol import baselines
 from mirrorsobol.baselines import (
     PickFreezeSample,
     VarianceOracles,
-    efficient_variance_forms,
-    limiting_variance_efficient,
     limiting_variance_nn,
-    limiting_variance_sobol_efficient,
-    limiting_variance_sobol_plugin,
+    limiting_variance_sobol_centered,
     nn_estimate,
     pick_freeze_estimate,
     rank_estimate,
 )
 from mirrorsobol.errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
 from mirrorsobol.testbed import (
+    builtin_models,
     curved_model,
     ishigami_model,
     linear_model,
@@ -270,13 +269,14 @@ def test_engine_t_matches_closed_form():
 def test_sigma_t_linear_p2_hand_value():
     # 4 tau^2 - 3 Var(g1^2) = 103/60 - 3*61/180 = 7/10 by hand integration
     orc = variance_oracles(linear_model(2), (0,))
-    value = limiting_variance_efficient(orc)
+    value = efficient_bounds(orc)[0]
     assert abs(value - 0.7) < 1e-9, f"sigma_T^2 for the linear model should be 0.7, got {value}"
 
 
 def test_sigma_t_forms_agree_on_models():
     for model, mask in [(linear_model(2), (0,)), (product_model(), (0,)), (ishigami_model(), (1,))]:
-        f1, f2 = efficient_variance_forms(variance_oracles(model, mask))
+        orc = variance_oracles(model, mask)
+        f1, f2 = efficient_bounds(orc)[0], sigma_t_second_form(orc)
         assert abs(f1 - f2) <= 1e-6 * max(abs(f1), 1e-12), f"{model.name}: {f1} vs {f2}"
 
 
@@ -284,7 +284,7 @@ def test_sigma_t_no_noise_model_reduces_to_var_g1sq():
     # Y a deterministic function of X alone: sigma_T^2 = Var(g1^2)
     m = curved_model()
     orc = variance_oracles(m, (0, 1))  # full mask: g1 = g exactly
-    value = limiting_variance_efficient(orc)
+    value = efficient_bounds(orc)[0]
     g1sq_var = orc.moments(lambda y, x: orc.g1(x) ** 4) - orc.moments(lambda y, x: orc.g1(x) ** 2) ** 2
     assert abs(value - g1sq_var) <= 1e-9 * g1sq_var, f"{value} vs Var(g1^2) = {g1sq_var}"
 
@@ -292,7 +292,7 @@ def test_sigma_t_no_noise_model_reduces_to_var_g1sq():
 def test_sigma_t_below_4tau2():
     for model, mask in [(linear_model(3), (1,)), (product_model(), (0,)), (ishigami_model(), (0,))]:
         orc = variance_oracles(model, mask)
-        sigma_t = limiting_variance_efficient(orc)
+        sigma_t = efficient_bounds(orc)[0]
         yg_mean = orc.moments(lambda y, x: y * orc.g1(x))
         tau2 = orc.moments(lambda y, x: (y * orc.g1(x)) ** 2) - yg_mean**2
         assert sigma_t <= 4.0 * tau2 + 1e-12, f"{model.name}: sigma_T^2 {sigma_t} exceeds 4 tau^2 {4 * tau2}"
@@ -317,25 +317,10 @@ def test_sigma_d_nonnegative_and_deterministic_case():
     assert abs(value - 2.0 * var_g1sq) <= 1e-9 * var_g1sq, f"g2 = g1^2 case: {value} vs {2 * var_g1sq}"
 
 
-def test_sigma_min_centered_drops_first_term():
-    # with E[Y] = 0 the 2E[Y](1-S)Y term vanishes identically
-    m = linear_model(2)
-    orc = variance_oracles(m, (0,))
-    s = m.sobol_of((0,))
-    full = limiting_variance_sobol_efficient(orc, 0.0, m.var_y, s)
-
-    def z_no_first(y, x):
-        return s * y * y + orc.g1(x) * (orc.g1(x) - 2.0 * y)
-
-    manual = (orc.moments(lambda y, x: z_no_first(y, x) ** 2) - orc.moments(z_no_first) ** 2) / m.var_y**2
-    assert full == manual, "mean_y = 0 must make the first term drop exactly"
-
-
 def test_sigma_min_scale_invariant():
     m = product_model()
     mask = (0,)
-    s = m.sobol_of(mask)
-    base = limiting_variance_sobol_efficient(variance_oracles(m, mask), m.mean_y, m.var_y, s)
+    base = efficient_bounds(variance_oracles(m, mask))[1]
 
     import dataclasses
 
@@ -349,48 +334,44 @@ def test_sigma_min_scale_invariant():
         mean_y=2.0 * m.mean_y,
         var_y=4.0 * m.var_y,
     )
-    scaled = limiting_variance_sobol_efficient(
-        variance_oracles(scaled_model, mask), scaled_model.mean_y, scaled_model.var_y, s
-    )
+    scaled = efficient_bounds(variance_oracles(scaled_model, mask))[1]
     assert scaled == base, f"sigma_min^2 must be exactly scale-free: {base} vs {scaled}"
 
 
 def test_sigma_min_below_ratio_variance():
+    # the bound lies below the limiting variance of the shipped (centered) estimator
     for model, mask in [(linear_model(2), (0,)), (linear_model(3), (1,)), (product_model(), (0,))]:
         orc = variance_oracles(model, mask)
-        s = model.sobol_of(mask)
-        sigma_min = limiting_variance_sobol_efficient(orc, model.mean_y, model.var_y, s)
-        sigma_ratio = limiting_variance_sobol_plugin(orc)
-        assert sigma_min <= sigma_ratio + 1e-10, (
-            f"{model.name}: sigma_min {sigma_min} should not exceed the ratio variance {sigma_ratio}"
-        )
+        sigma_min, centered = efficient_bounds(orc)[1], limiting_variance_sobol_centered(orc)
+        assert sigma_min <= centered + 1e-10, f"{model.name}: sigma_min {sigma_min} exceeds {centered}"
 
 
-def test_ratio_variance_linear_p3_hand_value():
-    # same hand integration as the empirical plug-in test: sigma^2 = 12.7111...
-    value = limiting_variance_sobol_plugin(variance_oracles(linear_model(3), (1,)))
-    assert abs(value - 12.711111111) < 1e-6, f"population sigma^2 {value} vs hand value 12.7111"
+def test_sigma_min_matches_the_direct_formula_on_every_builtin_mask():
+    # algebraic oracle: sigma_min^2 = Var(2m(1-S)Y + S Y^2 + g1(g1 - 2Y)) / v^2
+    for model in builtin_models():
+        for mask in model.masks():
+            orc = variance_oracles(model, mask)
+            g1 = orc.g1
+            m = orc.moments(lambda y, x: y)
+            v = orc.moments(lambda y, x: y * y) - m * m
+            s = (orc.moments(lambda y, x: g1(x) ** 2) - m * m) / v
+
+            def z(y, x):
+                return 2.0 * m * (1.0 - s) * y + s * y * y + g1(x) * (g1(x) - 2.0 * y)
+
+            z_mean = orc.moments(z)
+            direct = (orc.moments(lambda y, x: z(y, x) ** 2) - z_mean * z_mean) / (v * v)
+            bound = efficient_bounds(orc)[1]
+            tol = 1e-11 * abs(direct) if abs(direct) > 1e-12 else 1e-14
+            assert abs(bound - direct) <= tol, f"{model.name} {mask}: sigma_min^2 {bound} vs direct {direct}"
 
 
 def test_centered_ratio_variance_linear_p3_hand_value():
     # hand integration with Z = Y - 3/2, U_i = V_i - 1/2:
     # Var(Z g1) = 7/360, Cov(Z g1, Z^2) = 1/30, Var(Z^2) = 1/10, v = 1/4, S = 1/3
     # sigma_c^2 = (4*7/360 - 4/(3*30) + 1/90) * 16 = 32/45
-    from mirrorsobol.baselines import limiting_variance_sobol_centered
-
     value = limiting_variance_sobol_centered(variance_oracles(linear_model(3), (0,)))
     assert abs(value - 32.0 / 45.0) < 1e-9, f"centered sigma^2 {value} vs hand value 32/45"
-
-
-def test_centered_ratio_variance_never_exceeds_raw():
-    from mirrorsobol.baselines import limiting_variance_sobol_centered
-
-    for model, mask in [(linear_model(3), (0,)), (product_model(), (0,)), (curved_model(), (1,))]:
-        orc = variance_oracles(model, mask)
-        raw = limiting_variance_sobol_plugin(orc)
-        centered = limiting_variance_sobol_centered(orc)
-        assert centered <= raw + 1e-10, f"{model.name}: centered {centered} exceeds raw {raw}"
-        assert centered > 0, f"{model.name}: centered variance {centered} must be positive"
 
 
 def test_variance_oracles_rejects_bad_conditional_variance():

@@ -34,7 +34,7 @@ from mirrorsobol.estimator import (
     estimate_total_sobol,
 )
 from mirrorsobol.inputs import InputModel, Uniform, subset_density_fn
-from mirrorsobol.kernels import build_kernel
+from mirrorsobol.kernels import KernelD, build_kernel
 from mirrorsobol.testbed import (
     brute_force_t,
     curved_model,
@@ -740,6 +740,16 @@ def test_first_order_all_linear_symmetric():
         assert abs(sigma[i, i] - r.var_sobol) <= 1e-9 * max(r.var_sobol, 1e-12), (
             f"diagonal {i} disagrees with per-mask variance"
         )
+
+
+def test_constructors_copy_the_callers_arrays():
+    v, y, lo, hi, c = np.full((4, 2), 0.5), np.arange(4.0), np.zeros(2), np.ones(2), np.array([8.0, -24.0])
+    fs, box, kernel = FullSample(V=v, Y=y), Domain(lo, hi), KernelD(c)
+    for own in (v, y, lo, hi, c):
+        own[0] = 7.0  # the caller's arrays stay writable
+    for frozen, before in ((fs.V, 0.5), (fs.Y, 0.0), (box.lower, 0.0), (box.upper, 1.0), (kernel.coeffs, 8.0)):
+        assert not frozen.flags.writeable
+        assert frozen.flat[0] == before
 
 
 # ---------------------------------------------------------------------------

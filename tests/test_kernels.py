@@ -9,13 +9,14 @@ in this file.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mirrorsobol.errors import MirrorSobolError
-from mirrorsobol.kernels import MAX_ORDER, KernelD, build_kernel, verify_order
+from mirrorsobol.kernels import MAX_ORDER, KernelD, build_kernel
 
 
 def gl_nodes(n, a, b):
@@ -211,6 +212,26 @@ def test_kernel_evaluation_is_deterministic():
 
 
 # ---------------------------------------------------------------- verify_order
+
+_ORDER_TOL = 1e-8  # mass and moment errors verify_order accepts
+
+
+def verify_order(kernel, d):
+    """Mass error and worst moment, 0 < |beta| <= order, of the kernel in dimension d.
+
+    Tensor Gauss-Legendre, max(2*order + 2, 16) nodes per axis; passes within _ORDER_TOL.
+    """
+    nodes = max(2 * kernel.order + 2, 16)
+    x, w = gl_nodes(nodes, *kernel.support)
+    points = np.array(list(itertools.product(x, repeat=d)))
+    kvals = np.prod(list(itertools.product(w, repeat=d)), axis=1) * kernel.eval(points)
+    mass_error = abs(float(np.sum(kvals)) - 1.0)
+    worst = 0.0
+    for beta in itertools.product(range(kernel.order + 1), repeat=d):
+        if 0 < sum(beta) <= kernel.order:
+            worst = max(worst, abs(float(np.sum(kvals * np.prod(points ** np.asarray(beta), axis=1)))))
+    passed = mass_error <= _ORDER_TOL and worst <= _ORDER_TOL
+    return {"nodes_per_axis": nodes, "mass_error": mass_error, "max_moment_violation": worst, "passed": passed}
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])

@@ -3,7 +3,7 @@
 import dataclasses
 
 import mirrorsobol
-from mirrorsobol import bandwidth, baselines, density, domain, estimator, inputs, kernels, testbed
+from mirrorsobol import _quad, bandwidth, baselines, density, domain, estimator, inputs, kernels, testbed
 
 
 def test_every_exported_name_resolves():
@@ -58,6 +58,12 @@ def test_removed_names_stay_removed():
         (density, "plugin_mse_diagnostic"),
         (bandwidth, "compute_beta_single"),
         (baselines, "_limiting_variance_t"),
+        (baselines, "efficient_variance_forms"),
+        (baselines, "limiting_variance_efficient"),
+        (baselines, "limiting_variance_sobol_efficient"),
+        (baselines, "limiting_variance_sobol_plugin"),
+        (kernels, "verify_order"),
+        (_quad, "multi_indices"),
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name} should not exist"
         assert not hasattr(mirrorsobol, name), f"mirrorsobol.{name} should not exist"
