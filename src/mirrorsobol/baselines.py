@@ -3,9 +3,8 @@
 The baselines carry their own standard formulas and are validated against
 analytic models only.  The three limiting variances are those that the
 `compare` study prints next to its estimators: they integrate closed-form
-conditional moments by quadrature (or fixed-seed Monte Carlo), and the two
-of the kernel estimator are the estimator's own delta-method rule at
-population moments.
+conditional moments by quadrature, and the two of the kernel estimator are
+the estimator's own delta-method rule at population moments.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -169,21 +167,22 @@ def rank_estimate(X, Y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# limiting variances (population quantities, evaluated by quadrature/MC)
+# limiting variances (population quantities, evaluated by quadrature)
 
 
 @dataclass(frozen=True)
 class VarianceOracles:
-    """Closed-form conditional moments plus an expectation engine.
+    """The output and the closed-form conditional moments at the nodes of a quadrature rule.
 
-    `moments` evaluates E[phi(Y, X)] over the joint law: it receives a
-    callable phi(y_values, x_masked_rows) -> values and returns the
-    expectation.  g1 and g2 act on masked input rows.
+    `weights` carry the joint density, so a population expectation
+    E[phi(Y, X)] is `weights @ phi`; y, g1 and g2 hold Y, E[Y | X] and
+    E[Y^2 | X] at the nodes.
     """
 
-    g1: Callable
-    g2: Callable
-    moments: Callable
+    weights: np.ndarray
+    y: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
 
 
 def limiting_variance_nn(oracles: VarianceOracles) -> float:
@@ -191,24 +190,21 @@ def limiting_variance_nn(oracles: VarianceOracles) -> float:
 
     sigma_D^2 = 2( E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4]) / 2 ).
     """
-    mom = oracles.moments
-    g1, g2 = oracles.g1, oracles.g2
-    e_g2_sq = mom(lambda y, x: g2(x) ** 2)
-    e_g1_sq = mom(lambda y, x: g1(x) ** 2)
-    e_g2_g1sq = mom(lambda y, x: g2(x) * g1(x) ** 2)
-    e_g1_4 = mom(lambda y, x: g1(x) ** 4)
+    w, g1, g2 = oracles.weights, oracles.g1, oracles.g2
+    e_g2_sq = float(w @ g2**2)
+    e_g1_sq = float(w @ g1**2)
+    e_g2_g1sq = float(w @ (g2 * g1**2))
+    e_g1_4 = float(w @ g1**4)
     return 2.0 * (e_g2_sq - e_g1_sq * e_g1_sq + 0.5 * (e_g2_g1sq - e_g1_4))
 
 
-def _population_covariance(oracles: VarianceOracles, rows) -> tuple:
-    """(means, Gamma) of the influence rows phi(y, x) over the joint law."""
-    mom = oracles.moments
-    means = [mom(row) for row in rows]
+def _population_covariance(weights: np.ndarray, rows) -> tuple:
+    """(means, Gamma) of the influence rows, arrays at the quadrature nodes."""
+    means = [float(weights @ row) for row in rows]
     gamma = np.empty((len(rows), len(rows)))
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            second = mom(lambda y, x: rows[i](y, x) * rows[j](y, x))
-            gamma[i, j] = gamma[j, i] = second - means[i] * means[j]
+            gamma[i, j] = gamma[j, i] = float(weights @ (rows[i] * rows[j])) - means[i] * means[j]
     return means, gamma
 
 
@@ -219,13 +215,9 @@ def _population_ratio_covariance(oracles: VarianceOracles, shift: float) -> tupl
     Y_s = Y - shift, g1_s = g1 - shift, and Var(S) the estimator's own
     delta-method rule `_ratio_covariance` on it.
     """
-    g1 = oracles.g1
-    rows = (
-        lambda y, x: 2.0 * (y - shift) * (g1(x) - shift),
-        lambda y, x: y - shift,
-        lambda y, x: (y - shift) * (y - shift),
-    )
-    means, gamma = _population_covariance(oracles, rows)
+    y_s = oracles.y - shift
+    rows = (2.0 * y_s * (oracles.g1 - shift), y_s, y_s * y_s)
+    means, gamma = _population_covariance(oracles.weights, rows)
     m, v = means[1], gamma[1, 1]
     if v <= 0.0:
         raise DegenerateOutputError("Var(Y) must be positive")
@@ -248,4 +240,4 @@ def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:
     population ratio unchanged but shrinks the delta-method variance;
     this is the limit the shipped `estimate_sobol` attains.
     """
-    return _population_ratio_covariance(oracles, oracles.moments(lambda y, x: y))[1]
+    return _population_ratio_covariance(oracles, float(oracles.weights @ oracles.y))[1]

@@ -110,8 +110,8 @@ class RunConfig:
 
     Study commands use ``n_grid`` (convergence; coverage falls back to
     ``(n,)``), ``seeds`` (seed count, seeds are 0..seeds-1, so ``seed``
-    must stay 0) and ``estimators``.  The config round-trips losslessly through
-    ``to_json``/``from_json``.
+    must stay 0) and ``estimators`` (the kernel alone under coverage).  The
+    config round-trips losslessly through ``to_json``/``from_json``.
     """
 
     command: str
@@ -146,8 +146,6 @@ class RunConfig:
                 raise ConfigError("model", str(exc)) from None
             if self.marginals is not None:
                 raise ConfigError("marginals", "marginals apply to csv input only; builtin models carry their own")
-            if self.command != "convergence" and (self.n is None or int(self.n) < 2):
-                raise ConfigError("n", "builtin input needs a sample size n >= 2")
         if self.n is not None:
             object.__setattr__(self, "n", int(self.n))
             if self.n < 2:
@@ -207,12 +205,14 @@ class RunConfig:
         if any(v < 2 for v in grid) or list(grid) != sorted(set(grid)):
             raise ConfigError("n_grid", f"n_grid must be ascending distinct sizes >= 2, got {list(grid)}")
         object.__setattr__(self, "n_grid", grid)
+        if self.command in _STUDIES and self.model is None:
+            raise ConfigError("input", f"{self.command} needs a builtin model (truth is required)")
         if self.command == "convergence" and len(grid) == 0:
             raise ConfigError("n_grid", "convergence needs a nonempty n_grid")
         if self.command == "coverage" and len(grid) == 0 and self.n is None:
             raise ConfigError("n_grid", "coverage needs n_grid or n")
-        if self.command in _STUDIES and self.model is None:
-            raise ConfigError("input", f"{self.command} needs a builtin model (truth is required)")
+        if self.command in ("estimate", "bandwidth", "compare") and self.model is not None and self.n is None:
+            raise ConfigError("n", f"{self.command} on a builtin model needs a sample size n")
 
         object.__setattr__(self, "seeds", int(self.seeds))
         if self.seeds < 1:
@@ -222,6 +222,10 @@ class RunConfig:
         if len(ests) == 0 or unknown:
             raise ConfigError("estimators", f"estimators must be drawn from {list(_ESTIMATOR_NAMES)}, got {list(ests)}")
         object.__setattr__(self, "estimators", ests)
+        if self.command == "coverage" and ests != ("kernel",):
+            raise ConfigError("estimators", f"coverage runs the kernel estimator only, got {list(ests)}")
+        if "rank" in ests and len(self.mask) != 1:
+            raise ConfigError("estimators", f"rank takes a one-axis mask only, got mask {list(self.mask)}")
         object.__setattr__(self, "variance_scale", float(self.variance_scale))
         if not (self.variance_scale > 0):
             raise ConfigError("variance_scale", f"variance_scale must be positive, got {self.variance_scale}")
@@ -405,7 +409,7 @@ def _resolve_h(config: RunConfig, fs: FullSample, spec, kernel, f_x, domain, inp
 
 def _h_rule_fn(config: RunConfig):
     if config.h is not None:
-        return config.h
+        return lambda n: config.h
     c, gamma = config.rule
     return lambda n: c * n ** (-gamma)
 
@@ -414,11 +418,11 @@ def _build_plan(config: RunConfig, n_grid: tuple) -> ExperimentPlan:
     model = model_by_name(config.model)
     return ExperimentPlan(
         model=model,
-        masks=(_mask0(config, model.input_model.p),),
+        mask=_mask0(config, model.input_model.p),
         n_grid=n_grid,
         h_rule=_h_rule_fn(config),
         kernel_order=config.kernel_order,
-        seeds=tuple(range(config.seeds)),
+        seeds=config.seeds,
         estimators=config.estimators,
         ci_level=config.ci_level,
         threads=config.threads,
@@ -513,29 +517,23 @@ def _cmd_coverage(config: RunConfig) -> str:
     return _write_text(_output_path(config), _csv_artifact(config, _STUDY_COLUMNS, out["rows"]))
 
 
-def _limiting_variance_cell(model, mask0, estimator: str, cache: dict):
-    if estimator not in ("kernel_t", "kernel_sobol", "nn_t"):
-        return ""
-    if "oracles" not in cache:
-        cache["oracles"] = variance_oracles(model, mask0)
-    oracles = cache["oracles"]
+def _limiting_variance_cell(oracles, estimator: str):
     if estimator == "kernel_t":
         return limiting_variance_t(oracles)
     if estimator == "kernel_sobol":
         # the shipped Sobol' estimator centers the output first
         return limiting_variance_sobol_centered(oracles)
-    return limiting_variance_nn(oracles)
+    if estimator == "nn_t":
+        return limiting_variance_nn(oracles)
+    return ""  # no CLT constant is claimed for pf and rank
 
 
 def _cmd_compare(config: RunConfig) -> str:
     plan = _build_plan(config, (config.n,))
-    out = convergence_study(plan)
-    cache = {}
-    rows = []
-    for row in out["rows"]:
-        row = dict(row)
-        row["limiting_variance"] = _limiting_variance_cell(plan.model, plan.masks[0], row["estimator"], cache)
-        rows.append(row)
+    rows = convergence_study(plan)["rows"]
+    oracles = variance_oracles(plan.model, plan.mask) if {"kernel", "nn"} & set(plan.estimators) else None
+    for row in rows:
+        row["limiting_variance"] = _limiting_variance_cell(oracles, row["estimator"])
     return _write_text(_output_path(config), _csv_artifact(config, _COMPARE_COLUMNS, rows))
 
 

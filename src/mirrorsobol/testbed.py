@@ -13,7 +13,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -352,50 +352,38 @@ def pick_freeze_design(model: AnalyticModel, mask, n: int, seed: int) -> PickFre
 
 
 _GL_NODES = 64
-_CHUNK = 1 << 20
-# the fixed-seed Monte Carlo engine of variance_oracles for p > 4
-_MC_DRAWS = 10**6
-_MC_SEED = 20240501
 
 
 def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
-    """Expectation engine plus closed-form g1/g2 for limiting-variance formulas.
+    """Y, g1 and g2 of the mask at the nodes of a 64-point tensor Gauss-Legendre rule.
 
-    For p <= 4 the engine is a 64-point tensor Gauss-Legendre rule over the
-    full input box weighted by the joint density (exact for the polynomial
-    models); otherwise a fixed-seed Monte Carlo average over `_MC_DRAWS`
-    rows, so results stay deterministic.  The factory also checks the
-    conditional-variance inequality g2 >= g1^2 on the engine's nodes.
+    The rule covers the full input box and its weights carry the joint
+    density, so E[phi(Y, X)] is `weights @ phi` (exact for the polynomial
+    models).  Models of more than 3 inputs are refused, since the rule holds
+    64^p nodes.  The factory also checks the conditional-variance inequality
+    g2 >= g1^2 on the nodes.
     """
     key = tuple(sorted(int(i) for i in mask))
-    g1_fn = lambda xm: model.g1(key, xm)
-    g2_fn = lambda xm: model.g2(key, xm)
-    p = model.p
-    cols = list(key)
-    if p <= 4:
-        marginals = model.input_model.marginals
-        points, weights = tensor_grid(_GL_NODES, [m.support for m in marginals])
-        for axis, marg in enumerate(marginals):
-            weights *= marg.pdf(points[:, axis])
-    else:
-        points = sample(model.input_model, _MC_DRAWS, _MC_SEED)
-        weights = np.full(points.shape[0], 1.0 / points.shape[0])
-    y_all = model.g(points)
-    xm_all = points[:, cols]
-
-    def moments(phi) -> float:
-        total = 0.0
-        for start in range(0, points.shape[0], _CHUNK):
-            blk = slice(start, min(start + _CHUNK, points.shape[0]))
-            total += float(np.dot(weights[blk], np.asarray(phi(y_all[blk], xm_all[blk]), dtype=float)))
-        return total
-
-    gap = g2_fn(xm_all) - g1_fn(xm_all) ** 2
+    if model.p > 3:
+        raise MirrorSobolError(
+            f"variance oracles take at most 3 inputs; model {model.name!r} has {model.p} inputs, "
+            f"and its tensor rule would hold 64^{model.p} = {_GL_NODES ** model.p} nodes"
+        )
+    marginals = model.input_model.marginals
+    points, weights = tensor_grid(_GL_NODES, [m.support for m in marginals])
+    for axis, marg in enumerate(marginals):
+        weights *= marg.pdf(points[:, axis])
+    y = model.g(points)
+    xm = points[:, list(key)]
+    del points  # freed before g1 and g2 are evaluated, to keep the peak memory down
+    g1 = model.g1(key, xm)
+    g2 = model.g2(key, xm)
+    gap = g2 - g1**2
     if float(np.min(gap)) < -1e-8 * max(1.0, float(np.max(np.abs(gap)))):
         raise MirrorSobolError(
             f"conditional variance negative for model {model.name!r}, mask {key}: min gap {np.min(gap)}"
         )
-    return VarianceOracles(g1=g1_fn, g2=g2_fn, moments=moments)
+    return VarianceOracles(weights=weights, y=y, g1=g1, g2=g2)
 
 
 # --------------------------------------------------------------------------
@@ -408,37 +396,34 @@ _ESTIMATOR_NAMES = ("kernel", "pf", "nn", "rank")
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Configuration of a Monte Carlo study over seeds and sample sizes."""
+    """One mask of a model over seeds 0..seeds-1 at each n of n_grid, with bandwidth h_rule(n)."""
 
     model: AnalyticModel
-    masks: tuple
+    mask: tuple
     n_grid: tuple
-    h_rule: Union[Callable[[int], float], float]
+    h_rule: Callable[[int], float]
     kernel_order: int
-    seeds: tuple
+    seeds: int
     estimators: tuple
     ci_level: float
     threads: int
 
     def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(tuple(sorted(int(i) for i in m)) for m in self.masks))
+        object.__setattr__(self, "mask", tuple(sorted(int(i) for i in self.mask)))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", int(self.seeds))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if len(set(self.seeds)) != len(self.seeds):
-            raise MirrorSobolError("seeds must be distinct")
+        if self.seeds < 1:
+            raise MirrorSobolError(f"seeds must be >= 1, got {self.seeds}")
         if list(self.n_grid) != sorted(self.n_grid):
             raise MirrorSobolError("n_grid must be ascending")
         unknown = set(self.estimators) - set(_ESTIMATOR_NAMES)
         if unknown:
             raise MirrorSobolError(f"unknown estimators {sorted(unknown)}")
+        if "rank" in self.estimators and len(self.mask) != 1:
+            raise MirrorSobolError(f"rank estimator only supports singleton masks, got {self.mask}")
         if self.threads < 1:
             raise MirrorSobolError(f"threads must be >= 1, got {self.threads}")
-
-    def h_at(self, n: int) -> float:
-        if callable(self.h_rule):
-            return float(self.h_rule(n))
-        return float(self.h_rule)
 
 
 def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int) -> list:
@@ -450,9 +435,14 @@ def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int)
         return list(pool.map(fn, seeds))
 
 
-def _kernel_run(model: AnalyticModel, mask, n: int, h: float, order: int, seed: int, ci_level: float):
-    fs = model.draw(n, seed)
-    return estimate_sobol(fs, SubsetSpec(mask), build_kernel(order), h, model.input_model, ci_level=ci_level)
+def _kernel_runner(plan: ExperimentPlan) -> Callable[[int, float], list]:
+    """run(n, h): the kernel estimates of seeds 0..seeds-1; one kernel and spec serve the study."""
+    spec, kernel, model = SubsetSpec(plan.mask), build_kernel(plan.kernel_order), plan.model
+
+    def replicate(n: int, h: float, seed: int):
+        return estimate_sobol(model.draw(n, seed), spec, kernel, h, model.input_model, ci_level=plan.ci_level)
+
+    return lambda n, h: _over_seeds(lambda s: replicate(n, h, s), range(plan.seeds), plan.threads)
 
 
 def _mask_label(mask) -> str:
@@ -476,57 +466,43 @@ def _summary_row(model, mask, estimator, n, h, values, truth) -> dict:
 
 
 def convergence_study(plan: ExperimentPlan) -> dict:
-    """RMSE against truth across n_grid, with log-log slope fits.
+    """RMSE against truth across n_grid for the plan's mask, with log-log slope fits.
 
     Returns {"rows": [...], "slopes": {...}} where rows carry the columns
     (model, mask, estimator, n, h, seed_count, mean, rmse, var_scaled_by_n,
     coverage) and slopes map (estimator_label, mask_label) to the fitted
     log-log slope of RMSE in n.
     """
+    model, mask, seeds = plan.model, plan.mask, range(plan.seeds)
+    kernel_run = _kernel_runner(plan)
     rows = []
-    for mask in plan.masks:
-        for n in plan.n_grid:
-            h = plan.h_at(n)
-            if "kernel" in plan.estimators:
-                res = _over_seeds(
-                    lambda s: _kernel_run(plan.model, mask, n, h, plan.kernel_order, s, plan.ci_level),
-                    plan.seeds,
-                    plan.threads,
-                )
-                rows.append(
-                    _summary_row(plan.model, mask, "kernel_t", n, h, [r.t_hat for r in res], plan.model.t_of(mask))
-                )
-                rows.append(
-                    _summary_row(
-                        plan.model, mask, "kernel_sobol", n, h, [r.sobol for r in res], plan.model.sobol_of(mask)
-                    )
-                )
-            if "pf" in plan.estimators:
-                vals = _over_seeds(
-                    lambda s: pick_freeze_estimate(pick_freeze_design(plan.model, mask, n, s)),
-                    plan.seeds,
-                    plan.threads,
-                )
-                rows.append(_summary_row(plan.model, mask, "pf", n, None, vals, plan.model.sobol_of(mask)))
-            if "nn" in plan.estimators:
-                def nn_once(s, mask=mask, n=n):
-                    fs1 = plan.model.draw(n, s, stream=0)
-                    fs2 = plan.model.draw(n, s, stream=1)
-                    idx = list(mask)
-                    return nn_estimate((fs1.V[:, idx], fs1.Y), (fs2.V[:, idx], fs2.Y))
+    for n in plan.n_grid:
+        h = float(plan.h_rule(n))
+        if "kernel" in plan.estimators:
+            res = kernel_run(n, h)
+            rows.append(_summary_row(model, mask, "kernel_t", n, h, [r.t_hat for r in res], model.t_of(mask)))
+            rows.append(_summary_row(model, mask, "kernel_sobol", n, h, [r.sobol for r in res], model.sobol_of(mask)))
+        if "pf" in plan.estimators:
+            vals = _over_seeds(
+                lambda s: pick_freeze_estimate(pick_freeze_design(model, mask, n, s)), seeds, plan.threads
+            )
+            rows.append(_summary_row(model, mask, "pf", n, None, vals, model.sobol_of(mask)))
+        if "nn" in plan.estimators:
+            def nn_once(s):
+                fs1 = model.draw(n, s, stream=0)
+                fs2 = model.draw(n, s, stream=1)
+                idx = list(mask)
+                return nn_estimate((fs1.V[:, idx], fs1.Y), (fs2.V[:, idx], fs2.Y))
 
-                vals = _over_seeds(nn_once, plan.seeds, plan.threads)
-                rows.append(_summary_row(plan.model, mask, "nn_t", n, None, vals, plan.model.t_of(mask)))
-            if "rank" in plan.estimators:
-                if len(mask) != 1:
-                    raise MirrorSobolError("rank estimator only supports singleton masks")
+            vals = _over_seeds(nn_once, seeds, plan.threads)
+            rows.append(_summary_row(model, mask, "nn_t", n, None, vals, model.t_of(mask)))
+        if "rank" in plan.estimators:
+            def rank_once(s):
+                fs = model.draw(n, s)
+                return rank_estimate(fs.V[:, mask[0]], fs.Y)
 
-                def rank_once(s, mask=mask, n=n):
-                    fs = plan.model.draw(n, s)
-                    return rank_estimate(fs.V[:, mask[0]], fs.Y)
-
-                vals = _over_seeds(rank_once, plan.seeds, plan.threads)
-                rows.append(_summary_row(plan.model, mask, "rank", n, None, vals, plan.model.sobol_of(mask)))
+            vals = _over_seeds(rank_once, seeds, plan.threads)
+            rows.append(_summary_row(model, mask, "rank", n, None, vals, model.sobol_of(mask)))
     grouped = {}
     for row in rows:
         grouped.setdefault((row["estimator"], row["mask"]), []).append((row["n"], row["rmse"]))
@@ -548,24 +524,21 @@ def fit_loglog_slope(ns, rmses) -> float:
 
 
 def coverage_study(plan: ExperimentPlan, variance_scale: float = 1.0) -> dict:
-    """Fraction of seeds whose CI covers the true index, per mask and n, at level plan.ci_level.
+    """Fraction of seeds whose CI covers the true index at each n, at level plan.ci_level.
 
     `variance_scale` rescales the variance before the interval is formed;
     setting it to 0.5 is the deliberate-miscalibration negative control.
-    Only the kernel estimator produces intervals.
+    Only the kernel estimator produces intervals.  Returns {"rows": [...]}.
     """
+    model, mask = plan.model, plan.mask
+    truth = model.sobol_of(mask)
+    kernel_run = _kernel_runner(plan)
     rows = []
-    for mask in plan.masks:
-        truth = plan.model.sobol_of(mask)
-        for n in plan.n_grid:
-            h = plan.h_at(n)
-            res = _over_seeds(
-                lambda s: _kernel_run(plan.model, mask, n, h, plan.kernel_order, s, plan.ci_level),
-                plan.seeds,
-                plan.threads,
-            )
-            intervals = [_normal_ci(r.sobol, r.var_sobol * variance_scale, n, plan.ci_level) for r in res]
-            row = _summary_row(plan.model, mask, "kernel_sobol", n, h, [r.sobol for r in res], truth)
-            row["coverage"] = float(np.mean([lo <= truth <= hi for lo, hi in intervals]))
-            rows.append(row)
-    return {"rows": rows, "level": plan.ci_level, "variance_scale": variance_scale}
+    for n in plan.n_grid:
+        h = float(plan.h_rule(n))
+        res = kernel_run(n, h)
+        intervals = [_normal_ci(r.sobol, r.var_sobol * variance_scale, n, plan.ci_level) for r in res]
+        row = _summary_row(model, mask, "kernel_sobol", n, h, [r.sobol for r in res], truth)
+        row["coverage"] = float(np.mean([lo <= truth <= hi for lo, hi in intervals]))
+        rows.append(row)
+    return {"rows": rows}

@@ -11,13 +11,8 @@ from mirrorsobol.estimator import _ratio_covariance
 
 def efficient_bounds(oracles) -> tuple:
     """(sigma_T^2, sigma_min^2) at population moments, over the rows (g1(2Y - g1), Y, Y^2)."""
-    g1 = oracles.g1
-    rows = (
-        lambda y, x: g1(x) * (2.0 * y - g1(x)),
-        lambda y, x: y,
-        lambda y, x: y * y,
-    )
-    means, gamma = _population_covariance(oracles, rows)
+    g1, y = oracles.g1, oracles.y
+    means, gamma = _population_covariance(oracles.weights, (g1 * (2.0 * y - g1), y, y * y))
     m, v = means[1], gamma[1, 1]
     sobol = (means[0] - m * m) / v
     return float(gamma[0, 0]), float(_ratio_covariance(gamma, sobol, m, v)[0, 0])
@@ -25,6 +20,6 @@ def efficient_bounds(oracles) -> tuple:
 
 def sigma_t_second_form(oracles) -> float:
     """4 tau^2 - 3 Var(g1^2), sigma_T^2 by the tower property from other integrals."""
-    g1sq_mean = oracles.moments(lambda y, x: oracles.g1(x) ** 2)
-    g1_4 = oracles.moments(lambda y, x: oracles.g1(x) ** 4)
+    g1sq_mean = float(oracles.weights @ oracles.g1**2)
+    g1_4 = float(oracles.weights @ oracles.g1**4)
     return limiting_variance_t(oracles) - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)

@@ -103,11 +103,11 @@ def test_first_order_index_consistency_linear():
 def test_rmse_decays_at_root_n_rate():
     plan = ExperimentPlan(
         model=LINEAR3,
-        masks=((0,),),
+        mask=(0,),
         n_grid=(500, 1000, 2000, 4000, 8000),
         h_rule=lambda n: n**-0.4,
         kernel_order=2,
-        seeds=tuple(range(100)),
+        seeds=100,
         estimators=("kernel",),
         ci_level=0.95,
         threads=1,
@@ -121,11 +121,11 @@ def test_rmse_decays_at_root_n_rate():
 def test_clt_interval_coverage_with_negative_control():
     plan = ExperimentPlan(
         model=LINEAR3,
-        masks=((0,),),
+        mask=(0,),
         n_grid=(4000,),
         h_rule=lambda n: n**-0.3,
         kernel_order=1,
-        seeds=tuple(range(300)),
+        seeds=300,
         estimators=("kernel",),
         ci_level=0.95,
         threads=1,

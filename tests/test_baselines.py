@@ -253,8 +253,8 @@ def test_rank_rejects_multidimensional():
 def test_engine_reproduces_model_moments():
     for model in (linear_model(3), weighted_linear_model(2.0, 3), ishigami_model(), product_model()):
         orc = variance_oracles(model, (0,))
-        mean = orc.moments(lambda y, x: y)
-        second = orc.moments(lambda y, x: y * y)
+        mean = float(orc.weights @ orc.y)
+        second = float(orc.weights @ (orc.y * orc.y))
         assert abs(mean - model.mean_y) < 1e-9, f"{model.name}: engine mean {mean} vs {model.mean_y}"
         assert abs(second - (model.var_y + model.mean_y**2)) < 1e-8, f"{model.name}: second moment off"
 
@@ -262,7 +262,7 @@ def test_engine_reproduces_model_moments():
 def test_engine_t_matches_closed_form():
     for model in (linear_model(2), product_model(), curved_model()):
         orc = variance_oracles(model, (0,))
-        t = orc.moments(lambda y, x: y * orc.g1(x))
+        t = float(orc.weights @ (orc.y * orc.g1))
         assert abs(t - model.t_of((0,))) < 1e-10, f"{model.name}: E[Y g1] {t} vs {model.t_of((0,))}"
 
 
@@ -285,7 +285,7 @@ def test_sigma_t_no_noise_model_reduces_to_var_g1sq():
     m = curved_model()
     orc = variance_oracles(m, (0, 1))  # full mask: g1 = g exactly
     value = efficient_bounds(orc)[0]
-    g1sq_var = orc.moments(lambda y, x: orc.g1(x) ** 4) - orc.moments(lambda y, x: orc.g1(x) ** 2) ** 2
+    g1sq_var = float(orc.weights @ orc.g1**4) - float(orc.weights @ orc.g1**2) ** 2
     assert abs(value - g1sq_var) <= 1e-9 * g1sq_var, f"{value} vs Var(g1^2) = {g1sq_var}"
 
 
@@ -293,8 +293,8 @@ def test_sigma_t_below_4tau2():
     for model, mask in [(linear_model(3), (1,)), (product_model(), (0,)), (ishigami_model(), (0,))]:
         orc = variance_oracles(model, mask)
         sigma_t = efficient_bounds(orc)[0]
-        yg_mean = orc.moments(lambda y, x: y * orc.g1(x))
-        tau2 = orc.moments(lambda y, x: (y * orc.g1(x)) ** 2) - yg_mean**2
+        yg_mean = float(orc.weights @ (orc.y * orc.g1))
+        tau2 = float(orc.weights @ (orc.y * orc.g1) ** 2) - yg_mean**2
         assert sigma_t <= 4.0 * tau2 + 1e-12, f"{model.name}: sigma_T^2 {sigma_t} exceeds 4 tau^2 {4 * tau2}"
 
 
@@ -313,7 +313,7 @@ def test_sigma_d_nonnegative_and_deterministic_case():
     m = curved_model()
     orc = variance_oracles(m, (0, 1))
     value = limiting_variance_nn(orc)
-    var_g1sq = orc.moments(lambda y, x: orc.g1(x) ** 4) - orc.moments(lambda y, x: orc.g1(x) ** 2) ** 2
+    var_g1sq = float(orc.weights @ orc.g1**4) - float(orc.weights @ orc.g1**2) ** 2
     assert abs(value - 2.0 * var_g1sq) <= 1e-9 * var_g1sq, f"g2 = g1^2 case: {value} vs {2 * var_g1sq}"
 
 
@@ -351,16 +351,13 @@ def test_sigma_min_matches_the_direct_formula_on_every_builtin_mask():
     for model in builtin_models():
         for mask in model.masks():
             orc = variance_oracles(model, mask)
-            g1 = orc.g1
-            m = orc.moments(lambda y, x: y)
-            v = orc.moments(lambda y, x: y * y) - m * m
-            s = (orc.moments(lambda y, x: g1(x) ** 2) - m * m) / v
-
-            def z(y, x):
-                return 2.0 * m * (1.0 - s) * y + s * y * y + g1(x) * (g1(x) - 2.0 * y)
-
-            z_mean = orc.moments(z)
-            direct = (orc.moments(lambda y, x: z(y, x) ** 2) - z_mean * z_mean) / (v * v)
+            w, y, g1 = orc.weights, orc.y, orc.g1
+            m = float(w @ y)
+            v = float(w @ (y * y)) - m * m
+            s = (float(w @ g1**2) - m * m) / v
+            z = 2.0 * m * (1.0 - s) * y + s * y * y + g1 * (g1 - 2.0 * y)
+            z_mean = float(w @ z)
+            direct = (float(w @ z**2) - z_mean * z_mean) / (v * v)
             bound = efficient_bounds(orc)[1]
             tol = 1e-11 * abs(direct) if abs(direct) > 1e-12 else 1e-14
             assert abs(bound - direct) <= tol, f"{model.name} {mask}: sigma_min^2 {bound} vs direct {direct}"
@@ -383,6 +380,12 @@ def test_variance_oracles_rejects_bad_conditional_variance():
     )
     with pytest.raises(MirrorSobolError):
         variance_oracles(bad, (0,))
+
+
+def test_variance_oracles_refuse_more_than_three_inputs():
+    # the tensor rule would hold 64^4 nodes
+    with pytest.raises(MirrorSobolError, match=r"4 inputs.*64\^4 = 16777216 nodes"):
+        variance_oracles(linear_model(4), (0,))
 
 
 def test_kernel_and_pf_agree_on_product_model():

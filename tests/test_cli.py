@@ -594,6 +594,35 @@ def test_studies_reject_a_seed(command, sizes, tmp_path, capsys):
     assert not (tmp_path / "study.csv").exists()
 
 
+def test_coverage_takes_an_n_grid_without_n(tmp_path):
+    out = tmp_path / "cov.csv"
+    argv = ["coverage", "--model", "linear3", "--n-grid", "300,600", "--mask", "2", "--h", "0.2", "--seeds", "10"]
+    assert main(argv + ["--output", str(out)]) == 0
+    _, _, rows, _ = _read_table(str(out))
+    assert [r["n"] for r in rows] == ["300", "600"], rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # rank estimates one-axis masks only
+        ["compare", "--model", "product", "--mask", "1,2", "--n", "2000", "--rule", "1.0", "0.375"]
+        + ["--seeds", "20", "--estimators", "kernel,pf,nn,rank"],
+        # coverage forms intervals from the kernel estimator only
+        ["coverage", "--model", "linear3", "--mask", "1", "--n", "200", "--h", "0.2", "--estimators", "pf,nn"],
+    ],
+)
+def test_study_estimators_are_checked_before_any_replicate(argv, tmp_path, monkeypatch, capsys):
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(testbed, "estimate_sobol", no_replicate)
+    code = main(argv + ["--output", str(tmp_path / "study.csv")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == "estimators"
+    assert not (tmp_path / "study.csv").exists()
+
+
 def test_unset_flags_leave_the_defaults_to_run_config():
     args = _build_parser().parse_args(["coverage", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2"])
     assert vars(args) == {"command": "coverage", "model": "linear3", "n": 200, "mask": (1,), "h": 0.2}

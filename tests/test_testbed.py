@@ -164,24 +164,24 @@ def test_brute_force_rejects_rows_outside_the_box():
 
 def test_plan_validation():
     m = linear_model(2)
-    rest = dict(model=m, masks=((0,),), h_rule=0.2, kernel_order=2, ci_level=0.95, threads=1)
+    rest = dict(model=m, mask=(0,), h_rule=lambda n: 0.2, kernel_order=2, ci_level=0.95, threads=1)
     with pytest.raises(MirrorSobolError):
-        ExperimentPlan(**rest, n_grid=(200, 100), seeds=(0, 1), estimators=("kernel",))
+        ExperimentPlan(**rest, n_grid=(200, 100), seeds=2, estimators=("kernel",))
     with pytest.raises(MirrorSobolError):
-        ExperimentPlan(**rest, n_grid=(100,), seeds=(0, 0), estimators=("kernel",))
+        ExperimentPlan(**rest, n_grid=(100,), seeds=0, estimators=("kernel",))
     with pytest.raises(MirrorSobolError):
-        ExperimentPlan(**rest, n_grid=(100,), seeds=tuple(range(100)), estimators=("bogus",))
+        ExperimentPlan(**rest, n_grid=(100,), seeds=100, estimators=("bogus",))
 
 
 def test_convergence_study_shrinks_rmse():
     m = linear_model(2)
     plan = ExperimentPlan(
         model=m,
-        masks=((0,),),
+        mask=(0,),
         n_grid=(250, 1000, 4000),
         h_rule=lambda n: n**-0.35,
         kernel_order=1,
-        seeds=tuple(range(30)),
+        seeds=30,
         estimators=("kernel", "pf", "rank"),
         ci_level=0.95,
         threads=1,
@@ -200,11 +200,11 @@ def test_convergence_study_threaded_matches_serial():
     m = product_model()
     kwargs = dict(
         model=m,
-        masks=((0,),),
+        mask=(0,),
         n_grid=(300,),
-        h_rule=0.25,
+        h_rule=lambda n: 0.25,
         kernel_order=1,
-        seeds=tuple(range(8)),
+        seeds=8,
         estimators=("kernel",),
         ci_level=0.95,
     )
@@ -218,11 +218,11 @@ def test_plan_rejects_nonpositive_threads(threads):
     with pytest.raises(MirrorSobolError, match="threads"):
         ExperimentPlan(
             model=linear_model(3),
-            masks=((0,),),
+            mask=(0,),
             n_grid=(100,),
-            h_rule=0.2,
+            h_rule=lambda n: 0.2,
             kernel_order=2,
-            seeds=tuple(range(100)),
+            seeds=100,
             estimators=("kernel",),
             ci_level=0.95,
             threads=threads,
@@ -247,11 +247,11 @@ def test_coverage_study_negative_control():
     m = linear_model(3)
     plan = ExperimentPlan(
         model=m,
-        masks=((1,),),
+        mask=(1,),
         n_grid=(1500,),
-        h_rule=0.25,
+        h_rule=lambda n: 0.25,
         kernel_order=1,
-        seeds=tuple(range(120)),
+        seeds=120,
         estimators=("kernel",),
         ci_level=0.95,
         threads=1,
@@ -271,17 +271,15 @@ def test_fit_loglog_slope_exact():
 
 
 def test_rank_requires_singleton_mask_in_study():
-    m = curved_model()
-    plan = ExperimentPlan(
-        model=m,
-        masks=((0, 1),),
-        n_grid=(100,),
-        h_rule=0.2,
-        kernel_order=2,
-        seeds=(0, 1),
-        estimators=("rank",),
-        ci_level=0.95,
-        threads=1,
-    )
-    with pytest.raises(MirrorSobolError):
-        convergence_study(plan)
+    with pytest.raises(MirrorSobolError, match="rank"):
+        ExperimentPlan(
+            model=curved_model(),
+            mask=(0, 1),
+            n_grid=(100,),
+            h_rule=lambda n: 0.2,
+            kernel_order=2,
+            seeds=2,
+            estimators=("rank",),
+            ci_level=0.95,
+            threads=1,
+        )
