@@ -5,7 +5,7 @@ a polynomial on its support: each window is summed from moments of the
 points about the centers of cells of side h/2, so its pairs are never
 listed.  They serve the estimator's self-pair sums in one dimension always,
 and in two when the windows hold enough pairs to pay for the structure.
-The k-d tree serves everything else (d >= 3, small 2-D windows, sums at
+The cell grid serves everything else (d >= 3, small 2-D windows, sums at
 other anchors such as mirror_kde's, and samples too fine for int64 cell
 indices): it lists the pairs of each window and evaluates the kernel on
 every one.
@@ -16,17 +16,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import Domain, sign_matrix
 
-# expected candidate pairs per anchor block of the tree; larger blocks raise
-# the peak memory without running faster
+# candidate pairs per anchor block of the grid; larger blocks raise the
+# peak memory without running faster
 _PAIR_BUDGET = 2**16
+# the cost of a grid run in candidate pairs, and the most cells per ball
+# side; measured on uniform samples in d = 2 to 4 (n = 2000 to 10^4), the m
+# that _cells_per_ball picks ran within 4% of the fastest of 1 to 16
+_RUN_COST = 1.0
+_MAX_CELLS = 16
 # expected window pairs per anchor from which range moments serve d = 2: the
-# tree costs about 130 ns per pair, range moments about the same at any h;
-# measured, they break even near 35 pairs per anchor at n = 2000 and 75 at
-# n = 10^4
+# grid costs about 100 to 130 ns per pair, range moments about the same at
+# any h; measured, they break even near 30 pairs per anchor at n = 2000 and
+# 95 at n = 10^4
 _MOMENT_CROSSOVER = 60.0
 
 
@@ -39,11 +43,11 @@ def window_sums(x, weights, kernel, h: float, domain: Domain, anchors=None) -> n
     the sums do not depend on the input row order, and they take the
     range-moment backend in d = 1, and in d = 2 once the expected window
     pairs per anchor, tied rows counted, reach _MOMENT_CROSSOVER.  Every
-    other call takes the tree, and so do samples whose cell indices or
+    other call takes the grid, and so do samples whose cell indices or
     layout keys would not fit in int64.
     """
     if anchors is not None:
-        return _tree_sums(x, weights, kernel, h, domain, anchors, self_pairs=False)
+        return _grid_sums(x, weights, kernel, h, domain, anchors, self_pairs=False)
     order = np.lexsort(x.T[::-1])
     # tied[i]: sorted row i + 1 equals row i; the weights order tied rows
     tied = np.all(x[order[1:]] == x[order[:-1]], axis=1)
@@ -54,7 +58,7 @@ def window_sums(x, weights, kernel, h: float, domain: Domain, anchors=None) -> n
         moment_sums = _moment_sums_1d if x.shape[1] == 1 else _moment_sums_2d
         out = moment_sums(x, weights, kernel.coeffs, kernel.support, h, domain)
     else:
-        out = _tree_sums(x, weights, kernel, h, domain, x, self_pairs=True)
+        out = _grid_sums(x, weights, kernel, h, domain, x, self_pairs=True)
     out[order] = out.copy()
     return out
 
@@ -64,7 +68,7 @@ def _moments_pay(tied: np.ndarray, side: float, domain: Domain) -> bool:
 
     `side` is the window side, which is also the cell side.  Cell indices
     reach widths / side, and the d = 2 layout keys (n + 1)^3; where either
-    would not fit in int64 the tree serves.
+    would not fit in int64 the grid serves.
     """
     n, d = tied.size + 1, domain.dim
     if float(np.max(domain.widths)) / side >= 2.0**62 or (d == 2 and float(n + 1) ** 3 >= 2.0**63):
@@ -86,45 +90,131 @@ def _tied_pairs(tied: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
-# the tree backend
+# the grid backend
 
 
-def _tree_sums(x, weights, kernel, h: float, domain: Domain, anchors, self_pairs: bool) -> np.ndarray:
-    """Window sums by k-d tree range queries (Bentley 1975).
+def _grid_sums(x, weights, kernel, h: float, domain: Domain, anchors, self_pairs: bool) -> np.ndarray:
+    """Window sums over the pairs that a sorted cell grid lists.
 
     The kernel vanishes outside the box q_a + s_a [lo h, hi h]^d, a max-norm
-    ball, so a range query at a radius inflated past the rounding of the
-    ball centers proposes the candidate pairs, and the kernel's closed-support
+    ball, so a radius inflated past the rounding of the ball centers makes
+    every pair that can count a candidate, and the kernel's closed-support
     test decides each one, with the same arithmetic as a dense sweep.  The
-    cost is O(m log m + pairs in a window), not m^2.  Anchor blocks hold
-    about _PAIR_BUDGET expected pairs, counted for a spread sample and, with
-    self pairs (rows in canonical order), raised to the pairs of tied rows.
+    candidates of an anchor are the runs of a `_CellGrid`: at most
+    (m + 2)^(d-1) of them, m cells per ball side on each leading axis.  The
+    runs give each anchor's exact candidate count before any pair is listed,
+    and an anchor block holds at most _PAIR_BUDGET candidates, or one anchor.
     """
     signs = sign_matrix(domain, anchors)
     lo, hi = kernel.support
     centers = anchors + signs * (0.5 * (lo + hi) * h)
     scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(anchors), initial=0.0)))
     reach = 0.5 * (hi - lo) * h * (1.0 + 1e-9) + 8.0 * np.spacing(scale)
-    per_anchor = x.shape[0] * np.prod(np.minimum(1.0, 2.0 * reach / domain.widths))
-    if self_pairs:
-        per_anchor = max(per_anchor, _tied_pairs(np.all(x[1:] == x[:-1], axis=1)) / x.shape[0])
-    block = max(1, int(_PAIR_BUDGET / max(per_anchor, 1.0)))
-    tree = cKDTree(x)
+    n, d = x.shape
+    m = _cells_per_ball(n * float(np.prod(np.minimum(1.0, 2.0 * reach / domain.widths))), d)
+    grid = _CellGrid(x, domain.lower, 2.0 * reach / m)
+    position = np.empty(n, dtype=np.int64)  # of each point in the grid order
+    position[grid.order] = np.arange(n)
+    xs, ws = x[grid.order], weights[grid.order]
     out = np.zeros((anchors.shape[0], weights.shape[1]))
-    for start in range(0, anchors.shape[0], block):
-        stop = min(start + block, anchors.shape[0])
-        pairs = cKDTree(centers[start:stop]).sparse_distance_matrix(tree, reach, p=np.inf, output_type="ndarray")
-        a, b = pairs["i"], pairs["j"]
-        if self_pairs:
-            keep = np.flatnonzero(a + start != b)
-            a, b = a[keep], b[keep]
-        ia = a + start
-        mirrored = np.take(signs, ia, axis=0) * (np.take(x, b, axis=0) - np.take(anchors, ia, axis=0))
-        kvals = kernel.eval_scaled(mirrored, h)
-        wb = np.take(weights, b, axis=0)
-        for c in range(weights.shape[1]):
-            out[start:stop, c] = np.bincount(a, weights=kvals * wb[:, c], minlength=stop - start)
+    chunk = max(1, _PAIR_BUDGET // (m + 2) ** (d - 1))  # bounds the runs held at once
+    for c0 in range(0, anchors.shape[0], chunk):
+        owner, first, stop = grid.runs(centers[c0 : c0 + chunk], reach)
+        count = np.bincount(owner, weights=stop - first, minlength=min(chunk, anchors.shape[0] - c0))
+        for b0, b1 in _blocks(count):
+            r0, r1 = np.searchsorted(owner, [b0, b1])
+            lens = stop[r0:r1] - first[r0:r1]
+            own = owner[r0:r1] + c0
+            a = np.repeat(own - (c0 + b0), lens)
+            pos = _expand(first[r0:r1], lens)
+            offsets = np.take(xs, pos, axis=0) - np.repeat(anchors[own], lens, axis=0)
+            mirrored = np.repeat(signs[own], lens, axis=0) * offsets
+            kvals = kernel.eval_scaled(mirrored, h)
+            if self_pairs:
+                keep = np.flatnonzero(pos != np.repeat(position[own], lens))
+                a, pos, kvals = a[keep], pos[keep], kvals[keep]
+            wb = np.take(ws, pos, axis=0)
+            for c in range(weights.shape[1]):
+                out[c0 + b0 : c0 + b1, c] = np.bincount(a, weights=kvals * wb[:, c], minlength=b1 - b0)
     return out
+
+
+def _expand(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integers of the runs [first, first + lens), run after run."""
+    return np.arange(int(np.sum(lens))) + np.repeat(first - (np.cumsum(lens) - lens), lens)
+
+
+def _cells_per_ball(per_anchor: float, d: int) -> int:
+    """Cells m per ball side on each leading axis, for `per_anchor` expected pairs per anchor.
+
+    An anchor costs about (m + 1)^(d-1) runs and per_anchor ((m + 1) / m)^(d-1)
+    candidates; _RUN_COST weighs a run against a candidate pair.
+    """
+    if d == 1:
+        return 1
+    m = np.arange(1, _MAX_CELLS + 1, dtype=float)
+    cost = (m + 1.0) ** (d - 1) * _RUN_COST + per_anchor * ((m + 1.0) / m) ** (d - 1)
+    return int(m[np.argmin(cost)])
+
+
+def _blocks(count: np.ndarray):
+    """[start, stop) anchor blocks of at most _PAIR_BUDGET candidates each, or of one anchor."""
+    cum = np.cumsum(count)
+    start = 0
+    while start < count.size:
+        base = cum[start - 1] if start else 0.0
+        stop = max(start + 1, int(np.searchsorted(cum, base + _PAIR_BUDGET, side="right")))
+        yield start, stop
+        start = stop
+
+
+class _CellGrid:
+    """Points sorted by cell on the leading axes, then by rank on the last axis.
+
+    A leading-axis cell is floor((x - lower) / side), monotone in x, named by
+    its dense rank among the cells that hold a point; the cells of the
+    leading axes combine one axis at a time into a dense id below the point
+    count, so no key overflows int64 in any d.  A point's key is its cell id
+    times (distinct last-axis values + 1) plus its last-axis rank.
+    """
+
+    def __init__(self, x: np.ndarray, lower: np.ndarray, side: float):
+        self.lower, self.side = lower, side
+        self.levels = []  # per leading axis: its distinct cells, and the distinct ids up to it
+        cid = np.zeros(x.shape[0], dtype=np.int64)
+        for j in range(x.shape[1] - 1):
+            cells, r = np.unique(self._cell(x[:, j], j), return_inverse=True)
+            ids, cid = np.unique(cid * cells.size + r, return_inverse=True)
+            self.levels.append((cells, ids))
+        self.last, r = np.unique(x[:, -1], return_inverse=True)
+        key = cid * (self.last.size + 1) + r
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
+
+    def _cell(self, v: np.ndarray, j: int) -> np.ndarray:
+        return np.floor((v - self.lower[j]) / self.side)
+
+    def runs(self, centers: np.ndarray, reach: float) -> tuple:
+        """(owner, first, stop): the grid positions [first, stop) of every nonempty run
+        of the points within `reach` of centers[owner] on the last axis, in a
+        leading cell that meets that ball; runs ordered by owner."""
+        owner = np.arange(centers.shape[0])
+        cid = np.zeros(centers.shape[0], dtype=np.int64)
+        for j, (cells, ids) in enumerate(self.levels):
+            c = centers[:, j]
+            lo = np.searchsorted(cells, self._cell(c - reach, j), side="left")
+            span = np.maximum(np.searchsorted(cells, self._cell(c + reach, j), side="right") - lo, 0)[owner]
+            entry = np.repeat(np.arange(owner.size), span)
+            key = cid[entry] * cells.size + _expand(lo[owner], span)
+            at = np.minimum(np.searchsorted(ids, key), ids.size - 1)
+            found = ids[at] == key
+            owner, cid = owner[entry[found]], at[found]
+        c = centers[owner, -1]
+        base = cid * (self.last.size + 1)
+        first = np.searchsorted(self.keys, base + np.searchsorted(self.last, c - reach, side="left"))
+        stop = np.searchsorted(self.keys, base + np.searchsorted(self.last, c + reach, side="right"))
+        live = stop > first
+        return owner[live], first[live], stop[live]
 
 
 # --------------------------------------------------------------------------

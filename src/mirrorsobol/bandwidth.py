@@ -14,7 +14,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .domain import Domain, check_mirror_condition
 from .errors import (
@@ -82,7 +81,12 @@ def _beta_single(sample: FullSample, i: int, h0_i: float, support) -> np.ndarray
     """
     a, b = support
     v = sample.V[:, i]
-    return special.ndtr((b - v) / h0_i) - special.ndtr((a - v) / h0_i)
+    return _normal_cdf((b - v) / h0_i) - _normal_cdf((a - v) / h0_i)
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal cdf, 0.5 erfc(-z / sqrt(2)), which keeps its relative precision in the lower tail."""
+    return np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in z.tolist()])
 
 
 # quadrature nodes per mask axis: at least 4 per pilot bandwidth across the
@@ -127,6 +131,8 @@ def _beta_rule(marginal, g: int):
     is singular at its end as its Jacobi weight, so no panel integrates a
     singularity.
     """
+    from scipy import special
+
     ea, eb = 1.0 - marginal.a, 1.0 - marginal.b
     x, wf = (arr.reshape(-1, _PANEL_T.size) for arr in _legendre_rule(marginal, g))
     half = 0.5 / x.shape[0]

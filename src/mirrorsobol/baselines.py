@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from ._window import _expand
 from .errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
 from .estimator import _ratio_covariance
 
@@ -75,8 +75,8 @@ def nn_estimate(first, second) -> float:
 
     The first sample provides the regression values; each point of the second
     sample is matched to its Euclidean nearest neighbor in the first sample
-    (a k-d tree query, O(n log n); ties go to the lowest index) and
-    contributes Y_second * Y_first_neighbor.
+    (a sorted search in 1-D, a k-d tree query otherwise, O(n log n); ties go
+    to the lowest index) and contributes Y_second * Y_first_neighbor.
     Valid as a sqrt(n) estimator only for d <= 3; higher dimensions warn.
     """
     x1, y1 = _paired(first, "first")
@@ -95,34 +95,65 @@ def nn_estimate(first, second) -> float:
 def _nearest(x1, x2) -> np.ndarray:
     """argmin(cdist(x2, x1), axis=1): each x2 row's nearest x1 row, lowest index on ties.
 
-    The tree (Friedman, Bentley & Finkel 1977) holds each distinct x1 row
-    once, under its lowest index, and rounds in its own order, so a row whose
-    two nearest distances agree to rounding re-measures its ball of candidates
-    with cdist's arithmetic, sqrt(sum (u - v)^2).
+    Each distinct x1 row is searched once, under its lowest index.  In 1-D
+    the distinct values are sorted, so one search finds the neighbours on
+    either side.  In more dimensions a k-d tree (Friedman, Bentley & Finkel
+    1977) finds the two nearest rows in its own rounding.  A row with a
+    second candidate within rounding of its nearest distance is settled by
+    `_settle_ties`.
     """
     order = np.lexsort(x1.T[::-1])  # stable: the first of equal rows has the lowest index
     sorted1 = x1[order]
     distinct = np.r_[True, np.any(sorted1[1:] != sorted1[:-1], axis=1)]
     rows1, lowest = sorted1[distinct], order[distinct]
-    tree = cKDTree(rows1)
-    dist, idx = tree.query(x2, k=2)  # a single distinct row gives dist[:, 1] = inf
-    # past this reach the tree's nearest row is the unique minimum: the slack
-    # covers its rounded box bounds
+    # past this reach the nearest row is the unique minimum: the slack covers
+    # the rounding of the distances and of the tree's box bounds
     scale = max(np.max(np.abs(x1)), np.max(np.abs(x2)))
-    reach = dist[:, 0] * (1.0 + 1e-12) + 8.0 * np.spacing(scale)
-    idx = lowest[idx[:, 0]]
-    tied = np.flatnonzero(dist[:, 1] <= reach)
-    if tied.size:
-        found = tree.query_ball_point(x2[tied], reach[tied])
+    slack = 8.0 * np.spacing(scale)
+    if x1.shape[1] == 1:
+        values, v = rows1[:, 0], x2[:, 0]
+        right = np.searchsorted(values, v)
+        left = np.maximum(right - 1, 0)
+        d_left = np.where(right > 0, np.sqrt((v - values[left]) ** 2), np.inf)
+        right_value = values[np.minimum(right, values.size - 1)]
+        d_right = np.where(right < values.size, np.sqrt((v - right_value) ** 2), np.inf)
+        nearest = np.where(d_right < d_left, right, left)
+        reach = np.minimum(d_left, d_right) * (1.0 + 1e-12) + slack
+        # the distance is monotone on either side, so the candidates are a run
+        first = np.searchsorted(values, v - reach, side="left")
+        count = np.searchsorted(values, v + reach, side="right") - first
+        tied = np.flatnonzero(count > 1)
+        rows = np.repeat(tied, count[tied])
+        cand = _expand(first[tied], count[tied])
+    else:
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(rows1)
+        dist, idx = tree.query(x2, k=2)  # a single distinct row gives dist[:, 1] = inf
+        nearest = idx[:, 0]
+        reach = dist[:, 0] * (1.0 + 1e-12) + slack
+        tied = np.flatnonzero(dist[:, 1] <= reach)
+        found = tree.query_ball_point(x2[tied], reach[tied]) if tied.size else []
         rows = np.repeat(tied, [len(c) for c in found])
-        cand = np.concatenate(found)
-        sq = 0.0
-        for u, v in zip(x2[rows].T, rows1[cand].T):
-            sq = sq + (u - v) * (u - v)
-        order = np.lexsort((lowest[cand], np.sqrt(sq), rows))
-        pick = order[np.r_[True, np.diff(rows[order]) != 0]]
-        idx[rows[pick]] = lowest[cand[pick]]
+        cand = np.concatenate(found).astype(np.int64) if tied.size else np.zeros(0, dtype=np.int64)
+    idx = lowest[nearest]
+    if rows.size:
+        _settle_ties(idx, x2, rows1, lowest, rows, cand)
     return idx
+
+
+def _settle_ties(idx, x2, rows1, lowest, rows, cand) -> None:
+    """Set idx[r] for each tied x2 row r from its candidates rows1[cand], where rows == r.
+
+    Each candidate is re-measured with cdist's arithmetic, sqrt(sum (u - v)^2);
+    the nearest wins, and the lowest index among equals.
+    """
+    sq = 0.0
+    for u, v in zip(x2[rows].T, rows1[cand].T):
+        sq = sq + (u - v) * (u - v)
+    order = np.lexsort((lowest[cand], np.sqrt(sq), rows))
+    pick = order[np.r_[True, np.diff(rows[order]) != 0]]
+    idx[rows[pick]] = lowest[cand[pick]]
 
 
 def _paired(sample, label):

@@ -71,6 +71,14 @@ _STUDY_COLUMNS = (
     "coverage",
 )
 _COMPARE_COLUMNS = _STUDY_COLUMNS[:-1] + ("limiting_variance",)
+# study fields that a command does not read; set away from their defaults
+# they would be recorded in the artifact as if used
+_UNREAD = {
+    "estimate": ("n_grid", "seeds", "estimators", "variance_scale"),
+    "bandwidth": ("n_grid", "seeds", "estimators", "variance_scale"),
+    "convergence": ("variance_scale",),
+    "compare": ("n_grid", "variance_scale"),
+}
 _AUX_STREAM = 9  # reserved stream for plug-in auxiliary draws
 _MAX_THREADS = 256  # fixed so that a config is valid on any machine
 
@@ -110,8 +118,10 @@ class RunConfig:
 
     Study commands use ``n_grid`` (convergence; coverage falls back to
     ``(n,)``), ``seeds`` (seed count, seeds are 0..seeds-1, so ``seed``
-    must stay 0) and ``estimators`` (the kernel alone under coverage).  The
-    config round-trips losslessly through ``to_json``/``from_json``.
+    must stay 0) and ``estimators`` (the kernel alone under coverage);
+    ``variance_scale`` is coverage's.  A command rejects a field it does not
+    read that is set away from its default.  The config round-trips
+    losslessly through ``to_json``/``from_json``.
     """
 
     command: str
@@ -229,6 +239,11 @@ class RunConfig:
         object.__setattr__(self, "variance_scale", float(self.variance_scale))
         if not (self.variance_scale > 0):
             raise ConfigError("variance_scale", f"variance_scale must be positive, got {self.variance_scale}")
+        for name in _UNREAD.get(self.command, ()):
+            value = getattr(self, name)
+            if value != self.__dataclass_fields__[name].default:
+                shown = list(value) if isinstance(value, tuple) else value
+                raise ConfigError(name, f"{self.command} does not read {name}, got {shown!r}")
 
     def to_json(self) -> dict:
         out = {}

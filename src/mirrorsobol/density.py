@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from ._window import window_sums
 from .domain import Domain, check_mirror_condition
@@ -100,6 +99,8 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
         raise MirrorSobolError(f"sample mean {mean} >= 1 leaves the moment estimator undefined")
     a_hat = b * mean / (1.0 - mean)
     fallback = not (1.0 <= a_hat <= 1.5)
+    from scipy import special
+
     norm = special.beta(a_hat, b)
 
     def eval_rows(rows: np.ndarray) -> np.ndarray:

@@ -27,10 +27,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._window import window_sums
 from .domain import Domain, check_mirror_condition
@@ -257,7 +257,7 @@ def _ratio_covariance(gamma: np.ndarray, sobol, m: float, v: float) -> np.ndarra
 
 
 def _normal_ci(center: float, var: float, n: int, level: float) -> tuple:
-    z = float(ndtri(0.5 + 0.5 * level))
+    z = NormalDist().inv_cdf(0.5 + 0.5 * level)
     halfwidth = z * math.sqrt(max(var, 0.0) / n)
     return (center - halfwidth, center + halfwidth)
 

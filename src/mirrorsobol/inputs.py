@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
+import numpy.random  # numpy 2 would load it lazily, inside the first draw
 
 from .domain import Domain
 from .errors import MirrorSobolError
@@ -69,6 +69,8 @@ class Beta:
         return (0.0, 1.0)
 
     def pdf(self, x) -> np.ndarray:
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         inside = (x >= 0.0) & (x <= 1.0)
         xc = np.clip(x, 0.0, 1.0)
@@ -77,6 +79,8 @@ class Beta:
         return np.where(inside, vals, 0.0)
 
     def transform(self, u) -> np.ndarray:
+        from scipy import special
+
         return special.betaincinv(self.a, self.b, np.asarray(u, dtype=float))
 
 

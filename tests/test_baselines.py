@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from efficiency import efficient_bounds, sigma_t_second_form
+from scipy import spatial
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -156,7 +157,8 @@ def test_nn_many_way_tie_takes_lowest_index(monkeypatch):
             calls.append(args)
             return super().query_ball_point(*args, **kwargs)
 
-    monkeypatch.setattr(baselines, "cKDTree", CountingTree)
+    # _nearest imports the tree where d >= 2 needs it
+    monkeypatch.setattr(spatial, "cKDTree", CountingTree)
     # the four corners of the unit square are equidistant from its center
     x1 = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [3.0, 3.0]])
     first = (x1, np.array([7.0, 2.0, 3.0, 4.0, 5.0]))
@@ -167,14 +169,14 @@ def test_nn_many_way_tie_takes_lowest_index(monkeypatch):
 
 def test_nn_duplicate_rows_stay_out_of_the_tie_lookup(monkeypatch):
     sizes = []
+    settle = baselines._settle_ties
 
-    class CountingTree(cKDTree):
-        def query_ball_point(self, *args, **kwargs):
-            found = super().query_ball_point(*args, **kwargs)
-            sizes.extend(len(c) for c in found)
-            return found
+    def counting_settle(idx, x2, rows1, lowest, rows, cand):
+        sizes.extend(np.unique(rows, return_counts=True)[1].tolist())
+        return settle(idx, x2, rows1, lowest, rows, cand)
 
-    monkeypatch.setattr(baselines, "cKDTree", CountingTree)
+    # in 1-D the candidates are a run of the sorted distinct values
+    monkeypatch.setattr(baselines, "_settle_ties", counting_settle)
     rng = np.random.default_rng(3)
     x1 = rng.integers(0, 2, (5000, 1)).astype(float)
     x2 = np.array([[0.0], [0.5], [1.0], [0.25]])

@@ -478,24 +478,32 @@ def test_coverage_command(tmp_path):
 
 
 def test_cli_start_and_coverage_run_leave_scipy_stats_unloaded(tmp_path):
-    # scipy.stats costs about 0.7 s to import; the normal cdf and quantile
-    # come from scipy.special instead
-    out = str(tmp_path / "cov.csv")
-    code = "\n".join(
-        [
-            "import sys",
-            "from mirrorsobol import cli",
-            "assert 'scipy.stats' not in sys.modules, 'loaded by the import'",
-            "argv = ['coverage', '--model', 'product', '--n', '200', '--mask', '1,2', '--h', '0.3', '--seeds', '3']",
-            f"assert cli.main(argv + ['--output', {out!r}]) == 0",
-            "assert 'scipy.stats' not in sys.modules, 'loaded by the coverage run'",
-        ]
-    )
+    # importing scipy.stats costs about 0.7 s, and scipy.spatial and
+    # scipy.special about 0.5 s: the import and the default paths (1-D and
+    # 2-D sums, the pilot, the nearest neighbours in 1-D, the interval) run
+    # on numpy and the standard library; a Beta marginal loads scipy.special
+    runs = [
+        ["coverage", "--model", "product", "--n", "200", "--mask", "1,2", "--h", "0.3", "--seeds", "3"],
+        ["estimate", "--model", "linear3", "--n", "400", "--mask", "1", "--auto"],
+        ["coverage", "--model", "product", "--n", "400", "--mask", "1,2", "--h", "0.06", "--seeds", "3"],
+        ["compare", "--model", "linear3", "--n", "400", "--mask", "1", "--rule", "1.0", "0.4", "--seeds", "3"]
+        + ["--estimators", "kernel,pf,nn,rank"],
+    ]
+    lines = ["import sys", "from mirrorsobol import cli", "assert 'scipy' not in sys.modules, 'loaded by the import'"]
+    for i, argv in enumerate(runs):
+        argv = argv + ["--output", str(tmp_path / f"run{i}.out")]
+        lines += [f"assert cli.main({argv!r}) == 0", f"assert 'scipy' not in sys.modules, 'loaded by {argv[0]}'"]
+    marginals = json.dumps({"marginals": [{"beta": [1.2, 1.4]}, {"uniform": [0, 1]}]})
+    beta = ["estimate", "--csv", _beta_csv(tmp_path, 200, (1.2, 1.4)), "--mask", "1", "--h", "0.2"]
+    beta += ["--marginals", marginals, "--output", str(tmp_path / "beta.json")]
+    lines += [f"assert cli.main({beta!r}) == 0", "assert 'scipy.special' in sys.modules"]
     src = os.path.dirname(os.path.dirname(mirrorsobol.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "\n".join(lines)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert os.path.exists(out)
+    assert all(os.path.exists(tmp_path / f"run{i}.out") for i in range(len(runs)))
+    assert os.path.exists(tmp_path / "beta.json")
 
 
 def test_compare_command_limiting_variances(tmp_path):
@@ -621,6 +629,43 @@ def test_study_estimators_are_checked_before_any_replicate(argv, tmp_path, monke
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"]["field"] == "estimators"
     assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("compare", "n_grid", [300, 600]),
+        ("compare", "variance_scale", 0.5),
+        ("convergence", "variance_scale", 0.5),
+        ("estimate", "seeds", 5),
+        ("estimate", "estimators", ["kernel", "pf"]),
+        ("estimate", "n_grid", [300]),
+        ("estimate", "variance_scale", 0.5),
+        ("bandwidth", "seeds", 5),
+        ("bandwidth", "estimators", ["nn"]),
+        ("bandwidth", "n_grid", [300]),
+        ("bandwidth", "variance_scale", 2.0),
+    ],
+)
+def test_fields_a_command_does_not_read_are_config_errors(command, field, value, tmp_path, monkeypatch, capsys):
+    # recorded in the artifact, an unread field would read as if it were used
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(testbed, "estimate_sobol", no_replicate)
+    base = {"command": command, "model": "linear3", "n": 200, "mask": [1], "h": 0.2}
+    if command == "convergence":
+        base.update(n=None, n_grid=[200])
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig.from_json(dict(base, **{field: value}))
+    assert _field_of(excinfo) == field and command in str(excinfo.value)
+    assert RunConfig.from_json(base).command == command  # the defaults alone are accepted
+    if command == "compare" and field == "n_grid":
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2", "--n-grid", "300,600"]
+        assert main(argv + ["--output", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["field"] == "n_grid"
+        assert not out.exists()
 
 
 def test_unset_flags_leave_the_defaults_to_run_config():

@@ -142,9 +142,9 @@ def test_matches_brute_force_with_boundary_points_and_ties():
             )
 
 
-def _tree_sums(x, w, kernel, h, dom):
-    """The k-d tree backend, whatever backend window_sums would choose."""
-    return _window._tree_sums(x, w, kernel, h, dom, x, self_pairs=True)
+def _grid_sums(x, w, kernel, h, dom):
+    """The cell-grid backend, whatever backend window_sums would choose."""
+    return _window._grid_sums(x, w, kernel, h, dom, x, self_pairs=True)
 
 
 @pytest.mark.parametrize(
@@ -179,14 +179,14 @@ def test_sorted_path_agrees_with_sparse_path():
         kernel = build_kernel(order)
         # d = 1 takes the sorted range-moment path
         fast = window_sums(x, w, kernel, h, dom)
-        sparse = _tree_sums(x, w, kernel, h, dom)
+        sparse = _grid_sums(x, w, kernel, h, dom)
         err = np.max(np.abs(fast - sparse)) / max(np.max(np.abs(sparse)), 1e-12)
         assert err <= 1e-10, f"sorted path deviates from sparse path by {err} (n={n}, h={h}, k={order})"
         # each weight column is computed as it would be on its own
         for c in range(2):
             alone = window_sums(x, w[:, c : c + 1], kernel, h, dom)
             assert np.array_equal(fast[:, c : c + 1], alone)
-            assert np.array_equal(sparse[:, c : c + 1], _tree_sums(x, w[:, c : c + 1], kernel, h, dom))
+            assert np.array_equal(sparse[:, c : c + 1], _grid_sums(x, w[:, c : c + 1], kernel, h, dom))
 
 
 def test_sparse_path_spans_multiple_blocks(monkeypatch):
@@ -213,7 +213,7 @@ def _window_cases(draw, moments=False):
 
     With moments=True, d is 1 or 2, the cases of the range-moment backend.
     """
-    d = draw(st.integers(1, 2 if moments else 3))
+    d = draw(st.integers(1, 2 if moments else 4))
     order = draw(st.sampled_from([0, 1, 2]))
     far = draw(st.booleans())
     lo = np.array([1e6 if far else draw(st.sampled_from([0.0, -1.0, 0.5])) for _ in range(d)])
@@ -274,7 +274,7 @@ def test_sparse_backend_matches_brute_force(case):
     rows, y, kernel, h, model, budget = case
     fs = FullSample(V=rows, Y=y)
     spec = SubsetSpec(tuple(range(rows.shape[1])))
-    # every call takes the tree, d = 1 and 2 included
+    # every call takes the grid, d = 1 and 2 included
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_window, "_moments_pay", lambda *args: False)
         mp.setattr(_window, "_PAIR_BUDGET", budget)
@@ -283,6 +283,43 @@ def test_sparse_backend_matches_brute_force(case):
     scale = max(abs(t_ref), _absolute_scale(rows, y, kernel, h, model))
     tol = 1e-12 * scale + _underflow(y.size, kernel, h, model)
     assert abs(t_fast - t_ref) <= tol, f"sparse {t_fast!r} vs brute force {t_ref!r} (h={h})"
+
+
+@st.composite
+def _anchor_cases(draw):
+    """A window case and anchors that are not its points, as mirror_kde queries them.
+
+    Each anchor coordinate is a point's coordinate on that axis or an edge
+    or the midpoint of the box, so windows end on points and anchors sit on
+    the mirror midpoint.
+    """
+    rows, y, kernel, h, model, budget = draw(_window_cases())
+    dom = model.domain
+
+    def coord(i):
+        return draw(st.sampled_from([dom.lower[i], dom.upper[i], dom.midpoints[i]] + rows[:, i].tolist()))
+
+    anchors = np.array([[coord(i) for i in range(dom.dim)] for _ in range(draw(st.integers(1, 8)))])
+    return rows, y, kernel, h, model, budget, anchors
+
+
+@settings(max_examples=150, deadline=None)
+@given(_anchor_cases())
+def test_grid_matches_brute_force_at_other_anchors(case):
+    rows, y, kernel, h, model, budget, anchors = case
+    dom = model.domain
+    w = np.column_stack([y, np.ones_like(y)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_PAIR_BUDGET", budget)
+        sums = window_sums(rows, w, kernel, h, dom, anchors=anchors)
+    signs = sign_matrix(dom, anchors)
+    tol_floor = _underflow(y.size, kernel, h, model)
+    for a, q in enumerate(anchors):
+        kvals = np.array([float(kernel.eval_scaled(signs[a] * (x - q), h)) for x in rows])
+        for c in range(2):
+            want = math.fsum(kvals * w[:, c])
+            tol = 1e-12 * float(np.abs(kvals) @ np.abs(w[:, c])) + tol_floor
+            assert abs(sums[a, c] - want) <= tol, f"anchor {q}: grid {sums[a, c]!r} vs brute force {want!r} (h={h})"
 
 
 def _moment_scale(rows, y, kernel, h, model):
@@ -317,7 +354,7 @@ def test_range_moment_backend_matches_brute_force(case):
     # every d = 2 call takes range moments, whatever the sample's occupancy
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_window, "_MOMENT_CROSSOVER", 0.0)
-        mp.setattr(_window, "_tree_sums", None)
+        mp.setattr(_window, "_grid_sums", None)
         t_fast = estimate_t(fs, spec, kernel, h, model)
     t_ref = brute_force_t(fs, spec, kernel, h, model)
     scale = max(abs(t_ref), _moment_scale(rows, y, kernel, h, model))
@@ -334,12 +371,12 @@ def test_range_moments_agree_with_tree_on_spread_and_tied_samples():
         x[n // 4 : n // 2, 1] = np.round(x[n // 4 : n // 2, 1] * 8) / 8  # ties on one axis
         w = np.column_stack([rng.normal(size=n), rng.random(n)])
         kernel = build_kernel(order)
-        tree = _tree_sums(x, w, kernel, h, dom)
+        grid = _grid_sums(x, w, kernel, h, dom)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_window, "_MOMENT_CROSSOVER", 0.0)
             moments = window_sums(x, w, kernel, h, dom)
-        err = np.max(np.abs(moments - tree)) / np.max(np.abs(tree))
-        assert err <= 1e-12, f"range moments deviate from the tree by {err} (n={n}, h={h}, k={order})"
+        err = np.max(np.abs(moments - grid)) / np.max(np.abs(grid))
+        assert err <= 1e-12, f"range moments deviate from the grid by {err} (n={n}, h={h}, k={order})"
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -355,7 +392,7 @@ def test_range_moments_skip_an_empty_middle_cell(axis, reps, crossover):
     spec = SubsetSpec((0, 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_window, "_MOMENT_CROSSOVER", crossover)
-        mp.setattr(_window, "_tree_sums", None)
+        mp.setattr(_window, "_grid_sums", None)
         for order in (0, 2):
             kernel = build_kernel(order)
             t_fast = estimate_t(fs, spec, kernel, 0.5, UNIT2)
@@ -371,7 +408,7 @@ def test_range_moments_leave_int64_overflow_to_the_tree():
     assert not _window._moments_pay(ok, 2.0**-62, UNIT2.domain)
     assert _window._moments_pay(np.ones(2**20, dtype=bool), 0.5, UNIT2.domain)
     assert not _window._moments_pay(np.ones(2**21, dtype=bool), 0.5, UNIT2.domain)
-    # a bandwidth far below the cell-index range is summed right by the tree
+    # a bandwidth far below the cell-index range is summed right by the grid
     fs = FullSample(V=np.array([[0.3], [0.3], [0.7]]), Y=np.array([1.0, 2.0, 3.0]))
     kernel = build_kernel(0)
     t_ref = brute_force_t(fs, SubsetSpec((0,)), kernel, 1e-300, UNIT1)
@@ -380,7 +417,7 @@ def test_range_moments_leave_int64_overflow_to_the_tree():
 
 def test_window_sums_backend_choice(monkeypatch):
     # range moments need, in d = 2, about 60 expected window pairs per anchor,
-    # tied rows counted; the tree takes the rest
+    # tied rows counted; the grid takes the rest
     def moments_called(*args):
         raise AssertionError("range moments")
 
@@ -389,7 +426,7 @@ def test_window_sums_backend_choice(monkeypatch):
     x = rng.random((2000, 2))
     w = rng.normal(size=(2000, 1))
     kernel = build_kernel(2)
-    window_sums(x, w, kernel, 0.06, UNIT2.domain)  # about 2 pairs per anchor: the tree
+    window_sums(x, w, kernel, 0.06, UNIT2.domain)  # about 2 pairs per anchor: the grid
     window_sums(x, w, kernel, 0.6, UNIT2.domain, anchors=x[:10])
     for sample, h in [(x, 0.6), (np.repeat(x[:20], 100, axis=0), 0.06)]:
         with pytest.raises(AssertionError, match="range moments"):
@@ -416,13 +453,40 @@ def _check_tied_rows(model):
 
 
 def test_tied_rows_keep_memory_bounded():
-    # range moments serve tied rows in d = 2; the tree would hold every pair of the one block
+    # range moments serve tied rows in d = 2
     _check_tied_rows(UNIT2)
 
 
 def test_tied_rows_keep_tree_blocks_bounded_in_3d():
-    # the tree serves d = 3, in anchor blocks sized for the tied pairs, not for a spread sample
+    # the grid serves d = 3, in anchor blocks cut by each anchor's exact candidate count
     _check_tied_rows(UNIT3)
+
+
+def test_clustered_rows_keep_grid_blocks_bounded_in_3d():
+    # 1500 distinct rows within 1e-6 of one point: a spread-sample guess of
+    # the pairs per anchor would put all 2.25M candidate pairs in one block
+    n = 1500
+    rng = np.random.default_rng(0)
+    v = np.array([0.3, 0.7, 0.5]) + rng.uniform(-1e-6, 1e-6, (n, 3))
+    fs = FullSample(V=v, Y=rng.normal(size=n))
+    kernel = build_kernel(2)
+    h = n**-0.375
+    tracemalloc.start()
+    try:
+        t = estimate_t(fs, SubsetSpec((0, 1, 2)), kernel, h, UNIT3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # the dense double sum, 100 anchors at a time; f_X = 1 on the unit cube
+    signs = sign_matrix(UNIT3.domain, v)
+    t_ref = scale = 0.0
+    for a0 in range(0, n, 100):
+        k = kernel.eval_scaled(signs[a0 : a0 + 100, None, :] * (v[None, :, :] - v[a0 : a0 + 100, None, :]), h)
+        k[np.arange(k.shape[0]), np.arange(a0, a0 + k.shape[0])] = 0.0
+        t_ref += float(fs.Y[a0 : a0 + 100] @ k @ fs.Y)
+        scale += float(np.abs(fs.Y[a0 : a0 + 100]) @ np.abs(k) @ np.abs(fs.Y))
+    assert abs(t - t_ref / (n * (n - 1))) <= 1e-12 * scale / (n * (n - 1)), (t, t_ref / (n * (n - 1)))
 
 
 def test_row_permutation_invariance():
