@@ -57,7 +57,6 @@ SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "MIRRORSOBOL_OUTPUT_DIR"
 
 _STUDIES = ("convergence", "coverage", "compare")
-_COMMANDS = ("estimate", "bandwidth") + _STUDIES
 _STUDY_COLUMNS = (
     "model",
     "mask",
@@ -71,13 +70,15 @@ _STUDY_COLUMNS = (
     "coverage",
 )
 _COMPARE_COLUMNS = _STUDY_COLUMNS[:-1] + ("limiting_variance",)
-# study fields that a command does not read; set away from their defaults
-# they would be recorded in the artifact as if used
-_UNREAD = {
-    "estimate": ("n_grid", "seeds", "estimators", "variance_scale"),
-    "bandwidth": ("n_grid", "seeds", "estimators", "variance_scale"),
-    "convergence": ("variance_scale",),
-    "compare": ("n_grid", "variance_scale"),
+# the fields each command reads besides _ALWAYS; RunConfig rejects any other
+# field set away from its default, which the artifact would record as if used
+_ALWAYS = {"command", "csv", "model", "mask", "output"}
+_READS = {
+    "estimate": {"n", "seed", "kernel_order", "h", "auto", "rule", "density", "marginals", "ci_level"},
+    "bandwidth": {"n", "seed", "kernel_order", "auto", "density", "marginals"},
+    "convergence": {"kernel_order", "h", "rule", "threads", "n_grid", "seeds", "estimators"},
+    "coverage": {"n", "kernel_order", "h", "rule", "ci_level", "threads", "n_grid", "seeds", "variance_scale"},
+    "compare": {"n", "kernel_order", "h", "rule", "threads", "seeds", "estimators"},
 }
 _AUX_STREAM = 9  # reserved stream for plug-in auxiliary draws
 _MAX_THREADS = 256  # fixed so that a config is valid on any machine
@@ -107,21 +108,22 @@ class CsvFormatError(MirrorSobolError):
 class RunConfig:
     """Declarative description of one CLI run.
 
-    Exactly one input source (``csv`` or ``model``) and exactly one
-    bandwidth mode (``h``, ``auto``, or ``rule``) must be set.  ``mask``
-    holds 1-based input axes.  ``density`` is either the string
-    ``"exact"`` or a plug-in spec::
+    ``_READS`` is the one table of the fields each command reads; CSV input
+    reads no ``n`` or ``seed``, a builtin model no ``marginals``, coverage no
+    ``n`` beside an ``n_grid``, and a study without the kernel estimator no
+    ``h``, ``rule`` or ``kernel_order``.  Any other field set away from its
+    default is a ConfigError naming it, so an artifact's config holds only
+    what made its numbers.  Exactly one input source (``csv`` or ``model``)
+    must be set, and exactly one of the bandwidth modes (``h``, ``auto``,
+    ``rule``) that the command reads.  ``mask`` holds 1-based input axes.
+    ``density`` is either the string ``"exact"`` or a plug-in spec::
 
         {"plugin": "uniform_max"}
         {"plugin": {"beta_moment": {"b": 1.2}}}
         {"plugin": {"mirror_kde": {"eta": 0.5, "h": 0.2, "m": 4000}}}
 
-    Study commands use ``n_grid`` (convergence; coverage falls back to
-    ``(n,)``), ``seeds`` (seed count, seeds are 0..seeds-1, so ``seed``
-    must stay 0) and ``estimators`` (the kernel alone under coverage);
-    ``variance_scale`` is coverage's.  A command rejects a field it does not
-    read that is set away from its default.  The config round-trips
-    losslessly through ``to_json``/``from_json``.
+    Studies run seeds 0..seeds-1 at each size of ``n_grid``, or at ``n``.
+    The config round-trips losslessly through ``to_json``/``from_json``.
     """
 
     command: str
@@ -145,8 +147,8 @@ class RunConfig:
     variance_scale: float = 1.0
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ConfigError("command", f"command must be one of {list(_COMMANDS)}, got {self.command!r}")
+        if self.command not in _READS:
+            raise ConfigError("command", f"command must be one of {list(_READS)}, got {self.command!r}")
         if (self.csv is None) == (self.model is None):
             raise ConfigError("input", "exactly one input source required: csv path or builtin model")
         if self.model is not None:
@@ -154,8 +156,6 @@ class RunConfig:
                 model_by_name(self.model)
             except MirrorSobolError as exc:
                 raise ConfigError("model", str(exc)) from None
-            if self.marginals is not None:
-                raise ConfigError("marginals", "marginals apply to csv input only; builtin models carry their own")
         if self.n is not None:
             object.__setattr__(self, "n", int(self.n))
             if self.n < 2:
@@ -163,8 +163,6 @@ class RunConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise ConfigError("seed", f"seed must be nonnegative, got {self.seed}")
-        if self.seed != 0 and self.command in _STUDIES:
-            raise ConfigError("seed", f"{self.command} always runs seeds 0..seeds-1 and takes no seed, got {self.seed}")
 
         mask = tuple(int(i) for i in self.mask)
         if len(mask) == 0:
@@ -177,11 +175,6 @@ class RunConfig:
         if not 1 <= self.kernel_order <= MAX_ORDER:
             raise ConfigError("kernel_order", f"kernel order must be in [1, {MAX_ORDER}], got {self.kernel_order}")
 
-        modes = int(self.h is not None) + int(bool(self.auto)) + int(self.rule is not None)
-        if modes != 1:
-            raise ConfigError(
-                "bandwidth", f"exactly one bandwidth mode required (fixed h, auto, or rule); got {modes}"
-            )
         if self.h is not None:
             object.__setattr__(self, "h", float(self.h))
             if not (self.h > 0 and math.isfinite(self.h)):
@@ -194,8 +187,6 @@ class RunConfig:
             if not (c > 0 and 0 < gamma < 1):
                 raise ConfigError("bandwidth", f"rule needs c > 0 and 0 < gamma < 1, got ({c}, {gamma})")
             object.__setattr__(self, "rule", (c, gamma))
-        if self.auto and self.command in _STUDIES:
-            raise ConfigError("bandwidth", "auto bandwidth applies to single runs; studies take fixed h or a rule")
 
         _parse_density_spec(self.density)  # validates; raises ConfigError
         if self.marginals is not None:
@@ -219,10 +210,6 @@ class RunConfig:
             raise ConfigError("input", f"{self.command} needs a builtin model (truth is required)")
         if self.command == "convergence" and len(grid) == 0:
             raise ConfigError("n_grid", "convergence needs a nonempty n_grid")
-        if self.command == "coverage" and len(grid) == 0 and self.n is None:
-            raise ConfigError("n_grid", "coverage needs n_grid or n")
-        if self.command in ("estimate", "bandwidth", "compare") and self.model is not None and self.n is None:
-            raise ConfigError("n", f"{self.command} on a builtin model needs a sample size n")
 
         object.__setattr__(self, "seeds", int(self.seeds))
         if self.seeds < 1:
@@ -232,18 +219,30 @@ class RunConfig:
         if len(ests) == 0 or unknown:
             raise ConfigError("estimators", f"estimators must be drawn from {list(_ESTIMATOR_NAMES)}, got {list(ests)}")
         object.__setattr__(self, "estimators", ests)
-        if self.command == "coverage" and ests != ("kernel",):
-            raise ConfigError("estimators", f"coverage runs the kernel estimator only, got {list(ests)}")
         if "rank" in ests and len(self.mask) != 1:
             raise ConfigError("estimators", f"rank takes a one-axis mask only, got mask {list(self.mask)}")
         object.__setattr__(self, "variance_scale", float(self.variance_scale))
         if not (self.variance_scale > 0):
             raise ConfigError("variance_scale", f"variance_scale must be positive, got {self.variance_scale}")
-        for name in _UNREAD.get(self.command, ()):
-            value = getattr(self, name)
-            if value != self.__dataclass_fields__[name].default:
+        # the command's row, narrowed by the input source and the estimators
+        reads = _READS[self.command] - ({"n", "seed"} if self.csv is not None else {"marginals"})
+        if "n_grid" in reads and self.n_grid:
+            reads -= {"n"}
+        if "estimators" in reads and "kernel" not in self.estimators:
+            reads -= {"h", "rule", "kernel_order"}
+        if "n" in reads and self.n is None:
+            needs = "n or n_grid" if "n_grid" in reads else "n"
+            raise ConfigError("n", f"{self.command} on a builtin model needs {needs}")
+        modes = [m for m in ("h", "auto", "rule") if m in reads]
+        chosen = [m for m in modes if getattr(self, m) not in (None, False)]
+        if modes and len(chosen) != 1:
+            raise ConfigError("bandwidth", f"{self.command} takes exactly one bandwidth mode of {modes}, got {chosen}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name not in reads | _ALWAYS and value != field.default:
                 shown = list(value) if isinstance(value, tuple) else value
-                raise ConfigError(name, f"{self.command} does not read {name}, got {shown!r}")
+                message = f"{self.command} does not read {field.name} here (it reads {sorted(reads)}), got {shown!r}"
+                raise ConfigError(field.name, message)
 
     def to_json(self) -> dict:
         out = {}
@@ -423,7 +422,7 @@ def _resolve_h(config: RunConfig, fs: FullSample, spec, kernel, f_x, domain, inp
 
 
 def _h_rule_fn(config: RunConfig):
-    if config.h is not None:
+    if config.rule is None:  # fixed h, or no kernel to take one
         return lambda n: config.h
     c, gamma = config.rule
     return lambda n: c * n ** (-gamma)
@@ -439,7 +438,6 @@ def _build_plan(config: RunConfig, n_grid: tuple) -> ExperimentPlan:
         kernel_order=config.kernel_order,
         seeds=config.seeds,
         estimators=config.estimators,
-        ci_level=config.ci_level,
         threads=config.threads,
     )
 
@@ -528,7 +526,7 @@ def _cmd_convergence(config: RunConfig) -> str:
 def _cmd_coverage(config: RunConfig) -> str:
     n_grid = config.n_grid if config.n_grid else (config.n,)
     plan = _build_plan(config, n_grid)
-    out = coverage_study(plan, variance_scale=config.variance_scale)
+    out = coverage_study(plan, ci_level=config.ci_level, variance_scale=config.variance_scale)
     return _write_text(_output_path(config), _csv_artifact(config, _STUDY_COLUMNS, out["rows"]))
 
 
@@ -610,37 +608,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     model_names = [m.name for m in builtin_models()]
 
-    def common(name: str, summary: str, study: bool):
-        # unset flags stay out of the namespace, so RunConfig alone owns the defaults
-        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        src = sp.add_mutually_exclusive_group(required=True)
-        src.add_argument("--csv", help="sample CSV with header v1,...,vp,y")
-        src.add_argument("--model", choices=model_names, help="builtin analytic model")
-        sp.add_argument("--n", type=int, help="sample size for builtin input")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--mask", type=_int_list, required=True, help="1-based input axes, e.g. 1 or 1,3")
-        sp.add_argument("--order", dest="kernel_order", type=int, help="kernel order k")
-        band = sp.add_mutually_exclusive_group()
-        band.add_argument("--h", type=float, help="fixed bandwidth")
-        band.add_argument("--auto", action="store_true", help="data-driven bandwidth selection")
-        band.add_argument("--rule", nargs=2, type=float, metavar=("C", "GAMMA"), help="h = C * n^-GAMMA")
-        sp.add_argument("--density", type=_json_arg, help='"exact" or {"plugin": ...} JSON')
-        sp.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON for CSV input')
-        sp.add_argument("--output", help="output file path")
-        sp.add_argument("--ci-level", dest="ci_level", type=float)
-        sp.add_argument("--threads", type=int, help=f"study worker threads, 1 to {_MAX_THREADS}")
-        if study:
-            sp.add_argument("--n-grid", dest="n_grid", type=_int_list, help="e.g. 500,1000,2000")
-            sp.add_argument("--seeds", type=int, help="number of seeds (0..seeds-1)")
-            sp.add_argument("--estimators", type=_str_list, help=f"subset of {','.join(_ESTIMATOR_NAMES)}")
-        return sp
+    def read_by(field: str) -> str:
+        return "; read by " + ", ".join(c for c in _READS if field in _READS[c])
 
-    common("estimate", "one estimate with CI, JSON out", study=False)
-    common("bandwidth", "bandwidth selection curve, JSON out", study=False)
-    common("convergence", "RMSE vs n study, CSV out", study=True)
-    cov = common("coverage", "CI coverage study, CSV out", study=True)
-    cov.add_argument("--variance-scale", dest="variance_scale", type=float)
-    common("compare", "estimator comparison table, CSV out", study=True)
+    # every command takes every flag, and unset flags stay out of the
+    # namespace: RunConfig alone owns the defaults and the rules
+    for name, summary in (
+        ("estimate", "one estimate with CI, JSON out"),
+        ("bandwidth", "bandwidth selection curve, JSON out"),
+        ("convergence", "RMSE vs n study, CSV out"),
+        ("coverage", "CI coverage study, CSV out"),
+        ("compare", "estimator comparison table, CSV out"),
+    ):
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--csv", help="sample CSV with header v1,...,vp,y; read by estimate, bandwidth")
+        sp.add_argument("--model", choices=model_names, help="builtin analytic model")
+        sp.add_argument("--n", type=int, help="builtin model's sample size (coverage: without --n-grid)" + read_by("n"))
+        sp.add_argument("--seed", type=int, help="seed of a builtin model" + read_by("seed"))
+        sp.add_argument("--mask", type=_int_list, help="1-based input axes, e.g. 1 or 1,3")
+        sp.add_argument("--order", dest="kernel_order", type=int, help="kernel order k" + read_by("kernel_order"))
+        sp.add_argument("--h", type=float, help="fixed bandwidth" + read_by("h"))
+        sp.add_argument("--auto", action="store_true", help="data-driven bandwidth selection" + read_by("auto"))
+        sp.add_argument("--rule", nargs=2, type=float, metavar=("C", "GAMMA"), help="h = C n^-GAMMA" + read_by("rule"))
+        sp.add_argument("--density", type=_json_arg, help='"exact" or {"plugin": ...} JSON' + read_by("density"))
+        sp.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON' + read_by("marginals"))
+        sp.add_argument("--output", help="output file path")
+        sp.add_argument("--ci-level", type=float, help="interval level" + read_by("ci_level"))
+        sp.add_argument("--threads", type=int, help=f"worker threads, 1 to {_MAX_THREADS}" + read_by("threads"))
+        sp.add_argument("--n-grid", type=_int_list, help="e.g. 500,1000,2000" + read_by("n_grid"))
+        sp.add_argument("--seeds", type=int, help="number of seeds (0..seeds-1)" + read_by("seeds"))
+        sp.add_argument("--estimators", type=_str_list, help=",".join(_ESTIMATOR_NAMES) + read_by("estimators"))
+        sp.add_argument("--variance-scale", type=float, help="0.5: negative control" + read_by("variance_scale"))
     return parser
 
 

@@ -396,7 +396,7 @@ _ESTIMATOR_NAMES = ("kernel", "pf", "nn", "rank")
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """One mask of a model over seeds 0..seeds-1 at each n of n_grid, with bandwidth h_rule(n)."""
+    """One mask of a model over seeds 0..seeds-1 at each n of n_grid, with kernel bandwidth h_rule(n)."""
 
     model: AnalyticModel
     mask: tuple
@@ -405,7 +405,6 @@ class ExperimentPlan:
     kernel_order: int
     seeds: int
     estimators: tuple
-    ci_level: float
     threads: int
 
     def __post_init__(self):
@@ -440,7 +439,7 @@ def _kernel_runner(plan: ExperimentPlan) -> Callable[[int, float], list]:
     spec, kernel, model = SubsetSpec(plan.mask), build_kernel(plan.kernel_order), plan.model
 
     def replicate(n: int, h: float, seed: int):
-        return estimate_sobol(model.draw(n, seed), spec, kernel, h, model.input_model, ci_level=plan.ci_level)
+        return estimate_sobol(model.draw(n, seed), spec, kernel, h, model.input_model)
 
     return lambda n, h: _over_seeds(lambda s: replicate(n, h, s), range(plan.seeds), plan.threads)
 
@@ -477,8 +476,8 @@ def convergence_study(plan: ExperimentPlan) -> dict:
     kernel_run = _kernel_runner(plan)
     rows = []
     for n in plan.n_grid:
-        h = float(plan.h_rule(n))
         if "kernel" in plan.estimators:
+            h = float(plan.h_rule(n))
             res = kernel_run(n, h)
             rows.append(_summary_row(model, mask, "kernel_t", n, h, [r.t_hat for r in res], model.t_of(mask)))
             rows.append(_summary_row(model, mask, "kernel_sobol", n, h, [r.sobol for r in res], model.sobol_of(mask)))
@@ -523,13 +522,15 @@ def fit_loglog_slope(ns, rmses) -> float:
     return float(np.polyfit(np.log(ns), np.log(rmses), 1)[0])
 
 
-def coverage_study(plan: ExperimentPlan, variance_scale: float = 1.0) -> dict:
-    """Fraction of seeds whose CI covers the true index at each n, at level plan.ci_level.
+def coverage_study(plan: ExperimentPlan, ci_level: float = 0.95, variance_scale: float = 1.0) -> dict:
+    """Fraction of seeds whose CI at level `ci_level` covers the true index at each n.
 
     `variance_scale` rescales the variance before the interval is formed;
     setting it to 0.5 is the deliberate-miscalibration negative control.
     Only the kernel estimator produces intervals.  Returns {"rows": [...]}.
     """
+    if not 0.0 < ci_level < 1.0:
+        raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
     model, mask = plan.model, plan.mask
     truth = model.sobol_of(mask)
     kernel_run = _kernel_runner(plan)
@@ -537,7 +538,7 @@ def coverage_study(plan: ExperimentPlan, variance_scale: float = 1.0) -> dict:
     for n in plan.n_grid:
         h = float(plan.h_rule(n))
         res = kernel_run(n, h)
-        intervals = [_normal_ci(r.sobol, r.var_sobol * variance_scale, n, plan.ci_level) for r in res]
+        intervals = [_normal_ci(r.sobol, r.var_sobol * variance_scale, n, ci_level) for r in res]
         row = _summary_row(model, mask, "kernel_sobol", n, h, [r.sobol for r in res], truth)
         row["coverage"] = float(np.mean([lo <= truth <= hi for lo, hi in intervals]))
         rows.append(row)

@@ -109,7 +109,6 @@ def test_rmse_decays_at_root_n_rate():
         kernel_order=2,
         seeds=100,
         estimators=("kernel",),
-        ci_level=0.95,
         threads=1,
     )
     slopes = convergence_study(plan)["slopes"]
@@ -127,7 +126,6 @@ def test_clt_interval_coverage_with_negative_control():
         kernel_order=1,
         seeds=300,
         estimators=("kernel",),
-        ci_level=0.95,
         threads=1,
     )
     nominal = coverage_study(plan)["rows"][0]["coverage"]

@@ -1,9 +1,11 @@
 """Tests for the command-line harness."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import threading
@@ -23,7 +25,7 @@ from mirrorsobol.cli import (
 )
 from mirrorsobol.errors import MirrorSobolError
 from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_sobol
-from mirrorsobol import testbed
+from mirrorsobol import cli, testbed
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import linear_model
 
@@ -125,7 +127,7 @@ def test_threads_guard_fails_before_any_pool(threads, monkeypatch, capsys):
 
 
 def test_threads_ceiling_is_accepted():
-    assert _cfg(threads=256).threads == 256
+    assert _cfg(command="compare", threads=256).threads == 256
 
 
 def test_config_study_constraints():
@@ -645,6 +647,21 @@ def test_study_estimators_are_checked_before_any_replicate(argv, tmp_path, monke
         ("bandwidth", "estimators", ["nn"]),
         ("bandwidth", "n_grid", [300]),
         ("bandwidth", "variance_scale", 2.0),
+        ("coverage", "density", {"plugin": "uniform_max"}),
+        ("compare", "density", {"plugin": "uniform_max"}),
+        ("convergence", "density", {"plugin": "uniform_max"}),
+        ("bandwidth", "h", 0.3),
+        ("bandwidth", "rule", [1.0, 0.4]),
+        ("estimate", "threads", 7),
+        ("bandwidth", "threads", 3),
+        ("bandwidth", "ci_level", 0.5),
+        ("convergence", "ci_level", 0.5),
+        ("compare", "ci_level", 0.5),
+        ("convergence", "n", 500),
+        ("coverage", "n", 500),  # beside an n_grid
+        ("estimate", "n", 500),  # of CSV input
+        ("estimate", "seed", 3),  # of CSV input
+        ("compare", "h", 0.2),  # without the kernel estimator
     ],
 )
 def test_fields_a_command_does_not_read_are_config_errors(command, field, value, tmp_path, monkeypatch, capsys):
@@ -653,19 +670,75 @@ def test_fields_a_command_does_not_read_are_config_errors(command, field, value,
         raise AssertionError("a replicate ran")
 
     monkeypatch.setattr(testbed, "estimate_sobol", no_replicate)
+    monkeypatch.setattr(cli, "bandwidth_curve", no_replicate)
     base = {"command": command, "model": "linear3", "n": 200, "mask": [1], "h": 0.2}
-    if command == "convergence":
+    if command == "bandwidth":
+        base.update(h=None, auto=True)
+    if command in ("convergence", "coverage"):
         base.update(n=None, n_grid=[200])
+    # estimate reads n and seed of a builtin model only, and a study reads h
+    # only when it runs the kernel estimator
+    if command == "estimate" and field in ("n", "seed"):
+        base.update(model=None, n=None, csv="sample.csv")
+    if command == "compare" and field == "h":
+        base.update(h=None, estimators=["pf", "nn"])
     with pytest.raises(ConfigError) as excinfo:
         RunConfig.from_json(dict(base, **{field: value}))
     assert _field_of(excinfo) == field and command in str(excinfo.value)
     assert RunConfig.from_json(base).command == command  # the defaults alone are accepted
-    if command == "compare" and field == "n_grid":
-        out = tmp_path / "cmp.csv"
-        argv = ["compare", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2", "--n-grid", "300,600"]
-        assert main(argv + ["--output", str(out)]) == 2
-        assert json.loads(capsys.readouterr().out)["error"]["field"] == "n_grid"
-        assert not out.exists()
+    # every command takes every flag, so the CLI fails the same way
+    out = tmp_path / "artifact"
+    assert main(_argv(dict(base, **{field: value}, output=str(out)))) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == field
+    assert not out.exists()
+
+
+def _argv(config: dict) -> list:
+    """The command line of a config dict; None fields are left unset."""
+    argv = [config["command"]]
+    for field, value in config.items():
+        if field == "command" or value is None:
+            continue
+        flag = "--order" if field == "kernel_order" else "--" + field.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif field == "rule":
+            argv += [flag] + [str(v) for v in value]
+        elif isinstance(value, list):
+            argv += [flag, ",".join(str(v) for v in value)]
+        else:
+            argv += [flag, json.dumps(value) if isinstance(value, dict) else str(value)]
+    return argv
+
+
+def test_a_study_without_the_kernel_takes_no_bandwidth(tmp_path):
+    out = tmp_path / "cmp.csv"
+    argv = ["compare", "--model", "linear3", "--n", "200", "--mask", "1", "--seeds", "3", "--estimators", "pf,nn"]
+    assert main(argv + ["--output", str(out)]) == 0
+    cfg, _, rows, _ = _read_table(str(out))
+    assert cfg.h is None and cfg.rule is None
+    assert [r["estimator"] for r in rows] == ["pf", "nn_t"] and all(r["h"] == "" for r in rows)
+
+
+def _repo_file(*parts):
+    return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), *parts)
+
+
+def test_shipped_command_lines_parse(monkeypatch):
+    # the experiment scripts' defaults and the benchmark workloads
+    argvs = []
+    for name in ("bandwidth", "compare", "convergence", "coverage"):
+        argvs.append(runpy.run_path(_repo_file("scripts", f"run_{name}.py"))["DEFAULTS"])
+    monkeypatch.syspath_prepend(_repo_file("perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", _repo_file("perfbench", "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    argvs += [workload.cli_args(seed=3) for workload in bench.WORKLOADS.values()]
+    assert len(argvs) == 8
+    for argv in argvs:
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
+        assert config.command == argv[0]
 
 
 def test_unset_flags_leave_the_defaults_to_run_config():

@@ -164,7 +164,7 @@ def test_brute_force_rejects_rows_outside_the_box():
 
 def test_plan_validation():
     m = linear_model(2)
-    rest = dict(model=m, mask=(0,), h_rule=lambda n: 0.2, kernel_order=2, ci_level=0.95, threads=1)
+    rest = dict(model=m, mask=(0,), h_rule=lambda n: 0.2, kernel_order=2, threads=1)
     with pytest.raises(MirrorSobolError):
         ExperimentPlan(**rest, n_grid=(200, 100), seeds=2, estimators=("kernel",))
     with pytest.raises(MirrorSobolError):
@@ -183,7 +183,6 @@ def test_convergence_study_shrinks_rmse():
         kernel_order=1,
         seeds=30,
         estimators=("kernel", "pf", "rank"),
-        ci_level=0.95,
         threads=1,
     )
     out = convergence_study(plan)
@@ -206,7 +205,6 @@ def test_convergence_study_threaded_matches_serial():
         kernel_order=1,
         seeds=8,
         estimators=("kernel",),
-        ci_level=0.95,
     )
     serial = convergence_study(ExperimentPlan(**kwargs, threads=1))
     threaded = convergence_study(ExperimentPlan(**kwargs, threads=4))
@@ -224,7 +222,6 @@ def test_plan_rejects_nonpositive_threads(threads):
             kernel_order=2,
             seeds=100,
             estimators=("kernel",),
-            ci_level=0.95,
             threads=threads,
         )
 
@@ -253,7 +250,6 @@ def test_coverage_study_negative_control():
         kernel_order=1,
         seeds=120,
         estimators=("kernel",),
-        ci_level=0.95,
         threads=1,
     )
     nominal = coverage_study(plan)
@@ -262,6 +258,26 @@ def test_coverage_study_negative_control():
     cov_half = halved["rows"][0]["coverage"]
     assert cov >= 0.85, f"nominal coverage {cov} implausibly low"
     assert cov_half < cov, f"halved-variance control should cover less: {cov_half} vs {cov}"
+
+
+@pytest.mark.parametrize("ci_level", [0.0, 1.0])
+def test_coverage_study_checks_its_level_before_any_replicate(ci_level, monkeypatch):
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(testbed, "estimate_sobol", no_replicate)
+    plan = ExperimentPlan(
+        model=linear_model(3),
+        mask=(0,),
+        n_grid=(100,),
+        h_rule=lambda n: 0.25,
+        kernel_order=1,
+        seeds=2,
+        estimators=("kernel",),
+        threads=1,
+    )
+    with pytest.raises(MirrorSobolError, match="ci level"):
+        coverage_study(plan, ci_level=ci_level)
 
 
 def test_fit_loglog_slope_exact():
@@ -280,6 +296,5 @@ def test_rank_requires_singleton_mask_in_study():
             kernel_order=2,
             seeds=2,
             estimators=("rank",),
-            ci_level=0.95,
             threads=1,
         )
