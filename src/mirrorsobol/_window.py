@@ -257,26 +257,26 @@ def _binomials(k: int) -> np.ndarray:
 def _shift_into(out: np.ndarray, d: np.ndarray, delta: np.ndarray, binom: np.ndarray) -> None:
     """out[m] += sum_l C(m, l) delta^(m-l) d[l]: moments about a cell center moved to the anchor.
 
-    Axis 0 of d and out is the moment order, axis -2 the anchor; delta holds
-    mu - x_a per anchor.
+    Axis 0 of d and out is the moment order, the last axis the anchor; delta
+    holds mu - x_a per anchor.
     """
     k = d.shape[0] - 1
-    pow_delta = np.ones((delta.size, 1))
+    pow_delta = np.ones(delta.size)
     for diff in range(k + 1):
         for l in range(k + 1 - diff):
             out[l + diff] += binom[l + diff, l] * pow_delta * d[l]
         if diff < k:
-            pow_delta = pow_delta * delta[:, None]
+            pow_delta = pow_delta * delta
 
 
 def _kernel_sum(s: np.ndarray, coeffs: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """sum_m c_m ratio^m s[m] over axis 0, ratio = s_a / h per anchor."""
+    """sum_m c_m ratio^m s[m] over axis 0, ratio = s_a / h per anchor on the last axis."""
     out = np.zeros(s.shape[1:])
-    ratio_pow = np.ones((ratio.size, 1))
+    ratio_pow = np.ones(ratio.size)
     for m in range(coeffs.size):
         out += coeffs[m] * ratio_pow * s[m]
         if m < coeffs.size - 1:
-            ratio_pow = ratio_pow * ratio[:, None]
+            ratio_pow = ratio_pow * ratio
     return out
 
 
@@ -285,6 +285,7 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
 
     The window of each anchor is a run of the sorted points, and each cell a
     run too, so every window-cell part is a difference of two prefix sums.
+    Arrays keep the anchor on their last axis, so every loop runs over it.
     """
     xs = x[:, 0]
     n = xs.size
@@ -294,28 +295,38 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
     sigma = sign_matrix(sub, x)[:, 0]
     cell = _cells(xs, lo, side)
 
-    # prefix[l][j] = sum over the first j points of y (x - mu_cell)^l
-    prefix = np.zeros((k + 1, n + 1, y.shape[1]))
+    # prefix[l, c, j] = sum over the first j points of y_c (x - mu_cell)^l
+    prefix = np.zeros((k + 1, y.shape[1], n + 1))
     for l, pw in enumerate(_powers(xs - _center(cell, lo, side), k)):
-        prefix[l, 1:] = np.cumsum(y * pw[:, None], axis=0)
+        np.cumsum(y.T * pw, axis=1, out=prefix[l, :, 1:])
     binom = _binomials(k)
 
     b_lo, b_hi = _window_ranks(xs, xs, sigma, h, support)
-    c0 = cell[b_lo]
+    # start[i]: where the i-th occupied cell starts among the sorted points,
+    # then n; a window meets the occupied cells first, first + 1, first + 2
+    # at most, where first holds its first point
+    new_cell = np.r_[True, cell[1:] != cell[:-1]]
+    start = np.r_[np.flatnonzero(new_cell), np.full(3, n)]
+    occupied = cell[np.minimum(start, n - 1)]
+    first = (np.cumsum(new_cell) - 1)[b_lo]
 
-    s_m = np.zeros((k + 1,) + y.shape)
+    s_m = np.zeros((k + 1, y.shape[1], n))
     for t in range(3):
-        c = c0 + t
-        seg_s = np.maximum(b_lo, np.searchsorted(cell, c, side="left"))
-        seg_e = np.minimum(b_hi, np.searchsorted(cell, c + 1, side="left"))
-        live = seg_e > seg_s
-        if not np.any(live):
-            continue
-        delta = np.where(live, _center(c, lo, side) - xs, 0.0)
-        d_l = np.where(live[None, :, None], prefix[:, seg_e] - prefix[:, seg_s], 0.0)
-        _shift_into(s_m, d_l, delta, binom)
+        seg_s = np.maximum(b_lo, start[first + t])
+        seg_e = np.minimum(b_hi, start[first + t + 1])
+        # most windows meet two cells, so the first two passes mask the
+        # anchors; a third cell, reached only past a point on a cell edge,
+        # is summed for the anchors that reach it alone
+        a = slice(None) if t < 2 else np.flatnonzero(seg_e > seg_s)
+        live = seg_e[a] > seg_s[a]
+        part = s_m[:, :, a]
+        delta = np.where(live, _center(occupied[first[a] + t], lo, side) - xs[a], 0.0)
+        d_l = np.take(prefix, seg_e[a], axis=2) - np.take(prefix, seg_s[a], axis=2)
+        _shift_into(part, np.where(live, d_l, 0.0), delta, binom)
+        if t == 2:  # the gather copied the part
+            s_m[:, :, a] = part
     g = _kernel_sum(s_m, coeffs, sigma / h)
-    return (g - coeffs[0] * y) / h
+    return ((g - coeffs[0] * y.T) / h).T
 
 
 def _window_ranks(xs: np.ndarray, x: np.ndarray, sigma: np.ndarray, h: float, support: tuple) -> tuple:
@@ -362,7 +373,10 @@ def _moment_sums_2d(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     moments of a position run below a rank threshold in one descent of at
     most log2 n levels.  Each level's moment prefix sums are built as the descent
     reaches it, so the memory is O(n (k+1)^2 r) and the time
-    O(n log n (k+1)^2 r), whatever h is.
+    O(n log n (k+1)^2 r), whatever h is.  The moments and their prefix sums
+    keep the point on axis 0, where the wavelet's gathers copy whole rows;
+    the sums of each query are then turned so that the shifts and kernel
+    sums run over the queries on the last axis.
     """
     n = x.shape[0]
     k = coeffs.size - 1
@@ -421,7 +435,7 @@ def _moment_sums_2d(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     cut_hi = np.flatnonzero(stop[1][qa] < cell2_hi)
     cut_lo = np.flatnonzero(first[1][qa] > cell2_lo)
     prefix = _prefix(moments)
-    d = prefix[pos_hi] - prefix[pos_lo]
+    d = np.take(prefix, pos_hi, axis=0) - np.take(prefix, pos_lo, axis=0)
     terms = np.concatenate([cut_hi, cut_lo])
     bound = np.concatenate([stop[1][qa[cut_hi]], first[1][qa[cut_lo]]]) - cell2_lo[terms]
     below = _wavelet_sums((rank[1] - cell_start[1])[layout], moments, pos_lo[terms], pos_hi[terms], bound)
@@ -429,13 +443,14 @@ def _moment_sums_2d(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     d[cut_lo] -= below[cut_hi.size :]
 
     binom = _binomials(k)
-    d = d.reshape(-1, k + 1, k + 1, r).transpose(1, 2, 0, 3)
+    # the query goes last for the shifts and kernel sums
+    d = np.ascontiguousarray(d.T).reshape(k + 1, k + 1, r, -1)
     shifted = np.zeros_like(d)
     _shift_into(shifted, d, _center(qc1, float(sub.lower[0]), side) - x[qa, 0], binom)
     s_m = np.zeros_like(d)
     _shift_into(s_m.swapaxes(0, 1), shifted.swapaxes(0, 1), _center(qc2, float(sub.lower[1]), side) - x[qa, 1], binom)
     g_q = _kernel_sum(_kernel_sum(s_m, coeffs, sigma[qa, 0] / h), coeffs, sigma[qa, 1] / h)
-    g = np.column_stack([np.bincount(qa, weights=g_q[:, c], minlength=n) for c in range(r)])
+    g = np.column_stack([np.bincount(qa, weights=g_q[c], minlength=n) for c in range(r)])
     return (g - (coeffs[0] * coeffs[0]) * w) / (h * h)
 
 

@@ -96,11 +96,11 @@ def _nearest(x1, x2) -> np.ndarray:
     """argmin(cdist(x2, x1), axis=1): each x2 row's nearest x1 row, lowest index on ties.
 
     Each distinct x1 row is searched once, under its lowest index.  In 1-D
-    the distinct values are sorted, so one search finds the neighbours on
-    either side.  In more dimensions a k-d tree (Friedman, Bentley & Finkel
-    1977) finds the two nearest rows in its own rounding.  A row with a
-    second candidate within rounding of its nearest distance is settled by
-    `_settle_ties`.
+    the distinct values are sorted and searched for the sorted x2 values, so
+    one search finds the neighbours on either side.  In more dimensions a
+    k-d tree (Friedman, Bentley & Finkel 1977) finds the two nearest rows in
+    its own rounding.  A row with a second candidate within rounding of its
+    nearest distance is settled by `_settle_ties`.
     """
     order = np.lexsort(x1.T[::-1])  # stable: the first of equal rows has the lowest index
     sorted1 = x1[order]
@@ -111,19 +111,23 @@ def _nearest(x1, x2) -> np.ndarray:
     scale = max(np.max(np.abs(x1)), np.max(np.abs(x2)))
     slack = 8.0 * np.spacing(scale)
     if x1.shape[1] == 1:
-        values, v = rows1[:, 0], x2[:, 0]
+        # searched in sorted order, which keeps each search near the last
+        # one, and put back in x2's row order at the end
+        by_value = np.argsort(x2[:, 0])
+        values, v = rows1[:, 0], x2[by_value, 0]
         right = np.searchsorted(values, v)
         left = np.maximum(right - 1, 0)
         d_left = np.where(right > 0, np.sqrt((v - values[left]) ** 2), np.inf)
         right_value = values[np.minimum(right, values.size - 1)]
         d_right = np.where(right < values.size, np.sqrt((v - right_value) ** 2), np.inf)
-        nearest = np.where(d_right < d_left, right, left)
+        nearest = np.empty(v.size, dtype=np.int64)
+        nearest[by_value] = np.where(d_right < d_left, right, left)
         reach = np.minimum(d_left, d_right) * (1.0 + 1e-12) + slack
         # the distance is monotone on either side, so the candidates are a run
         first = np.searchsorted(values, v - reach, side="left")
         count = np.searchsorted(values, v + reach, side="right") - first
         tied = np.flatnonzero(count > 1)
-        rows = np.repeat(tied, count[tied])
+        rows = np.repeat(by_value[tied], count[tied])
         cand = _expand(first[tied], count[tied])
     else:
         from scipy.spatial import cKDTree
@@ -193,7 +197,7 @@ def rank_estimate(X, Y) -> float:
         raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
     order = np.argsort(x, kind="stable")
     ys = y[order]
-    numer = math.fsum(ys[:-1] * ys[1:]) / n - float(np.mean(y)) ** 2
+    numer = math.fsum((ys[:-1] * ys[1:]).tolist()) / n - float(np.mean(y)) ** 2
     return numer / variance
 
 

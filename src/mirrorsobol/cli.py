@@ -28,6 +28,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -116,6 +117,9 @@ class RunConfig:
     what made its numbers.  Exactly one input source (``csv`` or ``model``)
     must be set, and exactly one of the bandwidth modes (``h``, ``auto``,
     ``rule``) that the command reads.  ``mask`` holds 1-based input axes.
+    ``auto`` is a bool; ``n``, ``seed``, ``seeds``, ``threads``,
+    ``kernel_order`` and the entries of ``mask`` and ``n_grid`` are integers
+    and not bools.  Any other value there is a ConfigError, not truncated.
     ``density`` is either the string ``"exact"`` or a plug-in spec::
 
         {"plugin": "uniform_max"}
@@ -156,22 +160,24 @@ class RunConfig:
                 model_by_name(self.model)
             except MirrorSobolError as exc:
                 raise ConfigError("model", str(exc)) from None
+        if not isinstance(self.auto, bool):
+            raise ConfigError("auto", f"auto must be true or false, got {self.auto!r}")
         if self.n is not None:
-            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "n", _integer("n", self.n))
             if self.n < 2:
                 raise ConfigError("n", f"n must be >= 2, got {self.n}")
-        object.__setattr__(self, "seed", int(self.seed))
+        for field in ("seed", "seeds", "threads", "kernel_order"):
+            object.__setattr__(self, field, _integer(field, getattr(self, field)))
         if self.seed < 0:
             raise ConfigError("seed", f"seed must be nonnegative, got {self.seed}")
 
-        mask = tuple(int(i) for i in self.mask)
+        mask = tuple(_integer("mask", i) for i in self.mask)
         if len(mask) == 0:
             raise ConfigError("mask", "mask must be nonempty (1-based input axes)")
         if len(set(mask)) != len(mask) or any(i < 1 for i in mask):
             raise ConfigError("mask", f"mask must be distinct 1-based axes, got {list(mask)}")
         object.__setattr__(self, "mask", tuple(sorted(mask)))
 
-        object.__setattr__(self, "kernel_order", int(self.kernel_order))
         if not 1 <= self.kernel_order <= MAX_ORDER:
             raise ConfigError("kernel_order", f"kernel order must be in [1, {MAX_ORDER}], got {self.kernel_order}")
 
@@ -198,11 +204,10 @@ class RunConfig:
         object.__setattr__(self, "ci_level", float(self.ci_level))
         if not (0.0 < self.ci_level < 1.0):
             raise ConfigError("ci_level", f"ci_level must be in (0, 1), got {self.ci_level}")
-        object.__setattr__(self, "threads", int(self.threads))
         if not 1 <= self.threads <= _MAX_THREADS:
             raise ConfigError("threads", f"--threads must be in [1, {_MAX_THREADS}], got {self.threads}")
 
-        grid = tuple(int(v) for v in self.n_grid)
+        grid = tuple(_integer("n_grid", v) for v in self.n_grid)
         if any(v < 2 for v in grid) or list(grid) != sorted(set(grid)):
             raise ConfigError("n_grid", f"n_grid must be ascending distinct sizes >= 2, got {list(grid)}")
         object.__setattr__(self, "n_grid", grid)
@@ -211,7 +216,6 @@ class RunConfig:
         if self.command == "convergence" and len(grid) == 0:
             raise ConfigError("n_grid", "convergence needs a nonempty n_grid")
 
-        object.__setattr__(self, "seeds", int(self.seeds))
         if self.seeds < 1:
             raise ConfigError("seeds", f"seeds must be >= 1, got {self.seeds}")
         ests = tuple(str(e) for e in self.estimators)
@@ -264,6 +268,13 @@ class RunConfig:
         if "command" not in obj:
             raise ConfigError("command", "config is missing the command field")
         return RunConfig(**obj)  # __post_init__ turns the JSON lists into tuples
+
+
+def _integer(field: str, value) -> int:
+    """value as an int, or a ConfigError naming field: a fraction is not truncated, and a bool is no integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(field, f"{field} takes integers, got {value!r}")
+    return int(value)
 
 
 def _parse_density_spec(density) -> tuple:
@@ -585,8 +596,8 @@ def run(config: RunConfig) -> int:
 # argument parsing
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _json_list(text: str) -> tuple:
+    return tuple(_json_arg(v) for v in text.split(",") if v.strip())
 
 
 def _str_list(text: str) -> tuple:
@@ -612,7 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return "; read by " + ", ".join(c for c in _READS if field in _READS[c])
 
     # every command takes every flag, and unset flags stay out of the
-    # namespace: RunConfig alone owns the defaults and the rules
+    # namespace: RunConfig alone owns the defaults and the rules, so the
+    # integer and bool flags take any JSON value and leave its type to it
     for name, summary in (
         ("estimate", "one estimate with CI, JSON out"),
         ("bandwidth", "bandwidth selection curve, JSON out"),
@@ -623,20 +635,20 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         sp.add_argument("--csv", help="sample CSV with header v1,...,vp,y; read by estimate, bandwidth")
         sp.add_argument("--model", choices=model_names, help="builtin analytic model")
-        sp.add_argument("--n", type=int, help="builtin model's sample size (coverage: without --n-grid)" + read_by("n"))
-        sp.add_argument("--seed", type=int, help="seed of a builtin model" + read_by("seed"))
-        sp.add_argument("--mask", type=_int_list, help="1-based input axes, e.g. 1 or 1,3")
-        sp.add_argument("--order", dest="kernel_order", type=int, help="kernel order k" + read_by("kernel_order"))
+        sp.add_argument("--n", type=_json_arg, help="builtin model's sample size (coverage: without --n-grid)" + read_by("n"))
+        sp.add_argument("--seed", type=_json_arg, help="seed of a builtin model" + read_by("seed"))
+        sp.add_argument("--mask", type=_json_list, help="1-based input axes, e.g. 1 or 1,3")
+        sp.add_argument("--order", dest="kernel_order", type=_json_arg, help="kernel order k" + read_by("kernel_order"))
         sp.add_argument("--h", type=float, help="fixed bandwidth" + read_by("h"))
-        sp.add_argument("--auto", action="store_true", help="data-driven bandwidth selection" + read_by("auto"))
+        sp.add_argument("--auto", nargs="?", const=True, type=_json_arg, help="data-driven bandwidth selection (alone: true)" + read_by("auto"))
         sp.add_argument("--rule", nargs=2, type=float, metavar=("C", "GAMMA"), help="h = C n^-GAMMA" + read_by("rule"))
         sp.add_argument("--density", type=_json_arg, help='"exact" or {"plugin": ...} JSON' + read_by("density"))
         sp.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON' + read_by("marginals"))
         sp.add_argument("--output", help="output file path")
         sp.add_argument("--ci-level", type=float, help="interval level" + read_by("ci_level"))
-        sp.add_argument("--threads", type=int, help=f"worker threads, 1 to {_MAX_THREADS}" + read_by("threads"))
-        sp.add_argument("--n-grid", type=_int_list, help="e.g. 500,1000,2000" + read_by("n_grid"))
-        sp.add_argument("--seeds", type=int, help="number of seeds (0..seeds-1)" + read_by("seeds"))
+        sp.add_argument("--threads", type=_json_arg, help=f"worker threads, 1 to {_MAX_THREADS}" + read_by("threads"))
+        sp.add_argument("--n-grid", type=_json_list, help="e.g. 500,1000,2000" + read_by("n_grid"))
+        sp.add_argument("--seeds", type=_json_arg, help="number of seeds (0..seeds-1)" + read_by("seeds"))
         sp.add_argument("--estimators", type=_str_list, help=",".join(_ESTIMATOR_NAMES) + read_by("estimators"))
         sp.add_argument("--variance-scale", type=float, help="0.5: negative control" + read_by("variance_scale"))
     return parser

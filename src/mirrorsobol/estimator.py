@@ -225,7 +225,7 @@ def estimate_t(
     xm, fvals, sub = _prepare(sample, spec, h, f_x, domain)
     g = window_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0]
     n = sample.n
-    return math.fsum((sample.Y / fvals) * g) / (n * (n - 1))
+    return math.fsum(((sample.Y / fvals) * g).tolist()) / (n * (n - 1))
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +283,8 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
     # one pass for both columns; the centered one is its own column, not a
     # difference of sums, so shifting Y moves the ratio only by rounding
     g, g_c = window_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
-    t_hat = math.fsum((y / fvals) * g) / (n * (n - 1))
-    t_centered = math.fsum((y_c / fvals) * g_c) / (n * (n - 1))
+    t_hat = math.fsum(((y / fvals) * g).tolist()) / (n * (n - 1))
+    t_centered = math.fsum(((y_c / fvals) * g_c).tolist()) / (n * (n - 1))
     sobol = t_centered / s2
     # 2 Y g1 is exactly twice Y g1, so var_t is 4 Var(Y g1)
     var_t = _variance(2.0 * y * (g / ((n - 1) * fvals)))

@@ -343,12 +343,15 @@ def pick_freeze_design(model: AnalyticModel, mask, n: int, seed: int) -> PickFre
     The complementary inputs of the second call come from stream 1 of the
     same seed, independent of the base draw (stream 0).
     """
-    idx = tuple(sorted(int(i) for i in mask))
-    v = sample(model.input_model, n, seed, stream=0)
-    v_alt = sample(model.input_model, n, seed, stream=1)
-    v_pf = v_alt.copy()
-    v_pf[:, idx] = v[:, idx]
-    return PickFreezeSample(Y=model.g(v), Y_pf=model.g(v_pf))
+    return _freeze(model, mask, model.draw(n, seed), model.draw(n, seed, stream=1).V)
+
+
+def _freeze(model: AnalyticModel, mask, base: FullSample, v_alt: np.ndarray) -> PickFreezeSample:
+    """The pick-freeze pair of `base`: its outputs, and those at v_alt with the masked inputs of base."""
+    idx = sorted(int(i) for i in mask)
+    v_pf = np.array(v_alt)
+    v_pf[:, idx] = base.V[:, idx]
+    return PickFreezeSample(Y=base.Y, Y_pf=model.g(v_pf))
 
 
 _GL_NODES = 64
@@ -434,12 +437,27 @@ def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int)
         return list(pool.map(fn, seeds))
 
 
-def _kernel_runner(plan: ExperimentPlan) -> Callable[[int, float], list]:
-    """run(n, h): the kernel estimates of seeds 0..seeds-1; one kernel and spec serve the study."""
-    spec, kernel, model = SubsetSpec(plan.mask), build_kernel(plan.kernel_order), plan.model
+def _seed_runner(plan: ExperimentPlan, estimators) -> Callable[[int, float], list]:
+    """run(n, h): for seeds 0..seeds-1, a dict from each of `estimators` to its estimate.
 
-    def replicate(n: int, h: float, seed: int):
-        return estimate_sobol(model.draw(n, seed), spec, kernel, h, model.input_model)
+    A seed draws stream 0 once, and stream 1 once if pf or nn runs; every
+    estimator reads those draws.  One kernel and spec serve the study.
+    """
+    spec, kernel, model, mask = SubsetSpec(plan.mask), build_kernel(plan.kernel_order), plan.model, list(plan.mask)
+
+    def replicate(n: int, h: float, seed: int) -> dict:
+        base = model.draw(n, seed)
+        alt = model.draw(n, seed, stream=1) if {"pf", "nn"} & set(estimators) else None
+        out = {}
+        if "kernel" in estimators:
+            out["kernel"] = estimate_sobol(base, spec, kernel, h, model.input_model)
+        if "pf" in estimators:
+            out["pf"] = pick_freeze_estimate(_freeze(model, mask, base, alt.V))
+        if "nn" in estimators:
+            out["nn"] = nn_estimate((base.V[:, mask], base.Y), (alt.V[:, mask], alt.Y))
+        if "rank" in estimators:
+            out["rank"] = rank_estimate(base.V[:, mask[0]], base.Y)
+        return out
 
     return lambda n, h: _over_seeds(lambda s: replicate(n, h, s), range(plan.seeds), plan.threads)
 
@@ -472,36 +490,18 @@ def convergence_study(plan: ExperimentPlan) -> dict:
     coverage) and slopes map (estimator_label, mask_label) to the fitted
     log-log slope of RMSE in n.
     """
-    model, mask, seeds = plan.model, plan.mask, range(plan.seeds)
-    kernel_run = _kernel_runner(plan)
+    model, mask = plan.model, plan.mask
+    run = _seed_runner(plan, plan.estimators)
     rows = []
     for n in plan.n_grid:
+        h = float(plan.h_rule(n)) if "kernel" in plan.estimators else None
+        res = run(n, h)
         if "kernel" in plan.estimators:
-            h = float(plan.h_rule(n))
-            res = kernel_run(n, h)
-            rows.append(_summary_row(model, mask, "kernel_t", n, h, [r.t_hat for r in res], model.t_of(mask)))
-            rows.append(_summary_row(model, mask, "kernel_sobol", n, h, [r.sobol for r in res], model.sobol_of(mask)))
-        if "pf" in plan.estimators:
-            vals = _over_seeds(
-                lambda s: pick_freeze_estimate(pick_freeze_design(model, mask, n, s)), seeds, plan.threads
-            )
-            rows.append(_summary_row(model, mask, "pf", n, None, vals, model.sobol_of(mask)))
-        if "nn" in plan.estimators:
-            def nn_once(s):
-                fs1 = model.draw(n, s, stream=0)
-                fs2 = model.draw(n, s, stream=1)
-                idx = list(mask)
-                return nn_estimate((fs1.V[:, idx], fs1.Y), (fs2.V[:, idx], fs2.Y))
-
-            vals = _over_seeds(nn_once, seeds, plan.threads)
-            rows.append(_summary_row(model, mask, "nn_t", n, None, vals, model.t_of(mask)))
-        if "rank" in plan.estimators:
-            def rank_once(s):
-                fs = model.draw(n, s)
-                return rank_estimate(fs.V[:, mask[0]], fs.Y)
-
-            vals = _over_seeds(rank_once, seeds, plan.threads)
-            rows.append(_summary_row(model, mask, "rank", n, None, vals, model.sobol_of(mask)))
+            rows.append(_summary_row(model, mask, "kernel_t", n, h, [r["kernel"].t_hat for r in res], model.t_of(mask)))
+            rows.append(_summary_row(model, mask, "kernel_sobol", n, h, [r["kernel"].sobol for r in res], model.sobol_of(mask)))
+        for name, label, truth in (("pf", "pf", model.sobol_of), ("nn", "nn_t", model.t_of), ("rank", "rank", model.sobol_of)):
+            if name in plan.estimators:
+                rows.append(_summary_row(model, mask, label, n, None, [r[name] for r in res], truth(mask)))
     grouped = {}
     for row in rows:
         grouped.setdefault((row["estimator"], row["mask"]), []).append((row["n"], row["rmse"]))
@@ -533,11 +533,11 @@ def coverage_study(plan: ExperimentPlan, ci_level: float = 0.95, variance_scale:
         raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
     model, mask = plan.model, plan.mask
     truth = model.sobol_of(mask)
-    kernel_run = _kernel_runner(plan)
+    run = _seed_runner(plan, ("kernel",))
     rows = []
     for n in plan.n_grid:
         h = float(plan.h_rule(n))
-        res = kernel_run(n, h)
+        res = [r["kernel"] for r in run(n, h)]
         intervals = [_normal_ci(r.sobol, r.var_sobol * variance_scale, n, ci_level) for r in res]
         row = _summary_row(model, mask, "kernel_sobol", n, h, [r.sobol for r in res], truth)
         row["coverage"] = float(np.mean([lo <= truth <= hi for lo, hi in intervals]))

@@ -693,6 +693,53 @@ def test_fields_a_command_does_not_read_are_config_errors(command, field, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("estimate", "auto", "no"),
+        ("estimate", "auto", 1),
+        ("bandwidth", "auto", "yes"),
+        ("compare", "seeds", 2.7),
+        ("compare", "seeds", True),
+        ("estimate", "n", 200.5),
+        ("estimate", "n", True),
+        ("estimate", "seed", 1.5),
+        ("compare", "threads", 1.5),
+        ("compare", "threads", True),
+        ("estimate", "kernel_order", 2.0),
+        ("estimate", "mask", [1.5]),
+        ("estimate", "mask", [True]),
+        ("convergence", "n_grid", [200, 300.5]),
+        ("convergence", "n_grid", [True, 200]),
+    ],
+)
+def test_integer_and_bool_fields_take_no_other_type(command, field, value, tmp_path, monkeypatch, capsys):
+    # int() would truncate 2.7 seeds to 2 and read True as 1, and any auto
+    # value but None or False would run the pilot and be recorded as given
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(testbed, "estimate_sobol", no_work)
+    monkeypatch.setattr(cli, "estimate_sobol", no_work)
+    monkeypatch.setattr(cli, "bandwidth_curve", no_work)
+    base = {"command": command, "model": "linear3", "n": 200, "mask": [1], "h": 0.2}
+    if command == "bandwidth":
+        base.update(h=None, auto=True)
+    if command == "convergence":
+        base.update(n=None, n_grid=[200])
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig.from_json(dict(base, **{field: value}))
+    assert _field_of(excinfo) == field
+    # the integer and bool flags pass any JSON value on to RunConfig
+    out = tmp_path / "artifact"
+    flag = "--order" if field == "kernel_order" else "--" + field.replace("_", "-")
+    text = ",".join(json.dumps(v) for v in value) if isinstance(value, list) else json.dumps(value)
+    rest = {k: v for k, v in base.items() if k != field}
+    assert main(_argv(dict(rest, output=str(out))) + [flag, text]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == field
+    assert not out.exists()
+
+
 def _argv(config: dict) -> list:
     """The command line of a config dict; None fields are left unset."""
     argv = [config["command"]]

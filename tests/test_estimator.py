@@ -400,6 +400,54 @@ def test_range_moments_skip_an_empty_middle_cell(axis, reps, crossover):
             assert abs(t_fast - t_ref) <= 1e-12 * _moment_scale(fs.V, fs.Y, kernel, 0.5, UNIT2), (order, t_fast, t_ref)
 
 
+@pytest.mark.parametrize("middle", [[], [0.375]])
+@pytest.mark.parametrize("reps", [1, 2, 100])
+def test_range_moments_1d_reach_a_third_cell(middle, reps, monkeypatch):
+    # cells of side h/2 = 0.25: a sits just below the edge of cell 1 and b
+    # on the edge of cell 2, and (0.5 - a) / h rounds to 0.5, so a's window
+    # meets cells 0 to 2.  With a point in cell 1 that is three occupied
+    # cells, and the third pass sums them; with cell 1 empty the table of
+    # occupied cells steps from cell 0 to cell 2 and no window needs a third
+    a, b = 0.25 - 2.0**-55, 0.5
+    v = np.array([a] * reps + middle * reps + [b] * reps)
+    fs = FullSample(V=v[:, None], Y=np.linspace(1.0, 2.0, v.size))
+    spec = SubsetSpec((0,))
+    anchors_per_pass = []
+    shift_into = _window._shift_into
+
+    def recording(out, d, delta, binom):
+        anchors_per_pass.append(delta.size)
+        shift_into(out, d, delta, binom)
+
+    monkeypatch.setattr(_window, "_shift_into", recording)
+    monkeypatch.setattr(_window, "_grid_sums", None)
+    for order in (0, 2):
+        kernel = build_kernel(order)
+        anchors_per_pass.clear()
+        t_fast = estimate_t(fs, spec, kernel, 0.5, UNIT1)
+        t_ref = brute_force_t(fs, spec, kernel, 0.5, UNIT1)
+        assert abs(t_fast - t_ref) <= 1e-12 * _moment_scale(fs.V, fs.Y, kernel, 0.5, UNIT1), (order, t_fast, t_ref)
+        first, second, third = anchors_per_pass
+        assert first == second == v.size
+        assert third == (reps if middle else 0), anchors_per_pass
+
+
+def test_range_moments_2d_columns_are_bit_equal_to_one_column_calls():
+    # every moment, prefix sum and shift is taken column by column, so a
+    # second weight column changes no bit of the first
+    rng = np.random.default_rng(5)
+    x = rng.random((700, 2))
+    x[:100] = x[100:200]
+    w = rng.standard_normal((700, 2))
+    for order in (0, 2, 4):
+        kernel = build_kernel(order)
+        for h in (0.05, 0.3, 1.0):
+            both = _window._moment_sums_2d(x, w, kernel.coeffs, kernel.support, h, UNIT2.domain)
+            for c in range(2):
+                one = _window._moment_sums_2d(x, w[:, [c]], kernel.coeffs, kernel.support, h, UNIT2.domain)
+                assert np.array_equal(both[:, c], one[:, 0]), (order, h, c)
+
+
 def test_range_moments_leave_int64_overflow_to_the_tree():
     # cell indices reach widths / side and the d = 2 layout keys (n + 1)^3
     ok = np.zeros(999, dtype=bool)

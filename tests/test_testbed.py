@@ -7,6 +7,7 @@ import pytest
 
 from mirrorsobol import testbed
 from mirrorsobol.baselines import pick_freeze_estimate
+from mirrorsobol.cli import main
 from mirrorsobol.domain import Domain
 from mirrorsobol.errors import DomainViolationError, MirrorSobolError
 from mirrorsobol.estimator import FullSample, SubsetSpec
@@ -209,6 +210,44 @@ def test_convergence_study_threaded_matches_serial():
     serial = convergence_study(ExperimentPlan(**kwargs, threads=1))
     threaded = convergence_study(ExperimentPlan(**kwargs, threads=4))
     assert serial["rows"] == threaded["rows"], "thread count must not change study results"
+
+
+def test_convergence_study_threaded_matches_serial_for_every_estimator():
+    # each seed draws its streams once and hands them to all four estimators
+    kwargs = dict(
+        model=linear_model(3),
+        mask=(1,),
+        n_grid=(120, 240),
+        h_rule=lambda n: 0.8 * n**-0.3,
+        kernel_order=2,
+        seeds=6,
+        estimators=("kernel", "pf", "nn", "rank"),
+    )
+    serial = convergence_study(ExperimentPlan(**kwargs, threads=1))
+    threaded = convergence_study(ExperimentPlan(**kwargs, threads=3))
+    assert [r["estimator"] for r in serial["rows"][:5]] == ["kernel_t", "kernel_sobol", "pf", "nn_t", "rank"]
+    assert serial == threaded, "thread count must not change study results"
+
+
+@pytest.mark.parametrize(
+    "estimators, streams",
+    [("kernel,pf,nn,rank", (0, 1)), ("kernel", (0,)), ("kernel,rank", (0,)), ("nn", (0, 1))],
+)
+def test_a_compare_seed_draws_each_stream_once(estimators, streams, tmp_path, monkeypatch):
+    draws = []
+    real_sample = testbed.sample
+
+    def counting_sample(model, n, seed, stream=0):
+        draws.append((seed, stream))
+        return real_sample(model, n, seed, stream=stream)
+
+    monkeypatch.setattr(testbed, "sample", counting_sample)
+    argv = ["compare", "--model", "linear3", "--mask", "1", "--n", "150", "--seeds", "5", "--threads", "2"]
+    argv += ["--estimators", estimators, "--output", str(tmp_path / "compare.csv")]
+    if "kernel" in estimators:
+        argv += ["--h", "0.3"]
+    assert main(argv) == 0
+    assert sorted(draws) == [(seed, stream) for seed in range(5) for stream in streams]
 
 
 @pytest.mark.parametrize("threads", [0, -5])
