@@ -9,6 +9,13 @@ The cell grid serves everything else (d >= 3, small 2-D windows, sums at
 other anchors such as mirror_kde's, and samples too fine for int64 cell
 indices): it lists the pairs of each window and evaluates the kernel on
 every one.
+
+One call takes an ascending sequence of bandwidths, as the bandwidth grid
+needs.  The rows are sorted once; each bandwidth for which range moments
+pay takes them, and the rest share one grid listing at the largest of
+them: the window of a smaller h lies in that of a larger one, so each pair
+is listed once, ordered by the first bandwidth whose window holds it, and
+each bandwidth evaluates the kernel on the pairs that have entered by then.
 """
 
 from __future__ import annotations
@@ -34,32 +41,39 @@ _MAX_CELLS = 16
 _MOMENT_CROSSOVER = 60.0
 
 
-def window_sums(x, weights, kernel, h: float, domain: Domain, anchors=None) -> np.ndarray:
-    """S[a, c] = sum_b weights[b, c] K_h(A_{q_a}(x_b - q_a)) for every anchor q_a.
+def window_sums(x, weights, kernel, hs, domain: Domain, anchors=None) -> np.ndarray:
+    """S[j, a, c] = sum_b weights[b, c] K_{h_j}(A_{q_a}(x_b - q_a)) for every anchor q_a and bandwidth h_j.
 
-    x holds the (m, d) points and weights their (m, r) weight columns.  With
-    anchors None the anchors are the points and the pair b = a is left out
-    (duplicate rows stay in); the rows are then put in a canonical order, so
-    the sums do not depend on the input row order, and they take the
-    range-moment backend in d = 1, and in d = 2 once the expected window
-    pairs per anchor, tied rows counted, reach _MOMENT_CROSSOVER.  Every
-    other call takes the grid, and so do samples whose cell indices or
-    layout keys would not fit in int64.
+    x holds the (m, d) points and weights their (m, r) weight columns; hs is
+    an ascending sequence of bandwidths, and the result holds one (anchors,
+    r) block per bandwidth.  With anchors None the anchors are the points and
+    the pair b = a is left out (duplicate rows stay in); the rows are then
+    put in a canonical order once, so the sums do not depend on the input
+    row order, and a bandwidth takes the range-moment backend in d = 1, and
+    in d = 2 once the expected window pairs per anchor, tied rows counted,
+    reach _MOMENT_CROSSOVER.  Every other bandwidth takes the grid, and so
+    do samples whose cell indices or layout keys would not fit in int64; the
+    grid bandwidths of a call share one listing of pairs.
     """
+    hs = np.asarray(hs, dtype=float).ravel()
     if anchors is not None:
-        return _grid_sums(x, weights, kernel, h, domain, anchors, self_pairs=False)
+        return _grid_sums(x, weights, kernel, hs, domain, anchors, self_pairs=False)
     order = np.lexsort(x.T[::-1])
     # tied[i]: sorted row i + 1 equals row i; the weights order tied rows
     tied = np.all(x[order[1:]] == x[order[:-1]], axis=1)
     if np.any(tied):
         order = np.lexsort(np.vstack([weights.T[::-1], x.T[::-1]]))
     x, weights = x[order], weights[order]
-    if _moments_pay(tied, (kernel.support[1] - kernel.support[0]) * h, domain):
-        moment_sums = _moment_sums_1d if x.shape[1] == 1 else _moment_sums_2d
-        out = moment_sums(x, weights, kernel.coeffs, kernel.support, h, domain)
-    else:
-        out = _grid_sums(x, weights, kernel, h, domain, x, self_pairs=True)
-    out[order] = out.copy()
+    side = kernel.support[1] - kernel.support[0]
+    moments = np.array([_moments_pay(tied, side * h, domain) for h in hs], dtype=bool)
+    # each block goes back to the input row order as it is stored
+    out = np.empty((hs.size,) + weights.shape)
+    grid = np.flatnonzero(~moments)
+    if grid.size:
+        out[np.ix_(grid, order)] = _grid_sums(x, weights, kernel, hs[grid], domain, x, self_pairs=True)
+    moment_sums = _moment_sums_1d if x.shape[1] == 1 else _moment_sums_2d
+    for j in np.flatnonzero(moments):
+        out[j, order] = moment_sums(x, weights, kernel.coeffs, kernel.support, float(hs[j]), domain)
     return out
 
 
@@ -93,50 +107,88 @@ def _tied_pairs(tied: np.ndarray) -> float:
 # the grid backend
 
 
-def _grid_sums(x, weights, kernel, h: float, domain: Domain, anchors, self_pairs: bool) -> np.ndarray:
-    """Window sums over the pairs that a sorted cell grid lists.
+def _grid_sums(x, weights, kernel, hs: np.ndarray, domain: Domain, anchors, self_pairs: bool) -> np.ndarray:
+    """Window sums at each bandwidth of the ascending hs, over the pairs that one sorted cell grid lists.
 
     The kernel vanishes outside the box q_a + s_a [lo h, hi h]^d, a max-norm
-    ball, so a radius inflated past the rounding of the ball centers makes
-    every pair that can count a candidate, and the kernel's closed-support
-    test decides each one, with the same arithmetic as a dense sweep.  The
-    candidates of an anchor are the runs of a `_CellGrid`: at most
-    (m + 2)^(d-1) of them, m cells per ball side on each leading axis.  The
-    runs give each anchor's exact candidate count before any pair is listed,
-    and an anchor block holds at most _PAIR_BUDGET candidates, or one anchor.
+    ball, and with the support holding 0 the ball of every h lies in that of
+    the largest.  So the pairs are listed once, at the largest h, with a
+    radius inflated past the rounding of the ball centers: every pair that
+    can count at any h is a candidate.  The candidates of an anchor are the
+    runs of a `_CellGrid`: at most (m + 2)^(d-1) of them, m cells per ball
+    side on each leading axis.  The runs give each anchor's exact candidate
+    count before any pair is listed, and an anchor block holds at most
+    _PAIR_BUDGET candidates, or one anchor; half as many when several
+    bandwidths share the listing, which holds a reordered copy of each block.
+    Within a block the pairs are ordered by the first bandwidth at which
+    they pass the kernel's closed-support test (`_entries`), and each
+    bandwidth evaluates the kernel on the prefix of pairs that have entered
+    by then, with the same arithmetic as a dense sweep.
     """
     signs = sign_matrix(domain, anchors)
     lo, hi = kernel.support
-    centers = anchors + signs * (0.5 * (lo + hi) * h)
+    centers = anchors + signs * (0.5 * (lo + hi) * hs[-1])
     scale = max(float(np.max(np.abs(x))), float(np.max(np.abs(anchors), initial=0.0)))
-    reach = 0.5 * (hi - lo) * h * (1.0 + 1e-9) + 8.0 * np.spacing(scale)
+    reach = 0.5 * (hi - lo) * hs[-1] * (1.0 + 1e-9) + 8.0 * np.spacing(scale)
     n, d = x.shape
     m = _cells_per_ball(n * float(np.prod(np.minimum(1.0, 2.0 * reach / domain.widths))), d)
     grid = _CellGrid(x, domain.lower, 2.0 * reach / m)
     position = np.empty(n, dtype=np.int64)  # of each point in the grid order
     position[grid.order] = np.arange(n)
     xs, ws = x[grid.order], weights[grid.order]
-    out = np.zeros((anchors.shape[0], weights.shape[1]))
-    chunk = max(1, _PAIR_BUDGET // (m + 2) ** (d - 1))  # bounds the runs held at once
+    out = np.zeros((hs.size, anchors.shape[0], weights.shape[1]))
+    budget = _PAIR_BUDGET if hs.size == 1 else _PAIR_BUDGET // 2
+    chunk = max(1, budget // (m + 2) ** (d - 1))  # bounds the runs held at once
     for c0 in range(0, anchors.shape[0], chunk):
         owner, first, stop = grid.runs(centers[c0 : c0 + chunk], reach)
         count = np.bincount(owner, weights=stop - first, minlength=min(chunk, anchors.shape[0] - c0))
-        for b0, b1 in _blocks(count):
+        for b0, b1 in _blocks(count, budget):
             r0, r1 = np.searchsorted(owner, [b0, b1])
             lens = stop[r0:r1] - first[r0:r1]
             own = owner[r0:r1] + c0
             a = np.repeat(own - (c0 + b0), lens)
             pos = _expand(first[r0:r1], lens)
-            offsets = np.take(xs, pos, axis=0) - np.repeat(anchors[own], lens, axis=0)
-            mirrored = np.repeat(signs[own], lens, axis=0) * offsets
-            kvals = kernel.eval_scaled(mirrored, h)
+            mirrored = np.take(xs, pos, axis=0)
+            mirrored -= np.repeat(anchors[own], lens, axis=0)
+            mirrored *= np.repeat(signs[own], lens, axis=0)
+            entry = _entries(mirrored, hs, kernel.support)
             if self_pairs:
-                keep = np.flatnonzero(pos != np.repeat(position[own], lens))
-                a, pos, kvals = a[keep], pos[keep], kvals[keep]
-            wb = np.take(ws, pos, axis=0)
-            for c in range(weights.shape[1]):
-                out[c0 + b0 : c0 + b1, c] = np.bincount(a, weights=kvals * wb[:, c], minlength=b1 - b0)
+                entry[pos == np.repeat(position[own], lens)] = hs.size
+            # a stable sort keeps the listing order within each bandwidth's entrants
+            ranked = np.argsort(entry, kind="stable")
+            ends = np.searchsorted(entry[ranked], np.arange(hs.size), side="right")
+            ranked = ranked[: ends[-1]]
+            a, mirrored = a[ranked], mirrored[ranked]
+            wb = np.take(ws, pos[ranked], axis=0)
+            for j, h in enumerate(hs):
+                p = ends[j]
+                kvals = kernel.eval_scaled(mirrored[:p], h)
+                for c in range(weights.shape[1]):
+                    out[j, c0 + b0 : c0 + b1, c] = np.bincount(a[:p], weights=kvals * wb[:p, c], minlength=b1 - b0)
     return out
+
+
+def _entries(mirrored: np.ndarray, hs: np.ndarray, support: tuple) -> np.ndarray:
+    """Index of the first bandwidth of the ascending hs at which each pair is in the window; hs.size for none.
+
+    A pair is in the window at h when lo <= mirrored / h <= hi on every
+    axis, evaluated as the kernel evaluates its closed-support test.
+    Rounded division is monotone in the numerator, so that holds exactly
+    when the smallest offset passes the lower test and the largest the upper
+    one.  With lo <= 0 <= hi each test only turns from out to in as h grows
+    (a small negative offset passes once its quotient underflows to -0.0),
+    so the bandwidths at which a pair is out are the first ones, and their
+    count is its entry.
+    """
+    lo, hi = support
+    u_lo = u_hi = mirrored[:, 0]
+    for j in range(1, mirrored.shape[1]):  # a column loop: numpy reduces a short last axis slowly
+        u_lo, u_hi = np.minimum(u_lo, mirrored[:, j]), np.maximum(u_hi, mirrored[:, j])
+    # 16-bit entries take numpy's radix sort in the caller's stable argsort
+    entry = np.zeros(u_lo.size, dtype=np.int16 if hs.size < 2**15 else np.int64)
+    for h in hs:
+        entry += (u_lo / h < lo) | (u_hi / h > hi)
+    return entry
 
 
 def _expand(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -157,13 +209,13 @@ def _cells_per_ball(per_anchor: float, d: int) -> int:
     return int(m[np.argmin(cost)])
 
 
-def _blocks(count: np.ndarray):
-    """[start, stop) anchor blocks of at most _PAIR_BUDGET candidates each, or of one anchor."""
+def _blocks(count: np.ndarray, budget: int):
+    """[start, stop) anchor blocks of at most `budget` candidates each, or of one anchor."""
     cum = np.cumsum(count)
     start = 0
     while start < count.size:
         base = cum[start - 1] if start else 0.0
-        stop = max(start + 1, int(np.searchsorted(cum, base + _PAIR_BUDGET, side="right")))
+        stop = max(start + 1, int(np.searchsorted(cum, base + budget, side="right")))
         yield start, stop
         start = stop
 
@@ -479,8 +531,11 @@ def _wavelet_sums(seq: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.nd
         z_lo, z_hi = zeros[lo], zeros[hi]
         take = ((bound >> level) & 1).astype(bool)
         prefix = _prefix(values)
-        # a query that does not take this level reads prefix[0] - prefix[0] = 0
-        out += np.take(prefix, np.where(take, z_hi, 0), axis=0) - np.take(prefix, np.where(take, z_lo, 0), axis=0)
+        # only the queries that take this level gather its prefix rows
+        sel = np.flatnonzero(take)
+        part = np.take(prefix, z_hi[sel], axis=0)
+        part -= np.take(prefix, z_lo[sel], axis=0)
+        out[sel] += part
         lo = np.where(take, zeros[-1] + lo - z_lo, z_lo)
         hi = np.where(take, zeros[-1] + hi - z_hi, z_hi)
     return out

@@ -21,7 +21,7 @@ from .errors import (
     MirrorSobolError,
     PilotTargetError,
 )
-from .estimator import FullSample, SubsetSpec, estimate_t
+from .estimator import FullSample, SubsetSpec, _t_values
 from .inputs import Beta, InputModel, Uniform
 from .kernels import KernelD
 
@@ -274,11 +274,6 @@ def default_grid(n: int, domain: Domain) -> np.ndarray:
     return np.geomspace(lo, hi, _GRID_SIZE)
 
 
-def _objective(h, sample_virtual, spec, kernel, f_x, domain, target):
-    t_tilde = estimate_t(sample_virtual, spec, kernel, h, f_x, domain=domain)
-    return abs(t_tilde - target)
-
-
 def bandwidth_curve(
     sample: FullSample,
     spec: SubsetSpec,
@@ -332,9 +327,7 @@ def bandwidth_curve(
     target, target_printed = pilot_target(sample, spec, h0, marginals)
     y_virtual = virtual_outputs(sample, h0, marginals)
     sample_virtual = FullSample(V=sample.V, Y=y_virtual)
-    values = np.array(
-        [_objective(float(h), sample_virtual, spec, kernel, f_x, domain, target) for h in grid]
-    )
+    values = np.abs(np.array(_t_values(sample_virtual, spec, kernel, grid, f_x, domain)) - target)
     idx = int(np.argmin(values))  # first minimum = smallest h on an ascending grid
     return {
         "h_star": float(grid[idx]),

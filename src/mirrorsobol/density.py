@@ -171,7 +171,7 @@ def mirror_kde(
             raise MirrorSobolError(f"queries must be (n, {d}) rows")
         if not np.all(domain.contains(rows)):
             raise DomainViolationError("density queried outside the stated domain")
-        sums = window_sums(pts, np.ones((m, 1)), kernel, h_kde, domain, anchors=rows)[:, 0]
+        sums = window_sums(pts, np.ones((m, 1)), kernel, [h_kde], domain, anchors=rows)[0, :, 0]
         return np.maximum(sums / m, floor)
 
     return DensityEstimate(

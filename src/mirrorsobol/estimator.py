@@ -222,10 +222,16 @@ def estimate_t(
     accumulated with exact compensated summation and does not depend on the
     ordering of the sample rows.
     """
-    xm, fvals, sub = _prepare(sample, spec, h, f_x, domain)
-    g = window_sums(xm, sample.Y[:, None], kernel, h, sub)[:, 0]
+    return _t_values(sample, spec, kernel, [h], f_x, domain)[0]
+
+
+def _t_values(sample: FullSample, spec: SubsetSpec, kernel: KernelD, hs, f_x, domain) -> list:
+    """estimate_t at each bandwidth of the ascending sequence hs, from one pass of window sums."""
+    xm, fvals, sub = _prepare(sample, spec, hs[-1], f_x, domain)
+    u = sample.Y / fvals
     n = sample.n
-    return math.fsum(((sample.Y / fvals) * g).tolist()) / (n * (n - 1))
+    sums = window_sums(xm, sample.Y[:, None], kernel, hs, sub)
+    return [math.fsum((u * g[:, 0]).tolist()) / (n * (n - 1)) for g in sums]
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +288,7 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
         raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
     # one pass for both columns; the centered one is its own column, not a
     # difference of sums, so shifting Y moves the ratio only by rounding
-    g, g_c = window_sums(xm, np.column_stack([y, y_c]), kernel, h, sub).T
+    g, g_c = window_sums(xm, np.column_stack([y, y_c]), kernel, [h], sub)[0].T
     t_hat = math.fsum(((y / fvals) * g).tolist()) / (n * (n - 1))
     t_centered = math.fsum(((y_c / fvals) * g_c).tolist()) / (n * (n - 1))
     sobol = t_centered / s2

@@ -1,6 +1,7 @@
 """Tests for pilot-based bandwidth selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
-from mirrorsobol import bandwidth
+from mirrorsobol import _window, bandwidth
 from mirrorsobol.bandwidth import (
     H0_FLOOR,
     bandwidth_curve,
@@ -25,7 +26,7 @@ from mirrorsobol.errors import (
     MirrorSobolError,
     PilotTargetError,
 )
-from mirrorsobol.estimator import FullSample, SubsetSpec
+from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_t
 from mirrorsobol.inputs import Beta, Uniform
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import ishigami_model, linear_model, product_model
@@ -581,3 +582,31 @@ def test_curve_takes_domain_and_marginals_from_an_input_model_density():
     )
     assert alone == explicit
     assert alone["curve"][-1][0] == pytest.approx(2.0 * np.pi)  # the grid runs to the box's mirror limit
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_curve_lists_pairs_once_within_the_memory_of_one_call_per_bandwidth(monkeypatch):
+    # the 13 smallest of the 25 bandwidths share one grid listing; blocks of
+    # 64 candidate pairs change no bit, and the whole curve, pilot included,
+    # peaks no higher than the grid values taken one estimate_t at a time
+    model = product_model()
+    s = model.draw(2000, seed=0)
+    spec, kern, im = SubsetSpec(mask=(0, 1)), build_kernel(2), model.input_model
+    out = bandwidth_curve(s, spec, kern, im)
+    virtual = FullSample(V=s.V, Y=virtual_outputs(s, rule_of_thumb_h0(s), im.marginals))
+    values = np.array([v for _, v in out["curve"]])
+    per_h = np.array([estimate_t(virtual, spec, kern, h, im) for h, _ in out["curve"]])
+    assert np.all(np.abs(values - np.abs(per_h - out["target"])) <= 1e-13 * np.abs(per_h))
+    curve_peak = _peak_mib(lambda: bandwidth_curve(s, spec, kern, im))
+    loop_peak = _peak_mib(lambda: [estimate_t(virtual, spec, kern, h, im) for h, _ in out["curve"]])
+    assert curve_peak <= loop_peak, (curve_peak, loop_peak)
+    monkeypatch.setattr(_window, "_PAIR_BUDGET", 64)
+    assert bandwidth_curve(s, spec, kern, im) == out

@@ -12,6 +12,7 @@ from scipy.stats import kstest
 
 from mirrorsobol import _window
 from mirrorsobol._window import window_sums
+from mirrorsobol.bandwidth import default_grid
 from mirrorsobol.density import mirror_kde
 from mirrorsobol.domain import Domain, sign_matrix
 from mirrorsobol.errors import (
@@ -32,6 +33,7 @@ from mirrorsobol.estimator import (
     estimate_sobol,
     estimate_t,
     estimate_total_sobol,
+    _t_values,
 )
 from mirrorsobol.inputs import InputModel, Uniform, subset_density_fn
 from mirrorsobol.kernels import KernelD, build_kernel
@@ -51,7 +53,7 @@ UNIT3 = InputModel((Uniform(0.0, 1.0),) * 3)
 def _g1_loo(fs, spec, kernel, h, model):
     """Leave-one-out plug-in g1_hat_a = G_a / ((n-1) f_X(X_a)) from the window row sums."""
     xm = fs.V[:, spec.mask]
-    g = window_sums(xm, fs.Y[:, None], kernel, h, model.domain.subdomain(spec.mask))[:, 0]
+    g = window_sums(xm, fs.Y[:, None], kernel, [h], model.domain.subdomain(spec.mask))[0, :, 0]
     return g / ((fs.n - 1) * subset_density_fn(model, spec.mask)(xm))
 
 
@@ -144,7 +146,7 @@ def test_matches_brute_force_with_boundary_points_and_ties():
 
 def _grid_sums(x, w, kernel, h, dom):
     """The cell-grid backend, whatever backend window_sums would choose."""
-    return _window._grid_sums(x, w, kernel, h, dom, x, self_pairs=True)
+    return _window._grid_sums(x, w, kernel, np.array([h]), dom, x, self_pairs=True)[0]
 
 
 @pytest.mark.parametrize(
@@ -178,13 +180,13 @@ def test_sorted_path_agrees_with_sparse_path():
         w = np.column_stack([y, y - y.mean()])
         kernel = build_kernel(order)
         # d = 1 takes the sorted range-moment path
-        fast = window_sums(x, w, kernel, h, dom)
+        fast = window_sums(x, w, kernel, [h], dom)[0]
         sparse = _grid_sums(x, w, kernel, h, dom)
         err = np.max(np.abs(fast - sparse)) / max(np.max(np.abs(sparse)), 1e-12)
         assert err <= 1e-10, f"sorted path deviates from sparse path by {err} (n={n}, h={h}, k={order})"
         # each weight column is computed as it would be on its own
         for c in range(2):
-            alone = window_sums(x, w[:, c : c + 1], kernel, h, dom)
+            alone = window_sums(x, w[:, c : c + 1], kernel, [h], dom)[0]
             assert np.array_equal(fast[:, c : c + 1], alone)
             assert np.array_equal(sparse[:, c : c + 1], _grid_sums(x, w[:, c : c + 1], kernel, h, dom))
 
@@ -311,7 +313,7 @@ def test_grid_matches_brute_force_at_other_anchors(case):
     w = np.column_stack([y, np.ones_like(y)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_window, "_PAIR_BUDGET", budget)
-        sums = window_sums(rows, w, kernel, h, dom, anchors=anchors)
+        sums = window_sums(rows, w, kernel, [h], dom, anchors=anchors)[0]
     signs = sign_matrix(dom, anchors)
     tol_floor = _underflow(y.size, kernel, h, model)
     for a, q in enumerate(anchors):
@@ -374,7 +376,7 @@ def test_range_moments_agree_with_tree_on_spread_and_tied_samples():
         grid = _grid_sums(x, w, kernel, h, dom)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_window, "_MOMENT_CROSSOVER", 0.0)
-            moments = window_sums(x, w, kernel, h, dom)
+            moments = window_sums(x, w, kernel, [h], dom)[0]
         err = np.max(np.abs(moments - grid)) / np.max(np.abs(grid))
         assert err <= 1e-12, f"range moments deviate from the grid by {err} (n={n}, h={h}, k={order})"
 
@@ -474,11 +476,209 @@ def test_window_sums_backend_choice(monkeypatch):
     x = rng.random((2000, 2))
     w = rng.normal(size=(2000, 1))
     kernel = build_kernel(2)
-    window_sums(x, w, kernel, 0.06, UNIT2.domain)  # about 2 pairs per anchor: the grid
-    window_sums(x, w, kernel, 0.6, UNIT2.domain, anchors=x[:10])
+    window_sums(x, w, kernel, [0.06], UNIT2.domain)  # about 2 pairs per anchor: the grid
+    window_sums(x, w, kernel, [0.6], UNIT2.domain, anchors=x[:10])
     for sample, h in [(x, 0.6), (np.repeat(x[:20], 100, axis=0), 0.06)]:
         with pytest.raises(AssertionError, match="range moments"):
-            window_sums(sample, w, kernel, h, UNIT2.domain)
+            window_sums(sample, w, kernel, [h], UNIT2.domain)
+
+
+# --------------------------------------------------------------------------
+# several bandwidths in one call: range moments per bandwidth, one grid listing
+
+
+def _takes_moments(rows, kernel, h, dom):
+    """Whether window_sums gives bandwidth h to the range-moment backend, under the current crossover."""
+    s = rows[np.lexsort(rows.T[::-1])]
+    return _window._moments_pay(np.all(s[1:] == s[:-1], axis=1), (kernel.support[1] - kernel.support[0]) * h, dom)
+
+
+def _absolute_row_sums(rows, w, kernel, h, dom):
+    """sum_b |w_b K_h(A_a(x_b - x_a))| over b != a: the size of each window sum's rounding."""
+    signs = sign_matrix(dom, rows)
+    kvals = np.abs(kernel.eval_scaled(signs[:, None, :] * (rows[None, :, :] - rows[:, None, :]), h))
+    np.fill_diagonal(kvals, 0.0)
+    return kvals @ np.abs(w)
+
+
+_ORDERS = {k: build_kernel(k) for k in range(5)}
+
+
+@st.composite
+def _grid_cases(draw):
+    """A window case in d = 2 or 3 with an ascending grid of one to five bandwidths.
+
+    Rows repeat, sit on box edges, mirror midpoints and dyadic points, and
+    one may sit on the far corner of another's window at a grid bandwidth.
+    Crossover 0 gives every 2-D bandwidth to range moments, the default
+    none at these sizes, and the pairs per anchor at a grid bandwidth
+    splits the grid there.
+    """
+    d = draw(st.integers(2, 3))
+    order = draw(st.integers(0, 4))
+    far = draw(st.booleans())
+    lo = np.array([1e6 if far else draw(st.sampled_from([0.0, -1.0, 0.5])) for _ in range(d)])
+    width = np.array([draw(st.sampled_from([1.0, 2.0])) for _ in range(d)])
+    hi = lo + width
+    limit = float(width.min())
+    free = st.floats(0.02, 1.0).map(lambda f: f * limit)
+    hs = np.unique(draw(st.lists(st.one_of(st.sampled_from([0.25, 0.5, limit]), free), min_size=1, max_size=5)))
+
+    def coord(i):
+        dyadic = lo[i] + draw(st.integers(0, 8 * int(width[i]))) / 8.0
+        return draw(st.one_of(st.sampled_from([lo[i], hi[i], 0.5 * (lo[i] + hi[i]), dyadic]), st.floats(lo[i], hi[i])))
+
+    pool = [[coord(i) for i in range(d)] for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        first = np.array(pool[0])
+        pool.append((first + np.where(first <= 0.5 * (lo + hi), 0.5, -0.5) * draw(st.sampled_from(hs.tolist()))).tolist())
+    n = draw(st.integers(2, 12))
+    rows = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    y = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n)])
+    crossover = draw(st.sampled_from([0.0, _window._MOMENT_CROSSOVER, None, None]))
+    if crossover is None:
+        # the expected window pairs per anchor that _moments_pay weighs, at a
+        # grid bandwidth: from there on the grid takes range moments in 2-D
+        s = rows[np.lexsort(rows.T[::-1])]
+        tied = _window._tied_pairs(np.all(s[1:] == s[:-1], axis=1))
+        pairs = [(n * n * float(np.prod(np.minimum(1.0, 0.5 * h / width))) + tied) / n for h in hs]
+        crossover = pairs[draw(st.integers(0, len(pairs) - 1))]
+    budget = draw(st.sampled_from([1, _window._PAIR_BUDGET]))
+    model = InputModel(tuple(Uniform(a, b) for a, b in zip(lo, hi)))
+    return rows, y, _ORDERS[order], hs, model, crossover, budget
+
+
+def _check_grid_case(rows, y, kernel, hs, model, crossover, budget):
+    """window_sums over the grid against one call per bandwidth, and its T against brute_force_t."""
+    dom = model.domain
+    fs = FullSample(V=rows, Y=y)
+    spec = SubsetSpec(tuple(range(rows.shape[1])))
+    w = np.column_stack([y, np.ones_like(y)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_MOMENT_CROSSOVER", crossover)
+        mp.setattr(_window, "_PAIR_BUDGET", budget)
+        sums = window_sums(rows, w, kernel, hs, dom)
+        t = _t_values(fs, spec, kernel, hs, model, None)
+        for j, h in enumerate(hs):
+            alone = window_sums(rows, w, kernel, [h], dom)[0]
+            floor = _underflow(y.size, kernel, h, model)
+            t_ref = brute_force_t(fs, spec, kernel, h, model)
+            scale = max(abs(t_ref), _absolute_scale(rows, y, kernel, h, model))
+            if _takes_moments(rows, kernel, h, dom):
+                # the same backend on the same canonical rows
+                assert np.array_equal(sums[j], alone), (j, h)
+                scale = max(scale, _moment_scale(rows, y, kernel, h, model))
+            else:
+                tol = 1e-12 * _absolute_row_sums(rows, w, kernel, h, dom) + floor
+                assert np.all(np.abs(sums[j] - alone) <= tol), (j, h, sums[j], alone)
+            assert abs(t[j] - t_ref) <= 1e-12 * scale + floor, f"h={h}: {t[j]!r} vs brute force {t_ref!r}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_cases())
+@example((np.array([[0.0, 0.5], [0.5, 0.5]]), np.array([1.0, -2.0]), _ORDERS[3], np.array([0.5]), UNIT2, 0.0, 1))
+@example(
+    # a lattice of 12 rows: crossover 1 sends h = 1 to range moments, h = 0.1 and 0.5 to the grid
+    (
+        np.array([[i / 3.0, j / 2.0] for i in range(4) for j in range(3)]),
+        np.linspace(-1.0, 1.0, 12),
+        _ORDERS[2],
+        np.array([0.1, 0.5, 1.0]),
+        UNIT2,
+        1.0,
+        _window._PAIR_BUDGET,
+    )
+)
+def test_grid_of_bandwidths_matches_per_bandwidth_sums_and_brute_force(case):
+    _check_grid_case(*case)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("crossover", [0.0, _window._MOMENT_CROSSOVER])
+@pytest.mark.parametrize(
+    "xa, xb, h, box",
+    [
+        (-0.5150372933919337, -0.5150372933919337 + 0.5 * 0.20261940833637054, 0.20261940833637054, (-1.0, 0.0)),
+        (-0.9972614998298519, np.nextafter(-0.9972614998298519 + 0.5 * 1.6501217528309111, 1.0), 1.6501217528309111, (-1.0, 1.0)),
+        (5e-324, 0.0, 2.0, (0.0, 2.0)),
+    ],
+)
+def test_grid_of_bandwidths_decides_the_window_edge_as_the_kernel_does(xa, xb, h, box, crossover, axis):
+    # the 1-D window-edge cases of the sorted path, with a second axis on
+    # which both rows agree; h sits alone, first and last in a grid
+    a, b = [xa, xa], [xa, xa]
+    b[axis] = xb
+    model = InputModel((Uniform(*box), Uniform(*box)))
+    for hs in ([h], [h, min(1.5 * h, box[1] - box[0])], [0.5 * h, 0.9 * h, h]):
+        hs = np.unique(hs)
+        for order in (0, 2):
+            _check_grid_case(np.array([a, b]), np.array([1.0, 1.0]), _ORDERS[order], hs, model, crossover, _window._PAIR_BUDGET)
+
+
+def test_default_grid_straddles_the_crossover_and_matches_per_bandwidth_sums():
+    m = product_model()
+    fs = m.draw(2000, seed=4)
+    dom = m.input_model.domain
+    grid = default_grid(2000, dom)
+    kernel = build_kernel(2)
+    w = fs.Y[:, None]
+    moments = [_takes_moments(fs.V, kernel, h, dom) for h in grid]
+    assert any(moments) and not all(moments)
+    sums = window_sums(fs.V, w, kernel, grid, dom)
+    for j, h in enumerate(grid):
+        alone = window_sums(fs.V, w, kernel, [h], dom)[0]
+        if moments[j]:
+            assert np.array_equal(sums[j], alone)
+        else:
+            assert np.all(np.abs(sums[j] - alone) <= 1e-12 * _absolute_row_sums(fs.V, w, kernel, h, dom)), h
+
+
+@pytest.mark.parametrize("model, mask", [(product_model(), (0, 1)), (linear_model(3), (0, 1, 2))])
+def test_grid_of_bandwidths_is_row_permutation_invariant(model, mask):
+    fs = model.draw(400, seed=9)
+    spec = SubsetSpec(mask)
+    kernel = build_kernel(2)
+    grid = default_grid(400, model.input_model.domain.subdomain(mask))
+    t = np.array(_t_values(fs, spec, kernel, grid, model.input_model, None))
+    perm = np.random.default_rng(1).permutation(400)
+    t_perm = np.array(_t_values(FullSample(V=fs.V[perm], Y=fs.Y[perm]), spec, kernel, grid, model.input_model, None))
+    assert np.all(np.abs(t - t_perm) <= 1e-13 * np.abs(t)), np.max(np.abs(t - t_perm) / np.abs(t))
+
+
+def test_wavelet_sums_gather_only_the_levels_each_query_takes():
+    # against a descent in which every query gathers at every level (row 0
+    # twice where it does not take the level): equal up to the sign of a zero
+    rng = np.random.default_rng(2)
+    n = 500
+    seq = rng.integers(0, 300, n)
+    values = rng.standard_normal((n, 9))
+    values[:50] = 0.0
+    values[50:100] = -0.0
+    lo = rng.integers(0, n, 2000)
+    hi = np.minimum(n, lo + rng.integers(0, 100, lo.size))
+    bound = rng.integers(0, 320, lo.size)
+
+    def every_query(seq, values, lo, hi, bound):
+        out = np.zeros((lo.size, values.shape[1]))
+        for level in reversed(range(max(1, int(seq.max()).bit_length()))):
+            bit = (seq >> level) & 1
+            zeros = np.concatenate(([0], np.cumsum(1 - bit)))
+            split = np.concatenate([np.flatnonzero(bit == 0), np.flatnonzero(bit)])
+            seq, values = seq[split], values[split]
+            z_lo, z_hi = zeros[lo], zeros[hi]
+            take = ((bound >> level) & 1).astype(bool)
+            prefix = _window._prefix(values)
+            out += prefix[np.where(take, z_hi, 0)] - prefix[np.where(take, z_lo, 0)]
+            lo = np.where(take, zeros[-1] + lo - z_lo, z_lo)
+            hi = np.where(take, zeros[-1] + hi - z_hi, z_hi)
+        return out
+
+    got = _window._wavelet_sums(seq, values, lo, hi, bound)
+    assert np.array_equal(got, every_query(seq, values, lo, hi, bound))
+    for q in range(lo.size):
+        sel = np.arange(lo[q], hi[q])
+        want = values[sel[seq[sel] < bound[q]]].sum(axis=0)
+        assert np.allclose(got[q], want, rtol=0.0, atol=1e-12), q
 
 
 def _check_tied_rows(model):

@@ -211,6 +211,22 @@ def test_kernel_evaluation_is_deterministic():
     np.testing.assert_array_equal(kd.eval(pts), kd.eval(pts.copy()))
 
 
+@pytest.mark.parametrize("k", range(MAX_ORDER + 1))
+def test_kernel_evaluation_rounds_as_polyval_and_prod(k):
+    # Horner's rule by whole columns: every bit as polyval and np.prod give,
+    # signed zeros, support ends and points far outside included
+    kd = build_kernel(k)
+    rng = np.random.default_rng(k)
+    for d in (1, 2, 3, 4):
+        u = rng.uniform(-0.2, 0.7, size=(400, d))
+        u[:40] = 0.0
+        u[40:80] = -0.0
+        u[80:120] = 0.5
+        u[120:130] = 1e20
+        want = np.prod(np.where((u >= 0.0) & (u <= 0.5), np.polynomial.polynomial.polyval(u, kd.coeffs), 0.0), axis=-1)
+        assert np.array_equal(kd.eval(u).view(np.int64), want.view(np.int64)), d
+
+
 # ---------------------------------------------------------------- verify_order
 
 _ORDER_TOL = 1e-8  # mass and moment errors verify_order accepts
