@@ -137,6 +137,7 @@ def _grid_sums(x, weights, kernel, hs: np.ndarray, domain: Domain, anchors, self
     position[grid.order] = np.arange(n)
     xs, ws = x[grid.order], weights[grid.order]
     out = np.zeros((hs.size, anchors.shape[0], weights.shape[1]))
+    lower, upper = _limits(hs, kernel.support)
     budget = _PAIR_BUDGET if hs.size == 1 else _PAIR_BUDGET // 2
     chunk = max(1, budget // (m + 2) ** (d - 1))  # bounds the runs held at once
     for c0 in range(0, anchors.shape[0], chunk):
@@ -151,7 +152,7 @@ def _grid_sums(x, weights, kernel, hs: np.ndarray, domain: Domain, anchors, self
             mirrored = np.take(xs, pos, axis=0)
             mirrored -= np.repeat(anchors[own], lens, axis=0)
             mirrored *= np.repeat(signs[own], lens, axis=0)
-            entry = _entries(mirrored, hs, kernel.support)
+            entry = _entries(mirrored, lower, upper)
             if self_pairs:
                 entry[pos == np.repeat(position[own], lens)] = hs.size
             # a stable sort keeps the listing order within each bandwidth's entrants
@@ -168,27 +169,46 @@ def _grid_sums(x, weights, kernel, hs: np.ndarray, domain: Domain, anchors, self
     return out
 
 
-def _entries(mirrored: np.ndarray, hs: np.ndarray, support: tuple) -> np.ndarray:
-    """Index of the first bandwidth of the ascending hs at which each pair is in the window; hs.size for none.
+def _entries(mirrored: np.ndarray, lower: list, upper: list) -> np.ndarray:
+    """Index of the first bandwidth at which each pair is in the window; len(lower) for none.
 
-    A pair is in the window at h when lo <= mirrored / h <= hi on every
-    axis, evaluated as the kernel evaluates its closed-support test.
-    Rounded division is monotone in the numerator, so that holds exactly
-    when the smallest offset passes the lower test and the largest the upper
-    one.  With lo <= 0 <= hi each test only turns from out to in as h grows
-    (a small negative offset passes once its quotient underflows to -0.0),
-    so the bandwidths at which a pair is out are the first ones, and their
-    count is its entry.
+    A pair is in the window at the j-th bandwidth when every offset lies in
+    [lower[j], upper[j]] (`_limits`), so when its smallest and its largest
+    offset do.  Both bounds widen as h grows, so the bandwidths at which a
+    pair is out are the first ones, and their count is its entry.
     """
-    lo, hi = support
     u_lo = u_hi = mirrored[:, 0]
     for j in range(1, mirrored.shape[1]):  # a column loop: numpy reduces a short last axis slowly
         u_lo, u_hi = np.minimum(u_lo, mirrored[:, j]), np.maximum(u_hi, mirrored[:, j])
     # 16-bit entries take numpy's radix sort in the caller's stable argsort
-    entry = np.zeros(u_lo.size, dtype=np.int16 if hs.size < 2**15 else np.int64)
-    for h in hs:
-        entry += (u_lo / h < lo) | (u_hi / h > hi)
+    entry = np.zeros(u_lo.size, dtype=np.int16 if len(lower) < 2**15 else np.int64)
+    for t_lo, t_hi in zip(lower, upper):
+        entry += (u_lo < t_lo) | (u_hi > t_hi)
     return entry
+
+
+def _limits(hs: np.ndarray, support: tuple) -> tuple:
+    """The offsets u that pass the kernel's closed-support test lo <= u / h <= hi at each h of hs: [lower, upper].
+
+    Rounded division is monotone in u and odd, so with lo <= 0 <= hi the
+    bounds are -t(-lo) and t(hi), t(b) the largest float t with t / h <= b.
+    For lo = 0 that makes a small negative offset pass where its quotient
+    underflows to -0.0.  Quotients round to 0 up to h 2^-1075, so t(b) lies
+    within a rounding of max(b h, h 2^-1075), and a few nextafter steps
+    reach it.
+    """
+
+    def largest(h, b):
+        t = max(b * h, h * 2.0**-1000 * 2.0**-75)
+        while t / h > b:
+            t = math.nextafter(t, -math.inf)
+        while math.nextafter(t, math.inf) / h <= b:
+            t = math.nextafter(t, math.inf)
+        return t
+
+    lo, hi = support
+    hs = hs.tolist()
+    return [-largest(h, -lo) for h in hs], [largest(h, hi) for h in hs]
 
 
 def _expand(first: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -220,7 +220,7 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
 
 
 # rows per block of the in-place passes below: at n = 2000 to 10^4, blocks
-# of 16 rows ran faster than 64, 256 or 512 (the three buffers stay in cache)
+# of 16 rows ran faster than 64, 256 or 512 (the two buffers stay in cache)
 _VIRT_BLOCK = 16
 
 
@@ -241,21 +241,30 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     log_norm = -np.sum(np.log(h0)) - 0.5 * p * math.log(2 * math.pi)
     cols = np.ascontiguousarray(v.T)
     out = np.empty(n)
-    z_buf, sq_buf, expo_buf = (np.empty((min(_VIRT_BLOCK, n), n)) for _ in range(3))
-    for start in range(0, n, _VIRT_BLOCK):
-        rows = min(_VIRT_BLOCK, n - start)
-        z, sq, expo = z_buf[:rows], sq_buf[:rows], expo_buf[:rows]
-        expo.fill(0.0)
-        # expo -= 0.5 * z * z with z = (v_j' - v_j) / h0, evaluated in place
+    # a one-row block would take numpy's one-row product instead of gemv and
+    # round its sum differently, so a one-row tail joins the block before it
+    starts = list(range(0, n, _VIRT_BLOCK)) + [n]
+    if len(starts) > 2 and starts[-1] - starts[-2] == 1:
+        del starts[-2]
+    z_buf, expo_buf = (np.empty((min(_VIRT_BLOCK + 1, n), n)) for _ in range(2))
+    for start, stop in zip(starts[:-1], starts[1:]):
+        z, expo = z_buf[: stop - start], expo_buf[: stop - start]
+        # expo = -0.5 sum_i z_i^2 with z_i = (v_j' - v_j) / h0_i.  Halving
+        # commutes with rounding, so this has the bits of the dense formula's
+        # -sum_i 0.5 z_i z_i; where a square overflows or is subnormal the
+        # two can differ, but exp(expo + log_norm) cannot
         for i in range(p):
-            np.subtract(cols[i], cols[i, start : start + rows, None], out=z)
+            np.subtract(cols[i], cols[i, start:stop, None], out=z)
             np.multiply(z, inv_h[i], out=z)
-            np.multiply(z, 0.5, out=sq)
-            np.multiply(sq, z, out=sq)
-            np.subtract(expo, sq, out=expo)
+            if i == 0:
+                np.square(z, out=expo)
+            else:
+                np.square(z, out=z)
+                np.add(expo, z, out=expo)
+        np.multiply(expo, -0.5, out=expo)
         np.add(expo, log_norm, out=expo)
         np.exp(expo, out=expo)
-        out[start : start + rows] = expo @ y
+        out[start:stop] = expo @ y
     return (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
 
 

@@ -374,7 +374,14 @@ def test_virtual_outputs_hand_n2():
 
 
 def _virtual_outputs_reference(sample, h0, marginals):
-    """The dense formula of virtual_outputs in 512-row blocks, allocating each block afresh."""
+    """The dense formula of virtual_outputs in 512-row blocks, allocating each block afresh.
+
+    One block serves n <= 512 and a one-row tail joins the block before it,
+    since numpy sums a one-row product otherwise than a matrix-vector one.
+    Larger blocks are not used: past about 4.6e5 entries OpenBLAS splits a
+    matrix-vector product between threads, which moves the last bit of
+    some rows.
+    """
     v, y = sample.V, sample.Y
     n, p = v.shape
     h0 = np.maximum(np.asarray(h0, dtype=float), H0_FLOOR)
@@ -382,8 +389,11 @@ def _virtual_outputs_reference(sample, h0, marginals):
     inv_h = 1.0 / h0
     log_norm = -np.sum(np.log(h0)) - 0.5 * p * math.log(2 * math.pi)
     out = np.empty(n)
-    for start in range(0, n, 512):
-        blk = slice(start, min(start + 512, n))
+    starts = list(range(0, n, 512)) + [n]
+    if len(starts) > 2 and starts[-1] - starts[-2] == 1:
+        del starts[-2]
+    for start, stop in zip(starts[:-1], starts[1:]):
+        blk = slice(start, stop)
         expo = np.zeros((blk.stop - blk.start, n))
         for i in range(p):
             z = (v[None, :, i] - v[blk, i][:, None]) * inv_h[i]
@@ -399,6 +409,35 @@ def test_virtual_outputs_bit_equal_to_the_dense_formula(model, n):
     h0 = rule_of_thumb_h0(s)
     marginals = model.input_model.marginals
     assert np.array_equal(virtual_outputs(s, h0, marginals), _virtual_outputs_reference(s, h0, marginals))
+
+
+@pytest.mark.parametrize("n", [2, 17, 33, 257])
+@pytest.mark.parametrize("ties", [False, True])
+def test_virtual_outputs_bit_equal_to_the_dense_formula_one_axis(n, ties):
+    # n = 17, 33 and 257 leave one row after the last full block of 16
+    s = _sample(n, 1, seed=n)
+    if ties:
+        v = s.V.copy()
+        v[2::3] = v[1]
+        s = FullSample(V=v, Y=s.Y)
+    for h0 in (rule_of_thumb_h0(s), [H0_FLOOR]):
+        assert np.array_equal(virtual_outputs(s, h0, UNIT_MARGINALS[:1]), _virtual_outputs_reference(s, h0, UNIT_MARGINALS[:1]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("width, h0", [(3e154, 3e153), (3e154, H0_FLOOR), (1e-160, H0_FLOOR)])
+def test_virtual_outputs_bit_equal_to_the_dense_formula_at_extreme_scales(width, h0):
+    # on (0, 3e154) at the floor z^2 overflows, where the reference's
+    # 0.5 z z does not for z < 1.9e154; on (0, 1e-160) the squared offsets
+    # are subnormal, so halving them rounds
+    rng = np.random.default_rng(17)
+    for n in (33, 100):
+        s = FullSample(V=width * rng.random((n, 1)), Y=rng.standard_normal(n))
+        marginals = (Uniform(0.0, width),)
+        want = _virtual_outputs_reference(s, [h0], marginals)
+        assert np.array_equal(virtual_outputs(s, [h0], marginals), want)
+    if width > 1.0 and h0 == H0_FLOOR:
+        assert np.all(want == 0.0), "the Gaussian kernel underflows between points this far apart"
 
 
 def test_virtual_outputs_h0_floor():

@@ -615,6 +615,42 @@ def test_grid_of_bandwidths_decides_the_window_edge_as_the_kernel_does(xa, xb, h
             _check_grid_case(np.array([a, b]), np.array([1.0, 1.0]), _ORDERS[order], hs, model, crossover, _window._PAIR_BUDGET)
 
 
+def _entries_by_division(mirrored, hs, support):
+    """The first bandwidth at which each pair is in the window, by the kernel's own test on every quotient."""
+    lo, hi = support
+    q = mirrored[:, None, :] / hs[None, :, None]
+    out = ~np.all((q >= lo) & (q <= hi), axis=2)
+    # a pair that is in stays in as h grows
+    assert np.all(out[:, 1:] <= out[:, :-1])
+    return np.sum(out, axis=1)
+
+
+@st.composite
+def _entry_cases(draw):
+    # the widest box holds h = 1e6; its mirror limit, like the unit box's, is its width
+    limit = draw(st.sampled_from([1.0, 2e6]))
+    hs = np.unique(draw(st.lists(st.one_of(st.sampled_from([limit, min(limit, 1e6)]), st.floats(1e-3, 1.0).map(lambda f: f * limit)), min_size=1, max_size=5)))
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), -1e-310]
+    for h in hs:
+        top, zero = 0.5 * h, -(h * 2.0**-1000) * 2.0**-75
+        edges += [top, np.nextafter(top, np.inf), np.nextafter(top, -np.inf), zero, np.nextafter(zero, np.inf), np.nextafter(zero, -np.inf)]
+    offset = st.one_of(st.sampled_from(edges), st.floats(-limit, limit))
+    d = draw(st.integers(1, 3))
+    mirrored = np.array([[draw(offset) for _ in range(d)] for _ in range(draw(st.integers(1, 20)))])
+    return mirrored, hs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entry_cases())
+@example((np.array([[0.0, -0.0], [5e-324, -5e-324], [0.5, np.nextafter(0.5, 1.0)], [-1e-310, 0.25]]), np.array([0.01, 1.0])))
+@example((np.array([[-1e-318], [-2e-318], [5e5], [np.nextafter(5e5, np.inf)]]), np.array([1.0, 1e3, 1e6])))
+def test_entries_match_the_kernels_support_test_by_division(case):
+    mirrored, hs = case
+    support = build_kernel(0).support
+    want = _entries_by_division(mirrored, hs, support)
+    assert np.array_equal(_window._entries(mirrored, *_window._limits(hs, support)), want)
+
+
 def test_default_grid_straddles_the_crossover_and_matches_per_bandwidth_sums():
     m = product_model()
     fs = m.draw(2000, seed=4)
