@@ -247,24 +247,27 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     if len(starts) > 2 and starts[-1] - starts[-2] == 1:
         del starts[-2]
     z_buf, expo_buf = (np.empty((min(_VIRT_BLOCK + 1, n), n)) for _ in range(2))
-    for start, stop in zip(starts[:-1], starts[1:]):
-        z, expo = z_buf[: stop - start], expo_buf[: stop - start]
-        # expo = -0.5 sum_i z_i^2 with z_i = (v_j' - v_j) / h0_i.  Halving
-        # commutes with rounding, so this has the bits of the dense formula's
-        # -sum_i 0.5 z_i z_i; where a square overflows or is subnormal the
-        # two can differ, but exp(expo + log_norm) cannot
-        for i in range(p):
-            np.subtract(cols[i], cols[i, start:stop, None], out=z)
-            np.multiply(z, inv_h[i], out=z)
-            if i == 0:
-                np.square(z, out=expo)
-            else:
-                np.square(z, out=z)
-                np.add(expo, z, out=expo)
-        np.multiply(expo, -0.5, out=expo)
-        np.add(expo, log_norm, out=expo)
-        np.exp(expo, out=expo)
-        out[start:stop] = expo @ y
+    # a scaled offset past about 1.3e154 squares to inf, and exp(-inf) = 0 is
+    # the kernel's value there, so that overflow is not reported
+    with np.errstate(over="ignore"):
+        for start, stop in zip(starts[:-1], starts[1:]):
+            z, expo = z_buf[: stop - start], expo_buf[: stop - start]
+            # expo = -0.5 sum_i z_i^2 with z_i = (v_j' - v_j) / h0_i.  Halving
+            # commutes with rounding, so this has the bits of the dense formula's
+            # -sum_i 0.5 z_i z_i; where a square overflows or is subnormal the
+            # two can differ, but exp(expo + log_norm) cannot
+            for i in range(p):
+                np.subtract(cols[i], cols[i, start:stop, None], out=z)
+                np.multiply(z, inv_h[i], out=z)
+                if i == 0:
+                    np.square(z, out=expo)
+                else:
+                    np.square(z, out=z)
+                    np.add(expo, z, out=expo)
+            np.multiply(expo, -0.5, out=expo)
+            np.add(expo, log_norm, out=expo)
+            np.exp(expo, out=expo)
+            out[start:stop] = expo @ y
     return (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
 
 

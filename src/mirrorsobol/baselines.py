@@ -122,7 +122,10 @@ def _nearest(x1, x2) -> np.ndarray:
         d_right = np.where(right < values.size, np.sqrt((v - right_value) ** 2), np.inf)
         nearest = np.empty(v.size, dtype=np.int64)
         nearest[by_value] = np.where(d_right < d_left, right, left)
-        reach = np.minimum(d_left, d_right) * (1.0 + 1e-12) + slack
+        # below 2^-510 the squared offsets are subnormal or zero, so cdist
+        # can round a farther offset to the nearest distance: all of those
+        # are candidates, and `_settle_ties` measures them as cdist does
+        reach = np.maximum(np.minimum(d_left, d_right) * (1.0 + 1e-12) + slack, 2.0**-510)
         # the distance is monotone on either side, so the candidates are a run
         first = np.searchsorted(values, v - reach, side="left")
         count = np.searchsorted(values, v + reach, side="right") - first
@@ -223,24 +226,40 @@ class VarianceOracles:
 def limiting_variance_nn(oracles: VarianceOracles) -> float:
     """sigma_D^2, the limiting variance of the two-sample nearest-neighbor estimator.
 
-    sigma_D^2 = 2( E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4]) / 2 ).
+    sigma_D^2 = 2( E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4]) / 2 ),
+    from the moments of the rows (g1^2, g2).
     """
-    w, g1, g2 = oracles.weights, oracles.g1, oracles.g2
-    e_g2_sq = float(w @ g2**2)
-    e_g1_sq = float(w @ g1**2)
-    e_g2_g1sq = float(w @ (g2 * g1**2))
-    e_g1_4 = float(w @ g1**4)
-    return 2.0 * (e_g2_sq - e_g1_sq * e_g1_sq + 0.5 * (e_g2_g1sq - e_g1_4))
+    (e_g1_sq, _), second = _population_moments(oracles, lambda y, g1, g2: (g1 * g1, g2))
+    e_g1_4, e_g2_g1sq, e_g2_sq = second[0, 0], second[0, 1], second[1, 1]
+    return float(2.0 * (e_g2_sq - e_g1_sq * e_g1_sq + 0.5 * (e_g2_g1sq - e_g1_4)))
 
 
-def _population_covariance(weights: np.ndarray, rows) -> tuple:
-    """(means, Gamma) of the influence rows, arrays at the quadrature nodes."""
-    means = [float(weights @ row) for row in rows]
-    gamma = np.empty((len(rows), len(rows)))
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            gamma[i, j] = gamma[j, i] = float(weights @ (rows[i] * rows[j])) - means[i] * means[j]
-    return means, gamma
+# nodes per slab of the quadrature sums: small enough that no temporary is a
+# full-size row, and that BLAS sums each dot product on one thread
+_SLAB = 4096
+
+
+def _population_moments(oracles: VarianceOracles, rows) -> tuple:
+    """(means, second moments E[r_i r_j]) of the rows over the quadrature rule.
+
+    rows(y, g1, g2) maps slab views of the oracle arrays to the rows on
+    that slab.  Every moment is summed in one pass over slabs of `_SLAB`
+    nodes, so the sums do not depend on the BLAS thread count.
+    """
+    means, second = 0.0, 0.0
+    for start in range(0, oracles.weights.size, _SLAB):
+        part = slice(start, start + _SLAB)
+        w = oracles.weights[part]
+        r = rows(oracles.y[part], oracles.g1[part], oracles.g2[part])
+        means = means + np.array([w @ ri for ri in r])
+        second = second + np.array([[w @ (ri * rj) for rj in r] for ri in r])
+    return means, second
+
+
+def _population_covariance(oracles: VarianceOracles, rows) -> tuple:
+    """(means, Gamma) of the influence rows; rows as in `_population_moments`."""
+    means, second = _population_moments(oracles, rows)
+    return [float(m) for m in means], second - np.outer(means, means)
 
 
 def _population_ratio_covariance(oracles: VarianceOracles, shift: float) -> tuple:
@@ -250,9 +269,12 @@ def _population_ratio_covariance(oracles: VarianceOracles, shift: float) -> tupl
     Y_s = Y - shift, g1_s = g1 - shift, and Var(S) the estimator's own
     delta-method rule `_ratio_covariance` on it.
     """
-    y_s = oracles.y - shift
-    rows = (2.0 * y_s * (oracles.g1 - shift), y_s, y_s * y_s)
-    means, gamma = _population_covariance(oracles.weights, rows)
+
+    def rows(y, g1, g2):
+        y_s = y - shift
+        return 2.0 * y_s * (g1 - shift), y_s, y_s * y_s
+
+    means, gamma = _population_covariance(oracles, rows)
     m, v = means[1], gamma[1, 1]
     if v <= 0.0:
         raise DegenerateOutputError("Var(Y) must be positive")
@@ -275,4 +297,5 @@ def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:
     population ratio unchanged but shrinks the delta-method variance;
     this is the limit the shipped `estimate_sobol` attains.
     """
-    return _population_ratio_covariance(oracles, float(oracles.weights @ oracles.y))[1]
+    mean_y = float(_population_moments(oracles, lambda y, g1, g2: (y,))[0][0])
+    return _population_ratio_covariance(oracles, mean_y)[1]

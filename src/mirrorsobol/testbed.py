@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import tensor_grid
+from ._quad import gauss_legendre
 from .baselines import PickFreezeSample, VarianceOracles, nn_estimate, pick_freeze_estimate, rank_estimate
 from .domain import sign_matrix
 from .errors import DomainViolationError, MirrorSobolError
@@ -355,6 +355,9 @@ def _freeze(model: AnalyticModel, mask, base: FullSample, v_alt: np.ndarray) -> 
 
 
 _GL_NODES = 64
+# rows per call of a model function on the rule: one leading-axis slab of a
+# 3-axis grid, so every grid of at most 3 axes splits into whole slabs
+_SLAB = _GL_NODES**2
 
 
 def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
@@ -362,31 +365,82 @@ def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
 
     The rule covers the full input box and its weights carry the joint
     density, so E[phi(Y, X)] is `weights @ phi` (exact for the polynomial
-    models).  Models of more than 3 inputs are refused, since the rule holds
-    64^p nodes.  The factory also checks the conditional-variance inequality
-    g2 >= g1^2 on the nodes.
+    models).  Nodes are in row-major axis order.  Models of more than 3
+    inputs are refused, since the rule holds 64^p nodes.
+
+    The rule is walked without a 64^p temporary.  The weights are per-axis
+    outer products: the Gauss weights first, then each axis's density.  Y
+    is evaluated on slabs of 4096 nodes (one leading-axis index when
+    p = 3), filled one at a time in a reused buffer.  g1 and g2 depend on
+    the masked axes only, so they are evaluated the same way on the 64^d
+    nodes of those axes, where the conditional-variance inequality
+    g2 >= g1^2 is checked, and then broadcast over the rule.  A mask out of
+    range, a missing closed form or a negative conditional variance is
+    refused before the rule is built.
     """
     key = tuple(sorted(int(i) for i in mask))
-    if model.p > 3:
+    p = model.p
+    if p > 3:
         raise MirrorSobolError(
-            f"variance oracles take at most 3 inputs; model {model.name!r} has {model.p} inputs, "
-            f"and its tensor rule would hold 64^{model.p} = {_GL_NODES ** model.p} nodes"
+            f"variance oracles take at most 3 inputs; model {model.name!r} has {p} inputs, "
+            f"and its tensor rule would hold 64^{p} = {_GL_NODES ** p} nodes"
         )
+    if not key or key[0] < 0 or key[-1] >= p:
+        raise MirrorSobolError(f"mask {key} is out of range for model {model.name!r} with p = {p} inputs")
     marginals = model.input_model.marginals
-    points, weights = tensor_grid(_GL_NODES, [m.support for m in marginals])
-    for axis, marg in enumerate(marginals):
-        weights *= marg.pdf(points[:, axis])
-    y = model.g(points)
-    xm = points[:, list(key)]
-    del points  # freed before g1 and g2 are evaluated, to keep the peak memory down
-    g1 = model.g1(key, xm)
-    g2 = model.g2(key, xm)
+    axes = [gauss_legendre(_GL_NODES, *m.support) for m in marginals]
+    mask_nodes = [axes[i][0] for i in key]
+    g1 = _on_tensor_grid(lambda xm: model.g1(key, xm), mask_nodes)
+    g2 = _on_tensor_grid(lambda xm: model.g2(key, xm), mask_nodes)
     gap = g2 - g1**2
     if float(np.min(gap)) < -1e-8 * max(1.0, float(np.max(np.abs(gap)))):
         raise MirrorSobolError(
             f"conditional variance negative for model {model.name!r}, mask {key}: min gap {np.min(gap)}"
         )
-    return VarianceOracles(weights=weights, y=y, g1=g1, g2=g2)
+    del gap  # a full-size row on a full mask
+    weights = axes[0][1]
+    for _, w in axes[1:]:
+        weights = np.multiply.outer(weights, w)
+    for axis, (marg, (x, _)) in enumerate(zip(marginals, axes)):
+        weights *= _along(marg.pdf(x), axis, p)
+    y = _on_tensor_grid(model.g, [x for x, _ in axes])
+    if len(key) < p:
+        bshape = [_GL_NODES if i in key else 1 for i in range(p)]
+        g1, g2 = (np.broadcast_to(g.reshape(bshape), (_GL_NODES,) * p).flatten() for g in (g1, g2))
+    return VarianceOracles(weights=weights.reshape(-1), y=y, g1=g1, g2=g2)
+
+
+def _on_tensor_grid(fn, nodes) -> np.ndarray:
+    """fn at the rows of the tensor grid of the per-axis `nodes`, in row-major order.
+
+    fn maps an array of rows (points) to their values.  It is called on
+    slabs of `_SLAB` rows (all rows, if fewer), filled one at a time in a
+    reused buffer: only the leading axis changes between slabs.
+    """
+    total = math.prod(x.size for x in nodes)
+    rows = min(_SLAB, total)
+    lead = total // nodes[0].size  # rows per index of the leading axis
+    buf = np.empty((rows, len(nodes)))
+    buf[:, 1:] = np.tile(_tensor_nodes(nodes[1:]), (rows // lead, 1))
+    out = np.empty(total)
+    for start in range(0, total, rows):
+        buf[:, 0] = np.repeat(nodes[0][start // lead : (start + rows) // lead], lead)
+        out[start : start + rows] = fn(buf)
+    return out
+
+
+def _tensor_nodes(nodes) -> np.ndarray:
+    """The rows of the tensor grid of the per-axis `nodes`, in row-major order."""
+    shape = tuple(x.size for x in nodes)
+    out = np.empty(shape + (len(nodes),))
+    for axis, x in enumerate(nodes):
+        out[..., axis] = _along(x, axis, len(nodes))
+    return out.reshape(math.prod(shape), len(nodes))
+
+
+def _along(x: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """x as an array of ndim axes that runs along `axis`, for broadcasting."""
+    return x.reshape([x.size if i == axis else 1 for i in range(ndim)])
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from mirrorsobol.estimator import _ratio_covariance
 
 def efficient_bounds(oracles) -> tuple:
     """(sigma_T^2, sigma_min^2) at population moments, over the rows (g1(2Y - g1), Y, Y^2)."""
-    g1, y = oracles.g1, oracles.y
-    means, gamma = _population_covariance(oracles.weights, (g1 * (2.0 * y - g1), y, y * y))
+    means, gamma = _population_covariance(oracles, lambda y, g1, g2: (g1 * (2.0 * y - g1), y, y * y))
     m, v = means[1], gamma[1, 1]
     sobol = (means[0] - m * m) / v
     return float(gamma[0, 0]), float(_ratio_covariance(gamma, sobol, m, v)[0, 0])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -438,6 +439,18 @@ def test_virtual_outputs_bit_equal_to_the_dense_formula_at_extreme_scales(width,
         assert np.array_equal(virtual_outputs(s, [h0], marginals), want)
     if width > 1.0 and h0 == H0_FLOOR:
         assert np.all(want == 0.0), "the Gaussian kernel underflows between points this far apart"
+
+
+def test_virtual_outputs_do_not_report_an_overflow_of_squared_offsets():
+    rng = np.random.default_rng(17)
+    s = FullSample(V=3e154 * rng.random((40, 1)), Y=rng.standard_normal(40))
+    marginals = (Uniform(0.0, 3e154),)
+    with np.errstate(over="ignore"):
+        want = _virtual_outputs_reference(s, [H0_FLOOR], marginals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = virtual_outputs(s, [H0_FLOOR], marginals)
+    assert np.array_equal(got, want)
 
 
 def test_virtual_outputs_h0_floor():

@@ -1,6 +1,7 @@
 """Tests for the baseline estimators and limiting-variance evaluators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,16 +13,19 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from mirrorsobol import baselines
+from mirrorsobol._quad import gauss_legendre
 from mirrorsobol.baselines import (
     PickFreezeSample,
     VarianceOracles,
     limiting_variance_nn,
     limiting_variance_sobol_centered,
+    limiting_variance_t,
     nn_estimate,
     pick_freeze_estimate,
     rank_estimate,
 )
 from mirrorsobol.errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
+from mirrorsobol.estimator import _ratio_covariance
 from mirrorsobol.testbed import (
     builtin_models,
     curved_model,
@@ -142,6 +146,8 @@ def _nn_cases(draw):
 @given(_nn_cases())
 @example((np.array([[0.25]]), np.array([1.5]), np.array([[0.0], [0.25], [1.0]]), np.array([1.0, -1.0, 2.0])))
 @example((np.array([[0.0], [1.0]]), np.array([1.0, 3.0]), np.array([[0.5], [1.0]]), np.array([2.0, 1.0])))
+# both squared offsets underflow to 0, so cdist ties the two rows
+@example((np.array([[1.11253693e-308], [0.0]]), np.array([1.0, 3.0]), np.array([[0.0]]), np.array([2.0])))
 def test_nn_tree_matches_dense_search(case):
     x1, y1, x2, y2 = case
     dense = _dense_nearest(x1, x2)
@@ -388,6 +394,77 @@ def test_variance_oracles_refuse_more_than_three_inputs():
     # the tensor rule would hold 64^4 nodes
     with pytest.raises(MirrorSobolError, match=r"4 inputs.*64\^4 = 16777216 nodes"):
         variance_oracles(linear_model(4), (0,))
+
+
+def test_variance_oracles_refuse_a_mask_out_of_range():
+    for mask in [(2,), (0, 2), (-1,)]:
+        with pytest.raises(MirrorSobolError, match=rf"mask \({mask[0]},.*p = 2"):
+            variance_oracles(product_model(), mask)
+
+
+def _tensor_rule_oracles(model, mask):
+    """(weights, y, g1, g2) by the meshgrid formula: the full (64^p, p) node array, then each array at once."""
+    marginals = model.input_model.marginals
+    axes = [gauss_legendre(64, *m.support) for m in marginals]
+    points = np.stack([m.reshape(-1) for m in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
+    weights = np.ones(points.shape[0])
+    for wm in np.meshgrid(*[w for _, w in axes], indexing="ij"):
+        weights = weights * wm.reshape(-1)
+    for axis, marg in enumerate(marginals):
+        weights *= marg.pdf(points[:, axis])
+    xm = points[:, list(mask)]
+    return weights, model.g(points), model.g1(mask, xm), model.g2(mask, xm)
+
+
+def _full_array_limiting_variances(w, y, g1, g2):
+    """(kernel t, centered kernel Sobol', nn) from dot products over whole arrays."""
+
+    def ratio(shift):
+        y_s = y - shift
+        rows = (2.0 * y_s * (g1 - shift), y_s, y_s * y_s)
+        means = [float(w @ r) for r in rows]
+        gamma = np.array([[float(w @ (a * b)) - ma * mb for b, mb in zip(rows, means)] for a, ma in zip(rows, means)])
+        m, v = means[1], gamma[1, 1]
+        return gamma, float(_ratio_covariance(gamma, (0.5 * means[0] - m * m) / v, m, v)[0, 0])
+
+    e_g1_sq = float(w @ g1**2)
+    nn = 2.0 * (float(w @ g2**2) - e_g1_sq * e_g1_sq + 0.5 * (float(w @ (g2 * g1**2)) - float(w @ g1**4)))
+    return float(ratio(0.0)[0][0, 0]), ratio(float(w @ y))[1], nn
+
+
+@pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
+def test_slab_oracles_bit_equal_to_the_tensor_rule_formula(model):
+    for mask in model.masks():
+        orc = variance_oracles(model, mask)
+        for field, want in zip(("weights", "y", "g1", "g2"), _tensor_rule_oracles(model, mask)):
+            assert np.array_equal(getattr(orc, field), want), f"{model.name} {mask}: {field} differs"
+
+
+@pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
+def test_slab_limiting_variances_match_the_full_array_formulas(model):
+    for mask in model.masks():
+        orc = variance_oracles(model, mask)
+        got = (limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc))
+        want = _full_array_limiting_variances(orc.weights, orc.y, orc.g1, orc.g2)
+        for name, g, v in zip(("t", "sobol_centered", "nn"), got, want):
+            assert abs(g - v) <= 1e-13 * max(abs(v), 1.0), f"{model.name} {mask} {name}: {g} vs {v}"
+
+
+@pytest.mark.parametrize("mask", [(0,), (0, 1, 2)])
+def test_oracles_and_limiting_variances_hold_no_full_size_temporary(mask):
+    # the four stored arrays of linear3 take 8 MiB; a full-size temporary
+    # row would add 2 MiB, a (64^3, 3) node array 6 MiB
+    tracemalloc.start()
+    try:
+        orc = variance_oracles(linear_model(3), mask)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc)
+        variances = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build <= 10 * 2**20, f"oracle build peaked at {build / 2**20:.1f} MiB"
+    assert variances <= 10 * 2**20, f"limiting variances peaked at {variances / 2**20:.1f} MiB"
 
 
 def test_kernel_and_pf_agree_on_product_model():
