@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Data-driven bandwidth selection demo.
 
-Runs the pilot-matching selection rule on one drawn sample and writes the
-objective curve plus the selected h* as JSON.  Append CLI flags to
-override the defaults, e.g. ``python scripts/run_bandwidth.py --n 500``.
+Runs ``estimate --auto`` on one drawn sample: the pilot-matching selection
+rule picks h, and the JSON artifact holds the estimate at that h beside the
+selection, with the pilot targets and the objective curve in its
+``bandwidth`` block.  Append CLI flags to override the defaults, e.g.
+``python scripts/run_bandwidth.py --n 500``.
 """
 
 import sys
@@ -11,7 +13,7 @@ import sys
 from mirrorsobol.cli import main
 
 DEFAULTS = [
-    "bandwidth",
+    "estimate",
     "--model", "linear3",
     "--n", "2000",
     "--seed", "0",

@@ -1,12 +1,10 @@
 """Command-line harness: JSON-configured runs wiring the library modules together.
 
-Five subcommands share one declarative ``RunConfig``:
+Four subcommands share one declarative ``RunConfig``:
 
 ``estimate``
-    one Sobol'/t estimate with CI, written as JSON;
-``bandwidth``
-    Algorithm-driven bandwidth selection, written as JSON with the
-    objective curve;
+    one Sobol'/t estimate with CI, written as JSON; under ``auto`` it also
+    records the bandwidth selection: the pilot targets and the objective curve;
 ``convergence`` / ``coverage`` / ``compare``
     Monte Carlo studies over seeds (and sample sizes), written as CSV
     tables with a leading config comment line.
@@ -76,7 +74,6 @@ _COMPARE_COLUMNS = _STUDY_COLUMNS[:-1] + ("limiting_variance",)
 _ALWAYS = {"command", "csv", "model", "mask", "output"}
 _READS = {
     "estimate": {"n", "seed", "kernel_order", "h", "auto", "rule", "density", "marginals", "ci_level"},
-    "bandwidth": {"n", "seed", "kernel_order", "auto", "density", "marginals"},
     "convergence": {"kernel_order", "h", "rule", "threads", "n_grid", "seeds", "estimators"},
     "coverage": {"n", "kernel_order", "h", "rule", "ci_level", "threads", "n_grid", "seeds", "variance_scale"},
     "compare": {"n", "kernel_order", "h", "rule", "threads", "seeds", "estimators"},
@@ -119,12 +116,18 @@ class RunConfig:
     ``rule``) that the command reads.  ``mask`` holds 1-based input axes.
     ``auto`` is a bool; ``n``, ``seed``, ``seeds``, ``threads``,
     ``kernel_order`` and the entries of ``mask`` and ``n_grid`` are integers
-    and not bools.  Any other value there is a ConfigError, not truncated.
-    ``density`` is either the string ``"exact"`` or a plug-in spec::
+    and not bools; ``h``, ``ci_level``, ``variance_scale`` and the entries of
+    ``rule`` are real numbers and not bools or strings.  Any other value there
+    is a ConfigError, not truncated or parsed.  ``density`` is either the
+    string ``"exact"`` or a plug-in spec::
 
         {"plugin": "uniform_max"}
         {"plugin": {"beta_moment": {"b": 1.2}}}
         {"plugin": {"mirror_kde": {"eta": 0.5, "h": 0.2, "m": 4000}}}
+
+    whose reals and integer ``m >= 1`` follow the same rules.  ``uniform_max``
+    and ``beta_moment`` take a one-axis mask, and ``m`` (the size of the
+    auxiliary draw) needs a builtin model to draw from.
 
     Studies run seeds 0..seeds-1 at each size of ``n_grid``, or at ``n``.
     The config round-trips losslessly through ``to_json``/``from_json``.
@@ -182,26 +185,29 @@ class RunConfig:
             raise ConfigError("kernel_order", f"kernel order must be in [1, {MAX_ORDER}], got {self.kernel_order}")
 
         if self.h is not None:
-            object.__setattr__(self, "h", float(self.h))
+            object.__setattr__(self, "h", _real("h", self.h))
             if not (self.h > 0 and math.isfinite(self.h)):
                 raise ConfigError("bandwidth", f"fixed h must be positive and finite, got {self.h}")
         if self.rule is not None:
-            try:
-                c, gamma = (float(v) for v in self.rule)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("bandwidth", f"rule must be a (c, gamma) pair, got {self.rule!r}") from exc
+            if not (isinstance(self.rule, (list, tuple)) and len(self.rule) == 2):
+                raise ConfigError("bandwidth", f"rule must be a (c, gamma) pair, got {self.rule!r}")
+            c, gamma = (_real("rule", v) for v in self.rule)
             if not (c > 0 and 0 < gamma < 1):
                 raise ConfigError("bandwidth", f"rule needs c > 0 and 0 < gamma < 1, got ({c}, {gamma})")
             object.__setattr__(self, "rule", (c, gamma))
 
-        _parse_density_spec(self.density)  # validates; raises ConfigError
+        kind, params = _parse_density_spec(self.density)
+        if kind in ("uniform_max", "beta_moment") and len(mask) != 1:
+            raise ConfigError("density", f"{kind} is one-dimensional; mask has {len(mask)} axes")
+        if "m" in params and self.csv is not None:
+            raise ConfigError("density", "mirror_kde on CSV input draws no auxiliary sample, so it takes no m")
         if self.marginals is not None:
             try:
                 input_model_from_json(self.marginals)
             except MirrorSobolError as exc:
                 raise ConfigError("marginals", f"invalid marginals spec: {exc}") from exc
 
-        object.__setattr__(self, "ci_level", float(self.ci_level))
+        object.__setattr__(self, "ci_level", _real("ci_level", self.ci_level))
         if not (0.0 < self.ci_level < 1.0):
             raise ConfigError("ci_level", f"ci_level must be in (0, 1), got {self.ci_level}")
         if not 1 <= self.threads <= _MAX_THREADS:
@@ -225,7 +231,7 @@ class RunConfig:
         object.__setattr__(self, "estimators", ests)
         if "rank" in ests and len(self.mask) != 1:
             raise ConfigError("estimators", f"rank takes a one-axis mask only, got mask {list(self.mask)}")
-        object.__setattr__(self, "variance_scale", float(self.variance_scale))
+        object.__setattr__(self, "variance_scale", _real("variance_scale", self.variance_scale))
         if not (self.variance_scale > 0):
             raise ConfigError("variance_scale", f"variance_scale must be positive, got {self.variance_scale}")
         # the command's row, narrowed by the input source and the estimators
@@ -270,11 +276,18 @@ class RunConfig:
         return RunConfig(**obj)  # __post_init__ turns the JSON lists into tuples
 
 
-def _integer(field: str, value) -> int:
+def _integer(field: str, value, name: str = "") -> int:
     """value as an int, or a ConfigError naming field: a fraction is not truncated, and a bool is no integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(field, f"{field} takes integers, got {value!r}")
+        raise ConfigError(field, f"{name or field} takes integers, got {value!r}")
     return int(value)
+
+
+def _real(field: str, value, name: str = "") -> float:
+    """value as a float, or a ConfigError naming field: a string is not parsed, and a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(field, f"{name or field} takes real numbers, got {value!r}")
+    return float(value)
 
 
 def _parse_density_spec(density) -> tuple:
@@ -293,16 +306,18 @@ def _parse_density_spec(density) -> tuple:
         if name == "beta_moment":
             if "b" not in params or set(params) - {"b"}:
                 raise ConfigError("density", "beta_moment takes exactly the parameter b")
-            return ("beta_moment", {"b": float(params["b"])})
+            return ("beta_moment", {"b": _real("density", params["b"], "beta_moment b")})
         if name == "mirror_kde":
             extra = set(params) - {"eta", "h", "m"}
             if "eta" not in params or extra:
                 raise ConfigError("density", f"mirror_kde takes eta (required), h, m; got {sorted(params)}")
-            out = {"eta": float(params["eta"])}
+            out = {"eta": _real("density", params["eta"], "mirror_kde eta")}
             if "h" in params:
-                out["h"] = float(params["h"])
+                out["h"] = _real("density", params["h"], "mirror_kde h")
             if "m" in params:
-                out["m"] = int(params["m"])
+                out["m"] = _integer("density", params["m"], "mirror_kde m")
+                if out["m"] < 1:
+                    raise ConfigError("density", f"mirror_kde m must be >= 1, got {out['m']}")
             return ("mirror_kde", out)
     raise ConfigError("density", f"unknown density plugin {plug!r}")
 
@@ -352,22 +367,6 @@ def load_sample_csv(path: str) -> FullSample:
 # resolution helpers
 
 
-def _load_input(config: RunConfig) -> tuple:
-    """Returns (sample, spec, kernel, input_model-or-None, f_x, domain, density info) of a single run."""
-    if config.model is not None:
-        model = model_by_name(config.model)
-        fs = model.draw(config.n, config.seed)
-        input_model = model.input_model
-    else:
-        fs = load_sample_csv(config.csv)
-        input_model = input_model_from_json(config.marginals) if config.marginals is not None else None
-        if input_model is not None and input_model.p != fs.p:
-            raise ConfigError("marginals", f"marginals describe {input_model.p} inputs but the CSV has {fs.p}")
-    spec = SubsetSpec(_mask0(config, fs.p))
-    kernel = build_kernel(config.kernel_order)
-    return (fs, spec, kernel, input_model) + _setup_density(config, fs, spec.mask, kernel, input_model)
-
-
 def _mask0(config: RunConfig, p: int) -> tuple:
     mask = tuple(i - 1 for i in config.mask)
     if any(i >= p for i in mask):
@@ -389,15 +388,12 @@ def _override_axis(domain: Domain, axis: int, lo: float, hi: float) -> Domain:
 def _setup_density(config: RunConfig, fs: FullSample, mask0: tuple, kernel, input_model):
     """Returns (f_x, full-p domain, density info dict for the artifact)."""
     kind, params = _parse_density_spec(config.density)
-    d = len(mask0)
     if kind == "exact":
         if input_model is None:
             raise ConfigError("marginals", "exact density needs a builtin model or a marginals spec")
         return input_model, input_model.domain, {"kind": "exact"}
     base = input_model.domain if input_model is not None else _data_box(fs)
-    if kind in ("uniform_max", "beta_moment"):
-        if d != 1:
-            raise ConfigError("density", f"{kind} is one-dimensional; mask has {d} axes")
+    if kind in ("uniform_max", "beta_moment"):  # RunConfig holds them to one axis
         aux = fs.V[:, mask0[0]]
         if kind == "uniform_max":
             est = uniform_max_estimator(aux)
@@ -429,7 +425,13 @@ def _resolve_h(config: RunConfig, fs: FullSample, spec, kernel, f_x, domain, inp
         c, gamma = config.rule
         return h, {"mode": "rule", "c": c, "gamma": gamma, "h": h}
     out = bandwidth_curve(fs, spec, kernel, f_x, domain=domain, input_model=input_model)
-    return out["h_star"], {"mode": "auto", "h": out["h_star"], "target": out["target"]}
+    return out["h_star"], {
+        "mode": "auto",
+        "h": out["h_star"],
+        "target": out["target"],
+        "target_printed": out["target_printed"],
+        "objective_curve": out["curve"],  # [(h, |T~(h) - target|), ...]
+    }
 
 
 def _h_rule_fn(config: RunConfig):
@@ -458,7 +460,7 @@ def _build_plan(config: RunConfig, n_grid: tuple) -> ExperimentPlan:
 
 
 def _output_path(config: RunConfig) -> str:
-    ext = "json" if config.command in ("estimate", "bandwidth") else "csv"
+    ext = "json" if config.command == "estimate" else "csv"
     if config.output is not None:
         return config.output
     base = os.environ.get(OUTPUT_DIR_ENV, ".")
@@ -504,23 +506,21 @@ def _csv_artifact(config: RunConfig, columns: tuple, rows: list, trailer: list =
 
 
 def _cmd_estimate(config: RunConfig) -> str:
-    fs, spec, kernel, input_model, f_x, domain, density_info = _load_input(config)
+    if config.model is not None:
+        model = model_by_name(config.model)
+        fs = model.draw(config.n, config.seed)
+        input_model = model.input_model
+    else:
+        fs = load_sample_csv(config.csv)
+        input_model = input_model_from_json(config.marginals) if config.marginals is not None else None
+        if input_model is not None and input_model.p != fs.p:
+            raise ConfigError("marginals", f"marginals describe {input_model.p} inputs but the CSV has {fs.p}")
+    spec = SubsetSpec(_mask0(config, fs.p))
+    kernel = build_kernel(config.kernel_order)
+    f_x, domain, density_info = _setup_density(config, fs, spec.mask, kernel, input_model)
     h, band_info = _resolve_h(config, fs, spec, kernel, f_x, domain, input_model)
     res = estimate_sobol(fs, spec, kernel, h, f_x, domain=domain, ci_level=config.ci_level)
     body = {"result": res.to_json(), "density": density_info, "bandwidth": band_info}
-    return _write_text(_output_path(config), _json_artifact(config, body))
-
-
-def _cmd_bandwidth(config: RunConfig) -> str:
-    fs, spec, kernel, input_model, f_x, domain, density_info = _load_input(config)
-    out = bandwidth_curve(fs, spec, kernel, f_x, domain=domain, input_model=input_model)
-    body = {
-        "h_star": out["h_star"],
-        "target": out["target"],
-        "target_printed": out["target_printed"],
-        "objective_curve": [[h, v] for h, v in out["curve"]],
-        "density": density_info,
-    }
     return _write_text(_output_path(config), _json_artifact(config, body))
 
 
@@ -563,7 +563,6 @@ def _cmd_compare(config: RunConfig) -> str:
 
 _DISPATCH = {
     "estimate": _cmd_estimate,
-    "bandwidth": _cmd_bandwidth,
     "convergence": _cmd_convergence,
     "coverage": _cmd_coverage,
     "compare": _cmd_compare,
@@ -624,33 +623,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # every command takes every flag, and unset flags stay out of the
     # namespace: RunConfig alone owns the defaults and the rules, so the
-    # integer and bool flags take any JSON value and leave its type to it
+    # number and bool flags take any JSON value and leave its type to it
     for name, summary in (
         ("estimate", "one estimate with CI, JSON out"),
-        ("bandwidth", "bandwidth selection curve, JSON out"),
         ("convergence", "RMSE vs n study, CSV out"),
         ("coverage", "CI coverage study, CSV out"),
         ("compare", "estimator comparison table, CSV out"),
     ):
         sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        sp.add_argument("--csv", help="sample CSV with header v1,...,vp,y; read by estimate, bandwidth")
+        sp.add_argument("--csv", help="sample CSV with header v1,...,vp,y; read by estimate")
         sp.add_argument("--model", choices=model_names, help="builtin analytic model")
         sp.add_argument("--n", type=_json_arg, help="builtin model's sample size (coverage: without --n-grid)" + read_by("n"))
         sp.add_argument("--seed", type=_json_arg, help="seed of a builtin model" + read_by("seed"))
         sp.add_argument("--mask", type=_json_list, help="1-based input axes, e.g. 1 or 1,3")
         sp.add_argument("--order", dest="kernel_order", type=_json_arg, help="kernel order k" + read_by("kernel_order"))
-        sp.add_argument("--h", type=float, help="fixed bandwidth" + read_by("h"))
+        sp.add_argument("--h", type=_json_arg, help="fixed bandwidth" + read_by("h"))
         sp.add_argument("--auto", nargs="?", const=True, type=_json_arg, help="data-driven bandwidth selection (alone: true)" + read_by("auto"))
-        sp.add_argument("--rule", nargs=2, type=float, metavar=("C", "GAMMA"), help="h = C n^-GAMMA" + read_by("rule"))
+        sp.add_argument("--rule", nargs=2, type=_json_arg, metavar=("C", "GAMMA"), help="h = C n^-GAMMA" + read_by("rule"))
         sp.add_argument("--density", type=_json_arg, help='"exact" or {"plugin": ...} JSON' + read_by("density"))
         sp.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON' + read_by("marginals"))
         sp.add_argument("--output", help="output file path")
-        sp.add_argument("--ci-level", type=float, help="interval level" + read_by("ci_level"))
+        sp.add_argument("--ci-level", type=_json_arg, help="interval level" + read_by("ci_level"))
         sp.add_argument("--threads", type=_json_arg, help=f"worker threads, 1 to {_MAX_THREADS}" + read_by("threads"))
         sp.add_argument("--n-grid", type=_json_list, help="e.g. 500,1000,2000" + read_by("n_grid"))
         sp.add_argument("--seeds", type=_json_arg, help="number of seeds (0..seeds-1)" + read_by("seeds"))
         sp.add_argument("--estimators", type=_str_list, help=",".join(_ESTIMATOR_NAMES) + read_by("estimators"))
-        sp.add_argument("--variance-scale", type=float, help="0.5: negative control" + read_by("variance_scale"))
+        sp.add_argument("--variance-scale", type=_json_arg, help="0.5: negative control" + read_by("variance_scale"))
     return parser
 
 

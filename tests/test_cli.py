@@ -26,8 +26,9 @@ from mirrorsobol.cli import (
 from mirrorsobol.errors import MirrorSobolError
 from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_sobol
 from mirrorsobol import cli, testbed
+from mirrorsobol.bandwidth import bandwidth_curve
 from mirrorsobol.kernels import build_kernel
-from mirrorsobol.testbed import linear_model
+from mirrorsobol.testbed import linear_model, model_by_name
 
 
 def _cfg(**over):
@@ -404,25 +405,48 @@ def test_run_missing_csv_file_is_reported(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------
-# bandwidth command
+# the bandwidth selection in the --auto artifact
 # ------------------------------------------------------------------
 
 
-def test_bandwidth_command(tmp_path):
-    out = str(tmp_path / "bw.json")
-    cfg = RunConfig(command="bandwidth", model="linear3", n=400, seed=3, mask=(1,), auto=True, output=out)
+def test_estimate_auto_records_the_bandwidth_selection(tmp_path):
+    out = str(tmp_path / "est.json")
+    cfg = RunConfig(command="estimate", model="linear3", n=400, seed=3, mask=(1,), auto=True, output=out)
     assert run(cfg) == 0
     obj = json.loads(open(out).read())
-    curve = obj["objective_curve"]
+    band = obj["bandwidth"]
+    curve = band["objective_curve"]
     assert len(curve) == 25, f"default grid has 25 candidates, got {len(curve)}"
     hs = [pt[0] for pt in curve]
-    assert hs == sorted(hs) and obj["h_star"] in hs
-    best = min(curve, key=lambda pt: pt[1])
-    assert best[0] == obj["h_star"], f"h_star {obj['h_star']} should minimize the curve (min at {best[0]})"
-    assert obj["target"] > 0
+    assert hs == sorted(set(hs)), "the grid must be strictly ascending"
+    best = min(curve, key=lambda pt: pt[1])  # the first minimum
+    assert band["h"] == obj["result"]["h"] == best[0], f"h {band['h']} should first minimize the curve ({best[0]})"
+    assert band["target"] > 0
     # both target normalizations are reported; the restricted-range one is about half
-    ratio = obj["target_printed"] / obj["target"]
+    ratio = band["target_printed"] / band["target"]
     assert 0.3 < ratio < 0.7, f"printed/full target ratio {ratio} should sit near one half"
+    # every number is the library call's on the same draw
+    model = model_by_name("linear3")
+    direct = bandwidth_curve(model.draw(400, 3), SubsetSpec((0,)), build_kernel(2), model.input_model)
+    assert band == {
+        "mode": "auto",
+        "h": direct["h_star"],
+        "target": direct["target"],
+        "target_printed": direct["target_printed"],
+        "objective_curve": [list(pt) for pt in direct["curve"]],
+    }
+
+
+def test_the_bandwidth_command_is_gone(tmp_path, capsys):
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig.from_json({"command": "bandwidth", "model": "linear3", "n": 200, "mask": [1], "auto": True})
+    assert _field_of(excinfo) == "command"
+    out = tmp_path / "bandwidth.json"
+    with pytest.raises(SystemExit) as exited:
+        main(["bandwidth", "--model", "linear3", "--n", "200", "--mask", "1", "--auto", "--output", str(out)])
+    assert exited.value.code == 2
+    assert "invalid choice: 'bandwidth'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------
@@ -643,18 +667,14 @@ def test_study_estimators_are_checked_before_any_replicate(argv, tmp_path, monke
         ("estimate", "estimators", ["kernel", "pf"]),
         ("estimate", "n_grid", [300]),
         ("estimate", "variance_scale", 0.5),
-        ("bandwidth", "seeds", 5),
-        ("bandwidth", "estimators", ["nn"]),
-        ("bandwidth", "n_grid", [300]),
-        ("bandwidth", "variance_scale", 2.0),
+        ("estimate", "marginals", {"marginals": [{"uniform": [0, 1]}] * 3}),  # of a builtin model
+        ("coverage", "estimators", ["kernel", "pf"]),
+        ("coverage", "auto", True),
+        ("compare", "auto", True),
         ("coverage", "density", {"plugin": "uniform_max"}),
         ("compare", "density", {"plugin": "uniform_max"}),
         ("convergence", "density", {"plugin": "uniform_max"}),
-        ("bandwidth", "h", 0.3),
-        ("bandwidth", "rule", [1.0, 0.4]),
         ("estimate", "threads", 7),
-        ("bandwidth", "threads", 3),
-        ("bandwidth", "ci_level", 0.5),
         ("convergence", "ci_level", 0.5),
         ("compare", "ci_level", 0.5),
         ("convergence", "n", 500),
@@ -672,8 +692,6 @@ def test_fields_a_command_does_not_read_are_config_errors(command, field, value,
     monkeypatch.setattr(testbed, "estimate_sobol", no_replicate)
     monkeypatch.setattr(cli, "bandwidth_curve", no_replicate)
     base = {"command": command, "model": "linear3", "n": 200, "mask": [1], "h": 0.2}
-    if command == "bandwidth":
-        base.update(h=None, auto=True)
     if command in ("convergence", "coverage"):
         base.update(n=None, n_grid=[200])
     # estimate reads n and seed of a builtin model only, and a study reads h
@@ -693,12 +711,15 @@ def test_fields_a_command_does_not_read_are_config_errors(command, field, value,
     assert not out.exists()
 
 
+_KDE = "mirror_kde"
+
+
 @pytest.mark.parametrize(
     "command, field, value",
     [
         ("estimate", "auto", "no"),
         ("estimate", "auto", 1),
-        ("bandwidth", "auto", "yes"),
+        ("estimate", "auto", 0),
         ("compare", "seeds", 2.7),
         ("compare", "seeds", True),
         ("estimate", "n", 200.5),
@@ -711,11 +732,28 @@ def test_fields_a_command_does_not_read_are_config_errors(command, field, value,
         ("estimate", "mask", [True]),
         ("convergence", "n_grid", [200, 300.5]),
         ("convergence", "n_grid", [True, 200]),
+        # the real fields and the plug-in parameters
+        ("estimate", "h", "0.2"),
+        ("estimate", "h", True),
+        ("estimate", "h", "abc"),
+        ("estimate", "ci_level", "0.9"),
+        ("coverage", "variance_scale", True),
+        ("coverage", "variance_scale", "2"),
+        ("estimate", "rule", ["1", 0.4]),
+        ("estimate", "rule", [True, 0.4]),
+        ("estimate", "density", {"plugin": {_KDE: {"eta": 0.5, "m": 2.7}}}),
+        ("estimate", "density", {"plugin": {_KDE: {"eta": 0.5, "m": True}}}),
+        ("estimate", "density", {"plugin": {_KDE: {"eta": 0.5, "m": 0}}}),
+        ("estimate", "density", {"plugin": {_KDE: {"eta": "x"}}}),
+        ("estimate", "density", {"plugin": {_KDE: {"eta": 0.5, "h": "x"}}}),
+        ("estimate", "density", {"plugin": {"beta_moment": {"b": "x"}}}),
+        ("estimate", "density", {"plugin": {"beta_moment": {"b": True}}}),
     ],
 )
 def test_integer_and_bool_fields_take_no_other_type(command, field, value, tmp_path, monkeypatch, capsys):
-    # int() would truncate 2.7 seeds to 2 and read True as 1, and any auto
-    # value but None or False would run the pilot and be recorded as given
+    # int() would truncate 2.7 seeds to 2 and read True as 1, float() would
+    # parse "0.2" and read True as 1.0, and any auto value but None or False
+    # would run the pilot and be recorded as given
     def no_work(*args, **kwargs):
         raise AssertionError("work ran")
 
@@ -723,21 +761,60 @@ def test_integer_and_bool_fields_take_no_other_type(command, field, value, tmp_p
     monkeypatch.setattr(cli, "estimate_sobol", no_work)
     monkeypatch.setattr(cli, "bandwidth_curve", no_work)
     base = {"command": command, "model": "linear3", "n": 200, "mask": [1], "h": 0.2}
-    if command == "bandwidth":
-        base.update(h=None, auto=True)
     if command == "convergence":
         base.update(n=None, n_grid=[200])
+    if field == "rule":
+        base.update(h=None)
     with pytest.raises(ConfigError) as excinfo:
         RunConfig.from_json(dict(base, **{field: value}))
     assert _field_of(excinfo) == field
-    # the integer and bool flags pass any JSON value on to RunConfig
+    # the number and bool flags pass any JSON value on to RunConfig
     out = tmp_path / "artifact"
     flag = "--order" if field == "kernel_order" else "--" + field.replace("_", "-")
-    text = ",".join(json.dumps(v) for v in value) if isinstance(value, list) else json.dumps(value)
+    texts = [json.dumps(v) for v in value] if isinstance(value, list) else [json.dumps(value)]
+    if field != "rule":  # --rule takes two arguments, the list flags one
+        texts = [",".join(texts)]
     rest = {k: v for k, v in base.items() if k != field}
-    assert main(_argv(dict(rest, output=str(out))) + [flag, text]) == 2
+    assert main(_argv(dict(rest, output=str(out))) + [flag] + texts) == 2
     assert json.loads(capsys.readouterr().out)["error"]["field"] == field
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        # the one-dimensional plug-ins, before the sample is drawn
+        dict(mask=[1, 2], density={"plugin": "uniform_max"}),
+        dict(mask=[1, 2], density={"plugin": {"beta_moment": {"b": 1.2}}}),
+        # a CSV sample is its own auxiliary draw, so m would go unread
+        dict(model=None, n=None, csv="sample.csv", density={"plugin": {_KDE: {"eta": 0.5, "m": 50}}}),
+    ],
+)
+def test_density_plugins_the_config_cannot_run_are_config_errors(over, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("estimate_sobol", "bandwidth_curve", "load_sample_csv", "uniform_max_estimator", "mirror_kde"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(testbed.AnalyticModel, "draw", no_work)
+    config = dict({"command": "estimate", "model": "product", "n": 200, "mask": [1], "h": 0.2}, **over)
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig.from_json(config)
+    assert _field_of(excinfo) == "density"
+    out = tmp_path / "artifact"
+    assert main(_argv(dict(config, output=str(out)))) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == "density"
+    assert not out.exists()
+
+
+def test_number_flags_take_json_integers_as_reals():
+    argv = ["estimate", "--model", "linear3", "--n", "200", "--mask", "1", "--ci-level", "0.9"]
+    config = RunConfig(**vars(_build_parser().parse_args(argv + ["--rule", "1", "0.4"])))
+    assert config.rule == (1.0, 0.4) and config.ci_level == 0.9
+    config = RunConfig(**vars(_build_parser().parse_args(argv + ["--h", "1"])))
+    assert config.h == 1.0 and isinstance(config.h, float)
+    kde = RunConfig.from_json({**config.to_json(), "density": {"plugin": {_KDE: {"eta": 1, "m": 50}}}})
+    assert cli._parse_density_spec(kde.density) == (_KDE, {"eta": 1.0, "m": 50})
 
 
 def _argv(config: dict) -> list:
@@ -776,6 +853,7 @@ def test_shipped_command_lines_parse(monkeypatch):
     argvs = []
     for name in ("bandwidth", "compare", "convergence", "coverage"):
         argvs.append(runpy.run_path(_repo_file("scripts", f"run_{name}.py"))["DEFAULTS"])
+    assert argvs[0][:1] == ["estimate"] and "--auto" in argvs[0], "the selection demo runs estimate --auto"
     monkeypatch.syspath_prepend(_repo_file("perfbench"))
     spec = importlib.util.spec_from_file_location("perfbench_run", _repo_file("perfbench", "run.py"))
     bench = importlib.util.module_from_spec(spec)
