@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._window import _expand
+from ._window import _expand, _stable_order
 from .errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
 from .estimator import _ratio_covariance
 
@@ -102,7 +102,7 @@ def _nearest(x1, x2) -> np.ndarray:
     its own rounding.  A row with a second candidate within rounding of its
     nearest distance is settled by `_settle_ties`.
     """
-    order = np.lexsort(x1.T[::-1])  # stable: the first of equal rows has the lowest index
+    order = _stable_order(*x1.T[::-1])  # stable: the first of equal rows has the lowest index
     sorted1 = x1[order]
     distinct = np.r_[True, np.any(sorted1[1:] != sorted1[:-1], axis=1)]
     rows1, lowest = sorted1[distinct], order[distinct]
@@ -198,7 +198,7 @@ def rank_estimate(X, Y) -> float:
     variance = float(np.var(y))
     if variance <= 0.0:
         raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-    order = np.argsort(x, kind="stable")
+    order = _stable_order(x)
     ys = y[order]
     numer = math.fsum((ys[:-1] * ys[1:]).tolist()) / n - float(np.mean(y)) ** 2
     return numer / variance
@@ -210,17 +210,19 @@ def rank_estimate(X, Y) -> float:
 
 @dataclass(frozen=True)
 class VarianceOracles:
-    """The output and the closed-form conditional moments at the nodes of a quadrature rule.
+    """The output and the closed-form conditional moments on a tensor quadrature rule.
 
-    `weights` carry the joint density, so a population expectation
-    E[phi(Y, X)] is `weights @ phi`; y, g1 and g2 hold Y, E[Y | X] and
-    E[Y^2 | X] at the nodes.
+    y, g1 and g2 hold Y, E[Y | X] and E[Y^2 | X] at the nodes, one array
+    axis per input; g1 and g2 have size 1 off the mask.  The weights, which
+    carry the joint density, are the product in order of the `weights`
+    factors, each along one axis: the Gauss weights, then the densities
+    less any that is 1 at every node.  E[phi(Y, X)] sums over `_slabs`.
     """
 
-    weights: np.ndarray
     y: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
+    weights: tuple
 
 
 def limiting_variance_nn(oracles: VarianceOracles) -> float:
@@ -234,23 +236,37 @@ def limiting_variance_nn(oracles: VarianceOracles) -> float:
     return float(2.0 * (e_g2_sq - e_g1_sq * e_g1_sq + 0.5 * (e_g2_g1sq - e_g1_4)))
 
 
-# nodes per slab of the quadrature sums: small enough that no temporary is a
-# full-size row, and that BLAS sums each dot product on one thread
+# nodes per slab of the rule (one leading-axis index when p = 3): no temporary
+# is a full-size row, and BLAS sums each dot product on one thread
 _SLAB = 4096
+
+
+def _slabs(oracles: VarianceOracles):
+    """(weights, y, g1, g2) on each slab of `_SLAB` nodes, a range of leading-axis indices.
+
+    The weights, flat, multiply the factors in the order of the whole
+    rule's product, from 1, so they keep its bits.  y has the slab's shape,
+    and g1 and g2 broadcast to it.
+    """
+    m = oracles.y.shape[0]
+    step = _SLAB * m // oracles.y.size  # leading-axis indices per slab
+    for start in range(0, m, step):
+        parts = (oracles.y, oracles.g1, oracles.g2, *oracles.weights)
+        on_slab = [a[start : start + step] if a.shape[0] > 1 else a for a in parts]
+        yield (math.prod(on_slab[3:]).ravel(), *on_slab[:3])
 
 
 def _population_moments(oracles: VarianceOracles, rows) -> tuple:
     """(means, second moments E[r_i r_j]) of the rows over the quadrature rule.
 
-    rows(y, g1, g2) maps slab views of the oracle arrays to the rows on
-    that slab.  Every moment is summed in one pass over slabs of `_SLAB`
-    nodes, so the sums do not depend on the BLAS thread count.
+    rows(y, g1, g2) maps the oracle arrays on a slab to the rows there.
+    Every moment is summed in one pass over the slabs of `_slabs`, so the
+    sums do not depend on the BLAS thread count.
     """
     means, second = 0.0, 0.0
-    for start in range(0, oracles.weights.size, _SLAB):
-        part = slice(start, start + _SLAB)
-        w = oracles.weights[part]
-        r = rows(oracles.y[part], oracles.g1[part], oracles.g2[part])
+    for w, y, g1, g2 in _slabs(oracles):
+        # contiguous rows: BLAS sums a stride-0 broadcast in another order
+        r = [np.broadcast_to(ri, y.shape).ravel() for ri in rows(y, g1, g2)]
         means = means + np.array([w @ ri for ri in r])
         second = second + np.array([[w @ (ri * rj) for rj in r] for ri in r])
     return means, second

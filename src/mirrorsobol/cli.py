@@ -541,15 +541,9 @@ def _cmd_coverage(config: RunConfig) -> str:
     return _write_text(_output_path(config), _csv_artifact(config, _STUDY_COLUMNS, out["rows"]))
 
 
-def _limiting_variance_cell(oracles, estimator: str):
-    if estimator == "kernel_t":
-        return limiting_variance_t(oracles)
-    if estimator == "kernel_sobol":
-        # the shipped Sobol' estimator centers the output first
-        return limiting_variance_sobol_centered(oracles)
-    if estimator == "nn_t":
-        return limiting_variance_nn(oracles)
-    return ""  # no CLT constant is claimed for pf and rank
+# the limiting variance of each compare row: the shipped Sobol' estimator
+# centers the output first, and no CLT constant is claimed for pf and rank
+_LIMITING_VARIANCES = {"kernel_t": limiting_variance_t, "kernel_sobol": limiting_variance_sobol_centered, "nn_t": limiting_variance_nn}
 
 
 def _cmd_compare(config: RunConfig) -> str:
@@ -557,7 +551,8 @@ def _cmd_compare(config: RunConfig) -> str:
     rows = convergence_study(plan)["rows"]
     oracles = variance_oracles(plan.model, plan.mask) if {"kernel", "nn"} & set(plan.estimators) else None
     for row in rows:
-        row["limiting_variance"] = _limiting_variance_cell(oracles, row["estimator"])
+        limit = _LIMITING_VARIANCES.get(row["estimator"])
+        row["limiting_variance"] = limit(oracles) if limit else ""
     return _write_text(_output_path(config), _csv_artifact(config, _COMPARE_COLUMNS, rows))
 
 

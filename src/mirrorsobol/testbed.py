@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quad import gauss_legendre
-from .baselines import PickFreezeSample, VarianceOracles, nn_estimate, pick_freeze_estimate, rank_estimate
+from .baselines import _SLAB, PickFreezeSample, VarianceOracles, nn_estimate, pick_freeze_estimate, rank_estimate
 from .domain import sign_matrix
 from .errors import DomainViolationError, MirrorSobolError
 from .estimator import FullSample, SubsetSpec, _normal_ci, estimate_sobol
@@ -355,28 +355,18 @@ def _freeze(model: AnalyticModel, mask, base: FullSample, v_alt: np.ndarray) -> 
 
 
 _GL_NODES = 64
-# rows per call of a model function on the rule: one leading-axis slab of a
-# 3-axis grid, so every grid of at most 3 axes splits into whole slabs
-_SLAB = _GL_NODES**2
 
 
 def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
     """Y, g1 and g2 of the mask at the nodes of a 64-point tensor Gauss-Legendre rule.
 
-    The rule covers the full input box and its weights carry the joint
-    density, so E[phi(Y, X)] is `weights @ phi` (exact for the polynomial
-    models).  Nodes are in row-major axis order.  Models of more than 3
-    inputs are refused, since the rule holds 64^p nodes.
-
-    The rule is walked without a 64^p temporary.  The weights are per-axis
-    outer products: the Gauss weights first, then each axis's density.  Y
-    is evaluated on slabs of 4096 nodes (one leading-axis index when
-    p = 3), filled one at a time in a reused buffer.  g1 and g2 depend on
-    the masked axes only, so they are evaluated the same way on the 64^d
-    nodes of those axes, where the conditional-variance inequality
-    g2 >= g1^2 is checked, and then broadcast over the rule.  A mask out of
-    range, a missing closed form or a negative conditional variance is
-    refused before the rule is built.
+    The rule covers the input box and its weights carry the joint density,
+    so E[phi(Y, X)] is `weights @ phi` (exact for the polynomial models),
+    summed over the slabs of `baselines._slabs`.  Models of more than 3
+    inputs are refused, since the rule holds 64^p nodes.  Only Y is stored on
+    the rule, evaluated in slabs of 4096 nodes; the weights are stored per
+    axis, and g1 and g2 on the 64^d nodes of the masked axes, where
+    g2 >= g1^2 is checked before Y is evaluated.
     """
     key = tuple(sorted(int(i) for i in mask))
     p = model.p
@@ -392,50 +382,36 @@ def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
     mask_nodes = [axes[i][0] for i in key]
     g1 = _on_tensor_grid(lambda xm: model.g1(key, xm), mask_nodes)
     g2 = _on_tensor_grid(lambda xm: model.g2(key, xm), mask_nodes)
-    gap = g2 - g1**2
-    if float(np.min(gap)) < -1e-8 * max(1.0, float(np.max(np.abs(gap)))):
-        raise MirrorSobolError(
-            f"conditional variance negative for model {model.name!r}, mask {key}: min gap {np.min(gap)}"
-        )
-    del gap  # a full-size row on a full mask
-    weights = axes[0][1]
-    for _, w in axes[1:]:
-        weights = np.multiply.outer(weights, w)
-    for axis, (marg, (x, _)) in enumerate(zip(marginals, axes)):
-        weights *= _along(marg.pdf(x), axis, p)
+    gap = g1 * g1  # one temporary: on a full mask it has the size of the rule
+    np.subtract(g2, gap, out=gap)
+    low, high = float(np.min(gap)), float(np.max(gap))
+    if low < -1e-8 * max(1.0, -low, high):
+        raise MirrorSobolError(f"conditional variance negative for model {model.name!r}, mask {key}: min gap {low}")
+    del gap
+    shape = [_GL_NODES if i in key else 1 for i in range(p)]
+    pdf = [_along(marg.pdf(x), axis, p) for axis, (marg, (x, _)) in enumerate(zip(marginals, axes))]
+    weights = [_along(w, axis, p) for axis, (_, w) in enumerate(axes)] + [f for f in pdf if np.any(f != 1.0)]
     y = _on_tensor_grid(model.g, [x for x, _ in axes])
-    if len(key) < p:
-        bshape = [_GL_NODES if i in key else 1 for i in range(p)]
-        g1, g2 = (np.broadcast_to(g.reshape(bshape), (_GL_NODES,) * p).flatten() for g in (g1, g2))
-    return VarianceOracles(weights=weights.reshape(-1), y=y, g1=g1, g2=g2)
+    return VarianceOracles(y, g1.reshape(shape), g2.reshape(shape), tuple(weights))
 
 
 def _on_tensor_grid(fn, nodes) -> np.ndarray:
-    """fn at the rows of the tensor grid of the per-axis `nodes`, in row-major order.
+    """fn at the tensor grid of the per-axis `nodes`, one array axis per grid axis.
 
     fn maps an array of rows (points) to their values.  It is called on
-    slabs of `_SLAB` rows (all rows, if fewer), filled one at a time in a
-    reused buffer: only the leading axis changes between slabs.
+    slabs of whole leading-axis indices, `_SLAB` rows (all rows, if fewer),
+    filled one at a time in a reused buffer: only the leading axis changes.
     """
-    total = math.prod(x.size for x in nodes)
-    rows = min(_SLAB, total)
-    lead = total // nodes[0].size  # rows per index of the leading axis
-    buf = np.empty((rows, len(nodes)))
-    buf[:, 1:] = np.tile(_tensor_nodes(nodes[1:]), (rows // lead, 1))
-    out = np.empty(total)
-    for start in range(0, total, rows):
-        buf[:, 0] = np.repeat(nodes[0][start // lead : (start + rows) // lead], lead)
-        out[start : start + rows] = fn(buf)
+    d, shape = len(nodes), tuple(x.size for x in nodes)
+    slab = (min(shape[0], _SLAB * shape[0] // math.prod(shape)),) + shape[1:]
+    buf = np.empty(slab + (d,))
+    for axis in range(1, d):
+        buf[..., axis] = _along(nodes[axis], axis, d)
+    out = np.empty(shape)
+    for start in range(0, shape[0], slab[0]):
+        buf[..., 0] = _along(nodes[0][start : start + slab[0]], 0, d)
+        out[start : start + slab[0]] = fn(buf.reshape(-1, d)).reshape(slab)
     return out
-
-
-def _tensor_nodes(nodes) -> np.ndarray:
-    """The rows of the tensor grid of the per-axis `nodes`, in row-major order."""
-    shape = tuple(x.size for x in nodes)
-    out = np.empty(shape + (len(nodes),))
-    for axis, x in enumerate(nodes):
-        out[..., axis] = _along(x, axis, len(nodes))
-    return out.reshape(math.prod(shape), len(nodes))
 
 
 def _along(x: np.ndarray, axis: int, ndim: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from efficiency import efficient_bounds, sigma_t_second_form
+from efficiency import efficient_bounds, rule_arrays, sigma_t_second_form
 from scipy import spatial
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -260,17 +260,17 @@ def test_rank_rejects_multidimensional():
 
 def test_engine_reproduces_model_moments():
     for model in (linear_model(3), weighted_linear_model(2.0, 3), ishigami_model(), product_model()):
-        orc = variance_oracles(model, (0,))
-        mean = float(orc.weights @ orc.y)
-        second = float(orc.weights @ (orc.y * orc.y))
+        w, y, _, _ = rule_arrays(variance_oracles(model, (0,)))
+        mean = float(w @ y)
+        second = float(w @ (y * y))
         assert abs(mean - model.mean_y) < 1e-9, f"{model.name}: engine mean {mean} vs {model.mean_y}"
         assert abs(second - (model.var_y + model.mean_y**2)) < 1e-8, f"{model.name}: second moment off"
 
 
 def test_engine_t_matches_closed_form():
     for model in (linear_model(2), product_model(), curved_model()):
-        orc = variance_oracles(model, (0,))
-        t = float(orc.weights @ (orc.y * orc.g1))
+        w, y, g1, _ = rule_arrays(variance_oracles(model, (0,)))
+        t = float(w @ (y * g1))
         assert abs(t - model.t_of((0,))) < 1e-10, f"{model.name}: E[Y g1] {t} vs {model.t_of((0,))}"
 
 
@@ -293,7 +293,8 @@ def test_sigma_t_no_noise_model_reduces_to_var_g1sq():
     m = curved_model()
     orc = variance_oracles(m, (0, 1))  # full mask: g1 = g exactly
     value = efficient_bounds(orc)[0]
-    g1sq_var = float(orc.weights @ orc.g1**4) - float(orc.weights @ orc.g1**2) ** 2
+    w, _, g1, _ = rule_arrays(orc)
+    g1sq_var = float(w @ g1**4) - float(w @ g1**2) ** 2
     assert abs(value - g1sq_var) <= 1e-9 * g1sq_var, f"{value} vs Var(g1^2) = {g1sq_var}"
 
 
@@ -301,8 +302,9 @@ def test_sigma_t_below_4tau2():
     for model, mask in [(linear_model(3), (1,)), (product_model(), (0,)), (ishigami_model(), (0,))]:
         orc = variance_oracles(model, mask)
         sigma_t = efficient_bounds(orc)[0]
-        yg_mean = float(orc.weights @ (orc.y * orc.g1))
-        tau2 = float(orc.weights @ (orc.y * orc.g1) ** 2) - yg_mean**2
+        w, y, g1, _ = rule_arrays(orc)
+        yg_mean = float(w @ (y * g1))
+        tau2 = float(w @ (y * g1) ** 2) - yg_mean**2
         assert sigma_t <= 4.0 * tau2 + 1e-12, f"{model.name}: sigma_T^2 {sigma_t} exceeds 4 tau^2 {4 * tau2}"
 
 
@@ -321,7 +323,8 @@ def test_sigma_d_nonnegative_and_deterministic_case():
     m = curved_model()
     orc = variance_oracles(m, (0, 1))
     value = limiting_variance_nn(orc)
-    var_g1sq = float(orc.weights @ orc.g1**4) - float(orc.weights @ orc.g1**2) ** 2
+    w, _, g1, _ = rule_arrays(orc)
+    var_g1sq = float(w @ g1**4) - float(w @ g1**2) ** 2
     assert abs(value - 2.0 * var_g1sq) <= 1e-9 * var_g1sq, f"g2 = g1^2 case: {value} vs {2 * var_g1sq}"
 
 
@@ -359,7 +362,7 @@ def test_sigma_min_matches_the_direct_formula_on_every_builtin_mask():
     for model in builtin_models():
         for mask in model.masks():
             orc = variance_oracles(model, mask)
-            w, y, g1 = orc.weights, orc.y, orc.g1
+            w, y, g1, _ = rule_arrays(orc)
             m = float(w @ y)
             v = float(w @ (y * y)) - m * m
             s = (float(w @ g1**2) - m * m) / v
@@ -435,9 +438,9 @@ def _full_array_limiting_variances(w, y, g1, g2):
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
 def test_slab_oracles_bit_equal_to_the_tensor_rule_formula(model):
     for mask in model.masks():
-        orc = variance_oracles(model, mask)
-        for field, want in zip(("weights", "y", "g1", "g2"), _tensor_rule_oracles(model, mask)):
-            assert np.array_equal(getattr(orc, field), want), f"{model.name} {mask}: {field} differs"
+        got = rule_arrays(variance_oracles(model, mask))
+        for field, have, want in zip(("weights", "y", "g1", "g2"), got, _tensor_rule_oracles(model, mask)):
+            assert np.array_equal(have, want), f"{model.name} {mask}: {field} differs"
 
 
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
@@ -445,7 +448,7 @@ def test_slab_limiting_variances_match_the_full_array_formulas(model):
     for mask in model.masks():
         orc = variance_oracles(model, mask)
         got = (limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc))
-        want = _full_array_limiting_variances(orc.weights, orc.y, orc.g1, orc.g2)
+        want = _full_array_limiting_variances(*rule_arrays(orc))
         for name, g, v in zip(("t", "sobol_centered", "nn"), got, want):
             assert abs(g - v) <= 1e-13 * max(abs(v), 1.0), f"{model.name} {mask} {name}: {g} vs {v}"
 
@@ -465,6 +468,24 @@ def test_oracles_and_limiting_variances_hold_no_full_size_temporary(mask):
         tracemalloc.stop()
     assert build <= 10 * 2**20, f"oracle build peaked at {build / 2**20:.1f} MiB"
     assert variances <= 10 * 2**20, f"limiting variances peaked at {variances / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("mask, bound_mib", [((0,), 3), ((0, 1, 2), 7)])
+def test_oracles_store_y_alone_on_the_rule(mask, bound_mib):
+    # Y takes 2 MiB on the 64^3 rule of linear3; the weights are rebuilt per
+    # slab, and g1, g2 live on the 64^d mask nodes, which on the full mask
+    # are the rule's 64^3 nodes (4 MiB more)
+    tracemalloc.start()
+    try:
+        orc = variance_oracles(linear_model(3), mask)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc)
+        variances = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build <= bound_mib * 2**20, f"oracle build peaked at {build / 2**20:.2f} MiB"
+    assert variances <= bound_mib * 2**20, f"limiting variances peaked at {variances / 2**20:.2f} MiB"
 
 
 def test_kernel_and_pf_agree_on_product_model():

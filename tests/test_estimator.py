@@ -364,6 +364,29 @@ def test_range_moment_backend_matches_brute_force(case):
     assert abs(t_fast - t_ref) <= tol, f"range moments {t_fast!r} vs brute force {t_ref!r} (h={h})"
 
 
+@st.composite
+def _sort_keys(draw):
+    """1 to 3 keys of one length from 1 to 60: heavy ties, -0.0 beside 0.0, continuous floats or int64."""
+    n = draw(st.integers(1, 60))
+    kinds = {
+        "ties": st.integers(0, 2).map(float),
+        "zeros": st.sampled_from([0.0, -0.0, 1.0]),
+        "floats": st.floats(-1e3, 1e3),
+        "ints": st.integers(-3, 3),
+    }
+    keys = []
+    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=3)):
+        values = draw(st.lists(kinds[kind], min_size=n, max_size=n))
+        keys.append(np.array(values, dtype=np.int64 if kind == "ints" else float))
+    return keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sort_keys())
+def test_stable_order_is_lexsort(keys):
+    assert np.array_equal(_window._stable_order(*keys), np.lexsort(keys))
+
+
 def test_range_moments_agree_with_tree_on_spread_and_tied_samples():
     rng = np.random.default_rng(7)
     dom = Domain(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
