@@ -26,9 +26,10 @@ import numpy as np
 
 from .domain import Domain, sign_matrix
 
-# candidate pairs per anchor block of the grid; larger blocks raise the
-# peak memory without running faster
-_PAIR_BUDGET = 2**16
+# candidate pairs per anchor block of the grid: a block holds about 80 to
+# 100 bytes per pair at d = 2, and larger blocks raise the peak memory
+# without running faster
+_PAIR_BUDGET = 2**14
 # the cost of a grid run in candidate pairs, and the most cells per ball
 # side; measured on uniform samples in d = 2 to 4 (n = 2000 to 10^4), the m
 # that _cells_per_ball picks ran within 4% of the fastest of 1 to 16
@@ -58,20 +59,38 @@ def window_sums(x, weights, kernel, hs, domain: Domain, anchors=None) -> np.ndar
     hs = np.asarray(hs, dtype=float).ravel()
     if anchors is not None:
         return _grid_sums(x, weights, kernel, hs, domain, anchors, self_pairs=False)
+    order, blocks = window_sums_by_bandwidth(x, weights, kernel, hs, domain)
+    out = np.empty((hs.size,) + weights.shape)
+    for js, sums in blocks:
+        out[np.ix_(js, order)] = sums  # back to the input row order
+    return out
+
+
+def window_sums_by_bandwidth(x, weights, kernel, hs, domain: Domain) -> tuple:
+    """(order, blocks): `window_sums` with the points as anchors, a few bandwidths at a time.
+
+    order is the canonical row order, and blocks yields (js, sums) with
+    sums[i] the (m, r) sums of bandwidth hs[js[i]] for the rows x[order]:
+    first the grid bandwidths, from their shared listing, then each
+    range-moment one alone.  A caller that reduces each block as it comes
+    holds one block at a time, not all of them beside the work of the next.
+    """
+    hs = np.asarray(hs, dtype=float).ravel()
     order = _stable_order(*weights.T[::-1], *x.T[::-1])  # the weights order tied rows
     tied = np.all(x[order[1:]] == x[order[:-1]], axis=1)  # sorted row i + 1 equals row i
     x, weights = x[order], weights[order]
     side = kernel.support[1] - kernel.support[0]
     moments = np.array([_moments_pay(tied, side * h, domain) for h in hs], dtype=bool)
-    # each block goes back to the input row order as it is stored
-    out = np.empty((hs.size,) + weights.shape)
-    grid = np.flatnonzero(~moments)
-    if grid.size:
-        out[np.ix_(grid, order)] = _grid_sums(x, weights, kernel, hs[grid], domain, x, self_pairs=True)
-    moment_sums = _moment_sums_1d if x.shape[1] == 1 else _moment_sums_2d
-    for j in np.flatnonzero(moments):
-        out[j, order] = moment_sums(x, weights, kernel.coeffs, kernel.support, float(hs[j]), domain)
-    return out
+
+    def blocks():
+        grid = np.flatnonzero(~moments)
+        if grid.size:
+            yield grid, _grid_sums(x, weights, kernel, hs[grid], domain, x, self_pairs=True)
+        moment_sums = _moment_sums_1d if x.shape[1] == 1 else _moment_sums_2d
+        for j in np.flatnonzero(moments):
+            yield [j], moment_sums(x, weights, kernel.coeffs, kernel.support, float(hs[j]), domain)[None]
+
+    return order, blocks()
 
 
 def _moments_pay(tied: np.ndarray, side: float, domain: Domain) -> bool:
@@ -116,11 +135,12 @@ def _grid_sums(x, weights, kernel, hs: np.ndarray, domain: Domain, anchors, self
     side on each leading axis.  The runs give each anchor's exact candidate
     count before any pair is listed, and an anchor block holds at most
     _PAIR_BUDGET candidates, or one anchor; half as many when several
-    bandwidths share the listing, which holds a reordered copy of each block.
-    Within a block the pairs are ordered by the first bandwidth at which
-    they pass the kernel's closed-support test (`_entries`), and each
-    bandwidth evaluates the kernel on the prefix of pairs that have entered
-    by then, with the same arithmetic as a dense sweep.
+    bandwidths share the listing, so that its blocks and the sums of every
+    bandwidth hold no more than the blocks of one bandwidth.  Within a
+    block the pairs are ordered by the first bandwidth at which they pass
+    the kernel's closed-support test (`_entries`), and each bandwidth
+    evaluates the kernel on the prefix of pairs that have entered by then,
+    with the same arithmetic as a dense sweep (`_kernel_in_window`).
     """
     signs = sign_matrix(domain, anchors)
     lo, hi = kernel.support
@@ -137,33 +157,55 @@ def _grid_sums(x, weights, kernel, hs: np.ndarray, domain: Domain, anchors, self
     lower, upper = _limits(hs, kernel.support)
     budget = _PAIR_BUDGET if hs.size == 1 else _PAIR_BUDGET // 2
     chunk = max(1, budget // (m + 2) ** (d - 1))  # bounds the runs held at once
+
+    def block(a0, width, own, start, lens):
+        """Fill out for the anchors a0 .. a0 + width - 1, the owners `own` of the runs [start, start + lens)."""
+        pos = _expand(start, lens)
+        mirrored = np.take(xs, pos, axis=0)
+        mirrored -= np.repeat(anchors[own], lens, axis=0)
+        mirrored *= np.repeat(signs[own], lens, axis=0)
+        entry = _entries(mirrored, lower, upper)
+        if self_pairs:
+            entry[pos == np.repeat(position[own], lens)] = hs.size
+        # a stable sort keeps the listing order within each bandwidth's entrants
+        ranked = np.argsort(entry, kind="stable")
+        ends = np.searchsorted(entry[ranked], np.arange(hs.size), side="right")
+        ranked = ranked[: ends[-1]]
+        a = np.repeat(own - a0, lens)[ranked]
+        wb = np.take(ws, pos[ranked], axis=0)
+        mirrored = np.take(mirrored, ranked, axis=0)
+        del pos, entry, ranked  # the kernel passes need only a, wb and mirrored
+        for j, h in enumerate(hs):
+            p = ends[j]
+            kvals = _kernel_in_window(kernel.coeffs, mirrored[:p], h)
+            for c in range(weights.shape[1]):
+                out[j, a0 : a0 + width, c] = np.bincount(a[:p], weights=kvals * wb[:p, c], minlength=width)
+
     for c0 in range(0, anchors.shape[0], chunk):
         owner, first, stop = grid.runs(centers[c0 : c0 + chunk], reach)
         count = np.bincount(owner, weights=stop - first, minlength=min(chunk, anchors.shape[0] - c0))
         for b0, b1 in _blocks(count, budget):
             r0, r1 = np.searchsorted(owner, [b0, b1])
-            lens = stop[r0:r1] - first[r0:r1]
-            own = owner[r0:r1] + c0
-            a = np.repeat(own - (c0 + b0), lens)
-            pos = _expand(first[r0:r1], lens)
-            mirrored = np.take(xs, pos, axis=0)
-            mirrored -= np.repeat(anchors[own], lens, axis=0)
-            mirrored *= np.repeat(signs[own], lens, axis=0)
-            entry = _entries(mirrored, lower, upper)
-            if self_pairs:
-                entry[pos == np.repeat(position[own], lens)] = hs.size
-            # a stable sort keeps the listing order within each bandwidth's entrants
-            ranked = np.argsort(entry, kind="stable")
-            ends = np.searchsorted(entry[ranked], np.arange(hs.size), side="right")
-            ranked = ranked[: ends[-1]]
-            a, mirrored = a[ranked], mirrored[ranked]
-            wb = np.take(ws, pos[ranked], axis=0)
-            for j, h in enumerate(hs):
-                p = ends[j]
-                kvals = kernel.eval_scaled(mirrored[:p], h)
-                for c in range(weights.shape[1]):
-                    out[j, c0 + b0 : c0 + b1, c] = np.bincount(a[:p], weights=kvals * wb[:p, c], minlength=b1 - b0)
+            block(c0 + b0, b1 - b0, owner[r0:r1] + c0, first[r0:r1], stop[r0:r1] - first[r0:r1])
     return out
+
+
+def _kernel_in_window(coeffs: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
+    """KernelD.eval_scaled(u, h) at offsets u that pass its closed-support test, with its bits.
+
+    The same Horner steps and left-to-right product over the axes, taken on
+    every axis at once; a pair that has entered its window (`_entries`) is
+    inside the support, so the test is left out.
+    """
+    t = u / h
+    poly = np.full(t.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        poly *= t
+        poly += c
+    out = poly[:, 0].copy()
+    for j in range(1, t.shape[1]):
+        out *= poly[:, j]
+    return out / h ** t.shape[1]
 
 
 def _entries(mirrored: np.ndarray, lower: list, upper: list) -> np.ndarray:
@@ -311,10 +353,12 @@ class _CellGrid:
 # (hi - lo) h; anchoring at the cell keeps every power of order h^l.  A
 # window meets at most two cells per axis (three when rounding puts a point
 # on a cell edge).
-# Over the part of the window in one cell, the binomial theorem moves the
-# moments from mu to the anchor x_a,
-#     S_m = sum_l C(m, l) (mu - x_a)^(m-l) D_l,
-# and the kernel sum is sum_m c_m (s_a / h)^m S_m per axis.  The self pair
+# With o = x_b - mu and delta = mu - x_a, the binomial theorem writes the
+# kernel factor of an axis as a polynomial in o,
+#     K_1(s_a (o + delta) / h) = sum_l A_l o^l,
+#     A_l = sum_{m >= l} c_m (s_a / h)^m C(m, l) delta^(m-l),
+# so the kernel sum over the part of the window in one cell is sum_l A_l D_l
+# over the part's moments D_l, one such row A per axis.  The self pair
 # b = a is in every window and is subtracted at the end as c_0^d w_a.
 
 
@@ -335,32 +379,22 @@ def _powers(offsets: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _binomials(k: int) -> np.ndarray:
-    return np.array([[math.comb(m, l) for l in range(k + 1)] for m in range(k + 1)], dtype=float)
+def _kernel_rows(coeffs: np.ndarray, ratio: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """A[l] = sum_{m >= l} c_m ratio^m C(m, l) delta^(m-l), the query on the last axis.
 
-
-def _shift_into(out: np.ndarray, d: np.ndarray, delta: np.ndarray, binom: np.ndarray) -> None:
-    """out[m] += sum_l C(m, l) delta^(m-l) d[l]: moments about a cell center moved to the anchor.
-
-    Axis 0 of d and out is the moment order, the last axis the anchor; delta
-    holds mu - x_a per anchor.
+    ratio = s_a / h and delta = mu - x_a per query, so that the kernel
+    factor at a point o = x_b - mu off the cell center is sum_l A[l] o^l.
     """
-    k = d.shape[0] - 1
-    pow_delta = np.ones(delta.size)
-    for diff in range(k + 1):
-        for l in range(k + 1 - diff):
-            out[l + diff] += binom[l + diff, l] * pow_delta * d[l]
-        if diff < k:
-            pow_delta = pow_delta * delta
-
-
-def _kernel_sum(s: np.ndarray, coeffs: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """sum_m c_m ratio^m s[m] over axis 0, ratio = s_a / h per anchor on the last axis."""
-    out = np.zeros(s.shape[1:])
-    ratio_pow = np.ones(ratio.size)
-    for m in range(coeffs.size):
-        out += coeffs[m] * ratio_pow * s[m]
-        if m < coeffs.size - 1:
+    k = coeffs.size - 1
+    out = np.zeros((k + 1, delta.size))
+    ratio_pow = np.ones(delta.size)
+    for m in range(k + 1):
+        term = coeffs[m] * ratio_pow  # c_m ratio^m delta^(m-l), l from m down
+        for l in range(m, -1, -1):
+            out[l] += math.comb(m, l) * term
+            if l:
+                term = term * delta
+        if m < k:
             ratio_pow = ratio_pow * ratio
     return out
 
@@ -369,7 +403,8 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
     """Range moments in one dimension; x holds (n, 1) sorted points and y their (n, r) weights.
 
     The window of each anchor is a run of the sorted points, and each cell a
-    run too, so every window-cell part is a difference of two prefix sums.
+    run too, so every window-cell part is a difference of two prefix sums,
+    contracted with the anchor's kernel row of that cell as it is formed.
     Arrays keep the anchor on their last axis, so every loop runs over it.
     """
     xs = x[:, 0]
@@ -384,7 +419,6 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
     prefix = np.zeros((k + 1, y.shape[1], n + 1))
     for l, pw in enumerate(_powers(xs - _center(cell, lo, side), k)):
         np.cumsum(y.T * pw, axis=1, out=prefix[l, :, 1:])
-    binom = _binomials(k)
 
     b_lo, b_hi = _window_ranks(xs, xs, sigma, h, support)
     # start[i]: where the i-th occupied cell starts among the sorted points,
@@ -395,7 +429,7 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
     occupied = cell[np.minimum(start, n - 1)]
     first = (np.cumsum(new_cell) - 1)[b_lo]
 
-    s_m = np.zeros((k + 1, y.shape[1], n))
+    g = np.zeros((y.shape[1], n))
     for t in range(3):
         seg_s = np.maximum(b_lo, start[first + t])
         seg_e = np.minimum(b_hi, start[first + t + 1])
@@ -404,13 +438,12 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
         # is summed for the anchors that reach it alone
         a = slice(None) if t < 2 else np.flatnonzero(seg_e > seg_s)
         live = seg_e[a] > seg_s[a]
-        part = s_m[:, :, a]
-        delta = np.where(live, _center(occupied[first[a] + t], lo, side) - xs[a], 0.0)
+        rows = _kernel_rows(coeffs, sigma[a] / h, np.where(live, _center(occupied[first[a] + t], lo, side) - xs[a], 0.0))
         d_l = np.take(prefix, seg_e[a], axis=2) - np.take(prefix, seg_s[a], axis=2)
-        _shift_into(part, np.where(live, d_l, 0.0), delta, binom)
-        if t == 2:  # the gather copied the part
-            s_m[:, :, a] = part
-    g = _kernel_sum(s_m, coeffs, sigma / h)
+        part = rows[0] * d_l[0]
+        for l in range(1, k + 1):
+            part += rows[l] * d_l[l]
+        g[:, a] += np.where(live, part, 0.0)
     return ((g - coeffs[0] * y.T) / h).T
 
 
@@ -456,16 +489,48 @@ def _moment_sums_2d(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     only one end falls inside the cell in most cases.  A wavelet matrix over
     the axis-2 ranks (Claude, Navarro & Ordonez, Inf. Syst. 2015) sums the
     moments of a position run below a rank threshold in one descent of at
-    most log2 n levels.  Each level's moment prefix sums are built as the descent
-    reaches it, so the memory is O(n (k+1)^2 r) and the time
-    O(n log n (k+1)^2 r), whatever h is.  The moments and their prefix sums
-    keep the point on axis 0, where the wavelet's gathers copy whole rows;
-    the sums of each query are then turned so that the shifts and kernel
-    sums run over the queries on the last axis.
+    most log2 n levels.  The moments and their prefix sums are (point,
+    (l1, l2, column)) arrays in column-major order, so that the wavelet's
+    gathers and the contractions read each moment contiguously.  Each
+    query, one per anchor and cell its window meets, holds a
+    kernel row per axis (`_kernel_rows`), and every run difference and every
+    part a wavelet level gathers is contracted with the two rows as soon as
+    it is formed, one (l1, l2) moment at a time (`_contract`).  So beside the
+    O(n (k+1)^2 r) moments and prefix sums only O(q (k+1)) kernel rows and
+    O(q r) sums live, for q queries, and the time is O(n log n (k+1)^2 r),
+    whatever h is.
+    """
+    n, r = w.shape
+    moments, seq, qa, pos_lo, pos_hi, rows, cut_hi, cut_lo, bound = _moment_queries(x, w, coeffs, support, h, sub)
+    # the runs that no cut restricts are whole prefix differences; a cut one
+    # is the part of its run below the cut's axis-2 rank, less the part
+    # below the window's first rank where that cuts too
+    whole = np.ones(qa.size, dtype=bool)
+    whole[cut_hi] = False
+    whole = np.flatnonzero(whole)
+    g_q = np.empty((qa.size, r))
+    g_q[whole] = _contract(_prefix(moments), pos_lo[whole], pos_hi[whole], *rows, whole)
+    terms = np.concatenate([cut_hi, cut_lo])
+    pos_lo, pos_hi, rows = pos_lo[terms], pos_hi[terms], [a[:, terms] for a in rows]
+    del whole, terms  # every array here has one entry per query
+    below = _wavelet_sums(seq, moments, pos_lo, pos_hi, bound, *rows)
+    g_q[cut_hi] = below[: cut_hi.size]
+    g_q[cut_lo] -= below[cut_hi.size :]
+    g = np.column_stack([np.bincount(qa, weights=g_q[:, c], minlength=n) for c in range(r)])
+    return (g - (coeffs[0] * coeffs[0]) * w) / (h * h)
+
+
+def _moment_queries(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: tuple, h: float, sub: Domain) -> tuple:
+    """The layout and the queries of `_moment_sums_2d`.
+
+    Returns the moments in layout order, each point's axis-2 rank from the
+    start of its cell's row of cells (in layout order), and per query its
+    anchor, layout run [pos_lo, pos_hi) and two kernel rows; then the
+    queries whose axis-2 rank range is cut at its high end and at its low
+    end, and the rank bound of each cut, high cuts first.
     """
     n = x.shape[0]
     k = coeffs.size - 1
-    r = w.shape[1]
     side = (support[1] - support[0]) * h
     sigma = sign_matrix(sub, x)
     rank, cell, sorted_cell, first, stop, offsets = [], [], [], [], [], []
@@ -489,11 +554,41 @@ def _moment_sums_2d(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     key = (cell_start[0] * (n + 1) + cell_start[1]) * n + rank[0]
     layout = np.argsort(key)
     key = key[layout]
-    p1, p2 = (_powers(off, k) for off in offsets)
-    # moments[b, (l1, l2, c)] = w_bc (x_b1 - mu_1)^l1 (x_b2 - mu_2)^l2, in layout order
-    moments = (p1.T[:, :, None, None] * p2.T[:, None, :, None] * w[:, None, None, :]).reshape(n, -1)[layout]
+    p1, p2 = (_powers(off[layout], k) for off in offsets)
+    # moments[b, (l1, l2, c)] = w_bc (x_b1 - mu_1)^l1 (x_b2 - mu_2)^l2, in
+    # layout order and column-major, so that each moment column is contiguous
+    r = w.shape[1]
+    moments = np.empty((n, (k + 1) ** 2 * r), order="F")
+    for l1 in range(k + 1):
+        for l2 in range(k + 1):
+            for c in range(r):
+                np.multiply(p1[l1] * p2[l2], w[layout, c], out=moments[:, (l1 * (k + 1) + l2) * r + c])
+    seq = (rank[1] - cell_start[1])[layout]
+    del p1, p2, offsets, layout, rank, cell, cell_start
 
-    # one query per anchor and nonempty cell its window meets
+    qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi = _queries(sorted_cell, first, stop, key)
+    rows = [
+        _kernel_rows(coeffs, sigma[qa, j] / h, _center(qc, float(sub.lower[j]), side) - x[qa, j])
+        for j, qc in enumerate((qc1, qc2))
+    ]
+    # the axis-2 rank range of a query cuts its cell at one end, rarely at
+    # both; ranks count from the start of the cell's row of cells
+    cut_hi = np.flatnonzero(stop[1][qa] < cell2_hi)
+    cut_lo = np.flatnonzero(first[1][qa] > cell2_lo)
+    bound = np.concatenate([stop[1][qa[cut_hi]] - cell2_lo[cut_hi], first[1][qa[cut_lo]] - cell2_lo[cut_lo]])
+    return moments, seq, qa, pos_lo, pos_hi, rows, cut_hi, cut_lo, bound
+
+
+def _queries(sorted_cell: list, first: list, stop: list, key: np.ndarray) -> tuple:
+    """(anchor, cell 1, cell 2, cell-2 rank range, layout run) of each query: one per anchor and nonempty cell its window meets.
+
+    sorted_cell, first and stop hold per axis the cells in rank order and
+    each anchor's window ranks, and key the sorted layout keys.  The run
+    [pos_lo, pos_hi) holds the layout positions of the query's cell within
+    the window's axis-1 ranks; [cell2_lo, cell2_hi) are the axis-2 ranks of
+    its cell.
+    """
+    n = key.size
     meets = [(sorted_cell[j][first[j]], sorted_cell[j][stop[j] - 1]) for j in range(2)]
     spans = [c_last - c_first + 1 for c_first, c_last in meets]
     qa, qc1, qc2 = [], [], []
@@ -509,66 +604,81 @@ def _moment_sums_2d(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     # that cell a second time
     cell1_lo, cell1_hi = (np.searchsorted(sorted_cell[0], qc1, side=s) for s in ("left", "right"))
     cell2_lo, cell2_hi = (np.searchsorted(sorted_cell[1], qc2, side=s) for s in ("left", "right"))
+    live = (cell1_hi > cell1_lo) & (cell2_hi > cell2_lo)
     base = (cell1_lo * (n + 1) + cell2_lo) * n
+    del cell1_lo, cell1_hi  # every array here has one entry per query
     pos_lo = np.searchsorted(key, base + first[0][qa], side="left")
     pos_hi = np.searchsorted(key, base + stop[0][qa], side="left")
-    live = np.flatnonzero((pos_hi > pos_lo) & (cell1_hi > cell1_lo) & (cell2_hi > cell2_lo))
-    qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi = (v[live] for v in (qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi))
-
-    # the axis-2 rank range of a query cuts its cell at one end, rarely at
-    # both; ranks count from the start of the cell's row of cells
-    cut_hi = np.flatnonzero(stop[1][qa] < cell2_hi)
-    cut_lo = np.flatnonzero(first[1][qa] > cell2_lo)
-    prefix = _prefix(moments)
-    d = np.take(prefix, pos_hi, axis=0) - np.take(prefix, pos_lo, axis=0)
-    terms = np.concatenate([cut_hi, cut_lo])
-    bound = np.concatenate([stop[1][qa[cut_hi]], first[1][qa[cut_lo]]]) - cell2_lo[terms]
-    below = _wavelet_sums((rank[1] - cell_start[1])[layout], moments, pos_lo[terms], pos_hi[terms], bound)
-    d[cut_hi] = below[: cut_hi.size]
-    d[cut_lo] -= below[cut_hi.size :]
-
-    binom = _binomials(k)
-    # the query goes last for the shifts and kernel sums
-    d = np.ascontiguousarray(d.T).reshape(k + 1, k + 1, r, -1)
-    shifted = np.zeros_like(d)
-    _shift_into(shifted, d, _center(qc1, float(sub.lower[0]), side) - x[qa, 0], binom)
-    s_m = np.zeros_like(d)
-    _shift_into(s_m.swapaxes(0, 1), shifted.swapaxes(0, 1), _center(qc2, float(sub.lower[1]), side) - x[qa, 1], binom)
-    g_q = _kernel_sum(_kernel_sum(s_m, coeffs, sigma[qa, 0] / h), coeffs, sigma[qa, 1] / h)
-    g = np.column_stack([np.bincount(qa, weights=g_q[c], minlength=n) for c in range(r)])
-    return (g - (coeffs[0] * coeffs[0]) * w) / (h * h)
+    del base
+    live = np.flatnonzero(live & (pos_hi > pos_lo))
+    out = [qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi]
+    for v in out:  # in place, one temporary at a time
+        v[: live.size] = v[live]
+    return tuple(v[: live.size] for v in out)
 
 
 def _prefix(values: np.ndarray) -> np.ndarray:
-    """Prefix sums along axis 0, from 0."""
-    out = np.zeros((values.shape[0] + 1, values.shape[1]))
+    """Prefix sums along axis 0, from 0, in column-major order so that each column is contiguous."""
+    out = np.zeros((values.shape[0] + 1, values.shape[1]), order="F")
     np.cumsum(values, axis=0, out=out[1:])
     return out
 
 
-def _wavelet_sums(seq: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """sum of values[i] over lo <= i < hi with seq[i] < bound, per query; seq holds integers >= 0.
+def _contract(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows1: np.ndarray, rows2: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """sum_{l1, l2} rows1[l1, at[q]] rows2[l2, at[q]] (prefix[hi[q]] - prefix[lo[q]])[(l1, l2, c)], a (queries, r) array.
+
+    The prefix rows hold (k+1)^2 r entries in (l1, l2, column) order, k + 1
+    the length of the kernel rows, and `at` picks the queries' kernel rows.
+    The r columns of one (l1, l2) and one kernel row are gathered at a time,
+    so no (queries, (k+1)^2 r) array is formed, and every weight column is
+    contracted elementwise: it gets the same bits whatever other columns
+    there are.
+    """
+    k1 = rows1.shape[0]
+    r = prefix.shape[1] // (k1 * k1)
+    acc = None
+    for l1 in range(k1):
+        inner = None
+        for l2 in range(k1):
+            columns = prefix[:, (l1 * k1 + l2) * r : (l1 * k1 + l2 + 1) * r]
+            part = np.take(columns, hi, axis=0)
+            part -= np.take(columns, lo, axis=0)
+            part *= rows2[l2, at][:, None]
+            inner = part if inner is None else np.add(inner, part, out=inner)
+        inner *= rows1[l1, at][:, None]
+        acc = inner if acc is None else np.add(acc, inner, out=acc)
+    return acc
+
+
+def _wavelet_sums(seq: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """sum of values[i] over lo <= i < hi with seq[i] < bound, contracted per query as `_contract` does; seq holds integers >= 0.
 
     Each level of the wavelet matrix splits the sequence stably by one bit
     of seq, most significant first.  Where the bound has that bit set, the
     query's elements with the bit clear are all below it: their sum is a
     difference of two prefix sums over the split sequence, and the query
     follows the elements with the bit set; otherwise it follows the rest.
+    Each level gathers the values of its split sequence column by column
+    into one prefix buffer and sums them there, so beside `values` only one
+    (n + 1)-row array lives.  lo and hi are overwritten.
     """
-    out = np.zeros((lo.size, values.shape[1]))
+    out = np.zeros((lo.size, values.shape[1] // (rows1.shape[0] * rows2.shape[0])))
+    at = np.arange(seq.size)  # the index in values of each element of the split sequence
+    prefix = np.zeros((values.shape[0] + 1, values.shape[1]), order="F")
     for level in reversed(range(max(1, int(seq.max()).bit_length()))):
         bit = (seq >> level) & 1
         zeros = np.concatenate(([0], np.cumsum(1 - bit)))
         split = np.concatenate([np.flatnonzero(bit == 0), np.flatnonzero(bit)])
-        seq, values = seq[split], np.take(values, split, axis=0)
-        z_lo, z_hi = zeros[lo], zeros[hi]
-        take = ((bound >> level) & 1).astype(bool)
-        prefix = _prefix(values)
-        # only the queries that take this level gather its prefix rows
-        sel = np.flatnonzero(take)
-        part = np.take(prefix, z_hi[sel], axis=0)
-        part -= np.take(prefix, z_lo[sel], axis=0)
-        out[sel] += part
-        lo = np.where(take, zeros[-1] + lo - z_lo, z_lo)
-        hi = np.where(take, zeros[-1] + hi - z_hi, z_hi)
+        seq, at = seq[split], at[split]
+        for j in range(values.shape[1]):
+            np.take(values[:, j], at, out=prefix[1:, j], mode="clip")  # in range: "clip" only spares a buffered copy
+        np.cumsum(prefix[1:], axis=0, out=prefix[1:])
+        # only the queries that take this level gather its prefix rows, and
+        # they follow the elements with the bit set, past the zeros
+        sel = np.flatnonzero((bound >> level) & 1)
+        lo_sel, hi_sel = lo[sel], hi[sel]
+        z_lo, z_hi = zeros[lo_sel], zeros[hi_sel]
+        out[sel] += _contract(prefix, z_lo, z_hi, rows1, rows2, sel)
+        lo[:], hi[:] = zeros[lo], zeros[hi]
+        lo[sel], hi[sel] = zeros[-1] + lo_sel - z_lo, zeros[-1] + hi_sel - z_hi
     return out

@@ -101,8 +101,9 @@ _NODES_PER_H0 = 4.0
 # at most this many tensor nodes
 _WORK_BUDGET = 2**33
 _NODE_BUDGET = 2**22
-# rows per block: bounds the kernel matrices to O(block * G) memory
-_BLOCK_ENTRIES = 2**21
+# rows per block: a block's kernel matrices and Khatri-Rao rows hold about
+# this many entries, whatever n is
+_BLOCK_ENTRIES = 2**15
 
 
 def _gauss_kernel(v: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
@@ -166,9 +167,11 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
     prod_{i in mask} beta_i(j, k) equals the integral over the mask box of
     g^(x)^2 / f_mask(x), where g^(x) = (1/n) sum_j u_j prod_i K_{h0_i}(V_ij - x_i)
     and u_j is Y_j times the closed-form off-mask kernel masses.  The
-    integral is taken on a tensor Gauss grid at O(n prod G_i) time and
-    O(n G) memory.  target_printed is the paper's half-open sum
-    (1/n^2) sum_{j <= k}, i.e. (target + diagonal) / 2 on the same nodes.
+    integral is taken on a tensor Gauss grid at O(n prod G_i) time, in row
+    blocks of about _BLOCK_ENTRIES kernel values, so beside the prod G_i
+    values of g^ the memory does not grow with n.  target_printed is the
+    paper's half-open sum (1/n^2) sum_{j <= k}, i.e. (target + diagonal) / 2
+    on the same nodes.
 
     marginals holds one marginal per input axis.  Raises PilotTargetError,
     naming the axis, when the target is infinite (a Beta mask marginal with
@@ -196,18 +199,22 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
         for i, g in zip(mask, sizes)
     ]
     # g^ is accumulated as (rows of the Khatri-Rao product of all but the
-    # last axis)^T @ (kernel matrix of the last axis), one row block at a time
-    lead = nodes // sizes[-1]
-    step = max(1, _BLOCK_ENTRIES // (lead + sum(sizes)))
-    ghat = np.zeros((lead, sizes[-1]))
+    # last axis)^T @ (kernel matrix of the last axis), one row block at a
+    # time; with three or more axes, one node of the first axis at a time,
+    # so that a small block still makes gemms of many rows
+    outer = sizes[0] if len(sizes) > 2 else 1
+    ghat = np.zeros((outer, nodes // (outer * sizes[-1]), sizes[-1]))
+    step = max(1, _BLOCK_ENTRIES // (sum(sizes) + ghat.shape[1]))
     diag = 0.0
     for s in range(0, n, step):
         rows = slice(s, min(s + step, n))
         mats = [_gauss_kernel(v[rows, i], h0[i], x) for i, (x, _) in zip(mask, rules)]
-        kr = u[rows, None]
-        for mat in mats[:-1]:
-            kr = (kr[:, :, None] * mat[:, None, :]).reshape(kr.shape[0], -1)
-        ghat += kr.T @ mats[-1]
+        first, middle = (u[rows, None] * mats[0], mats[1:-1]) if outer > 1 else (u[rows, None], mats[:-1])
+        for node in range(outer):
+            kr = first[:, node, None]
+            for mat in middle:
+                kr = (kr[:, :, None] * mat[:, None, :]).reshape(kr.shape[0], -1)
+            ghat[node] += kr.T @ mats[-1]
         self_terms = u[rows] ** 2
         for mat, (_, wf) in zip(mats, rules):
             self_terms = self_terms * (mat**2 @ wf)
@@ -337,8 +344,7 @@ def bandwidth_curve(
     if h0 is None:
         h0 = rule_of_thumb_h0(sample)
     target, target_printed = pilot_target(sample, spec, h0, marginals)
-    y_virtual = virtual_outputs(sample, h0, marginals)
-    sample_virtual = FullSample(V=sample.V, Y=y_virtual)
+    sample_virtual = FullSample(V=sample.V, Y=virtual_outputs(sample, h0, marginals))
     values = np.abs(np.array(_t_values(sample_virtual, spec, kernel, grid, f_x, domain)) - target)
     idx = int(np.argmin(values))  # first minimum = smallest h on an ascending grid
     return {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "limiting_variance_nn",
     "limiting_variance_t",
     "limiting_variance_sobol_centered",
+    "limiting_variances",
 ]
 
 
@@ -213,16 +215,28 @@ class VarianceOracles:
     """The output and the closed-form conditional moments on a tensor quadrature rule.
 
     y, g1 and g2 hold Y, E[Y | X] and E[Y^2 | X] at the nodes, one array
-    axis per input; g1 and g2 have size 1 off the mask.  The weights, which
-    carry the joint density, are the product in order of the `weights`
-    factors, each along one axis: the Gauss weights, then the densities
-    less any that is 1 at every node.  E[phi(Y, X)] sums over `_slabs`.
+    axis per input; g1 and g2 have size 1 off the mask.  On a full mask
+    E[Y | X] = Y, so g1 and g2 are None there and `_slabs` yields Y and
+    Y^2 in their place.  The weights, which carry the joint density, are
+    the product in order of the `weights` factors, each along one axis: the
+    Gauss weights, then the densities less any that is 1 at every node.
+    E[phi(Y, X)] sums over `_slabs`.
     """
 
     y: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
+    g1: Optional[np.ndarray]
+    g2: Optional[np.ndarray]
     weights: tuple
+
+
+def _nn_rows(y, g1, g2) -> tuple:
+    return g1 * g1, g2
+
+
+def _nn_variance(means, second) -> float:
+    e_g1_sq = means[0]
+    e_g1_4, e_g2_g1sq, e_g2_sq = second[0, 0], second[0, 1], second[1, 1]
+    return float(2.0 * (e_g2_sq - e_g1_sq * e_g1_sq + 0.5 * (e_g2_g1sq - e_g1_4)))
 
 
 def limiting_variance_nn(oracles: VarianceOracles) -> float:
@@ -231,9 +245,7 @@ def limiting_variance_nn(oracles: VarianceOracles) -> float:
     sigma_D^2 = 2( E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4]) / 2 ),
     from the moments of the rows (g1^2, g2).
     """
-    (e_g1_sq, _), second = _population_moments(oracles, lambda y, g1, g2: (g1 * g1, g2))
-    e_g1_4, e_g2_g1sq, e_g2_sq = second[0, 0], second[0, 1], second[1, 1]
-    return float(2.0 * (e_g2_sq - e_g1_sq * e_g1_sq + 0.5 * (e_g2_g1sq - e_g1_4)))
+    return _nn_variance(*_population_moments(oracles, _nn_rows)[0])
 
 
 # nodes per slab of the rule (one leading-axis index when p = 3): no temporary
@@ -246,51 +258,64 @@ def _slabs(oracles: VarianceOracles):
 
     The weights, flat, multiply the factors in the order of the whole
     rule's product, from 1, so they keep its bits.  y has the slab's shape,
-    and g1 and g2 broadcast to it.
+    and g1 and g2 broadcast to it; on a full mask they are y and y * y.
     """
     m = oracles.y.shape[0]
     step = _SLAB * m // oracles.y.size  # leading-axis indices per slab
+    stored = (oracles.g1, oracles.g2) if oracles.g1 is not None else ()
     for start in range(0, m, step):
-        parts = (oracles.y, oracles.g1, oracles.g2, *oracles.weights)
+        parts = (oracles.y, *stored, *oracles.weights)
         on_slab = [a[start : start + step] if a.shape[0] > 1 else a for a in parts]
-        yield (math.prod(on_slab[3:]).ravel(), *on_slab[:3])
+        y = on_slab[0]
+        g1, g2 = on_slab[1:3] if stored else (y, y * y)
+        yield math.prod(on_slab[1 + len(stored) :]).ravel(), y, g1, g2
 
 
-def _population_moments(oracles: VarianceOracles, rows) -> tuple:
-    """(means, second moments E[r_i r_j]) of the rows over the quadrature rule.
+def _population_moments(oracles: VarianceOracles, *row_maps) -> list:
+    """[(means, second moments E[r_i r_j])] of the rows of each map, over the quadrature rule.
 
-    rows(y, g1, g2) maps the oracle arrays on a slab to the rows there.
-    Every moment is summed in one pass over the slabs of `_slabs`, so the
-    sums do not depend on the BLAS thread count.
+    Each map rows(y, g1, g2) takes the oracle arrays on a slab to its rows
+    there.  All maps are summed in one walk over the slabs of `_slabs`, and
+    each moment slab after slab, so the sums depend neither on the BLAS
+    thread count nor on the other maps of the walk.
     """
-    means, second = 0.0, 0.0
+    sums = [(0.0, 0.0)] * len(row_maps)
     for w, y, g1, g2 in _slabs(oracles):
-        # contiguous rows: BLAS sums a stride-0 broadcast in another order
-        r = [np.broadcast_to(ri, y.shape).ravel() for ri in rows(y, g1, g2)]
-        means = means + np.array([w @ ri for ri in r])
-        second = second + np.array([[w @ (ri * rj) for rj in r] for ri in r])
-    return means, second
+        for i, rows in enumerate(row_maps):
+            # contiguous rows: BLAS sums a stride-0 broadcast in another order
+            r = [np.broadcast_to(ri, y.shape).ravel() for ri in rows(y, g1, g2)]
+            means, second = sums[i]
+            sums[i] = (means + np.array([w @ ri for ri in r]), second + np.array([[w @ (ri * rj) for rj in r] for ri in r]))
+    return sums
+
+
+def _covariance(means, second) -> tuple:
+    """(means, Gamma) from the first and second moments of `_population_moments`."""
+    return [float(m) for m in means], second - np.outer(means, means)
 
 
 def _population_covariance(oracles: VarianceOracles, rows) -> tuple:
     """(means, Gamma) of the influence rows; rows as in `_population_moments`."""
-    means, second = _population_moments(oracles, rows)
-    return [float(m) for m in means], second - np.outer(means, means)
+    return _covariance(*_population_moments(oracles, rows)[0])
 
 
-def _population_ratio_covariance(oracles: VarianceOracles, shift: float) -> tuple:
-    """(Gamma, Var(S)) at population moments, the output shifted to Y - shift.
-
-    Gamma is the covariance of the rows (2 Y_s g1_s(X), Y_s, Y_s^2) of
-    Y_s = Y - shift, g1_s = g1 - shift, and Var(S) the estimator's own
-    delta-method rule `_ratio_covariance` on it.
-    """
+def _ratio_rows(shift: float):
+    """The rows (2 Y_s g1_s(X), Y_s, Y_s^2) of Y_s = Y - shift, g1_s = g1 - shift."""
 
     def rows(y, g1, g2):
         y_s = y - shift
         return 2.0 * y_s * (g1 - shift), y_s, y_s * y_s
 
-    means, gamma = _population_covariance(oracles, rows)
+    return rows
+
+
+def _ratio_covariance_at(means, second) -> tuple:
+    """(Gamma, Var(S)) from the moments of `_ratio_rows`.
+
+    Gamma is the covariance of the rows and Var(S) the estimator's own
+    delta-method rule `_ratio_covariance` on it.
+    """
+    means, gamma = _covariance(means, second)
     m, v = means[1], gamma[1, 1]
     if v <= 0.0:
         raise DegenerateOutputError("Var(Y) must be positive")
@@ -298,12 +323,16 @@ def _population_ratio_covariance(oracles: VarianceOracles, shift: float) -> tupl
     return gamma, float(_ratio_covariance(gamma, sobol, m, v)[0, 0])
 
 
+def _mean_y(oracles: VarianceOracles) -> float:
+    return float(_population_moments(oracles, lambda y, g1, g2: (y,))[0][0][0])
+
+
 def limiting_variance_t(oracles: VarianceOracles) -> float:
     """4 tau^2 = 4 Var(Y g1(X)), the limiting variance of the kernel U-statistic of t.
 
     It is Gamma[0, 0], the variance of the influence row 2Y g1(X).
     """
-    return float(_population_ratio_covariance(oracles, 0.0)[0][0, 0])
+    return float(_ratio_covariance_at(*_population_moments(oracles, _ratio_rows(0.0))[0])[0][0, 0])
 
 
 def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:
@@ -313,5 +342,14 @@ def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:
     population ratio unchanged but shrinks the delta-method variance;
     this is the limit the shipped `estimate_sobol` attains.
     """
-    mean_y = float(_population_moments(oracles, lambda y, g1, g2: (y,))[0][0])
-    return _population_ratio_covariance(oracles, mean_y)[1]
+    return _ratio_covariance_at(*_population_moments(oracles, _ratio_rows(_mean_y(oracles)))[0])[1]
+
+
+def limiting_variances(oracles: VarianceOracles) -> tuple:
+    """(limiting_variance_t, limiting_variance_sobol_centered, limiting_variance_nn), bit for bit.
+
+    Two walks over the rule serve all three: one for E[Y], then one for
+    the rows of every variance.
+    """
+    t, centered, nn = _population_moments(oracles, _ratio_rows(0.0), _ratio_rows(_mean_y(oracles)), _nn_rows)
+    return float(_ratio_covariance_at(*t)[0][0, 0]), _ratio_covariance_at(*centered)[1], _nn_variance(*nn)

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .bandwidth import bandwidth_curve
-from .baselines import limiting_variance_nn, limiting_variance_sobol_centered, limiting_variance_t
+from .baselines import limiting_variances
 from .density import beta_moment_estimator, mirror_kde, uniform_max_estimator
 from .domain import Domain
 from .errors import MirrorSobolError
@@ -541,18 +541,20 @@ def _cmd_coverage(config: RunConfig) -> str:
     return _write_text(_output_path(config), _csv_artifact(config, _STUDY_COLUMNS, out["rows"]))
 
 
-# the limiting variance of each compare row: the shipped Sobol' estimator
-# centers the output first, and no CLT constant is claimed for pf and rank
-_LIMITING_VARIANCES = {"kernel_t": limiting_variance_t, "kernel_sobol": limiting_variance_sobol_centered, "nn_t": limiting_variance_nn}
+# the compare rows of the three `limiting_variances`, in order: the shipped
+# Sobol' estimator centers the output first, and no CLT constant is claimed
+# for pf and rank
+_LIMITING_VARIANCE_ROWS = ("kernel_t", "kernel_sobol", "nn_t")
 
 
 def _cmd_compare(config: RunConfig) -> str:
     plan = _build_plan(config, (config.n,))
     rows = convergence_study(plan)["rows"]
-    oracles = variance_oracles(plan.model, plan.mask) if {"kernel", "nn"} & set(plan.estimators) else None
+    limits = {}
+    if {"kernel", "nn"} & set(plan.estimators):
+        limits = dict(zip(_LIMITING_VARIANCE_ROWS, limiting_variances(variance_oracles(plan.model, plan.mask))))
     for row in rows:
-        limit = _LIMITING_VARIANCES.get(row["estimator"])
-        row["limiting_variance"] = limit(oracles) if limit else ""
+        row["limiting_variance"] = limits.get(row["estimator"], "")
     return _write_text(_output_path(config), _csv_artifact(config, _COMPARE_COLUMNS, rows))
 
 

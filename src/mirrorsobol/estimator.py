@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._window import window_sums
+from ._window import window_sums, window_sums_by_bandwidth
 from .domain import Domain, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
@@ -228,10 +228,15 @@ def estimate_t(
 def _t_values(sample: FullSample, spec: SubsetSpec, kernel: KernelD, hs, f_x, domain) -> list:
     """estimate_t at each bandwidth of the ascending sequence hs, from one pass of window sums."""
     xm, fvals, sub = _prepare(sample, spec, hs[-1], f_x, domain)
-    u = sample.Y / fvals
     n = sample.n
-    sums = window_sums(xm, sample.Y[:, None], kernel, hs, sub)
-    return [math.fsum((u * g[:, 0]).tolist()) / (n * (n - 1)) for g in sums]
+    order, blocks = window_sums_by_bandwidth(xm, sample.Y[:, None], kernel, hs, sub)
+    u = (sample.Y / fvals)[order]  # fsum is exact, so the row order of its terms is free
+    t = [0.0] * len(hs)
+    for js, sums in blocks:
+        for j, g in zip(js, sums):
+            t[j] = math.fsum((u * g[:, 0]).tolist()) / (n * (n - 1))
+        del sums, g  # one block at a time: the next one's work need not hold it
+    return t
 
 
 # --------------------------------------------------------------------------

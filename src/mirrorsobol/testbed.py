@@ -366,7 +366,8 @@ def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
     inputs are refused, since the rule holds 64^p nodes.  Only Y is stored on
     the rule, evaluated in slabs of 4096 nodes; the weights are stored per
     axis, and g1 and g2 on the 64^d nodes of the masked axes, where
-    g2 >= g1^2 is checked before Y is evaluated.
+    g2 >= g1^2 is checked before Y is evaluated.  On a full mask g1 = Y and
+    g2 = Y^2, and neither is stored.
     """
     key = tuple(sorted(int(i) for i in mask))
     p = model.p
@@ -379,20 +380,21 @@ def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
         raise MirrorSobolError(f"mask {key} is out of range for model {model.name!r} with p = {p} inputs")
     marginals = model.input_model.marginals
     axes = [gauss_legendre(_GL_NODES, *m.support) for m in marginals]
-    mask_nodes = [axes[i][0] for i in key]
-    g1 = _on_tensor_grid(lambda xm: model.g1(key, xm), mask_nodes)
-    g2 = _on_tensor_grid(lambda xm: model.g2(key, xm), mask_nodes)
-    gap = g1 * g1  # one temporary: on a full mask it has the size of the rule
-    np.subtract(g2, gap, out=gap)
-    low, high = float(np.min(gap)), float(np.max(gap))
-    if low < -1e-8 * max(1.0, -low, high):
-        raise MirrorSobolError(f"conditional variance negative for model {model.name!r}, mask {key}: min gap {low}")
-    del gap
-    shape = [_GL_NODES if i in key else 1 for i in range(p)]
+    g1 = g2 = None  # on a full mask E[Y | X] = Y, and `baselines._slabs` uses Y
+    if len(key) < p:
+        mask_nodes = [axes[i][0] for i in key]
+        g1 = _on_tensor_grid(lambda xm: model.g1(key, xm), mask_nodes)
+        g2 = _on_tensor_grid(lambda xm: model.g2(key, xm), mask_nodes)
+        gap = g2 - g1 * g1
+        low, high = float(np.min(gap)), float(np.max(gap))
+        if low < -1e-8 * max(1.0, -low, high):
+            raise MirrorSobolError(f"conditional variance negative for model {model.name!r}, mask {key}: min gap {low}")
+        shape = [_GL_NODES if i in key else 1 for i in range(p)]
+        g1, g2 = g1.reshape(shape), g2.reshape(shape)
     pdf = [_along(marg.pdf(x), axis, p) for axis, (marg, (x, _)) in enumerate(zip(marginals, axes))]
     weights = [_along(w, axis, p) for axis, (_, w) in enumerate(axes)] + [f for f in pdf if np.any(f != 1.0)]
     y = _on_tensor_grid(model.g, [x for x, _ in axes])
-    return VarianceOracles(y, g1.reshape(shape), g2.reshape(shape), tuple(weights))
+    return VarianceOracles(y, g1, g2, tuple(weights))
 
 
 def _on_tensor_grid(fn, nodes) -> np.ndarray:

@@ -662,3 +662,14 @@ def test_curve_lists_pairs_once_within_the_memory_of_one_call_per_bandwidth(monk
     assert curve_peak <= loop_peak, (curve_peak, loop_peak)
     monkeypatch.setattr(_window, "_PAIR_BUDGET", 64)
     assert bandwidth_curve(s, spec, kern, im) == out
+
+
+def test_target_working_set_does_not_grow_with_n():
+    # row blocks of about 2^15 kernel values: at n = 10^4 the 80 x 80 nodes
+    # of product (0, 1) hold a 50 KiB g^, and no array grows with n but the
+    # O(n) inputs (blocks of 2^21 values peaked at 21.6 MiB)
+    model = product_model()
+    s = model.draw(10_000, seed=0)
+    h0 = rule_of_thumb_h0(s)
+    peak = _peak_mib(lambda: pilot_target(s, SubsetSpec(mask=(0, 1)), h0, model.input_model.marginals))
+    assert peak <= 2.0, f"pilot target peaked at {peak:.2f} MiB"

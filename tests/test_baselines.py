@@ -1,5 +1,6 @@
 """Tests for the baseline estimators and limiting-variance evaluators."""
 
+import csv
 import math
 import tracemalloc
 
@@ -20,10 +21,12 @@ from mirrorsobol.baselines import (
     limiting_variance_nn,
     limiting_variance_sobol_centered,
     limiting_variance_t,
+    limiting_variances,
     nn_estimate,
     pick_freeze_estimate,
     rank_estimate,
 )
+from mirrorsobol.cli import RunConfig, run
 from mirrorsobol.errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
 from mirrorsobol.estimator import _ratio_covariance
 from mirrorsobol.testbed import (
@@ -455,8 +458,8 @@ def test_slab_limiting_variances_match_the_full_array_formulas(model):
 
 @pytest.mark.parametrize("mask", [(0,), (0, 1, 2)])
 def test_oracles_and_limiting_variances_hold_no_full_size_temporary(mask):
-    # the four stored arrays of linear3 take 8 MiB; a full-size temporary
-    # row would add 2 MiB, a (64^3, 3) node array 6 MiB
+    # Y, the one array stored on the rule of linear3, takes 2 MiB; a
+    # full-size temporary row would add 2 MiB, a (64^3, 3) node array 6 MiB
     tracemalloc.start()
     try:
         orc = variance_oracles(linear_model(3), mask)
@@ -470,11 +473,11 @@ def test_oracles_and_limiting_variances_hold_no_full_size_temporary(mask):
     assert variances <= 10 * 2**20, f"limiting variances peaked at {variances / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("mask, bound_mib", [((0,), 3), ((0, 1, 2), 7)])
+@pytest.mark.parametrize("mask, bound_mib", [((0,), 3), ((0, 1, 2), 3)])
 def test_oracles_store_y_alone_on_the_rule(mask, bound_mib):
     # Y takes 2 MiB on the 64^3 rule of linear3; the weights are rebuilt per
-    # slab, and g1, g2 live on the 64^d mask nodes, which on the full mask
-    # are the rule's 64^3 nodes (4 MiB more)
+    # slab, and g1, g2 live on the 64^d mask nodes, or, on the full mask,
+    # are Y and Y^2 slab by slab
     tracemalloc.start()
     try:
         orc = variance_oracles(linear_model(3), mask)
@@ -486,6 +489,31 @@ def test_oracles_store_y_alone_on_the_rule(mask, bound_mib):
         tracemalloc.stop()
     assert build <= bound_mib * 2**20, f"oracle build peaked at {build / 2**20:.2f} MiB"
     assert variances <= bound_mib * 2**20, f"limiting variances peaked at {variances / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("mask", [(0,), (0, 2), (0, 1, 2)])
+def test_compare_walks_the_rule_twice_for_its_three_limiting_variances(mask, monkeypatch, tmp_path):
+    # one walk for E[Y], one for the rows of all three variances; each keeps
+    # the bits of its own function, which walks the rule for itself
+    orc = variance_oracles(ishigami_model(), mask)
+    want = (limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc))
+    walks = []
+    slabs = baselines._slabs
+
+    def counting(oracles):
+        walks.append(oracles)
+        return slabs(oracles)
+
+    monkeypatch.setattr(baselines, "_slabs", counting)
+    assert limiting_variances(orc) == want
+    assert len(walks) == 2
+    walks.clear()
+    out = tmp_path / "compare.csv"
+    config = RunConfig(command="compare", model="ishigami", n=50, mask=tuple(i + 1 for i in mask), h=0.5, seeds=1, estimators=("kernel", "nn"), output=str(out))
+    assert run(config) == 0
+    assert len(walks) == 2
+    cells = {row["estimator"]: float(row["limiting_variance"]) for row in csv.DictReader(line for line in open(out) if not line.startswith("#"))}
+    assert (cells["kernel_t"], cells["kernel_sobol"], cells["nn_t"]) == want
 
 
 def test_kernel_and_pf_agree_on_product_model():

@@ -438,13 +438,13 @@ def test_range_moments_1d_reach_a_third_cell(middle, reps, monkeypatch):
     fs = FullSample(V=v[:, None], Y=np.linspace(1.0, 2.0, v.size))
     spec = SubsetSpec((0,))
     anchors_per_pass = []
-    shift_into = _window._shift_into
+    kernel_rows = _window._kernel_rows
 
-    def recording(out, d, delta, binom):
+    def recording(coeffs, ratio, delta):
         anchors_per_pass.append(delta.size)
-        shift_into(out, d, delta, binom)
+        return kernel_rows(coeffs, ratio, delta)
 
-    monkeypatch.setattr(_window, "_shift_into", recording)
+    monkeypatch.setattr(_window, "_kernel_rows", recording)
     monkeypatch.setattr(_window, "_grid_sums", None)
     for order in (0, 2):
         kernel = build_kernel(order)
@@ -458,8 +458,8 @@ def test_range_moments_1d_reach_a_third_cell(middle, reps, monkeypatch):
 
 
 def test_range_moments_2d_columns_are_bit_equal_to_one_column_calls():
-    # every moment, prefix sum and shift is taken column by column, so a
-    # second weight column changes no bit of the first
+    # every moment, prefix sum and contraction is taken column by column, so
+    # a second weight column changes no bit of the first
     rng = np.random.default_rng(5)
     x = rng.random((700, 2))
     x[:100] = x[100:200]
@@ -732,12 +732,86 @@ def test_wavelet_sums_gather_only_the_levels_each_query_takes():
             hi = np.where(take, zeros[-1] + hi - z_hi, z_hi)
         return out
 
-    got = _window._wavelet_sums(seq, values, lo, hi, bound)
+    # kernel rows of one order-0 term, all ones, contract each gathered row
+    # to itself; the descent overwrites its copies of lo and hi
+    ones = np.ones((1, lo.size))
+    got = _window._wavelet_sums(seq, values, lo.copy(), hi.copy(), bound, ones, ones)
     assert np.array_equal(got, every_query(seq, values, lo, hi, bound))
     for q in range(lo.size):
         sel = np.arange(lo[q], hi[q])
         want = values[sel[seq[sel] < bound[q]]].sum(axis=0)
         assert np.allclose(got[q], want, rtol=0.0, atol=1e-12), q
+
+
+@st.composite
+def _moment_cases_2d(draw):
+    """A 2-D window case for range moments: ties, box edges, mirror midpoints, dyadic points, h up to the mirror limit."""
+    lo = np.array([draw(st.sampled_from([0.0, -1.0, 0.5, 1e6])) for _ in range(2)])
+    width = np.array([draw(st.sampled_from([1.0, 2.0])) for _ in range(2)])
+    hi = lo + width
+    limit = float(width.min())
+    h = draw(st.one_of(st.sampled_from([0.25, 0.5 * limit, limit]), st.floats(0.02, 1.0).map(lambda f: f * limit)))
+
+    def coord(i):
+        dyadic = lo[i] + draw(st.integers(0, 8 * int(width[i]))) / 8.0
+        return draw(st.one_of(st.sampled_from([lo[i], hi[i], 0.5 * (lo[i] + hi[i]), dyadic]), st.floats(lo[i], hi[i])))
+
+    pool = [[coord(0), coord(1)] for _ in range(draw(st.integers(1, 10)))]
+    rows = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(draw(st.integers(2, 16)))])
+    y = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(rows.shape[0])])
+    return rows, y, _ORDERS[draw(st.integers(0, 4))], h, InputModel(tuple(Uniform(a, b) for a, b in zip(lo, hi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moment_cases_2d())
+@example((np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.5], [1.0, 1.0]]), np.array([1.0, -2.0, 0.5, 1.5]), _ORDERS[4], 1.0, UNIT2))
+def test_forced_2d_range_moments_match_brute_force(case):
+    # every bandwidth takes range moments, however few pairs its windows hold
+    rows, y, kernel, h, model = case
+    fs = FullSample(V=rows, Y=y)
+    spec = SubsetSpec((0, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_moments_pay", lambda *args: True)
+        mp.setattr(_window, "_grid_sums", None)
+        t_fast = estimate_t(fs, spec, kernel, h, model)
+    t_ref = brute_force_t(fs, spec, kernel, h, model)
+    tol = 1e-12 * max(abs(t_ref), _moment_scale(rows, y, kernel, h, model)) + _underflow(y.size, kernel, h, model)
+    assert abs(t_fast - t_ref) <= tol, f"range moments {t_fast!r} vs brute force {t_ref!r} (h={h})"
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_range_moments_2d_hold_no_query_by_moment_array():
+    # n = 10^4 at h = 0.3 makes about 4.4 queries per point; two weight
+    # columns of 9 moments each were 36 MiB as (query, moment) arrays, and
+    # the moments with their prefix sums are about 3 MiB
+    m = product_model()
+    fs = m.draw(10_000, seed=0)
+    w = np.column_stack([fs.Y, fs.Y - fs.Y.mean()])
+    kernel = build_kernel(2)
+    peak = _peak_mib(lambda: _window._moment_sums_2d(fs.V, w, kernel.coeffs, kernel.support, 0.3, UNIT2.domain))
+    assert peak <= 12.0, f"range moments peaked at {peak:.2f} MiB"
+
+
+def test_grid_call_at_one_bandwidth_keeps_blocks_small():
+    # the final estimate of product (0, 1) at n = 2000, seed 0: the grid
+    # serves its h, with two weight columns; blocks of 2^16 candidate pairs
+    # peaked at 3.9 MiB
+    m = product_model()
+    fs = m.draw(2000, seed=0)
+    h = 0.1778279410038923
+    kernel = build_kernel(2)
+    assert not _takes_moments(fs.V, kernel, h, UNIT2.domain)
+    w = np.column_stack([fs.Y, fs.Y - fs.Y.mean()])
+    peak = _peak_mib(lambda: window_sums(fs.V, w, kernel, [h], UNIT2.domain))
+    assert peak <= 2.0, f"grid call peaked at {peak:.2f} MiB"
 
 
 def _check_tied_rows(model):
