@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._quad import gauss_legendre
 from .domain import Domain, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
@@ -94,7 +95,7 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
 # Jacobi rule of thousands of nodes loses digits near the ends of the
 # support, and drifts as G grows); this resolves the squared Gaussian bumps
 # of the pilot regressor to ~1e-14
-_PANEL_T, _PANEL_W = np.polynomial.legendre.leggauss(16)
+_PANEL = 16
 _NODES_PER_H0 = 4.0
 # one pilot target may cost at most this many kernel products n * prod(G_i)
 # (every mask of size <= 3 at n = 1e4 with rule-of-thumb h0 fits) and hold
@@ -118,10 +119,8 @@ def _legendre_rule(marginal, g: int):
     strictly inside its panel.
     """
     a, b = marginal.support
-    edges = np.linspace(a, b, g // _PANEL_T.size + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    x = (edges[:-1, None] + half * (_PANEL_T + 1.0)).ravel()
-    w = (half * _PANEL_W).ravel()
+    edges = np.linspace(a, b, g // _PANEL + 1)[:, None]
+    x, w = (arr.ravel() for arr in gauss_legendre(_PANEL, edges[:-1], edges[1:]))
     return x, w / marginal.pdf(x)
 
 
@@ -135,13 +134,13 @@ def _beta_rule(marginal, g: int):
     from scipy import special
 
     ea, eb = 1.0 - marginal.a, 1.0 - marginal.b
-    x, wf = (arr.reshape(-1, _PANEL_T.size) for arr in _legendre_rule(marginal, g))
+    x, wf = (arr.reshape(-1, _PANEL) for arr in _legendre_rule(marginal, g))
     half = 0.5 / x.shape[0]
     scale = special.beta(marginal.a, marginal.b)
-    t, w = special.roots_jacobi(_PANEL_T.size, 0.0, ea)
+    t, w = special.roots_jacobi(_PANEL, 0.0, ea)
     x[0] = half * (1.0 + t)
     wf[0] = scale * half ** (1.0 + ea) * w * (1.0 - x[0]) ** eb
-    t, w = special.roots_jacobi(_PANEL_T.size, eb, 0.0)
+    t, w = special.roots_jacobi(_PANEL, eb, 0.0)
     x[-1] = 1.0 - half * (1.0 - t)
     wf[-1] = scale * half ** (1.0 + eb) * w * x[-1] ** ea
     return x.ravel(), wf.ravel()
@@ -156,8 +155,8 @@ def _node_count(axis: int, h0_i: float, marginal) -> int:
             "set the bandwidth with --h or --rule instead of --auto",
         )
     a, b = marginal.support
-    panels = max(2, math.ceil(_NODES_PER_H0 * (b - a) / (_PANEL_T.size * h0_i)))
-    return panels * _PANEL_T.size
+    panels = max(2, math.ceil(_NODES_PER_H0 * (b - a) / (_PANEL * h0_i)))
+    return panels * _PANEL
 
 
 def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:

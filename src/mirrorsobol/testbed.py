@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -461,12 +461,33 @@ class ExperimentPlan:
 
 
 def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int) -> list:
-    """Evaluate fn on every seed; results ordered by seed index regardless of threads."""
+    """Evaluate fn on every seed; results ordered by seed index regardless of threads.
+
+    The calling thread and min(threads, len(seeds)) - 1 helper threads take
+    the seeds in turn.  A worker stops at its first error; once all are
+    done, the error of the lowest failing seed is raised.
+    """
     workers = min(threads, len(seeds))
     if workers <= 1:
         return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
+    results, errors = [None] * len(seeds), {}
+
+    def work(first: int) -> None:
+        try:
+            for i in range(first, len(seeds), workers):
+                results[i] = fn(seeds[i])
+        except BaseException as exc:  # raised on the calling thread below
+            errors[i] = exc
+
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _seed_runner(plan: ExperimentPlan, estimators) -> Callable[[int, float], list]:

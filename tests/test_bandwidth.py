@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import norm
 
 from mirrorsobol import _window, bandwidth
@@ -83,8 +83,13 @@ def test_rule_of_thumb_constant_column_errors():
 def _pair_table(v, h0_i, marginal):
     """beta(j, k): integral of K_h0(v_j - x) K_h0(v_k - x) / f(x) over the support.
 
-    Uniform marginals use the exact Gaussian closed form; anything else goes
-    through adaptive quadrature, one call per pair.
+    Uniform marginals use the exact Gaussian closed form.  A Beta(p, q)
+    marginal has 1/f = B(p, q) x^(1-p) (1-x)^(1-q): the integral is split at
+    the two kernel centres, and each end piece goes to quad with its
+    singular factor as the algebraic weight (QUADPACK's QAWS), one call per
+    piece.  Plain quad over the whole support, 1/f in the integrand, missed
+    a narrow bump beside a singular end by 8e-9 with an error estimate of
+    9e-12 and no warning.
     """
     a, b = marginal.support
     if isinstance(marginal, Uniform):
@@ -93,19 +98,23 @@ def _pair_table(v, h0_i, marginal):
         s = h0_i / math.sqrt(2)
         gauss = norm.pdf(diff / (math.sqrt(2) * h0_i)) / (math.sqrt(2) * h0_i)
         return (b - a) * gauss * (norm.cdf((b - mid) / s) - norm.cdf((a - mid) / s))
-
-    def integrand(x, vj, vk):
-        f = float(marginal.pdf(np.array([x]))[0])
-        if f <= 0.0:
-            return 0.0
-        return norm.pdf(vj - x, scale=h0_i) * norm.pdf(vk - x, scale=h0_i) / f
-
+    assert isinstance(marginal, Beta) and (a, b) == (0.0, 1.0)
+    ea, eb = 1.0 - marginal.a, 1.0 - marginal.b
+    norm_const = special.beta(marginal.a, marginal.b)
+    tol = dict(epsabs=1e-14, epsrel=1e-11, limit=200)
     n = v.shape[0]
     out = np.empty((n, n))
     for j in range(n):
         for k in range(j, n):
-            val, _ = integrate.quad(integrand, a, b, args=(v[j], v[k]), epsabs=1e-14, epsrel=1e-11, limit=200)
-            out[j, k] = out[k, j] = val
+            lo, hi = sorted((v[j], v[k]))
+
+            def bumps(x):
+                return norm_const * norm.pdf(v[j] - x, scale=h0_i) * norm.pdf(v[k] - x, scale=h0_i)
+
+            left = integrate.quad(lambda x: bumps(x) * (1.0 - x) ** eb, 0.0, lo, weight="alg", wvar=(ea, 0.0), **tol)
+            middle = integrate.quad(lambda x: bumps(x) * x**ea * (1.0 - x) ** eb, lo, hi, **tol)
+            right = integrate.quad(lambda x: bumps(x) * x**ea, hi, 1.0, weight="alg", wvar=(0.0, eb), **tol)
+            out[j, k] = out[k, j] = left[0] + middle[0] + right[0]
     return out
 
 
@@ -289,6 +298,8 @@ def test_target_uniform_matches_pair_sum_oracle(case):
     _assert_matches_oracle(sample, mask, h0, marginals, rtol=1e-12)
 
 
+# an oracle value that quad warns about is of unknown accuracy
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 @settings(max_examples=12, deadline=None)
 @given(
     a=st.floats(0.6, 1.9),
@@ -297,6 +308,7 @@ def test_target_uniform_matches_pair_sum_oracle(case):
     n=st.integers(2, 5),
     seed=st.integers(0, 2**16),
 )
+@example(a=1.188618137445915, b=0.6, both=False, n=2, seed=54)
 def test_target_beta_matches_pair_sum_oracle(a, b, both, n, seed):
     rng = np.random.default_rng(seed)
     marginals = [Beta(a, b), Beta(b, a) if both else Uniform(0.0, 1.0)]
@@ -662,6 +674,26 @@ def test_curve_lists_pairs_once_within_the_memory_of_one_call_per_bandwidth(monk
     assert curve_peak <= loop_peak, (curve_peak, loop_peak)
     monkeypatch.setattr(_window, "_PAIR_BUDGET", 64)
     assert bandwidth_curve(s, spec, kern, im) == out
+
+
+def test_curve_grid_listing_peaks_within_one_single_bandwidth_call():
+    # the grid phase of the auto-2d curve alone: one window_sums call on the
+    # bandwidths that take the grid shares a listing in half-size blocks, so
+    # it holds no more than the largest of those bandwidths taken one call
+    # each; the virtual sample is built before either is measured
+    model = product_model()
+    s = model.draw(2000, seed=0)
+    kern, im = build_kernel(2), model.input_model
+    sub = im.domain.subdomain((0, 1))
+    x, y = s.V[:, [0, 1]], virtual_outputs(s, rule_of_thumb_h0(s), im.marginals)[:, None]
+    order = _window._stable_order(*y.T[::-1], *x.T[::-1])
+    tied = np.all(x[order[1:]] == x[order[:-1]], axis=1)
+    side = kern.support[1] - kern.support[0]
+    hs = [h for h in default_grid(s.n, sub) if not _window._moments_pay(tied, side * h, sub)]
+    assert len(hs) == 13, hs
+    shared = _peak_mib(lambda: _window.window_sums(x, y, kern, hs, sub))
+    single = max(_peak_mib(lambda: _window.window_sums(x, y, kern, [h], sub)) for h in hs)
+    assert shared <= single, (shared, single)
 
 
 def test_target_working_set_does_not_grow_with_n():

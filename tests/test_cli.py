@@ -111,10 +111,8 @@ def test_config_errors_name_the_field(over, field):
 
 @pytest.mark.parametrize("threads", [0, -5, 257, 10**6])
 def test_threads_guard_fails_before_any_pool(threads, monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was created")
-
-    monkeypatch.setattr(testbed, "ThreadPoolExecutor", no_pool)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
     before = threading.active_count()
     args = [
         "compare", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2",
@@ -124,7 +122,7 @@ def test_threads_guard_fails_before_any_pool(threads, monkeypatch, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 2, f"an out-of-range thread count must fail at parse time, got exit {code}"
     assert error["field"] == "threads" and "--threads" in error["message"], error
-    assert threading.active_count() == before, "the guard must start no threads"
+    assert started == [] and threading.active_count() == before, "the guard must start no threads"
 
 
 def test_threads_ceiling_is_accepted():
@@ -507,18 +505,24 @@ def test_cli_start_and_coverage_run_leave_scipy_stats_unloaded(tmp_path):
     # importing scipy.stats costs about 0.7 s, and scipy.spatial and
     # scipy.special about 0.5 s: the import and the default paths (1-D and
     # 2-D sums, the pilot, the nearest neighbours in 1-D, the interval) run
-    # on numpy and the standard library; a Beta marginal loads scipy.special
+    # on numpy and the standard library; a Beta marginal loads scipy.special.
+    # The import and a study on two threads load neither concurrent.futures
+    # nor numpy.polynomial, whose Gauss rules only a pilot target uses
     runs = [
-        ["coverage", "--model", "product", "--n", "200", "--mask", "1,2", "--h", "0.3", "--seeds", "3"],
+        ["coverage", "--model", "product", "--n", "200", "--mask", "1,2", "--h", "0.3", "--seeds", "3", "--threads", "2"],
         ["estimate", "--model", "linear3", "--n", "400", "--mask", "1", "--auto"],
         ["coverage", "--model", "product", "--n", "400", "--mask", "1,2", "--h", "0.06", "--seeds", "3"],
         ["compare", "--model", "linear3", "--n", "400", "--mask", "1", "--rule", "1.0", "0.4", "--seeds", "3"]
         + ["--estimators", "kernel,pf,nn,rank"],
     ]
-    lines = ["import sys", "from mirrorsobol import cli", "assert 'scipy' not in sys.modules, 'loaded by the import'"]
+    unused = ("scipy", "concurrent.futures", "numpy.polynomial")
+    lines = ["import sys", "from mirrorsobol import cli"]
+    lines += [f"assert {name!r} not in sys.modules, '{name} loaded by the import'" for name in unused]
     for i, argv in enumerate(runs):
         argv = argv + ["--output", str(tmp_path / f"run{i}.out")]
         lines += [f"assert cli.main({argv!r}) == 0", f"assert 'scipy' not in sys.modules, 'loaded by {argv[0]}'"]
+        if i == 0:
+            lines += [f"assert {name!r} not in sys.modules, '{name} loaded by coverage'" for name in unused[1:]]
     marginals = json.dumps({"marginals": [{"beta": [1.2, 1.4]}, {"uniform": [0, 1]}]})
     beta = ["estimate", "--csv", _beta_csv(tmp_path, 200, (1.2, 1.4)), "--mask", "1", "--h", "0.2"]
     beta += ["--marginals", marginals, "--output", str(tmp_path / "beta.json")]

@@ -1,6 +1,8 @@
 """Tests for the analytic models, oracles, and study drivers."""
 
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -266,17 +268,79 @@ def test_plan_rejects_nonpositive_threads(threads):
 
 
 def test_over_seeds_starts_no_more_workers_than_seeds(monkeypatch):
-    sizes = []
+    started = []
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(testbed, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(threading, "Thread", Recording)
     assert testbed._over_seeds(lambda s: s * s, (3, 1, 2), threads=8) == [9, 1, 4]
     assert testbed._over_seeds(lambda s: -s, (5,), threads=8) == [-5]
-    assert sizes == [3], f"expected one pool of 3 workers, got {sizes}"
+    assert len(started) == 2, f"expected 2 helper threads beside the calling thread, got {len(started)}"
+
+
+def test_over_seeds_runs_seeds_on_the_calling_thread():
+    ran_on = {}
+
+    def fn(s):
+        ran_on[s] = threading.get_ident()
+        return s
+
+    assert testbed._over_seeds(fn, range(4), threads=2) == [0, 1, 2, 3]
+    caller = threading.get_ident()
+    assert ran_on[0] == ran_on[2] == caller, ran_on
+    assert ran_on[1] == ran_on[3] != caller, ran_on
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_over_seeds_keeps_seed_order(threads):
+    # the later seeds finish first
+    seeds = (4, 0, 3, 1, 2)
+
+    def fn(s):
+        time.sleep(0.002 * (5 - s))
+        return (s, s * s)
+
+    assert testbed._over_seeds(fn, seeds, threads=threads) == [(s, s * s) for s in seeds]
+
+
+def test_over_seeds_raises_the_lowest_failing_seed_and_prints_nothing(monkeypatch, capsys):
+    # three workers: the caller fails on seed 3 and a helper on seed 2, both
+    # before the other helper fails on seed 1
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+
+    def fn(s):
+        if s == 1:
+            time.sleep(0.05)
+        if s in (1, 2, 3, 5):
+            raise ValueError(f"seed {s}")
+        return s
+
+    with pytest.raises(ValueError, match="seed 1"):
+        testbed._over_seeds(fn, range(6), threads=3)
+    assert unhandled == [] and capsys.readouterr() == ("", "")
+
+
+def test_over_seeds_under_frequent_thread_switches():
+    # more workers than cores, switching every microsecond: each seed's
+    # slot is written once, by one worker
+    def fn(s):
+        if s % 7 == 3:
+            raise ValueError(f"seed {s}")
+        return [s] * 50
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (5, 8):
+            assert testbed._over_seeds(lambda s: [s] * 50, range(64), threads) == [[s] * 50 for s in range(64)]
+            with pytest.raises(ValueError, match="seed 3"):
+                testbed._over_seeds(fn, range(64), threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_coverage_study_negative_control():
