@@ -1,24 +1,14 @@
-"""Gauss-Legendre rules for the pilot target and the variance oracles, computed on first use."""
+"""Gauss-Legendre rules for the pilot target and the variance oracles."""
 
 from __future__ import annotations
-
-import functools
 
 __all__ = ["gauss_legendre"]
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss(n_nodes: int):
-    """Read-only nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1]."""
-    from numpy.polynomial import legendre
-
-    x, w = legendre.leggauss(n_nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def gauss_legendre(n_nodes: int, a: float, b: float):
     """Nodes and weights of n-point Gauss-Legendre quadrature on [a, b]; (k, 1) ends give k panels."""
-    x, w = _leggauss(int(n_nodes))
+    from numpy.polynomial import legendre  # kept out of `import mirrorsobol.cli`
+
+    x, w = legendre.leggauss(int(n_nodes))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w

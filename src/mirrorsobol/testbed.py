@@ -467,9 +467,7 @@ def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int)
     the seeds in turn.  A worker stops at its first error; once all are
     done, the error of the lowest failing seed is raised.
     """
-    workers = min(threads, len(seeds))
-    if workers <= 1:
-        return [fn(s) for s in seeds]
+    workers = max(1, min(threads, len(seeds)))
     results, errors = [None] * len(seeds), {}
 
     def work(first: int) -> None:
