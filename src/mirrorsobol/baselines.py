@@ -2,9 +2,9 @@
 
 The baselines carry their own standard formulas and are validated against
 analytic models only.  The three limiting variances are those that the
-`compare` study prints next to its estimators: they integrate closed-form
-conditional moments by quadrature, and the two of the kernel estimator are
-the estimator's own delta-method rule at population moments.
+`compare` study prints next to its estimators: they integrate conditional
+moments by quadrature, and the two of the kernel estimator are the
+estimator's own delta-method rule at population moments.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ __all__ = [
     "pick_freeze_estimate",
     "nn_estimate",
     "rank_estimate",
-    "limiting_variance_nn",
-    "limiting_variance_t",
-    "limiting_variance_sobol_centered",
     "limiting_variances",
 ]
 
@@ -212,7 +209,7 @@ def rank_estimate(X, Y) -> float:
 
 @dataclass(frozen=True)
 class VarianceOracles:
-    """The output and the closed-form conditional moments on a tensor quadrature rule.
+    """The output and its conditional moments on a tensor quadrature rule.
 
     y, g1 and g2 hold Y, E[Y | X] and E[Y^2 | X] at the nodes, one array
     axis per input; g1 and g2 have size 1 off the mask.  On a full mask
@@ -227,25 +224,6 @@ class VarianceOracles:
     g1: Optional[np.ndarray]
     g2: Optional[np.ndarray]
     weights: tuple
-
-
-def _nn_rows(y, g1, g2) -> tuple:
-    return g1 * g1, g2
-
-
-def _nn_variance(means, second) -> float:
-    e_g1_sq = means[0]
-    e_g1_4, e_g2_g1sq, e_g2_sq = second[0, 0], second[0, 1], second[1, 1]
-    return float(2.0 * (e_g2_sq - e_g1_sq * e_g1_sq + 0.5 * (e_g2_g1sq - e_g1_4)))
-
-
-def limiting_variance_nn(oracles: VarianceOracles) -> float:
-    """sigma_D^2, the limiting variance of the two-sample nearest-neighbor estimator.
-
-    sigma_D^2 = 2( E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4]) / 2 ),
-    from the moments of the rows (g1^2, g2).
-    """
-    return _nn_variance(*_population_moments(oracles, _nn_rows)[0])
 
 
 # nodes per slab of the rule (one leading-axis index when p = 3): no temporary
@@ -294,11 +272,6 @@ def _covariance(means, second) -> tuple:
     return [float(m) for m in means], second - np.outer(means, means)
 
 
-def _population_covariance(oracles: VarianceOracles, rows) -> tuple:
-    """(means, Gamma) of the influence rows; rows as in `_population_moments`."""
-    return _covariance(*_population_moments(oracles, rows)[0])
-
-
 def _ratio_rows(shift: float):
     """The rows (2 Y_s g1_s(X), Y_s, Y_s^2) of Y_s = Y - shift, g1_s = g1 - shift."""
 
@@ -327,29 +300,24 @@ def _mean_y(oracles: VarianceOracles) -> float:
     return float(_population_moments(oracles, lambda y, g1, g2: (y,))[0][0][0])
 
 
-def limiting_variance_t(oracles: VarianceOracles) -> float:
-    """4 tau^2 = 4 Var(Y g1(X)), the limiting variance of the kernel U-statistic of t.
-
-    It is Gamma[0, 0], the variance of the influence row 2Y g1(X).
-    """
-    return float(_ratio_covariance_at(*_population_moments(oracles, _ratio_rows(0.0))[0])[0][0, 0])
-
-
-def limiting_variance_sobol_centered(oracles: VarianceOracles) -> float:
-    """Delta-method variance of the Sobol' estimator with the output pre-centered.
-
-    Centering Y at its mean before forming the moment ratio leaves the
-    population ratio unchanged but shrinks the delta-method variance;
-    this is the limit the shipped `estimate_sobol` attains.
-    """
-    return _ratio_covariance_at(*_population_moments(oracles, _ratio_rows(_mean_y(oracles)))[0])[1]
-
-
 def limiting_variances(oracles: VarianceOracles) -> tuple:
-    """(limiting_variance_t, limiting_variance_sobol_centered, limiting_variance_nn), bit for bit.
+    """The limiting variances of the kernel t, kernel Sobol' and nearest-neighbor estimators.
+
+    - 4 tau^2 = 4 Var(Y g1(X)), that of the kernel U-statistic of t: the
+      variance Gamma[0, 0] of its influence row 2Y g1(X);
+    - the delta-method variance of the Sobol' estimator with the output
+      pre-centered, the limit that `estimate_sobol` attains: centering Y at
+      its mean leaves the population ratio unchanged but shrinks the
+      variance;
+    - sigma_D^2 = 2(E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4]) / 2), that of
+      the two-sample nearest-neighbor estimator, from the moments of the
+      rows (g1^2, g2).
 
     Two walks over the rule serve all three: one for E[Y], then one for
     the rows of every variance.
     """
-    t, centered, nn = _population_moments(oracles, _ratio_rows(0.0), _ratio_rows(_mean_y(oracles)), _nn_rows)
-    return float(_ratio_covariance_at(*t)[0][0, 0]), _ratio_covariance_at(*centered)[1], _nn_variance(*nn)
+    t, centered, (means, second) = _population_moments(
+        oracles, _ratio_rows(0.0), _ratio_rows(_mean_y(oracles)), lambda y, g1, g2: (g1 * g1, g2)
+    )
+    nn = 2.0 * (second[1, 1] - means[0] * means[0] + 0.5 * (second[0, 1] - second[0, 0]))
+    return float(_ratio_covariance_at(*t)[0][0, 0]), _ratio_covariance_at(*centered)[1], float(nn)

@@ -1,10 +1,11 @@
 """Analytic test models, brute-force oracles, and Monte Carlo study drivers.
 
 Each model carries closed forms, derived by hand integration, for the
-conditional mean g1, the conditional second moment g2, the partial variance
-t = E[E[Y|X]^2], and the Sobol' index of every supported mask, so estimator
-runs can be scored against exact truth.  `brute_force_t` is a literal
-transcription of the pairwise estimator used as an independent oracle.
+partial variance t = E[E[Y|X]^2] and the Sobol' index of every supported
+mask, so estimator runs can be scored against exact truth.  The conditional
+moments that the limiting variances need are summed from Y on a quadrature
+rule by `variance_oracles`.  `brute_force_t` is a literal transcription of
+the pairwise estimator used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyticModel:
-    """Test function with closed-form conditional moments and Sobol' indices."""
+    """Test function with the closed-form mean, variance, partial variances and Sobol' indices of its output."""
 
     name: str
     input_model: InputModel
     g: Callable[[np.ndarray], np.ndarray]
-    g1_funcs: dict
-    g2_funcs: dict
     true_t: dict
     true_sobol: dict
     mean_y: float
@@ -70,16 +69,6 @@ class AnalyticModel:
         if key not in table:
             raise MirrorSobolError(f"model {self.name!r} has no closed form for mask {key}")
         return key, table[key]
-
-    def g1(self, mask, xm) -> np.ndarray:
-        """Conditional mean E[Y | X = x] on the masked columns (ascending axis order)."""
-        _, fn = self._lookup(self.g1_funcs, mask)
-        return fn(np.atleast_2d(np.asarray(xm, dtype=float)))
-
-    def g2(self, mask, xm) -> np.ndarray:
-        """Conditional second moment E[Y^2 | X = x]."""
-        _, fn = self._lookup(self.g2_funcs, mask)
-        return fn(np.atleast_2d(np.asarray(xm, dtype=float)))
 
     def t_of(self, mask) -> float:
         return self._lookup(self.true_t, mask)[1]
@@ -99,9 +88,8 @@ def _uniform_inputs(p: int, lo: float = 0.0, hi: float = 1.0) -> InputModel:
 def _linear_model(name: str, alpha: float, p: int) -> AnalyticModel:
     """Y = V @ w with w = (alpha, 1, ..., 1) and uniform inputs on [0, 1]^p.
 
-    For a mask: g1(x) = x @ w_in + sum(w_out)/2, the remaining inputs
-    contribute sum(w_out^2)/12 of conditional variance, Var(Y) = sum(w^2)/12,
-    and the index is sum(w_in^2) / sum(w^2).  Products with the weights are
+    For a mask, Var(E[Y | X]) = sum(w_in^2)/12, Var(Y) = sum(w^2)/12, and
+    the index is sum(w_in^2) / sum(w^2).  Products with the weights are
     summed row-wise, so unit weights give exactly the plain row sums.
     """
     if p < 1:
@@ -111,29 +99,16 @@ def _linear_model(name: str, alpha: float, p: int) -> AnalyticModel:
     total = float(np.sum(w**2))
     var_y = total / 12.0
     mean_y = float(np.sum(w)) / 2.0
-    g1_funcs, g2_funcs, true_t, true_sobol = {}, {}, {}, {}
+    true_t, true_sobol = {}, {}
     for d in range(1, p + 1):
         for mask in itertools.combinations(range(p), d):
-            w_in = w[list(mask)]
-            w_out = np.delete(w, list(mask))
-
-            def g1(xm, w_in=w_in, shift=float(np.sum(w_out)) / 2.0):
-                return (xm * w_in).sum(axis=1) + shift
-
-            def g2(xm, g1=g1, cvar=float(np.sum(w_out**2)) / 12.0):
-                return g1(xm) ** 2 + cvar
-
-            g1_funcs[mask] = g1
-            g2_funcs[mask] = g2
-            part = float(np.sum(w_in**2))
+            part = float(np.sum(w[list(mask)] ** 2))
             true_t[mask] = part / 12.0 + mean_y**2
             true_sobol[mask] = part / total
     return AnalyticModel(
         name=f"{name}{p}",
         input_model=_uniform_inputs(p),
         g=lambda v, w=w: (np.asarray(v, dtype=float) * w).sum(axis=1),
-        g1_funcs=g1_funcs,
-        g2_funcs=g2_funcs,
         true_t=true_t,
         true_sobol=true_sobol,
         mean_y=mean_y,
@@ -154,8 +129,8 @@ def weighted_linear_model(alpha: float = 2.0, p: int = 3) -> AnalyticModel:
 def ishigami_model(a: float = 7.0, b: float = 0.1) -> AnalyticModel:
     """Y = sin V_1 + a sin^2 V_2 + b V_3^4 sin V_1 on [-pi, pi]^3.
 
-    All conditional moments reduce to moments of sin and V^4 over [-pi, pi]:
-    E[sin^2] = 1/2, E[V^4] = pi^4/5, E[V^8] = pi^8/9, E[sin^4] = 3/8.
+    The partial variances reduce to moments of sin and V^4 over [-pi, pi]:
+    E[sin^2] = 1/2, E[V^4] = pi^4/5, E[V^8] = pi^8/9.
     """
     pi4 = np.pi**4
     pi8 = np.pi**8
@@ -177,36 +152,12 @@ def ishigami_model(a: float = 7.0, b: float = 0.1) -> AnalyticModel:
         v = np.asarray(v, dtype=float)
         return np.sin(v[:, 0]) + a * np.sin(v[:, 1]) ** 2 + b * v[:, 2] ** 4 * np.sin(v[:, 0])
 
-    g1_funcs = {
-        (0,): lambda xm: c1 * np.sin(xm[:, 0]) + 0.5 * a,
-        (1,): lambda xm: a * np.sin(xm[:, 0]) ** 2,
-        (2,): lambda xm: np.full(xm.shape[0], 0.5 * a),
-        (0, 1): lambda xm: c1 * np.sin(xm[:, 0]) + a * np.sin(xm[:, 1]) ** 2,
-        (0, 2): lambda xm: (1.0 + b * xm[:, 1] ** 4) * np.sin(xm[:, 0]) + 0.5 * a,
-        (1, 2): lambda xm: a * np.sin(xm[:, 0]) ** 2,
-        (0, 1, 2): lambda xm: g_full(xm),
-    }
-    g2_funcs = {
-        (0,): lambda xm: c2 * np.sin(xm[:, 0]) ** 2 + a * c1 * np.sin(xm[:, 0]) + 0.375 * a * a,
-        (1,): lambda xm: 0.5 * c2 + a * a * np.sin(xm[:, 0]) ** 4,
-        (2,): lambda xm: 0.5 * (1.0 + b * xm[:, 0] ** 4) ** 2 + 0.375 * a * a,
-        (0, 1): lambda xm: c2 * np.sin(xm[:, 0]) ** 2
-        + 2.0 * a * c1 * np.sin(xm[:, 0]) * np.sin(xm[:, 1]) ** 2
-        + a * a * np.sin(xm[:, 1]) ** 4,
-        (0, 2): lambda xm: ((1.0 + b * xm[:, 1] ** 4) * np.sin(xm[:, 0])) ** 2
-        + a * (1.0 + b * xm[:, 1] ** 4) * np.sin(xm[:, 0])
-        + 0.375 * a * a,
-        (1, 2): lambda xm: 0.5 * (1.0 + b * xm[:, 1] ** 4) ** 2 + a * a * np.sin(xm[:, 0]) ** 4,
-        (0, 1, 2): lambda xm: g_full(xm) ** 2,
-    }
     true_t = {m: var + mean_y**2 for m, var in var_parts.items()}
     true_sobol = {m: var / var_y for m, var in var_parts.items()}
     return AnalyticModel(
         name="ishigami",
         input_model=_uniform_inputs(3, -np.pi, np.pi),
         g=g_full,
-        g1_funcs=g1_funcs,
-        g2_funcs=g2_funcs,
         true_t=true_t,
         true_sobol=true_sobol,
         mean_y=mean_y,
@@ -217,16 +168,6 @@ def ishigami_model(a: float = 7.0, b: float = 0.1) -> AnalyticModel:
 def product_model() -> AnalyticModel:
     """Y = V_1 V_2 on [0, 1]^2: g1(x) = x/2, t = 1/12, S = 3/7 per axis."""
     var_y = 1.0 / 9.0 - 1.0 / 16.0  # 7/144
-    g1_funcs = {
-        (0,): lambda xm: 0.5 * xm[:, 0],
-        (1,): lambda xm: 0.5 * xm[:, 0],
-        (0, 1): lambda xm: xm[:, 0] * xm[:, 1],
-    }
-    g2_funcs = {
-        (0,): lambda xm: xm[:, 0] ** 2 / 3.0,
-        (1,): lambda xm: xm[:, 0] ** 2 / 3.0,
-        (0, 1): lambda xm: (xm[:, 0] * xm[:, 1]) ** 2,
-    }
     true_t = {(0,): 1.0 / 12.0, (1,): 1.0 / 12.0, (0, 1): 1.0 / 9.0}
     true_sobol = {
         (0,): (1.0 / 12.0 - 1.0 / 16.0) / var_y,  # 3/7
@@ -237,8 +178,6 @@ def product_model() -> AnalyticModel:
         name="product",
         input_model=_uniform_inputs(2),
         g=lambda v: np.asarray(v, dtype=float)[:, 0] * np.asarray(v, dtype=float)[:, 1],
-        g1_funcs=g1_funcs,
-        g2_funcs=g2_funcs,
         true_t=true_t,
         true_sobol=true_sobol,
         mean_y=0.25,
@@ -253,24 +192,12 @@ def curved_model() -> AnalyticModel:
     Var(Y) = 9/112 + 1/12 = 55/336, S^1 = 27/55, S^2 = 28/55.
     """
     var_y = 55.0 / 336.0
-    g1_funcs = {
-        (0,): lambda xm: xm[:, 0] ** 3 + 0.5,
-        (1,): lambda xm: xm[:, 0] + 0.25,
-        (0, 1): lambda xm: xm[:, 0] ** 3 + xm[:, 1],
-    }
-    g2_funcs = {
-        (0,): lambda xm: xm[:, 0] ** 6 + xm[:, 0] ** 3 + 1.0 / 3.0,
-        (1,): lambda xm: 1.0 / 7.0 + 0.5 * xm[:, 0] + xm[:, 0] ** 2,
-        (0, 1): lambda xm: (xm[:, 0] ** 3 + xm[:, 1]) ** 2,
-    }
     true_t = {(0,): 9.0 / 14.0, (1,): 31.0 / 48.0, (0, 1): 1.0 / 7.0 + 1.0 / 4.0 + 1.0 / 3.0}
     true_sobol = {(0,): 27.0 / 55.0, (1,): 28.0 / 55.0, (0, 1): 1.0}
     return AnalyticModel(
         name="curved",
         input_model=_uniform_inputs(2),
         g=lambda v: np.asarray(v, dtype=float)[:, 0] ** 3 + np.asarray(v, dtype=float)[:, 1],
-        g1_funcs=g1_funcs,
-        g2_funcs=g2_funcs,
         true_t=true_t,
         true_sobol=true_sobol,
         mean_y=0.75,
@@ -365,9 +292,9 @@ def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
     summed over the slabs of `baselines._slabs`.  Models of more than 3
     inputs are refused, since the rule holds 64^p nodes.  Only Y is stored on
     the rule, evaluated in slabs of 4096 nodes; the weights are stored per
-    axis, and g1 and g2 on the 64^d nodes of the masked axes, where
-    g2 >= g1^2 is checked before Y is evaluated.  On a full mask g1 = Y and
-    g2 = Y^2, and neither is stored.
+    axis, and g1 = E[Y | X] and g2 = E[Y^2 | X] on the 64^d nodes of the
+    masked axes, summed from Y over the off-mask axes of the rule.  On a full
+    mask g1 = Y and g2 = Y^2, and neither is stored.
     """
     key = tuple(sorted(int(i) for i in mask))
     p = model.p
@@ -378,23 +305,41 @@ def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
         )
     if not key or key[0] < 0 or key[-1] >= p:
         raise MirrorSobolError(f"mask {key} is out of range for model {model.name!r} with p = {p} inputs")
+    if len(set(key)) < len(key):
+        raise MirrorSobolError(f"mask {key} repeats an axis")
     marginals = model.input_model.marginals
     axes = [gauss_legendre(_GL_NODES, *m.support) for m in marginals]
+    pdf = [marg.pdf(x) for marg, (x, _) in zip(marginals, axes)]
+    weights = [_along(w, axis, p) for axis, (_, w) in enumerate(axes)]
+    weights += [_along(f, axis, p) for axis, f in enumerate(pdf) if np.any(f != 1.0)]
+    y = _on_tensor_grid(model.g, [x for x, _ in axes])
     g1 = g2 = None  # on a full mask E[Y | X] = Y, and `baselines._slabs` uses Y
     if len(key) < p:
-        mask_nodes = [axes[i][0] for i in key]
-        g1 = _on_tensor_grid(lambda xm: model.g1(key, xm), mask_nodes)
-        g2 = _on_tensor_grid(lambda xm: model.g2(key, xm), mask_nodes)
-        gap = g2 - g1 * g1
-        low, high = float(np.min(gap)), float(np.max(gap))
-        if low < -1e-8 * max(1.0, -low, high):
-            raise MirrorSobolError(f"conditional variance negative for model {model.name!r}, mask {key}: min gap {low}")
-        shape = [_GL_NODES if i in key else 1 for i in range(p)]
-        g1, g2 = g1.reshape(shape), g2.reshape(shape)
-    pdf = [_along(marg.pdf(x), axis, p) for axis, (marg, (x, _)) in enumerate(zip(marginals, axes))]
-    weights = [_along(w, axis, p) for axis, (_, w) in enumerate(axes)] + [f for f in pdf if np.any(f != 1.0)]
-    y = _on_tensor_grid(model.g, [x for x, _ in axes])
+        g1, g2 = _conditional_moments(y, [w * f for (_, w), f in zip(axes, pdf)], key)
     return VarianceOracles(y, g1, g2, tuple(weights))
+
+
+def _conditional_moments(y: np.ndarray, mass: list, key: tuple) -> tuple:
+    """(g1, g2): the sums of W_off Y and W_off Y^2 over the off-mask axes, size 1 there.
+
+    W_off is the product of the per-axis `mass` (Gauss weight times density)
+    of the off-mask axes.  Y is read in slabs of `_SLAB` nodes, whole
+    leading-axis indices: a slab's sums go to its own rows of g1 and g2 when
+    axis 0 is on the mask, and add to all of them when it is off.
+    """
+    p = y.ndim
+    off = tuple(axis for axis in range(p) if axis not in key)
+    w_off = math.prod(_along(mass[axis], axis, p) for axis in off)
+    shape = [y.shape[axis] if axis in key else 1 for axis in range(p)]
+    g1, g2 = np.zeros(shape), np.zeros(shape)
+    step = _SLAB * y.shape[0] // y.size  # leading-axis indices per slab
+    for start in range(0, y.shape[0], step):
+        rows = slice(start, start + step)
+        on, w_rows = (rows, slice(None)) if 0 in key else (slice(None), rows)
+        wy = w_off[w_rows] * y[rows]
+        g1[on] += np.sum(wy, axis=off, keepdims=True)
+        g2[on] += np.sum(wy * y[rows], axis=off, keepdims=True)
+    return g1, g2
 
 
 def _on_tensor_grid(fn, nodes) -> np.ndarray:

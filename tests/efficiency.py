@@ -7,7 +7,7 @@ place of 2Y g1 (Da Veiga & Gamboa, J. Nonparametr. Stat. 2013).
 
 import numpy as np
 
-from mirrorsobol.baselines import _population_covariance, _slabs, limiting_variance_t
+from mirrorsobol.baselines import _covariance, _population_moments, _slabs, limiting_variances
 from mirrorsobol.estimator import _ratio_covariance
 
 
@@ -19,7 +19,7 @@ def rule_arrays(oracles) -> tuple:
 
 def efficient_bounds(oracles) -> tuple:
     """(sigma_T^2, sigma_min^2) at population moments, over the rows (g1(2Y - g1), Y, Y^2)."""
-    means, gamma = _population_covariance(oracles, lambda y, g1, g2: (g1 * (2.0 * y - g1), y, y * y))
+    means, gamma = _covariance(*_population_moments(oracles, lambda y, g1, g2: (g1 * (2.0 * y - g1), y, y * y))[0])
     m, v = means[1], gamma[1, 1]
     sobol = (means[0] - m * m) / v
     return float(gamma[0, 0]), float(_ratio_covariance(gamma, sobol, m, v)[0, 0])
@@ -30,4 +30,4 @@ def sigma_t_second_form(oracles) -> float:
     w, _, g1, _ = rule_arrays(oracles)
     g1sq_mean = float(w @ g1**2)
     g1_4 = float(w @ g1**4)
-    return limiting_variance_t(oracles) - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)
+    return limiting_variances(oracles)[0] - 3.0 * (g1_4 - g1sq_mean * g1sq_mean)

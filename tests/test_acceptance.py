@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from mirrorsobol.bandwidth import bandwidth_curve, default_grid
-from mirrorsobol.baselines import limiting_variance_sobol_centered
+from mirrorsobol.baselines import limiting_variances
 from mirrorsobol.cli import main
 from mirrorsobol.density import uniform_max_estimator
 from mirrorsobol.domain import Domain
@@ -196,7 +196,7 @@ def test_efficiency_identity_and_variance_bound():
     assert nvar >= sigma_min - 2.0 * mc_se, (
         f"simulated n*Var {nvar:.3f} below the efficiency bound {sigma_min:.3f} - 2*{mc_se:.3f}"
     )
-    ceiling = 3.0 * limiting_variance_sobol_centered(oracles)
+    ceiling = 3.0 * limiting_variances(oracles)[1]
     assert nvar <= ceiling, f"simulated n*Var {nvar:.3f} implausibly above the CLT constant ({ceiling:.3f})"
 
 

@@ -18,9 +18,6 @@ from mirrorsobol._quad import gauss_legendre
 from mirrorsobol.baselines import (
     PickFreezeSample,
     VarianceOracles,
-    limiting_variance_nn,
-    limiting_variance_sobol_centered,
-    limiting_variance_t,
     limiting_variances,
     nn_estimate,
     pick_freeze_estimate,
@@ -315,17 +312,17 @@ def test_sigma_d_linear_p2_hand_value():
     # 2(E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4])/2) with E[g1^2]=13/12,
     # E[g1^4]=121/80, E[g2 g1^2]=577/360, E[g2^2]=17/10 -> 1.1430555...
     orc = variance_oracles(linear_model(2), (0,))
-    value = limiting_variance_nn(orc)
+    value = limiting_variances(orc)[2]
     truth = 2.0 * (17.0 / 10.0 - (13.0 / 12.0) ** 2 + 0.5 * (577.0 / 360.0 - 121.0 / 80.0))
     assert abs(value - truth) < 1e-9, f"sigma_D^2 {value} vs hand value {truth}"
 
 
 def test_sigma_d_nonnegative_and_deterministic_case():
     for model, mask in [(linear_model(2), (0,)), (product_model(), (1,)), (ishigami_model(), (2,))]:
-        assert limiting_variance_nn(variance_oracles(model, mask)) >= -1e-12
+        assert limiting_variances(variance_oracles(model, mask))[2] >= -1e-12
     m = curved_model()
     orc = variance_oracles(m, (0, 1))
-    value = limiting_variance_nn(orc)
+    value = limiting_variances(orc)[2]
     w, _, g1, _ = rule_arrays(orc)
     var_g1sq = float(w @ g1**4) - float(w @ g1**2) ** 2
     assert abs(value - 2.0 * var_g1sq) <= 1e-9 * var_g1sq, f"g2 = g1^2 case: {value} vs {2 * var_g1sq}"
@@ -342,8 +339,6 @@ def test_sigma_min_scale_invariant():
         m,
         name="product2x",
         g=lambda v: 2.0 * m.g(v),
-        g1_funcs={k: (lambda f: (lambda xm: 2.0 * f(xm)))(f) for k, f in m.g1_funcs.items()},
-        g2_funcs={k: (lambda f: (lambda xm: 4.0 * f(xm)))(f) for k, f in m.g2_funcs.items()},
         true_t={k: 4.0 * v_ for k, v_ in m.true_t.items()},
         mean_y=2.0 * m.mean_y,
         var_y=4.0 * m.var_y,
@@ -356,7 +351,7 @@ def test_sigma_min_below_ratio_variance():
     # the bound lies below the limiting variance of the shipped (centered) estimator
     for model, mask in [(linear_model(2), (0,)), (linear_model(3), (1,)), (product_model(), (0,))]:
         orc = variance_oracles(model, mask)
-        sigma_min, centered = efficient_bounds(orc)[1], limiting_variance_sobol_centered(orc)
+        sigma_min, centered = efficient_bounds(orc)[1], limiting_variances(orc)[1]
         assert sigma_min <= centered + 1e-10, f"{model.name}: sigma_min {sigma_min} exceeds {centered}"
 
 
@@ -381,19 +376,8 @@ def test_centered_ratio_variance_linear_p3_hand_value():
     # hand integration with Z = Y - 3/2, U_i = V_i - 1/2:
     # Var(Z g1) = 7/360, Cov(Z g1, Z^2) = 1/30, Var(Z^2) = 1/10, v = 1/4, S = 1/3
     # sigma_c^2 = (4*7/360 - 4/(3*30) + 1/90) * 16 = 32/45
-    value = limiting_variance_sobol_centered(variance_oracles(linear_model(3), (0,)))
+    value = limiting_variances(variance_oracles(linear_model(3), (0,)))[1]
     assert abs(value - 32.0 / 45.0) < 1e-9, f"centered sigma^2 {value} vs hand value 32/45"
-
-
-def test_variance_oracles_rejects_bad_conditional_variance():
-    import dataclasses
-
-    m = product_model()
-    bad = dataclasses.replace(
-        m, name="bad", g2_funcs={**m.g2_funcs, (0,): lambda xm: np.zeros(xm.shape[0])}
-    )
-    with pytest.raises(MirrorSobolError):
-        variance_oracles(bad, (0,))
 
 
 def test_variance_oracles_refuse_more_than_three_inputs():
@@ -408,8 +392,19 @@ def test_variance_oracles_refuse_a_mask_out_of_range():
             variance_oracles(product_model(), mask)
 
 
+def test_variance_oracles_refuse_a_repeated_axis():
+    for model, mask in [(product_model(), (1, 1)), (product_model(), (0, 0)), (linear_model(3), (0, 1, 2, 2))]:
+        with pytest.raises(MirrorSobolError, match=r"repeats an axis"):
+            variance_oracles(model, mask)
+
+
 def _tensor_rule_oracles(model, mask):
-    """(weights, y, g1, g2) by the meshgrid formula: the full (64^p, p) node array, then each array at once."""
+    """(weights, y, g1, g2) by the meshgrid formula: the full (64^p, p) node array, then each array at once.
+
+    g1 and g2 contract W_off Y and W_off Y^2 over the off-mask axes of the
+    whole (64,) * p grid, W_off the meshgrid product of the off-mask Gauss
+    weights and densities, and are spread back over every node.
+    """
     marginals = model.input_model.marginals
     axes = [gauss_legendre(64, *m.support) for m in marginals]
     points = np.stack([m.reshape(-1) for m in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
@@ -418,8 +413,16 @@ def _tensor_rule_oracles(model, mask):
         weights = weights * wm.reshape(-1)
     for axis, marg in enumerate(marginals):
         weights *= marg.pdf(points[:, axis])
-    xm = points[:, list(mask)]
-    return weights, model.g(points), model.g1(mask, xm), model.g2(mask, xm)
+    y = model.g(points)
+    grid = (64,) * model.p
+    off = tuple(axis for axis in range(model.p) if axis not in mask)
+    w_off = np.ones(grid)
+    for axis, wm in enumerate(np.meshgrid(*[w * marg.pdf(x) for marg, (x, w) in zip(marginals, axes)], indexing="ij")):
+        if axis in off:
+            w_off = w_off * wm
+    y_grid = y.reshape(grid)
+    g1, g2 = ((w_off * y_grid**k).sum(axis=off, keepdims=True) for k in (1, 2))
+    return weights, y, np.broadcast_to(g1, grid).ravel(), np.broadcast_to(g2, grid).ravel()
 
 
 def _full_array_limiting_variances(w, y, g1, g2):
@@ -442,15 +445,20 @@ def _full_array_limiting_variances(w, y, g1, g2):
 def test_slab_oracles_bit_equal_to_the_tensor_rule_formula(model):
     for mask in model.masks():
         got = rule_arrays(variance_oracles(model, mask))
-        for field, have, want in zip(("weights", "y", "g1", "g2"), got, _tensor_rule_oracles(model, mask)):
-            assert np.array_equal(have, want), f"{model.name} {mask}: {field} differs"
+        want = _tensor_rule_oracles(model, mask)
+        for field, have, ref in zip(("weights", "y"), got, want):
+            assert np.array_equal(have, ref), f"{model.name} {mask}: {field} differs"
+        # g1 and g2 are summed in another order: slab by slab, not over the whole grid
+        for field, have, ref in zip(("g1", "g2"), got[2:], want[2:]):
+            err = np.max(np.abs(have - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref)), f"{model.name} {mask}: {field} off by {err}"
 
 
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
 def test_slab_limiting_variances_match_the_full_array_formulas(model):
     for mask in model.masks():
         orc = variance_oracles(model, mask)
-        got = (limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc))
+        got = limiting_variances(orc)
         want = _full_array_limiting_variances(*rule_arrays(orc))
         for name, g, v in zip(("t", "sobol_centered", "nn"), got, want):
             assert abs(g - v) <= 1e-13 * max(abs(v), 1.0), f"{model.name} {mask} {name}: {g} vs {v}"
@@ -465,7 +473,7 @@ def test_oracles_and_limiting_variances_hold_no_full_size_temporary(mask):
         orc = variance_oracles(linear_model(3), mask)
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc)
+        limiting_variances(orc)
         variances = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,7 +492,7 @@ def test_oracles_store_y_alone_on_the_rule(mask, bound_mib):
         orc = variance_oracles(linear_model(3), mask)
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc)
+        limiting_variances(orc)
         variances = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -494,10 +502,9 @@ def test_oracles_store_y_alone_on_the_rule(mask, bound_mib):
 
 @pytest.mark.parametrize("mask", [(0,), (0, 2), (0, 1, 2)])
 def test_compare_walks_the_rule_twice_for_its_three_limiting_variances(mask, monkeypatch, tmp_path):
-    # one walk for E[Y], one for the rows of all three variances; each keeps
-    # the bits of its own function, which walks the rule for itself
+    # one walk for E[Y], one for the rows of all three variances
     orc = variance_oracles(ishigami_model(), mask)
-    want = (limiting_variance_t(orc), limiting_variance_sobol_centered(orc), limiting_variance_nn(orc))
+    want = _full_array_limiting_variances(*rule_arrays(orc))
     walks = []
     slabs = baselines._slabs
 
@@ -506,15 +513,17 @@ def test_compare_walks_the_rule_twice_for_its_three_limiting_variances(mask, mon
         return slabs(oracles)
 
     monkeypatch.setattr(baselines, "_slabs", counting)
-    assert limiting_variances(orc) == want
+    got = limiting_variances(orc)
     assert len(walks) == 2
+    for name, g, v in zip(("t", "sobol_centered", "nn"), got, want):
+        assert abs(g - v) <= 1e-13 * max(abs(v), 1.0), f"{mask} {name}: {g} vs {v}"
     walks.clear()
     out = tmp_path / "compare.csv"
     config = RunConfig(command="compare", model="ishigami", n=50, mask=tuple(i + 1 for i in mask), h=0.5, seeds=1, estimators=("kernel", "nn"), output=str(out))
     assert run(config) == 0
     assert len(walks) == 2
     cells = {row["estimator"]: float(row["limiting_variance"]) for row in csv.DictReader(line for line in open(out) if not line.startswith("#"))}
-    assert (cells["kernel_t"], cells["kernel_sobol"], cells["nn_t"]) == want
+    assert (cells["kernel_t"], cells["kernel_sobol"], cells["nn_t"]) == got
 
 
 def test_kernel_and_pf_agree_on_product_model():

@@ -991,7 +991,7 @@ def test_variance_sobol_linear_p3_oracle():
     # sigma^2 = (0.827778 - 0.044444 + 0.011111)/0.0625 = 12.7111.
     m = linear_model(3)
     fs = m.draw(20_000, seed=31)
-    g1_true = m.g1((1,), fs.V[:, [1]])
+    g1_true = fs.V[:, 1] + 1.0  # E[Y | V2 = x] = x + 1
     value = _sobol_variance(fs.Y, g1_true)
     truth = 12.7111
     assert abs(value - truth) <= 0.10 * truth, f"sigma^2 plug-in {value} not within 10% of {truth}"

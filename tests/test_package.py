@@ -48,6 +48,9 @@ def test_removed_names_stay_removed():
         assert not hasattr(cls, "to_json"), f"{cls.__name__}.to_json should not exist"
     assert not hasattr(estimator.SubsetSpec, "d")
     assert "f_x" not in {f.name for f in dataclasses.fields(baselines.VarianceOracles)}
+    # the oracles sum the conditional moments from Y on the rule
+    assert not {"g1_funcs", "g2_funcs"} & {f.name for f in dataclasses.fields(testbed.AnalyticModel)}
+    assert not hasattr(testbed.AnalyticModel, "g1") and not hasattr(testbed.AnalyticModel, "g2")
     for module, name in (
         (estimator, "asymptotic_variance_t"),
         (estimator, "asymptotic_variance_sobol"),
@@ -62,6 +65,10 @@ def test_removed_names_stay_removed():
         (baselines, "limiting_variance_efficient"),
         (baselines, "limiting_variance_sobol_efficient"),
         (baselines, "limiting_variance_sobol_plugin"),
+        (baselines, "limiting_variance_t"),
+        (baselines, "limiting_variance_sobol_centered"),
+        (baselines, "limiting_variance_nn"),
+        (baselines, "_population_covariance"),
         (kernels, "verify_order"),
         (_quad, "multi_indices"),
     ):

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from efficiency import rule_arrays
 
 from mirrorsobol import testbed
 from mirrorsobol.baselines import pick_freeze_estimate
@@ -28,6 +29,7 @@ from mirrorsobol.testbed import (
     weighted_linear_model,
     pick_freeze_design,
     product_model,
+    variance_oracles,
 )
 
 
@@ -60,9 +62,6 @@ def test_linear_models_match_their_hand_formulas_exactly():
             d = len(mask)
             assert m.t_of(mask) == d / 12 + (p / 2) ** 2
             assert m.sobol_of(mask) == d / p
-            xm = v[:, :d]
-            assert np.array_equal(m.g1(mask, xm), xm.sum(axis=1) + (p - d) / 2)
-            assert np.array_equal(m.g2(mask, xm), (xm.sum(axis=1) + (p - d) / 2) ** 2 + (p - d) / 12)
         unit = weighted_linear_model(1.0, p)
         assert (unit.true_t, unit.true_sobol, unit.mean_y, unit.var_y) == (m.true_t, m.true_sobol, m.mean_y, m.var_y)
     w = weighted_linear_model(2.0, 3)
@@ -78,39 +77,27 @@ def test_truth_consistency_t_vs_sobol():
             assert abs(lhs - rhs) < 1e-10, f"{model.name} mask {mask}: {lhs} vs {rhs}"
 
 
-def test_g1_g2_tower_property_by_monte_carlo():
-    # E[g1(X)] = E[Y], E[g2(X)] = E[Y^2], Var(g1) = S * Var(Y)
+def test_g1_g2_tower_property_on_the_rule():
+    # E[g1(X)] = E[Y], E[g1(X)^2] = t and E[g2(X)] = E[Y^2]: the moments that
+    # `variance_oracles` sums from Y meet the hand-derived truths
     for model in builtin_models():
-        fs = model.draw(200_000, seed=42)
         for mask in model.masks():
-            xm = fs.V[:, list(mask)]
-            g1 = model.g1(mask, xm)
-            g2 = model.g2(mask, xm)
-            n = fs.n
-            se_mean = np.std(g1) / np.sqrt(n)
-            assert abs(np.mean(g1) - model.mean_y) <= 5 * se_mean + 1e-12, (
-                f"{model.name} {mask}: E[g1] {np.mean(g1)} vs {model.mean_y}"
-            )
-            se_2 = np.std(g2) / np.sqrt(n)
-            truth_2 = model.var_y + model.mean_y**2
-            assert abs(np.mean(g2) - truth_2) <= 5 * se_2 + 1e-12, (
-                f"{model.name} {mask}: E[g2] {np.mean(g2)} vs {truth_2}"
-            )
-            se_t = np.std(g1**2) / np.sqrt(n)
-            assert abs(np.mean(g1**2) - model.t_of(mask)) <= 5 * se_t + 1e-12, (
-                f"{model.name} {mask}: E[g1^2] vs t"
-            )
+            w, _, g1, g2 = rule_arrays(variance_oracles(model, mask))
+            for name, got, want in (
+                ("E[g1]", w @ g1, model.mean_y),
+                ("E[g1^2]", w @ g1**2, model.t_of(mask)),
+                ("E[g2]", w @ g2, model.var_y + model.mean_y**2),
+            ):
+                assert abs(got - want) <= 1e-12 * abs(want), f"{model.name} {mask}: {name} {got} vs {want}"
 
 
 def test_g2_dominates_g1_squared():
-    rng = np.random.default_rng(0)
+    # a positively weighted sum of Y^2 dominates the square of that of Y
     for model in builtin_models():
-        lo, hi = model.input_model.domain.lower, model.input_model.domain.upper
         for mask in model.masks():
-            cols = list(mask)
-            grid = lo[cols] + (hi[cols] - lo[cols]) * rng.random((500, len(cols)))
-            gap = model.g2(mask, grid) - model.g1(mask, grid) ** 2
-            assert gap.min() >= -1e-10, f"{model.name} {mask}: g2 < g1^2 by {gap.min()}"
+            _, _, g1, g2 = rule_arrays(variance_oracles(model, mask))
+            gap = g2 - g1**2
+            assert gap.min() >= -1e-12 * np.abs(g2).max(), f"{model.name} {mask}: g2 < g1^2 by {gap.min()}"
 
 
 def test_truth_against_pick_freeze_at_scale():
