@@ -607,7 +607,8 @@ def _json_arg(text: str):
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(flagged=tuple(_DISPATCH)) -> argparse.ArgumentParser:
+    """The parser of every command; flags, most of its build time, go only on those in `flagged`."""
     parser = argparse.ArgumentParser(
         prog="mirrorsobol",
         description="Mirror-corrected kernel estimation of Sobol' indices.",
@@ -628,6 +629,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("compare", "estimator comparison table, CSV out"),
     ):
         sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        if name not in flagged:
+            continue
         sp.add_argument("--csv", help="sample CSV with header v1,...,vp,y; read by estimate")
         sp.add_argument("--model", choices=model_names, help="builtin analytic model")
         sp.add_argument("--n", type=_json_arg, help="builtin model's sample size (coverage: without --n-grid)" + read_by("n"))
@@ -650,7 +653,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = next((arg for arg in argv if arg in _DISPATCH), None)  # no top-level flag takes a value
+    args = _build_parser((command,)).parse_args(argv)
     try:
         config = RunConfig(**vars(args))
     except MirrorSobolError as exc:

@@ -481,12 +481,14 @@ def test_oracles_and_limiting_variances_hold_no_full_size_temporary(mask):
     assert variances <= 10 * 2**20, f"limiting variances peaked at {variances / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("mask, bound_mib", [((0,), 3), ((0, 1, 2), 7), ((0, 1, 2), 3)])
+@pytest.mark.parametrize("mask, bound_mib", [((0,), 3), ((0, 1, 2), 7), ((0, 1, 2), 3), ((1, 2), 3)])
 def test_oracles_store_y_alone_on_the_rule(mask, bound_mib):
     # Y takes 2 MiB on the 64^3 rule of linear3; the weights are rebuilt per
     # slab, and g1, g2 live on the 64^d mask nodes, or, on the full mask,
-    # are Y and Y^2 slab by slab; 7 MiB is the older full-mask bound, when
-    # g1, g2 were stored on the rule's 64^3 nodes (4 MiB more)
+    # are Y and Y^2 slab by slab; (0,) adds each slab's sums to its own rows
+    # of g1, g2 and (1, 2), off the leading axis, to all of them; 7 MiB is
+    # the older full-mask bound, when g1, g2 were stored on the rule's 64^3
+    # nodes (4 MiB more)
     tracemalloc.start()
     try:
         orc = variance_oracles(linear_model(3), mask)

@@ -875,6 +875,35 @@ def test_unset_flags_leave_the_defaults_to_run_config():
     assert vars(args) == {"command": "coverage", "model": "linear3", "n": 200, "mask": (1,), "h": 0.2}
 
 
+def test_main_flags_only_the_command_it_runs(monkeypatch, capsys):
+    # main builds the flags of one command; that parser reads a command line
+    # and prints help as the parser of every command does
+    built = []
+    full = _build_parser
+
+    def recording(flagged=tuple(cli._DISPATCH)):
+        built.append(tuple(flagged))
+        return full(flagged)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    for argv, command in (
+        (["coverage", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2", "--output", "compare"], "coverage"),
+        (["estimate", "--model", "linear3", "--n", "0", "--mask", "1", "--h", "0.2"], "estimate"),
+        (["compare", "--model", "linear3", "--n", "1.5", "--mask", "1"], "compare"),
+    ):
+        assert vars(full((command,)).parse_args(argv)) == vars(full().parse_args(argv))
+        assert main(argv + ["--seeds", "0"]) == 2  # a config error, before any run
+        assert built[-1] == (command,)
+    capsys.readouterr()
+    helps = []
+    for argv in (["--help"], ["estimate", "--help"]):
+        for parser in (full(("estimate",)), full()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[2] == helps[3] and "--variance-scale" in helps[2]
+
+
 def test_main_reports_config_errors(capsys):
     code = main(["estimate", "--model", "linear3", "--mask", "1", "--h", "0.2"])  # n missing
     assert code == 2
