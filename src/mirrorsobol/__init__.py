@@ -25,7 +25,6 @@ from .estimator import (
     EstimateResult,
     FullSample,
     SubsetSpec,
-    default_bandwidth,
     estimate_first_order_all,
     estimate_sobol,
     estimate_t,
@@ -57,7 +56,6 @@ __all__ = [
     "EstimateResult",
     "FullSample",
     "SubsetSpec",
-    "default_bandwidth",
     "estimate_first_order_all",
     "estimate_sobol",
     "estimate_t",

@@ -30,10 +30,9 @@ from .domain import Domain, sign_matrix
 # 100 bytes per pair at d = 2, and larger blocks raise the peak memory
 # without running faster
 _PAIR_BUDGET = 2**14
-# the cost of a grid run in candidate pairs, and the most cells per ball
-# side; measured on uniform samples in d = 2 to 4 (n = 2000 to 10^4), the m
-# that _cells_per_ball picks ran within 4% of the fastest of 1 to 16
-_RUN_COST = 1.0
+# the most cells per ball side; measured on uniform samples in d = 2 to 4
+# (n = 2000 to 10^4), the m that _cells_per_ball picks ran within 4% of the
+# fastest of 1 to 16
 _MAX_CELLS = 16
 # expected window pairs per anchor from which range moments serve d = 2: the
 # grid costs about 100 to 130 ns per pair, range moments about the same at
@@ -275,12 +274,12 @@ def _cells_per_ball(per_anchor: float, d: int) -> int:
     """Cells m per ball side on each leading axis, for `per_anchor` expected pairs per anchor.
 
     An anchor costs about (m + 1)^(d-1) runs and per_anchor ((m + 1) / m)^(d-1)
-    candidates; _RUN_COST weighs a run against a candidate pair.
+    candidates; a run costs about as much as a candidate pair.
     """
     if d == 1:
         return 1
     m = np.arange(1, _MAX_CELLS + 1, dtype=float)
-    cost = (m + 1.0) ** (d - 1) * _RUN_COST + per_anchor * ((m + 1.0) / m) ** (d - 1)
+    cost = (m + 1.0) ** (d - 1) + per_anchor * ((m + 1.0) / m) ** (d - 1)
     return int(m[np.argmin(cost)])
 
 

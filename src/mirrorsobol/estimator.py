@@ -50,7 +50,6 @@ __all__ = [
     "FullSample",
     "SubsetSpec",
     "EstimateResult",
-    "default_bandwidth",
     "estimate_t",
     "estimate_sobol",
     "estimate_total_sobol",
@@ -135,23 +134,6 @@ class EstimateResult:
             "n": self.n_used,
             "h": self.h_used,
         }
-
-
-def default_bandwidth(n: int, k: int, domain: Domain) -> float:
-    """Default rate h = c n^{-gamma}, gamma the midpoint of (1/(2k), 1/d), d = domain.dim.
-
-    The admissible window requires k > d/2; outside it no rate satisfies the
-    central limit theorem conditions and an error is raised.  The constant c
-    is the smallest axis width, so the mirror condition holds automatically.
-    """
-    d = domain.dim
-    if 2 * k <= d:
-        raise MirrorSobolError(
-            f"kernel order {k} is too small for dimension {d}: the admissible "
-            f"bandwidth window (1/(2k), 1/d) is empty; need k > d/2"
-        )
-    gamma = 0.5 * (1.0 / (2.0 * k) + 1.0 / d)
-    return float(np.min(domain.widths)) * float(n) ** (-gamma)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Analytic test models, brute-force oracles, and Monte Carlo study drivers.
 
-Each model carries closed forms, derived by hand integration, for the
-partial variance t = E[E[Y|X]^2] and the Sobol' index of every supported
-mask, so estimator runs can be scored against exact truth.  The conditional
-moments that the limiting variances need are summed from Y on a quadrature
-rule by `variance_oracles`.  `brute_force_t` is a literal transcription of
+Each model carries the variances of its Hoeffding terms, derived by hand
+integration; the partial variance t = E[E[Y|X]^2], Var(Y) and the Sobol'
+index of every mask follow from them, so estimator runs can be scored
+against exact truth.  The conditional moments that the limiting variances
+need are summed from Y on a quadrature rule by `variance_oracles`.  `brute_force_t` is a literal transcription of
 the pairwise estimator used as an independent oracle.
 """
 
@@ -47,34 +47,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyticModel:
-    """Test function with the closed-form mean, variance, partial variances and Sobol' indices of its output."""
+    """Test function with its mean and the variances of its Hoeffding terms.
+
+    `terms` maps each group of axes u (a sorted tuple) whose Hoeffding term
+    Y_u is nonzero to Var(Y_u), derived by hand integration.  The partial
+    variance Var(E[Y | X]) of a mask is the sum of the terms of the groups
+    inside it, so t = E[E[Y | X]^2] adds mean_y^2, Var(Y) sums every term,
+    and the Sobol' index divides the partial variance by Var(Y).
+    """
 
     name: str
     input_model: InputModel
     g: Callable[[np.ndarray], np.ndarray]
-    true_t: dict
-    true_sobol: dict
     mean_y: float
-    var_y: float
+    terms: dict
 
     @property
     def p(self) -> int:
         return self.input_model.p
 
-    def masks(self) -> list:
-        return sorted(self.true_sobol.keys(), key=lambda m: (len(m), m))
+    @property
+    def var_y(self) -> float:
+        return math.fsum(self.terms.values())
 
-    def _lookup(self, table: dict, mask):
+    def masks(self) -> list:
+        return [m for d in range(1, self.p + 1) for m in itertools.combinations(range(self.p), d)]
+
+    def _partial_variance(self, mask) -> float:
         key = tuple(sorted(int(i) for i in mask))
-        if key not in table:
-            raise MirrorSobolError(f"model {self.name!r} has no closed form for mask {key}")
-        return key, table[key]
+        if not key or key[0] < 0 or key[-1] >= self.p or len(set(key)) < len(key):
+            raise MirrorSobolError(f"model {self.name!r} with p = {self.p} inputs has no mask {key}")
+        return math.fsum(v for u, v in self.terms.items() if set(u) <= set(key))
 
     def t_of(self, mask) -> float:
-        return self._lookup(self.true_t, mask)[1]
+        return self._partial_variance(mask) + self.mean_y**2
 
     def sobol_of(self, mask) -> float:
-        return self._lookup(self.true_sobol, mask)[1]
+        return self._partial_variance(mask) / self.var_y
 
     def draw(self, n: int, seed: int, stream: int = 0) -> FullSample:
         v = sample(self.input_model, n, seed, stream=stream)
@@ -88,31 +97,20 @@ def _uniform_inputs(p: int, lo: float = 0.0, hi: float = 1.0) -> InputModel:
 def _linear_model(name: str, alpha: float, p: int) -> AnalyticModel:
     """Y = V @ w with w = (alpha, 1, ..., 1) and uniform inputs on [0, 1]^p.
 
-    For a mask, Var(E[Y | X]) = sum(w_in^2)/12, Var(Y) = sum(w^2)/12, and
-    the index is sum(w_in^2) / sum(w^2).  Products with the weights are
-    summed row-wise, so unit weights give exactly the plain row sums.
+    Axis i alone carries a Hoeffding term, of variance w_i^2/12.  Products
+    with the weights are summed row-wise, so unit weights give exactly the
+    plain row sums.
     """
     if p < 1:
         raise MirrorSobolError(f"{name} model needs p >= 1")
     w = np.ones(p)
     w[0] = alpha
-    total = float(np.sum(w**2))
-    var_y = total / 12.0
-    mean_y = float(np.sum(w)) / 2.0
-    true_t, true_sobol = {}, {}
-    for d in range(1, p + 1):
-        for mask in itertools.combinations(range(p), d):
-            part = float(np.sum(w[list(mask)] ** 2))
-            true_t[mask] = part / 12.0 + mean_y**2
-            true_sobol[mask] = part / total
     return AnalyticModel(
         name=f"{name}{p}",
         input_model=_uniform_inputs(p),
         g=lambda v, w=w: (np.asarray(v, dtype=float) * w).sum(axis=1),
-        true_t=true_t,
-        true_sobol=true_sobol,
-        mean_y=mean_y,
-        var_y=var_y,
+        mean_y=float(np.sum(w)) / 2.0,
+        terms={(i,): float(w[i] ** 2) / 12.0 for i in range(p)},
     )
 
 
@@ -129,59 +127,38 @@ def weighted_linear_model(alpha: float = 2.0, p: int = 3) -> AnalyticModel:
 def ishigami_model(a: float = 7.0, b: float = 0.1) -> AnalyticModel:
     """Y = sin V_1 + a sin^2 V_2 + b V_3^4 sin V_1 on [-pi, pi]^3.
 
-    The partial variances reduce to moments of sin and V^4 over [-pi, pi]:
-    E[sin^2] = 1/2, E[V^4] = pi^4/5, E[V^8] = pi^8/9.
+    The terms reduce to moments of sin and V^4 over [-pi, pi]:
+    E[sin^2] = 1/2, E[V^4] = pi^4/5, E[V^8] = pi^8/9.  With c1 = E[1 + b V^4],
+    the term of V_1 has variance c1^2/2, that of V_2 a^2/8, and the
+    (V_1, V_3) interaction b^2 Var(V^4)/2 = 8 b^2 pi^8/225.
     """
-    pi4 = np.pi**4
-    pi8 = np.pi**8
-    c1 = 1.0 + b * pi4 / 5.0  # E[1 + b V^4]
-    c2 = 1.0 + 2.0 * b * pi4 / 5.0 + b * b * pi8 / 9.0  # E[(1 + b V^4)^2]
-    mean_y = 0.5 * a
-    var_parts = {
-        (0,): 0.5 * c1 * c1,
-        (1,): a * a / 8.0,
-        (2,): 0.0,
-        (0, 1): 0.5 * c1 * c1 + a * a / 8.0,
-        (0, 2): 0.5 * c2,
-        (1, 2): a * a / 8.0,
-        (0, 1, 2): 0.5 * c2 + a * a / 8.0,
-    }
-    var_y = var_parts[(0, 1, 2)]
+    c1 = 1.0 + b * np.pi**4 / 5.0
 
     def g_full(v):
         v = np.asarray(v, dtype=float)
         return np.sin(v[:, 0]) + a * np.sin(v[:, 1]) ** 2 + b * v[:, 2] ** 4 * np.sin(v[:, 0])
 
-    true_t = {m: var + mean_y**2 for m, var in var_parts.items()}
-    true_sobol = {m: var / var_y for m, var in var_parts.items()}
     return AnalyticModel(
         name="ishigami",
         input_model=_uniform_inputs(3, -np.pi, np.pi),
         g=g_full,
-        true_t=true_t,
-        true_sobol=true_sobol,
-        mean_y=mean_y,
-        var_y=var_y,
+        mean_y=0.5 * a,
+        terms={(0,): 0.5 * c1 * c1, (1,): a * a / 8.0, (0, 2): 8.0 * b * b * np.pi**8 / 225.0},
     )
 
 
 def product_model() -> AnalyticModel:
-    """Y = V_1 V_2 on [0, 1]^2: g1(x) = x/2, t = 1/12, S = 3/7 per axis."""
-    var_y = 1.0 / 9.0 - 1.0 / 16.0  # 7/144
-    true_t = {(0,): 1.0 / 12.0, (1,): 1.0 / 12.0, (0, 1): 1.0 / 9.0}
-    true_sobol = {
-        (0,): (1.0 / 12.0 - 1.0 / 16.0) / var_y,  # 3/7
-        (1,): (1.0 / 12.0 - 1.0 / 16.0) / var_y,
-        (0, 1): 1.0,
-    }
+    """Y = V_1 V_2 on [0, 1]^2: g1(x) = x/2, t = 1/12, S = 3/7 per axis.
+
+    Each axis has a term of variance 1/48 and the interaction 1/144, so
+    Var(Y) = 7/144.
+    """
     return AnalyticModel(
         name="product",
         input_model=_uniform_inputs(2),
         g=lambda v: np.asarray(v, dtype=float)[:, 0] * np.asarray(v, dtype=float)[:, 1],
-        true_t=true_t,
-        true_sobol=true_sobol,
         mean_y=0.25,
-        var_y=var_y,
+        terms={(0,): 1.0 / 48.0, (1,): 1.0 / 48.0, (0, 1): 1.0 / 144.0},
     )
 
 
@@ -191,17 +168,12 @@ def curved_model() -> AnalyticModel:
     g1 for the first axis is x^3 + 1/2, t = 1/7 + 1/4 + 1/4 = 9/14,
     Var(Y) = 9/112 + 1/12 = 55/336, S^1 = 27/55, S^2 = 28/55.
     """
-    var_y = 55.0 / 336.0
-    true_t = {(0,): 9.0 / 14.0, (1,): 31.0 / 48.0, (0, 1): 1.0 / 7.0 + 1.0 / 4.0 + 1.0 / 3.0}
-    true_sobol = {(0,): 27.0 / 55.0, (1,): 28.0 / 55.0, (0, 1): 1.0}
     return AnalyticModel(
         name="curved",
         input_model=_uniform_inputs(2),
         g=lambda v: np.asarray(v, dtype=float)[:, 0] ** 3 + np.asarray(v, dtype=float)[:, 1],
-        true_t=true_t,
-        true_sobol=true_sobol,
         mean_y=0.75,
-        var_y=var_y,
+        terms={(0,): 9.0 / 112.0, (1,): 1.0 / 12.0},
     )
 
 
@@ -484,7 +456,8 @@ def convergence_study(plan: ExperimentPlan) -> dict:
     Returns {"rows": [...], "slopes": {...}} where rows carry the columns
     (model, mask, estimator, n, h, seed_count, mean, rmse, var_scaled_by_n,
     coverage) and slopes map (estimator_label, mask_label) to the fitted
-    log-log slope of RMSE in n.
+    log-log slope of RMSE in n.  A series with a zero RMSE has no slope: on
+    a full mask pick-freeze's Y_pf is Y, so its index is exactly 1.
     """
     model, mask = plan.model, plan.mask
     run = _seed_runner(plan, plan.estimators)
@@ -503,8 +476,8 @@ def convergence_study(plan: ExperimentPlan) -> dict:
         grouped.setdefault((row["estimator"], row["mask"]), []).append((row["n"], row["rmse"]))
     slopes = {}
     for key, pairs in grouped.items():
-        if len(pairs) >= 2:
-            ns, rmses = zip(*pairs)
+        ns, rmses = zip(*pairs)
+        if len(pairs) >= 2 and min(rmses) > 0.0:
             slopes[key] = fit_loglog_slope(ns, rmses)
     return {"rows": rows, "slopes": slopes}
 

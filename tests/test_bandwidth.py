@@ -293,9 +293,16 @@ def _uniform_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_uniform_cases())
+# 176 nodes on each of three unit axes: 176^3 passes the node budget
+@example((FullSample(V=np.zeros((2, 3)), Y=np.zeros(2)), (0, 1, 2), [0.0234375] * 3, [Uniform(0.0, 1.0)] * 3))
 def test_target_uniform_matches_pair_sum_oracle(case):
     sample, mask, h0, marginals = case
-    _assert_matches_oracle(sample, mask, h0, marginals, rtol=1e-12)
+    h = bandwidth._clipped_h0(h0)
+    if math.prod(bandwidth._node_count(i, h[i], marginals[i]) for i in mask) > bandwidth._NODE_BUDGET:
+        with pytest.raises(PilotTargetError, match="beyond the budget"):
+            pilot_target(sample, SubsetSpec(mask=mask), h0, marginals)
+    else:
+        _assert_matches_oracle(sample, mask, h0, marginals, rtol=1e-12)
 
 
 # an oracle value that quad warns about is of unknown accuracy

@@ -339,9 +339,8 @@ def test_sigma_min_scale_invariant():
         m,
         name="product2x",
         g=lambda v: 2.0 * m.g(v),
-        true_t={k: 4.0 * v_ for k, v_ in m.true_t.items()},
         mean_y=2.0 * m.mean_y,
-        var_y=4.0 * m.var_y,
+        terms={u: 4.0 * v_ for u, v_ in m.terms.items()},
     )
     scaled = efficient_bounds(variance_oracles(scaled_model, mask))[1]
     assert scaled == base, f"sigma_min^2 must be exactly scale-free: {base} vs {scaled}"

@@ -489,6 +489,18 @@ def test_convergence_command(tmp_path):
     assert len(slopes) == 2, f"one slope comment per estimator, got {slopes}"
 
 
+def test_convergence_on_a_full_mask_keeps_pick_freeze_rows_without_a_slope(tmp_path):
+    # on a full mask pick-freeze's Y_pf is Y, so its RMSE is exactly 0 and
+    # has no log-log slope; the kernel series keep theirs
+    out = tmp_path / "conv.csv"
+    argv = ["convergence", "--model", "product", "--mask", "1,2", "--h", "0.5", "--n-grid", "100,200"]
+    assert main(argv + ["--seeds", "2", "--estimators", "kernel,pf", "--output", str(out)]) == 0
+    _, _, rows, lines = _read_table(str(out))
+    assert [(r["n"], float(r["rmse"])) for r in rows if r["estimator"] == "pf"] == [("100", 0.0), ("200", 0.0)]
+    slopes = [ln.split()[2] for ln in lines if ln.startswith("# slope")]
+    assert slopes == ["estimator=kernel_sobol", "estimator=kernel_t"], slopes
+
+
 def test_coverage_command(tmp_path):
     out = str(tmp_path / "cov.csv")
     cfg = RunConfig(

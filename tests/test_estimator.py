@@ -28,7 +28,6 @@ from mirrorsobol.estimator import (
     SubsetSpec,
     _empirical_covariance,
     _ratio_covariance,
-    default_bandwidth,
     estimate_first_order_all,
     estimate_sobol,
     estimate_t,
@@ -1237,15 +1236,6 @@ def test_dimension_mismatches():
     fs = m.draw(20, seed=2)
     with pytest.raises(MirrorSobolError):
         estimate_t(fs, SubsetSpec((5,)), build_kernel(1), 0.2, m.input_model)  # mask out of range
-
-
-def test_default_bandwidth():
-    dom = Domain((0.0, 0.0), (1.0, 2.0))
-    h1 = default_bandwidth(1000, 2, dom.subdomain((0,)))
-    h2 = default_bandwidth(8000, 2, dom.subdomain((0,)))
-    assert 0.0 < h2 < h1 <= 1.0, f"default bandwidth should shrink with n: {h1}, {h2}"
-    with pytest.raises(MirrorSobolError):
-        default_bandwidth(1000, 1, dom)  # 2k <= d = 2 leaves no valid rate window
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,10 @@ def test_removed_names_stay_removed():
         assert not hasattr(cls, "to_json"), f"{cls.__name__}.to_json should not exist"
     assert not hasattr(estimator.SubsetSpec, "d")
     assert "f_x" not in {f.name for f in dataclasses.fields(baselines.VarianceOracles)}
-    # the oracles sum the conditional moments from Y on the rule
-    assert not {"g1_funcs", "g2_funcs"} & {f.name for f in dataclasses.fields(testbed.AnalyticModel)}
+    # the oracles sum the conditional moments from Y on the rule, and the
+    # truths follow from the Hoeffding terms
+    fields = {f.name for f in dataclasses.fields(testbed.AnalyticModel)}
+    assert not {"g1_funcs", "g2_funcs", "true_t", "true_sobol"} & fields
     assert not hasattr(testbed.AnalyticModel, "g1") and not hasattr(testbed.AnalyticModel, "g2")
     for module, name in (
         (estimator, "asymptotic_variance_t"),
@@ -58,6 +60,7 @@ def test_removed_names_stay_removed():
         (estimator, "_covariance"),
         (estimator, "estimate_g1_loo"),
         (estimator, "_y_row_sums"),
+        (estimator, "default_bandwidth"),
         (density, "plugin_mse_diagnostic"),
         (bandwidth, "compute_beta_single"),
         (baselines, "_limiting_variance_t"),

@@ -1,5 +1,6 @@
 """Tests for the analytic models, oracles, and study drivers."""
 
+import math
 import sys
 import threading
 import time
@@ -46,9 +47,63 @@ def test_true_sobol_sums_and_bounds():
         for mask in model.masks():
             s = model.sobol_of(mask)
             assert -1e-12 <= s <= 1.0 + 1e-12, f"{model.name} mask {mask}: S = {s}"
-        full = tuple(range(model.p))
-        if full in model.true_sobol:
-            assert abs(model.sobol_of(full) - 1.0) < 1e-12, f"{model.name}: full-mask index must be 1"
+        assert abs(model.sobol_of(tuple(range(model.p))) - 1.0) < 1e-12, f"{model.name}: full-mask index must be 1"
+
+
+# (t, S) of every builtin mask, written out from the hand integrals; the
+# Hoeffding terms must reproduce t exactly and S to one ulp
+_CLOSED_FORMS = {
+    "linear3": {
+        (0,): (1 / 12 + 9 / 4, 1 / 3),
+        (1,): (1 / 12 + 9 / 4, 1 / 3),
+        (2,): (1 / 12 + 9 / 4, 1 / 3),
+        (0, 1): (2 / 12 + 9 / 4, 2 / 3),
+        (0, 2): (2 / 12 + 9 / 4, 2 / 3),
+        (1, 2): (2 / 12 + 9 / 4, 2 / 3),
+        (0, 1, 2): (5 / 2, 1.0),
+    },
+    "wlinear3": {
+        (0,): (4 / 12 + 4, 4 / 6),
+        (1,): (1 / 12 + 4, 1 / 6),
+        (2,): (1 / 12 + 4, 1 / 6),
+        (0, 1): (5 / 12 + 4, 5 / 6),
+        (0, 2): (5 / 12 + 4, 5 / 6),
+        (1, 2): (2 / 12 + 4, 2 / 6),
+        (0, 1, 2): (9 / 2, 1.0),
+    },
+    "ishigami": {
+        (0,): (16.59588802389416, 0.31390519114781146),
+        (1,): (18.375, 0.4424111447900409),
+        (2,): (12.25, 0.0),
+        (0, 1): (22.72088802389416, 0.7563163359378523),
+        (0, 2): (19.969587940719254, 0.5575888552099592),
+        (1, 2): (18.375, 0.4424111447900409),
+        (0, 1, 2): (26.094587940719254, 1.0),
+    },
+    "product": {
+        (0,): (1 / 12, 3 / 7),
+        (1,): (1 / 12, 3 / 7),
+        (0, 1): (1 / 9, 1.0),
+    },
+    "curved": {
+        (0,): (9 / 14, 27 / 55),
+        (1,): (31 / 48, 28 / 55),
+        (0, 1): (61 / 84, 1.0),
+    },
+}
+
+
+def test_hoeffding_terms_reproduce_the_closed_forms():
+    for model in builtin_models():
+        want = _CLOSED_FORMS[model.name]
+        assert model.masks() == list(want)
+        for mask, (t, s) in want.items():
+            assert model.t_of(mask) == t, f"{model.name} {mask}: t {model.t_of(mask)} vs {t}"
+            assert abs(model.sobol_of(mask) - s) <= math.ulp(s), f"{model.name} {mask}: S {model.sobol_of(mask)} vs {s}"
+        with pytest.raises(MirrorSobolError, match="no mask"):
+            model.t_of((0, 0))
+        with pytest.raises(MirrorSobolError, match="no mask"):
+            model.sobol_of((model.p,))
 
 
 def test_linear_models_match_their_hand_formulas_exactly():
@@ -63,7 +118,7 @@ def test_linear_models_match_their_hand_formulas_exactly():
             assert m.t_of(mask) == d / 12 + (p / 2) ** 2
             assert m.sobol_of(mask) == d / p
         unit = weighted_linear_model(1.0, p)
-        assert (unit.true_t, unit.true_sobol, unit.mean_y, unit.var_y) == (m.true_t, m.true_sobol, m.mean_y, m.var_y)
+        assert (unit.terms, unit.mean_y, unit.var_y) == (m.terms, m.mean_y, m.var_y)
     w = weighted_linear_model(2.0, 3)
     assert w.name == "wlinear3" and w.sobol_of((0,)) == 4 / 6 and w.t_of((0,)) == 4 / 12 + 2.0**2
 
@@ -374,6 +429,8 @@ def test_fit_loglog_slope_exact():
     ns = np.array([100, 400, 1600])
     rmse = 3.0 * ns**-0.5
     assert abs(fit_loglog_slope(ns, rmse) + 0.5) < 1e-12
+    with pytest.raises(MirrorSobolError, match="zero RMSE"):
+        fit_loglog_slope(ns, [0.1, 0.0, 0.05])
 
 
 def test_rank_requires_singleton_mask_in_study():
