@@ -5,7 +5,11 @@ target for E[g1(X)^2], computed as one tensor Gauss quadrature over the
 mask axes, and virtual outputs; the selected h makes the kernel U-statistic
 on the virtual outputs match the target.  The pilot marginals are `Uniform`
 or `Beta`: a Uniform mask axis takes composite Gauss-Legendre panels, a Beta
-mask axis adds Gauss-Jacobi end panels for its 1/f.
+mask axis adds Gauss-Jacobi end panels for its 1/f.  The virtual outputs
+take the rows in small blocks of one cell, each centred at its first row,
+and get every kernel exponent of a block from one matrix product over half
+the kernel matrix; their rounding error is about eps (d + 2 rho)^2 for a
+pair d pilot bandwidths apart in a block of radius rho.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ def _beta_single(sample: FullSample, i: int, h0_i: float, support) -> np.ndarray
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal cdf, 0.5 erfc(-z / sqrt(2)), which keeps its relative precision in the lower tail."""
-    return np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in z.tolist()])
+    t = -z / math.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, t.tolist()), float, t.size)
 
 
 # quadrature nodes per mask axis: at least 4 per pilot bandwidth across the
@@ -225,9 +230,57 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
     return full, 0.5 * (full + diag / n**2)
 
 
-# rows per block of the in-place passes below: at n = 2000 to 10^4, blocks
-# of 16 rows ran faster than 64, 256 or 512 (the two buffers stay in cache)
-_VIRT_BLOCK = 16
+# virtual_outputs takes blocks of at most _VIRT_BLOCK rows inside one cell of
+# side _VIRT_CELL pilot bandwidths on every axis.  On linear3 at n = 4000
+# (CPU time, median of 9 runs), cells of side 2, 4 and 8 ran alike, and the
+# rounding error grows with the square of the cell diagonal; blocks of 32
+# rows took 24 ms against 28 ms for 16 (171 against 164 ms at n = 10^4), at
+# the cost of a (32, n) buffer of exponents
+_VIRT_BLOCK = 32
+_VIRT_CELL = 4.0
+# scaled offsets are clipped here so that their squares stay finite; every
+# clipped entry is exp(-huge) = 0, as it is in the dense formula
+_OFFSET_CLIP = 2.0**500
+
+
+def _cells(v: np.ndarray, inv_h: np.ndarray, cap: float) -> np.ndarray:
+    """(n, p) cell numbers of side _VIRT_CELL pilot bandwidths on every axis.
+
+    An axis is measured along its sorted values by the scaled gaps between
+    neighbours, each a direct difference, with a gap wider than cap counted
+    as cap (cap > _VIRT_CELL).  The positions stay below n cap, small enough
+    to be floored exactly at any scale of V.  Two rows of one cell are
+    closer than _VIRT_CELL pilot bandwidths on every axis, since no capped
+    gap lies between them; rows whose cells on an axis differ by k are at
+    least (k - 1) _VIRT_CELL apart on it, since capping only shortens.
+    """
+    n, p = v.shape
+    cells = np.empty((n, p))
+    pos = np.empty(n)
+    for i in range(p):
+        order = np.argsort(v[:, i], kind="stable")
+        gaps = np.minimum(np.diff(v[order, i]) * inv_h[i], cap)
+        pos[order[0]] = 0.0
+        pos[order[1:]] = np.cumsum(gaps)
+        cells[:, i] = np.floor(pos / _VIRT_CELL)
+    return cells
+
+
+def _blocks(cells: np.ndarray, window: int) -> tuple:
+    """(first row, row stop, column stop) of every block of rows sorted by cell.
+
+    A block is a run of at most _VIRT_BLOCK rows of one cell; its columns
+    run from its first row through the last row whose axis-0 cell is at
+    most `window` after its own.
+    """
+    runs = np.flatnonzero(np.r_[True, np.any(cells[1:] != cells[:-1], axis=1), True])
+    count = -(-np.diff(runs) // _VIRT_BLOCK)  # blocks per run of one cell
+    # a block starts _VIRT_BLOCK rows per earlier block of its run after the run
+    index = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    starts = np.repeat(runs[:-1], count) + _VIRT_BLOCK * index
+    stops = np.minimum(starts + _VIRT_BLOCK, np.repeat(runs[1:], count))
+    ends = np.searchsorted(cells[:, 0], cells[starts, 0] + window, side="right")
+    return starts.tolist(), stops.tolist(), ends.tolist()
 
 
 def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
@@ -237,6 +290,21 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     with f_V the product of `marginals` (one per input axis, as in
     pilot_target).  Dropping the self-term centers the selection objective:
     with it, the virtual U-statistic is coupled to its own target.
+
+    The rows are sorted by their cell of side _VIRT_CELL h0_i on every axis
+    (see _cells) and taken in blocks of at most _VIRT_BLOCK rows of one
+    cell.  With the offsets a = (V_row - V_s) / h0 and b = (V_col - V_s) / h0
+    from the block's first row s, each a direct difference, one gemm of
+    [a, log_norm - |a|^2/2, -1/2] and [b, 1, |b|^2] gives every exponent
+    log_norm - |a - b|^2/2 of the block, and one exp its kernel values.  The
+    rounding error of an exponent is about eps (d + 2 rho)^2 for a pair d
+    pilot bandwidths apart, with the block radius rho below the cell
+    diagonal _VIRT_CELL sqrt(p); nothing grows with |V| / h0.  A block's
+    columns start at its first row, and each kernel value adds into the
+    output of its row and of its column, so the exp of a pair of rows in
+    two blocks is taken once.  Columns more than the reach
+    R = sqrt(2 (log_norm + 746)) away on axis 0, past which exp underflows
+    to 0, are skipped: the dense formula gives them 0 too.
     """
     v, y, h0 = _pilot_inputs(sample, h0, marginals)
     n, p = v.shape
@@ -245,36 +313,44 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
         raise MirrorSobolError("the pilot marginals' density must be positive and finite at all sample points")
     inv_h = 1.0 / h0
     log_norm = -np.sum(np.log(h0)) - 0.5 * p * math.log(2 * math.pi)
-    cols = np.ascontiguousarray(v.T)
-    out = np.empty(n)
-    # a one-row block would take numpy's one-row product instead of gemv and
-    # round its sum differently, so a one-row tail joins the block before it
-    starts = list(range(0, n, _VIRT_BLOCK)) + [n]
-    if len(starts) > 2 and starts[-1] - starts[-2] == 1:
-        del starts[-2]
-    z_buf, expo_buf = (np.empty((min(_VIRT_BLOCK + 1, n), n)) for _ in range(2))
-    # a scaled offset past about 1.3e154 squares to inf, and exp(-inf) = 0 is
-    # the kernel's value there, so that overflow is not reported
+    # rows more than `window` axis-0 cells apart are more than the reach apart
+    reach = math.sqrt(max(0.0, 2.0 * (log_norm + 746.0)))
+    window = math.ceil(reach / _VIRT_CELL) + 1
+    # a scaled difference of rows spread wider than about 1e305 h0 overflows
+    # to inf before its clip (or its cap in _cells)
     with np.errstate(over="ignore"):
-        for start, stop in zip(starts[:-1], starts[1:]):
-            z, expo = z_buf[: stop - start], expo_buf[: stop - start]
-            # expo = -0.5 sum_i z_i^2 with z_i = (v_j' - v_j) / h0_i.  Halving
-            # commutes with rounding, so this has the bits of the dense formula's
-            # -sum_i 0.5 z_i z_i; where a square overflows or is subnormal the
-            # two can differ, but exp(expo + log_norm) cannot
-            for i in range(p):
-                np.subtract(cols[i], cols[i, start:stop, None], out=z)
-                np.multiply(z, inv_h[i], out=z)
-                if i == 0:
-                    np.square(z, out=expo)
-                else:
-                    np.square(z, out=z)
-                    np.add(expo, z, out=expo)
-            np.multiply(expo, -0.5, out=expo)
-            np.add(expo, log_norm, out=expo)
-            np.exp(expo, out=expo)
-            out[start:stop] = expo @ y
-    return (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
+        cells = _cells(v, inv_h, (window + 2) * _VIRT_CELL)
+        order = np.lexsort(cells.T[::-1])  # axis 0 primary
+        cols = np.ascontiguousarray(v[order].T)
+        ys = y[order]
+        # rows of `terms`: the columns' [b; 1; |b|^2]; `front` is the block
+        # rows' [a, 1, |a|^2] @ form = [a, log_norm - |a|^2/2, -1/2], so
+        # that front @ terms = log_norm - |a|^2/2 + a.b - |b|^2/2
+        terms = np.empty((p + 2, n))
+        terms[p] = 1.0
+        form = np.eye(p + 2)
+        form[p:, p:] = [[log_norm, -0.5], [-0.5, 0.0]]
+        front = np.empty((_VIRT_BLOCK, p + 2))
+        scale = inv_h[:, None]
+        expo = np.empty(_VIRT_BLOCK * n)
+        own, later = np.empty(n), np.zeros(n)
+        for s, t, e in zip(*_blocks(cells[order], window)):
+            r, w = t - s, e - s
+            b = terms[:p, :w]
+            np.subtract(cols[:, s:e], cols[:, s, None], out=b)
+            np.multiply(b, scale, out=b)
+            np.clip(b, -_OFFSET_CLIP, _OFFSET_CLIP, out=b)
+            np.einsum("ij,ij->j", b, b, out=terms[p + 1, :w])
+            np.matmul(terms[:, :r].T, form, out=front[:r])
+            kern = expo[: r * w].reshape(r, w)
+            np.matmul(front[:r], terms[:, :w], out=kern)
+            np.exp(kern, out=kern)
+            expo[: r * w : w + 1] = 0.0  # each row's own term
+            np.dot(kern, ys[s:e], out=own[s:t])
+            later[t:e] += ys[s:t] @ kern[:, r:]
+    out = np.empty(n)
+    out[order] = own + later
+    return out / ((n - 1) * fvals)
 
 
 def default_grid(n: int, domain: Domain) -> np.ndarray:

@@ -97,18 +97,27 @@ def _uniform_inputs(p: int, lo: float = 0.0, hi: float = 1.0) -> InputModel:
 def _linear_model(name: str, alpha: float, p: int) -> AnalyticModel:
     """Y = V @ w with w = (alpha, 1, ..., 1) and uniform inputs on [0, 1]^p.
 
-    Axis i alone carries a Hoeffding term, of variance w_i^2/12.  Products
-    with the weights are summed row-wise, so unit weights give exactly the
-    plain row sums.
+    Axis i alone carries a Hoeffding term, of variance w_i^2/12.  g adds the
+    products with the weights one column at a time, left to right: the
+    order numpy's row sum takes for p < 8, so unit weights give exactly the
+    plain row sums there.
     """
     if p < 1:
         raise MirrorSobolError(f"{name} model needs p >= 1")
     w = np.ones(p)
     w[0] = alpha
+
+    def g(v):
+        v = np.asarray(v, dtype=float)
+        out = v[:, 0] * w[0]
+        for i in range(1, p):
+            out += v[:, i] * w[i]
+        return out
+
     return AnalyticModel(
         name=f"{name}{p}",
         input_model=_uniform_inputs(p),
-        g=lambda v, w=w: (np.asarray(v, dtype=float) * w).sum(axis=1),
+        g=g,
         mean_y=float(np.sum(w)) / 2.0,
         terms={(i,): float(w[i] ** 2) / 12.0 for i in range(p)},
     )

@@ -220,6 +220,15 @@ def test_beta_single_values():
     assert wide[0] < out[0]
 
 
+def test_normal_cdf_keeps_the_bits_of_the_scalar_loop():
+    z = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 40.0, -40.0], np.random.default_rng(6).standard_normal(4000)])
+    want = np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in z.tolist()])
+    got = bandwidth._normal_cdf(z)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert bandwidth._normal_cdf(np.empty(0)).shape == (0,)
+
+
 def test_pilot_rejects_a_foreign_marginal():
     # the pilot quadrature has rules for Uniform and Beta marginals only
     class Flat:
@@ -422,42 +431,198 @@ def _virtual_outputs_reference(sample, h0, marginals):
     return (out - y * math.exp(log_norm)) / ((n - 1) * fvals)
 
 
+def _extended_virtual_outputs(sample, h0, marginals):
+    """The virtual outputs in np.longdouble, and the bound within which a double evaluation lies.
+
+    With u = 2^-53, the offsets of a pair at distance d (in pilot
+    bandwidths) carry a relative error of at most 3u: a difference, the
+    rounded 1/h0 and a product.  The exponent log_norm - d^2/2 is a sum of
+    at most p + 2 products of offsets, or of p squares and log_norm in the
+    dense formula.  Taken from the first row s of a block of radius rho,
+    |log_norm| + |a|^2/2 + |a.b| + |b|^2/2 <= |log_norm| + (d + 2 rho)^2/2,
+    so the exponent is off by at most (p + 10) u (|log_norm| + (d + 2 rho)^2),
+    and exp adds 4u relative.  virtual_outputs keeps rho below the cell
+    diagonal _VIRT_CELL sqrt(p); the dense formula has rho = 0 and meets the
+    same bound.  Summing over k (one gemv of n terms, or a gemv and up to n
+    later additions) adds (2n + 1) u sum_k |Y_k| K_jk, the self-term K(0)
+    |Y_j| included, since the dense formula adds and then subtracts it, and
+    dividing by (n - 1) f_j adds (p + 3) u.  Below the normal range each
+    kernel value, product and quotient may be off by 2^-1074 in absolute
+    terms, which also covers an entry that rounds to 0 or is skipped
+    because its value is below 2^-1075.  The bound doubles the sum of the
+    terms before the division, for the terms of second order.
+    """
+    v, y = sample.V.astype(np.longdouble), sample.Y.astype(np.longdouble)
+    n, p = v.shape
+    h0 = np.maximum(np.asarray(h0, dtype=float), H0_FLOOR).astype(np.longdouble)
+    fvals = np.prod([m.pdf(sample.V[:, i]) for i, m in enumerate(marginals)], axis=0)
+    two_pi = 2 * np.arccos(np.longdouble(-1.0))
+    log_norm = -np.sum(np.log(h0)) - p * np.log(two_pi) / 2
+    rho = bandwidth._VIRT_CELL * math.sqrt(p)
+    u, tiny = np.longdouble(2.0**-53), np.longdouble(2.0**-1074)
+    value, bound = np.empty(n, dtype=np.longdouble), np.empty(n, dtype=np.longdouble)
+    for j in range(n):
+        d2 = np.sum(((v - v[j]) / h0) ** 2, axis=1)
+        weights = np.abs(y) * np.exp(log_norm - d2 / 2)
+        value[j] = np.sum(y * np.exp(log_norm - d2 / 2)) - y[j] * np.exp(log_norm)
+        per_pair = (p + 10) * (abs(log_norm) + (np.sqrt(d2) + 2 * rho) ** 2) + 2 * n + p + 8
+        bound[j] = 2 * (u * np.sum(weights * per_pair) + tiny * (np.sum(np.abs(y)) + 2 * n))
+    scale = (n - 1) * fvals.astype(np.longdouble)
+    return value / scale, bound / scale + tiny
+
+
+def _assert_both_meet_the_extended_bound(sample, h0, marginals):
+    # returns both outputs, the dense formula's first, for further checks
+    value, bound = _extended_virtual_outputs(sample, h0, marginals)
+    with np.errstate(over="ignore"):
+        want = _virtual_outputs_reference(sample, h0, marginals)
+    got = virtual_outputs(sample, h0, marginals)
+    for name, out in (("dense formula", want), ("virtual_outputs", got)):
+        miss = np.abs(out.astype(np.longdouble) - value) / bound
+        assert np.all(miss <= 1.0), f"{name} misses the bound by {float(miss.max()):.3g}x at row {int(np.argmax(miss))}"
+    return want, got
+
+
 @pytest.mark.parametrize("model, n", [(linear_model(3), 700), (ishigami_model(), 600), (product_model(), 650)])
 def test_virtual_outputs_bit_equal_to_the_dense_formula(model, n):
-    # the in-place blocked evaluation keeps the arithmetic of each entry
+    # both the blocked Gram evaluation and the dense formula lie within the
+    # rounding bound of the extended-precision value
     s = model.draw(n, seed=4)
-    h0 = rule_of_thumb_h0(s)
-    marginals = model.input_model.marginals
-    assert np.array_equal(virtual_outputs(s, h0, marginals), _virtual_outputs_reference(s, h0, marginals))
+    _assert_both_meet_the_extended_bound(s, rule_of_thumb_h0(s), model.input_model.marginals)
 
 
 @pytest.mark.parametrize("n", [2, 17, 33, 257])
 @pytest.mark.parametrize("ties", [False, True])
 def test_virtual_outputs_bit_equal_to_the_dense_formula_one_axis(n, ties):
-    # n = 17, 33 and 257 leave one row after the last full block of 16
+    # as above on one axis, with and without tied rows, at the rule of
+    # thumb and at the floor, where most rows are alone in their window
     s = _sample(n, 1, seed=n)
     if ties:
         v = s.V.copy()
         v[2::3] = v[1]
         s = FullSample(V=v, Y=s.Y)
     for h0 in (rule_of_thumb_h0(s), [H0_FLOOR]):
-        assert np.array_equal(virtual_outputs(s, h0, UNIT_MARGINALS[:1]), _virtual_outputs_reference(s, h0, UNIT_MARGINALS[:1]))
+        _assert_both_meet_the_extended_bound(s, h0, UNIT_MARGINALS[:1])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("width, h0", [(3e154, 3e153), (3e154, H0_FLOOR), (1e-160, H0_FLOOR)])
 def test_virtual_outputs_bit_equal_to_the_dense_formula_at_extreme_scales(width, h0):
-    # on (0, 3e154) at the floor z^2 overflows, where the reference's
-    # 0.5 z z does not for z < 1.9e154; on (0, 1e-160) the squared offsets
-    # are subnormal, so halving them rounds
+    # on (0, 3e154) at the floor the scaled offsets are clipped and their
+    # squares overflow in the dense formula; on (0, 1e-160) the squared
+    # offsets are subnormal
     rng = np.random.default_rng(17)
     for n in (33, 100):
         s = FullSample(V=width * rng.random((n, 1)), Y=rng.standard_normal(n))
         marginals = (Uniform(0.0, width),)
-        want = _virtual_outputs_reference(s, [h0], marginals)
-        assert np.array_equal(virtual_outputs(s, [h0], marginals), want)
+        want, got = _assert_both_meet_the_extended_bound(s, [h0], marginals)
     if width > 1.0 and h0 == H0_FLOOR:
         assert np.all(want == 0.0), "the Gaussian kernel underflows between points this far apart"
+        assert np.all(got == 0.0), "the Gaussian kernel underflows between points this far apart"
+
+
+def _partial_sums_below(limit):
+    return lambda logs: all(abs(sum(logs[:k])) < limit for k in range(1, len(logs) + 1))
+
+
+@st.composite
+def _scaled_samples(draw):
+    """(sample, h0, marginals): p in 1..6, n in 2..300, axis widths 1e-160 to 3e154, tied rows.
+
+    h0 is the floor on every axis, or a fraction of each axis's width
+    (clipped to the floor in the code).  Every partial product of the
+    densities 1/width_i stays inside the float range, so f_V is positive
+    and finite.
+    """
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 300))
+    logs = draw(st.lists(st.floats(-160.0, math.log10(3e154)), min_size=p, max_size=p).filter(_partial_sums_below(300.0)))
+    widths = [10.0**x for x in logs]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.random((n, p)) * widths
+    for i in range(p):
+        if draw(st.booleans()):
+            v[rng.random(n) < 0.4, i] = v[0, i]
+    fraction = draw(st.sampled_from([0.0, 0.01, 0.1, 1.0]))
+    h0 = [H0_FLOOR] * p if fraction == 0.0 else [fraction * w for w in widths]
+    return FullSample(V=v, Y=rng.standard_normal(n)), h0, tuple(Uniform(0.0, w) for w in widths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_samples())
+def test_virtual_outputs_meet_the_extended_bound_at_any_scale(case):
+    _assert_both_meet_the_extended_bound(*case)
+
+
+def test_virtual_outputs_skip_only_exact_zeros_between_far_clusters(monkeypatch):
+    # two clusters 60 pilot bandwidths apart on axis 0, beyond the reach of
+    # 38.6 at which exp underflows: the blocks of the first cluster take no
+    # column of the second, and the outputs of each cluster keep their bits
+    # whatever the outputs of the other are
+    rng = np.random.default_rng(21)
+    near = 0.05 * rng.random((150, 2))
+    v = np.concatenate([near, near + [0.6, 0.0]])
+    y = rng.standard_normal(300)
+    h0 = [0.01, 0.01]
+    blocks = []
+    split = bandwidth._blocks
+
+    def recorded(*args):
+        blocks.append(split(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(bandwidth, "_blocks", recorded)
+    out = virtual_outputs(FullSample(V=v, Y=y), h0, UNIT_MARGINALS[:2])
+    starts, _, ends = blocks[0]
+    assert max(e for s, e in zip(starts, ends) if s < 150) <= 150
+    for lo, hi in ((0, 150), (150, 300)):
+        other = y.copy()
+        other[lo:hi] = rng.standard_normal(150)
+        moved = virtual_outputs(FullSample(V=v, Y=other), h0, UNIT_MARGINALS[:2])
+        kept = np.r_[0:lo, hi:300]
+        assert np.array_equal(moved[kept], out[kept])
+    _assert_both_meet_the_extended_bound(FullSample(V=v, Y=y), h0, UNIT_MARGINALS[:2])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_virtual_outputs_at_the_ends_of_the_float_range():
+    # beside a row at -1e24, the rows 0, 1e7 and 1e7 + 0.01 all round to
+    # -1e24 + 0 when measured from the minimum, yet the last two are 10
+    # pilot bandwidths apart and 1e10 from the first: cells measured that
+    # way would put them in one block of radius 1e10, whose exponents are
+    # off by eps 1e20.  In the second sample the rows are close on axis 0,
+    # so no column is skipped, and 4e308 pilot bandwidths apart on axis 1,
+    # an offset that overflows to inf before its clip
+    signs = np.array([0.5, -1.0, 2.0, 0.25, -0.75])
+    far = 2e305
+    cases = (
+        (np.array([[-1e24], [0.0], [1e7], [1e7 + 0.01], [3.0]]), signs, (Uniform(-1e24, 1e24),)),
+        (
+            np.array([[0.0, -far], [1e-3, far], [2e-3, 0.0], [3e-3, 1e-3], [4e-3, far]]),
+            1e-3 * signs,  # f_V is 2.5e-306 here, and Y~ divides by it
+            (Uniform(-1.0, 1.0), Uniform(-far, far)),
+        ),
+    )
+    for v, y, marginals in cases:
+        s = FullSample(V=v, Y=y)
+        h0 = [H0_FLOOR] * v.shape[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = virtual_outputs(s, h0, marginals)
+        assert np.all(np.isfinite(got)) and np.any(got != 0.0)
+        _assert_both_meet_the_extended_bound(s, h0, marginals)
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_virtual_outputs_working_set_is_linear_in_n(floor):
+    # the (_VIRT_BLOCK, n) exponents, p + 2 rows of offsets, the sorted
+    # copies and the block list: at most 96 doubles per row at n = 10^4,
+    # where one (n, n) kernel matrix would take 763 MiB
+    model = linear_model(3)
+    s = model.draw(10_000, seed=0)
+    h0 = [H0_FLOOR] * 3 if floor else rule_of_thumb_h0(s)
+    peak = _peak_mib(lambda: virtual_outputs(s, h0, model.input_model.marginals))
+    assert peak <= 96 * 8 * s.n / 2**20, f"virtual_outputs peaked at {peak:.2f} MiB"
 
 
 def test_virtual_outputs_do_not_report_an_overflow_of_squared_offsets():

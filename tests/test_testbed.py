@@ -123,6 +123,17 @@ def test_linear_models_match_their_hand_formulas_exactly():
     assert w.name == "wlinear3" and w.sobol_of((0,)) == 4 / 6 and w.t_of((0,)) == 4 / 12 + 2.0**2
 
 
+@pytest.mark.parametrize("model", [linear_model(1), linear_model(3), weighted_linear_model(2.0, 3), linear_model(5)], ids=lambda m: m.name)
+def test_linear_model_g_keeps_the_bits_of_the_weighted_row_sum(model):
+    # g adds one weighted column at a time; numpy's row sum of fewer than 8
+    # columns runs in the same left-to-right order
+    w = np.ones(model.p)
+    w[0] = 2.0 if model.name.startswith("wlinear") else 1.0
+    rng = np.random.default_rng(8)
+    for v in (rng.random((4000, model.p)), np.asfortranarray(rng.random((257, model.p))), 1e6 * rng.standard_normal((100, model.p))):
+        assert np.array_equal(model.g(v), (v * w).sum(axis=1))
+
+
 def test_truth_consistency_t_vs_sobol():
     # t - mean^2 = S * var must hold for every closed form
     for model in builtin_models():
