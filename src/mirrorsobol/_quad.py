@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules for the pilot target and the variance oracles."""
+"""Gauss-Legendre rules for the pilot target and the limiting variances."""
 
 from __future__ import annotations
 

@@ -420,13 +420,10 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
         np.cumsum(y.T * pw, axis=1, out=prefix[l, :, 1:])
 
     b_lo, b_hi = _window_ranks(xs, xs, sigma, h, support)
-    # start[i]: where the i-th occupied cell starts among the sorted points,
-    # then n; a window meets the occupied cells first, first + 1, first + 2
-    # at most, where first holds its first point
-    new_cell = np.r_[True, cell[1:] != cell[:-1]]
-    start = np.r_[np.flatnonzero(new_cell), np.full(3, n)]
-    occupied = cell[np.minimum(start, n - 1)]
-    first = (np.cumsum(new_cell) - 1)[b_lo]
+    # a window meets the occupied cells first, first + 1, first + 2 at most,
+    # where first holds its first point
+    start, occupied, index = _occupied(cell)
+    first = index[b_lo]
 
     g = np.zeros((y.shape[1], n))
     for t in range(3):
@@ -444,6 +441,19 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
             part += rows[l] * d_l[l]
         g[:, a] += np.where(live, part, 0.0)
     return ((g - coeffs[0] * y.T) / h).T
+
+
+def _occupied(sorted_cells: np.ndarray) -> tuple:
+    """(start, cells, index): the table of the occupied cells of sorted cell numbers.
+
+    start[i] is where the i-th occupied cell starts among the sorted points,
+    followed by three n's, cells[i] its cell number (the last one repeated
+    past the end) and index[b] the occupied cell of the b-th sorted point.
+    """
+    n = sorted_cells.size
+    new_cell = np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]
+    start = np.r_[np.flatnonzero(new_cell), np.full(3, n)]
+    return start, sorted_cells[np.minimum(start, n - 1)], np.cumsum(new_cell) - 1
 
 
 def _window_ranks(xs: np.ndarray, x: np.ndarray, sigma: np.ndarray, h: float, support: tuple) -> tuple:
@@ -532,7 +542,7 @@ def _moment_queries(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     k = coeffs.size - 1
     side = (support[1] - support[0]) * h
     sigma = sign_matrix(sub, x)
-    rank, cell, sorted_cell, first, stop, offsets = [], [], [], [], [], []
+    rank, cell_start, tables, first, stop, offsets = [], [], [], [], [], []
     for j in range(2):
         lo = float(sub.lower[j])
         order = _stable_order(x[:, j])
@@ -540,16 +550,16 @@ def _moment_queries(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
         rank_j[order] = np.arange(n)
         cell_j = _cells(x[:, j], lo, side)
         f, s = _window_ranks(x[order, j], x[:, j], sigma[:, j], h, support)
+        table = _occupied(cell_j[order])
         rank.append(rank_j)
-        cell.append(cell_j)
-        sorted_cell.append(cell_j[order])
+        cell_start.append(table[0][table[2][rank_j]])
+        tables.append(table)
         first.append(f)
         stop.append(s)
         offsets.append(x[:, j] - _center(cell_j, lo, side))
 
     # lay the points out cell by cell; a cell is named by the rank where it
     # starts on each axis (keys below n^3), and the axis-1 rank makes keys distinct
-    cell_start = [np.searchsorted(sorted_cell[j], cell[j], side="left") for j in range(2)]
     key = (cell_start[0] * (n + 1) + cell_start[1]) * n + rank[0]
     layout = np.argsort(key)
     key = key[layout]
@@ -563,9 +573,9 @@ def _moment_queries(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
             for c in range(r):
                 np.multiply(p1[l1] * p2[l2], w[layout, c], out=moments[:, (l1 * (k + 1) + l2) * r + c])
     seq = (rank[1] - cell_start[1])[layout]
-    del p1, p2, offsets, layout, rank, cell, cell_start
+    del p1, p2, offsets, layout, rank, cell_start
 
-    qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi = _queries(sorted_cell, first, stop, key)
+    qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi = _queries(tables, first, stop, key)
     rows = [
         _kernel_rows(coeffs, sigma[qa, j] / h, _center(qc, float(sub.lower[j]), side) - x[qa, j])
         for j, qc in enumerate((qc1, qc2))
@@ -578,38 +588,36 @@ def _moment_queries(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     return moments, seq, qa, pos_lo, pos_hi, rows, cut_hi, cut_lo, bound
 
 
-def _queries(sorted_cell: list, first: list, stop: list, key: np.ndarray) -> tuple:
-    """(anchor, cell 1, cell 2, cell-2 rank range, layout run) of each query: one per anchor and nonempty cell its window meets.
+def _queries(tables: list, first: list, stop: list, key: np.ndarray) -> tuple:
+    """(anchor, cell 1, cell 2, cell-2 rank range, layout run) of each query: one per anchor and occupied cell its window meets.
 
-    sorted_cell, first and stop hold per axis the cells in rank order and
-    each anchor's window ranks, and key the sorted layout keys.  The run
-    [pos_lo, pos_hi) holds the layout positions of the query's cell within
-    the window's axis-1 ranks; [cell2_lo, cell2_hi) are the axis-2 ranks of
-    its cell.
+    tables, first and stop hold per axis the `_occupied` table of the cells
+    in rank order and each anchor's window ranks, and key the sorted layout
+    keys.  The run [pos_lo, pos_hi) holds the layout positions of the
+    query's cell within the window's axis-1 ranks; [cell2_lo, cell2_hi) are
+    the axis-2 ranks of its cell.
     """
     n = key.size
-    meets = [(sorted_cell[j][first[j]], sorted_cell[j][stop[j] - 1]) for j in range(2)]
-    spans = [c_last - c_first + 1 for c_first, c_last in meets]
-    qa, qc1, qc2 = [], [], []
+    # the occupied cells of the window's first and last point on each axis
+    meets = [(index[first[j]], index[stop[j] - 1]) for j, (_, _, index) in enumerate(tables)]
+    spans = [o_last - o_first + 1 for o_first, o_last in meets]
+    qa, o1, o2 = [], [], []
     for t1 in range(int(spans[0].max())):
         for t2 in range(int(spans[1].max())):
             sel = np.flatnonzero((t1 < spans[0]) & (t2 < spans[1]))
             qa.append(sel)
-            qc1.append(meets[0][0][sel] + t1)
-            qc2.append(meets[1][0][sel] + t2)
-    qa, qc1, qc2 = (np.concatenate(v) for v in (qa, qc1, qc2))
-    # a cell between the window's first and last may hold no point on its
-    # axis; its start rank is then the next cell's, so its query would sum
-    # that cell a second time
-    cell1_lo, cell1_hi = (np.searchsorted(sorted_cell[0], qc1, side=s) for s in ("left", "right"))
-    cell2_lo, cell2_hi = (np.searchsorted(sorted_cell[1], qc2, side=s) for s in ("left", "right"))
-    live = (cell1_hi > cell1_lo) & (cell2_hi > cell2_lo)
-    base = (cell1_lo * (n + 1) + cell2_lo) * n
-    del cell1_lo, cell1_hi  # every array here has one entry per query
+            o1.append(meets[0][0][sel] + t1)
+            o2.append(meets[1][0][sel] + t2)
+    qa, o1, o2 = (np.concatenate(v) for v in (qa, o1, o2))
+    (start1, cells1, _), (start2, cells2, _) = tables
+    qc1, qc2 = cells1[o1], cells2[o2]
+    cell2_lo, cell2_hi = start2[o2], start2[o2 + 1]
+    base = (start1[o1] * (n + 1) + cell2_lo) * n
+    del o1, o2  # every array here has one entry per query
     pos_lo = np.searchsorted(key, base + first[0][qa], side="left")
     pos_hi = np.searchsorted(key, base + stop[0][qa], side="left")
     del base
-    live = np.flatnonzero(live & (pos_hi > pos_lo))
+    live = np.flatnonzero(pos_hi > pos_lo)
     out = [qa, qc1, qc2, cell2_lo, cell2_hi, pos_lo, pos_hi]
     for v in out:  # in place, one temporary at a time
         v[: live.size] = v[live]

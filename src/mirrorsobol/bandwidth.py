@@ -20,14 +20,10 @@ from typing import Optional
 import numpy as np
 
 from ._quad import gauss_legendre
-from .domain import Domain, check_mirror_condition
-from .errors import (
-    BandwidthTooLargeError,
-    MirrorSobolError,
-    PilotTargetError,
-)
-from .estimator import FullSample, SubsetSpec, _t_values
-from .inputs import Beta, InputModel, Uniform
+from .domain import Domain
+from .errors import MirrorSobolError, PilotTargetError
+from .estimator import FullSample, SubsetSpec, _prepare, _t_values
+from .inputs import Beta, InputModel, Uniform, subset_density_fn
 from .kernels import KernelD
 
 __all__ = [
@@ -308,7 +304,7 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     """
     v, y, h0 = _pilot_inputs(sample, h0, marginals)
     n, p = v.shape
-    fvals = np.prod([m.pdf(v[:, i]) for i, m in enumerate(marginals)], axis=0)
+    fvals = subset_density_fn(InputModel(marginals), range(p))(v)
     if np.any(fvals <= 0.0) or not np.all(np.isfinite(fvals)):
         raise MirrorSobolError("the pilot marginals' density must be positive and finite at all sample points")
     inv_h = 1.0 / h0
@@ -413,14 +409,13 @@ def bandwidth_curve(
         raise MirrorSobolError(f"grid entries must be positive reals, got {grid}")
     if np.any(np.diff(grid) <= 0):
         raise MirrorSobolError("the candidate grid must be strictly ascending")
-    for h in grid:
-        if not check_mirror_condition(sub, float(h)):
-            raise BandwidthTooLargeError(f"grid entry {h} violates the mirror condition")
+    # the sample and the largest grid entry are checked before any pilot
+    # work; the mirror condition then holds at every smaller entry
+    prepared = _prepare(sample, spec, float(grid[-1]), f_x, domain)
     if h0 is None:
         h0 = rule_of_thumb_h0(sample)
     target, target_printed = pilot_target(sample, spec, h0, marginals)
-    sample_virtual = FullSample(V=sample.V, Y=virtual_outputs(sample, h0, marginals))
-    values = np.abs(np.array(_t_values(sample_virtual, spec, kernel, grid, f_x, domain)) - target)
+    values = np.abs(np.array(_t_values(prepared, virtual_outputs(sample, h0, marginals), kernel, grid)) - target)
     idx = int(np.argmin(values))  # first minimum = smallest h on an ascending grid
     return {
         "h_star": float(grid[idx]),

@@ -1,10 +1,8 @@
-"""Baseline estimators (Pick-Freeze, two-sample 1-NN, rank) and limiting variances.
+"""Baseline estimators: Pick-Freeze, two-sample 1-NN and rank.
 
 The baselines carry their own standard formulas and are validated against
-analytic models only.  The three limiting variances are those that the
-`compare` study prints next to its estimators: they integrate conditional
-moments by quadrature, and the two of the kernel estimator are the
-estimator's own delta-method rule at population moments.
+analytic models only.  The limiting variances that the `compare` study
+prints next to them come from `testbed.limiting_variances`.
 """
 
 from __future__ import annotations
@@ -12,21 +10,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ._window import _expand, _stable_order
 from .errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
-from .estimator import _ratio_covariance
 
 __all__ = [
     "PickFreezeSample",
-    "VarianceOracles",
     "pick_freeze_estimate",
     "nn_estimate",
     "rank_estimate",
-    "limiting_variances",
 ]
 
 
@@ -201,123 +195,3 @@ def rank_estimate(X, Y) -> float:
     ys = y[order]
     numer = math.fsum((ys[:-1] * ys[1:]).tolist()) / n - float(np.mean(y)) ** 2
     return numer / variance
-
-
-# ---------------------------------------------------------------------------
-# limiting variances (population quantities, evaluated by quadrature)
-
-
-@dataclass(frozen=True)
-class VarianceOracles:
-    """The output and its conditional moments on a tensor quadrature rule.
-
-    y, g1 and g2 hold Y, E[Y | X] and E[Y^2 | X] at the nodes, one array
-    axis per input; g1 and g2 have size 1 off the mask.  On a full mask
-    E[Y | X] = Y, so g1 and g2 are None there and `_slabs` yields Y and
-    Y^2 in their place.  The weights, which carry the joint density, are
-    the product in order of the `weights` factors, each along one axis: the
-    Gauss weights, then the densities less any that is 1 at every node.
-    E[phi(Y, X)] sums over `_slabs`.
-    """
-
-    y: np.ndarray
-    g1: Optional[np.ndarray]
-    g2: Optional[np.ndarray]
-    weights: tuple
-
-
-# nodes per slab of the rule (one leading-axis index when p = 3): no temporary
-# is a full-size row, and BLAS sums each dot product on one thread
-_SLAB = 4096
-
-
-def _slabs(oracles: VarianceOracles):
-    """(weights, y, g1, g2) on each slab of `_SLAB` nodes, a range of leading-axis indices.
-
-    The weights, flat, multiply the factors in the order of the whole
-    rule's product, from 1, so they keep its bits.  y has the slab's shape,
-    and g1 and g2 broadcast to it; on a full mask they are y and y * y.
-    """
-    m = oracles.y.shape[0]
-    step = _SLAB * m // oracles.y.size  # leading-axis indices per slab
-    stored = (oracles.g1, oracles.g2) if oracles.g1 is not None else ()
-    for start in range(0, m, step):
-        parts = (oracles.y, *stored, *oracles.weights)
-        on_slab = [a[start : start + step] if a.shape[0] > 1 else a for a in parts]
-        y = on_slab[0]
-        g1, g2 = on_slab[1:3] if stored else (y, y * y)
-        yield math.prod(on_slab[1 + len(stored) :]).ravel(), y, g1, g2
-
-
-def _population_moments(oracles: VarianceOracles, *row_maps) -> list:
-    """[(means, second moments E[r_i r_j])] of the rows of each map, over the quadrature rule.
-
-    Each map rows(y, g1, g2) takes the oracle arrays on a slab to its rows
-    there.  All maps are summed in one walk over the slabs of `_slabs`, and
-    each moment slab after slab, so the sums depend neither on the BLAS
-    thread count nor on the other maps of the walk.
-    """
-    sums = [(0.0, 0.0)] * len(row_maps)
-    for w, y, g1, g2 in _slabs(oracles):
-        for i, rows in enumerate(row_maps):
-            # contiguous rows: BLAS sums a stride-0 broadcast in another order
-            r = [np.broadcast_to(ri, y.shape).ravel() for ri in rows(y, g1, g2)]
-            means, second = sums[i]
-            sums[i] = (means + np.array([w @ ri for ri in r]), second + np.array([[w @ (ri * rj) for rj in r] for ri in r]))
-    return sums
-
-
-def _covariance(means, second) -> tuple:
-    """(means, Gamma) from the first and second moments of `_population_moments`."""
-    return [float(m) for m in means], second - np.outer(means, means)
-
-
-def _ratio_rows(shift: float):
-    """The rows (2 Y_s g1_s(X), Y_s, Y_s^2) of Y_s = Y - shift, g1_s = g1 - shift."""
-
-    def rows(y, g1, g2):
-        y_s = y - shift
-        return 2.0 * y_s * (g1 - shift), y_s, y_s * y_s
-
-    return rows
-
-
-def _ratio_covariance_at(means, second) -> tuple:
-    """(Gamma, Var(S)) from the moments of `_ratio_rows`.
-
-    Gamma is the covariance of the rows and Var(S) the estimator's own
-    delta-method rule `_ratio_covariance` on it.
-    """
-    means, gamma = _covariance(means, second)
-    m, v = means[1], gamma[1, 1]
-    if v <= 0.0:
-        raise DegenerateOutputError("Var(Y) must be positive")
-    sobol = (0.5 * means[0] - m * m) / v
-    return gamma, float(_ratio_covariance(gamma, sobol, m, v)[0, 0])
-
-
-def _mean_y(oracles: VarianceOracles) -> float:
-    return float(_population_moments(oracles, lambda y, g1, g2: (y,))[0][0][0])
-
-
-def limiting_variances(oracles: VarianceOracles) -> tuple:
-    """The limiting variances of the kernel t, kernel Sobol' and nearest-neighbor estimators.
-
-    - 4 tau^2 = 4 Var(Y g1(X)), that of the kernel U-statistic of t: the
-      variance Gamma[0, 0] of its influence row 2Y g1(X);
-    - the delta-method variance of the Sobol' estimator with the output
-      pre-centered, the limit that `estimate_sobol` attains: centering Y at
-      its mean leaves the population ratio unchanged but shrinks the
-      variance;
-    - sigma_D^2 = 2(E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4]) / 2), that of
-      the two-sample nearest-neighbor estimator, from the moments of the
-      rows (g1^2, g2).
-
-    Two walks over the rule serve all three: one for E[Y], then one for
-    the rows of every variance.
-    """
-    t, centered, (means, second) = _population_moments(
-        oracles, _ratio_rows(0.0), _ratio_rows(_mean_y(oracles)), lambda y, g1, g2: (g1 * g1, g2)
-    )
-    nn = 2.0 * (second[1, 1] - means[0] * means[0] + 0.5 * (second[0, 1] - second[0, 0]))
-    return float(_ratio_covariance_at(*t)[0][0, 0]), _ratio_covariance_at(*centered)[1], float(nn)

@@ -35,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .bandwidth import bandwidth_curve
-from .baselines import limiting_variances
 from .density import beta_moment_estimator, mirror_kde, uniform_max_estimator
 from .domain import Domain
 from .errors import MirrorSobolError
@@ -48,8 +47,8 @@ from .testbed import (
     builtin_models,
     convergence_study,
     coverage_study,
+    limiting_variances,
     model_by_name,
-    variance_oracles,
 )
 
 SCHEMA_VERSION = 1
@@ -552,7 +551,7 @@ def _cmd_compare(config: RunConfig) -> str:
     rows = convergence_study(plan)["rows"]
     limits = {}
     if {"kernel", "nn"} & set(plan.estimators):
-        limits = dict(zip(_LIMITING_VARIANCE_ROWS, limiting_variances(variance_oracles(plan.model, plan.mask))))
+        limits = dict(zip(_LIMITING_VARIANCE_ROWS, limiting_variances(plan.model, plan.mask)))
     for row in rows:
         row["limiting_variance"] = limits.get(row["estimator"], "")
     return _write_text(_output_path(config), _csv_artifact(config, _COMPARE_COLUMNS, rows))

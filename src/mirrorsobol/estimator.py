@@ -174,6 +174,9 @@ def _prepare(sample: FullSample, spec: SubsetSpec, h: float, f_x, domain):
     fvals = np.asarray(f_fn(xm), dtype=float)
     if fvals.shape != (sample.n,):
         raise MirrorSobolError(f"density oracle returned shape {fvals.shape}, expected ({sample.n},)")
+    infinite = np.flatnonzero(~np.isfinite(fvals))
+    if infinite.size:
+        raise SingularDensityError(f"density at rows {infinite[:10].tolist()} is not finite", indices=infinite)
     low = np.nonzero(~(fvals > EPS_FLOOR))[0]
     if low.size:
         raise SingularDensityError(
@@ -204,15 +207,18 @@ def estimate_t(
     accumulated with exact compensated summation and does not depend on the
     ordering of the sample rows.
     """
-    return _t_values(sample, spec, kernel, [h], f_x, domain)[0]
+    return _t_values(_prepare(sample, spec, h, f_x, domain), sample.Y, kernel, [h])[0]
 
 
-def _t_values(sample: FullSample, spec: SubsetSpec, kernel: KernelD, hs, f_x, domain) -> list:
-    """estimate_t at each bandwidth of the ascending sequence hs, from one pass of window sums."""
-    xm, fvals, sub = _prepare(sample, spec, hs[-1], f_x, domain)
-    n = sample.n
-    order, blocks = window_sums_by_bandwidth(xm, sample.Y[:, None], kernel, hs, sub)
-    u = (sample.Y / fvals)[order]  # fsum is exact, so the row order of its terms is free
+def _t_values(prepared: tuple, y: np.ndarray, kernel: KernelD, hs) -> list:
+    """estimate_t with outputs y at each bandwidth of the ascending sequence hs, from one pass of window sums.
+
+    `prepared` is what `_prepare` returns at hs[-1], the largest bandwidth.
+    """
+    xm, fvals, sub = prepared
+    n = y.size
+    order, blocks = window_sums_by_bandwidth(xm, y[:, None], kernel, hs, sub)
+    u = (y / fvals)[order]  # fsum is exact, so the row order of its terms is free
     t = [0.0] * len(hs)
     for js, sums in blocks:
         for j, g in zip(js, sums):

@@ -11,6 +11,7 @@ estimator as a vectorized `f_x` together with a `domain`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,17 +122,33 @@ def _check_mask(mask, p: int) -> tuple:
 
 
 def subset_density_fn(model: InputModel, mask) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized subset density: (n, d) rows -> (n,) density values."""
+    """Vectorized subset density: (n, d) rows -> (n,) density values.
+
+    The marginal densities are multiplied left to right.  A row whose
+    factors are all positive and finite but whose partial products leave the
+    normal floats, although the joint density may be finite (1e149 and
+    3.16e159 before a factor 1e-9), is recomputed as the exp of the exactly
+    rounded sum (`math.fsum`) of the factors' logs.
+    """
     idx = _check_mask(mask, model.p)
     margs = [model.marginals[i] for i in idx]
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
 
     def f_x(rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != len(margs):
             raise MirrorSobolError(f"expected rows of shape (n, {len(margs)}), got {rows.shape}")
+        factors = [marg.pdf(rows[:, j]) for j, marg in enumerate(margs)]
         out = np.ones(rows.shape[0])
-        for j, marg in enumerate(margs):
-            out *= marg.pdf(rows[:, j])
+        normal = np.ones(rows.shape[0], dtype=bool)
+        with np.errstate(over="ignore"):
+            for f in factors:
+                out *= f
+                normal &= (out >= tiny) & (out <= huge)
+        redo = np.flatnonzero(~normal & np.all([(f > 0.0) & (f <= huge) for f in factors], axis=0))
+        if redo.size:  # a joint density beyond the floats is inf
+            with np.errstate(over="ignore"):
+                out[redo] = np.exp([math.fsum(logs) for logs in np.log([f[redo] for f in factors]).T])
         return out
 
     return f_x

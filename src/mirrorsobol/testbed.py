@@ -3,9 +3,10 @@
 Each model carries the variances of its Hoeffding terms, derived by hand
 integration; the partial variance t = E[E[Y|X]^2], Var(Y) and the Sobol'
 index of every mask follow from them, so estimator runs can be scored
-against exact truth.  The conditional moments that the limiting variances
-need are summed from Y on a quadrature rule by `variance_oracles`.  `brute_force_t` is a literal transcription of
-the pairwise estimator used as an independent oracle.
+against exact truth.  `limiting_variances` gives the limiting variances
+that the `compare` study prints, from E[Y^j | X] summed on a quadrature
+rule in one walk.  `brute_force_t` is a literal transcription of the
+pairwise estimator used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quad import gauss_legendre
-from .baselines import _SLAB, PickFreezeSample, VarianceOracles, nn_estimate, pick_freeze_estimate, rank_estimate
+from .baselines import PickFreezeSample, nn_estimate, pick_freeze_estimate, rank_estimate
 from .domain import sign_matrix
-from .errors import DomainViolationError, MirrorSobolError
-from .estimator import FullSample, SubsetSpec, _normal_ci, estimate_sobol
+from .errors import DegenerateOutputError, DomainViolationError, MirrorSobolError
+from .estimator import FullSample, SubsetSpec, _normal_ci, _ratio_covariance, estimate_sobol
 from .inputs import InputModel, Uniform, sample, subset_density_fn
 from .kernels import KernelD, build_kernel
 
@@ -37,7 +38,7 @@ __all__ = [
     "builtin_models",
     "model_by_name",
     "brute_force_t",
-    "variance_oracles",
+    "limiting_variances",
     "pick_freeze_design",
     "convergence_study",
     "coverage_study",
@@ -263,88 +264,99 @@ def _freeze(model: AnalyticModel, mask, base: FullSample, v_alt: np.ndarray) -> 
 
 
 _GL_NODES = 64
+# nodes per slab of the rule (one leading mask index when p = 3): no
+# temporary is a full-size row
+_SLAB = 4096
 
 
-def variance_oracles(model: AnalyticModel, mask) -> VarianceOracles:
-    """Y, g1 and g2 of the mask at the nodes of a 64-point tensor Gauss-Legendre rule.
+def limiting_variances(model: AnalyticModel, mask) -> tuple:
+    """The limiting variances of the kernel t, kernel Sobol' and nearest-neighbor estimators.
 
-    The rule covers the input box and its weights carry the joint density,
-    so E[phi(Y, X)] is `weights @ phi` (exact for the polynomial models),
-    summed over the slabs of `baselines._slabs`.  Models of more than 3
-    inputs are refused, since the rule holds 64^p nodes.  Only Y is stored on
-    the rule, evaluated in slabs of 4096 nodes; the weights are stored per
-    axis, and g1 = E[Y | X] and g2 = E[Y^2 | X] on the 64^d nodes of the
-    masked axes, summed from Y over the off-mask axes of the rule.  On a full
-    mask g1 = Y and g2 = Y^2, and neither is stored.
+    With g1 = E[Y | X], g2 = E[Y^2 | X] and the expectations of `_mask_moments`:
+    - 4 tau^2 = 4 Var(Y g1(X)) = 4 E[g1^2 g2] - 4 E[g1^2]^2, that of the
+      kernel U-statistic of t, the variance of its influence row 2Y g1(X);
+    - the delta-method variance `estimator._ratio_covariance` of the
+      Sobol' estimator with the output pre-centered, the limit that
+      `estimate_sobol` attains: with Y_c = Y - E[Y] and c_j = E[Y_c^j | X],
+      its rows (2 Y_c c1, Y_c, Y_c^2) have the means (2E[c1^2], E[c1],
+      E[c2]) and the second moments 4E[c1^2 c2], 2E[c1 c2], 2E[c1 c3],
+      E[c2], E[c3] and E[c4];
+    - sigma_D^2 = 2(E[g2^2] - E[g1^2]^2 + (E[g1^2 g2] - E[g1^4]) / 2), that of
+      the two-sample nearest-neighbor estimator.
+    """
+    e = _mask_moments(model, mask)
+    means = np.array([2.0 * e["c1*c1"], e["c1"], e["c2"]])
+    c12, c13 = 2.0 * e["c1*c2"], 2.0 * e["c1*c3"]
+    second = np.array([[4.0 * e["c1*c1*c2"], c12, c13], [c12, e["c2"], e["c3"]], [c13, e["c3"], e["c4"]]])
+    gamma = second - np.outer(means, means)
+    m, v = means[1], gamma[1, 1]
+    if v <= 0.0:
+        raise DegenerateOutputError("Var(Y) must be positive")
+    sobol = float(_ratio_covariance(gamma, (0.5 * means[0] - m * m) / v, m, v)[0, 0])
+    t = 4.0 * e["g1*g1*g2"] - 4.0 * e["g1*g1"] * e["g1*g1"]
+    nn = 2.0 * (e["g2*g2"] - e["g1*g1"] * e["g1*g1"] + 0.5 * (e["g1*g1*g2"] - e["g1*g1*g1*g1"]))
+    return float(t), sobol, float(nn)
+
+
+def _mask_moments(model: AnalyticModel, mask) -> dict:
+    """E over the masked inputs X of the products of the conditional moments that `limiting_variances` needs.
+
+    c_j = E[(Y - mean_y)^j | X] for j = 1..4, g1 = c1 + mean_y and
+    g2 = c2 + 2 mean_y c1 + mean_y^2; a key names its product, as "c1*c2".
+    The expectations are taken on the 64-point tensor Gauss-Legendre rule
+    over the input box, whose weights carry the joint density (exact for the
+    polynomial models).  Models of more than 3 inputs are refused, since the
+    rule holds 64^p nodes.  The rule is laid out with the mask axes leading
+    and walked once, in slabs of whole leading mask indices, `_SLAB` nodes
+    (all of them, if fewer): each slab holds whole conditional laws, so its
+    c_j are sums of W_off Y_c^j over the off-mask axes, W_off their weight.
+    On a full mask W_off is 1 and c_j = Y_c^j.  Only elementwise products
+    and numpy sums are used, so no digit depends on the BLAS thread count.
     """
     key = tuple(sorted(int(i) for i in mask))
     p = model.p
     if p > 3:
         raise MirrorSobolError(
-            f"variance oracles take at most 3 inputs; model {model.name!r} has {p} inputs, "
+            f"limiting variances take at most 3 inputs; model {model.name!r} has {p} inputs, "
             f"and its tensor rule would hold 64^{p} = {_GL_NODES ** p} nodes"
         )
     if not key or key[0] < 0 or key[-1] >= p:
         raise MirrorSobolError(f"mask {key} is out of range for model {model.name!r} with p = {p} inputs")
     if len(set(key)) < len(key):
         raise MirrorSobolError(f"mask {key} repeats an axis")
-    marginals = model.input_model.marginals
-    axes = [gauss_legendre(_GL_NODES, *m.support) for m in marginals]
-    pdf = [marg.pdf(x) for marg, (x, _) in zip(marginals, axes)]
-    weights = [_along(w, axis, p) for axis, (_, w) in enumerate(axes)]
-    weights += [_along(f, axis, p) for axis, f in enumerate(pdf) if np.any(f != 1.0)]
-    y = _on_tensor_grid(model.g, [x for x, _ in axes])
-    g1 = g2 = None  # on a full mask E[Y | X] = Y, and `baselines._slabs` uses Y
-    if len(key) < p:
-        g1, g2 = _conditional_moments(y, [w * f for (_, w), f in zip(axes, pdf)], key)
-    return VarianceOracles(y, g1, g2, tuple(weights))
-
-
-def _conditional_moments(y: np.ndarray, mass: list, key: tuple) -> tuple:
-    """(g1, g2): the sums of W_off Y and W_off Y^2 over the off-mask axes, size 1 there.
-
-    W_off is the product of the per-axis `mass` (Gauss weight times density)
-    of the off-mask axes.  Y is read in slabs of `_SLAB` nodes, whole
-    leading-axis indices: a slab's sums go to its own rows of g1 and g2 when
-    axis 0 is on the mask, and add to all of them when it is off.
-    """
-    p = y.ndim
-    off = tuple(axis for axis in range(p) if axis not in key)
-    w_off = math.prod(_along(mass[axis], axis, p) for axis in off)
-    shape = [y.shape[axis] if axis in key else 1 for axis in range(p)]
-    g1, g2 = np.zeros(shape), np.zeros(shape)
-    step = _SLAB * y.shape[0] // y.size  # leading-axis indices per slab
-    for start in range(0, y.shape[0], step):
-        rows = slice(start, start + step)
-        on, w_rows = (rows, slice(None)) if 0 in key else (slice(None), rows)
-        wy = w_off[w_rows] * y[rows]
-        g1[on] += np.sum(wy, axis=off, keepdims=True)
-        g2[on] += np.sum(wy * y[rows], axis=off, keepdims=True)
-    return g1, g2
-
-
-def _on_tensor_grid(fn, nodes) -> np.ndarray:
-    """fn at the tensor grid of the per-axis `nodes`, one array axis per grid axis.
-
-    fn maps an array of rows (points) to their values.  It is called on
-    slabs of whole leading-axis indices, `_SLAB` rows (all rows, if fewer),
-    filled one at a time in a reused buffer: only the leading axis changes.
-    """
-    d, shape = len(nodes), tuple(x.size for x in nodes)
-    slab = (min(shape[0], _SLAB * shape[0] // math.prod(shape)),) + shape[1:]
-    buf = np.empty(slab + (d,))
-    for axis in range(1, d):
-        buf[..., axis] = _along(nodes[axis], axis, d)
-    out = np.empty(shape)
-    for start in range(0, shape[0], slab[0]):
-        buf[..., 0] = _along(nodes[0][start : start + slab[0]], 0, d)
-        out[start : start + slab[0]] = fn(buf.reshape(-1, d)).reshape(slab)
-    return out
-
-
-def _along(x: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """x as an array of ndim axes that runs along `axis`, for broadcasting."""
-    return x.reshape([x.size if i == axis else 1 for i in range(ndim)])
+    order = key + tuple(axis for axis in range(p) if axis not in key)
+    marginals = [model.input_model.marginals[axis] for axis in order]
+    rules = [gauss_legendre(_GL_NODES, *m.support) for m in marginals]
+    nodes = [x for x, _ in rules]
+    mass = [w * m.pdf(x) for m, (x, w) in zip(marginals, rules)]
+    # the flat weights of the other mask axes and of the off-mask axes
+    w_rest, w_off = (np.ravel(math.prod(np.ix_(*mass[axes]))) for axes in (slice(1, len(key)), slice(len(key), p)))
+    lead = min(_GL_NODES, _SLAB // _GL_NODES ** (p - 1))
+    # the nodes of a slab in the rule's layout, each axis filled along its own
+    # array axis; all but the leading mask axis are the same on every slab
+    buf = np.empty((lead,) + (_GL_NODES,) * (p - 1) + (p,))
+    for i in range(1, p):
+        buf[..., order[i]] = nodes[i].reshape([-1 if a == i else 1 for a in range(p)])
+    mu, sums = model.mean_y, 0.0
+    for start in range(0, _GL_NODES, lead):
+        buf[..., order[0]] = nodes[0][start : start + lead].reshape([-1] + [1] * (p - 1))
+        y_c = model.g(buf.reshape(-1, p)).reshape(-1, w_off.size) - mu
+        wy = w_off * y_c
+        c = []
+        for _ in range(4):  # powers by repeated multiplication
+            c.append(np.sum(wy, axis=1))
+            wy *= y_c
+        c1, c2, c3, c4 = c
+        g1, c1c1 = c1 + mu, c1 * c1
+        g2 = c2 + 2.0 * mu * c1 + mu * mu
+        g1g1 = g1 * g1
+        w = (mass[0][start : start + lead, None] * w_rest).ravel()
+        products = {
+            "c1": c1, "c2": c2, "c3": c3, "c4": c4, "c1*c1": c1c1, "c1*c2": c1 * c2, "c1*c3": c1 * c3,
+            "c1*c1*c2": c1c1 * c2, "g1*g1": g1g1, "g1*g1*g2": g1g1 * g2, "g1*g1*g1*g1": g1g1 * g1g1, "g2*g2": g2 * g2,
+        }
+        sums = sums + np.array([np.sum(w * a) for a in products.values()])
+    return dict(zip(products, sums.tolist()))
 
 
 # --------------------------------------------------------------------------

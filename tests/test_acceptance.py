@@ -20,7 +20,6 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from mirrorsobol.bandwidth import bandwidth_curve, default_grid
-from mirrorsobol.baselines import limiting_variances
 from mirrorsobol.cli import main
 from mirrorsobol.density import uniform_max_estimator
 from mirrorsobol.domain import Domain
@@ -33,9 +32,9 @@ from mirrorsobol.testbed import (
     convergence_study,
     coverage_study,
     curved_model,
+    limiting_variances,
     linear_model,
     product_model,
-    variance_oracles,
 )
 
 LINEAR3 = linear_model(3)
@@ -180,8 +179,7 @@ def test_bias_halving_ratio_with_curvature():
 def test_efficiency_identity_and_variance_bound():
     # both printed forms of sigma_T^2 agree by quadrature on two models
     for model, mask in [(LINEAR3, (0,)), (product_model(), (0,))]:
-        orc = variance_oracles(model, mask)
-        one, two = efficient_bounds(orc)[0], sigma_t_second_form(orc)
+        one, two = efficient_bounds(model, mask)[0], sigma_t_second_form(model, mask)
         rel = abs(one - two) / max(abs(one), abs(two))
         assert rel <= 1e-6, f"{model.name}: sigma_T^2 forms {one} vs {two} differ by {rel}"
     # simulated n * Var of the Sobol' estimator respects the efficiency bound
@@ -191,12 +189,11 @@ def test_efficiency_identity_and_variance_bound():
     vals = [estimate_sobol(LINEAR3.draw(n, s), FIRST, kernel, h, LINEAR3.input_model).sobol for s in range(seeds)]
     nvar = n * float(np.var(vals, ddof=1))
     mc_se = nvar * math.sqrt(2.0 / (seeds - 1))
-    oracles = variance_oracles(LINEAR3, (0,))
-    sigma_min = efficient_bounds(oracles)[1]
+    sigma_min = efficient_bounds(LINEAR3, (0,))[1]
     assert nvar >= sigma_min - 2.0 * mc_se, (
         f"simulated n*Var {nvar:.3f} below the efficiency bound {sigma_min:.3f} - 2*{mc_se:.3f}"
     )
-    ceiling = 3.0 * limiting_variances(oracles)[1]
+    ceiling = 3.0 * limiting_variances(LINEAR3, (0,))[1]
     assert nvar <= ceiling, f"simulated n*Var {nvar:.3f} implausibly above the CLT constant ({ceiling:.3f})"
 
 

@@ -23,9 +23,11 @@ from mirrorsobol.bandwidth import (
 from mirrorsobol.domain import Domain, check_mirror_condition
 from mirrorsobol.errors import (
     BandwidthTooLargeError,
+    DomainViolationError,
     InsufficientSampleError,
     MirrorSobolError,
     PilotTargetError,
+    SingularDensityError,
 )
 from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_t
 from mirrorsobol.inputs import Beta, Uniform
@@ -695,6 +697,16 @@ def test_curve_checks_h0_and_grid_before_pilot_work(monkeypatch):
         curve(h0=[0.1], grid=[0.2, 0.1])
     with pytest.raises(MirrorSobolError):
         curve(h0=[-0.1], grid=[0.1])
+    # the sample and the largest grid entry: a row off the mask's box, a
+    # density at the floor, a grid entry past the mirror limit
+    outside = s.V.copy()
+    outside[5, 0] = 1.5
+    with pytest.raises(DomainViolationError, match=r"rows \[5\] fall outside the domain"):
+        bandwidth_curve(FullSample(V=outside, Y=s.Y), SubsetSpec(mask=(0,)), build_kernel(1), f_x, domain=_unit(1), h0=[0.1])
+    with pytest.raises(SingularDensityError):
+        bandwidth_curve(s, SubsetSpec(mask=(0,)), build_kernel(1), lambda x: np.zeros(x.shape[0]), domain=_unit(1), h0=[0.1])
+    with pytest.raises(BandwidthTooLargeError):
+        curve(h0=[0.1], grid=[0.1, 1.5])
     with pytest.raises(_PilotCalled):  # the patch is live: valid inputs reach the pilot
         curve(h0=[0.1], grid=[0.1, 0.2])
 

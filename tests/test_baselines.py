@@ -1,6 +1,7 @@
 """Tests for the baseline estimators and limiting-variance evaluators."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,16 +14,8 @@ from scipy import spatial
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from mirrorsobol import baselines
-from mirrorsobol._quad import gauss_legendre
-from mirrorsobol.baselines import (
-    PickFreezeSample,
-    VarianceOracles,
-    limiting_variances,
-    nn_estimate,
-    pick_freeze_estimate,
-    rank_estimate,
-)
+from mirrorsobol import baselines, cli, testbed
+from mirrorsobol.baselines import PickFreezeSample, nn_estimate, pick_freeze_estimate, rank_estimate
 from mirrorsobol.cli import RunConfig, run
 from mirrorsobol.errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
 from mirrorsobol.estimator import _ratio_covariance
@@ -30,10 +23,10 @@ from mirrorsobol.testbed import (
     builtin_models,
     curved_model,
     ishigami_model,
+    limiting_variances,
     linear_model,
     pick_freeze_design,
     product_model,
-    variance_oracles,
     weighted_linear_model,
 )
 
@@ -260,7 +253,7 @@ def test_rank_rejects_multidimensional():
 
 def test_engine_reproduces_model_moments():
     for model in (linear_model(3), weighted_linear_model(2.0, 3), ishigami_model(), product_model()):
-        w, y, _, _ = rule_arrays(variance_oracles(model, (0,)))
+        w, y, _, _ = rule_arrays(model, (0,))
         mean = float(w @ y)
         second = float(w @ (y * y))
         assert abs(mean - model.mean_y) < 1e-9, f"{model.name}: engine mean {mean} vs {model.mean_y}"
@@ -269,40 +262,36 @@ def test_engine_reproduces_model_moments():
 
 def test_engine_t_matches_closed_form():
     for model in (linear_model(2), product_model(), curved_model()):
-        w, y, g1, _ = rule_arrays(variance_oracles(model, (0,)))
+        w, y, g1, _ = rule_arrays(model, (0,))
         t = float(w @ (y * g1))
         assert abs(t - model.t_of((0,))) < 1e-10, f"{model.name}: E[Y g1] {t} vs {model.t_of((0,))}"
 
 
 def test_sigma_t_linear_p2_hand_value():
     # 4 tau^2 - 3 Var(g1^2) = 103/60 - 3*61/180 = 7/10 by hand integration
-    orc = variance_oracles(linear_model(2), (0,))
-    value = efficient_bounds(orc)[0]
+    value = efficient_bounds(linear_model(2), (0,))[0]
     assert abs(value - 0.7) < 1e-9, f"sigma_T^2 for the linear model should be 0.7, got {value}"
 
 
 def test_sigma_t_forms_agree_on_models():
     for model, mask in [(linear_model(2), (0,)), (product_model(), (0,)), (ishigami_model(), (1,))]:
-        orc = variance_oracles(model, mask)
-        f1, f2 = efficient_bounds(orc)[0], sigma_t_second_form(orc)
+        f1, f2 = efficient_bounds(model, mask)[0], sigma_t_second_form(model, mask)
         assert abs(f1 - f2) <= 1e-6 * max(abs(f1), 1e-12), f"{model.name}: {f1} vs {f2}"
 
 
 def test_sigma_t_no_noise_model_reduces_to_var_g1sq():
     # Y a deterministic function of X alone: sigma_T^2 = Var(g1^2)
     m = curved_model()
-    orc = variance_oracles(m, (0, 1))  # full mask: g1 = g exactly
-    value = efficient_bounds(orc)[0]
-    w, _, g1, _ = rule_arrays(orc)
+    value = efficient_bounds(m, (0, 1))[0]  # full mask: g1 = g exactly
+    w, _, g1, _ = rule_arrays(m, (0, 1))
     g1sq_var = float(w @ g1**4) - float(w @ g1**2) ** 2
     assert abs(value - g1sq_var) <= 1e-9 * g1sq_var, f"{value} vs Var(g1^2) = {g1sq_var}"
 
 
 def test_sigma_t_below_4tau2():
     for model, mask in [(linear_model(3), (1,)), (product_model(), (0,)), (ishigami_model(), (0,))]:
-        orc = variance_oracles(model, mask)
-        sigma_t = efficient_bounds(orc)[0]
-        w, y, g1, _ = rule_arrays(orc)
+        sigma_t = efficient_bounds(model, mask)[0]
+        w, y, g1, _ = rule_arrays(model, mask)
         yg_mean = float(w @ (y * g1))
         tau2 = float(w @ (y * g1) ** 2) - yg_mean**2
         assert sigma_t <= 4.0 * tau2 + 1e-12, f"{model.name}: sigma_T^2 {sigma_t} exceeds 4 tau^2 {4 * tau2}"
@@ -311,19 +300,17 @@ def test_sigma_t_below_4tau2():
 def test_sigma_d_linear_p2_hand_value():
     # 2(E[g2^2] - E[g1^2]^2 + (E[g2 g1^2] - E[g1^4])/2) with E[g1^2]=13/12,
     # E[g1^4]=121/80, E[g2 g1^2]=577/360, E[g2^2]=17/10 -> 1.1430555...
-    orc = variance_oracles(linear_model(2), (0,))
-    value = limiting_variances(orc)[2]
+    value = limiting_variances(linear_model(2), (0,))[2]
     truth = 2.0 * (17.0 / 10.0 - (13.0 / 12.0) ** 2 + 0.5 * (577.0 / 360.0 - 121.0 / 80.0))
     assert abs(value - truth) < 1e-9, f"sigma_D^2 {value} vs hand value {truth}"
 
 
 def test_sigma_d_nonnegative_and_deterministic_case():
     for model, mask in [(linear_model(2), (0,)), (product_model(), (1,)), (ishigami_model(), (2,))]:
-        assert limiting_variances(variance_oracles(model, mask))[2] >= -1e-12
+        assert limiting_variances(model, mask)[2] >= -1e-12
     m = curved_model()
-    orc = variance_oracles(m, (0, 1))
-    value = limiting_variances(orc)[2]
-    w, _, g1, _ = rule_arrays(orc)
+    value = limiting_variances(m, (0, 1))[2]
+    w, _, g1, _ = rule_arrays(m, (0, 1))
     var_g1sq = float(w @ g1**4) - float(w @ g1**2) ** 2
     assert abs(value - 2.0 * var_g1sq) <= 1e-9 * var_g1sq, f"g2 = g1^2 case: {value} vs {2 * var_g1sq}"
 
@@ -331,9 +318,7 @@ def test_sigma_d_nonnegative_and_deterministic_case():
 def test_sigma_min_scale_invariant():
     m = product_model()
     mask = (0,)
-    base = efficient_bounds(variance_oracles(m, mask))[1]
-
-    import dataclasses
+    base = efficient_bounds(m, mask)[1]
 
     scaled_model = dataclasses.replace(
         m,
@@ -342,15 +327,14 @@ def test_sigma_min_scale_invariant():
         mean_y=2.0 * m.mean_y,
         terms={u: 4.0 * v_ for u, v_ in m.terms.items()},
     )
-    scaled = efficient_bounds(variance_oracles(scaled_model, mask))[1]
+    scaled = efficient_bounds(scaled_model, mask)[1]
     assert scaled == base, f"sigma_min^2 must be exactly scale-free: {base} vs {scaled}"
 
 
 def test_sigma_min_below_ratio_variance():
     # the bound lies below the limiting variance of the shipped (centered) estimator
     for model, mask in [(linear_model(2), (0,)), (linear_model(3), (1,)), (product_model(), (0,))]:
-        orc = variance_oracles(model, mask)
-        sigma_min, centered = efficient_bounds(orc)[1], limiting_variances(orc)[1]
+        sigma_min, centered = efficient_bounds(model, mask)[1], limiting_variances(model, mask)[1]
         assert sigma_min <= centered + 1e-10, f"{model.name}: sigma_min {sigma_min} exceeds {centered}"
 
 
@@ -358,15 +342,14 @@ def test_sigma_min_matches_the_direct_formula_on_every_builtin_mask():
     # algebraic oracle: sigma_min^2 = Var(2m(1-S)Y + S Y^2 + g1(g1 - 2Y)) / v^2
     for model in builtin_models():
         for mask in model.masks():
-            orc = variance_oracles(model, mask)
-            w, y, g1, _ = rule_arrays(orc)
+            w, y, g1, _ = rule_arrays(model, mask)
             m = float(w @ y)
             v = float(w @ (y * y)) - m * m
             s = (float(w @ g1**2) - m * m) / v
             z = 2.0 * m * (1.0 - s) * y + s * y * y + g1 * (g1 - 2.0 * y)
             z_mean = float(w @ z)
             direct = (float(w @ z**2) - z_mean * z_mean) / (v * v)
-            bound = efficient_bounds(orc)[1]
+            bound = efficient_bounds(model, mask)[1]
             tol = 1e-11 * abs(direct) if abs(direct) > 1e-12 else 1e-14
             assert abs(bound - direct) <= tol, f"{model.name} {mask}: sigma_min^2 {bound} vs direct {direct}"
 
@@ -375,53 +358,26 @@ def test_centered_ratio_variance_linear_p3_hand_value():
     # hand integration with Z = Y - 3/2, U_i = V_i - 1/2:
     # Var(Z g1) = 7/360, Cov(Z g1, Z^2) = 1/30, Var(Z^2) = 1/10, v = 1/4, S = 1/3
     # sigma_c^2 = (4*7/360 - 4/(3*30) + 1/90) * 16 = 32/45
-    value = limiting_variances(variance_oracles(linear_model(3), (0,)))[1]
+    value = limiting_variances(linear_model(3), (0,))[1]
     assert abs(value - 32.0 / 45.0) < 1e-9, f"centered sigma^2 {value} vs hand value 32/45"
 
 
 def test_variance_oracles_refuse_more_than_three_inputs():
     # the tensor rule would hold 64^4 nodes
     with pytest.raises(MirrorSobolError, match=r"4 inputs.*64\^4 = 16777216 nodes"):
-        variance_oracles(linear_model(4), (0,))
+        limiting_variances(linear_model(4), (0,))
 
 
 def test_variance_oracles_refuse_a_mask_out_of_range():
     for mask in [(2,), (0, 2), (-1,)]:
         with pytest.raises(MirrorSobolError, match=rf"mask \({mask[0]},.*p = 2"):
-            variance_oracles(product_model(), mask)
+            limiting_variances(product_model(), mask)
 
 
 def test_variance_oracles_refuse_a_repeated_axis():
     for model, mask in [(product_model(), (1, 1)), (product_model(), (0, 0)), (linear_model(3), (0, 1, 2, 2))]:
         with pytest.raises(MirrorSobolError, match=r"repeats an axis"):
-            variance_oracles(model, mask)
-
-
-def _tensor_rule_oracles(model, mask):
-    """(weights, y, g1, g2) by the meshgrid formula: the full (64^p, p) node array, then each array at once.
-
-    g1 and g2 contract W_off Y and W_off Y^2 over the off-mask axes of the
-    whole (64,) * p grid, W_off the meshgrid product of the off-mask Gauss
-    weights and densities, and are spread back over every node.
-    """
-    marginals = model.input_model.marginals
-    axes = [gauss_legendre(64, *m.support) for m in marginals]
-    points = np.stack([m.reshape(-1) for m in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
-    weights = np.ones(points.shape[0])
-    for wm in np.meshgrid(*[w for _, w in axes], indexing="ij"):
-        weights = weights * wm.reshape(-1)
-    for axis, marg in enumerate(marginals):
-        weights *= marg.pdf(points[:, axis])
-    y = model.g(points)
-    grid = (64,) * model.p
-    off = tuple(axis for axis in range(model.p) if axis not in mask)
-    w_off = np.ones(grid)
-    for axis, wm in enumerate(np.meshgrid(*[w * marg.pdf(x) for marg, (x, w) in zip(marginals, axes)], indexing="ij")):
-        if axis in off:
-            w_off = w_off * wm
-    y_grid = y.reshape(grid)
-    g1, g2 = ((w_off * y_grid**k).sum(axis=off, keepdims=True) for k in (1, 2))
-    return weights, y, np.broadcast_to(g1, grid).ravel(), np.broadcast_to(g2, grid).ravel()
+            limiting_variances(model, mask)
 
 
 def _full_array_limiting_variances(w, y, g1, g2):
@@ -440,89 +396,94 @@ def _full_array_limiting_variances(w, y, g1, g2):
     return float(ratio(0.0)[0][0, 0]), ratio(float(w @ y))[1], nn
 
 
+# the products of the conditional moments c_j = E[(Y - mean_y)^j | X] and
+# of g1 = E[Y | X], g2 = E[Y^2 | X] whose expectations `_mask_moments` names
+_PRODUCTS = {
+    "c1": lambda c, g1, g2: c[1],
+    "c2": lambda c, g1, g2: c[2],
+    "c3": lambda c, g1, g2: c[3],
+    "c4": lambda c, g1, g2: c[4],
+    "c1*c1": lambda c, g1, g2: c[1] * c[1],
+    "c1*c2": lambda c, g1, g2: c[1] * c[2],
+    "c1*c3": lambda c, g1, g2: c[1] * c[3],
+    "c1*c1*c2": lambda c, g1, g2: c[1] * c[1] * c[2],
+    "g1*g1": lambda c, g1, g2: g1 * g1,
+    "g1*g1*g2": lambda c, g1, g2: g1 * g1 * g2,
+    "g1*g1*g1*g1": lambda c, g1, g2: g1**4,
+    "g2*g2": lambda c, g1, g2: g2 * g2,
+}
+
+
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
 def test_slab_oracles_bit_equal_to_the_tensor_rule_formula(model):
+    # the walk's expectations against whole-grid sums of the meshgrid
+    # formula; they are summed in another order, slab by slab, so they are
+    # compared to within rounding of their terms' magnitudes: the product
+    # taken at bounds of E[|Y - mean_y|^j | X] (Cauchy-Schwarz from c2 and c4)
     for mask in model.masks():
-        got = rule_arrays(variance_oracles(model, mask))
-        want = _tensor_rule_oracles(model, mask)
-        for field, have, ref in zip(("weights", "y"), got, want):
-            assert np.array_equal(have, ref), f"{model.name} {mask}: {field} differs"
-        # g1 and g2 are summed in another order: slab by slab, not over the whole grid
-        for field, have, ref in zip(("g1", "g2"), got[2:], want[2:]):
-            err = np.max(np.abs(have - ref))
-            assert err <= 1e-13 * np.max(np.abs(ref)), f"{model.name} {mask}: {field} off by {err}"
+        got = testbed._mask_moments(model, mask)
+        assert set(got) == set(_PRODUCTS)
+        w, _, g1, g2 = rule_arrays(model, mask)
+        c = [None, *rule_arrays(model, mask, model.mean_y, (1, 2, 3, 4))[2:]]
+        mu = abs(model.mean_y)
+        a = [None, np.sqrt(c[2]), c[2], np.sqrt(c[2] * c[4]), c[4]]
+        for name, product in _PRODUCTS.items():
+            values = product(c, g1, g2)
+            want = float(w @ values)
+            scale = float(w @ product(a, a[1] + mu, a[2] + 2.0 * mu * a[1] + mu * mu))
+            assert abs(got[name] - want) <= 1e-13 * scale, f"{model.name} {mask} E[{name}]: {got[name]} vs {want}"
 
 
 @pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.name)
 def test_slab_limiting_variances_match_the_full_array_formulas(model):
     for mask in model.masks():
-        orc = variance_oracles(model, mask)
-        got = limiting_variances(orc)
-        want = _full_array_limiting_variances(*rule_arrays(orc))
+        got = limiting_variances(model, mask)
+        want = _full_array_limiting_variances(*rule_arrays(model, mask))
         for name, g, v in zip(("t", "sobol_centered", "nn"), got, want):
             assert abs(g - v) <= 1e-13 * max(abs(v), 1.0), f"{model.name} {mask} {name}: {g} vs {v}"
 
 
-@pytest.mark.parametrize("mask", [(0,), (0, 1, 2)])
+@pytest.mark.parametrize("mask", [(0,), (0, 1, 2), (1, 2)])
 def test_oracles_and_limiting_variances_hold_no_full_size_temporary(mask):
-    # Y, the one array stored on the rule of linear3, takes 2 MiB; a
-    # full-size temporary row would add 2 MiB, a (64^3, 3) node array 6 MiB
+    # nothing is stored on the 64^3 rule of linear3: a full-size row would
+    # take 2 MiB and a (64^3, 3) node array 6 MiB; (0,) walks one conditional
+    # law per slab, (1, 2), off the leading axis, 64 of them, and the full
+    # mask 4096 nodes that are each their own law
     tracemalloc.start()
     try:
-        orc = variance_oracles(linear_model(3), mask)
-        build = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        limiting_variances(orc)
-        variances = tracemalloc.get_traced_memory()[1]
+        limiting_variances(linear_model(3), mask)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert build <= 10 * 2**20, f"oracle build peaked at {build / 2**20:.1f} MiB"
-    assert variances <= 10 * 2**20, f"limiting variances peaked at {variances / 2**20:.1f} MiB"
-
-
-@pytest.mark.parametrize("mask, bound_mib", [((0,), 3), ((0, 1, 2), 7), ((0, 1, 2), 3), ((1, 2), 3)])
-def test_oracles_store_y_alone_on_the_rule(mask, bound_mib):
-    # Y takes 2 MiB on the 64^3 rule of linear3; the weights are rebuilt per
-    # slab, and g1, g2 live on the 64^d mask nodes, or, on the full mask,
-    # are Y and Y^2 slab by slab; (0,) adds each slab's sums to its own rows
-    # of g1, g2 and (1, 2), off the leading axis, to all of them; 7 MiB is
-    # the older full-mask bound, when g1, g2 were stored on the rule's 64^3
-    # nodes (4 MiB more)
-    tracemalloc.start()
-    try:
-        orc = variance_oracles(linear_model(3), mask)
-        build = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        limiting_variances(orc)
-        variances = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert build <= bound_mib * 2**20, f"oracle build peaked at {build / 2**20:.2f} MiB"
-    assert variances <= bound_mib * 2**20, f"limiting variances peaked at {variances / 2**20:.2f} MiB"
+    assert peak <= 1.5 * 2**20, f"limiting variances peaked at {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("mask", [(0,), (0, 2), (0, 1, 2)])
-def test_compare_walks_the_rule_twice_for_its_three_limiting_variances(mask, monkeypatch, tmp_path):
-    # one walk for E[Y], one for the rows of all three variances
-    orc = variance_oracles(ishigami_model(), mask)
-    want = _full_array_limiting_variances(*rule_arrays(orc))
-    walks = []
-    slabs = baselines._slabs
+def test_compare_walks_the_rule_once_for_its_three_limiting_variances(mask, monkeypatch, tmp_path):
+    # model.g sees each node of the 64^3 rule once per call, and once per
+    # compare beside its draws
+    seen = []
+    base = ishigami_model()
 
-    def counting(oracles):
-        walks.append(oracles)
-        return slabs(oracles)
+    def g(v):
+        seen.append(np.array(v))
+        return base.g(v)
 
-    monkeypatch.setattr(baselines, "_slabs", counting)
-    got = limiting_variances(orc)
-    assert len(walks) == 2
-    for name, g, v in zip(("t", "sobol_centered", "nn"), got, want):
-        assert abs(g - v) <= 1e-13 * max(abs(v), 1.0), f"{mask} {name}: {g} vs {v}"
-    walks.clear()
+    model = dataclasses.replace(base, g=g)
+    want = _full_array_limiting_variances(*rule_arrays(base, mask))
+    got = limiting_variances(model, mask)
+    nodes = np.concatenate(seen)
+    assert nodes.shape == (64**3, 3) and np.unique(nodes, axis=0).shape[0] == 64**3
+    for name, g_, v in zip(("t", "sobol_centered", "nn"), got, want):
+        assert abs(g_ - v) <= 1e-13 * max(abs(v), 1.0), f"{mask} {name}: {g_} vs {v}"
+    seen.clear()
+    monkeypatch.setattr(cli, "model_by_name", lambda name: model)
     out = tmp_path / "compare.csv"
     config = RunConfig(command="compare", model="ishigami", n=50, mask=tuple(i + 1 for i in mask), h=0.5, seeds=1, estimators=("kernel", "nn"), output=str(out))
     assert run(config) == 0
-    assert len(walks) == 2
+    rows = np.concatenate(seen)
+    assert rows.shape[0] == 64**3 + 2 * 50  # the rule, and the seed's two draws
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     cells = {row["estimator"]: float(row["limiting_variance"]) for row in csv.DictReader(line for line in open(out) if not line.startswith("#"))}
     assert (cells["kernel_t"], cells["kernel_sobol"], cells["nn_t"]) == got
 

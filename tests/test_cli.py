@@ -331,6 +331,24 @@ def test_estimate_auto_with_a_narrow_axis_off_the_mask(tmp_path):
     assert abs(res["sobol"] - 0.5) < 5 * se, f"sobol {res['sobol']} vs truth 0.5 (se {se})"
 
 
+def test_estimate_auto_and_fixed_h_report_a_row_off_the_mask_box_alike(tmp_path, capsys):
+    # the curve checks the sample before its pilot work, as a fixed h does
+    rng = np.random.default_rng(3)
+    v = rng.random((40, 2))
+    v[5, 0] = 1.5
+    lines = ["v1,v2,y"] + [f"{a!r},{b!r},{a + b!r}" for a, b in v.tolist()]
+    csv_path = _write(tmp_path, "off.csv", "\n".join(lines) + "\n")
+    marginals = json.dumps({"marginals": [{"uniform": [0, 1]}, {"uniform": [0, 1]}]})
+    argv = ["estimate", "--csv", csv_path, "--mask", "1", "--marginals", marginals, "--output", str(tmp_path / "est.json")]
+    payloads = []
+    for mode in (["--auto"], ["--h", "0.3"]):
+        assert main(argv + mode) == 1
+        payloads.append(capsys.readouterr().out)
+    assert payloads[0] == payloads[1]
+    err = json.loads(payloads[0])["error"]
+    assert err["type"] == "DomainViolationError" and "rows [5] fall outside the domain" in err["message"]
+
+
 def test_estimate_uniform_max_plugin_csv(tmp_path):
     # inputs uniform on [0, 0.8]; the plug-in should recover theta ~ 0.8
     rng = np.random.default_rng(5)

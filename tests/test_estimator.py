@@ -32,6 +32,7 @@ from mirrorsobol.estimator import (
     estimate_sobol,
     estimate_t,
     estimate_total_sobol,
+    _prepare,
     _t_values,
 )
 from mirrorsobol.inputs import InputModel, Uniform, subset_density_fn
@@ -580,7 +581,7 @@ def _check_grid_case(rows, y, kernel, hs, model, crossover, budget):
         mp.setattr(_window, "_MOMENT_CROSSOVER", crossover)
         mp.setattr(_window, "_PAIR_BUDGET", budget)
         sums = window_sums(rows, w, kernel, hs, dom)
-        t = _t_values(fs, spec, kernel, hs, model, None)
+        t = _t_values(_prepare(fs, spec, hs[-1], model, None), fs.Y, kernel, hs)
         for j, h in enumerate(hs):
             alone = window_sums(rows, w, kernel, [h], dom)[0]
             floor = _underflow(y.size, kernel, h, model)
@@ -697,9 +698,9 @@ def test_grid_of_bandwidths_is_row_permutation_invariant(model, mask):
     spec = SubsetSpec(mask)
     kernel = build_kernel(2)
     grid = default_grid(400, model.input_model.domain.subdomain(mask))
-    t = np.array(_t_values(fs, spec, kernel, grid, model.input_model, None))
+    t = np.array(_t_values(_prepare(fs, spec, grid[-1], model.input_model, None), fs.Y, kernel, grid))
     perm = np.random.default_rng(1).permutation(400)
-    t_perm = np.array(_t_values(FullSample(V=fs.V[perm], Y=fs.Y[perm]), spec, kernel, grid, model.input_model, None))
+    t_perm = np.array(_t_values(_prepare(FullSample(V=fs.V[perm], Y=fs.Y[perm]), spec, grid[-1], model.input_model, None), fs.Y[perm], kernel, grid))
     assert np.all(np.abs(t - t_perm) <= 1e-13 * np.abs(t)), np.max(np.abs(t - t_perm) / np.abs(t))
 
 
@@ -1223,6 +1224,19 @@ def test_singular_density_reports_indices():
     with pytest.raises(SingularDensityError) as exc:
         estimate_t(fs, SubsetSpec((0,)), build_kernel(1), 0.3, holey, domain=Domain((0.0,), (1.0,)))
     assert 2 in exc.value.indices, f"offending row index missing from {exc.value.indices}"
+
+
+def test_infinite_density_is_rejected_with_its_rows():
+    fs = FullSample(V=np.array([[0.1], [0.4], [0.8]]), Y=np.array([1.0, 2.0, 3.0]))
+
+    def spiked(x):
+        out = np.ones(x.shape[0])
+        out[1] = np.inf
+        return out
+
+    with pytest.raises(SingularDensityError, match=r"rows \[1\] is not finite") as exc:
+        estimate_t(fs, SubsetSpec((0,)), build_kernel(1), 0.3, spiked, domain=Domain((0.0,), (1.0,)))
+    assert exc.value.indices == (1,)
 
 
 def test_domain_violation():

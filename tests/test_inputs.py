@@ -7,6 +7,8 @@ F(x) = 3x^2 - 2x^3 for Beta(2,2), and CLT bounds on empirical means.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorsobol.errors import MirrorSobolError
 from mirrorsobol.inputs import (
@@ -62,6 +64,45 @@ def test_subset_density_fn_matches_scalar_version():
     got = f(rows)
     np.testing.assert_array_equal(got, [density_at(model, [1, 2], r) for r in rows])
     np.testing.assert_allclose(got, [0.75, 0.5625, 0.27], rtol=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(1.0, 9.99), st.integers(-300, 300), st.floats(0.0, 1.0)), min_size=1, max_size=5),
+)
+# 1e149 * 3.16e159 overflows before the factor 1e-9; the joint density is 3.16e299
+@example([(1.0, -149, 0.5), (3.16, -160, 0.5), (1.0, 9, 0.5)])
+def test_subset_density_fn_product_against_long_double(axes):
+    # Uniform(0, c 10^e) at the fraction u of its width: the float64 factors
+    # multiplied in np.longdouble, whose wider exponent holds every partial
+    # product; the density is that product where it is a normal float
+    assert np.finfo(np.longdouble).maxexp > np.finfo(float).maxexp
+    model = InputModel(tuple(Uniform(0.0, c * 10.0**e) for c, e, _ in axes))
+    row = np.array([[u * m.b for (_, _, u), m in zip(axes, model.marginals)]])
+    got = float(subset_density_fn(model, range(model.p))(row)[0])
+    want = np.prod([np.longdouble(m.pdf(x)) for m, x in zip(model.marginals, row[0])])
+    if want > np.finfo(float).max:
+        assert got == np.inf
+    elif want < np.finfo(float).tiny:
+        assert got < np.finfo(float).tiny
+    else:
+        assert abs(np.longdouble(got) - want) <= 1e-12 * want, f"{got} vs {want}"
+
+
+def test_subset_density_fn_keeps_the_left_to_right_product():
+    # where every partial product is a normal float the density is the plain
+    # product, bit for bit: every builtin model, and beta marginals
+    from mirrorsobol.testbed import builtin_models
+
+    models = [m.input_model for m in builtin_models()] + [InputModel((Beta(2, 2), Beta(0.5, 3.0), Uniform(-1, 3)))]
+    for model in models:
+        v = sample(model, 500, seed=4)
+        for d in range(1, model.p + 1):
+            mask = list(range(model.p))[-d:]
+            plain = np.ones(v.shape[0])
+            for i in mask:
+                plain = plain * model.marginals[i].pdf(v[:, i])
+            assert np.array_equal(subset_density_fn(model, mask)(v[:, mask]), plain)
 
 
 def test_subset_density_fn_rejects_bad_shape():

@@ -47,8 +47,7 @@ def test_removed_names_stay_removed():
     for cls in (inputs.Uniform, inputs.Beta, inputs.InputModel):
         assert not hasattr(cls, "to_json"), f"{cls.__name__}.to_json should not exist"
     assert not hasattr(estimator.SubsetSpec, "d")
-    assert "f_x" not in {f.name for f in dataclasses.fields(baselines.VarianceOracles)}
-    # the oracles sum the conditional moments from Y on the rule, and the
+    # the limiting variances sum the conditional moments from Y on the rule, and the
     # truths follow from the Hoeffding terms
     fields = {f.name for f in dataclasses.fields(testbed.AnalyticModel)}
     assert not {"g1_funcs", "g2_funcs", "true_t", "true_sobol"} & fields
@@ -72,6 +71,19 @@ def test_removed_names_stay_removed():
         (baselines, "limiting_variance_sobol_centered"),
         (baselines, "limiting_variance_nn"),
         (baselines, "_population_covariance"),
+        (baselines, "VarianceOracles"),
+        (baselines, "_SLAB"),
+        (baselines, "_slabs"),
+        (baselines, "_population_moments"),
+        (baselines, "_covariance"),
+        (baselines, "_ratio_rows"),
+        (baselines, "_ratio_covariance_at"),
+        (baselines, "_mean_y"),
+        (baselines, "limiting_variances"),
+        (testbed, "variance_oracles"),
+        (testbed, "_conditional_moments"),
+        (testbed, "_on_tensor_grid"),
+        (testbed, "_along"),
         (kernels, "verify_order"),
         (_quad, "multi_indices"),
     ):

@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-from efficiency import rule_arrays
 
 from mirrorsobol import testbed
 from mirrorsobol.baselines import pick_freeze_estimate
@@ -30,7 +29,6 @@ from mirrorsobol.testbed import (
     weighted_linear_model,
     pick_freeze_design,
     product_model,
-    variance_oracles,
 )
 
 
@@ -145,25 +143,28 @@ def test_truth_consistency_t_vs_sobol():
 
 def test_g1_g2_tower_property_on_the_rule():
     # E[g1(X)] = E[Y], E[g1(X)^2] = t and E[g2(X)] = E[Y^2]: the moments that
-    # `variance_oracles` sums from Y meet the hand-derived truths
+    # the walk of `limiting_variances` sums from Y meet the hand-derived truths
     for model in builtin_models():
+        mu = model.mean_y
         for mask in model.masks():
-            w, _, g1, g2 = rule_arrays(variance_oracles(model, mask))
+            e = testbed._mask_moments(model, mask)
             for name, got, want in (
-                ("E[g1]", w @ g1, model.mean_y),
-                ("E[g1^2]", w @ g1**2, model.t_of(mask)),
-                ("E[g2]", w @ g2, model.var_y + model.mean_y**2),
+                ("E[g1]", e["c1"] + mu, mu),
+                ("E[g1^2]", e["g1*g1"], model.t_of(mask)),
+                ("E[g2]", e["c2"] + 2.0 * mu * e["c1"] + mu * mu, model.var_y + mu * mu),
             ):
                 assert abs(got - want) <= 1e-12 * abs(want), f"{model.name} {mask}: {name} {got} vs {want}"
 
 
 def test_g2_dominates_g1_squared():
-    # a positively weighted sum of Y^2 dominates the square of that of Y
+    # a positively weighted sum of Y^2 dominates the square of that of Y, at
+    # every node, so g2^2 >= g1^2 g2 >= g1^4 and c2 >= c1^2 hold on average
     for model in builtin_models():
         for mask in model.masks():
-            _, _, g1, g2 = rule_arrays(variance_oracles(model, mask))
-            gap = g2 - g1**2
-            assert gap.min() >= -1e-12 * np.abs(g2).max(), f"{model.name} {mask}: g2 < g1^2 by {gap.min()}"
+            e = testbed._mask_moments(model, mask)
+            for big, small in (("g2*g2", "g1*g1*g2"), ("g1*g1*g2", "g1*g1*g1*g1"), ("c2", "c1*c1")):
+                gap = e[big] - e[small]
+                assert gap >= -1e-12 * abs(e[big]), f"{model.name} {mask}: E[{big}] < E[{small}] by {gap}"
 
 
 def test_truth_against_pick_freeze_at_scale():
