@@ -3,19 +3,22 @@
 Two backends compute the same sums.  Range moments use that the kernel is
 a polynomial on its support: each window is summed from moments of the
 points about the centers of cells of side h/2, so its pairs are never
-listed.  They serve the estimator's self-pair sums in one dimension always,
-and in two when the windows hold enough pairs to pay for the structure.
-The cell grid serves everything else (d >= 3, small 2-D windows, sums at
-other anchors such as mirror_kde's, and samples too fine for int64 cell
-indices): it lists the pairs of each window and evaluates the kernel on
-every one.
+listed, and a pass costs about the same at any h.  The cell grid lists the
+pairs of each window and evaluates the kernel on every one.  Range moments
+serve the estimator's self-pair sums in one dimension always, and in two
+the bandwidths whose windows hold enough pairs to pay for the structure.
+The grid serves everything else: d >= 3, small 2-D windows, sums at other
+anchors such as mirror_kde's, and samples too fine for int64 cell indices.
 
 One call takes an ascending sequence of bandwidths, as the bandwidth grid
-needs.  The rows are sorted once; each bandwidth for which range moments
-pay takes them, and the rest share one grid listing at the largest of
-them: the window of a smaller h lies in that of a larger one, so each pair
-is listed once, ordered by the first bandwidth whose window holds it, and
-each bandwidth evaluates the kernel on the pairs that have entered by then.
+needs.  The rows are sorted once, and the call is split once
+(`_grid_count`): the smallest bandwidths share one grid listing at the
+largest of them, and each of the rest takes range moments.  The window of
+a smaller h lies in that of a larger one, so each pair is listed once,
+ordered by the first bandwidth whose window holds it, and each bandwidth
+evaluates the kernel on the pairs that have entered by then.  So a grid
+bandwidth costs less in a call of several than alone, and the split
+weighs the call's joint cost.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ _PAIR_BUDGET = 2**14
 # (n = 2000 to 10^4), the m that _cells_per_ball picks ran within 4% of the
 # fastest of 1 to 16
 _MAX_CELLS = 16
-# expected window pairs per anchor from which range moments serve d = 2: the
-# grid costs about 100 to 130 ns per pair, range moments about the same at
-# any h; measured, they break even near 30 pairs per anchor at n = 2000 and
-# 95 at n = 10^4
+# the cost of one 2-D range-moment pass in expected window pairs per anchor,
+# which _grid_count weighs against the grid's shared listing (7/8 of a pair)
+# and kernel passes (1/8); so one bandwidth alone takes range moments from
+# there on.  Measured alone, they break even near 30 pairs per anchor at
+# n = 2000 and 95 at n = 10^4
 _MOMENT_CROSSOVER = 60.0
 
 
@@ -49,11 +53,14 @@ def window_sums(x, weights, kernel, hs, domain: Domain, anchors=None) -> np.ndar
     r) block per bandwidth.  With anchors None the anchors are the points and
     the pair b = a is left out (duplicate rows stay in); the rows are then
     put in a canonical order once, so the sums do not depend on the input
-    row order, and a bandwidth takes the range-moment backend in d = 1, and
-    in d = 2 once the expected window pairs per anchor, tied rows counted,
-    reach _MOMENT_CROSSOVER.  Every other bandwidth takes the grid, and so
-    do samples whose cell indices or layout keys would not fit in int64; the
-    grid bandwidths of a call share one listing of pairs.
+    row order.  Then every bandwidth takes the range-moment backend in
+    d = 1 and the grid in d >= 3.  In d = 2 the grid takes the smallest
+    bandwidths and range moments the rest, split where the call's joint
+    cost is least (`_grid_count`); one bandwidth alone takes range moments
+    once the expected window pairs per anchor, tied rows counted, reach
+    _MOMENT_CROSSOVER.  The grid bandwidths of a call share one listing of
+    pairs, and the grid also serves bandwidths whose cell indices or layout
+    keys would not fit in int64.
     """
     hs = np.asarray(hs, dtype=float).ravel()
     if anchors is not None:
@@ -78,34 +85,51 @@ def window_sums_by_bandwidth(x, weights, kernel, hs, domain: Domain) -> tuple:
     order = _stable_order(*weights.T[::-1], *x.T[::-1])  # the weights order tied rows
     tied = np.all(x[order[1:]] == x[order[:-1]], axis=1)  # sorted row i + 1 equals row i
     x, weights = x[order], weights[order]
-    side = kernel.support[1] - kernel.support[0]
-    moments = np.array([_moments_pay(tied, side * h, domain) for h in hs], dtype=bool)
+    split = _grid_count(tied, (kernel.support[1] - kernel.support[0]) * hs, domain)
 
     def blocks():
-        grid = np.flatnonzero(~moments)
-        if grid.size:
-            yield grid, _grid_sums(x, weights, kernel, hs[grid], domain, x, self_pairs=True)
+        if split:
+            yield np.arange(split), _grid_sums(x, weights, kernel, hs[:split], domain, x, self_pairs=True)
         moment_sums = _moment_sums_1d if x.shape[1] == 1 else _moment_sums_2d
-        for j in np.flatnonzero(moments):
+        for j in range(split, hs.size):
             yield [j], moment_sums(x, weights, kernel.coeffs, kernel.support, float(hs[j]), domain)[None]
 
     return order, blocks()
 
 
-def _moments_pay(tied: np.ndarray, side: float, domain: Domain) -> bool:
-    """Whether range moments serve points whose sorted rows repeat where `tied` is set.
+def _grid_count(tied: np.ndarray, sides: np.ndarray, domain: Domain) -> int:
+    """J: the cell grid serves the J smallest bandwidths and range moments the rest.
 
-    `side` is the window side, which is also the cell side.  Cell indices
-    reach widths / side, and the d = 2 layout keys (n + 1)^3; where either
-    would not fit in int64 the grid serves.
+    `tied` marks each sorted row equal to the next, and `sides` holds the
+    window side, which is also the cell side, of each ascending bandwidth.
+    In d = 2, with P_j the expected window pairs at the j-th smallest of the
+    N bandwidths (`n^2 prod min(1, side / width)`, tied rows counted), J
+    minimises
+
+        7/8 P_J + 1/8 (P_1 + ... + P_J) + (N - J) _MOMENT_CROSSOVER n,
+
+    the shared listing paid once at the largest grid bandwidth, each grid
+    bandwidth's kernel pass over the pairs in its window, and one
+    range-moment pass per other bandwidth, all in window pairs; ties go to
+    the smallest J.  d = 1 takes range moments and d >= 3 the grid.  Cell
+    indices reach widths / side, and the d = 2 layout keys (n + 1)^3; the
+    grid serves the bandwidths at which either would not fit in int64.
     """
-    n, d = tied.size + 1, domain.dim
-    if float(np.max(domain.widths)) / side >= 2.0**62 or (d == 2 and float(n + 1) ** 3 >= 2.0**63):
-        return False
-    if d != 2:
-        return d == 1
-    spread = n * n * float(np.prod(np.minimum(1.0, side / domain.widths)))
-    return spread + _tied_pairs(tied) >= _MOMENT_CROSSOVER * n
+    n, d, count = tied.size + 1, domain.dim, sides.size
+    if d >= 3 or (d == 2 and float(n + 1) ** 3 >= 2.0**63):
+        return count
+    forced = int(np.count_nonzero(float(np.max(domain.widths)) / sides >= 2.0**62))  # a prefix: sides ascend
+    if d == 1:
+        return forced
+    tied_pairs = _tied_pairs(tied)
+    pairs = np.array([n * n * float(np.prod(np.minimum(1.0, side / domain.widths))) + tied_pairs for side in sides])
+    # cost(J) - cost(J - 1) = P_J - 7/8 P_{J-1} - _MOMENT_CROSSOVER n with
+    # P_0 = 0: the first step's sign is exact, so one bandwidth keeps the rule
+    # P_1 >= _MOMENT_CROSSOVER n for range moments bit for bit
+    steps = pairs - 0.875 * np.concatenate(([0.0], pairs[:-1])) - _MOMENT_CROSSOVER * n
+    cost = np.concatenate(([0.0], np.cumsum(steps)))
+    cost[:forced] = np.inf
+    return int(np.argmin(cost))  # the first of equal costs
 
 
 def _tied_pairs(tied: np.ndarray) -> float:

@@ -282,6 +282,12 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
     # one pass for both columns; the centered one is its own column, not a
     # difference of sums, so shifting Y moves the ratio only by rounding
     g, g_c = window_sums(xm, np.column_stack([y, y_c]), kernel, [h], sub)[0].T
+    # the grid sums an empty window to 0.0 exactly; in one dimension range
+    # moments leave rounding residue there, so only d >= 2 is read
+    if sub.dim > 1 and not (np.any(g) or np.any(g_c)):
+        raise InsufficientSampleError(
+            f"every window sum is zero at h={h}: no window holds a second sample point; raise h or n"
+        )
     t_hat = math.fsum(((y / fvals) * g).tolist()) / (n * (n - 1))
     t_centered = math.fsum(((y_c / fvals) * g_c).tolist()) / (n * (n - 1))
     sobol = t_centered / s2

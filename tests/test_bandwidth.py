@@ -842,7 +842,7 @@ def _peak_mib(fn):
 
 
 def test_curve_lists_pairs_once_within_the_memory_of_one_call_per_bandwidth(monkeypatch):
-    # the 13 smallest of the 25 bandwidths share one grid listing; blocks of
+    # the 20 smallest of the 25 bandwidths share one grid listing; blocks of
     # 64 candidate pairs change no bit, and the whole curve, pilot included,
     # peaks no higher than the grid values taken one estimate_t at a time
     model = product_model()
@@ -860,11 +860,11 @@ def test_curve_lists_pairs_once_within_the_memory_of_one_call_per_bandwidth(monk
     assert bandwidth_curve(s, spec, kern, im) == out
 
 
-def test_curve_grid_listing_peaks_within_one_single_bandwidth_call():
+def test_curve_grid_listing_peaks_within_one_single_bandwidth_call(monkeypatch):
     # the grid phase of the auto-2d curve alone: one window_sums call on the
     # bandwidths that take the grid shares a listing in half-size blocks, so
     # it holds no more than the largest of those bandwidths taken one call
-    # each; the virtual sample is built before either is measured
+    # each on the grid; the virtual sample is built before either is measured
     model = product_model()
     s = model.draw(2000, seed=0)
     kern, im = build_kernel(2), model.input_model
@@ -872,9 +872,10 @@ def test_curve_grid_listing_peaks_within_one_single_bandwidth_call():
     x, y = s.V[:, [0, 1]], virtual_outputs(s, rule_of_thumb_h0(s), im.marginals)[:, None]
     order = _window._stable_order(*y.T[::-1], *x.T[::-1])
     tied = np.all(x[order[1:]] == x[order[:-1]], axis=1)
-    side = kern.support[1] - kern.support[0]
-    hs = [h for h in default_grid(s.n, sub) if not _window._moments_pay(tied, side * h, sub)]
-    assert len(hs) == 13, hs
+    grid = default_grid(s.n, sub)
+    hs = grid[: _window._grid_count(tied, (kern.support[1] - kern.support[0]) * grid, sub)]
+    assert len(hs) == 20, hs
+    monkeypatch.setattr(_window, "_grid_count", lambda tied, sides, domain: sides.size)
     shared = _peak_mib(lambda: _window.window_sums(x, y, kern, hs, sub))
     single = max(_peak_mib(lambda: _window.window_sums(x, y, kern, [h], sub)) for h in hs)
     assert shared <= single, (shared, single)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from mirrorsobol.estimator import (
     _prepare,
     _t_values,
 )
-from mirrorsobol.inputs import InputModel, Uniform, subset_density_fn
+from mirrorsobol.inputs import InputModel, Uniform, sample, subset_density_fn
 from mirrorsobol.kernels import KernelD, build_kernel
 from mirrorsobol.testbed import (
     brute_force_t,
@@ -278,7 +279,7 @@ def test_sparse_backend_matches_brute_force(case):
     spec = SubsetSpec(tuple(range(rows.shape[1])))
     # every call takes the grid, d = 1 and 2 included
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_window, "_moments_pay", lambda *args: False)
+        mp.setattr(_window, "_grid_count", lambda tied, sides, domain: sides.size)
         mp.setattr(_window, "_PAIR_BUDGET", budget)
         t_fast = estimate_t(fs, spec, kernel, h, model)
     t_ref = brute_force_t(fs, spec, kernel, h, model)
@@ -476,11 +477,14 @@ def test_range_moments_2d_columns_are_bit_equal_to_one_column_calls():
 def test_range_moments_leave_int64_overflow_to_the_tree():
     # cell indices reach widths / side and the d = 2 layout keys (n + 1)^3
     ok = np.zeros(999, dtype=bool)
-    assert _window._moments_pay(ok, 0.25, UNIT1.domain)
-    assert not _window._moments_pay(ok, 2.0**-62, UNIT1.domain)
-    assert not _window._moments_pay(ok, 2.0**-62, UNIT2.domain)
-    assert _window._moments_pay(np.ones(2**20, dtype=bool), 0.5, UNIT2.domain)
-    assert not _window._moments_pay(np.ones(2**21, dtype=bool), 0.5, UNIT2.domain)
+    assert _window._grid_count(ok, np.array([0.25]), UNIT1.domain) == 0
+    assert _window._grid_count(ok, np.array([2.0**-62]), UNIT1.domain) == 1
+    assert _window._grid_count(ok, np.array([2.0**-62]), UNIT2.domain) == 1
+    assert _window._grid_count(np.ones(2**20, dtype=bool), np.array([0.5]), UNIT2.domain) == 0
+    assert _window._grid_count(np.ones(2**21, dtype=bool), np.array([0.5]), UNIT2.domain) == 1
+    # in a call of several bandwidths the guards hold the grid on theirs alone
+    assert _window._grid_count(ok, np.array([2.0**-62, 2.0**-61, 0.25]), UNIT1.domain) == 1
+    assert _window._grid_count(np.ones(2**21, dtype=bool), np.array([0.25, 0.5]), UNIT2.domain) == 2
     # a bandwidth far below the cell-index range is summed right by the grid
     fs = FullSample(V=np.array([[0.3], [0.3], [0.7]]), Y=np.array([1.0, 2.0, 3.0]))
     kernel = build_kernel(0)
@@ -507,21 +511,139 @@ def test_window_sums_backend_choice(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# several bandwidths in one call: range moments per bandwidth, one grid listing
+# several bandwidths in one call: one grid listing for the smallest, range
+# moments for the rest
 
 
-def _takes_moments(rows, kernel, h, dom):
-    """Whether window_sums gives bandwidth h to the range-moment backend, under the current crossover."""
+def _grid_split(rows, kernel, hs, dom):
+    """How many of the smallest bandwidths of hs window_sums gives to the grid, under the current crossover."""
     s = rows[np.lexsort(rows.T[::-1])]
-    return _window._moments_pay(np.all(s[1:] == s[:-1], axis=1), (kernel.support[1] - kernel.support[0]) * h, dom)
+    sides = (kernel.support[1] - kernel.support[0]) * np.asarray(hs, dtype=float)
+    return _window._grid_count(np.all(s[1:] == s[:-1], axis=1), sides, dom)
 
 
-def _absolute_row_sums(rows, w, kernel, h, dom):
-    """sum_b |w_b K_h(A_a(x_b - x_a))| over b != a: the size of each window sum's rounding."""
+def _dense_row_sums(rows, w, kernel, h, dom):
+    """(sum_b w_b K_h(A_a(x_b - x_a)), sum_b |w_b K_h(A_a(x_b - x_a))|) over b != a: each window sum and the size of its rounding."""
     signs = sign_matrix(dom, rows)
-    kvals = np.abs(kernel.eval_scaled(signs[:, None, :] * (rows[None, :, :] - rows[:, None, :]), h))
+    kvals = kernel.eval_scaled(signs[:, None, :] * (rows[None, :, :] - rows[:, None, :]), h)
     np.fill_diagonal(kvals, 0.0)
-    return kvals @ np.abs(w)
+    return kvals @ w, np.abs(kvals) @ np.abs(w)
+
+
+def _moments_pay_alone(tied, side, dom):
+    """The rule for one bandwidth: whether range moments serve the window side `side` of points whose sorted rows repeat where `tied` is set.
+
+    d = 1 takes range moments and d >= 3 the grid.  In d = 2 range moments
+    serve from _MOMENT_CROSSOVER expected window pairs per anchor, spread
+    pairs n^2 prod min(1, side / width) and tied ones.  The grid serves
+    where cell indices (widths / side) or the d = 2 layout keys
+    ((n + 1)^3) would not fit in int64.
+    """
+    n, d = tied.size + 1, dom.dim
+    if float(np.max(dom.widths)) / side >= 2.0**62 or (d == 2 and float(n + 1) ** 3 >= 2.0**63):
+        return False
+    if d != 2:
+        return d == 1
+    pairs = n * n * float(np.prod(np.minimum(1.0, side / dom.widths))) + _window._tied_pairs(tied)
+    return pairs >= _window._MOMENT_CROSSOVER * n
+
+
+def _joint_costs(tied, sides, dom):
+    """{J: 7/8 P_J + 1/8 (P_1 + ... + P_J) + (N - J) C n} in rationals, for every J that leaves no int64-guarded side to range moments."""
+    n, count = tied.size + 1, sides.size
+    tied_pairs = _window._tied_pairs(tied)
+    pairs = [Fraction(n * n * float(np.prod(np.minimum(1.0, side / dom.widths))) + tied_pairs) for side in sides]
+    guarded = int(np.sum(float(np.max(dom.widths)) / sides >= 2.0**62))
+    per_moment_pass = Fraction(_window._MOMENT_CROSSOVER) * n
+    return {
+        j: Fraction(7, 8) * (pairs[j - 1] if j else 0) + Fraction(1, 8) * sum(pairs[:j]) + (count - j) * per_moment_pass
+        for j in range(guarded, count + 1)
+    }
+
+
+@st.composite
+def _split_cases(draw):
+    """Tied sorted rows, a box of one to three axes, one to six ascending window sides and a crossover.
+
+    Sides reach the cell-index guard, max(widths) 2^-62, from both sides,
+    and the crossover may sit at the pairs per anchor of a side.
+    """
+    d = draw(st.integers(1, 3))
+    widths = np.array([draw(st.sampled_from([1.0, 2.0, 2e-9, 3e9])) for _ in range(d)])
+    dom = Domain(np.zeros(d), widths)
+    n = draw(st.integers(2, 64))
+    tied = np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)), dtype=bool)
+    guard = float(np.max(widths)) * 2.0**-62
+    side = st.one_of(
+        st.sampled_from([guard, np.nextafter(guard, 0.0), np.nextafter(guard, np.inf), 0.5 * float(widths.min())]),
+        st.floats(1e-4, 0.5).map(lambda f: f * float(widths.min())),
+    )
+    sides = np.unique(draw(st.lists(side, min_size=1, max_size=6)))
+    crossover = draw(st.sampled_from([0.0, _window._MOMENT_CROSSOVER, None, None]))
+    if crossover is None:
+        at = float(sides[draw(st.integers(0, sides.size - 1))])
+        crossover = (n * n * float(np.prod(np.minimum(1.0, at / widths))) + _window._tied_pairs(tied)) / n
+    return tied, sides, dom, crossover
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_grid_count_of_one_bandwidth_keeps_the_rule_for_one_bandwidth(case):
+    tied, sides, dom, crossover = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_MOMENT_CROSSOVER", crossover)
+        for side in sides:
+            want = 0 if _moments_pay_alone(tied, side, dom) else 1
+            assert _window._grid_count(tied, np.array([side]), dom) == want, side
+
+
+@pytest.mark.parametrize("n", [2**21 - 2, 2**21 - 1])
+def test_grid_count_at_the_layout_key_guard(n):
+    # (n + 1)^3 reaches 2^63 at n = 2^21 - 1, and the grid serves every 2-D
+    # bandwidth from there; below it these tied rows take range moments
+    tied = np.ones(n - 1, dtype=bool)
+    moments = _moments_pay_alone(tied, 0.5, UNIT2.domain)
+    assert moments == (n < 2**21 - 1)
+    assert _window._grid_count(tied, np.array([0.5]), UNIT2.domain) == (0 if moments else 1)
+    assert _window._grid_count(tied, np.array([0.25, 0.5]), UNIT2.domain) == (0 if moments else 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_grid_count_is_the_prefix_of_least_joint_cost(case):
+    tied, sides, dom, crossover = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_window, "_MOMENT_CROSSOVER", crossover)
+        split = _window._grid_count(tied, sides, dom)
+        alone = [_window._grid_count(tied, np.array([side]), dom) for side in sides]
+        guarded = int(np.sum(float(np.max(dom.widths)) / sides >= 2.0**62))
+        if dom.dim == 1:
+            assert split == guarded
+        elif dom.dim >= 3:
+            assert split == sides.size
+        else:
+            cost = _joint_costs(tied, sides, dom)
+            best = min(cost, key=lambda j: (cost[j], j))
+            # the float cost rounds, so a J as cheap to within its rounding also stands
+            rounding = 1e-12 * max(cost.values())
+            assert split == best or (split in cost and cost[split] - cost[best] <= rounding), (split, best, cost)
+    # a bandwidth that range moments serve in the call takes them alone too
+    assert all(j == 0 for j in alone[split:]), (split, alone)
+
+
+def test_grid_count_on_the_auto_2d_grid():
+    # product (0, 1) at n = 2000: the default grid holds 6 to 501 expected
+    # pairs per anchor, and a range-moment pass costs about 60 n.  CPU time
+    # of the 25 grid values (_t_values on the virtual outputs, best of 5) at
+    # forced splits J = 13 / 16 / 18 / 20 / 21 / 22 / 25: 128 / 111 / 106 /
+    # 102 / 102 / 112 / 145 ms.  The rule for one bandwidth at a time gave
+    # the grid the 13 smallest
+    fs = product_model().draw(2000, seed=0)
+    dom = UNIT2.domain
+    grid = default_grid(2000, dom)
+    kernel = build_kernel(2)
+    assert _grid_split(fs.V, kernel, grid, dom) == 20
+    assert sum(_grid_split(fs.V, kernel, [h], dom) for h in grid) == 13
 
 
 _ORDERS = {k: build_kernel(k) for k in range(5)}
@@ -534,8 +656,10 @@ def _grid_cases(draw):
     Rows repeat, sit on box edges, mirror midpoints and dyadic points, and
     one may sit on the far corner of another's window at a grid bandwidth.
     Crossover 0 gives every 2-D bandwidth to range moments, the default
-    none at these sizes, and the pairs per anchor at a grid bandwidth
-    splits the grid there.
+    none at these sizes.  The others are taken at a grid bandwidth h_k: the
+    pairs per anchor P_k / n, from which h_k alone takes range moments, or
+    (P_k - 7/8 P_{k-1}) / n, at which one more grid bandwidth costs as much
+    as it saves, so that the call's split sits next to k.
     """
     d = draw(st.integers(2, 3))
     order = draw(st.integers(0, 4))
@@ -560,19 +684,25 @@ def _grid_cases(draw):
     y = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n)])
     crossover = draw(st.sampled_from([0.0, _window._MOMENT_CROSSOVER, None, None]))
     if crossover is None:
-        # the expected window pairs per anchor that _moments_pay weighs, at a
-        # grid bandwidth: from there on the grid takes range moments in 2-D
+        # the expected window pairs that _grid_count weighs at each grid bandwidth
         s = rows[np.lexsort(rows.T[::-1])]
         tied = _window._tied_pairs(np.all(s[1:] == s[:-1], axis=1))
-        pairs = [(n * n * float(np.prod(np.minimum(1.0, 0.5 * h / width))) + tied) / n for h in hs]
-        crossover = pairs[draw(st.integers(0, len(pairs) - 1))]
+        pairs = [n * n * float(np.prod(np.minimum(1.0, 0.5 * h / width))) + tied for h in hs]
+        k = draw(st.integers(0, len(pairs) - 1))
+        crossover = draw(st.sampled_from([pairs[k], pairs[k] - 0.875 * (pairs[k - 1] if k else 0.0)])) / n
     budget = draw(st.sampled_from([1, _window._PAIR_BUDGET]))
     model = InputModel(tuple(Uniform(a, b) for a, b in zip(lo, hi)))
     return rows, y, _ORDERS[order], hs, model, crossover, budget
 
 
 def _check_grid_case(rows, y, kernel, hs, model, crossover, budget):
-    """window_sums over the grid against one call per bandwidth, and its T against brute_force_t."""
+    """window_sums over the grid against one call per bandwidth, and its T against brute_force_t.
+
+    A bandwidth that takes range moments in the call takes them alone too,
+    with the same bits.  One that the grid serves in the call is compared
+    with the grid alone, or, where range moments serve it alone, with the
+    dense sums.
+    """
     dom = model.domain
     fs = FullSample(V=rows, Y=y)
     spec = SubsetSpec(tuple(range(rows.shape[1])))
@@ -580,20 +710,24 @@ def _check_grid_case(rows, y, kernel, hs, model, crossover, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_window, "_MOMENT_CROSSOVER", crossover)
         mp.setattr(_window, "_PAIR_BUDGET", budget)
+        split = _grid_split(rows, kernel, hs, dom)
         sums = window_sums(rows, w, kernel, hs, dom)
         t = _t_values(_prepare(fs, spec, hs[-1], model, None), fs.Y, kernel, hs)
         for j, h in enumerate(hs):
             alone = window_sums(rows, w, kernel, [h], dom)[0]
+            moments_alone = _grid_split(rows, kernel, [h], dom) == 0
             floor = _underflow(y.size, kernel, h, model)
             t_ref = brute_force_t(fs, spec, kernel, h, model)
             scale = max(abs(t_ref), _absolute_scale(rows, y, kernel, h, model))
-            if _takes_moments(rows, kernel, h, dom):
+            if j >= split:
                 # the same backend on the same canonical rows
+                assert moments_alone, (j, h, split)
                 assert np.array_equal(sums[j], alone), (j, h)
                 scale = max(scale, _moment_scale(rows, y, kernel, h, model))
             else:
-                tol = 1e-12 * _absolute_row_sums(rows, w, kernel, h, dom) + floor
-                assert np.all(np.abs(sums[j] - alone) <= tol), (j, h, sums[j], alone)
+                dense, absolute = _dense_row_sums(rows, w, kernel, h, dom)
+                want = dense if moments_alone else alone
+                assert np.all(np.abs(sums[j] - want) <= 1e-12 * absolute + floor), (j, h, sums[j], want)
             assert abs(t[j] - t_ref) <= 1e-12 * scale + floor, f"h={h}: {t[j]!r} vs brute force {t_ref!r}"
 
 
@@ -601,7 +735,8 @@ def _check_grid_case(rows, y, kernel, hs, model, crossover, budget):
 @given(_grid_cases())
 @example((np.array([[0.0, 0.5], [0.5, 0.5]]), np.array([1.0, -2.0]), _ORDERS[3], np.array([0.5]), UNIT2, 0.0, 1))
 @example(
-    # a lattice of 12 rows: crossover 1 sends h = 1 to range moments, h = 0.1 and 0.5 to the grid
+    # a lattice of 12 rows: crossover 1 sends each h alone to range moments,
+    # and in one call h = 0.1 and 0.5 to the grid, h = 1 to range moments
     (
         np.array([[i / 3.0, j / 2.0] for i in range(4) for j in range(3)]),
         np.linspace(-1.0, 1.0, 12),
@@ -681,15 +816,18 @@ def test_default_grid_straddles_the_crossover_and_matches_per_bandwidth_sums():
     grid = default_grid(2000, dom)
     kernel = build_kernel(2)
     w = fs.Y[:, None]
-    moments = [_takes_moments(fs.V, kernel, h, dom) for h in grid]
-    assert any(moments) and not all(moments)
+    split = _grid_split(fs.V, kernel, grid, dom)
+    moments_alone = [_grid_split(fs.V, kernel, [h], dom) == 0 for h in grid]
+    # range moments take the largest bandwidths, and alone some the call gives to the grid
+    assert 0 < split < grid.size and any(moments_alone[:split]) and all(moments_alone[split:])
     sums = window_sums(fs.V, w, kernel, grid, dom)
     for j, h in enumerate(grid):
         alone = window_sums(fs.V, w, kernel, [h], dom)[0]
-        if moments[j]:
+        if j >= split:
             assert np.array_equal(sums[j], alone)
         else:
-            assert np.all(np.abs(sums[j] - alone) <= 1e-12 * _absolute_row_sums(fs.V, w, kernel, h, dom)), h
+            dense, absolute = _dense_row_sums(fs.V, w, kernel, h, dom)
+            assert np.all(np.abs(sums[j] - (dense if moments_alone[j] else alone)) <= 1e-12 * absolute), h
 
 
 @pytest.mark.parametrize("model, mask", [(product_model(), (0, 1)), (linear_model(3), (0, 1, 2))])
@@ -771,7 +909,7 @@ def test_forced_2d_range_moments_match_brute_force(case):
     fs = FullSample(V=rows, Y=y)
     spec = SubsetSpec((0, 1))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_window, "_moments_pay", lambda *args: True)
+        mp.setattr(_window, "_grid_count", lambda tied, sides, domain: 0)
         mp.setattr(_window, "_grid_sums", None)
         t_fast = estimate_t(fs, spec, kernel, h, model)
     t_ref = brute_force_t(fs, spec, kernel, h, model)
@@ -808,7 +946,7 @@ def test_grid_call_at_one_bandwidth_keeps_blocks_small():
     fs = m.draw(2000, seed=0)
     h = 0.1778279410038923
     kernel = build_kernel(2)
-    assert not _takes_moments(fs.V, kernel, h, UNIT2.domain)
+    assert _grid_split(fs.V, kernel, [h], UNIT2.domain) == 1
     w = np.column_stack([fs.Y, fs.Y - fs.Y.mean()])
     peak = _peak_mib(lambda: window_sums(fs.V, w, kernel, [h], UNIT2.domain))
     assert peak <= 2.0, f"grid call peaked at {peak:.2f} MiB"
@@ -1204,6 +1342,16 @@ def test_constructors_copy_the_callers_arrays():
 def test_insufficient_sample():
     with pytest.raises(InsufficientSampleError):
         FullSample(V=np.array([[0.5]]), Y=np.array([1.0]))
+
+
+def test_no_second_point_in_any_window_is_an_insufficient_sample():
+    # h = 1e-160 on a box this thin: every window holds its anchor alone, so
+    # the grid sums every row to 0.0 and the index would read 0 with an
+    # interval of width 1e-17
+    im = InputModel((Uniform(0.0, 1e-149), Uniform(0.0, 3.16e-160), Uniform(0.0, 1e9)))
+    fs = FullSample(V=sample(im, 200, seed=0), Y=np.random.default_rng(0).normal(size=200))
+    with pytest.raises(InsufficientSampleError, match=r"h=1e-160.*raise h or n"):
+        estimate_sobol(fs, SubsetSpec((0, 1, 2)), build_kernel(2), 1e-160, im)
 
 
 def test_bandwidth_too_large():
