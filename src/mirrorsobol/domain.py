@@ -61,17 +61,30 @@ class Domain:
 
     def subdomain(self, mask) -> "Domain":
         """Domain restricted to the axes listed in `mask` (0-based, in order)."""
-        idx = np.asarray(list(mask), dtype=int)
-        if idx.size == 0:
-            raise MirrorSobolError("subdomain mask must be nonempty")
-        if idx.min() < 0 or idx.max() >= self.dim:
-            raise MirrorSobolError(f"mask {list(mask)} out of range for dimension {self.dim}")
+        idx = list(_check_mask(mask, self.dim))
         return Domain(self.lower[idx], self.upper[idx])
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Componentwise membership test for a point (d,) or rows (n, d)."""
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
+
+
+def _check_mask(mask, p=None) -> tuple:
+    """The mask as a tuple of ints, refused unless nonempty, free of repeats, and within 0 <= axis < p.
+
+    With p None only the upper limit goes unchecked.  Every library entry
+    point that takes a group of 0-based axes applies this one rule.
+    """
+    idx = tuple(int(i) for i in mask)
+    if not idx:
+        raise MirrorSobolError("mask () is empty")
+    if len(set(idx)) != len(idx):
+        raise MirrorSobolError(f"mask {idx} repeats an axis")
+    if min(idx) < 0 or (p is not None and max(idx) >= p):
+        inputs = "" if p is None else f" for p = {p} inputs"
+        raise MirrorSobolError(f"mask {idx} is out of range{inputs} (axes are 0-based)")
+    return idx
 
 
 def check_mirror_condition(domain: Domain, h: float) -> bool:

@@ -29,7 +29,7 @@ class DegenerateOutputError(MirrorSobolError):
 
 
 class InsufficientSampleError(MirrorSobolError):
-    """Fewer sample rows than the estimator requires."""
+    """Too few sample rows for the estimator, or no window that holds a second one."""
 
 
 class PilotTargetError(MirrorSobolError):

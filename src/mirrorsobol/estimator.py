@@ -16,9 +16,10 @@ so one pass producing the row sums G serves the point estimate and the
 leave-one-out regression plug-in g1_hat_a = G_a / ((n-1) f_X(X_a)).  Every
 Sobol' variance comes from one delta-method rule, `_ratio_covariance`: J' Gamma J,
 where Gamma is the covariance of the rows (2Y g1_hat, Y, Y^2) and J the
-Jacobian of the ratio S = (T - E[Y]^2) / Var(Y).  It serves `estimate_sobol`,
-the first-order sweep (one row 2Y g1_hat per axis), the total index, and,
-at population moments, the limiting variances of `baselines`.  Empirical
+Jacobian of the ratio S = (T - E[Y]^2) / Var(Y).  At the sample's moments,
+formed in `_influence_covariance` alone, it serves `estimate_sobol`, the
+first-order sweep (one row 2Y g1_hat per axis) and the total index; at
+population moments, the limiting variances of `testbed`.  Empirical
 moments use the 1/n convention, with no Bessel correction.
 """
 
@@ -32,8 +33,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._window import window_sums, window_sums_by_bandwidth
-from .domain import Domain, check_mirror_condition
+from ._window import _grid_sums, window_sums, window_sums_by_bandwidth
+from .domain import Domain, _check_mask, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
     DegenerateOutputError,
@@ -100,14 +101,7 @@ class SubsetSpec:
     mask: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in np.atleast_1d(np.asarray(self.mask, dtype=int)))
-        if len(idx) == 0:
-            raise MirrorSobolError("subset mask must be nonempty")
-        if len(set(idx)) != len(idx):
-            raise MirrorSobolError(f"subset mask {idx} has duplicate axes")
-        if any(i < 0 for i in idx):
-            raise MirrorSobolError(f"subset mask {idx} must use 0-based nonnegative axes")
-        object.__setattr__(self, "mask", idx)
+        object.__setattr__(self, "mask", _check_mask(np.atleast_1d(np.asarray(self.mask, dtype=int))))
 
 
 @dataclass(frozen=True)
@@ -153,19 +147,16 @@ def _resolve_density(f_x, spec: SubsetSpec, domain: Optional[Domain]):
 
 def _prepare(sample: FullSample, spec: SubsetSpec, h: float, f_x, domain):
     f_fn, dom = _resolve_density(f_x, spec, domain)
-    if max(spec.mask) >= sample.p:
-        raise MirrorSobolError(f"mask {spec.mask} out of range for {sample.p} inputs")
     if dom.dim != sample.p:
         raise MirrorSobolError(
             f"domain dimension {dom.dim} does not match the sample's input count {sample.p}; "
             f"the domain always describes the full input space"
         )
-    sub = dom.subdomain(spec.mask)
+    sub = dom.subdomain(spec.mask)  # the mask rule at p = sample.p
     xm = sample.V[:, spec.mask]
-    inside = (xm >= sub.lower) & (xm <= sub.upper)
-    if not np.all(inside):
-        bad = np.nonzero(~np.all(inside, axis=1))[0]
-        raise DomainViolationError(f"rows {bad[:10].tolist()} fall outside the domain on the masked axes")
+    outside = np.flatnonzero(~sub.contains(xm))
+    if outside.size:
+        raise DomainViolationError(f"rows {outside[:10].tolist()} fall outside the domain on the masked axes")
     if not check_mirror_condition(sub, h):
         raise BandwidthTooLargeError(
             f"h={h} violates the mirror condition: the window h/2 must fit in every axis "
@@ -255,6 +246,12 @@ def _ratio_covariance(gamma: np.ndarray, sobol, m: float, v: float) -> np.ndarra
     return jac.T @ gamma @ jac
 
 
+def _influence_covariance(influence, y_c: np.ndarray, sobol) -> np.ndarray:
+    """`_ratio_covariance` at the empirical covariance of the q influence rows, Y_c and Y_c^2."""
+    rows = np.vstack([influence, y_c, y_c * y_c])
+    return _ratio_covariance(_empirical_covariance(rows), sobol, float(np.mean(y_c)), _variance(y_c))
+
+
 def _normal_ci(center: float, var: float, n: int, level: float) -> tuple:
     z = NormalDist().inv_cdf(0.5 + 0.5 * level)
     halfwidth = z * math.sqrt(max(var, 0.0) / n)
@@ -281,23 +278,24 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
         raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
     # one pass for both columns; the centered one is its own column, not a
     # difference of sums, so shifting Y moves the ratio only by rounding
-    g, g_c = window_sums(xm, np.column_stack([y, y_c]), kernel, [h], sub)[0].T
-    # the grid sums an empty window to 0.0 exactly; in one dimension range
-    # moments leave rounding residue there, so only d >= 2 is read
-    if sub.dim > 1 and not (np.any(g) or np.any(g_c)):
-        raise InsufficientSampleError(
-            f"every window sum is zero at h={h}: no window holds a second sample point; raise h or n"
-        )
+    w = np.column_stack([y, y_c])
+    g, g_c = window_sums(xm, w, kernel, [h], sub)[0].T
+    # range moments leave residue up to 1e-12 sum|w| (sum|c_m| / h)^d in a
+    # window that holds only its anchor, where the grid sums 0.0 exactly; a
+    # bound past the floats is inf, and every sum lies within it
+    with np.errstate(over="ignore"):
+        bound = 1e-12 * (np.sum(np.abs(kernel.coeffs)) / h) ** sub.dim
+    if np.max(np.abs(g)) <= bound * np.sum(np.abs(y)) and np.max(np.abs(g_c)) <= bound * np.sum(np.abs(y_c)):
+        if not np.any(_grid_sums(xm, w, kernel, np.array([float(h)]), sub, xm, self_pairs=True)):
+            raise InsufficientSampleError(f"no window holds a second sample point at h={h}; raise h or n")
     t_hat = math.fsum(((y / fvals) * g).tolist()) / (n * (n - 1))
     t_centered = math.fsum(((y_c / fvals) * g_c).tolist()) / (n * (n - 1))
     sobol = t_centered / s2
     # 2 Y g1 is exactly twice Y g1, so var_t is 4 Var(Y g1)
     var_t = _variance(2.0 * y * (g / ((n - 1) * fvals)))
     influence = 2.0 * y_c * (g_c / ((n - 1) * fvals))
-    rows = np.stack([influence, y_c, y_c * y_c])
     # a quadratic form in a covariance matrix: a negative value is rounding noise
-    rule = _ratio_covariance(_empirical_covariance(rows), sobol, float(np.mean(y_c)), s2)
-    var_sobol = max(0.0, float(rule[0, 0]))
+    var_sobol = max(0.0, float(_influence_covariance(influence, y_c, sobol)[0, 0]))
     result = EstimateResult(
         t_hat=t_hat,
         sobol=sobol,
@@ -371,20 +369,12 @@ def estimate_first_order_all(
 
     Returns (results, Sigma): per-axis EstimateResult list, each equal to
     estimate_sobol on that axis, and the p x p delta-method covariance
-    J' Gamma J from `_ratio_covariance`, where Gamma is the empirical
+    J' Gamma J from `_influence_covariance`, where Gamma is the empirical
     covariance of the centered rows (2 Y g1_hat^(1), ..., 2 Y g1_hat^(p), Y, Y^2).
-    The per-axis variances come from the same rule on the same rows, so the
+    Each per-axis variance is the same function of its own row, so the
     diagonal of Sigma reproduces them.
     """
-    p = model.p
-    y_c = sample.Y - float(np.mean(sample.Y))
-    results = []
-    rows = np.empty((p + 2, sample.n))
-    for i in range(p):
-        res, rows[i] = _estimate(sample, SubsetSpec((i,)), kernel, h, model, None, ci_level)
-        results.append(res)
-    rows[p] = y_c
-    rows[p + 1] = y_c * y_c
-    sobol = np.array([res.sobol for res in results])
-    sigma = _ratio_covariance(_empirical_covariance(rows), sobol, float(np.mean(y_c)), _variance(y_c))
-    return results, sigma
+    runs = [_estimate(sample, SubsetSpec((i,)), kernel, h, model, None, ci_level) for i in range(model.p)]
+    results, influence = zip(*runs)
+    sigma = _influence_covariance(influence, sample.Y - float(np.mean(sample.Y)), [res.sobol for res in results])
+    return list(results), sigma

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 import numpy.random  # numpy 2 would load it lazily, inside the first draw
 
-from .domain import Domain
+from .domain import Domain, _check_mask
 from .errors import MirrorSobolError
 
 __all__ = [
@@ -108,17 +108,6 @@ class InputModel:
         lo = np.array([m.support[0] for m in self.marginals])
         hi = np.array([m.support[1] for m in self.marginals])
         return Domain(lo, hi)
-
-
-def _check_mask(mask, p: int) -> tuple:
-    idx = tuple(int(i) for i in mask)
-    if len(idx) == 0:
-        raise MirrorSobolError("mask must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise MirrorSobolError(f"mask {list(mask)} has duplicate axes")
-    if any(i < 0 or i >= p for i in idx):
-        raise MirrorSobolError(f"mask {list(mask)} out of range for {p} inputs (axes are 0-based)")
-    return idx
 
 
 def subset_density_fn(model: InputModel, mask) -> Callable[[np.ndarray], np.ndarray]:

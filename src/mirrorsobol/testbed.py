@@ -21,7 +21,7 @@ import numpy as np
 
 from ._quad import gauss_legendre
 from .baselines import PickFreezeSample, nn_estimate, pick_freeze_estimate, rank_estimate
-from .domain import sign_matrix
+from .domain import _check_mask, sign_matrix
 from .errors import DegenerateOutputError, DomainViolationError, MirrorSobolError
 from .estimator import FullSample, SubsetSpec, _normal_ci, _ratio_covariance, estimate_sobol
 from .inputs import InputModel, Uniform, sample, subset_density_fn
@@ -39,7 +39,6 @@ __all__ = [
     "model_by_name",
     "brute_force_t",
     "limiting_variances",
-    "pick_freeze_design",
     "convergence_study",
     "coverage_study",
     "fit_loglog_slope",
@@ -75,10 +74,8 @@ class AnalyticModel:
         return [m for d in range(1, self.p + 1) for m in itertools.combinations(range(self.p), d)]
 
     def _partial_variance(self, mask) -> float:
-        key = tuple(sorted(int(i) for i in mask))
-        if not key or key[0] < 0 or key[-1] >= self.p or len(set(key)) < len(key):
-            raise MirrorSobolError(f"model {self.name!r} with p = {self.p} inputs has no mask {key}")
-        return math.fsum(v for u, v in self.terms.items() if set(u) <= set(key))
+        key = set(_check_mask(mask, self.p))
+        return math.fsum(v for u, v in self.terms.items() if set(u) <= key)
 
     def t_of(self, mask) -> float:
         return self._partial_variance(mask) + self.mean_y**2
@@ -246,15 +243,6 @@ def brute_force_t(
     return total / math.comb(n, 2)
 
 
-def pick_freeze_design(model: AnalyticModel, mask, n: int, seed: int) -> PickFreezeSample:
-    """Pick-freeze design for the masked group: X shared, the rest redrawn.
-
-    The complementary inputs of the second call come from stream 1 of the
-    same seed, independent of the base draw (stream 0).
-    """
-    return _freeze(model, mask, model.draw(n, seed), model.draw(n, seed, stream=1).V)
-
-
 def _freeze(model: AnalyticModel, mask, base: FullSample, v_alt: np.ndarray) -> PickFreezeSample:
     """The pick-freeze pair of `base`: its outputs, and those at v_alt with the masked inputs of base."""
     idx = sorted(int(i) for i in mask)
@@ -313,17 +301,13 @@ def _mask_moments(model: AnalyticModel, mask) -> dict:
     On a full mask W_off is 1 and c_j = Y_c^j.  Only elementwise products
     and numpy sums are used, so no digit depends on the BLAS thread count.
     """
-    key = tuple(sorted(int(i) for i in mask))
     p = model.p
     if p > 3:
         raise MirrorSobolError(
             f"limiting variances take at most 3 inputs; model {model.name!r} has {p} inputs, "
             f"and its tensor rule would hold 64^{p} = {_GL_NODES ** p} nodes"
         )
-    if not key or key[0] < 0 or key[-1] >= p:
-        raise MirrorSobolError(f"mask {key} is out of range for model {model.name!r} with p = {p} inputs")
-    if len(set(key)) < len(key):
-        raise MirrorSobolError(f"mask {key} repeats an axis")
+    key = tuple(sorted(_check_mask(mask, p)))
     order = key + tuple(axis for axis in range(p) if axis not in key)
     marginals = [model.input_model.marginals[axis] for axis in order]
     rules = [gauss_legendre(_GL_NODES, *m.support) for m in marginals]

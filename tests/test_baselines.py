@@ -25,7 +25,6 @@ from mirrorsobol.testbed import (
     ishigami_model,
     limiting_variances,
     linear_model,
-    pick_freeze_design,
     product_model,
     weighted_linear_model,
 )
@@ -46,13 +45,13 @@ def test_pick_freeze_independent_outputs_near_zero():
 
 def test_pick_freeze_linear_first_order():
     m = linear_model(3)
-    est = pick_freeze_estimate(pick_freeze_design(m, (0,), 100_000, seed=2))
+    est = pick_freeze_estimate(testbed._freeze(m, (0,), m.draw(100_000, 2), m.draw(100_000, 2, stream=1).V))
     assert abs(est - 1.0 / 3.0) <= 0.02, f"PF estimate {est} far from 1/3"
 
 
 def test_pick_freeze_product_model():
     m = product_model()
-    est = pick_freeze_estimate(pick_freeze_design(m, (0,), 100_000, seed=3))
+    est = pick_freeze_estimate(testbed._freeze(m, (0,), m.draw(100_000, 3), m.draw(100_000, 3, stream=1).V))
     assert abs(est - 3.0 / 7.0) <= 0.02, f"PF estimate {est} far from 3/7"
 
 
@@ -500,7 +499,7 @@ def test_kernel_and_pf_agree_on_product_model():
     for seed in range(reps):
         fs = m.draw(n, seed)
         kern.append(estimate_sobol(fs, SubsetSpec((0,)), kernel, 0.2, m.input_model).sobol)
-        pf_vals.append(pick_freeze_estimate(pick_freeze_design(m, (0,), n, seed)))
+        pf_vals.append(pick_freeze_estimate(testbed._freeze(m, (0,), fs, m.draw(n, seed, stream=1).V)))
     gap = abs(np.mean(kern) - np.mean(pf_vals))
     bound = 3.0 * math.sqrt(np.var(kern) / reps + np.var(pf_vals) / reps)
     assert gap <= bound, f"kernel and PF disagree: gap {gap} > {bound}"

@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 
 from mirrorsobol.domain import Domain, check_mirror_condition, sign_matrix
 from mirrorsobol.errors import MirrorSobolError
+from mirrorsobol.estimator import SubsetSpec, estimate_t
+from mirrorsobol.inputs import subset_density_fn
+from mirrorsobol.kernels import build_kernel
+from mirrorsobol.testbed import limiting_variances, product_model
 
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
 UNIT2 = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -83,6 +87,47 @@ def test_domain_subdomain_and_contains():
     np.testing.assert_array_equal(sub.upper, [5.0, 1.0])
     assert dom.contains([0.5, 0.0, 3.0])
     assert not dom.contains([0.5, 0.0, 5.5])
+
+
+_PRODUCT = product_model()  # p = 2
+_FS = _PRODUCT.draw(50, seed=0)
+# every library entry point that takes a group of 0-based axes
+_MASK_ENTRY_POINTS = {
+    "SubsetSpec": SubsetSpec,
+    "Domain.subdomain": _PRODUCT.input_model.domain.subdomain,
+    "subset_density_fn": lambda mask: subset_density_fn(_PRODUCT.input_model, mask),
+    "AnalyticModel.t_of": _PRODUCT.t_of,
+    "AnalyticModel.sobol_of": _PRODUCT.sobol_of,
+    "limiting_variances": lambda mask: limiting_variances(_PRODUCT, mask),
+    "estimate_t": lambda mask: estimate_t(_FS, SubsetSpec(mask), build_kernel(1), 0.5, _PRODUCT.input_model),
+    "estimate_t, bare density": lambda mask: estimate_t(
+        _FS, SubsetSpec(mask), build_kernel(1), 0.5, lambda x: np.ones(len(x)), domain=_PRODUCT.input_model.domain
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mask, text",
+    [
+        pytest.param((), "mask () is empty", id="empty"),
+        pytest.param((0, 0), "mask (0, 0) repeats an axis", id="repeated"),
+        pytest.param((1, 0, 1), "mask (1, 0, 1) repeats an axis", id="repeated-apart"),
+        pytest.param((-1,), "mask (-1,) is out of range for p = 2 inputs (axes are 0-based)", id="negative"),
+        pytest.param((0, 2), "mask (0, 2) is out of range for p = 2 inputs (axes are 0-based)", id="past-p"),
+    ],
+)
+@pytest.mark.parametrize("entry", list(_MASK_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bad_mask_in_the_same_words(entry, mask, text):
+    # a spec knows no input count: it leaves an axis past p to the estimator,
+    # and refuses the other masks, before the estimator reads them, naming no p
+    if entry == "SubsetSpec" and mask == (0, 2):
+        assert SubsetSpec(mask).mask == mask
+        return
+    if entry.startswith(("SubsetSpec", "estimate_t")) and mask != (0, 2):
+        text = text.replace(" for p = 2 inputs", "")
+    with pytest.raises(MirrorSobolError) as exc:
+        _MASK_ENTRY_POINTS[entry](mask)
+    assert type(exc.value) is MirrorSobolError and str(exc.value) == text
 
 
 def test_sigma_has_all_sign_patterns_in_2d():

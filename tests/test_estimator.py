@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from mirrorsobol import _window
-from mirrorsobol._window import window_sums
+from mirrorsobol._window import _grid_count, window_sums
 from mirrorsobol.bandwidth import default_grid
 from mirrorsobol.density import mirror_kde
 from mirrorsobol.domain import Domain, sign_matrix
@@ -1099,9 +1099,11 @@ def test_g1_loo_constant_and_zero_output():
 
 
 def test_variance_t_zero_output():
-    # k=0, h=0.2: no point lies in another's mirrored window [x, x +- 0.1], so g1 = 0
+    # k=0, h=0.2: no point lies in another's mirrored window [x, x +- 0.1], so
+    # g1 = 0 and there is no index to estimate; range moments serve 1-D sums
     fs = FullSample(V=np.array([[0.1], [0.6], [0.9]]), Y=np.array([1.0, 2.0, 3.0]))
-    assert estimate_sobol(fs, SubsetSpec((0,)), build_kernel(0), 0.2, UNIT1).var_t == 0.0
+    with pytest.raises(InsufficientSampleError, match=r"h=0.2; raise h or n"):
+        estimate_sobol(fs, SubsetSpec((0,)), build_kernel(0), 0.2, UNIT1)
 
 
 def test_variance_t_scaling():
@@ -1352,6 +1354,19 @@ def test_no_second_point_in_any_window_is_an_insufficient_sample():
     fs = FullSample(V=sample(im, 200, seed=0), Y=np.random.default_rng(0).normal(size=200))
     with pytest.raises(InsufficientSampleError, match=r"h=1e-160.*raise h or n"):
         estimate_sobol(fs, SubsetSpec((0, 1, 2)), build_kernel(2), 1e-160, im)
+
+
+def test_empty_windows_under_range_moments_are_an_insufficient_sample():
+    # on the anti-diagonal (t, 1/2 - t) every window [t, t + 1/2] x [1/2 - t, 1 - t]
+    # holds its anchor alone, yet at h = 1 the expected 75 pairs per anchor
+    # give h to range moments, whose sums are rounding residue, not 0.0
+    t = np.random.default_rng(0).uniform(0.0, 0.5, size=300)
+    v = np.column_stack([t, 0.5 - t])
+    fs = FullSample(V=v, Y=product_model().g(v))
+    assert _grid_count(np.zeros(299, dtype=bool), np.array([0.5]), UNIT2.domain) == 0  # window side h/2
+    for order in (0, 1, 2, 4):
+        with pytest.raises(InsufficientSampleError, match=r"h=1.0; raise h or n"):
+            estimate_sobol(fs, SubsetSpec((0, 1)), build_kernel(order), 1.0, UNIT2)
 
 
 def test_bandwidth_too_large():

@@ -81,6 +81,7 @@ def test_removed_names_stay_removed():
         (baselines, "_mean_y"),
         (baselines, "limiting_variances"),
         (testbed, "variance_oracles"),
+        (testbed, "pick_freeze_design"),
         (testbed, "_conditional_moments"),
         (testbed, "_on_tensor_grid"),
         (testbed, "_along"),
