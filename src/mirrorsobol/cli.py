@@ -12,7 +12,7 @@ Four subcommands share one declarative ``RunConfig``:
 Masks are 1-based on this surface (axis "1" is the first input column);
 the library itself is 0-based.  Every artifact embeds the exact config
 and a schema version, and identical configs produce byte-identical
-files, independent of the thread count doing the work.
+files, independent of the number of worker processes doing the work.
 
 The only environment variable consulted is ``MIRRORSOBOL_OUTPUT_DIR``,
 which supplies the default output directory when ``output`` is not set.
@@ -643,7 +643,7 @@ def _build_parser(flagged=tuple(_DISPATCH)) -> argparse.ArgumentParser:
         sp.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON' + read_by("marginals"))
         sp.add_argument("--output", help="output file path")
         sp.add_argument("--ci-level", type=_json_arg, help="interval level" + read_by("ci_level"))
-        sp.add_argument("--threads", type=_json_arg, help=f"worker threads, 1 to {_MAX_THREADS}" + read_by("threads"))
+        sp.add_argument("--threads", type=_json_arg, help=f"worker processes of a study, 1 to {_MAX_THREADS}" + read_by("threads"))
         sp.add_argument("--n-grid", type=_json_list, help="e.g. 500,1000,2000" + read_by("n_grid"))
         sp.add_argument("--seeds", type=_json_arg, help="number of seeds (0..seeds-1)" + read_by("seeds"))
         sp.add_argument("--estimators", type=_str_list, help=",".join(_ESTIMATOR_NAMES) + read_by("estimators"))

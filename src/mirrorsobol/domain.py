@@ -73,10 +73,15 @@ class Domain:
 def _check_mask(mask, p=None) -> tuple:
     """The mask as a tuple of ints, refused unless nonempty, free of repeats, and within 0 <= axis < p.
 
-    With p None only the upper limit goes unchecked.  Every library entry
-    point that takes a group of 0-based axes applies this one rule.
+    Each axis must be a Python or numpy integer; a bool or a float is
+    refused, not read as another axis.  With p None only the upper limit
+    goes unchecked.  Every library entry point that takes a group of 0-based
+    axes applies this one rule.
     """
-    idx = tuple(int(i) for i in mask)
+    idx = tuple(mask)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx):
+        raise MirrorSobolError(f"mask {idx} has an axis that is not an integer")
+    idx = tuple(int(i) for i in idx)
     if not idx:
         raise MirrorSobolError("mask () is empty")
     if len(set(idx)) != len(idx):

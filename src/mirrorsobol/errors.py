@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class MirrorSobolError(ValueError):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    An error pickles by its args and attributes without calling ``__init__``,
+    so a subclass whose constructor takes more than the message round-trips
+    too: a study's worker process sends its error back by pickle.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DomainViolationError(MirrorSobolError):

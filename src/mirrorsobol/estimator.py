@@ -101,7 +101,8 @@ class SubsetSpec:
     mask: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", _check_mask(np.atleast_1d(np.asarray(self.mask, dtype=int))))
+        mask = (self.mask,) if np.ndim(self.mask) == 0 else self.mask
+        object.__setattr__(self, "mask", _check_mask(mask))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -365,7 +366,7 @@ class ExperimentPlan:
     threads: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", tuple(sorted(int(i) for i in self.mask)))
+        object.__setattr__(self, "mask", tuple(sorted(_check_mask(self.mask, self.model.p))))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "seeds", int(self.seeds))
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -383,28 +384,65 @@ class ExperimentPlan:
 
 
 def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int) -> list:
-    """Evaluate fn on every seed; results ordered by seed index regardless of threads.
+    """Evaluate fn on every seed; results ordered by seed index at any worker count.
 
-    The calling thread and min(threads, len(seeds)) - 1 helper threads take
-    the seeds in turn.  A worker stops at its first error; once all are
-    done, the error of the lowest failing seed is raised.
+    The calling process and min(threads, len(seeds)) - 1 forked worker
+    processes take the seeds in turn.  A worker inherits the caller's memory,
+    so fn need not pickle; it sends its results and errors by seed index back
+    by pickle through its own pipe and leaves by os._exit.  A worker stops at
+    its first error; once all are done and reaped, the error of the lowest
+    failing seed is raised.  A worker that sends no readable result fails at
+    its first seed, and no worker outlives the call.
     """
-    workers = max(1, min(threads, len(seeds)))
+    workers = max(1, min(threads, len(seeds))) if hasattr(os, "fork") else 1
     results, errors = [None] * len(seeds), {}
 
     def work(first: int) -> None:
         try:
             for i in range(first, len(seeds), workers):
                 results[i] = fn(seeds[i])
-        except BaseException as exc:  # raised on the calling thread below
+        except Exception as exc:  # raised below; an interrupt leaves at once, and the workers are stopped
             errors[i] = exc
 
-    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    work(0)
-    for helper in helpers:
-        helper.join()
+    fds, pending = [], {}  # the open pipe ends; pid -> (first seed index, read end) of each unreaped worker
+    try:
+        for first in range(1, workers):
+            read_end, write_end = os.pipe()
+            fds += [read_end, write_end]
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller's stack
+                status = 1
+                try:
+                    work(first)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(pickle.dumps((results[first::workers], errors)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(fds.pop())
+            pending[pid] = (first, read_end)
+        work(0)
+        for pid, (first, read_end) in list(pending.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pending[pid]
+            try:
+                results[first::workers], sent = pickle.loads(data)
+                errors.update(sent)
+            except Exception:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                lost = list(seeds[first::workers])
+                errors[first] = MirrorSobolError(f"the worker process of seeds {lost} {how} and sent no readable result")
+    finally:
+        for fd in fds:
+            os.close(fd)
+        if pending:  # interrupted, or a fork failed: stop the workers that are left
+            import signal
+
+            for pid in pending:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if errors:
         raise errors[min(errors)]
     return results

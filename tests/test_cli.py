@@ -8,7 +8,6 @@ import os
 import runpy
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -111,9 +110,13 @@ def test_config_errors_name_the_field(over, field):
 
 @pytest.mark.parametrize("threads", [0, -5, 257, 10**6])
 def test_threads_guard_fails_before_any_pool(threads, monkeypatch, capsys):
-    started = []
-    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
-    before = threading.active_count()
+    forks = []
+
+    def refused_fork():
+        forks.append(os.getpid())
+        raise AssertionError("the guard must start no worker process")
+
+    monkeypatch.setattr(os, "fork", refused_fork)
     args = [
         "compare", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2",
         "--seeds", "4", "--estimators", "kernel,nn", "--threads", str(threads),
@@ -122,7 +125,7 @@ def test_threads_guard_fails_before_any_pool(threads, monkeypatch, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 2, f"an out-of-range thread count must fail at parse time, got exit {code}"
     assert error["field"] == "threads" and "--threads" in error["message"], error
-    assert started == [] and threading.active_count() == before, "the guard must start no threads"
+    assert forks == [], "the guard must start no worker process"
 
 
 def test_threads_ceiling_is_accepted():
@@ -536,8 +539,9 @@ def test_cli_start_and_coverage_run_leave_scipy_stats_unloaded(tmp_path):
     # scipy.special about 0.5 s: the import and the default paths (1-D and
     # 2-D sums, the pilot, the nearest neighbours in 1-D, the interval) run
     # on numpy and the standard library; a Beta marginal loads scipy.special.
-    # The import and a study on two threads load neither concurrent.futures
-    # nor numpy.polynomial, whose Gauss rules only a pilot target uses
+    # The import and a study on two worker processes load neither
+    # multiprocessing, concurrent.futures nor numpy.polynomial, whose Gauss
+    # rules only a pilot target uses
     runs = [
         ["coverage", "--model", "product", "--n", "200", "--mask", "1,2", "--h", "0.3", "--seeds", "3", "--threads", "2"],
         ["estimate", "--model", "linear3", "--n", "400", "--mask", "1", "--auto"],
@@ -545,7 +549,7 @@ def test_cli_start_and_coverage_run_leave_scipy_stats_unloaded(tmp_path):
         ["compare", "--model", "linear3", "--n", "400", "--mask", "1", "--rule", "1.0", "0.4", "--seeds", "3"]
         + ["--estimators", "kernel,pf,nn,rank"],
     ]
-    unused = ("scipy", "concurrent.futures", "numpy.polynomial")
+    unused = ("scipy", "multiprocessing", "concurrent.futures", "numpy.polynomial")
     lines = ["import sys", "from mirrorsobol import cli"]
     lines += [f"assert {name!r} not in sys.modules, '{name} loaded by the import'" for name in unused]
     for i, argv in enumerate(runs):

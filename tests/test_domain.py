@@ -14,7 +14,7 @@ from mirrorsobol.errors import MirrorSobolError
 from mirrorsobol.estimator import SubsetSpec, estimate_t
 from mirrorsobol.inputs import subset_density_fn
 from mirrorsobol.kernels import build_kernel
-from mirrorsobol.testbed import limiting_variances, product_model
+from mirrorsobol.testbed import ExperimentPlan, limiting_variances, product_model
 
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
 UNIT2 = Domain(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -99,6 +99,9 @@ _MASK_ENTRY_POINTS = {
     "AnalyticModel.t_of": _PRODUCT.t_of,
     "AnalyticModel.sobol_of": _PRODUCT.sobol_of,
     "limiting_variances": lambda mask: limiting_variances(_PRODUCT, mask),
+    "ExperimentPlan": lambda mask: ExperimentPlan(
+        model=_PRODUCT, mask=mask, n_grid=(50,), h_rule=lambda n: 0.5, kernel_order=1, seeds=1, estimators=("kernel",), threads=1
+    ),
     "estimate_t": lambda mask: estimate_t(_FS, SubsetSpec(mask), build_kernel(1), 0.5, _PRODUCT.input_model),
     "estimate_t, bare density": lambda mask: estimate_t(
         _FS, SubsetSpec(mask), build_kernel(1), 0.5, lambda x: np.ones(len(x)), domain=_PRODUCT.input_model.domain
@@ -114,6 +117,10 @@ _MASK_ENTRY_POINTS = {
         pytest.param((1, 0, 1), "mask (1, 0, 1) repeats an axis", id="repeated-apart"),
         pytest.param((-1,), "mask (-1,) is out of range for p = 2 inputs (axes are 0-based)", id="negative"),
         pytest.param((0, 2), "mask (0, 2) is out of range for p = 2 inputs (axes are 0-based)", id="past-p"),
+        # int() would read these as axes (0,), (0, 1) and (1, 0)
+        pytest.param((0.7,), "mask (0.7,) has an axis that is not an integer", id="fraction"),
+        pytest.param((0.5, 1.2), "mask (0.5, 1.2) has an axis that is not an integer", id="fractions"),
+        pytest.param((True, False), "mask (True, False) has an axis that is not an integer", id="bools"),
     ],
 )
 @pytest.mark.parametrize("entry", list(_MASK_ENTRY_POINTS))

@@ -1,9 +1,14 @@
 """Tests that pin the package's public surface."""
 
 import dataclasses
+import inspect
+import pickle
+
+import pytest
 
 import mirrorsobol
-from mirrorsobol import _quad, bandwidth, baselines, density, domain, estimator, inputs, kernels, testbed
+from mirrorsobol import _quad, bandwidth, baselines, density, domain, errors, estimator, inputs, kernels, testbed
+from mirrorsobol.cli import ConfigError, CsvFormatError
 
 
 def test_every_exported_name_resolves():
@@ -92,3 +97,23 @@ def test_removed_names_stay_removed():
         assert not hasattr(mirrorsobol, name), f"mirrorsobol.{name} should not exist"
     # the oracle stays where the tests and studies use it
     assert "brute_force_t" in testbed.__all__
+
+
+# constructor arguments of the errors that take more than the message
+_ERROR_ARGS = {
+    errors.SingularDensityError: ("density below the floor", (4, 7)),
+    errors.PilotTargetError: (1, "no pilot target"),
+    ConfigError: ("threads", "--threads must be in [1, 256]"),
+    CsvFormatError: (3, "expected 4 fields"),
+}
+_ERRORS = [c for _, c in inspect.getmembers(errors, inspect.isclass) if issubclass(c, errors.MirrorSobolError)]
+
+
+@pytest.mark.parametrize("cls", _ERRORS + [ConfigError, CsvFormatError], ids=lambda c: c.__name__)
+def test_every_package_error_survives_pickle(cls):
+    # a study's worker process sends its error back by pickle
+    exc = cls(*_ERROR_ARGS.get(cls, ("the message",)))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and str(back) == str(exc) and back.args == exc.args
+    for field in ("axis", "indices", "field", "line"):
+        assert getattr(back, field, None) == getattr(exc, field, None), field

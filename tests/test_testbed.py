@@ -1,8 +1,9 @@
 """Tests for the analytic models, oracles, and study drivers."""
 
 import math
+import os
+import signal
 import sys
-import threading
 import time
 
 import numpy as np
@@ -296,8 +297,9 @@ def test_a_compare_seed_draws_each_stream_once(estimators, streams, tmp_path, mo
         draws.append((seed, stream))
         return real_sample(model, n, seed, stream=stream)
 
+    # one worker: a forked worker's draws would not reach this list
     monkeypatch.setattr(testbed, "sample", counting_sample)
-    argv = ["compare", "--model", "linear3", "--mask", "1", "--n", "150", "--seeds", "5", "--threads", "2"]
+    argv = ["compare", "--model", "linear3", "--mask", "1", "--n", "150", "--seeds", "5", "--threads", "1"]
     argv += ["--estimators", estimators, "--output", str(tmp_path / "compare.csv")]
     if "kernel" in estimators:
         argv += ["--h", "0.3"]
@@ -321,30 +323,24 @@ def test_plan_rejects_nonpositive_threads(threads):
 
 
 def test_over_seeds_starts_no_more_workers_than_seeds(monkeypatch):
-    started = []
+    forks, real_fork = [], os.fork
 
-    class Recording(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def recording_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    monkeypatch.setattr(threading, "Thread", Recording)
+    monkeypatch.setattr(os, "fork", recording_fork)
     assert testbed._over_seeds(lambda s: s * s, (3, 1, 2), threads=8) == [9, 1, 4]
     assert testbed._over_seeds(lambda s: -s, (5,), threads=8) == [-5]
-    assert len(started) == 2, f"expected 2 helper threads beside the calling thread, got {len(started)}"
+    assert len(forks) == 2, f"expected 2 worker processes beside the calling process, got {len(forks)}"
 
 
 def test_over_seeds_runs_seeds_on_the_calling_thread():
-    ran_on = {}
-
-    def fn(s):
-        ran_on[s] = threading.get_ident()
-        return s
-
-    assert testbed._over_seeds(fn, range(4), threads=2) == [0, 1, 2, 3]
-    caller = threading.get_ident()
-    assert ran_on[0] == ran_on[2] == caller, ran_on
-    assert ran_on[1] == ran_on[3] != caller, ran_on
+    # the caller runs seeds 0 and 2 itself, one forked worker seeds 1 and 3
+    ran_in = testbed._over_seeds(lambda s: os.getpid(), range(4), threads=2)
+    caller = os.getpid()
+    assert ran_in[0] == ran_in[2] == caller, ran_in
+    assert ran_in[1] == ran_in[3] != caller, ran_in
 
 
 @pytest.mark.parametrize("threads", [2, 3])
@@ -359,12 +355,10 @@ def test_over_seeds_keeps_seed_order(threads):
     assert testbed._over_seeds(fn, seeds, threads=threads) == [(s, s * s) for s in seeds]
 
 
-def test_over_seeds_raises_the_lowest_failing_seed_and_prints_nothing(monkeypatch, capsys):
-    # three workers: the caller fails on seed 3 and a helper on seed 2, both
-    # before the other helper fails on seed 1
-    unhandled = []
-    monkeypatch.setattr(threading, "excepthook", unhandled.append)
-
+def test_over_seeds_raises_the_lowest_failing_seed_and_prints_nothing(capfd):
+    # three workers: the caller fails on seed 3 and a worker on seed 2, both
+    # before the other worker fails on seed 1; capfd sees the workers'
+    # output too, since they write to the same descriptors
     def fn(s):
         if s == 1:
             time.sleep(0.05)
@@ -374,7 +368,81 @@ def test_over_seeds_raises_the_lowest_failing_seed_and_prints_nothing(monkeypatc
 
     with pytest.raises(ValueError, match="seed 1"):
         testbed._over_seeds(fn, range(6), threads=3)
-    assert unhandled == [] and capsys.readouterr() == ("", "")
+    assert capfd.readouterr() == ("", "")
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_over_seeds_leaves_no_child_process():
+    def fn(s):
+        if s == 5:
+            raise MirrorSobolError(f"seed {s}")
+        return s
+
+    assert testbed._over_seeds(fn, range(5), threads=3) == [0, 1, 2, 3, 4]
+    _assert_no_child_process()
+    with pytest.raises(MirrorSobolError, match="seed 5"):
+        testbed._over_seeds(fn, range(8), threads=3)
+    _assert_no_child_process()
+
+
+def _exit_three(s):
+    os._exit(3)
+
+
+def _kill_self(s):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "death, how",
+    [
+        (_exit_three, "exited with status 3"),
+        (_kill_self, f"was killed by signal {int(signal.SIGKILL)}"),
+        (lambda s: (lambda: s), "exited with status 1"),  # a result that does not pickle
+    ],
+)
+def test_a_worker_without_a_result_names_its_seeds_and_status(death, how, capfd):
+    caller = os.getpid()
+
+    def fn(s):
+        # only ever in a forked worker, never in the test process
+        return death(s) if s == 3 and os.getpid() != caller else s
+
+    with pytest.raises(MirrorSobolError) as exc:
+        testbed._over_seeds(fn, range(6), threads=2)
+    assert type(exc.value) is MirrorSobolError
+    assert str(exc.value) == f"the worker process of seeds [1, 3, 5] {how} and sent no readable result"
+    assert capfd.readouterr() == ("", "")
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("in_own_seeds", [True, False], ids=["in-own-seeds", "reading-a-worker"])
+def test_an_interrupted_study_kills_and_reaps_its_workers(in_own_seeds):
+    caller = os.getpid()
+
+    def fn(s):
+        if in_own_seeds or os.getpid() != caller:
+            time.sleep(60)
+        return s
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            testbed._over_seeds(fn, range(4), threads=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 10, "the caller waited for its sleeping worker"
+    _assert_no_child_process()
 
 
 def test_over_seeds_under_frequent_thread_switches():
