@@ -382,7 +382,8 @@ class _CellGrid:
 #     A_l = sum_{m >= l} c_m (s_a / h)^m C(m, l) delta^(m-l),
 # so the kernel sum over the part of the window in one cell is sum_l A_l D_l
 # over the part's moments D_l, one such row A per axis.  The self pair
-# b = a is in every window and is subtracted at the end as c_0^d w_a.
+# b = a is in every window and is subtracted at the end as c_0^d w_a; a
+# window that holds the anchor alone is set to 0.0 from its point count.
 
 
 def _cells(x: np.ndarray, lo: float, side: float) -> np.ndarray:
@@ -464,7 +465,9 @@ def _moment_sums_1d(x: np.ndarray, y: np.ndarray, coeffs: np.ndarray, support: t
         for l in range(1, k + 1):
             part += rows[l] * d_l[l]
         g[:, a] += np.where(live, part, 0.0)
-    return ((g - coeffs[0] * y.T) / h).T
+    out = ((g - coeffs[0] * y.T) / h).T
+    out[b_hi - b_lo == 1] = 0.0  # a window that holds only its anchor, whose pair is left out
+    return out
 
 
 def _occupied(sorted_cells: np.ndarray) -> tuple:
@@ -543,14 +546,18 @@ def _moment_sums_2d(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: t
     whole = np.flatnonzero(whole)
     g_q = np.empty((qa.size, r))
     g_q[whole] = _contract(_prefix(moments), pos_lo[whole], pos_hi[whole], *rows, whole)
+    count_q = pos_hi - pos_lo  # the points of each query's run, then of its part
     terms = np.concatenate([cut_hi, cut_lo])
     pos_lo, pos_hi, rows = pos_lo[terms], pos_hi[terms], [a[:, terms] for a in rows]
     del whole, terms  # every array here has one entry per query
-    below = _wavelet_sums(seq, moments, pos_lo, pos_hi, bound, *rows)
-    g_q[cut_hi] = below[: cut_hi.size]
+    below, count = _wavelet_sums(seq, moments, pos_lo, pos_hi, bound, *rows)
+    g_q[cut_hi], count_q[cut_hi] = below[: cut_hi.size], count[: cut_hi.size]
     g_q[cut_lo] -= below[cut_hi.size :]
+    count_q[cut_lo] -= count[cut_hi.size :]
     g = np.column_stack([np.bincount(qa, weights=g_q[:, c], minlength=n) for c in range(r)])
-    return (g - (coeffs[0] * coeffs[0]) * w) / (h * h)
+    out = (g - (coeffs[0] * coeffs[0]) * w) / (h * h)
+    out[np.bincount(qa, weights=count_q, minlength=n) == 1] = 0.0  # a window that holds only its anchor
+    return out
 
 
 def _moment_queries(x: np.ndarray, w: np.ndarray, coeffs: np.ndarray, support: tuple, h: float, sub: Domain) -> tuple:
@@ -682,7 +689,7 @@ def _contract(prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows1: np.ndar
 
 
 def _wavelet_sums(seq: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
-    """sum of values[i] over lo <= i < hi with seq[i] < bound, contracted per query as `_contract` does; seq holds integers >= 0.
+    """(sums, counts): of values[i] over lo <= i < hi with seq[i] < bound, contracted per query as `_contract` does, and of those i; seq holds integers >= 0.
 
     Each level of the wavelet matrix splits the sequence stably by one bit
     of seq, most significant first.  Where the bound has that bit set, the
@@ -694,6 +701,7 @@ def _wavelet_sums(seq: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.nd
     (n + 1)-row array lives.  lo and hi are overwritten.
     """
     out = np.zeros((lo.size, values.shape[1] // (rows1.shape[0] * rows2.shape[0])))
+    count = np.zeros(lo.size, dtype=np.int64)
     at = np.arange(seq.size)  # the index in values of each element of the split sequence
     prefix = np.zeros((values.shape[0] + 1, values.shape[1]), order="F")
     for level in reversed(range(max(1, int(seq.max()).bit_length()))):
@@ -710,6 +718,7 @@ def _wavelet_sums(seq: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.nd
         lo_sel, hi_sel = lo[sel], hi[sel]
         z_lo, z_hi = zeros[lo_sel], zeros[hi_sel]
         out[sel] += _contract(prefix, z_lo, z_hi, rows1, rows2, sel)
+        count[sel] += z_hi - z_lo
         lo[:], hi[:] = zeros[lo], zeros[hi]
         lo[sel], hi[sel] = zeros[-1] + lo_sel - z_lo, zeros[-1] + hi_sel - z_hi
-    return out
+    return out, count

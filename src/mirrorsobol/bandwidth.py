@@ -20,9 +20,10 @@ from typing import Optional
 import numpy as np
 
 from ._quad import gauss_legendre
+from ._window import _stable_order
 from .domain import Domain
 from .errors import MirrorSobolError, PilotTargetError
-from .estimator import FullSample, SubsetSpec, _prepare, _t_values
+from .estimator import FullSample, SubsetSpec, _finite, _prepare, _t_values
 from .inputs import Beta, InputModel, Uniform, subset_density_fn
 from .kernels import KernelD
 
@@ -50,8 +51,7 @@ def _clipped_h0(h0) -> np.ndarray:
 
 def _pilot_inputs(sample: FullSample, h0, marginals) -> tuple:
     """(V, Y, clipped h0) of a pilot computation; one h0 and one marginal per input axis."""
-    v = np.asarray(sample.V, dtype=float)
-    y = np.asarray(sample.Y, dtype=float)
+    v, y = sample.V, sample.Y  # float arrays, as FullSample holds them
     p = v.shape[1]
     h0 = _clipped_h0(h0)
     if h0.size != p:
@@ -254,7 +254,7 @@ def _cells(v: np.ndarray, inv_h: np.ndarray, cap: float) -> np.ndarray:
     cells = np.empty((n, p))
     pos = np.empty(n)
     for i in range(p):
-        order = np.argsort(v[:, i], kind="stable")
+        order = _stable_order(v[:, i])
         gaps = np.minimum(np.diff(v[order, i]) * inv_h[i], cap)
         pos[order[0]] = 0.0
         pos[order[1:]] = np.cumsum(gaps)
@@ -316,7 +316,7 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     # to inf before its clip (or its cap in _cells)
     with np.errstate(over="ignore"):
         cells = _cells(v, inv_h, (window + 2) * _VIRT_CELL)
-        order = np.lexsort(cells.T[::-1])  # axis 0 primary
+        order = _stable_order(*cells.T[::-1])  # axis 0 primary
         cols = np.ascontiguousarray(v[order].T)
         ys = y[order]
         # rows of `terms`: the columns' [b; 1; |b|^2]; `front` is the block
@@ -414,8 +414,10 @@ def bandwidth_curve(
     prepared = _prepare(sample, spec, float(grid[-1]), f_x, domain)
     if h0 is None:
         h0 = rule_of_thumb_h0(sample)
-    target, target_printed = pilot_target(sample, spec, h0, marginals)
-    values = np.abs(np.array(_t_values(prepared, virtual_outputs(sample, h0, marginals), kernel, grid)) - target)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        target, target_printed = pilot_target(sample, spec, h0, marginals)
+        values = np.abs(np.array(_t_values(prepared, virtual_outputs(sample, h0, marginals), kernel, grid)) - target)
+    _finite([*values, target_printed], sample.Y)
     idx = int(np.argmin(values))  # first minimum = smallest h on an ascending grid
     return {
         "h_star": float(grid[idx]),

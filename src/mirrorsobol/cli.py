@@ -332,7 +332,7 @@ def load_sample_csv(path: str) -> FullSample:
     unparsable float, or non-finite value raises CsvFormatError with the
     1-based line number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a BOM is no part of the header
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -21,6 +21,7 @@ from .errors import (
     InsufficientSampleError,
     MirrorSobolError,
 )
+from .inputs import Beta
 from .kernels import KernelD
 
 __all__ = [
@@ -82,10 +83,10 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
     """Clipped moment plug-in for a Beta(a, b) marginal with known b in (1, 3/2).
 
     a_hat = b mean / (1 - mean).  If a_hat lands in the closed interval
-    [1, 3/2] the density is Beta(a_hat, b); otherwise the constant fallback
-    4/pi.  The parametric branch is positive on the open unit interval, so
-    the nominal floor only guards exact-endpoint queries.  Both branches
-    reject queries outside [0, 1].
+    [1, 3/2] the density is Beta(a_hat, b), the `inputs.Beta` marginal's;
+    otherwise the constant fallback 4/pi.  The parametric branch is positive
+    on the open unit interval, so the nominal floor only guards
+    exact-endpoint queries.  Both branches reject queries outside [0, 1].
     """
     if not (1.0 < b < 1.5):
         raise MirrorSobolError(f"the known shape b must lie in (1, 3/2), got {b}")
@@ -99,9 +100,7 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
         raise MirrorSobolError(f"sample mean {mean} >= 1 leaves the moment estimator undefined")
     a_hat = b * mean / (1.0 - mean)
     fallback = not (1.0 <= a_hat <= 1.5)
-    from scipy import special
-
-    norm = special.beta(a_hat, b)
+    law = None if fallback else Beta(a_hat, b)
 
     def eval_rows(rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -112,13 +111,7 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
             raise DomainViolationError("beta density queried outside [0, 1]")
         if fallback:
             return np.full(x.shape[0], FALLBACK_ETA)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pdf = np.where(
-                (x > 0.0) & (x < 1.0),
-                x ** (a_hat - 1.0) * (1.0 - x) ** (b - 1.0) / norm,
-                0.0,
-            )
-        return np.maximum(pdf, _NOMINAL_FLOOR)
+        return np.maximum(law.pdf(x), _NOMINAL_FLOOR)
 
     return DensityEstimate(
         kind="beta_moment",

@@ -35,7 +35,7 @@ class SingularDensityError(MirrorSobolError):
 
 
 class DegenerateOutputError(MirrorSobolError):
-    """The empirical output variance is zero; the Sobol' ratio is undefined."""
+    """The outputs give no Sobol' ratio: their empirical variance is zero, or their sums overflow the floats."""
 
 
 class InsufficientSampleError(MirrorSobolError):

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._window import _grid_sums, window_sums, window_sums_by_bandwidth
+from ._window import window_sums, window_sums_by_bandwidth
 from .domain import Domain, _check_mask, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
@@ -199,7 +199,7 @@ def estimate_t(
     accumulated with exact compensated summation and does not depend on the
     ordering of the sample rows.
     """
-    return _t_values(_prepare(sample, spec, h, f_x, domain), sample.Y, kernel, [h])[0]
+    return _finite(_t_values(_prepare(sample, spec, h, f_x, domain), sample.Y, kernel, [h]), sample.Y)[0]
 
 
 def _t_values(prepared: tuple, y: np.ndarray, kernel: KernelD, hs) -> list:
@@ -210,13 +210,29 @@ def _t_values(prepared: tuple, y: np.ndarray, kernel: KernelD, hs) -> list:
     xm, fvals, sub = prepared
     n = y.size
     order, blocks = window_sums_by_bandwidth(xm, y[:, None], kernel, hs, sub)
-    u = (y / fvals)[order]  # fsum is exact, so the row order of its terms is free
     t = [0.0] * len(hs)
-    for js, sums in blocks:
-        for j, g in zip(js, sums):
-            t[j] = math.fsum((u * g[:, 0]).tolist()) / (n * (n - 1))
-        del sums, g  # one block at a time: the next one's work need not hold it
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse an overflow (`_finite`)
+        u = (y / fvals)[order]  # fsum is exact, so the row order of its terms is free
+        for js, sums in blocks:
+            for j, g in zip(js, sums):
+                t[j] = _pair_mean(u * g[:, 0], n)
+            del sums, g  # one block at a time: the next one's work need not hold it
     return t
+
+
+def _pair_mean(terms: np.ndarray, n: int) -> float:
+    """The exact sum of the terms over n (n - 1); inf or NaN where it overflows."""
+    try:
+        return math.fsum(terms.tolist()) / (n * (n - 1))
+    except (ValueError, OverflowError):  # -inf + inf, or finite terms whose sum is not
+        return math.nan
+
+
+def _finite(values, y: np.ndarray):
+    """values, or a DegenerateOutputError naming the scale of the outputs y if one of them overflowed."""
+    if not np.all(np.isfinite(values)):
+        raise DegenerateOutputError(f"outputs up to |Y| = {np.max(np.abs(y)):.3g} overflow the estimator's floating-point sums; rescale Y")
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -224,8 +240,8 @@ def _t_values(prepared: tuple, y: np.ndarray, kernel: KernelD, hs) -> list:
 
 
 def _variance(v: np.ndarray) -> float:
-    v = np.asarray(v, dtype=float)
-    return max(0.0, float(np.mean(v * v) - np.mean(v) ** 2))
+    # a negative value is rounding noise; max(NaN, 0.0) is NaN, so an overflow shows
+    return max(float(np.mean(v * v) - np.mean(v) ** 2), 0.0)
 
 
 def _empirical_covariance(rows: np.ndarray) -> np.ndarray:
@@ -274,29 +290,27 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
     y_c = y - float(np.mean(y))
     # the variance of the centered column, so the ratio does not lose digits
     # when |E[Y]| is large against sd(Y)
-    s2 = _variance(y_c)
-    if s2 <= 0.0:
-        raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-    # one pass for both columns; the centered one is its own column, not a
-    # difference of sums, so shifting Y moves the ratio only by rounding
-    w = np.column_stack([y, y_c])
-    g, g_c = window_sums(xm, w, kernel, [h], sub)[0].T
-    # range moments leave residue up to 1e-12 sum|w| (sum|c_m| / h)^d in a
-    # window that holds only its anchor, where the grid sums 0.0 exactly; a
-    # bound past the floats is inf, and every sum lies within it
-    with np.errstate(over="ignore"):
-        bound = 1e-12 * (np.sum(np.abs(kernel.coeffs)) / h) ** sub.dim
-    if np.max(np.abs(g)) <= bound * np.sum(np.abs(y)) and np.max(np.abs(g_c)) <= bound * np.sum(np.abs(y_c)):
-        if not np.any(_grid_sums(xm, w, kernel, np.array([float(h)]), sub, xm, self_pairs=True)):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        s2 = _variance(y_c)
+        if s2 <= 0.0:
+            raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
+        # one pass for both columns; the centered one is its own column, not a
+        # difference of sums, so shifting Y moves the ratio only by rounding
+        w = np.column_stack([y, y_c])
+        g, g_c = window_sums(xm, w, kernel, [h], sub)[0].T
+        # every backend sums a window that holds only its anchor to 0.0
+        if not (np.any(g) or np.any(g_c)):
             raise InsufficientSampleError(f"no window holds a second sample point at h={h}; raise h or n")
-    t_hat = math.fsum(((y / fvals) * g).tolist()) / (n * (n - 1))
-    t_centered = math.fsum(((y_c / fvals) * g_c).tolist()) / (n * (n - 1))
-    sobol = t_centered / s2
-    # 2 Y g1 is exactly twice Y g1, so var_t is 4 Var(Y g1)
-    var_t = _variance(2.0 * y * (g / ((n - 1) * fvals)))
-    influence = 2.0 * y_c * (g_c / ((n - 1) * fvals))
+        t_hat = _pair_mean((y / fvals) * g, n)
+        t_centered = _pair_mean((y_c / fvals) * g_c, n)
+        sobol = t_centered / s2
+        # 2 Y g1 is exactly twice Y g1, so var_t is 4 Var(Y g1)
+        var_t = _variance(2.0 * y * (g / ((n - 1) * fvals)))
+        influence = 2.0 * y_c * (g_c / ((n - 1) * fvals))
+        var_sobol = float(_influence_covariance(influence, y_c, sobol)[0, 0])
+    _finite([s2, t_hat, t_centered, var_t, var_sobol], y)
     # a quadratic form in a covariance matrix: a negative value is rounding noise
-    var_sobol = max(0.0, float(_influence_covariance(influence, y_c, sobol)[0, 0]))
+    var_sobol = max(0.0, var_sobol)
     result = EstimateResult(
         t_hat=t_hat,
         sobol=sobol,

@@ -12,6 +12,8 @@ estimator as a vectorized `f_x` together with a `domain`.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,8 +64,8 @@ class Beta:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise MirrorSobolError(f"beta marginal requires positive shapes, got ({self.a}, {self.b})")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise MirrorSobolError(f"beta marginal requires positive finite shapes, got ({self.a}, {self.b})")
 
     @property
     def support(self) -> tuple:
@@ -158,20 +160,24 @@ def sample(model: InputModel, n: int, seed: int, stream: int = 0) -> np.ndarray:
 
 
 def input_model_from_json(obj: dict) -> InputModel:
-    """Parse {"marginals": [{"uniform": [a, b]} | {"beta": [a, b]}, ...]}."""
-    try:
-        specs = obj["marginals"]
-    except (KeyError, TypeError) as exc:
-        raise MirrorSobolError(f"invalid input model spec {obj!r}") from exc
+    """Parse {"marginals": [{"uniform": [a, b]} | {"beta": [a, b]}, ...]}.
+
+    Each marginal takes exactly two finite reals, and a bool or a string is
+    no number; an error names the 0-based index of the marginal at fault.
+    """
+    specs = obj.get("marginals") if isinstance(obj, dict) else None
+    if not isinstance(specs, list):
+        raise MirrorSobolError(f"invalid input model spec {obj!r}")
     margs = []
-    for spec in specs:
-        if not isinstance(spec, dict) or len(spec) != 1:
-            raise MirrorSobolError(f"invalid marginal spec {spec!r}")
-        (kind, params), = spec.items()
-        if kind == "uniform":
-            margs.append(Uniform(float(params[0]), float(params[1])))
-        elif kind == "beta":
-            margs.append(Beta(float(params[0]), float(params[1])))
-        else:
-            raise MirrorSobolError(f"unknown marginal kind {kind!r}")
+    for i, spec in enumerate(specs):
+        kind, params = next(iter(spec.items())) if isinstance(spec, dict) and len(spec) == 1 else (None, None)
+        # abs(v) <= the largest float refuses NaN, inf and an int past the floats
+        reals = isinstance(params, list) and len(params) == 2 and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max for v in params)
+        if kind not in ("uniform", "beta") or not reals:
+            raise MirrorSobolError(f'marginal {i}: expected {{"uniform" or "beta": [two finite reals]}}, got {spec!r}')
+        try:
+            margs.append((Uniform if kind == "uniform" else Beta)(float(params[0]), float(params[1])))
+        except MirrorSobolError as exc:
+            raise MirrorSobolError(f"marginal {i}: {exc}") from None
     return InputModel(tuple(margs))

@@ -24,8 +24,8 @@ from ._quad import gauss_legendre
 from .baselines import PickFreezeSample, nn_estimate, pick_freeze_estimate, rank_estimate
 from .domain import _check_mask, sign_matrix
 from .errors import DegenerateOutputError, DomainViolationError, MirrorSobolError
-from .estimator import FullSample, SubsetSpec, _normal_ci, _ratio_covariance, estimate_sobol
-from .inputs import InputModel, Uniform, sample, subset_density_fn
+from .estimator import FullSample, SubsetSpec, _normal_ci, _ratio_covariance, _resolve_density, estimate_sobol
+from .inputs import InputModel, Uniform, sample
 from .kernels import KernelD, build_kernel
 
 __all__ = [
@@ -218,14 +218,7 @@ def brute_force_t(
     """
     if sample.n > 10_000:
         raise MirrorSobolError(f"brute force oracle is O(n^2); refusing n = {sample.n} > 10000")
-    if isinstance(f_x, InputModel):
-        f_fn = subset_density_fn(f_x, spec.mask)
-        dom = domain if domain is not None else f_x.domain
-    else:
-        f_fn = f_x
-        if domain is None:
-            raise MirrorSobolError("a domain is required when f_x is a bare callable")
-        dom = domain
+    f_fn, dom = _resolve_density(f_x, spec, domain)  # as estimate_t resolves it
     sub = dom.subdomain(spec.mask)
     xm = sample.V[:, spec.mask]
     outside = np.nonzero(~sub.contains(xm))[0]

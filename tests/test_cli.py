@@ -180,6 +180,16 @@ def test_load_csv_roundtrip(tmp_path):
     assert np.array_equal(fs.Y, [1.5, 2.5, 3.5])
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet exports often begin with one; it read as part of "v1"
+    text = "v1,v2,y\n0.1,0.2,1.5\n0.3,0.4,2.5\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    fs = load_sample_csv(str(path))
+    assert np.array_equal(fs.V, load_sample_csv(_write(tmp_path, "plain.csv", text)).V)
+    assert np.array_equal(fs.Y, [1.5, 2.5])
+
+
 def test_load_csv_header_mismatch(tmp_path):
     path = _write(tmp_path, "s.csv", "x1,x2,y\n0.1,0.2,1.5\n0.3,0.4,2.5\n")
     with pytest.raises(CsvFormatError) as excinfo:
@@ -313,6 +323,46 @@ def test_estimate_auto_reports_infinite_pilot_target(tmp_path, capsys):
     assert "axis 0" in err["message"] and "--h or --rule" in err["message"]
     # the suggested way out works
     assert main(argv[:5] + ["--h", "0.2", "--marginals", marginals, "--output", str(tmp_path / "h.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        {"uniform": 5},  # not a pair: was a TypeError traceback
+        {"uniform": [0]},  # one entry: was an IndexError traceback
+        {"uniform": ["0", "1"]},  # strings were read as numbers
+        {"uniform": [True, 2]},  # was read as Uniform(1, 2)
+        {"uniform": [0, 1, 2]},  # the third entry was dropped
+        {"beta": [math.inf, 1]},  # Infinity in the JSON: failed only later, on the density
+        {"beta": [2, 10**400]},  # an int past the floats
+        {"uniform": [1, 0]},
+    ],
+)
+def test_a_malformed_marginal_is_a_config_error_naming_its_index(tmp_path, capsys, second):
+    csv_path = _write(tmp_path, "s.csv", "v1,v2,y\n0.1,0.2,1.0\n0.4,0.5,2.0\n0.8,0.3,1.5\n")
+    marginals = json.dumps({"marginals": [{"uniform": [0, 1]}, second]})
+    argv = ["estimate", "--csv", csv_path, "--mask", "1", "--h", "0.2", "--marginals", marginals]
+    assert main(argv + ["--output", str(tmp_path / "est.json")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ConfigError" and err["field"] == "marginals"
+    assert "marginal 1: " in err["message"], err["message"]
+    assert not (tmp_path / "est.json").exists()
+
+
+@pytest.mark.parametrize("mode", [["--h", "0.2"], ["--auto"]])
+def test_outputs_past_the_float_range_are_an_error_json(tmp_path, capsys, mode):
+    # was a bare ValueError traceback from fsum, -inf + inf
+    v = np.random.default_rng(4).uniform(0.0, 1.0, (300, 2))
+    y = (v[:, 0] + v[:, 1]) * 1e160
+    lines = ["v1,v2,y"] + [f"{a!r},{b!r},{c!r}" for a, b, c in np.column_stack([v, y]).tolist()]
+    csv_path = _write(tmp_path, "s.csv", "\n".join(lines) + "\n")
+    marginals = json.dumps({"marginals": [{"uniform": [0, 1]}, {"uniform": [0, 1]}]})
+    argv = ["estimate", "--csv", csv_path, "--mask", "1", *mode, "--marginals", marginals]
+    assert main(argv + ["--output", str(tmp_path / "est.json")]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "DegenerateOutputError" and "outputs up to |Y| = " in err["message"], err
+    assert captured.err == ""
 
 
 def test_estimate_auto_with_a_narrow_axis_off_the_mask(tmp_path):

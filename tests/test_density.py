@@ -21,6 +21,7 @@ from mirrorsobol.errors import (
 )
 from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_t
 from mirrorsobol.kernels import build_kernel
+from mirrorsobol.testbed import brute_force_t
 
 UNIT = Domain(np.array([0.0]), np.array([1.0]))
 
@@ -310,3 +311,22 @@ def test_estimator_accepts_mirror_kde_plugin():
     t_plug = estimate_t(sample, spec, kern, 0.15, f_hat, domain=UNIT)
     assert t_plug == estimate_t(sample, spec, kern, 0.15, f_hat.eval_rows, domain=UNIT)
     assert abs(t_plug - t_exact) < 0.12, f"plug-in t {t_plug} vs exact-density t {t_exact}"
+
+
+@pytest.mark.parametrize("plugin", ["uniform_max", "mirror_kde"])
+def test_brute_force_oracle_takes_every_density_that_estimate_t_takes(plugin):
+    # the oracle resolves f_x and the domain as estimate_t does; it raised
+    # "'DensityEstimate' object is not callable" on a plug-in
+    rng = np.random.default_rng(8)
+    d = 1 if plugin == "uniform_max" else 2
+    v = rng.random((120, d))
+    sample = FullSample(V=v, Y=v.sum(axis=1) + rng.normal(size=120))
+    spec = SubsetSpec(mask=tuple(range(d)))
+    domain = Domain(np.zeros(d), np.ones(d))
+    if plugin == "uniform_max":
+        est = uniform_max_estimator(v[:, 0])
+    else:
+        est = mirror_kde(rng.random((500, d)), build_kernel(2), eta=0.5, domain=domain)
+    kern = build_kernel(2)
+    t = estimate_t(sample, spec, kern, 0.3, est, domain=domain)
+    assert brute_force_t(sample, spec, kern, 0.3, est, domain=domain) == pytest.approx(t, rel=1e-12, abs=0.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from scipy.stats import kstest
 
 from mirrorsobol import _window
 from mirrorsobol._window import _grid_count, window_sums
-from mirrorsobol.bandwidth import default_grid
+from mirrorsobol.bandwidth import bandwidth_curve, default_grid
 from mirrorsobol.density import mirror_kde
 from mirrorsobol.domain import Domain, sign_matrix
 from mirrorsobol.errors import (
@@ -363,6 +364,31 @@ def test_range_moment_backend_matches_brute_force(case):
     scale = max(abs(t_ref), _moment_scale(rows, y, kernel, h, model))
     tol = 1e-12 * scale + _underflow(y.size, kernel, h, model)
     assert abs(t_fast - t_ref) <= tol, f"range moments {t_fast!r} vs brute force {t_ref!r} (h={h})"
+
+
+_ANTI_DIAGONAL = np.random.default_rng(0).uniform(0.0, 0.5, size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_window_cases(moments=True))
+# on the anti-diagonal (t, 1/2 - t) every window at h = 1 holds its anchor alone
+@example((np.column_stack([_ANTI_DIAGONAL, 0.5 - _ANTI_DIAGONAL]), np.linspace(-1.0, 2.0, 12), _KERNELS[2], 1.0, UNIT2, _window._PAIR_BUDGET))
+# the mirror midpoint, a point on a cell edge (side h/2 = 0.125) and a tie
+@example((np.array([[0.5], [0.125], [0.875], [0.875]]), np.array([1.0, -2.0, 0.5, 3.0]), _KERNELS[1], 0.25, UNIT1, 1))
+def test_a_window_that_holds_only_its_anchor_sums_to_zero_on_every_backend(case):
+    rows, y, kernel, h, model, budget = case
+    dom = model.domain
+    signs = sign_matrix(dom, rows)
+    scaled = signs[:, None, :] * (rows[None, :, :] - rows[:, None, :]) / h
+    inside = np.all((scaled >= kernel.support[0]) & (scaled <= kernel.support[1]), axis=2)
+    alone = inside.sum(axis=1) == 1  # the anchor is in its own window
+    w = np.column_stack([y, y - y.mean()])
+    for backend, split in (("range moments", lambda sides: 0), ("grid", lambda sides: sides.size)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_window, "_grid_count", lambda tied, sides, domain: split(sides))
+            mp.setattr(_window, "_PAIR_BUDGET", budget)
+            sums = window_sums(rows, w, kernel, [h], dom)[0]
+        assert np.array_equal(sums[alone], np.zeros((np.count_nonzero(alone), 2))), (backend, sums[alone])
 
 
 @st.composite
@@ -873,12 +899,13 @@ def test_wavelet_sums_gather_only_the_levels_each_query_takes():
     # kernel rows of one order-0 term, all ones, contract each gathered row
     # to itself; the descent overwrites its copies of lo and hi
     ones = np.ones((1, lo.size))
-    got = _window._wavelet_sums(seq, values, lo.copy(), hi.copy(), bound, ones, ones)
+    got, count = _window._wavelet_sums(seq, values, lo.copy(), hi.copy(), bound, ones, ones)
     assert np.array_equal(got, every_query(seq, values, lo, hi, bound))
     for q in range(lo.size):
         sel = np.arange(lo[q], hi[q])
         want = values[sel[seq[sel] < bound[q]]].sum(axis=0)
         assert np.allclose(got[q], want, rtol=0.0, atol=1e-12), q
+        assert count[q] == np.count_nonzero(seq[sel] < bound[q]), q
 
 
 @st.composite
@@ -1104,6 +1131,37 @@ def test_variance_t_zero_output():
     fs = FullSample(V=np.array([[0.1], [0.6], [0.9]]), Y=np.array([1.0, 2.0, 3.0]))
     with pytest.raises(InsufficientSampleError, match=r"h=0.2; raise h or n"):
         estimate_sobol(fs, SubsetSpec((0,)), build_kernel(0), 0.2, UNIT1)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+def test_outputs_that_overflow_the_sums_are_refused_with_their_scale(scale):
+    # at 1e150 the variances overflowed, and max(0.0, nan) reported them as
+    # 0.0 with a zero-width interval; at 1e160 fsum met -inf + inf; at 1e200
+    # the output variance overflowed and read as zero
+    m = linear_model(3)
+    fs = m.draw(500, seed=0)
+    big = FullSample(V=fs.V, Y=fs.Y * scale)
+    with pytest.raises(DegenerateOutputError, match=re.escape(f"outputs up to |Y| = {float(np.max(np.abs(big.Y))):.3g} overflow")):
+        estimate_sobol(big, SubsetSpec((0,)), build_kernel(2), 0.2, m.input_model)
+    if scale > 1e150:  # at 1e150 the point estimate itself is finite
+        with pytest.raises(DegenerateOutputError, match="overflow"):
+            estimate_t(big, SubsetSpec((0,)), build_kernel(2), 0.2, m.input_model)
+
+
+def test_outputs_below_the_overflow_scale_keep_a_scale_free_index():
+    m = linear_model(3)
+    fs = m.draw(500, seed=0)
+    unit = estimate_sobol(fs, SubsetSpec((0,)), build_kernel(2), 0.2, m.input_model)
+    big = estimate_sobol(FullSample(V=fs.V, Y=fs.Y * 1e70), SubsetSpec((0,)), build_kernel(2), 0.2, m.input_model)
+    assert big.sobol == pytest.approx(unit.sobol, rel=1e-12)
+    assert big.var_sobol == pytest.approx(unit.var_sobol, rel=1e-10) and big.var_sobol > 0.0
+
+
+def test_a_bandwidth_curve_whose_sums_overflow_is_refused():
+    m = linear_model(3)
+    fs = m.draw(1000, seed=0)
+    with pytest.raises(DegenerateOutputError, match=r"outputs up to \|Y\| = .*e\+155 overflow"):
+        bandwidth_curve(FullSample(V=fs.V, Y=fs.Y * 1e155), SubsetSpec((0,)), build_kernel(2), m.input_model)
 
 
 def test_variance_t_scaling():

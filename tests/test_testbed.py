@@ -3,7 +3,6 @@
 import math
 import os
 import signal
-import sys
 import time
 
 import numpy as np
@@ -445,23 +444,21 @@ def test_an_interrupted_study_kills_and_reaps_its_workers(in_own_seeds):
     _assert_no_child_process()
 
 
-def test_over_seeds_under_frequent_thread_switches():
-    # more workers than cores, switching every microsecond: each seed's
-    # slot is written once, by one worker
+def test_over_seeds_on_more_worker_processes_than_cores():
+    # more workers than cores, each sending back more than a pipe buffer
+    # (64 KiB) while the caller still runs its own seeds: every seed's slot
+    # is filled once, in seed order, and the lowest failing seed is raised
     def fn(s):
         if s % 7 == 3:
             raise ValueError(f"seed {s}")
         return [s] * 50
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in (5, 8):
-            assert testbed._over_seeds(lambda s: [s] * 50, range(64), threads) == [[s] * 50 for s in range(64)]
-            with pytest.raises(ValueError, match="seed 3"):
-                testbed._over_seeds(fn, range(64), threads)
-    finally:
-        sys.setswitchinterval(interval)
+    for threads in (5, 8):
+        got = testbed._over_seeds(lambda s: np.full(10_000, float(s)), range(64), threads)
+        assert all(np.array_equal(g, np.full(10_000, float(s))) for s, g in enumerate(got))
+        assert testbed._over_seeds(lambda s: [s] * 50, range(64), threads) == [[s] * 50 for s in range(64)]
+        with pytest.raises(ValueError, match="seed 3"):
+            testbed._over_seeds(fn, range(64), threads)
 
 
 def test_coverage_study_negative_control():
