@@ -5,10 +5,11 @@ a polynomial on its support: each window is summed from moments of the
 points about the centers of cells of side h/2, so its pairs are never
 listed, and a pass costs about the same at any h.  The cell grid lists the
 pairs of each window and evaluates the kernel on every one.  Range moments
-serve the estimator's self-pair sums in one dimension always, and in two
-the bandwidths whose windows hold enough pairs to pay for the structure.
-The grid serves everything else: d >= 3, small 2-D windows, sums at other
-anchors such as mirror_kde's, and samples too fine for int64 cell indices.
+serve the self-pair sums in one dimension always, and in two the
+bandwidths whose windows hold enough pairs to pay for the structure.  The
+grid serves everything else: d >= 3, small 2-D windows, and samples too
+fine for int64 cell indices; it alone serves sums at other anchors, such
+as mirror_kde's, which call `_grid_sums` directly.
 
 One call takes an ascending sequence of bandwidths, as the bandwidth grid
 needs.  The rows are sorted once, and the call is split once
@@ -45,41 +46,17 @@ _MAX_CELLS = 16
 _MOMENT_CROSSOVER = 60.0
 
 
-def window_sums(x, weights, kernel, hs, domain: Domain, anchors=None) -> np.ndarray:
-    """S[j, a, c] = sum_b weights[b, c] K_{h_j}(A_{q_a}(x_b - q_a)) for every anchor q_a and bandwidth h_j.
+def window_sums(x, weights, kernel, hs, domain: Domain) -> tuple:
+    """(order, blocks): S[j, a, c] = sum_{b != a} weights[b, c] K_{h_j}(A_{x_a}(x_b - x_a)) for the (n, d) points x, (n, r) weights and ascending hs.
 
-    x holds the (m, d) points and weights their (m, r) weight columns; hs is
-    an ascending sequence of bandwidths, and the result holds one (anchors,
-    r) block per bandwidth.  With anchors None the anchors are the points and
-    the pair b = a is left out (duplicate rows stay in); the rows are then
-    put in a canonical order once, so the sums do not depend on the input
-    row order.  Then every bandwidth takes the range-moment backend in
-    d = 1 and the grid in d >= 3.  In d = 2 the grid takes the smallest
-    bandwidths and range moments the rest, split where the call's joint
-    cost is least (`_grid_count`); one bandwidth alone takes range moments
-    once the expected window pairs per anchor, tied rows counted, reach
-    _MOMENT_CROSSOVER.  The grid bandwidths of a call share one listing of
-    pairs, and the grid also serves bandwidths whose cell indices or layout
-    keys would not fit in int64.
-    """
-    hs = np.asarray(hs, dtype=float).ravel()
-    if anchors is not None:
-        return _grid_sums(x, weights, kernel, hs, domain, anchors, self_pairs=False)
-    order, blocks = window_sums_by_bandwidth(x, weights, kernel, hs, domain)
-    out = np.empty((hs.size,) + weights.shape)
-    for js, sums in blocks:
-        out[np.ix_(js, order)] = sums  # back to the input row order
-    return out
-
-
-def window_sums_by_bandwidth(x, weights, kernel, hs, domain: Domain) -> tuple:
-    """(order, blocks): `window_sums` with the points as anchors, a few bandwidths at a time.
-
-    order is the canonical row order, and blocks yields (js, sums) with
-    sums[i] the (m, r) sums of bandwidth hs[js[i]] for the rows x[order]:
-    first the grid bandwidths, from their shared listing, then each
-    range-moment one alone.  A caller that reduces each block as it comes
-    holds one block at a time, not all of them beside the work of the next.
+    order is the canonical row order, `np.lexsort`'s over the coordinates,
+    then the weights; blocks yields (js, sums) with sums[i] the (n, r) sums
+    of bandwidth hs[js[i]] for the rows x[order], so no sum depends on the
+    input row order.  Duplicate rows stay in.  The grid bandwidths
+    (`_grid_count`) come first, in one block from their shared listing, then
+    each range-moment one alone; a caller that reduces each block as it
+    comes holds one block at a time, not all of them beside the work of the
+    next.
     """
     hs = np.asarray(hs, dtype=float).ravel()
     order = _stable_order(*weights.T[::-1], *x.T[::-1])  # the weights order tied rows

@@ -63,13 +63,13 @@ def _pilot_inputs(sample: FullSample, h0, marginals) -> tuple:
 
 
 def rule_of_thumb_h0(sample: FullSample) -> np.ndarray:
-    """Scott-type pilot bandwidths h0_i = std(V_i) * n^(-1/(4+p))."""
+    """Scott-type pilot bandwidths h0_i = std(V_i) * n^(-1/(4+p)), the std taken over the sorted column."""
     n, p = sample.V.shape
     spread = np.ptp(sample.V, axis=0)
     if np.any(spread == 0.0):
         bad = np.nonzero(spread == 0.0)[0].tolist()
         raise MirrorSobolError(f"constant input column(s) {bad}: rule-of-thumb bandwidth undefined")
-    stds = sample.V.std(axis=0)
+    stds = np.sort(sample.V, axis=0).std(axis=0)  # no digit depends on the row order
     return stds * n ** (-1.0 / (4.0 + p))
 
 
@@ -206,8 +206,9 @@ def pilot_target(sample: FullSample, spec: SubsetSpec, h0, marginals) -> tuple:
     ghat = np.zeros((outer, nodes // (outer * sizes[-1]), sizes[-1]))
     step = max(1, _BLOCK_ENTRIES // (sum(sizes) + ghat.shape[1]))
     diag = 0.0
+    order = _stable_order(y, *v.T[::-1])  # blocks of rows by value: no sum depends on the input row order
     for s in range(0, n, step):
-        rows = slice(s, min(s + step, n))
+        rows = order[s : s + step]
         mats = [_gauss_kernel(v[rows, i], h0[i], x) for i, (x, _) in zip(mask, rules)]
         first, middle = (u[rows, None] * mats[0], mats[1:-1]) if outer > 1 else (u[rows, None], mats[:-1])
         for node in range(outer):
@@ -316,7 +317,7 @@ def virtual_outputs(sample: FullSample, h0, marginals) -> np.ndarray:
     # to inf before its clip (or its cap in _cells)
     with np.errstate(over="ignore"):
         cells = _cells(v, inv_h, (window + 2) * _VIRT_CELL)
-        order = _stable_order(*cells.T[::-1])  # axis 0 primary
+        order = _stable_order(y, *v.T[::-1], *cells.T[::-1])  # axis-0 cells primary, then the rows' values
         cols = np.ascontiguousarray(v[order].T)
         ys = y[order]
         # rows of `terms`: the columns' [b; 1; |b|^2]; `front` is the block

@@ -7,7 +7,6 @@ prints next to them come from `testbed.limiting_variances`.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from ._window import _expand, _stable_order
 from .errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
+from .estimator import _exact_mean, _finite
 
 __all__ = [
     "PickFreezeSample",
@@ -55,11 +55,13 @@ def pick_freeze_estimate(pf: PickFreezeSample) -> float:
            / (mean((Y^2+Y_pf^2)/2) - mean((Y+Y_pf)/2)^2).
     """
     y, y_pf = pf.Y, pf.Y_pf
-    mean_sym = float(np.mean(0.5 * (y + y_pf)))
-    denom = float(np.mean(0.5 * (y * y + y_pf * y_pf))) - mean_sym * mean_sym
-    if denom <= 0.0:
-        raise DegenerateOutputError("pick-freeze outputs have zero symmetrized variance")
-    numer = float(np.mean(y * y_pf)) - mean_sym * mean_sym
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mean_sym = float(np.mean(0.5 * (y + y_pf)))
+        denom = float(np.mean(0.5 * (y * y + y_pf * y_pf))) - mean_sym * mean_sym
+        if denom <= 0.0:
+            raise DegenerateOutputError("pick-freeze outputs have zero symmetrized variance")
+        numer = float(np.mean(y * y_pf)) - mean_sym * mean_sym
+    _finite([denom, numer], y, y_pf)
     return numer / denom
 
 
@@ -82,7 +84,9 @@ def nn_estimate(first, second) -> float:
             "the sqrt(n) limit theorem holds only for d <= 3",
             stacklevel=2,
         )
-    return float(np.mean(y2 * y1[_nearest(x1, x2)]))
+    nearest = _nearest(x1, x2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        return _finite(float(np.mean(y2 * y1[nearest])), y1, y2)
 
 
 def _nearest(x1, x2) -> np.ndarray:
@@ -188,10 +192,12 @@ def rank_estimate(X, Y) -> float:
     n = x.size
     if n < 2:
         raise InsufficientSampleError(f"rank estimation needs n >= 2, got {n}")
-    variance = float(np.var(y))
-    if variance <= 0.0:
-        raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-    order = _stable_order(x)
-    ys = y[order]
-    numer = math.fsum((ys[:-1] * ys[1:]).tolist()) / n - float(np.mean(y)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        variance = float(np.var(y))
+        if variance <= 0.0:
+            raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
+        ys = y[_stable_order(x)]
+        mean = float(np.mean(y))
+        numer = _exact_mean(ys[:-1] * ys[1:], n) - mean * mean
+    _finite([variance, numer], y)
     return numer / variance

@@ -39,7 +39,7 @@ from .density import beta_moment_estimator, mirror_kde, uniform_max_estimator
 from .domain import Domain
 from .errors import MirrorSobolError
 from .estimator import FullSample, SubsetSpec, estimate_sobol
-from .inputs import input_model_from_json, sample as draw_inputs
+from .inputs import _is_real, input_model_from_json, sample as draw_inputs
 from .kernels import MAX_ORDER, build_kernel
 from .testbed import (
     _ESTIMATOR_NAMES,
@@ -116,9 +116,9 @@ class RunConfig:
     ``auto`` is a bool; ``n``, ``seed``, ``seeds``, ``threads``,
     ``kernel_order`` and the entries of ``mask`` and ``n_grid`` are integers
     and not bools; ``h``, ``ci_level``, ``variance_scale`` and the entries of
-    ``rule`` are real numbers and not bools or strings.  Any other value there
-    is a ConfigError, not truncated or parsed.  ``density`` is either the
-    string ``"exact"`` or a plug-in spec::
+    ``rule`` are finite reals within the floats and not bools or strings.
+    Any other value there is a ConfigError, not truncated or parsed.
+    ``density`` is either the string ``"exact"`` or a plug-in spec::
 
         {"plugin": "uniform_max"}
         {"plugin": {"beta_moment": {"b": 1.2}}}
@@ -283,9 +283,9 @@ def _integer(field: str, value, name: str = "") -> int:
 
 
 def _real(field: str, value, name: str = "") -> float:
-    """value as a float, or a ConfigError naming field: a string is not parsed, and a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(field, f"{name or field} takes real numbers, got {value!r}")
+    """value as a float, or a ConfigError naming field: a string is not parsed, a bool is no number, and NaN, inf or an int past the floats is no real."""
+    if not _is_real(value):
+        raise ConfigError(field, f"{name or field} takes finite real numbers, got {value!r}")
     return float(value)
 
 

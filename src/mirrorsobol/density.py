@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._window import window_sums
+from ._window import _grid_sums, _stable_order
 from .domain import Domain, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
@@ -95,7 +95,7 @@ def beta_moment_estimator(aux, b: float) -> DensityEstimate:
         raise InsufficientSampleError("beta moment estimation needs at least one observation")
     if np.any(values < 0.0) or np.any(values > 1.0) or not np.all(np.isfinite(values)):
         raise MirrorSobolError("beta moment estimation needs data inside [0, 1]")
-    mean = float(values.mean())
+    mean = math.fsum(values.tolist()) / values.size  # a rounded exact sum: free of the row order
     if mean >= 1.0:
         raise MirrorSobolError(f"sample mean {mean} >= 1 leaves the moment estimator undefined")
     a_hat = b * mean / (1.0 - mean)
@@ -155,7 +155,7 @@ def mirror_kde(
             f"mirror condition fails: h_kde = {h_kde} exceeds the smallest domain width"
         )
     floor = 0.5 * float(eta)
-    pts = np.array(pts, copy=True)
+    pts = pts[_stable_order(*pts.T[::-1])]  # a copy, in an order free of the input row order
     pts.setflags(write=False)
 
     def eval_rows(rows: np.ndarray) -> np.ndarray:
@@ -164,7 +164,7 @@ def mirror_kde(
             raise MirrorSobolError(f"queries must be (n, {d}) rows")
         if not np.all(domain.contains(rows)):
             raise DomainViolationError("density queried outside the stated domain")
-        sums = window_sums(pts, np.ones((m, 1)), kernel, [h_kde], domain, anchors=rows)[0, :, 0]
+        sums = _grid_sums(pts, np.ones((m, 1)), kernel, np.array([h_kde]), domain, rows, self_pairs=False)[0, :, 0]
         return np.maximum(sums / m, floor)
 
     return DensityEstimate(

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._window import window_sums, window_sums_by_bandwidth
+from ._window import _stable_order, window_sums
 from .domain import Domain, _check_mask, check_mirror_condition
 from .errors import (
     BandwidthTooLargeError,
@@ -209,30 +209,36 @@ def _t_values(prepared: tuple, y: np.ndarray, kernel: KernelD, hs) -> list:
     """
     xm, fvals, sub = prepared
     n = y.size
-    order, blocks = window_sums_by_bandwidth(xm, y[:, None], kernel, hs, sub)
+    order, blocks = window_sums(xm, y[:, None], kernel, hs, sub)
     t = [0.0] * len(hs)
     with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse an overflow (`_finite`)
         u = (y / fvals)[order]  # fsum is exact, so the row order of its terms is free
         for js, sums in blocks:
             for j, g in zip(js, sums):
-                t[j] = _pair_mean(u * g[:, 0], n)
+                t[j] = _exact_mean(u * g[:, 0], n * (n - 1))
             del sums, g  # one block at a time: the next one's work need not hold it
     return t
 
 
-def _pair_mean(terms: np.ndarray, n: int) -> float:
-    """The exact sum of the terms over n (n - 1); inf or NaN where it overflows."""
+def _exact_mean(terms: np.ndarray, count: int) -> float:
+    """The exact sum of the terms over count, n (n - 1) for a pair mean; inf or NaN where it overflows."""
     try:
-        return math.fsum(terms.tolist()) / (n * (n - 1))
+        return math.fsum(terms.tolist()) / count
     except (ValueError, OverflowError):  # -inf + inf, or finite terms whose sum is not
         return math.nan
 
 
-def _finite(values, y: np.ndarray):
-    """values, or a DegenerateOutputError naming the scale of the outputs y if one of them overflowed."""
+def _finite(values, *ys):
+    """values, or a DegenerateOutputError naming the scale of the outputs ys if one of them overflowed."""
     if not np.all(np.isfinite(values)):
-        raise DegenerateOutputError(f"outputs up to |Y| = {np.max(np.abs(y)):.3g} overflow the estimator's floating-point sums; rescale Y")
+        top = max(np.max(np.abs(y)) for y in ys)
+        raise DegenerateOutputError(f"outputs up to |Y| = {top:.3g} overflow the estimator's floating-point sums; rescale Y")
     return values
+
+
+def _centered(y: np.ndarray) -> np.ndarray:
+    """y - mean(y), the mean taken over the sorted outputs so that it does not depend on the row order."""
+    return y - float(np.mean(np.sort(y)))
 
 
 # --------------------------------------------------------------------------
@@ -279,30 +285,31 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
     """The estimation core behind every index function: (EstimateResult, influence).
 
     influence is the row 2 Y_c g1_c of the centered outputs Y_c = Y - Ybar
-    and their leave-one-out plug-in, which the first-order sweep stacks for
-    its joint covariance.
+    and their leave-one-out plug-in, in the input row order, which the
+    first-order sweep stacks for its joint covariance.  Every sum runs in
+    the window engine's canonical row order, free of the input row order.
     """
     if not (0.0 < ci_level < 1.0):
         raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
     xm, fvals, sub = _prepare(sample, spec, h, f_x, domain)
-    y = sample.Y
     n = sample.n
-    y_c = y - float(np.mean(y))
+    y_c = _centered(sample.Y)
+    # one pass for both columns; the centered one is its own column, not a
+    # difference of sums, so shifting Y moves the ratio only by rounding
+    order, blocks = window_sums(xm, np.column_stack([sample.Y, y_c]), kernel, [h], sub)
+    y, y_c, fvals = sample.Y[order], y_c[order], fvals[order]
     # the variance of the centered column, so the ratio does not lose digits
     # when |E[Y]| is large against sd(Y)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         s2 = _variance(y_c)
         if s2 <= 0.0:
             raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-        # one pass for both columns; the centered one is its own column, not a
-        # difference of sums, so shifting Y moves the ratio only by rounding
-        w = np.column_stack([y, y_c])
-        g, g_c = window_sums(xm, w, kernel, [h], sub)[0].T
+        g, g_c = next(blocks)[1][0].T  # one bandwidth: one block
         # every backend sums a window that holds only its anchor to 0.0
         if not (np.any(g) or np.any(g_c)):
             raise InsufficientSampleError(f"no window holds a second sample point at h={h}; raise h or n")
-        t_hat = _pair_mean((y / fvals) * g, n)
-        t_centered = _pair_mean((y_c / fvals) * g_c, n)
+        t_hat = _exact_mean((y / fvals) * g, n * (n - 1))
+        t_centered = _exact_mean((y_c / fvals) * g_c, n * (n - 1))
         sobol = t_centered / s2
         # 2 Y g1 is exactly twice Y g1, so var_t is 4 Var(Y g1)
         var_t = _variance(2.0 * y * (g / ((n - 1) * fvals)))
@@ -321,7 +328,9 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
         n_used=n,
         h_used=float(h),
     )
-    return result, influence
+    rows = np.empty(n)
+    rows[order] = influence
+    return result, rows
 
 
 def estimate_sobol(
@@ -391,5 +400,6 @@ def estimate_first_order_all(
     """
     runs = [_estimate(sample, SubsetSpec((i,)), kernel, h, model, None, ci_level) for i in range(model.p)]
     results, influence = zip(*runs)
-    sigma = _influence_covariance(influence, sample.Y - float(np.mean(sample.Y)), [res.sobol for res in results])
+    order = _stable_order(sample.Y, *sample.V.T[::-1])  # an order of the rows' values, not their positions
+    sigma = _influence_covariance(np.vstack(influence)[:, order], _centered(sample.Y)[order], [res.sobol for res in results])
     return list(results), sigma

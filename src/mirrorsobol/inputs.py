@@ -159,6 +159,11 @@ def sample(model: InputModel, n: int, seed: int, stream: int = 0) -> np.ndarray:
     return np.column_stack([marg.transform(u[:, i]) for i, marg in enumerate(model.marginals)])
 
 
+def _is_real(v) -> bool:
+    """Whether a JSON value is a finite real: no bool, and abs(v) <= the largest float refuses NaN, inf and an int past the floats."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def input_model_from_json(obj: dict) -> InputModel:
     """Parse {"marginals": [{"uniform": [a, b]} | {"beta": [a, b]}, ...]}.
 
@@ -171,9 +176,7 @@ def input_model_from_json(obj: dict) -> InputModel:
     margs = []
     for i, spec in enumerate(specs):
         kind, params = next(iter(spec.items())) if isinstance(spec, dict) and len(spec) == 1 else (None, None)
-        # abs(v) <= the largest float refuses NaN, inf and an int past the floats
-        reals = isinstance(params, list) and len(params) == 2 and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max for v in params)
+        reals = isinstance(params, list) and len(params) == 2 and all(map(_is_real, params))
         if kind not in ("uniform", "beta") or not reals:
             raise MirrorSobolError(f'marginal {i}: expected {{"uniform" or "beta": [two finite reals]}}, got {spec!r}')
         try:

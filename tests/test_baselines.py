@@ -246,6 +246,29 @@ def test_rank_rejects_multidimensional():
         rank_estimate(np.zeros((5, 2)), np.zeros(5))
 
 
+
+@pytest.mark.parametrize("name", ["rank", "pf", "nn"])
+def test_baselines_refuse_outputs_that_overflow_their_sums(name):
+    # at 1e160 a product of two outputs overflows: rank raised a bare
+    # OverflowError, pick-freeze returned NaN and nn inf.  Scaling by 2^500
+    # overflows nothing and is exact, so the indices keep their bits and nn
+    # scales by 2^1000
+    rng = np.random.default_rng(6)
+    x, u, w = rng.random((3, 500))
+
+    def run(scale):
+        y, y_pf = (x + u) * scale, (x + w) * scale
+        if name == "rank":
+            return rank_estimate(x, y)
+        if name == "pf":
+            return pick_freeze_estimate(PickFreezeSample(Y=y, Y_pf=y_pf))
+        return nn_estimate((x, y), (x[::-1], y_pf))
+
+    with pytest.raises(DegenerateOutputError, match=r"\|Y\| = 1\.\d+e\+160"):
+        run(1e160)
+    assert run(2.0**500) == run(1.0) * (2.0**1000 if name == "nn" else 1.0)
+
+
 # ---------------------------------------------------------------------------
 # limiting variances
 

@@ -349,6 +349,48 @@ def test_a_malformed_marginal_is_a_config_error_naming_its_index(tmp_path, capsy
     assert not (tmp_path / "est.json").exists()
 
 
+_PAST_THE_FLOATS = "1" + "0" * 400  # a 401-digit JSON integer: float() raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--h", _PAST_THE_FLOATS], "h"),
+        (["--h", "0.2", "--ci-level", _PAST_THE_FLOATS], "ci_level"),
+        (["--rule", _PAST_THE_FLOATS, "0.4"], "rule"),
+        (["--h", "0.2", "--density", '{"plugin": {"mirror_kde": {"eta": %s}}}' % _PAST_THE_FLOATS], "density"),
+        (["--h", "0.2", "--density", '{"plugin": {"mirror_kde": {"eta": 0.5, "h": %s}}}' % _PAST_THE_FLOATS], "density"),
+        (["--h", "0.2", "--density", '{"plugin": {"beta_moment": {"b": %s}}}' % _PAST_THE_FLOATS], "density"),
+        (["--h", "NaN"], "h"),
+    ],
+)
+def test_config_reals_past_the_floats_are_config_errors(flags, field, tmp_path, capsys):
+    # was a bare OverflowError traceback from float()
+    out = tmp_path / "artifact"
+    assert main(["estimate", "--model", "linear3", "--n", "200", "--mask", "1", *flags, "--output", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError" and error["field"] == field, error
+    assert not out.exists()
+    argv = ["coverage", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2", "--variance-scale", _PAST_THE_FLOATS]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == "variance_scale"
+
+
+@pytest.mark.parametrize("mode", [["--h", "0.2"], ["--auto"]])
+@pytest.mark.parametrize("density", [[], ["--density", '{"plugin": {"mirror_kde": {"eta": 0.5}}}']])
+@pytest.mark.parametrize("mask", ["1", "1,2"])
+def test_an_estimate_artifact_does_not_depend_on_the_csv_row_order(tmp_path, mode, density, mask):
+    fs = linear_model(3).draw(300, seed=0)
+    rows = [",".join(repr(float(c)) for c in (*v, y)) for v, y in zip(fs.V, fs.Y)]
+    marginals = json.dumps({"marginals": [{"uniform": [0, 1]}] * 3})
+    bodies = []
+    for name, order in (("sample", range(300)), ("shuffled", np.random.default_rng(5).permutation(300))):
+        csv_path = _write(tmp_path, f"{name}.csv", "\n".join(["v1,v2,v3,y"] + [rows[i] for i in order]) + "\n")
+        out = tmp_path / f"{name}.json"
+        argv = ["estimate", "--csv", csv_path, "--mask", mask, *mode, "--marginals", marginals, *density, "--output", str(out)]
+        assert main(argv) == 0
+        bodies.append({k: v for k, v in json.loads(out.read_text()).items() if k != "config"})
+    assert bodies[0] == bodies[1]
 @pytest.mark.parametrize("mode", [["--h", "0.2"], ["--auto"]])
 def test_outputs_past_the_float_range_are_an_error_json(tmp_path, capsys, mode):
     # was a bare ValueError traceback from fsum, -inf + inf

@@ -252,6 +252,22 @@ def test_mirror_kde_blocked_queries_match():
     np.testing.assert_allclose(whole, single, rtol=0, atol=1e-15)
 
 
+
+def test_plugins_do_not_depend_on_the_row_order_of_their_auxiliary_sample():
+    # beta_moment's mean was a numpy sum in the row order, and mirror_kde's
+    # grid summed tied cell keys in it
+    rng = np.random.default_rng(4)
+    aux = rng.beta(1.3, 1.2, size=2000)
+    a_hat = beta_moment_estimator(aux, b=1.2).params["a_hat"]
+    pts = rng.random((600, 2))
+    pts[:, 1] = np.round(pts[:, 1] * 16) / 16  # tied last coordinates: tied keys in the grid
+    dom = Domain(np.zeros(2), np.ones(2))
+    queries = rng.random((200, 2))
+    sums = mirror_kde(pts, build_kernel(2), h_kde=0.3, eta=0.5, domain=dom).eval_rows(queries)
+    for _ in range(5):
+        assert beta_moment_estimator(rng.permutation(aux), b=1.2).params["a_hat"] == a_hat
+        est = mirror_kde(pts[rng.permutation(600)], build_kernel(2), h_kde=0.3, eta=0.5, domain=dom)
+        assert np.array_equal(est.eval_rows(queries), sums)
 @pytest.mark.parametrize("d", [1, 2])
 def test_mirror_kde_matches_literal_formula(d):
     # ties in the auxiliary sample; queries on the box edges, on the axis

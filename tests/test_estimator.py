@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from mirrorsobol import _window
-from mirrorsobol._window import _grid_count, window_sums
+from mirrorsobol._window import _grid_count
 from mirrorsobol.bandwidth import bandwidth_curve, default_grid
 from mirrorsobol.density import mirror_kde
 from mirrorsobol.domain import Domain, sign_matrix
@@ -52,10 +52,25 @@ UNIT2 = InputModel((Uniform(0.0, 1.0), Uniform(0.0, 1.0)))
 UNIT3 = InputModel((Uniform(0.0, 1.0),) * 3)
 
 
+def _sums_in_input_order(x, weights, kernel, hs, domain, anchors=None):
+    """S[j, a, c]: the window sums of every bandwidth of hs in one array, in the input row order.
+
+    With anchors, the grid's sums at those anchors over every point.
+    """
+    hs = np.asarray(hs, dtype=float).ravel()
+    if anchors is not None:
+        return _window._grid_sums(x, weights, kernel, hs, domain, anchors, self_pairs=False)
+    order, blocks = _window.window_sums(x, weights, kernel, hs, domain)
+    out = np.empty((hs.size,) + weights.shape)
+    for js, sums in blocks:
+        out[np.ix_(js, order)] = sums
+    return out
+
+
 def _g1_loo(fs, spec, kernel, h, model):
     """Leave-one-out plug-in g1_hat_a = G_a / ((n-1) f_X(X_a)) from the window row sums."""
     xm = fs.V[:, spec.mask]
-    g = window_sums(xm, fs.Y[:, None], kernel, [h], model.domain.subdomain(spec.mask))[0, :, 0]
+    g = _sums_in_input_order(xm, fs.Y[:, None], kernel, [h], model.domain.subdomain(spec.mask))[0, :, 0]
     return g / ((fs.n - 1) * subset_density_fn(model, spec.mask)(xm))
 
 
@@ -182,13 +197,13 @@ def test_sorted_path_agrees_with_sparse_path():
         w = np.column_stack([y, y - y.mean()])
         kernel = build_kernel(order)
         # d = 1 takes the sorted range-moment path
-        fast = window_sums(x, w, kernel, [h], dom)[0]
+        fast = _sums_in_input_order(x, w, kernel, [h], dom)[0]
         sparse = _grid_sums(x, w, kernel, h, dom)
         err = np.max(np.abs(fast - sparse)) / max(np.max(np.abs(sparse)), 1e-12)
         assert err <= 1e-10, f"sorted path deviates from sparse path by {err} (n={n}, h={h}, k={order})"
         # each weight column is computed as it would be on its own
         for c in range(2):
-            alone = window_sums(x, w[:, c : c + 1], kernel, [h], dom)[0]
+            alone = _sums_in_input_order(x, w[:, c : c + 1], kernel, [h], dom)[0]
             assert np.array_equal(fast[:, c : c + 1], alone)
             assert np.array_equal(sparse[:, c : c + 1], _grid_sums(x, w[:, c : c + 1], kernel, h, dom))
 
@@ -315,7 +330,7 @@ def test_grid_matches_brute_force_at_other_anchors(case):
     w = np.column_stack([y, np.ones_like(y)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_window, "_PAIR_BUDGET", budget)
-        sums = window_sums(rows, w, kernel, [h], dom, anchors=anchors)[0]
+        sums = _sums_in_input_order(rows, w, kernel, [h], dom, anchors=anchors)[0]
     signs = sign_matrix(dom, anchors)
     tol_floor = _underflow(y.size, kernel, h, model)
     for a, q in enumerate(anchors):
@@ -387,7 +402,7 @@ def test_a_window_that_holds_only_its_anchor_sums_to_zero_on_every_backend(case)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_window, "_grid_count", lambda tied, sides, domain: split(sides))
             mp.setattr(_window, "_PAIR_BUDGET", budget)
-            sums = window_sums(rows, w, kernel, [h], dom)[0]
+            sums = _sums_in_input_order(rows, w, kernel, [h], dom)[0]
         assert np.array_equal(sums[alone], np.zeros((np.count_nonzero(alone), 2))), (backend, sums[alone])
 
 
@@ -426,7 +441,7 @@ def test_range_moments_agree_with_tree_on_spread_and_tied_samples():
         grid = _grid_sums(x, w, kernel, h, dom)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_window, "_MOMENT_CROSSOVER", 0.0)
-            moments = window_sums(x, w, kernel, [h], dom)[0]
+            moments = _sums_in_input_order(x, w, kernel, [h], dom)[0]
         err = np.max(np.abs(moments - grid)) / np.max(np.abs(grid))
         assert err <= 1e-12, f"range moments deviate from the grid by {err} (n={n}, h={h}, k={order})"
 
@@ -529,11 +544,11 @@ def test_window_sums_backend_choice(monkeypatch):
     x = rng.random((2000, 2))
     w = rng.normal(size=(2000, 1))
     kernel = build_kernel(2)
-    window_sums(x, w, kernel, [0.06], UNIT2.domain)  # about 2 pairs per anchor: the grid
-    window_sums(x, w, kernel, [0.6], UNIT2.domain, anchors=x[:10])
+    _sums_in_input_order(x, w, kernel, [0.06], UNIT2.domain)  # about 2 pairs per anchor: the grid
+    mirror_kde(x, kernel, 0.6, eta=0.5, domain=UNIT2.domain).eval_rows(x[:10])  # other anchors: the grid
     for sample, h in [(x, 0.6), (np.repeat(x[:20], 100, axis=0), 0.06)]:
         with pytest.raises(AssertionError, match="range moments"):
-            window_sums(sample, w, kernel, [h], UNIT2.domain)
+            _sums_in_input_order(sample, w, kernel, [h], UNIT2.domain)
 
 
 # --------------------------------------------------------------------------
@@ -737,10 +752,10 @@ def _check_grid_case(rows, y, kernel, hs, model, crossover, budget):
         mp.setattr(_window, "_MOMENT_CROSSOVER", crossover)
         mp.setattr(_window, "_PAIR_BUDGET", budget)
         split = _grid_split(rows, kernel, hs, dom)
-        sums = window_sums(rows, w, kernel, hs, dom)
+        sums = _sums_in_input_order(rows, w, kernel, hs, dom)
         t = _t_values(_prepare(fs, spec, hs[-1], model, None), fs.Y, kernel, hs)
         for j, h in enumerate(hs):
-            alone = window_sums(rows, w, kernel, [h], dom)[0]
+            alone = _sums_in_input_order(rows, w, kernel, [h], dom)[0]
             moments_alone = _grid_split(rows, kernel, [h], dom) == 0
             floor = _underflow(y.size, kernel, h, model)
             t_ref = brute_force_t(fs, spec, kernel, h, model)
@@ -846,9 +861,9 @@ def test_default_grid_straddles_the_crossover_and_matches_per_bandwidth_sums():
     moments_alone = [_grid_split(fs.V, kernel, [h], dom) == 0 for h in grid]
     # range moments take the largest bandwidths, and alone some the call gives to the grid
     assert 0 < split < grid.size and any(moments_alone[:split]) and all(moments_alone[split:])
-    sums = window_sums(fs.V, w, kernel, grid, dom)
+    sums = _sums_in_input_order(fs.V, w, kernel, grid, dom)
     for j, h in enumerate(grid):
-        alone = window_sums(fs.V, w, kernel, [h], dom)[0]
+        alone = _sums_in_input_order(fs.V, w, kernel, [h], dom)[0]
         if j >= split:
             assert np.array_equal(sums[j], alone)
         else:
@@ -975,7 +990,7 @@ def test_grid_call_at_one_bandwidth_keeps_blocks_small():
     kernel = build_kernel(2)
     assert _grid_split(fs.V, kernel, [h], UNIT2.domain) == 1
     w = np.column_stack([fs.Y, fs.Y - fs.Y.mean()])
-    peak = _peak_mib(lambda: window_sums(fs.V, w, kernel, [h], UNIT2.domain))
+    peak = _peak_mib(lambda: _sums_in_input_order(fs.V, w, kernel, [h], UNIT2.domain))
     assert peak <= 2.0, f"grid call peaked at {peak:.2f} MiB"
 
 
@@ -1072,6 +1087,53 @@ def test_row_permutation_invariance_range_moments(monkeypatch):
     perm = np.random.default_rng(1).permutation(400)
     t_perm = estimate_t(FullSample(V=fs.V[perm], Y=fs.Y[perm]), spec, k, 0.3, m.input_model)
     assert abs(t - t_perm) <= 1e-13 * abs(t), f"permutation changed the estimate: {t} vs {t_perm}"
+
+
+
+def _tied(fs):
+    """fs with tied rows: a tenth of the rows repeat others' inputs, half of those their outputs too, and a run ties on axis 0."""
+    n = fs.n
+    v, y = fs.V.copy(), fs.Y.copy()
+    v[n // 2 : n // 2 + n // 10] = v[: n // 10]
+    y[n // 2 : n // 2 + n // 20] = y[: n // 20]
+    v[n // 4 : n // 3, 0] = v[n // 4, 0]
+    return FullSample(V=v, Y=y)
+
+
+def _shuffles(fs, count=3):
+    rng = np.random.default_rng(8)
+    for _ in range(count):
+        perm = rng.permutation(fs.n)
+        yield FullSample(V=fs.V[perm], Y=fs.Y[perm])
+
+
+@pytest.mark.parametrize(
+    "model, mask, h, grid",
+    [
+        (linear_model(3), (0,), 0.2, False),  # 1-D range moments
+        (product_model(), (0, 1), 0.8, False),  # 2-D range moments: large windows
+        (product_model(), (0, 1), 0.05, True),  # 2-D grid: small windows
+        (linear_model(3), (0, 1, 2), 0.3, True),  # 3-D grid
+    ],
+)
+def test_every_reported_number_is_free_of_the_row_order(model, mask, h, grid):
+    # the estimator is a symmetric U-statistic: a function of the sample as a
+    # set, so a row permutation may move no bit of any reported number
+    fs = _tied(model.draw(1000, seed=3))
+    spec, kernel, im = SubsetSpec(mask), build_kernel(2), model.input_model
+    assert (_grid_split(fs.V[:, mask], kernel, [h], im.domain.subdomain(mask)) == 1) == grid
+    base = estimate_sobol(fs, spec, kernel, h, im)
+    for shuffled in _shuffles(fs):
+        assert estimate_sobol(shuffled, spec, kernel, h, im) == base
+    if len(mask) <= 2:
+        curve = bandwidth_curve(fs, spec, kernel, im)
+        for shuffled in _shuffles(fs, 2):
+            assert bandwidth_curve(shuffled, spec, kernel, im) == curve
+    if mask == (0,):
+        results, sigma = estimate_first_order_all(fs, kernel, h, im)
+        for shuffled in _shuffles(fs, 2):
+            shuffled_results, shuffled_sigma = estimate_first_order_all(shuffled, kernel, h, im)
+            assert shuffled_results == results and np.array_equal(shuffled_sigma, sigma)
 
 
 def test_scale_equivariance_exact():
