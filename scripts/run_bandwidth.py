@@ -5,7 +5,8 @@ Runs ``estimate --auto`` on one drawn sample: the pilot-matching selection
 rule picks h, and the JSON artifact holds the estimate at that h beside the
 selection, with the pilot targets and the objective curve in its
 ``bandwidth`` block.  Append CLI flags to override the defaults, e.g.
-``python scripts/run_bandwidth.py --n 500``.
+``python scripts/run_bandwidth.py --n 500``; ``--h`` or ``--rule``
+replaces the default ``--auto`` (see ``_defaults.py``).
 """
 
 import sys
@@ -23,4 +24,6 @@ DEFAULTS = [
 ]
 
 if __name__ == "__main__":
-    sys.exit(main(DEFAULTS + sys.argv[1:]))
+    from _defaults import command_line  # beside this script
+
+    sys.exit(main(command_line(DEFAULTS, sys.argv[1:])))

@@ -4,7 +4,10 @@
 Emits one CSV row per estimator with mean, RMSE, n-scaled empirical
 variance, and the theoretical limiting variance where a CLT constant is
 available.  Append CLI flags to override the defaults, e.g.
-``python scripts/run_compare.py --model product --n 4000``.
+``python scripts/run_compare.py --model product --n 4000``; ``--rule`` or
+``--auto`` replaces the default ``--h 0.25``, and so does an
+``--estimators`` without the kernel, which takes no bandwidth (see
+``_defaults.py``).
 """
 
 import sys
@@ -23,4 +26,6 @@ DEFAULTS = [
 ]
 
 if __name__ == "__main__":
-    sys.exit(main(DEFAULTS + sys.argv[1:]))
+    from _defaults import command_line  # beside this script
+
+    sys.exit(main(command_line(DEFAULTS, sys.argv[1:])))

@@ -3,7 +3,10 @@
 
 Defaults reproduce the root-n rate check on the linear model (takes a few
 minutes at 100 seeds).  Any CLI flag can be appended to override a default,
-e.g. ``python scripts/run_convergence.py --seeds 10 --n-grid 500,1000``.
+e.g. ``python scripts/run_convergence.py --seeds 10 --n-grid 500,1000``;
+``--h`` or ``--auto`` replaces the default ``--rule``, and so does an
+``--estimators`` without the kernel, which takes no bandwidth (see
+``_defaults.py``).
 """
 
 import sys
@@ -21,4 +24,6 @@ DEFAULTS = [
 ]
 
 if __name__ == "__main__":
-    sys.exit(main(DEFAULTS + sys.argv[1:]))
+    from _defaults import command_line  # beside this script
+
+    sys.exit(main(command_line(DEFAULTS, sys.argv[1:])))

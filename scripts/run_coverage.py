@@ -3,7 +3,8 @@
 
 Defaults reproduce the 95% CLT-interval calibration run on the linear
 model with an order-1 kernel and h = n^(-0.3).  Append CLI flags to
-override, e.g. ``python scripts/run_coverage.py --seeds 50``; add
+override, e.g. ``python scripts/run_coverage.py --seeds 50``; ``--h`` or
+``--auto`` replaces the default ``--rule`` (see ``_defaults.py``).  Add
 ``--variance-scale 0.5`` for the deliberate-miscalibration negative
 control.
 """
@@ -24,4 +25,6 @@ DEFAULTS = [
 ]
 
 if __name__ == "__main__":
-    sys.exit(main(DEFAULTS + sys.argv[1:]))
+    from _defaults import command_line  # beside this script
+
+    sys.exit(main(command_line(DEFAULTS, sys.argv[1:])))

@@ -26,7 +26,6 @@ import dataclasses
 import io
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 
 from .bandwidth import bandwidth_curve
 from .density import beta_moment_estimator, mirror_kde, uniform_max_estimator
-from .domain import Domain
+from .domain import Domain, _is_integer
 from .errors import MirrorSobolError
 from .estimator import FullSample, SubsetSpec, estimate_sobol
 from .inputs import _is_real, input_model_from_json, sample as draw_inputs
@@ -46,7 +45,6 @@ from .testbed import (
     ExperimentPlan,
     builtin_models,
     convergence_study,
-    coverage_study,
     limiting_variances,
     model_by_name,
 )
@@ -277,7 +275,7 @@ class RunConfig:
 
 def _integer(field: str, value, name: str = "") -> int:
     """value as an int, or a ConfigError naming field: a fraction is not truncated, and a bool is no integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ConfigError(field, f"{name or field} takes integers, got {value!r}")
     return int(value)
 
@@ -440,12 +438,12 @@ def _h_rule_fn(config: RunConfig):
     return lambda n: c * n ** (-gamma)
 
 
-def _build_plan(config: RunConfig, n_grid: tuple) -> ExperimentPlan:
+def _build_plan(config: RunConfig) -> ExperimentPlan:
     model = model_by_name(config.model)
     return ExperimentPlan(
         model=model,
         mask=_mask0(config, model.input_model.p),
-        n_grid=n_grid,
+        n_grid=config.n_grid or (config.n,),
         h_rule=_h_rule_fn(config),
         kernel_order=config.kernel_order,
         seeds=config.seeds,
@@ -523,45 +521,40 @@ def _cmd_estimate(config: RunConfig) -> str:
     return _write_text(_output_path(config), _json_artifact(config, body))
 
 
-def _cmd_convergence(config: RunConfig) -> str:
-    plan = _build_plan(config, config.n_grid)
-    out = convergence_study(plan)
-    trailer = [
-        f"slope estimator={est} mask={mask_label} value={_cell(slope)}"
-        for (est, mask_label), slope in sorted(out["slopes"].items())
-    ]
-    return _write_text(_output_path(config), _csv_artifact(config, _STUDY_COLUMNS, out["rows"], trailer))
-
-
-def _cmd_coverage(config: RunConfig) -> str:
-    n_grid = config.n_grid if config.n_grid else (config.n,)
-    plan = _build_plan(config, n_grid)
-    out = coverage_study(plan, ci_level=config.ci_level, variance_scale=config.variance_scale)
-    return _write_text(_output_path(config), _csv_artifact(config, _STUDY_COLUMNS, out["rows"]))
-
-
 # the compare rows of the three `limiting_variances`, in order: the shipped
 # Sobol' estimator centers the output first, and no CLT constant is claimed
 # for pf and rank
 _LIMITING_VARIANCE_ROWS = ("kernel_t", "kernel_sobol", "nn_t")
 
 
-def _cmd_compare(config: RunConfig) -> str:
-    plan = _build_plan(config, (config.n,))
-    rows = convergence_study(plan)["rows"]
-    limits = {}
-    if {"kernel", "nn"} & set(plan.estimators):
-        limits = dict(zip(_LIMITING_VARIANCE_ROWS, limiting_variances(plan.model, plan.mask)))
-    for row in rows:
-        row["limiting_variance"] = limits.get(row["estimator"], "")
-    return _write_text(_output_path(config), _csv_artifact(config, _COMPARE_COLUMNS, rows))
+def _cmd_study(config: RunConfig) -> str:
+    """convergence, coverage and compare: one study loop, each command keeping its rows, columns and trailer."""
+    plan = _build_plan(config)
+    ci_level = config.ci_level if config.command == "coverage" else None
+    out = convergence_study(plan, ci_level, config.variance_scale)
+    rows, columns, trailer = out["rows"], _STUDY_COLUMNS, []
+    if config.command == "coverage":
+        rows = [row for row in rows if row["estimator"] == "kernel_sobol"]
+    elif config.command == "convergence":
+        trailer = [
+            f"slope estimator={est} mask={mask_label} value={_cell(slope)}"
+            for (est, mask_label), slope in sorted(out["slopes"].items())
+        ]
+    else:
+        limits = {}
+        if {"kernel", "nn"} & set(plan.estimators):
+            limits = dict(zip(_LIMITING_VARIANCE_ROWS, limiting_variances(plan.model, plan.mask)))
+        for row in rows:
+            row["limiting_variance"] = limits.get(row["estimator"], "")
+        columns = _COMPARE_COLUMNS
+    return _write_text(_output_path(config), _csv_artifact(config, columns, rows, trailer))
 
 
 _DISPATCH = {
     "estimate": _cmd_estimate,
-    "convergence": _cmd_convergence,
-    "coverage": _cmd_coverage,
-    "compare": _cmd_compare,
+    "convergence": _cmd_study,
+    "coverage": _cmd_study,
+    "compare": _cmd_study,
 }
 
 

@@ -10,6 +10,7 @@ and ``check_mirror_condition`` is the geometric guard that the scaled window
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,11 @@ class Domain:
         return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
 
 
+def _is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer: a bool is no integer, and a float, even 2.0, is not truncated."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _check_mask(mask, p=None) -> tuple:
     """The mask as a tuple of ints, refused unless nonempty, free of repeats, and within 0 <= axis < p.
 
@@ -79,7 +85,7 @@ def _check_mask(mask, p=None) -> tuple:
     axes applies this one rule.
     """
     idx = tuple(mask)
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx):
+    if not all(map(_is_integer, idx)):
         raise MirrorSobolError(f"mask {idx} has an axis that is not an integer")
     idx = tuple(int(i) for i in idx)
     if not idx:

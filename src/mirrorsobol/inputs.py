@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import numpy.random  # numpy 2 would load it lazily, inside the first draw
 
-from .domain import Domain, _check_mask
+from .domain import Domain, _check_mask, _is_integer
 from .errors import MirrorSobolError
 
 __all__ = [
@@ -152,8 +152,11 @@ def sample(model: InputModel, n: int, seed: int, stream: int = 0) -> np.ndarray:
     column is the inverse-CDF transform of a column of one shared uniform
     block.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_integer(n) and n >= 1):
         raise MirrorSobolError(f"sample size must be a positive integer, got {n!r}")
+    for name, v in (("seed", seed), ("stream", stream)):
+        if not (_is_integer(v) and v >= 0):
+            raise MirrorSobolError(f"{name} must be a nonnegative integer, got {v!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(stream)))))
     u = rng.random((int(n), model.p))
     return np.column_stack([marg.transform(u[:, i]) for i, marg in enumerate(model.marginals)])

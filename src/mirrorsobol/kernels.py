@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .domain import _is_integer
 from .errors import MirrorSobolError
 
 __all__ = ["MAX_ORDER", "KernelD", "build_kernel"]
@@ -39,7 +40,7 @@ _SUPPORT = (0.0, 0.5)
 
 
 def _check_order(k) -> int:
-    if not isinstance(k, (int, np.integer)):
+    if not _is_integer(k):
         raise MirrorSobolError(f"kernel order must be an integer, got {k!r}")
     if k < 0:
         raise MirrorSobolError(f"kernel order must be nonnegative, got {k}")

@@ -16,13 +16,13 @@ import math
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._quad import gauss_legendre
 from .baselines import PickFreezeSample, nn_estimate, pick_freeze_estimate, rank_estimate
-from .domain import _check_mask, sign_matrix
+from .domain import _check_mask, _is_integer, sign_matrix
 from .errors import DegenerateOutputError, DomainViolationError, MirrorSobolError
 from .estimator import FullSample, SubsetSpec, _normal_ci, _ratio_covariance, _resolve_density, estimate_sobol
 from .inputs import InputModel, Uniform, sample
@@ -41,7 +41,6 @@ __all__ = [
     "brute_force_t",
     "limiting_variances",
     "convergence_study",
-    "coverage_study",
     "fit_loglog_slope",
 ]
 
@@ -360,13 +359,17 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "mask", tuple(sorted(_check_mask(self.mask, self.model.p))))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "seeds", int(self.seeds))
+        for field in ("seeds", "threads", "kernel_order"):
+            if not _is_integer(getattr(self, field)):
+                raise MirrorSobolError(f"{field} must be an integer, got {getattr(self, field)!r}")
+            object.__setattr__(self, field, int(getattr(self, field)))
+        grid = tuple(self.n_grid)
+        if not (grid and all(map(_is_integer, grid)) and grid[0] >= 2 and list(grid) == sorted(set(grid))):
+            raise MirrorSobolError(f"n_grid must be a nonempty ascending run of distinct integer sizes >= 2, got {grid}")
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.seeds < 1:
             raise MirrorSobolError(f"seeds must be >= 1, got {self.seeds}")
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise MirrorSobolError("n_grid must be ascending")
         unknown = set(self.estimators) - set(_ESTIMATOR_NAMES)
         if unknown:
             raise MirrorSobolError(f"unknown estimators {sorted(unknown)}")
@@ -441,8 +444,8 @@ def _over_seeds(fn: Callable[[int], object], seeds: Sequence[int], threads: int)
     return results
 
 
-def _seed_runner(plan: ExperimentPlan, estimators) -> Callable[[int, float], list]:
-    """run(n, h): for seeds 0..seeds-1, a dict from each of `estimators` to its estimate.
+def _seed_runner(plan: ExperimentPlan) -> Callable[[int, float], list]:
+    """run(n, h): for seeds 0..seeds-1, a dict from each estimator of the plan to its estimate.
 
     A seed draws stream 0 once, and stream 1 once if pf or nn runs; every
     estimator reads those draws.  One kernel and spec serve the study.
@@ -451,15 +454,15 @@ def _seed_runner(plan: ExperimentPlan, estimators) -> Callable[[int, float], lis
 
     def replicate(n: int, h: float, seed: int) -> dict:
         base = model.draw(n, seed)
-        alt = model.draw(n, seed, stream=1) if {"pf", "nn"} & set(estimators) else None
+        alt = model.draw(n, seed, stream=1) if {"pf", "nn"} & set(plan.estimators) else None
         out = {}
-        if "kernel" in estimators:
+        if "kernel" in plan.estimators:
             out["kernel"] = estimate_sobol(base, spec, kernel, h, model.input_model)
-        if "pf" in estimators:
+        if "pf" in plan.estimators:
             out["pf"] = pick_freeze_estimate(_freeze(model, mask, base, alt.V))
-        if "nn" in estimators:
+        if "nn" in plan.estimators:
             out["nn"] = nn_estimate((base.V[:, mask], base.Y), (alt.V[:, mask], alt.Y))
-        if "rank" in estimators:
+        if "rank" in plan.estimators:
             out["rank"] = rank_estimate(base.V[:, mask[0]], base.Y)
         return out
 
@@ -486,7 +489,7 @@ def _summary_row(model, mask, estimator, n, h, values, truth) -> dict:
     }
 
 
-def convergence_study(plan: ExperimentPlan) -> dict:
+def convergence_study(plan: ExperimentPlan, ci_level: Optional[float] = None, variance_scale: float = 1.0) -> dict:
     """RMSE against truth across n_grid for the plan's mask, with log-log slope fits.
 
     Returns {"rows": [...], "slopes": {...}} where rows carry the columns
@@ -494,16 +497,27 @@ def convergence_study(plan: ExperimentPlan) -> dict:
     coverage) and slopes map (estimator_label, mask_label) to the fitted
     log-log slope of RMSE in n.  A series with a zero RMSE has no slope: on
     a full mask pick-freeze's Y_pf is Y, so its index is exactly 1.
+
+    With a `ci_level`, the coverage of a kernel_sobol row is the fraction of
+    seeds whose interval at that level covers the true index, the variance
+    rescaled by `variance_scale` first (0.5 is the deliberate-miscalibration
+    negative control).  Every other coverage cell is blank.
     """
+    if ci_level is not None and not 0.0 < ci_level < 1.0:
+        raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
     model, mask = plan.model, plan.mask
-    run = _seed_runner(plan, plan.estimators)
+    run = _seed_runner(plan)
     rows = []
     for n in plan.n_grid:
         h = float(plan.h_rule(n)) if "kernel" in plan.estimators else None
         res = run(n, h)
         if "kernel" in plan.estimators:
-            rows.append(_summary_row(model, mask, "kernel_t", n, h, [r["kernel"].t_hat for r in res], model.t_of(mask)))
-            rows.append(_summary_row(model, mask, "kernel_sobol", n, h, [r["kernel"].sobol for r in res], model.sobol_of(mask)))
+            fits, sobol = [r["kernel"] for r in res], model.sobol_of(mask)
+            rows.append(_summary_row(model, mask, "kernel_t", n, h, [r.t_hat for r in fits], model.t_of(mask)))
+            rows.append(_summary_row(model, mask, "kernel_sobol", n, h, [r.sobol for r in fits], sobol))
+            if ci_level is not None:
+                intervals = [_normal_ci(r.sobol, r.var_sobol * variance_scale, n, ci_level) for r in fits]
+                rows[-1]["coverage"] = float(np.mean([lo <= sobol <= hi for lo, hi in intervals]))
         for name, label, truth in (("pf", "pf", model.sobol_of), ("nn", "nn_t", model.t_of), ("rank", "rank", model.sobol_of)):
             if name in plan.estimators:
                 rows.append(_summary_row(model, mask, label, n, None, [r[name] for r in res], truth(mask)))
@@ -525,26 +539,3 @@ def fit_loglog_slope(ns, rmses) -> float:
     if np.any(rmses <= 0):
         raise MirrorSobolError("cannot fit a log-log slope through zero RMSE")
     return float(np.polyfit(np.log(ns), np.log(rmses), 1)[0])
-
-
-def coverage_study(plan: ExperimentPlan, ci_level: float = 0.95, variance_scale: float = 1.0) -> dict:
-    """Fraction of seeds whose CI at level `ci_level` covers the true index at each n.
-
-    `variance_scale` rescales the variance before the interval is formed;
-    setting it to 0.5 is the deliberate-miscalibration negative control.
-    Only the kernel estimator produces intervals.  Returns {"rows": [...]}.
-    """
-    if not 0.0 < ci_level < 1.0:
-        raise MirrorSobolError(f"ci level must lie in (0, 1), got {ci_level}")
-    model, mask = plan.model, plan.mask
-    truth = model.sobol_of(mask)
-    run = _seed_runner(plan, ("kernel",))
-    rows = []
-    for n in plan.n_grid:
-        h = float(plan.h_rule(n))
-        res = [r["kernel"] for r in run(n, h)]
-        intervals = [_normal_ci(r.sobol, r.var_sobol * variance_scale, n, ci_level) for r in res]
-        row = _summary_row(model, mask, "kernel_sobol", n, h, [r.sobol for r in res], truth)
-        row["coverage"] = float(np.mean([lo <= truth <= hi for lo, hi in intervals]))
-        rows.append(row)
-    return {"rows": rows}

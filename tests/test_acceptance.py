@@ -30,7 +30,6 @@ from mirrorsobol.testbed import (
     ExperimentPlan,
     brute_force_t,
     convergence_study,
-    coverage_study,
     curved_model,
     limiting_variances,
     linear_model,
@@ -127,9 +126,9 @@ def test_clt_interval_coverage_with_negative_control():
         estimators=("kernel",),
         threads=1,
     )
-    nominal = coverage_study(plan)["rows"][0]["coverage"]
+    nominal = next(r for r in convergence_study(plan, 0.95)["rows"] if r["estimator"] == "kernel_sobol")["coverage"]
     assert 0.90 <= nominal <= 0.98, f"95% interval coverage {nominal} outside [0.90, 0.98]"
-    halved = coverage_study(plan, variance_scale=0.5)["rows"][0]["coverage"]
+    halved = next(r for r in convergence_study(plan, 0.95, 0.5)["rows"] if r["estimator"] == "kernel_sobol")["coverage"]
     assert halved < 0.90, f"halved-variance negative control {halved} should undercover"
 
 

@@ -996,6 +996,30 @@ def test_shipped_command_lines_parse(monkeypatch):
         assert config.command == argv[0]
 
 
+@pytest.mark.parametrize(
+    "script, flags, mode",
+    [
+        ("compare", ["--rule", "1.0", "0.4", "--n", "200", "--seeds", "2"], {"rule": (1.0, 0.4)}),
+        ("coverage", ["--h", "0.2"], {"h": 0.2}),
+        ("bandwidth", ["--h", "0.2"], {"h": 0.2}),
+        ("convergence", ["--estimators", "pf,nn", "--n-grid", "100,200", "--seeds", "2"], {}),
+        ("convergence", ["--estimators", "kernel,pf", "--seeds", "2"], {"rule": (1.0, 0.4)}),
+        ("compare", ["--n", "200"], {"h": 0.25}),
+        ("bandwidth", ["--n", "500"], {"auto": True}),
+    ],
+)
+def test_script_flags_replace_the_script_defaults(script, flags, mode):
+    # a bandwidth mode on the command line replaces the script's, and
+    # estimators without the kernel take none; any other default stays
+    command_line = runpy.run_path(_repo_file("scripts", "_defaults.py"))["command_line"]
+    defaults = runpy.run_path(_repo_file("scripts", f"run_{script}.py"))["DEFAULTS"]
+    argv = command_line(defaults, flags)
+    assert argv[-len(flags) :] == flags
+    config = RunConfig(**vars(_build_parser().parse_args(argv)))
+    assert {m: getattr(config, m) for m in ("h", "rule", "auto") if getattr(config, m) not in (None, False)} == mode
+    assert config.output == defaults[defaults.index("--output") + 1]
+
+
 def test_unset_flags_leave_the_defaults_to_run_config():
     args = _build_parser().parse_args(["coverage", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2"])
     assert vars(args) == {"command": "coverage", "model": "linear3", "n": 200, "mask": (1,), "h": 0.2}

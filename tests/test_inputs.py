@@ -127,6 +127,26 @@ def test_sample_deterministic_in_seed_and_stream():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize(
+    "n, seed, stream, field",
+    [
+        (True, 0, 0, "sample size"),
+        (2.0, 0, 0, "sample size"),
+        (5, 2.7, 0, "seed"),
+        (5, True, 0, "seed"),
+        (5, -1, 0, "seed"),
+        (5, 0, 1.5, "stream"),
+        (5, 0, -1, "stream"),
+    ],
+)
+def test_sample_refuses_a_fraction_a_bool_or_a_negative_seed(n, seed, stream, field):
+    # none of them is truncated, read as 1, or left to SeedSequence to refuse
+    with pytest.raises(MirrorSobolError, match=field) as exc:
+        sample(UNIFORM3, n, seed, stream=stream)
+    assert type(exc.value) is MirrorSobolError
+    np.testing.assert_array_equal(sample(UNIFORM3, np.int64(5), np.uint32(2), stream=np.int8(1)), sample(UNIFORM3, 5, 2, stream=1))
+
+
 def test_sample_respects_domain():
     model = InputModel((Uniform(-1, 1), Beta(2, 3)))
     v = sample(model, 2000, seed=5)

@@ -80,6 +80,10 @@ def test_kernel_rejects_bad_order():
         build_kernel(MAX_ORDER + 1)
     with pytest.raises(MirrorSobolError, match="integer"):
         build_kernel(1.0)
+    for flag in (True, False):  # a bool is no order, not orders 1 and 0
+        with pytest.raises(MirrorSobolError, match="integer"):
+            build_kernel(flag)
+    assert build_kernel(np.int64(2)).order == 2
 
 
 # ----------------------------------------------------------------- 1-D kernels

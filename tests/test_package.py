@@ -90,6 +90,7 @@ def test_removed_names_stay_removed():
         (testbed, "_conditional_moments"),
         (testbed, "_on_tensor_grid"),
         (testbed, "_along"),
+        (testbed, "coverage_study"),
         (kernels, "verify_order"),
         (_quad, "multi_indices"),
     ):

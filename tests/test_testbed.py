@@ -9,18 +9,17 @@ import numpy as np
 import pytest
 
 from mirrorsobol import testbed
-from mirrorsobol.baselines import pick_freeze_estimate
+from mirrorsobol.baselines import nn_estimate, pick_freeze_estimate, rank_estimate
 from mirrorsobol.cli import main
 from mirrorsobol.domain import Domain
 from mirrorsobol.errors import DomainViolationError, MirrorSobolError
-from mirrorsobol.estimator import FullSample, SubsetSpec
+from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_sobol
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import (
     ExperimentPlan,
     brute_force_t,
     builtin_models,
     convergence_study,
-    coverage_study,
     curved_model,
     fit_loglog_slope,
     ishigami_model,
@@ -473,10 +472,10 @@ def test_coverage_study_negative_control():
         estimators=("kernel",),
         threads=1,
     )
-    nominal = coverage_study(plan)
-    halved = coverage_study(plan, variance_scale=0.5)
-    cov = nominal["rows"][0]["coverage"]
-    cov_half = halved["rows"][0]["coverage"]
+    nominal = convergence_study(plan, 0.95)
+    halved = convergence_study(plan, 0.95, variance_scale=0.5)
+    cov = next(r for r in nominal["rows"] if r["estimator"] == "kernel_sobol")["coverage"]
+    cov_half = next(r for r in halved["rows"] if r["estimator"] == "kernel_sobol")["coverage"]
     assert cov >= 0.85, f"nominal coverage {cov} implausibly low"
     assert cov_half < cov, f"halved-variance control should cover less: {cov_half} vs {cov}"
 
@@ -498,7 +497,88 @@ def test_coverage_study_checks_its_level_before_any_replicate(ci_level, monkeypa
         threads=1,
     )
     with pytest.raises(MirrorSobolError, match="ci level"):
-        coverage_study(plan, ci_level=ci_level)
+        convergence_study(plan, ci_level=ci_level)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("threads", 2.5),
+        ("seeds", 2.7),
+        ("seeds", True),
+        ("kernel_order", True),
+        ("kernel_order", 2.0),
+        ("n_grid", (200.9,)),
+        ("n_grid", (True, 200)),
+        ("n_grid", ()),
+        ("n_grid", (200, 200)),
+        ("n_grid", (1, 200)),
+    ],
+)
+def test_plan_refuses_a_fraction_a_bool_or_a_bad_grid_before_any_replicate(field, value, monkeypatch):
+    # no value is truncated or read as 1, and a grid is what RunConfig takes
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(testbed, "estimate_sobol", no_replicate)
+    fields = dict(
+        model=linear_model(3),
+        mask=(0,),
+        n_grid=(200,),
+        h_rule=lambda n: 0.25,
+        kernel_order=1,
+        seeds=2,
+        estimators=("kernel",),
+        threads=1,
+    )
+    with pytest.raises(MirrorSobolError, match=field) as exc:
+        convergence_study(ExperimentPlan(**{**fields, field: value}))
+    assert type(exc.value) is MirrorSobolError
+    plan = ExperimentPlan(**{**fields, "n_grid": np.array([100, 200]), "seeds": np.int64(2), "threads": np.int32(1)})
+    assert plan.n_grid == (100, 200) and type(plan.n_grid[0]) is int and type(plan.seeds) is int
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_study_rows_equal_a_direct_loop_over_the_estimators(threads):
+    # every number of the one study loop, against the estimators called seed
+    # by seed on the same stream-0 and stream-1 draws
+    model, mask, h, seeds = linear_model(3), (0,), 0.25, 6
+    plan = ExperimentPlan(
+        model=model,
+        mask=mask,
+        n_grid=(300, 600),
+        h_rule=lambda n: h,
+        kernel_order=2,
+        seeds=seeds,
+        estimators=("kernel", "pf", "nn", "rank"),
+        threads=threads,
+    )
+    rows = convergence_study(plan, 0.95)["rows"]
+    spec, kernel = SubsetSpec(mask), build_kernel(2)
+    s_true, t_true = model.sobol_of(mask), model.t_of(mask)
+    expected = []
+    for n in plan.n_grid:
+        base = [model.draw(n, s) for s in range(seeds)]
+        alt = [model.draw(n, s, stream=1) for s in range(seeds)]
+        fits = [estimate_sobol(b, spec, kernel, h, model.input_model) for b in base]
+        covered = float(np.mean([fit.ci[0] <= s_true <= fit.ci[1] for fit in fits]))
+        pairs = list(zip(base, alt))
+        expected += [
+            (n, "kernel_t", h, [fit.t_hat for fit in fits], t_true, ""),
+            (n, "kernel_sobol", h, [fit.sobol for fit in fits], s_true, covered),
+            (n, "pf", "", [pick_freeze_estimate(testbed._freeze(model, mask, b, a.V)) for b, a in pairs], s_true, ""),
+            (n, "nn_t", "", [nn_estimate((b.V[:, [0]], b.Y), (a.V[:, [0]], a.Y)) for b, a in pairs], t_true, ""),
+            (n, "rank", "", [rank_estimate(b.V[:, 0], b.Y) for b in base], s_true, ""),
+        ]
+    assert [(r["n"], r["estimator"], r["h"]) for r in rows] == [e[:3] for e in expected]
+    for row, (n, name, _, values, truth, coverage) in zip(rows, expected):
+        values = np.array(values)
+        assert row["seed_count"] == seeds
+        assert row["mean"] == float(values.mean()), name
+        assert row["rmse"] == float(np.sqrt(np.mean((values - truth) ** 2))), name
+        assert row["var_scaled_by_n"] == float(n * values.var()), name
+        assert row["coverage"] == coverage, name
+    assert 0.0 < rows[1]["coverage"] <= 1.0
 
 
 def test_fit_loglog_slope_exact():
