@@ -22,7 +22,7 @@ import numpy as np
 from ._quad import gauss_legendre
 from ._window import _stable_order
 from .domain import Domain
-from .errors import MirrorSobolError, PilotTargetError
+from .errors import InsufficientSampleError, MirrorSobolError, PilotTargetError
 from .estimator import FullSample, SubsetSpec, _finite, _prepare, _t_values
 from .inputs import Beta, InputModel, Uniform, subset_density_fn
 from .kernels import KernelD
@@ -381,10 +381,12 @@ def bandwidth_curve(
     Returns {"h_star", "target", "target_printed", "curve": [(h, |T~ - target|)]}.
     The objective compares the U-statistic on leave-one-out virtual outputs
     (see virtual_outputs) to the pilot target (see pilot_target); h* is the
-    grid minimizer, ties going to the smaller h.  The pilot bandwidths h0
-    default to rule_of_thumb_h0(sample), and the strictly ascending grid to
-    default_grid on the mask's subdomain, where every grid entry must meet
-    the mirror condition.
+    grid minimizer, ties going to the smaller h, among the entries at which
+    some window holds a second point (the estimate refuses the others);
+    with no such entry it raises InsufficientSampleError.  The curve keeps
+    every entry.  The pilot bandwidths h0 default to rule_of_thumb_h0(sample),
+    and the strictly ascending grid to default_grid on the mask's subdomain,
+    where every grid entry must meet the mirror condition.
 
     When f_x is an InputModel it stands in for a missing input_model.  The
     domain defaults to the input model's box; without an input model it is
@@ -417,9 +419,12 @@ def bandwidth_curve(
         h0 = rule_of_thumb_h0(sample)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         target, target_printed = pilot_target(sample, spec, h0, marginals)
-        values = np.abs(np.array(_t_values(prepared, virtual_outputs(sample, h0, marginals), kernel, grid)) - target)
+        paired = [False] * grid.size
+        values = np.abs(np.array(_t_values(prepared, virtual_outputs(sample, h0, marginals), kernel, grid, paired)) - target)
     _finite([*values, target_printed], sample.Y)
-    idx = int(np.argmin(values))  # first minimum = smallest h on an ascending grid
+    if not any(paired):
+        raise InsufficientSampleError(f"no window holds a second sample point at any grid h up to h={grid[-1]} with n={sample.n}; raise n")
+    idx = int(np.argmin(np.where(paired, values, np.inf)))  # first minimum = smallest h on an ascending grid
     return {
         "h_star": float(grid[idx]),
         "target": target,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._window import _expand, _stable_order
 from .errors import DegenerateOutputError, InsufficientSampleError, MirrorSobolError
-from .estimator import _exact_mean, _finite
+from .estimator import _finite
 
 __all__ = [
     "PickFreezeSample",
@@ -192,12 +192,12 @@ def rank_estimate(X, Y) -> float:
     n = x.size
     if n < 2:
         raise InsufficientSampleError(f"rank estimation needs n >= 2, got {n}")
+    ys = y[_stable_order(x)]  # every sum below runs over the x-sorted outputs
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        variance = float(np.var(y))
+        variance = float(np.var(ys))
         if variance <= 0.0:
             raise DegenerateOutputError("output variance is zero; the Sobol' ratio is undefined")
-        ys = y[_stable_order(x)]
-        mean = float(np.mean(y))
-        numer = _exact_mean(ys[:-1] * ys[1:], n) - mean * mean
+        mean = float(np.mean(ys))
+        numer = float(np.sum(ys[:-1] * ys[1:])) / n - mean * mean
     _finite([variance, numer], y)
     return numer / variance

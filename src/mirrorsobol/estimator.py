@@ -195,37 +195,33 @@ def estimate_t(
     `f_x` is either an `InputModel` (the subset density and domain are
     derived from it), or the density of the masked rows given as a
     vectorized callable or as a `DensityEstimate` (anything exposing
-    `eval_rows`), in which case `domain` is required.  The result is
-    accumulated with exact compensated summation and does not depend on the
+    `eval_rows`), in which case `domain` is required.  The result is summed
+    in the window engine's canonical row order, so it does not depend on the
     ordering of the sample rows.
     """
     return _finite(_t_values(_prepare(sample, spec, h, f_x, domain), sample.Y, kernel, [h]), sample.Y)[0]
 
 
-def _t_values(prepared: tuple, y: np.ndarray, kernel: KernelD, hs) -> list:
+def _t_values(prepared: tuple, y: np.ndarray, kernel: KernelD, hs, paired: Optional[list] = None) -> list:
     """estimate_t with outputs y at each bandwidth of the ascending sequence hs, from one pass of window sums.
 
     `prepared` is what `_prepare` returns at hs[-1], the largest bandwidth.
+    A list `paired` as long as hs gets paired[j]: whether some window holds
+    a second point at hs[j], by `_estimate`'s rule that its sums are not all 0.0.
     """
     xm, fvals, sub = prepared
     n = y.size
     order, blocks = window_sums(xm, y[:, None], kernel, hs, sub)
     t = [0.0] * len(hs)
     with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse an overflow (`_finite`)
-        u = (y / fvals)[order]  # fsum is exact, so the row order of its terms is free
+        u = (y / fvals)[order]  # in the canonical row order, so np.sum is free of the input order
         for js, sums in blocks:
             for j, g in zip(js, sums):
-                t[j] = _exact_mean(u * g[:, 0], n * (n - 1))
+                t[j] = float(np.sum(u * g[:, 0])) / (n * (n - 1))
+                if paired is not None:
+                    paired[j] = bool(np.any(g))
             del sums, g  # one block at a time: the next one's work need not hold it
     return t
-
-
-def _exact_mean(terms: np.ndarray, count: int) -> float:
-    """The exact sum of the terms over count, n (n - 1) for a pair mean; inf or NaN where it overflows."""
-    try:
-        return math.fsum(terms.tolist()) / count
-    except (ValueError, OverflowError):  # -inf + inf, or finite terms whose sum is not
-        return math.nan
 
 
 def _finite(values, *ys):
@@ -308,8 +304,8 @@ def _estimate(sample: FullSample, spec: SubsetSpec, kernel: KernelD, h: float, f
         # every backend sums a window that holds only its anchor to 0.0
         if not (np.any(g) or np.any(g_c)):
             raise InsufficientSampleError(f"no window holds a second sample point at h={h}; raise h or n")
-        t_hat = _exact_mean((y / fvals) * g, n * (n - 1))
-        t_centered = _exact_mean((y_c / fvals) * g_c, n * (n - 1))
+        t_hat = float(np.sum((y / fvals) * g)) / (n * (n - 1))
+        t_centered = float(np.sum((y_c / fvals) * g_c)) / (n * (n - 1))
         sobol = t_centered / s2
         # 2 Y g1 is exactly twice Y g1, so var_t is 4 Var(Y g1)
         var_t = _variance(2.0 * y * (g / ((n - 1) * fvals)))

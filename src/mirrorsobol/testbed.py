@@ -453,18 +453,22 @@ def _seed_runner(plan: ExperimentPlan) -> Callable[[int, float], list]:
     spec, kernel, model, mask = SubsetSpec(plan.mask), build_kernel(plan.kernel_order), plan.model, list(plan.mask)
 
     def replicate(n: int, h: float, seed: int) -> dict:
-        base = model.draw(n, seed)
-        alt = model.draw(n, seed, stream=1) if {"pf", "nn"} & set(plan.estimators) else None
-        out = {}
-        if "kernel" in plan.estimators:
-            out["kernel"] = estimate_sobol(base, spec, kernel, h, model.input_model)
-        if "pf" in plan.estimators:
-            out["pf"] = pick_freeze_estimate(_freeze(model, mask, base, alt.V))
-        if "nn" in plan.estimators:
-            out["nn"] = nn_estimate((base.V[:, mask], base.Y), (alt.V[:, mask], alt.Y))
-        if "rank" in plan.estimators:
-            out["rank"] = rank_estimate(base.V[:, mask[0]], base.Y)
-        return out
+        try:
+            base = model.draw(n, seed)
+            alt = model.draw(n, seed, stream=1) if {"pf", "nn"} & set(plan.estimators) else None
+            out = {}
+            if "kernel" in plan.estimators:
+                out["kernel"] = estimate_sobol(base, spec, kernel, h, model.input_model)
+            if "pf" in plan.estimators:
+                out["pf"] = pick_freeze_estimate(_freeze(model, mask, base, alt.V))
+            if "nn" in plan.estimators:
+                out["nn"] = nn_estimate((base.V[:, mask], base.Y), (alt.V[:, mask], alt.Y))
+            if "rank" in plan.estimators:
+                out["rank"] = rank_estimate(base.V[:, mask[0]], base.Y)
+            return out
+        except MirrorSobolError as exc:  # the message names the replicate; the type and fields stay
+            exc.args = (f"seed {seed}, n={n}: {exc}",)
+            raise
 
     return lambda n, h: _over_seeds(lambda s: replicate(n, h, s), range(plan.seeds), plan.threads)
 

@@ -29,7 +29,7 @@ from mirrorsobol.errors import (
     PilotTargetError,
     SingularDensityError,
 )
-from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_t
+from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_sobol, estimate_t
 from mirrorsobol.inputs import Beta, Uniform
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import ishigami_model, linear_model, product_model
@@ -786,6 +786,23 @@ def test_bandwidth_curve_fields_and_determinism():
     assert out1["h_star"] in hs
     vals = [v for _, v in out1["curve"]]
     assert min(vals) == dict(out1["curve"])[out1["h_star"]]
+
+
+def test_curve_selects_only_a_bandwidth_whose_windows_hold_a_pair(monkeypatch):
+    # on product n = 5, seed 0, the windows hold a pair from h = 0.46 up;
+    # below it T~ is 0.0, which a target near 0 made the minimum at h = 0.01
+    monkeypatch.setattr(bandwidth, "pilot_target", lambda *args: (1e-300, 1e-300))
+    m, spec, kern = product_model(), SubsetSpec(mask=(0, 1)), build_kernel(2)
+    s = m.draw(5, 0)
+    out = bandwidth_curve(s, spec, kern, m.input_model)
+    grid = default_grid(5, m.input_model.domain.subdomain((0, 1)))
+    assert [h for h, _ in out["curve"]] == grid.tolist()
+    # the curve keeps every grid value, the unpaired ones included
+    unpaired = [v for h, v in out["curve"] if h < 0.46]
+    assert len(unpaired) == 20 and all(v == 1e-300 for v in unpaired)
+    assert out["h_star"] > 0.46
+    assert out["h_star"] == min((v, h) for h, v in out["curve"] if h > 0.46)[1]
+    assert estimate_sobol(s, spec, kern, out["h_star"], m.input_model).n_used == 5
 
 
 def test_curve_checks_the_grid_on_the_mask_subdomain():

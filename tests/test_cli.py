@@ -407,6 +407,42 @@ def test_outputs_past_the_float_range_are_an_error_json(tmp_path, capsys, mode):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_auto_refuses_a_grid_without_a_pair_before_the_estimate(tmp_path, capsys, monkeypatch, n):
+    # every grid value of T~ was 0.0, the curve selected h = 0.01, and the
+    # estimate refused it with advice to raise h, which --auto cannot follow
+    def estimate(*args, **kwargs):
+        raise AssertionError("the estimate ran after the curve")
+
+    monkeypatch.setattr(cli, "estimate_sobol", estimate)
+    argv = ["estimate", "--model", "product", "--mask", "1,2", "--auto", "--n", str(n), "--output", str(tmp_path / "e.json")]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {
+        "type": "InsufficientSampleError",
+        "message": f"no window holds a second sample point at any grid h up to h=1.0 with n={n}; raise n",
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # seed 0 fails in the calling process
+        (["coverage", "--model", "product", "--mask", "1,2", "--n", "30", "--seeds", "3", "--h", "0.01"], "seed 0, n=30: "),
+        # seed 0 runs, seed 1 fails: at 2 workers in the forked one
+        (["coverage", "--model", "product", "--mask", "1,2", "--n", "30", "--seeds", "3", "--h", "0.03"], "seed 1, n=30: "),
+        # pf and nn run on every seed; the kernel fails on seeds 0, 2 and 3
+        (["compare", "--model", "ishigami", "--mask", "1,2,3", "--estimators", "kernel,pf,nn", "--n", "200", "--seeds", "4", "--h", "0.25"], "seed 0, n=200: "),
+    ],
+)
+def test_a_study_error_names_its_lowest_failing_replicate(tmp_path, capsys, argv, message, threads):
+    assert main(argv + ["--threads", str(threads), "--output", str(tmp_path / "study.csv")]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    h = argv[argv.index("--h") + 1]
+    assert err == {"type": "InsufficientSampleError", "message": f"{message}no window holds a second sample point at h={h}; raise h or n"}
+
+
 def test_estimate_auto_with_a_narrow_axis_off_the_mask(tmp_path):
     # v1 ~ U(0, 1), v2 ~ U(0, 0.1), y = v1 + 10 v2: S1 = 1/2; the grid runs up
     # to the mask axis's width, ten times the off-mask one

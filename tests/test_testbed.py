@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import signal
 import time
 
@@ -10,9 +11,9 @@ import pytest
 
 from mirrorsobol import testbed
 from mirrorsobol.baselines import nn_estimate, pick_freeze_estimate, rank_estimate
-from mirrorsobol.cli import main
+from mirrorsobol.cli import ConfigError, main
 from mirrorsobol.domain import Domain
-from mirrorsobol.errors import DomainViolationError, MirrorSobolError
+from mirrorsobol.errors import DomainViolationError, MirrorSobolError, PilotTargetError, SingularDensityError
 from mirrorsobol.estimator import FullSample, SubsetSpec, estimate_sobol
 from mirrorsobol.kernels import build_kernel
 from mirrorsobol.testbed import (
@@ -318,6 +319,37 @@ def test_plan_rejects_nonpositive_threads(threads):
             estimators=("kernel",),
             threads=threads,
         )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "error",
+    [
+        SingularDensityError("density at rows [4, 7] is at or below the floor", indices=(4, 7)),
+        PilotTargetError(1, "no pilot target"),
+        ConfigError("threads", "a field"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_a_replicate_error_keeps_its_type_and_fields_under_its_seed(monkeypatch, error, threads):
+    # seeds 1 and 2 fail; at 2 workers seed 1 fails in the forked worker and
+    # comes back by pickle, and seed 2 in the calling process
+    real = testbed.estimate_sobol
+
+    def estimate(sample, *args, **kwargs):
+        if sample.Y[0] in failing:
+            raise pickle.loads(pickle.dumps(error))
+        return real(sample, *args, **kwargs)
+
+    model = linear_model(3)
+    failing = {model.draw(300, seed).Y[0] for seed in (1, 2)}
+    monkeypatch.setattr(testbed, "estimate_sobol", estimate)
+    plan = ExperimentPlan(model=model, mask=(0,), n_grid=(300,), h_rule=lambda n: 0.25, kernel_order=2, seeds=3, estimators=("kernel",), threads=threads)
+    with pytest.raises(type(error)) as caught:
+        convergence_study(plan)
+    assert str(caught.value) == f"seed 1, n=300: {error}" and caught.value.args == (str(caught.value),)
+    for field in ("axis", "indices", "field"):
+        assert getattr(caught.value, field, None) == getattr(error, field, None), field
 
 
 def test_over_seeds_starts_no_more_workers_than_seeds(monkeypatch):
