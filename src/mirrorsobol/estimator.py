@@ -197,7 +197,10 @@ def estimate_t(
     vectorized callable or as a `DensityEstimate` (anything exposing
     `eval_rows`), in which case `domain` is required.  The result is summed
     in the window engine's canonical row order, so it does not depend on the
-    ordering of the sample rows.
+    ordering of the sample rows.  It is the exact U-statistic, so on a sample
+    in which no window holds a second point it sums zero pairs and returns
+    0.0; `estimate_sobol` and `bandwidth_curve` refuse such a sample with an
+    `InsufficientSampleError`.
     """
     return _finite(_t_values(_prepare(sample, spec, h, f_x, domain), sample.Y, kernel, [h]), sample.Y)[0]
 

@@ -341,6 +341,92 @@ def test_grid_matches_brute_force_at_other_anchors(case):
             assert abs(sums[a, c] - want) <= tol, f"anchor {q}: grid {sums[a, c]!r} vs brute force {want!r} (h={h})"
 
 
+def _scanned_runs(grid, x, centers, reach):
+    """`_CellGrid.runs` by a direct scan over the grid order.
+
+    For each center and each leading cell that meets its ball, the grid
+    positions of the points whose last coordinate lies within `reach`, as
+    maximal runs of consecutive positions.
+    """
+    xs = x[grid.order]
+    lower = np.asarray(grid.lower)[: x.shape[1] - 1]
+    cells = np.floor((xs[:, :-1] - lower) / grid.side)
+    owner, first, stop = [], [], []
+    for i, c in enumerate(centers):
+        lo = np.floor(((c[:-1] - reach) - lower) / grid.side)
+        hi = np.floor(((c[:-1] + reach) - lower) / grid.side)
+        near = (xs[:, -1] >= c[-1] - reach) & (xs[:, -1] <= c[-1] + reach)
+        at = np.flatnonzero(np.all((cells >= lo) & (cells <= hi), axis=1) & near)
+        # a run ends where the positions jump or the leading cell changes
+        ends = np.flatnonzero((np.diff(at) != 1) | np.any(cells[at[1:]] != cells[at[:-1]], axis=1))
+        for part in np.split(at, ends + 1):
+            if part.size:
+                owner.append(i)
+                first.append(part[0])
+                stop.append(part[-1] + 1)
+    return [np.array(v, dtype=np.int64) for v in (owner, first, stop)]
+
+
+def _check_runs(x, lower, centers, reach, m):
+    grid = _window._CellGrid(x, lower, 2.0 * reach / m)
+    got = grid.runs(centers, reach)
+    want = _scanned_runs(grid, x, centers, reach)
+    for name, g, w in zip(("owner", "first", "stop"), got, want):
+        assert np.array_equal(g, w), (name, g, w)
+
+
+@st.composite
+def _run_cases(draw):
+    """Points with ties in d = 2 or 3, centers that are points or not, a ball radius and cells per ball side."""
+    d = draw(st.integers(2, 3))
+    lower = np.array([draw(st.sampled_from([0.0, -1.0, 1e6])) for _ in range(d)])
+
+    def coord(i):
+        # sixteenths put ball edges (a sixteenth apart from a center) on points and cell edges
+        sixteenth = st.integers(0, 16).map(lambda k: lower[i] + k / 16.0)
+        return draw(st.one_of(sixteenth, sixteenth, st.floats(lower[i], lower[i] + 1.0)))
+
+    pool = [[coord(i) for i in range(d)] for _ in range(draw(st.integers(1, 12)))]
+    x = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(draw(st.integers(1, 40)))])
+    others = [[coord(i) for i in range(d)] for _ in range(draw(st.integers(0, 6)))]
+    centers = np.array([draw(st.sampled_from(pool + others)) for _ in range(draw(st.integers(1, 20)))])
+    reach = draw(st.one_of(st.integers(1, 8).map(lambda k: k / 16.0), st.floats(1e-3, 1.0)))
+    return x, lower, centers, reach, draw(st.integers(1, _window._MAX_CELLS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_cases())
+def test_cell_grid_runs_match_a_direct_scan(case):
+    _check_runs(*case)
+
+
+def _fixed_run_case(name):
+    rng = np.random.default_rng(5)
+    x = rng.random((60, 3))
+    lower = np.zeros(3)
+    if name == "shuffled and repeated centers":
+        centers = x[np.r_[rng.permutation(60), rng.integers(0, 60, 20)]]
+    elif name == "centers off the sample":  # mirror_kde's anchors
+        centers = rng.uniform(-0.1, 1.1, size=(30, 3))
+    elif name == "ties on the last axis":
+        x[:, -1] = rng.integers(0, 4, 60) / 4.0
+        centers = x[rng.permutation(60)]
+    else:  # ball edges on points' values: c +- reach lands on a sixteenth, cell edges too
+        x = rng.integers(0, 17, (60, 3)) / 16.0
+        centers = x[rng.permutation(60)] + np.array([0.0, 0.0, 1.0 / 16.0])
+    return x, lower, centers, 0.125
+
+
+@pytest.mark.parametrize(
+    "name", ["shuffled and repeated centers", "centers off the sample", "ties on the last axis", "ball edges on point values"]
+)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_cell_grid_runs_match_a_direct_scan_on_fixed_cases(name, d, m):
+    x, lower, centers, reach = _fixed_run_case(name)
+    _check_runs(x[:, -d:], lower[-d:], centers[:, -d:], reach, m)
+
+
 def _moment_scale(rows, y, kernel, h, model):
     """The absolute-term scale of the range-moment backend.
 
@@ -945,6 +1031,16 @@ def _moment_cases_2d(draw):
 @settings(max_examples=200, deadline=None)
 @given(_moment_cases_2d())
 @example((np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.5], [1.0, 1.0]]), np.array([1.0, -2.0, 0.5, 1.5]), _ORDERS[4], 1.0, UNIT2))
+# anchors shuffled on axis 2 against the axis-1 order, with ties and window ends on points
+@example(
+    (
+        np.array([[0.0, 0.875], [0.125, 0.25], [0.25, 0.875], [0.5, 0.0], [0.5, 0.5], [0.75, 0.25], [0.875, 1.0], [1.0, 0.125]]),
+        np.array([1.0, -2.0, 0.5, 1.5, -1.0, 2.0, 0.25, -0.5]),
+        _ORDERS[2],
+        0.5,
+        UNIT2,
+    )
+)
 def test_forced_2d_range_moments_match_brute_force(case):
     # every bandwidth takes range moments, however few pairs its windows hold
     rows, y, kernel, h, model = case
@@ -1487,6 +1583,18 @@ def test_empty_windows_under_range_moments_are_an_insufficient_sample():
     for order in (0, 1, 2, 4):
         with pytest.raises(InsufficientSampleError, match=r"h=1.0; raise h or n"):
             estimate_sobol(fs, SubsetSpec((0, 1)), build_kernel(order), 1.0, UNIT2)
+
+
+def test_estimate_t_sums_zero_pairs_to_zero_where_the_index_refuses_the_sample():
+    # no window of this sample at h = 0.1 holds a second point: estimate_t is
+    # the exact U-statistic over zero pairs, as the double sum gives it, and
+    # the index refuses the sample
+    model = product_model()
+    fs, spec, kernel = model.draw(5, 0), SubsetSpec((0, 1)), build_kernel(2)
+    assert estimate_t(fs, spec, kernel, 0.1, model.input_model) == 0.0
+    assert brute_force_t(fs, spec, kernel, 0.1, model.input_model) == 0.0
+    with pytest.raises(InsufficientSampleError, match=r"no window holds a second sample point at h=0.1"):
+        estimate_sobol(fs, spec, kernel, 0.1, model.input_model)
 
 
 def test_bandwidth_too_large():
