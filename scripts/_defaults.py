@@ -1,7 +1,9 @@
 """How the experiment scripts' command-line flags replace their defaults.
 
 Each ``run_*.py`` script passes ``command_line(DEFAULTS, sys.argv[1:])`` to
-``mirrorsobol.cli.main``.  The flags follow the defaults, so a flag given
+``mirrorsobol.cli.main``; ``DEFAULTS`` starts with the command.  The flags
+are read by the CLI's one parser, ``_build_parser()``, the same that
+``main`` reads them with.  They follow the defaults, so a flag given
 twice takes its later value and every appended flag overrides its default.
 The bandwidth is the exception: ``--h``, ``--rule`` and ``--auto`` are
 three modes of which a command takes exactly one, so the script's default
@@ -16,7 +18,7 @@ _BANDWIDTH_FLAGS = ("--h", "--rule", "--auto")
 
 def command_line(defaults: list, flags: list) -> list:
     """defaults, less their bandwidth flag where `flags` replace it, followed by flags."""
-    given = vars(_build_parser(defaults[:1]).parse_args(defaults[:1] + flags))  # the fields the flags set
+    given = vars(_build_parser().parse_args(defaults[:1] + flags))  # the fields the flags set
     if not ({"h", "rule", "auto"} & set(given) or "kernel" not in given.get("estimators", ("kernel",))):
         return defaults + flags
     kept, dropping = [], False

@@ -1,6 +1,6 @@
 """Command-line harness: JSON-configured runs wiring the library modules together.
 
-Four subcommands share one declarative ``RunConfig``:
+Four commands, given as the first argument, share one declarative ``RunConfig``:
 
 ``estimate``
     one Sobol'/t estimate with CI, written as JSON; under ``auto`` it also
@@ -43,7 +43,6 @@ from .kernels import MAX_ORDER, build_kernel
 from .testbed import (
     _ESTIMATOR_NAMES,
     ExperimentPlan,
-    builtin_models,
     convergence_study,
     limiting_variances,
     model_by_name,
@@ -52,20 +51,6 @@ from .testbed import (
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "MIRRORSOBOL_OUTPUT_DIR"
 
-_STUDIES = ("convergence", "coverage", "compare")
-_STUDY_COLUMNS = (
-    "model",
-    "mask",
-    "estimator",
-    "n",
-    "h",
-    "seed_count",
-    "mean",
-    "rmse",
-    "var_scaled_by_n",
-    "coverage",
-)
-_COMPARE_COLUMNS = _STUDY_COLUMNS[:-1] + ("limiting_variance",)
 # the fields each command reads besides _ALWAYS; RunConfig rejects any other
 # field set away from its default, which the artifact would record as if used
 _ALWAYS = {"command", "csv", "model", "mask", "output"}
@@ -214,7 +199,7 @@ class RunConfig:
         if any(v < 2 for v in grid) or list(grid) != sorted(set(grid)):
             raise ConfigError("n_grid", f"n_grid must be ascending distinct sizes >= 2, got {list(grid)}")
         object.__setattr__(self, "n_grid", grid)
-        if self.command in _STUDIES and self.model is None:
+        if self.command != "estimate" and self.model is None:
             raise ConfigError("input", f"{self.command} needs a builtin model (truth is required)")
         if self.command == "convergence" and len(grid) == 0:
             raise ConfigError("n_grid", "convergence needs a nonempty n_grid")
@@ -371,17 +356,6 @@ def _mask0(config: RunConfig, p: int) -> tuple:
     return mask
 
 
-def _data_box(fs: FullSample) -> Domain:
-    return Domain(fs.V.min(axis=0), fs.V.max(axis=0))
-
-
-def _override_axis(domain: Domain, axis: int, lo: float, hi: float) -> Domain:
-    lower = np.array(domain.lower, dtype=float)
-    upper = np.array(domain.upper, dtype=float)
-    lower[axis], upper[axis] = lo, hi
-    return Domain(lower, upper)
-
-
 def _setup_density(config: RunConfig, fs: FullSample, mask0: tuple, kernel, input_model):
     """Returns (f_x, full-p domain, density info dict for the artifact)."""
     kind, params = _parse_density_spec(config.density)
@@ -389,17 +363,25 @@ def _setup_density(config: RunConfig, fs: FullSample, mask0: tuple, kernel, inpu
         if input_model is None:
             raise ConfigError("marginals", "exact density needs a builtin model or a marginals spec")
         return input_model, input_model.domain, {"kind": "exact"}
-    base = input_model.domain if input_model is not None else _data_box(fs)
     if kind in ("uniform_max", "beta_moment"):  # RunConfig holds them to one axis
-        aux = fs.V[:, mask0[0]]
+        axis = mask0[0]
         if kind == "uniform_max":
-            est = uniform_max_estimator(aux)
-            theta = est.params["theta_hat"]
-            domain = _override_axis(base, mask0[0], 0.0, theta)
+            est = uniform_max_estimator(fs.V[:, axis])
+            top = est.params["theta_hat"]
         else:
-            est = beta_moment_estimator(aux, params["b"])
-            domain = _override_axis(base, mask0[0], 0.0, 1.0)
-        return est.eval_rows, domain, {"kind": est.kind, "params": est.params}
+            est = beta_moment_estimator(fs.V[:, axis], params["b"])
+            top = 1.0
+        # the plug-in's interval on the mask axis, the marginals' box or else the data's off it
+        if input_model is not None:
+            lower, upper = np.array(input_model.domain.lower), np.array(input_model.domain.upper)
+        else:
+            lower, upper = fs.V.min(axis=0), fs.V.max(axis=0)
+        lower[axis], upper[axis] = 0.0, top
+        flat = ", ".join(f"v{i + 1}" for i in np.nonzero(~(lower < upper))[0])
+        if flat:
+            message = f"CSV column {flat} holds a single value, so the data box has no width there; pass --marginals"
+            raise ConfigError("marginals", message)
+        return est.eval_rows, Domain(lower, upper), {"kind": est.kind, "params": est.params}
     # mirror_kde
     if input_model is None:
         raise ConfigError("marginals", "mirror_kde needs a builtin model or a marginals spec for the domain")
@@ -485,14 +467,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_artifact(config: RunConfig, columns: tuple, rows: list, trailer: list = ()) -> str:
+def _csv_artifact(config: RunConfig, rows: list, trailer: list = ()) -> str:
+    """The config line, then the rows under the keys of the first row; every row has those keys in that order."""
     compact = json.dumps(config.to_json(), sort_keys=True, separators=(",", ":"))
     buf = io.StringIO()
     buf.write(f"# schema_version={SCHEMA_VERSION} config={compact}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerow([_cell(value) for value in row.values()])
     for line in trailer:
         buf.write(f"# {line}\n")
     return buf.getvalue()
@@ -532,7 +515,7 @@ def _cmd_study(config: RunConfig) -> str:
     plan = _build_plan(config)
     ci_level = config.ci_level if config.command == "coverage" else None
     out = convergence_study(plan, ci_level, config.variance_scale)
-    rows, columns, trailer = out["rows"], _STUDY_COLUMNS, []
+    rows, trailer = out["rows"], []
     if config.command == "coverage":
         rows = [row for row in rows if row["estimator"] == "kernel_sobol"]
     elif config.command == "convergence":
@@ -545,9 +528,9 @@ def _cmd_study(config: RunConfig) -> str:
         if {"kernel", "nn"} & set(plan.estimators):
             limits = dict(zip(_LIMITING_VARIANCE_ROWS, limiting_variances(plan.model, plan.mask)))
         for row in rows:
+            del row["coverage"]
             row["limiting_variance"] = limits.get(row["estimator"], "")
-        columns = _COMPARE_COLUMNS
-    return _write_text(_output_path(config), _csv_artifact(config, columns, rows, trailer))
+    return _write_text(_output_path(config), _csv_artifact(config, rows, trailer))
 
 
 _DISPATCH = {
@@ -599,55 +582,48 @@ def _json_arg(text: str):
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
-def _build_parser(flagged=tuple(_DISPATCH)) -> argparse.ArgumentParser:
-    """The parser of every command; flags, most of its build time, go only on those in `flagged`."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: the command name, then any of the flags."""
+    # every command takes every flag, and unset flags stay out of the
+    # namespace: RunConfig alone owns the defaults and the rules, so the
+    # number and bool flags take any JSON value and leave its type to it
     parser = argparse.ArgumentParser(
         prog="mirrorsobol",
         description="Mirror-corrected kernel estimation of Sobol' indices.",
+        argument_default=argparse.SUPPRESS,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    model_names = [m.name for m in builtin_models()]
 
     def read_by(field: str) -> str:
         return "; read by " + ", ".join(c for c in _READS if field in _READS[c])
 
-    # every command takes every flag, and unset flags stay out of the
-    # namespace: RunConfig alone owns the defaults and the rules, so the
-    # number and bool flags take any JSON value and leave its type to it
-    for name, summary in (
-        ("estimate", "one estimate with CI, JSON out"),
-        ("convergence", "RMSE vs n study, CSV out"),
-        ("coverage", "CI coverage study, CSV out"),
-        ("compare", "estimator comparison table, CSV out"),
-    ):
-        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        if name not in flagged:
-            continue
-        sp.add_argument("--csv", help="sample CSV with header v1,...,vp,y; read by estimate")
-        sp.add_argument("--model", choices=model_names, help="builtin analytic model")
-        sp.add_argument("--n", type=_json_arg, help="builtin model's sample size (coverage: without --n-grid)" + read_by("n"))
-        sp.add_argument("--seed", type=_json_arg, help="seed of a builtin model" + read_by("seed"))
-        sp.add_argument("--mask", type=_json_list, help="1-based input axes, e.g. 1 or 1,3")
-        sp.add_argument("--order", dest="kernel_order", type=_json_arg, help="kernel order k" + read_by("kernel_order"))
-        sp.add_argument("--h", type=_json_arg, help="fixed bandwidth" + read_by("h"))
-        sp.add_argument("--auto", nargs="?", const=True, type=_json_arg, help="data-driven bandwidth selection (alone: true)" + read_by("auto"))
-        sp.add_argument("--rule", nargs=2, type=_json_arg, metavar=("C", "GAMMA"), help="h = C n^-GAMMA" + read_by("rule"))
-        sp.add_argument("--density", type=_json_arg, help='"exact" or {"plugin": ...} JSON' + read_by("density"))
-        sp.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON' + read_by("marginals"))
-        sp.add_argument("--output", help="output file path")
-        sp.add_argument("--ci-level", type=_json_arg, help="interval level" + read_by("ci_level"))
-        sp.add_argument("--threads", type=_json_arg, help=f"worker processes of a study, 1 to {_MAX_THREADS}" + read_by("threads"))
-        sp.add_argument("--n-grid", type=_json_list, help="e.g. 500,1000,2000" + read_by("n_grid"))
-        sp.add_argument("--seeds", type=_json_arg, help="number of seeds (0..seeds-1)" + read_by("seeds"))
-        sp.add_argument("--estimators", type=_str_list, help=",".join(_ESTIMATOR_NAMES) + read_by("estimators"))
-        sp.add_argument("--variance-scale", type=_json_arg, help="0.5: negative control" + read_by("variance_scale"))
+    parser.add_argument(
+        "command",
+        choices=_DISPATCH,
+        help="estimate: one estimate with CI, JSON out; convergence: RMSE vs n study, CSV out; coverage: CI coverage study, CSV out; compare: estimator comparison table, CSV out",
+    )
+    parser.add_argument("--csv", help="sample CSV with header v1,...,vp,y; read by estimate")
+    parser.add_argument("--model", help="builtin analytic model; an unknown name is a config error that lists them")
+    parser.add_argument("--n", type=_json_arg, help="builtin model's sample size (coverage: without --n-grid)" + read_by("n"))
+    parser.add_argument("--seed", type=_json_arg, help="seed of a builtin model" + read_by("seed"))
+    parser.add_argument("--mask", type=_json_list, help="1-based input axes, e.g. 1 or 1,3")
+    parser.add_argument("--order", dest="kernel_order", type=_json_arg, help="kernel order k" + read_by("kernel_order"))
+    parser.add_argument("--h", type=_json_arg, help="fixed bandwidth" + read_by("h"))
+    parser.add_argument("--auto", nargs="?", const=True, type=_json_arg, help="data-driven bandwidth selection (alone: true)" + read_by("auto"))
+    parser.add_argument("--rule", nargs=2, type=_json_arg, metavar=("C", "GAMMA"), help="h = C n^-GAMMA" + read_by("rule"))
+    parser.add_argument("--density", type=_json_arg, help='"exact" or {"plugin": ...} JSON' + read_by("density"))
+    parser.add_argument("--marginals", type=_json_arg, help='{"marginals": [...]} JSON' + read_by("marginals"))
+    parser.add_argument("--output", help="output file path")
+    parser.add_argument("--ci-level", type=_json_arg, help="interval level" + read_by("ci_level"))
+    parser.add_argument("--threads", type=_json_arg, help=f"worker processes of a study, 1 to {_MAX_THREADS}" + read_by("threads"))
+    parser.add_argument("--n-grid", type=_json_list, help="e.g. 500,1000,2000" + read_by("n_grid"))
+    parser.add_argument("--seeds", type=_json_arg, help="number of seeds (0..seeds-1)" + read_by("seeds"))
+    parser.add_argument("--estimators", type=_str_list, help=",".join(_ESTIMATOR_NAMES) + read_by("estimators"))
+    parser.add_argument("--variance-scale", type=_json_arg, help="0.5: negative control" + read_by("variance_scale"))
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = next((arg for arg in argv if arg in _DISPATCH), None)  # no top-level flag takes a value
-    args = _build_parser((command,)).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = RunConfig(**vars(args))
     except MirrorSobolError as exc:

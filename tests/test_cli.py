@@ -498,6 +498,46 @@ def test_estimate_uniform_max_plugin_csv(tmp_path):
     assert abs(obj["result"]["sobol"] - 1.0) < 0.1, f"Y is a function of V1 alone; sobol {obj['result']['sobol']}"
 
 
+def _constant_column_csv(tmp_path):
+    # v2 holds one value in every row, as a column of a fixed setting does
+    rng = np.random.default_rng(8)
+    v = np.column_stack([rng.uniform(0.0, 1.0, 300), np.full(300, 0.5)])
+    lines = ["v1,v2,y"] + [f"{a!r},{b!r},{2.0 * a!r}" for a, b in v.tolist()]
+    return _write(tmp_path, "c.csv", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "density, mode",
+    [
+        ({"plugin": "uniform_max"}, ["--h", "0.2"]),
+        ({"plugin": {"beta_moment": {"b": 1.2}}}, ["--h", "0.2"]),
+        ({"plugin": "uniform_max"}, ["--auto"]),
+    ],
+)
+def test_a_constant_csv_column_under_a_one_axis_plugin_asks_for_marginals(density, mode, tmp_path, capsys):
+    # the data box of a constant column has no width: a config error that
+    # names the column and --marginals, which gives the box a range
+    argv = ["estimate", "--csv", _constant_column_csv(tmp_path), "--mask", "1", "--density", json.dumps(density)]
+    out = tmp_path / "est.json"
+    assert main(argv + mode + ["--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["field"]) == ("ConfigError", "marginals")
+    assert "v2" in err["message"] and "--marginals" in err["message"], err
+    assert not out.exists()
+    marginals = json.dumps({"marginals": [{"uniform": [0, 1]}, {"uniform": [0, 1]}]})
+    assert main(argv + ["--h", "0.2", "--marginals", marginals, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["density"]["kind"] != "exact"
+
+
+def test_mirror_kde_on_a_constant_csv_column_gives_its_own_message(tmp_path, capsys):
+    argv = ["estimate", "--csv", _constant_column_csv(tmp_path), "--mask", "1", "--h", "0.2"]
+    argv += ["--density", json.dumps({"plugin": {"mirror_kde": {"eta": 0.5}}}), "--output", str(tmp_path / "est.json")]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["field"]) == ("ConfigError", "marginals")
+    assert err["message"].startswith("mirror_kde needs a builtin model or a marginals spec"), err
+
+
 def test_estimate_mirror_kde_plugin_builtin(tmp_path):
     out = str(tmp_path / "est.json")
     cfg = RunConfig(
@@ -719,6 +759,30 @@ def test_compare_command_limiting_variances(tmp_path):
     assert abs(float(cells["kernel_sobol"]) - 32.0 / 45.0) < 1e-6, f"kernel_sobol limit {cells['kernel_sobol']}"
     assert float(cells["nn_t"]) > 0
     assert cells["pf"] == "" and cells["rank"] == "", "no CLT constant is claimed for pf/rank"
+
+
+_STUDY_HEADER = "model,mask,estimator,n,h,seed_count,mean,rmse,var_scaled_by_n"
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["convergence", "--n-grid", "100,200", "--h", "0.25"], _STUDY_HEADER + ",coverage"),
+        (["coverage", "--n", "200", "--h", "0.25"], _STUDY_HEADER + ",coverage"),
+        (["compare", "--n", "200", "--h", "0.25", "--estimators", "kernel,pf,nn,rank"], _STUDY_HEADER + ",limiting_variance"),
+        (["compare", "--n", "200", "--estimators", "pf,rank"], _STUDY_HEADER + ",limiting_variance"),
+    ],
+)
+def test_study_headers_keep_their_columns(argv, header, tmp_path):
+    # the header is the keys of a study row; compare trades coverage for the
+    # limiting variance, blank for every row without a CLT constant
+    out = tmp_path / "study.csv"
+    assert main(argv + ["--model", "linear3", "--mask", "1", "--seeds", "2", "--output", str(out)]) == 0
+    _, _, rows, lines = _read_table(str(out))
+    assert lines[1] == header
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines[2:] if not line.startswith("#"))
+    if "pf,rank" in argv:
+        assert [(r["estimator"], r["limiting_variance"]) for r in rows] == [("pf", ""), ("rank", "")]
 
 
 # ------------------------------------------------------------------
@@ -1061,33 +1125,47 @@ def test_unset_flags_leave_the_defaults_to_run_config():
     assert vars(args) == {"command": "coverage", "model": "linear3", "n": 200, "mask": (1,), "h": 0.2}
 
 
-def test_main_flags_only_the_command_it_runs(monkeypatch, capsys):
-    # main builds the flags of one command; that parser reads a command line
-    # and prints help as the parser of every command does
-    built = []
-    full = _build_parser
-
-    def recording(flagged=tuple(cli._DISPATCH)):
-        built.append(tuple(flagged))
-        return full(flagged)
-
-    monkeypatch.setattr(cli, "_build_parser", recording)
-    for argv, command in (
-        (["coverage", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2", "--output", "compare"], "coverage"),
-        (["estimate", "--model", "linear3", "--n", "0", "--mask", "1", "--h", "0.2"], "estimate"),
-        (["compare", "--model", "linear3", "--n", "1.5", "--mask", "1"], "compare"),
+def test_one_parser_reads_every_command_line(capsys):
+    # one parser: the command name, then the flags that were set, whatever
+    # the command (a flag's value may name another command); RunConfig, not
+    # the parser, says which flags a command reads
+    for argv, expected in (
+        (
+            ["estimate", "--csv", "s.csv", "--mask", "1,3", "--auto", "--density", '{"plugin": "uniform_max"}'],
+            {"command": "estimate", "csv": "s.csv", "mask": (1, 3), "auto": True, "density": {"plugin": "uniform_max"}},
+        ),
+        (
+            ["convergence", "--model", "product", "--mask", "1,2", "--n-grid", "100,200", "--rule", "1", "0.4"],
+            {"command": "convergence", "model": "product", "mask": (1, 2), "n_grid": (100, 200), "rule": [1, 0.4]},
+        ),
+        (
+            ["coverage", "--model", "linear3", "--n", "200", "--mask", "1", "--h", "0.2", "--output", "compare"],
+            {"command": "coverage", "model": "linear3", "n": 200, "mask": (1,), "h": 0.2, "output": "compare"},
+        ),
+        (
+            ["compare", "--model", "nope", "--n", "1.5", "--mask", "1", "--estimators", "pf,nn", "--order", "4"],
+            {"command": "compare", "model": "nope", "n": 1.5, "mask": (1,), "estimators": ("pf", "nn"), "kernel_order": 4},
+        ),
     ):
-        assert vars(full((command,)).parse_args(argv)) == vars(full().parse_args(argv))
-        assert main(argv + ["--seeds", "0"]) == 2  # a config error, before any run
-        assert built[-1] == (command,)
+        assert vars(_build_parser().parse_args(argv)) == expected
     capsys.readouterr()
-    helps = []
-    for argv in (["--help"], ["estimate", "--help"]):
-        for parser in (full(("estimate",)), full()):
-            with pytest.raises(SystemExit):
-                parser.parse_args(argv)
-            helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1] and helps[2] == helps[3] and "--variance-scale" in helps[2]
+    with pytest.raises(SystemExit) as exited:
+        _build_parser().parse_args(["--help"])
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    assert "{estimate,convergence,coverage,compare}" in text and "--variance-scale" in text
+
+
+def test_an_unknown_model_is_a_config_error_on_stdout(tmp_path, capfd):
+    # RunConfig alone knows the builtin models; the parser takes any name
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--model", "nope", "--n", "200", "--mask", "1", "--h", "0.2", "--output", str(out)]) == 2
+    stdout, stderr = capfd.readouterr()
+    assert stderr == ""
+    (line,) = stdout.splitlines()
+    err = json.loads(line)["error"]
+    assert (err["type"], err["field"]) == ("ConfigError", "model") and "linear3" in err["message"], err
+    assert not out.exists()
 
 
 def test_main_reports_config_errors(capsys):
